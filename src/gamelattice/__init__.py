@@ -57,6 +57,7 @@ from .iteration import (
 )
 from .ordinals import Ordinal, parse_ordinal
 from .properties import (
+    Evaluator,
     PropertyProfile,
     PropertySpec,
     apply_operator,

@@ -5,6 +5,8 @@ Exit codes: 0 when all checks pass, 1 on a mathematical counterexample or an
 iteration left unresolved at its ordinal bound, 2 on input, parse, or budget
 errors.  --json switches to the canonical machine-readable rendering; the
 GAMELATTICE_BUDGET environment variable overrides enumeration budgets.
+Each command evaluates properties through one Evaluator, so its verdict
+cache lives exactly as long as the command.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from . import dominance, epistemic, iteration, properties, symbolic, witnesses
 from .errors import GameLatticeError
 from .games import parse_game_file
 from .ordinals import parse_ordinal
-from .properties import PropertyProfile, parse_property_spec, property_operator
+from .properties import Evaluator, PropertyProfile, parse_property_spec, property_operator
 from .reports import CheckReport, canonical_json
 
 EXIT_OK = 0
@@ -25,14 +27,21 @@ EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
 
 
-def _budget_override() -> int | None:
-    raw = os.environ.get("GAMELATTICE_BUDGET")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"GAMELATTICE_BUDGET must be an integer, got {raw!r}")
+def _read_budget(flag: int | None, default: int | None) -> int | None:
+    """The --budget value, else GAMELATTICE_BUDGET, else `default`.  Zero is a
+    budget of zero; a negative budget is an input error."""
+    budget = flag
+    if budget is None:
+        raw = os.environ.get("GAMELATTICE_BUDGET")
+        if raw is None:
+            return default
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise ValueError(f"GAMELATTICE_BUDGET must be an integer, got {raw!r}") from None
+    if budget < 0:
+        raise ValueError(f"a budget must be non-negative, got {budget}")
+    return budget
 
 
 def _profile_from_args(args, game) -> PropertyProfile:
@@ -72,9 +81,9 @@ def _emit_report(report: CheckReport, as_json: bool) -> int:
 
 
 def cmd_eliminate(args) -> int:
+    budget = _read_budget(args.budget, None)
     game = parse_game_file(args.game)
     profile = _profile_from_args(args, game)
-    budget = args.budget if args.budget is not None else _budget_override()
     trace = properties.outcome(profile, game, budget=budget)
     if args.json:
         print(canonical_json(trace.to_json_dict()))
@@ -88,37 +97,40 @@ def cmd_eliminate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    budget = _read_budget(None, None)
+    lattice_budget = iteration.DEFAULT_LATTICE_BUDGET if budget is None else budget
     game = parse_game_file(args.game)
-    budget = _budget_override()
-    lattice_budget = budget or iteration.DEFAULT_LATTICE_BUDGET
+    evaluator = Evaluator(game)
     if args.verifier in ("tarski", "contracting", "monotone", "singleton"):
         profile = _profile_from_args(args, game)
     if args.verifier == "tarski":
-        op = property_operator(profile, game)
+        op = property_operator(profile, game, evaluator)
         report = iteration.verify_tarski(
             op, game, op_name=str(profile), max_restrictions=lattice_budget
         )
     elif args.verifier == "contracting":
-        op = property_operator(profile, game)
-        report = iteration.verify_contracting_outcome(op, game, op_name=str(profile))
+        op = property_operator(profile, game, evaluator)
+        report = iteration.verify_contracting_outcome(
+            op, game, op_name=str(profile), budget=budget
+        )
     elif args.verifier == "monotone":
         if len(set(profile.specs)) != 1:
             raise ValueError("check monotone wants a single property")
         report = properties.check_property_monotone(
-            profile.specs[0], game, max_restrictions=lattice_budget
+            profile.specs[0], game, max_restrictions=lattice_budget, evaluator=evaluator
         )
     elif args.verifier == "singleton":
         if len(set(profile.specs)) != 1:
             raise ValueError("check singleton wants a single property")
-        report = properties.check_singleton_condition(profile.specs[0], game)
+        report = properties.check_singleton_condition(profile.specs[0], game, evaluator)
     elif args.verifier == "inclusion":
         if not args.prop or not args.prop2:
             raise ValueError("check inclusion wants --prop and --prop2")
         p1 = PropertyProfile.uniform(parse_property_spec(args.prop), game.num_players)
         p2 = PropertyProfile.uniform(parse_property_spec(args.prop2), game.num_players)
         report = iteration.verify_inclusion_lemma(
-            property_operator(p1, game),
-            property_operator(p2, game),
+            property_operator(p1, game, evaluator),
+            property_operator(p2, game, evaluator),
             game,
             op1_name=str(p1),
             op2_name=str(p2),
@@ -137,31 +149,35 @@ def cmd_check(args) -> int:
     return _emit_report(report, args.json)
 
 
-def _epistemic_expectation(game, profile):
+def _epistemic_expectation(game, profile, evaluator):
     """Which theorem governs the enumeration: 'outcome' when every property
     is monotonic, 'full-game' when every property accepts singletons, else
     None."""
     specs = sorted(set(profile.specs), key=str)
-    if all(properties.check_property_monotone(s, game).passed for s in specs):
+    if all(
+        properties.check_property_monotone(s, game, evaluator=evaluator).passed
+        for s in specs
+    ):
         return "outcome"
-    if all(properties.check_singleton_condition(s, game).passed for s in specs):
+    if all(properties.check_singleton_condition(s, game, evaluator).passed for s in specs):
         return "full-game"
     return None
 
 
 def cmd_epistemic(args) -> int:
+    budget = _read_budget(None, epistemic.DEFAULT_MODEL_BUDGET)
     game = parse_game_file(args.game)
     profile = _profile_from_args(args, game)
-    budget = _budget_override() or epistemic.DEFAULT_MODEL_BUDGET
     if args.action == "enumerate":
+        evaluator = Evaluator(game)
         ck = epistemic.enumerate_ck_cb(
-            game, args.omega, profile, mode="knowledge", budget=budget
+            game, args.omega, profile, "knowledge", budget, evaluator
         )
         cb = epistemic.enumerate_ck_cb(
-            game, args.omega, profile, mode="belief", budget=budget
+            game, args.omega, profile, "belief", budget, evaluator
         )
-        operator_outcome = properties.outcome(profile, game).outcome
-        expectation = _epistemic_expectation(game, profile)
+        operator_outcome = properties.outcome(profile, game, evaluator=evaluator).outcome
+        expectation = _epistemic_expectation(game, profile, evaluator)
         if expectation == "outcome":
             target = operator_outcome
         elif expectation == "full-game":

@@ -17,13 +17,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import BudgetError, ClassificationError, PreconditionError
-from .games import Game, Restriction
+from .errors import ClassificationError, PreconditionError
+from .games import Game, Restriction, check_budget, mask_members
 from .properties import (
+    Evaluator,
     PropertyProfile,
     check_property_monotone,
     check_singleton_condition,
     eval_property,
+    evaluator_for,
     outcome,
 )
 from .reports import CheckReport
@@ -101,11 +103,6 @@ def is_knowledge_correspondence(corr: Sequence[frozenset[int]]) -> bool:
     return flags["serial"] and flags["cell_consistent"] and flags["reflexive"]
 
 
-def partition_cells(corr: Sequence[frozenset[int]]) -> set[frozenset[int]]:
-    """The distinct cells; for a knowledge correspondence they partition."""
-    return set(corr)
-
-
 def is_evident(model: EpistemicModel, f: Event) -> bool:
     """Every player's cell stays inside f at every state of f."""
     return all(
@@ -120,11 +117,6 @@ def k_event(model: EpistemicModel, e: Event) -> Event:
         for w in range(model.omega)
         if all(model.correspondences[i][w] <= e for i in model.game.players())
     )
-
-
-def b_event(model: EpistemicModel, e: Event) -> Event:
-    """Same formula as k_event; the name follows the correspondence class."""
-    return k_event(model, e)
 
 
 def largest_evident_subset(model: EpistemicModel, e: Event) -> Event:
@@ -167,22 +159,23 @@ def common_knowledge_event_ms89(model: EpistemicModel, e: Event) -> Event:
 def common_belief_event(model: EpistemicModel, e: Event) -> Event:
     """States where e is common belief: members of some evident subset of B e."""
     _require_class(model, is_belief_correspondence, "belief")
-    return largest_evident_subset(model, b_event(model, e))
+    return largest_evident_subset(model, k_event(model, e))
 
 
 def event_restriction(model: EpistemicModel, e: Event) -> Restriction:
     """The componentwise image of an event under the strategy assignment."""
-    sets = tuple(
-        frozenset(model.assignment[i][w] for w in e) for i in model.game.players()
-    )
-    return Restriction(model.game, sets)
+    masks = tuple(_or_all(1 << row[w] for w in e) for row in model.assignment)
+    return Restriction.from_masks(model.game, masks)
 
 
-def rational_states(model: EpistemicModel, profile: PropertyProfile) -> Event:
+def rational_states(
+    model: EpistemicModel, profile: PropertyProfile, evaluator: Evaluator | None = None
+) -> Event:
     """States where every player's chosen strategy satisfies the player's
     property on the restriction induced by the player's cell."""
     if len(profile.specs) != model.game.num_players:
         raise ValueError("profile length differs from the number of players")
+    evaluator = evaluator_for(model.game, evaluator)
     good = []
     for w in range(model.omega):
         ok = True
@@ -190,7 +183,7 @@ def rational_states(model: EpistemicModel, profile: PropertyProfile) -> Event:
             cell = model.correspondences[i][w]
             g = event_restriction(model, cell)
             if not eval_property(
-                profile.specs[i], model.game, i, model.assignment[i][w], g
+                profile.specs[i], model.game, i, model.assignment[i][w], g, evaluator
             ):
                 ok = False
                 break
@@ -284,11 +277,6 @@ def belief_correspondences(n: int) -> Iterator[tuple[int, ...]]:
                 yield tuple(cells)
 
 
-def knowledge_correspondences(n: int) -> Iterator[tuple[int, ...]]:
-    """All correspondences that additionally satisfy reflexivity: partitions."""
-    return set_partitions(n)
-
-
 def cells_to_correspondence(cells: Sequence[int], n: int) -> tuple[frozenset[int], ...]:
     return tuple(
         frozenset(w for w in range(n) if cells[s] >> w & 1) for s in range(n)
@@ -345,6 +333,7 @@ def enumerate_ck_cb(
     profile: PropertyProfile,
     mode: str = "knowledge",
     budget: int = DEFAULT_MODEL_BUDGET,
+    evaluator: Evaluator | None = None,
 ) -> CkCbResult:
     """The restriction gathered from every state of every model (over a state
     space of the given size) where rationality is common knowledge (knowledge
@@ -362,9 +351,10 @@ def enumerate_ck_cb(
         raise ValueError(
             "omega_size must be at least the largest strategy-set size"
         )
+    evaluator = evaluator_for(game, evaluator)
     omega = omega_size
     if mode == "knowledge":
-        corrs = list(knowledge_correspondences(omega))
+        corrs = list(set_partitions(omega))
     else:
         corrs = list(belief_correspondences(omega))
 
@@ -372,11 +362,7 @@ def enumerate_ck_cb(
     for k in game.sizes:
         n_assign *= k ** omega
     total = n_assign * len(corrs) ** n
-    if total > budget:
-        raise BudgetError(
-            f"enumeration of {total} models exceeds the budget of {budget}",
-            attempted=total,
-        )
+    check_budget(total, budget, f"enumeration of {total} models")
 
     # per correspondence combo: the per-player correspondence indices plus the
     # evident/B tables of the players' joint cell map (they depend on the
@@ -408,14 +394,12 @@ def enumerate_ck_cb(
     }
     for assign in itertools.product(*assignments_per_player):
         # truth table of each player's property on each possible cell image
-        images = {}
-        for cell, members in cell_members.items():
-            images[cell] = Restriction(
-                game,
-                tuple(
-                    frozenset(assign[j][w] for w in members) for j in range(n)
-                ),
+        images = {
+            cell: Restriction.from_masks(
+                game, tuple(_or_all(1 << row[w] for w in members) for row in assign)
             )
+            for cell, members in cell_members.items()
+        }
         ok: list[dict[int, dict[int, bool]]] = []
         for i in range(n):
             used = set(assign[i])
@@ -423,7 +407,7 @@ def enumerate_ck_cb(
             for cell in all_cells:
                 g = images[cell]
                 per_cell[cell] = {
-                    s: eval_property(spec_of[i], game, i, s, g) for s in used
+                    s: eval_property(spec_of[i], game, i, s, g, evaluator) for s in used
                 }
             ok.append(per_cell)
         ok_masks: list[dict[int, int]] = []
@@ -471,15 +455,8 @@ def enumerate_ck_cb(
             early = True
             break
 
-    restriction = Restriction(
-        game,
-        tuple(
-            frozenset(s for s in game.strategies(i) if acc[i] >> s & 1)
-            for i in game.players()
-        ),
-    )
     return CkCbResult(
-        restriction=restriction,
+        restriction=Restriction.from_masks(game, tuple(acc)),
         mode=mode,
         omega_size=omega,
         models_total=total,
@@ -516,15 +493,16 @@ def witness_model_thm1(
     prefix of the states onto it, align every other player's preimage with
     that prefix, and give every player the cell E on E and singleton cells
     elsewhere."""
+    evaluator = Evaluator(game)
     if check_monotone:
         for spec in sorted(set(profile.specs), key=str):
-            rep = check_property_monotone(spec, game)
+            rep = check_property_monotone(spec, game, evaluator=evaluator)
             if not rep.passed:
                 raise PreconditionError(
                     f"property {spec} is not monotonic on {game.name}"
                 )
-    fix = outcome(profile, game).outcome
-    survivors = [sorted(fix.sets[i]) for i in game.players()]
+    fix = outcome(profile, game, evaluator=evaluator).outcome
+    survivors = [mask_members(m) for m in fix.masks]
     m = max(game.sizes)
     states = tuple(f"w{t}" for t in range(m))
     degenerate = any(not s for s in survivors)
@@ -571,7 +549,7 @@ def witness_model_thm1(
         correspondences = tuple(cells for _ in game.players())
 
     model = EpistemicModel(game, states, assignment, correspondences)
-    rat = rational_states(model, profile)
+    rat = rational_states(model, profile, evaluator)
     ck_rat = common_knowledge_event(model, rat)
     image = event_restriction(model, event)
     checks = {
@@ -607,8 +585,9 @@ def witness_model_thm2(
     """The all-singleton-cells model over the joint-strategy state space; the
     state choosing `joint` has rationality common knowledge for any profile
     that accepts every strategy on its own all-singleton restriction."""
+    evaluator = Evaluator(game)
     for spec in sorted(set(profile.specs), key=str):
-        rep = check_singleton_condition(spec, game)
+        rep = check_singleton_condition(spec, game, evaluator)
         if not rep.passed:
             raise PreconditionError(
                 f"property {spec} fails the singleton condition on {game.name}"
@@ -619,7 +598,7 @@ def witness_model_thm2(
         raise ValueError(f"{joint} is not a joint strategy of {game.name}")
     model = model_from_joint_strategies(game)
     target = joints.index(joint)
-    rat = rational_states(model, profile)
+    rat = rational_states(model, profile, evaluator)
     ck_rat = common_knowledge_event(model, rat)
     ok = target in ck_rat
     report = CheckReport(

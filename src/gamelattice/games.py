@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import GameFormatError, ShapeError
+from .errors import BudgetError, GameFormatError, ShapeError
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
 
@@ -64,9 +64,7 @@ class Game:
                 raise ValueError(f"player {i + 1} has an empty strategy set")
             if len(set(names)) != len(names):
                 raise ValueError(f"player {i + 1} has duplicate strategy names")
-        cells = 1
-        for names in self.strategy_names:
-            cells *= len(names)
+        strides, cells = joint_layout(self.sizes)
         if len(self.payoffs) != cells:
             raise ValueError(
                 f"expected {cells} payoff cells, got {len(self.payoffs)}"
@@ -74,10 +72,7 @@ class Game:
         for vec in self.payoffs:
             if len(vec) != n:
                 raise ValueError("each payoff cell needs one value per player")
-        strides = [1] * n
-        for i in range(n - 2, -1, -1):
-            strides[i] = strides[i + 1] * len(self.strategy_names[i + 1])
-        object.__setattr__(self, "_strides", tuple(strides))
+        object.__setattr__(self, "_strides", strides)
         object.__setattr__(self, "_hash", hash((self.name, self.strategy_names, self.payoffs)))
 
     def __hash__(self):
@@ -122,20 +117,25 @@ class Game:
         return tuple(self.strategy_names[i][s] for i, s in enumerate(joint))
 
 
+def joint_layout(sizes: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Row-major strides of the joint-strategy index over the given
+    strategy-set sizes, and the number of joint strategies (cells)."""
+    strides = []
+    cells = 1
+    for k in reversed(sizes):
+        strides.append(cells)
+        cells *= k
+    return tuple(reversed(strides)), cells
+
+
 def make_game(name, strategy_names, payoff_table) -> Game:
     """Build a Game from a {joint-name-tuple: payoff-vector} mapping.
 
     Payoff entries may be ints, strings, or Fractions.
     """
     strategy_names = tuple(tuple(names) for names in strategy_names)
-    n = len(strategy_names)
-    cells = 1
-    for names in strategy_names:
-        cells *= len(names)
+    strides, cells = joint_layout([len(names) for names in strategy_names])
     payoffs: list = [None] * cells
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * len(strategy_names[i + 1])
     for joint_names, vec in payoff_table.items():
         joint = tuple(
             strategy_names[i].index(s) for i, s in enumerate(joint_names)
@@ -147,57 +147,79 @@ def make_game(name, strategy_names, payoff_table) -> Game:
     return Game(name, strategy_names, tuple(payoffs))
 
 
-@dataclass(frozen=True)
+def mask_members(mask: int) -> list[int]:
+    """The indices of the bits set in mask, ascending."""
+    return [s for s in range(mask.bit_length()) if mask >> s & 1]
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Restriction:
-    """A per-player strategy subset; an element of the restriction lattice."""
+    """A per-player strategy subset; an element of the restriction lattice.
+
+    Each component is one int bitmask, bit s set iff strategy s is kept.
+    `Restriction(game, sets)` takes the components as collections of
+    strategy indices, `Restriction.from_masks(game, masks)` the masks.
+    """
 
     game: Game
-    sets: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.sets) != self.game.num_players:
+    def __init__(self, game: Game, sets: Sequence[Iterable[int]]):
+        if len(sets) != game.num_players:
             raise ShapeError("restriction has wrong number of components")
-        for i, s in enumerate(self.sets):
-            for idx in s:
-                if not 0 <= idx < len(self.game.strategy_names[i]):
+        masks = []
+        for i, component in enumerate(sets):
+            mask = 0
+            for idx in component:
+                if not 0 <= idx < len(game.strategy_names[i]):
                     raise ValueError(f"player {i + 1}: strategy index {idx} out of range")
+                mask |= 1 << idx
+            masks.append(mask)
+        object.__setattr__(self, "game", game)
+        object.__setattr__(self, "masks", tuple(masks))
 
-    def sorted_sets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(s)) for s in self.sets)
+    @classmethod
+    def from_masks(cls, game: Game, masks: tuple[int, ...]) -> "Restriction":
+        if len(masks) != game.num_players:
+            raise ShapeError("restriction has wrong number of components")
+        for i, mask in enumerate(masks):
+            if mask >> len(game.strategy_names[i]):
+                raise ValueError(f"player {i + 1}: strategy mask {mask} out of range")
+        r = object.__new__(cls)
+        object.__setattr__(r, "game", game)
+        object.__setattr__(r, "masks", tuple(masks))
+        return r
+
+    @property
+    def sets(self) -> tuple[frozenset[int], ...]:
+        """The components as frozensets of strategy indices."""
+        return tuple(frozenset(mask_members(m)) for m in self.masks)
 
     def names(self) -> list[list[str]]:
         return [
-            [self.game.strategy_names[i][s] for s in sorted(component)]
-            for i, component in enumerate(self.sets)
+            [names[s] for s in mask_members(m)]
+            for names, m in zip(self.game.strategy_names, self.masks)
         ]
 
     def is_top(self) -> bool:
         return all(
-            len(s) == len(self.game.strategy_names[i]) for i, s in enumerate(self.sets)
+            m == (1 << len(names)) - 1
+            for names, m in zip(self.game.strategy_names, self.masks)
         )
 
     def has_empty_component(self) -> bool:
-        return any(not s for s in self.sets)
-
-    def replace(self, player: int, new_set: Iterable[int]) -> "Restriction":
-        sets = list(self.sets)
-        sets[player] = frozenset(new_set)
-        return Restriction(self.game, tuple(sets))
+        return not all(self.masks)
 
     def opponent_profiles(self, player: int) -> Iterator[tuple[int, ...]]:
         """Joint strategies of everyone but `player`, in player order."""
-        others = [
-            sorted(self.sets[j]) for j in self.game.players() if j != player
-        ]
-        return itertools.product(*others)
+        return itertools.product(
+            *(mask_members(m) for j, m in enumerate(self.masks) if j != player)
+        )
 
     def joint_with(self, player: int, strategy: int, opp_profile: Sequence[int]) -> tuple[int, ...]:
         joint = list(opp_profile)
         joint.insert(player, strategy)
         return tuple(joint)
-
-    def size_sum(self) -> int:
-        return sum(len(s) for s in self.sets)
 
     def __str__(self) -> str:
         parts = ["{" + ",".join(names) + "}" for names in self.names()]
@@ -206,13 +228,11 @@ class Restriction:
 
 def restriction_top(game: Game) -> Restriction:
     """The largest lattice element: every player keeps every strategy."""
-    return Restriction(
-        game, tuple(frozenset(game.strategies(i)) for i in game.players())
-    )
+    return Restriction.from_masks(game, tuple((1 << k) - 1 for k in game.sizes))
 
 
 def restriction_bottom(game: Game) -> Restriction:
-    return Restriction(game, tuple(frozenset() for _ in game.players()))
+    return Restriction.from_masks(game, tuple(0 for _ in game.players()))
 
 
 def restriction_from_names(game: Game, components: Sequence[Iterable[str]]) -> Restriction:
@@ -228,65 +248,66 @@ def _same_game(a: Restriction, b: Restriction):
         raise ShapeError("restrictions belong to different games")
 
 
+def masks_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Componentwise inclusion of two mask tuples."""
+    return all(x & ~y == 0 for x, y in zip(a, b))
+
+
 def lattice_leq(g1: Restriction, g2: Restriction) -> bool:
     """Componentwise inclusion."""
     _same_game(g1, g2)
-    return all(s1 <= s2 for s1, s2 in zip(g1.sets, g2.sets))
+    return masks_leq(g1.masks, g2.masks)
 
 
 def lattice_meet(gs: Sequence[Restriction]) -> Restriction:
     """Componentwise intersection of a non-empty list."""
     if not gs:
         raise ValueError("meet of an empty list; pass the top element explicitly")
-    first = gs[0]
+    masks = gs[0].masks
     for other in gs[1:]:
-        _same_game(first, other)
-    sets = tuple(
-        frozenset.intersection(*(g.sets[i] for g in gs))
-        for i in range(first.game.num_players)
-    )
-    return Restriction(first.game, sets)
+        _same_game(gs[0], other)
+        masks = tuple(x & y for x, y in zip(masks, other.masks))
+    return Restriction.from_masks(gs[0].game, masks)
 
 
 def lattice_join(gs: Sequence[Restriction]) -> Restriction:
     """Componentwise union of a non-empty list."""
     if not gs:
         raise ValueError("join of an empty list; pass the bottom element explicitly")
-    first = gs[0]
+    masks = gs[0].masks
     for other in gs[1:]:
-        _same_game(first, other)
-    sets = tuple(
-        frozenset.union(*(g.sets[i] for g in gs))
-        for i in range(first.game.num_players)
-    )
-    return Restriction(first.game, sets)
+        _same_game(gs[0], other)
+        masks = tuple(x | y for x, y in zip(masks, other.masks))
+    return Restriction.from_masks(gs[0].game, masks)
+
+
+def check_budget(count: int, budget: int | None, what: str) -> int:
+    """count, or a BudgetError naming `what` when it exceeds the budget (None
+    means unlimited)."""
+    if budget is not None and count > budget:
+        raise BudgetError(f"{what} exceeds the budget of {budget}", attempted=count)
+    return count
+
+
+def count_restrictions(game: Game, max_count: int | None = None) -> int:
+    """The lattice size, 2^(sum of strategy-set sizes), within max_count."""
+    total = 1 << sum(game.sizes)
+    return check_budget(total, max_count, f"lattice of {total} restrictions")
+
+
+def count_comparable_pairs(game: Game, max_count: int | None = None) -> int:
+    """The number of pairs G <= G' in the lattice, 3^(sum of strategy-set
+    sizes), within max_count."""
+    pairs = 3 ** sum(game.sizes)
+    return check_budget(pairs, max_count, f"comparable-pair count {pairs}")
 
 
 def all_restrictions(game: Game, max_count: int | None = None) -> Iterator[Restriction]:
-    """Every restriction of the game, in a fixed bitmask order."""
-    from .errors import BudgetError
-
-    total = 1
-    for k in game.sizes:
-        total <<= k
-    if max_count is not None and total > max_count:
-        raise BudgetError(
-            f"lattice of {total} restrictions exceeds the budget of {max_count}",
-            attempted=total,
-        )
-    per_player = [
-        [frozenset(i for i in range(k) if mask >> i & 1) for mask in range(1 << k)]
-        for k in game.sizes
-    ]
-    for combo in itertools.product(*per_player):
-        yield Restriction(game, tuple(combo))
-
-
-def count_restrictions(game: Game) -> int:
-    total = 1
-    for k in game.sizes:
-        total <<= k
-    return total
+    """Every restriction of the game in lattice order: ascending mask tuples,
+    the last player's mask varying fastest (the sorted order of the masks)."""
+    count_restrictions(game, max_count)
+    for masks in itertools.product(*(range(1 << k) for k in game.sizes)):
+        yield Restriction.from_masks(game, masks)
 
 
 # -- game text format ---------------------------------------------------------
@@ -327,6 +348,11 @@ def parse_game(text: str, name_hint: str = "game") -> Game:
     n = int(tokens[1])
     if n < 2:
         raise GameFormatError("a game needs at least 2 players", line=lineno)
+    following = sum(1 for _, t in lines[pos:pos + n] if t[0] == "strategies")
+    if following < n:
+        raise GameFormatError(
+            f"'players {n}' needs {n} strategies lines, found {following}", line=lineno
+        )
 
     strategy_names: list[tuple[str, ...] | None] = [None] * n
     for _ in range(n):
@@ -347,14 +373,12 @@ def parse_game(text: str, name_hint: str = "game") -> Game:
     if len(tokens) != 1:
         raise GameFormatError("expected bare 'payoffs' line", line=lineno)
 
-    sizes = [len(names) for names in strategy_names]  # type: ignore[arg-type]
-    cells = 1
-    for k in sizes:
-        cells *= k
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-
+    strides, cells = joint_layout([len(names) for names in strategy_names])  # type: ignore[arg-type]
+    if cells > len(lines) - pos:
+        raise GameFormatError(
+            f"{cells} payoff cells declared but only {len(lines) - pos} lines follow",
+            line=lineno,
+        )
     payoffs: list = [None] * cells
     seen_lines: dict[int, int] = {}
     while True:

@@ -15,8 +15,13 @@ from .errors import BudgetError
 from .games import (
     Game,
     Restriction,
+    all_restrictions,
+    count_comparable_pairs,
     lattice_join,
     lattice_leq,
+    lattice_meet,
+    masks_leq,
+    restriction_bottom,
     restriction_from_names,
     restriction_top,
 )
@@ -64,26 +69,36 @@ def default_iteration_budget(game: Game) -> int:
     return 10 * sum(game.sizes)
 
 
-def iterate_operator(
-    op: Operator, game: Game, budget: int | None = None
-) -> IterationTrace:
-    """Iterate op from the top element until the first fixpoint."""
+def _iterates(
+    op: Operator, game: Game, budget: int | None
+) -> Iterator[tuple[Restriction, Restriction]]:
+    """(G, op(G)) for G = top, op(top), ... up to and including the first
+    fixpoint; a BudgetError after `budget` strict steps without one."""
     if budget is None:
         budget = default_iteration_budget(game)
     current = restriction_top(game)
-    steps = [(Ordinal(0, 0), current)]
     k = 0
     while True:
         nxt = op(current)
+        yield current, nxt
         if nxt == current:
-            return IterationTrace(tuple(steps), Ordinal(0, k), current)
+            return
         k += 1
         if k > budget:
             raise BudgetError(
                 f"no fixpoint within {budget} iterations", attempted=k
             )
-        steps.append((Ordinal(0, k), nxt))
         current = nxt
+
+
+def iterate_operator(
+    op: Operator, game: Game, budget: int | None = None
+) -> IterationTrace:
+    """Iterate op from the top element until the first fixpoint."""
+    steps = tuple(
+        (Ordinal(0, k), g) for k, (g, _) in enumerate(_iterates(op, game, budget))
+    )
+    return IterationTrace(steps, steps[-1][0], steps[-1][1])
 
 
 def is_fixpoint(op: Operator, g: Restriction) -> bool:
@@ -94,33 +109,7 @@ def is_post_fixpoint(op: Operator, g: Restriction) -> bool:
     return lattice_leq(g, op(g))
 
 
-# -- mask-level lattice enumeration (internal to the verifiers) ---------------
-
-
-def _mask_key(r: Restriction) -> tuple[int, ...]:
-    return tuple(sum(1 << s for s in comp) for comp in r.sets)
-
-
-def _from_masks(game: Game, masks: tuple[int, ...]) -> Restriction:
-    return Restriction(
-        game,
-        tuple(
-            frozenset(i for i in range(k) if mask >> i & 1)
-            for mask, k in zip(masks, game.sizes)
-        ),
-    )
-
-
-def _all_mask_tuples(game: Game) -> Iterator[tuple[int, ...]]:
-    sizes = game.sizes
-    def rec(i):
-        if i == len(sizes):
-            yield ()
-            return
-        for rest in rec(i + 1):
-            for mask in range(1 << sizes[i]):
-                yield (mask,) + rest
-    yield from rec(0)
+# -- mask-level verifiers -----------------------------------------------------
 
 
 def _submask_tuples(masks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -143,46 +132,32 @@ def _submask_tuples(masks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 def _image_table(
     op: Operator, game: Game, max_restrictions: int
 ) -> dict[tuple[int, ...], tuple[int, ...]]:
-    total = 1
-    for k in game.sizes:
-        total <<= k
-    if total > max_restrictions:
-        raise BudgetError(
-            f"lattice of {total} restrictions exceeds the budget of {max_restrictions}",
-            attempted=total,
-        )
-    table = {}
-    for masks in _all_mask_tuples(game):
-        table[masks] = _mask_key(op(_from_masks(game, masks)))
-    return table
+    """The masks of op(G) for every restriction G, keyed by G's masks, in
+    lattice order."""
+    return {
+        g.masks: op(g).masks
+        for g in all_restrictions(game, max_count=max_restrictions)
+    }
 
 
-def _masks_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x & ~y == 0 for x, y in zip(a, b))
+def non_monotone_pairs(table: dict) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every comparable pair (small, big) of restrictions whose table entries
+    are not componentwise included, in a fixed order.
+
+    `table` maps the masks of every restriction to a mask tuple and lists its
+    keys in lattice order, as `all_restrictions` yields them."""
+    for big, img_big in table.items():
+        for small in _submask_tuples(big):
+            if not masks_leq(table[small], img_big):
+                yield small, big
 
 
 def _monotonicity_counterexample(
     game: Game, table: dict, max_pairs: int
 ) -> tuple | None:
     """First comparable pair with a non-monotone image, in a fixed order."""
-    pairs = 1
-    for k in game.sizes:
-        pairs *= 3 ** k
-    if pairs > max_pairs:
-        raise BudgetError(
-            f"{pairs} comparable pairs exceed the budget of {max_pairs}",
-            attempted=pairs,
-        )
-    for big in sorted(table):
-        img_big = table[big]
-        for small in _submask_tuples(big):
-            if not _masks_leq(table[small], img_big):
-                return (small, big)
-    return None
-
-
-def _names(game: Game, masks: tuple[int, ...]) -> list[list[str]]:
-    return _from_masks(game, masks).names()
+    count_comparable_pairs(game, max_pairs)
+    return next(non_monotone_pairs(table), None)
 
 
 def verify_tarski(
@@ -203,6 +178,7 @@ def verify_tarski(
         "operator": op_name,
         "restrictions": len(table),
     }
+
     violation = _monotonicity_counterexample(game, table, max_pairs)
     if violation is not None:
         small, big = violation
@@ -213,53 +189,49 @@ def verify_tarski(
             entries=[
                 {
                     "kind": "monotonicity-violation",
-                    "smaller": _names(game, small),
-                    "larger": _names(game, big),
-                    "image_smaller": _names(game, table[small]),
-                    "image_larger": _names(game, table[big]),
+                    "smaller": Restriction.from_masks(game, small).names(),
+                    "larger": Restriction.from_masks(game, big).names(),
+                    "image_smaller": Restriction.from_masks(game, table[small]).names(),
+                    "image_larger": Restriction.from_masks(game, table[big]).names(),
                 }
             ],
         )
 
-    outcome = _mask_key(iterate_operator(op, game).outcome)
-    fixpoints = [m for m in sorted(table) if table[m] == m]
-    post_fixpoints = [m for m in sorted(table) if _masks_leq(m, table[m])]
-
-    def join(mask_list):
-        acc = tuple(0 for _ in game.sizes)
-        for m in mask_list:
-            acc = tuple(a | b for a, b in zip(acc, m))
-        return acc
-
-    largest_fixpoint = join(fixpoints)
-    post_join = join(post_fixpoints)
+    outcome = iterate_operator(op, game).outcome
+    fixpoints = [Restriction.from_masks(game, m) for m, img in table.items() if img == m]
+    post_fixpoints = [
+        Restriction.from_masks(game, m) for m, img in table.items() if masks_leq(m, img)
+    ]
+    bottom = restriction_bottom(game)
+    largest_fixpoint = lattice_join([bottom, *fixpoints])
+    post_join = lattice_join([bottom, *post_fixpoints])
     entries = []
-    if largest_fixpoint not in table or table[largest_fixpoint] != largest_fixpoint:
+    if table.get(largest_fixpoint.masks) != largest_fixpoint.masks:
         entries.append(
-            {"kind": "fixpoint-join-not-fixpoint", "join": _names(game, largest_fixpoint)}
+            {"kind": "fixpoint-join-not-fixpoint", "join": largest_fixpoint.names()}
         )
-    for m in fixpoints:
-        if not _masks_leq(m, largest_fixpoint):
-            entries.append({"kind": "fixpoint-above-join", "restriction": _names(game, m)})
+    for f in fixpoints:
+        if not lattice_leq(f, largest_fixpoint):
+            entries.append({"kind": "fixpoint-above-join", "restriction": f.names()})
     if outcome != largest_fixpoint:
         entries.append(
             {
                 "kind": "outcome-differs-from-largest-fixpoint",
-                "outcome": _names(game, outcome),
-                "largest_fixpoint": _names(game, largest_fixpoint),
+                "outcome": outcome.names(),
+                "largest_fixpoint": largest_fixpoint.names(),
             }
         )
     if outcome != post_join:
         entries.append(
             {
                 "kind": "outcome-differs-from-post-fixpoint-join",
-                "outcome": _names(game, outcome),
-                "post_fixpoint_join": _names(game, post_join),
+                "outcome": outcome.names(),
+                "post_fixpoint_join": post_join.names(),
             }
         )
     details.update(
         {
-            "outcome": _names(game, outcome),
+            "outcome": outcome.names(),
             "fixpoints": len(fixpoints),
             "post_fixpoints": len(post_fixpoints),
         }
@@ -277,17 +249,13 @@ def verify_contracting_outcome(
     iteration stops at a fixpoint within sum-of-strategy-set-sizes steps.
 
     The iterates themselves are the contraction sample; a step that grows is
-    reported with the witness restriction.
+    reported with the witness restriction.  Like iterate_operator, this
+    raises a BudgetError when `budget` steps reach no fixpoint.
     """
-    if budget is None:
-        budget = default_iteration_budget(game)
     entries = []
-    current = restriction_top(game)
-    steps = [(Ordinal(0, 0), current)]
-    k = 0
-    closure = None
-    while True:
-        nxt = op(current)
+    steps = []
+    for current, nxt in _iterates(op, game, budget):
+        steps.append(current)
         if not lattice_leq(nxt, current):
             entries.append(
                 {
@@ -297,18 +265,10 @@ def verify_contracting_outcome(
                 }
             )
             break
-        if nxt == current:
-            closure = Ordinal(0, k)
-            break
-        k += 1
-        if k > budget:
-            entries.append({"kind": "no-fixpoint-within-budget", "budget": budget})
-            break
-        steps.append((Ordinal(0, k), nxt))
-        current = nxt
-    bound = sum(game.sizes)
     details = {"game": game.name, "operator": op_name}
-    if closure is not None:
+    if not entries:
+        closure = Ordinal(0, len(steps) - 1)
+        bound = sum(game.sizes)
         if closure.finite > bound:
             entries.append(
                 {
@@ -317,12 +277,12 @@ def verify_contracting_outcome(
                     "bound": bound,
                 }
             )
-        for (_, r1), (_, r2) in zip(steps, steps[1:]):
+        for r1, r2 in zip(steps, steps[1:]):
             if not (lattice_leq(r2, r1) and r1 != r2):
                 entries.append({"kind": "trace-not-strictly-decreasing"})
                 break
         details["closure_ordinal"] = str(closure)
-        details["outcome"] = current.names()
+        details["outcome"] = steps[-1].names()
     return CheckReport(
         name="contracting-outcome",
         passed=not entries,
@@ -346,15 +306,15 @@ def verify_inclusion_lemma(
     table2 = _image_table(op2, game, max_restrictions)
     entries = []
     hypotheses = {"pointwise": True, "op1_monotonic": True, "op2_contracting": True}
-    for m in sorted(table1):
-        if not _masks_leq(table1[m], table2[m]):
+    for m, img1 in table1.items():
+        if not masks_leq(img1, table2[m]):
             hypotheses["pointwise"] = False
             entries.append(
                 {
                     "kind": "pointwise-inclusion-violation",
-                    "restriction": _names(game, m),
-                    "op1_image": _names(game, table1[m]),
-                    "op2_image": _names(game, table2[m]),
+                    "restriction": Restriction.from_masks(game, m).names(),
+                    "op1_image": Restriction.from_masks(game, img1).names(),
+                    "op2_image": Restriction.from_masks(game, table2[m]).names(),
                 }
             )
             break
@@ -365,15 +325,18 @@ def verify_inclusion_lemma(
         entries.append(
             {
                 "kind": "op1-monotonicity-violation",
-                "smaller": _names(game, small),
-                "larger": _names(game, big),
+                "smaller": Restriction.from_masks(game, small).names(),
+                "larger": Restriction.from_masks(game, big).names(),
             }
         )
-    for m in sorted(table2):
-        if not _masks_leq(table2[m], m):
+    for m, img2 in table2.items():
+        if not masks_leq(img2, m):
             hypotheses["op2_contracting"] = False
             entries.append(
-                {"kind": "op2-contraction-violation", "restriction": _names(game, m)}
+                {
+                    "kind": "op2-contraction-violation",
+                    "restriction": Restriction.from_masks(game, m).names(),
+                }
             )
             break
     out1 = iterate_operator(op1, game).outcome
@@ -406,38 +369,34 @@ def verify_inclusion_lemma(
 def exhaustive_lattice_laws(game: Game, max_restrictions: int = 1 << 8) -> CheckReport:
     """Partial-order and glb/lub laws, checked on a fully enumerated lattice.
 
-    Pairs are checked on the Restriction objects; the two greatest/least
-    quantifiers run over packed masks so games up to eight strategies total
+    Pairs are checked with the lattice operations on Restriction objects,
+    against componentwise inclusion of their masks; the two greatest/least
+    quantifiers run over the masks so games up to eight strategies total
     stay fast.
     """
-    from .games import lattice_meet
-
-    mask_tuples = list(_all_mask_tuples(game))
-    if len(mask_tuples) > max_restrictions:
-        raise BudgetError(
-            f"{len(mask_tuples)} restrictions exceed the law-check budget",
-            attempted=len(mask_tuples),
-        )
-    restrictions = [_from_masks(game, m) for m in mask_tuples]
+    restrictions = list(all_restrictions(game, max_count=max_restrictions))
     entries = []
-    for a, ma in zip(restrictions, mask_tuples):
+    for a in restrictions:
+        ma = a.masks
         if not lattice_leq(a, a):
             entries.append({"kind": "not-reflexive", "restriction": a.names()})
-        for b, mb in zip(restrictions, mask_tuples):
-            if lattice_leq(a, b) != _masks_leq(ma, mb):
+        for b in restrictions:
+            mb = b.masks
+            if lattice_leq(a, b) != all(x <= y for x, y in zip(a.sets, b.sets)):
                 entries.append({"kind": "leq-disagrees-with-inclusion"})
             if lattice_leq(a, b) and lattice_leq(b, a) and a != b:
                 entries.append({"kind": "not-antisymmetric"})
-            meet = _mask_key(lattice_meet([a, b]))
-            join = _mask_key(lattice_join([a, b]))
-            if not (_masks_leq(meet, ma) and _masks_leq(meet, mb)):
+            meet = lattice_meet([a, b]).masks
+            join = lattice_join([a, b]).masks
+            if not (masks_leq(meet, ma) and masks_leq(meet, mb)):
                 entries.append({"kind": "meet-not-lower-bound"})
-            if not (_masks_leq(ma, join) and _masks_leq(mb, join)):
+            if not (masks_leq(ma, join) and masks_leq(mb, join)):
                 entries.append({"kind": "join-not-upper-bound"})
-            for mc in mask_tuples:
-                if _masks_leq(mc, ma) and _masks_leq(mc, mb) and not _masks_leq(mc, meet):
+            for c in restrictions:
+                mc = c.masks
+                if masks_leq(mc, ma) and masks_leq(mc, mb) and not masks_leq(mc, meet):
                     entries.append({"kind": "meet-not-greatest"})
-                if _masks_leq(ma, mc) and _masks_leq(mb, mc) and not _masks_leq(join, mc):
+                if masks_leq(ma, mc) and masks_leq(mb, mc) and not masks_leq(join, mc):
                     entries.append({"kind": "join-not-least"})
     return CheckReport(
         name="lattice-laws",

@@ -11,22 +11,24 @@ strategy that fails its property on the current restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import dominance
 from .dominance import BELIEF_KINDS
-from .errors import BudgetError
-from .games import Game, Restriction
+from .errors import ShapeError
+from .games import (
+    Game,
+    Restriction,
+    all_restrictions,
+    count_comparable_pairs,
+    lattice_leq,
+    mask_members,
+)
 from .iteration import (
     DEFAULT_LATTICE_BUDGET,
     DEFAULT_PAIR_BUDGET,
     IterationTrace,
-    _all_mask_tuples,
-    _from_masks,
-    _mask_key,
-    _masks_leq,
-    _submask_tuples,
     iterate_operator,
+    non_monotone_pairs,
 )
 from .reports import CheckReport
 
@@ -87,119 +89,111 @@ class PropertyProfile:
         return ",".join(f"p{i + 1}={s}" for i, s in enumerate(self.specs))
 
 
-@lru_cache(maxsize=None)
-def _eval_core(
+class Evaluator:
+    """Property verdicts on one game, cached for one top-level computation.
+
+    A CLI command or a library entry point creates one and hands it to every
+    evaluation it makes, so the cache dies with the computation.  Verdicts
+    are keyed by (spec, player, strategy, opponent masks, pool mask).
+    """
+
+    def __init__(self, game: Game):
+        self.game = game
+        self.verdicts: dict[tuple, bool] = {}
+
+
+def evaluator_for(game: Game, evaluator: Evaluator | None) -> Evaluator:
+    """`evaluator` after checking it belongs to `game`, or a fresh one."""
+    if evaluator is None:
+        return Evaluator(game)
+    if evaluator.game is not game and evaluator.game != game:
+        raise ShapeError("evaluator belongs to a different game")
+    return evaluator
+
+
+def eval_property(
     spec: PropertySpec,
     game: Game,
     player: int,
     strategy: int,
-    opp_sets: tuple[tuple[int, ...], ...],
-    pool: tuple[int, ...],
+    g: Restriction,
+    evaluator: Evaluator | None = None,
 ) -> bool:
-    # context component for the player himself never matters below
-    sets = []
-    j = 0
-    for i in game.players():
-        if i == player:
-            sets.append(frozenset(game.strategies(i)))
-        else:
-            sets.append(frozenset(opp_sets[j]))
-            j += 1
-    context = Restriction(game, tuple(sets))
+    """Does `strategy` satisfy the property on the restriction g?  The verdict
+    is cached in `evaluator`; a call given none starts with an empty cache."""
+    verdicts = evaluator_for(game, evaluator).verdicts
+    masks = g.masks
+    full = (1 << len(game.strategy_names[player])) - 1
+    pool = full if spec.scope == "g" else masks[player]
+    key = (spec, player, strategy, masks[:player] + masks[player + 1:], pool)
+    verdict = verdicts.get(key)
+    if verdict is not None:
+        return verdict
+    # the player's own context component never matters below: keep all of it
+    context = Restriction.from_masks(game, masks[:player] + (full,) + masks[player + 1:])
+    members = mask_members(pool)
     if spec.kind == "sd":
-        return not any(
+        verdict = not any(
             dominance.strictly_dominates_pure(game, context, player, s, strategy)
-            for s in pool
+            for s in members
         )
-    if spec.kind == "msd":
-        return (
-            dominance.mixed_dominance_witness(game, context, player, pool, strategy)
+    elif spec.kind == "msd":
+        verdict = (
+            dominance.mixed_dominance_witness(game, context, player, members, strategy)
             is None
         )
-    return (
-        dominance.exists_supporting_belief(
-            game, context, pool, player, strategy, spec.belief
-        )
-        is not None
-    )
-
-
-def clear_property_cache():
-    _eval_core.cache_clear()
-
-
-def eval_property(
-    spec: PropertySpec, game: Game, player: int, strategy: int, g: Restriction
-) -> bool:
-    """Does `strategy` satisfy the property on the restriction g?"""
-    if spec.scope == "g":
-        pool = tuple(game.strategies(player))
     else:
-        pool = tuple(sorted(g.sets[player]))
-    opp_sets = tuple(
-        tuple(sorted(g.sets[j])) for j in game.players() if j != player
-    )
-    return _eval_core(spec, game, player, strategy, opp_sets, pool)
+        verdict = (
+            dominance.exists_supporting_belief(
+                game, context, members, player, strategy, spec.belief
+            )
+            is not None
+        )
+    verdicts[key] = verdict
+    return verdict
 
 
 def apply_operator(
-    profile: PropertyProfile, game: Game, g: Restriction
+    profile: PropertyProfile, game: Game, g: Restriction, evaluator: Evaluator | None = None
 ) -> Restriction:
     """Remove every strategy of every player that fails its property on g."""
     if len(profile.specs) != game.num_players:
         raise ValueError("profile length differs from the number of players")
-    sets = tuple(
-        frozenset(
-            s for s in sorted(g.sets[i])
-            if eval_property(profile.specs[i], game, i, s, g)
+    evaluator = evaluator_for(game, evaluator)
+    masks = tuple(
+        sum(
+            1 << s
+            for s in mask_members(g.masks[i])
+            if eval_property(profile.specs[i], game, i, s, g, evaluator)
         )
         for i in game.players()
     )
-    return Restriction(game, sets)
+    return Restriction.from_masks(game, masks)
 
 
-def property_operator(profile: PropertyProfile, game: Game):
-    """The elimination operator as a plain Restriction -> Restriction callable."""
+def property_operator(
+    profile: PropertyProfile, game: Game, evaluator: Evaluator | None = None
+):
+    """The elimination operator as a plain Restriction -> Restriction callable;
+    its verdicts are cached for as long as the operator lives."""
+    evaluator = evaluator_for(game, evaluator)
 
     def op(g: Restriction) -> Restriction:
-        return apply_operator(profile, game, g)
+        return apply_operator(profile, game, g, evaluator)
 
     return op
 
 
 def outcome(
-    profile: PropertyProfile, game: Game, budget: int | None = None
+    profile: PropertyProfile,
+    game: Game,
+    budget: int | None = None,
+    evaluator: Evaluator | None = None,
 ) -> IterationTrace:
     """Iterated elimination from the full game to its first fixpoint."""
-    return iterate_operator(property_operator(profile, game), game, budget=budget)
-
-
-def _satisfaction_tables(
-    spec: PropertySpec, game: Game, max_restrictions: int
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """For every restriction (as a mask tuple), per-player bitmasks of the
-    strategies in T_i satisfying the property there."""
-    total = 1
-    for k in game.sizes:
-        total <<= k
-    if total > max_restrictions:
-        raise BudgetError(
-            f"lattice of {total} restrictions exceeds the budget of {max_restrictions}",
-            attempted=total,
-        )
-    table = {}
-    for masks in _all_mask_tuples(game):
-        g = _from_masks(game, masks)
-        sat = tuple(
-            sum(
-                1 << s
-                for s in game.strategies(i)
-                if eval_property(spec, game, i, s, g)
-            )
-            for i in game.players()
-        )
-        table[masks] = sat
-    return table
+    return iterate_operator(
+        property_operator(profile, game, evaluator), game, budget=budget
+    )
 
 
 def check_property_monotone(
@@ -208,41 +202,43 @@ def check_property_monotone(
     max_restrictions: int = DEFAULT_LATTICE_BUDGET,
     max_pairs: int = DEFAULT_PAIR_BUDGET,
     max_entries: int = 20,
+    evaluator: Evaluator | None = None,
 ) -> CheckReport:
     """Exhaustively check: G below G' and property holds at G implies it holds
     at G', for every comparable pair and every strategy in T_i."""
-    pairs = 1
-    for k in game.sizes:
-        pairs *= 3 ** k
-    if pairs > max_pairs:
-        raise BudgetError(
-            f"{pairs} comparable pairs exceed the budget of {max_pairs}",
-            attempted=pairs,
+    pairs = count_comparable_pairs(game, max_pairs)
+    evaluator = evaluator_for(game, evaluator)
+    # per restriction (in lattice order), per player: the bitmask of the
+    # strategies in T_i satisfying the property there
+    table = {
+        g.masks: tuple(
+            sum(
+                1 << s
+                for s in game.strategies(i)
+                if eval_property(spec, game, i, s, g, evaluator)
+            )
+            for i in game.players()
         )
-    table = _satisfaction_tables(spec, game, max_restrictions)
+        for g in all_restrictions(game, max_count=max_restrictions)
+    }
     entries = []
     violations = 0
-    for big in sorted(table):
-        sat_big = table[big]
-        for small in _submask_tuples(big):
-            sat_small = table[small]
-            for i in game.players():
-                bad = sat_small[i] & ~sat_big[i]
-                if bad:
-                    violations += bin(bad).count("1")
-                    if len(entries) < max_entries:
-                        entries.append(
-                            {
-                                "player": i + 1,
-                                "strategies": [
-                                    game.strategy_names[i][s]
-                                    for s in game.strategies(i)
-                                    if bad >> s & 1
-                                ],
-                                "smaller": _from_masks(game, small).names(),
-                                "larger": _from_masks(game, big).names(),
-                            }
-                        )
+    for small, big in non_monotone_pairs(table):
+        for i in game.players():
+            bad = table[small][i] & ~table[big][i]
+            if bad:
+                violations += bin(bad).count("1")
+                if len(entries) < max_entries:
+                    entries.append(
+                        {
+                            "player": i + 1,
+                            "strategies": [
+                                game.strategy_names[i][s] for s in mask_members(bad)
+                            ],
+                            "smaller": Restriction.from_masks(game, small).names(),
+                            "larger": Restriction.from_masks(game, big).names(),
+                        }
+                    )
     return CheckReport(
         name="property-monotonicity",
         passed=violations == 0,
@@ -256,16 +252,19 @@ def check_property_monotone(
     )
 
 
-def check_singleton_condition(spec: PropertySpec, game: Game) -> CheckReport:
+def check_singleton_condition(
+    spec: PropertySpec, game: Game, evaluator: Evaluator | None = None
+) -> CheckReport:
     """Evaluate the property for every player on every all-singleton
     restriction built from a joint strategy."""
+    evaluator = evaluator_for(game, evaluator)
     entries = []
     checked = 0
     for joint in game.joint_strategies():
-        g = Restriction(game, tuple(frozenset([s]) for s in joint))
+        g = Restriction.from_masks(game, tuple(1 << s for s in joint))
         for i in game.players():
             checked += 1
-            if not eval_property(spec, game, i, joint[i], g):
+            if not eval_property(spec, game, i, joint[i], g, evaluator):
                 entries.append(
                     {"joint": list(game.joint_names(joint)), "player": i + 1}
                 )
@@ -282,8 +281,63 @@ def check_singleton_condition(spec: PropertySpec, game: Game) -> CheckReport:
     )
 
 
-def _uniform(game: Game, text: str) -> PropertyProfile:
-    return PropertyProfile.uniform(parse_property_spec(text), game.num_players)
+def _verify_pointwise_chain(
+    game: Game,
+    name: str,
+    chain: tuple[str, ...],
+    links: tuple[tuple[str, str, tuple[str, str] | None], ...],
+    outcome_prefixes: tuple[str, str],
+    max_restrictions: int,
+) -> CheckReport:
+    """Check on every restriction that the images of consecutive properties
+    in `chain` are related as each link says, then that the outcome of the
+    first property lies inside the outcome of the last.
+
+    Each link is (relation, entry kind, image keys): relation "<=" asks for
+    inclusion and "==" for equality; image keys, when given, name the two
+    images in a failing entry.  The outcome entry and details take their keys
+    from the two prefixes.
+    """
+    evaluator = Evaluator(game)
+    profiles = [
+        PropertyProfile.uniform(parse_property_spec(text), game.num_players)
+        for text in chain
+    ]
+    entries = []
+    checked = 0
+    for g in all_restrictions(game, max_count=max_restrictions):
+        checked += 1
+        images = [apply_operator(p, game, g, evaluator) for p in profiles]
+        for (relation, kind, image_keys), low, high in zip(links, images, images[1:]):
+            holds = low == high if relation == "==" else lattice_leq(low, high)
+            if not holds:
+                entry = {"kind": kind, "restriction": g.names()}
+                if image_keys is not None:
+                    entry[image_keys[0]] = low.names()
+                    entry[image_keys[1]] = high.names()
+                entries.append(entry)
+    first = outcome(profiles[0], game, evaluator=evaluator).outcome
+    last = outcome(profiles[-1], game, evaluator=evaluator).outcome
+    head, tail = outcome_prefixes
+    if not lattice_leq(first, last):
+        entries.append(
+            {
+                "kind": "outcome-inclusion-violation",
+                f"{head}_outcome": first.names(),
+                f"{tail}_outcome": last.names(),
+            }
+        )
+    return CheckReport(
+        name=name,
+        passed=not entries,
+        details={
+            "game": game.name,
+            "restrictions_checked": checked,
+            f"{head}_global_outcome": first.names(),
+            f"{tail}_local_outcome": last.names(),
+        },
+        entries=entries,
+    )
 
 
 def verify_theorem_just(
@@ -292,47 +346,13 @@ def verify_theorem_just(
     """Outcome inclusion: best response to a pure belief (global) within pure
     strict dominance (local), with the pointwise chain
     br:g:pure -> sd:g -> sd:l on every restriction."""
-    brg = _uniform(game, "br:g:pure")
-    sdg = _uniform(game, "sd:g")
-    sdl = _uniform(game, "sd:l")
-    entries = []
-    checked = 0
-    for masks in _all_mask_tuples(game):
-        g = _from_masks(game, masks)
-        checked += 1
-        img_brg = _mask_key(apply_operator(brg, game, g))
-        img_sdg = _mask_key(apply_operator(sdg, game, g))
-        img_sdl = _mask_key(apply_operator(sdl, game, g))
-        if not _masks_leq(img_brg, img_sdg):
-            entries.append(
-                {"kind": "brg-not-below-sdg", "restriction": g.names()}
-            )
-        if not _masks_leq(img_sdg, img_sdl):
-            entries.append(
-                {"kind": "sdg-not-below-sdl", "restriction": g.names()}
-            )
-        if checked > max_restrictions:
-            raise BudgetError("restriction budget exceeded", attempted=checked)
-    out_brg = outcome(brg, game).outcome
-    out_sdl = outcome(sdl, game).outcome
-    if not _masks_leq(_mask_key(out_brg), _mask_key(out_sdl)):
-        entries.append(
-            {
-                "kind": "outcome-inclusion-violation",
-                "br_outcome": out_brg.names(),
-                "sd_outcome": out_sdl.names(),
-            }
-        )
-    return CheckReport(
-        name="justification-pure",
-        passed=not entries,
-        details={
-            "game": game.name,
-            "restrictions_checked": checked,
-            "br_global_outcome": out_brg.names(),
-            "sd_local_outcome": out_sdl.names(),
-        },
-        entries=entries,
+    return _verify_pointwise_chain(
+        game,
+        "justification-pure",
+        ("br:g:pure", "sd:g", "sd:l"),
+        (("<=", "brg-not-below-sdg", None), ("<=", "sdg-not-below-sdl", None)),
+        ("br", "sd"),
+        max_restrictions,
     )
 
 
@@ -342,50 +362,14 @@ def verify_theorem_just1(
     """Outcome inclusion: best response to a correlated belief (global) within
     mixed strict dominance (local), with the pointwise chain
     br:g:corr -> br:l:corr = msd:l on every restriction."""
-    brg = _uniform(game, "br:g:corr")
-    brl = _uniform(game, "br:l:corr")
-    msdl = _uniform(game, "msd:l")
-    entries = []
-    checked = 0
-    for masks in _all_mask_tuples(game):
-        g = _from_masks(game, masks)
-        checked += 1
-        img_brg = _mask_key(apply_operator(brg, game, g))
-        img_brl = _mask_key(apply_operator(brl, game, g))
-        img_msdl = _mask_key(apply_operator(msdl, game, g))
-        if not _masks_leq(img_brg, img_brl):
-            entries.append(
-                {"kind": "brg-not-below-brl", "restriction": g.names()}
-            )
-        if img_brl != img_msdl:
-            entries.append(
-                {
-                    "kind": "brc-msd-image-mismatch",
-                    "restriction": g.names(),
-                    "brc_image": _from_masks(game, img_brl).names(),
-                    "msd_image": _from_masks(game, img_msdl).names(),
-                }
-            )
-        if checked > max_restrictions:
-            raise BudgetError("restriction budget exceeded", attempted=checked)
-    out_brg = outcome(brg, game).outcome
-    out_msdl = outcome(msdl, game).outcome
-    if not _masks_leq(_mask_key(out_brg), _mask_key(out_msdl)):
-        entries.append(
-            {
-                "kind": "outcome-inclusion-violation",
-                "br_outcome": out_brg.names(),
-                "msd_outcome": out_msdl.names(),
-            }
-        )
-    return CheckReport(
-        name="justification-mixed",
-        passed=not entries,
-        details={
-            "game": game.name,
-            "restrictions_checked": checked,
-            "br_global_outcome": out_brg.names(),
-            "msd_local_outcome": out_msdl.names(),
-        },
-        entries=entries,
+    return _verify_pointwise_chain(
+        game,
+        "justification-mixed",
+        ("br:g:corr", "br:l:corr", "msd:l"),
+        (
+            ("<=", "brg-not-below-brl", None),
+            ("==", "brc-msd-image-mismatch", ("brc_image", "msd_image")),
+        ),
+        ("br", "msd"),
+        max_restrictions,
     )

@@ -16,7 +16,6 @@ from gamelattice.properties import (
     PropertyProfile,
     check_property_monotone,
     check_singleton_condition,
-    clear_property_cache,
     outcome,
     parse_property_spec,
     property_operator,
@@ -54,7 +53,6 @@ def uniform(game, text):
 
 
 def criterion_1():
-    clear_property_cache()
     reports = []
     for game in FOUR:
         for text in ("sd:g", "msd:g", "br:g:pure"):
@@ -76,7 +74,6 @@ def criterion_1():
 
 
 def criterion_2():
-    clear_property_cache()
     games = FOUR + fixtures.random_games(SEED_SMALL, 20, 3, 3)
     failures = []
     pairs_total = 0
@@ -99,7 +96,6 @@ def criterion_2():
 
 
 def criterion_3():
-    clear_property_cache()
     games = FOUR + fixtures.random_games(SEED_SMALL, 20, 3, 3)
     failures = []
     checked = 0
@@ -130,7 +126,6 @@ def criterion_3():
 
 
 def criterion_4():
-    clear_property_cache()
     failures = []
     checked = 0
     for game in FOUR:
@@ -166,7 +161,6 @@ EPIST_PROFILES = [
 
 
 def criterion_5():
-    clear_property_cache()
     failures = []
     results = {}
     for game in (fixtures.PD, fixtures.MP):
@@ -195,7 +189,6 @@ def criterion_5():
 
 
 def criterion_6():
-    clear_property_cache()
     failures = []
     results = {}
     for game in (fixtures.PD, fixtures.MP):
@@ -222,7 +215,6 @@ def criterion_6():
 
 
 def criterion_7():
-    clear_property_cache()
     failures = []
     games = FOUR + fixtures.random_games(SEED_JUST, 100, 4, 4)
     for game in games:
@@ -232,7 +224,6 @@ def criterion_7():
         rep1 = verify_theorem_just1(game)
         if not rep1.passed:
             failures.append({"game": game.name, "suite": "mixed"})
-        clear_property_cache()
     return CheckReport(
         name="criterion-7-justification",
         passed=not failures,
@@ -242,7 +233,6 @@ def criterion_7():
 
 
 def criterion_8():
-    clear_property_cache()
     failures = []
     cases = 0
     monotone_profiles = ["sd:g", "msd:g", "br:g:pure", "br:g:corr"]

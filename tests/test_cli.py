@@ -214,3 +214,31 @@ def test_trace_json_round_trips_through_cli(capsys):
     trace = trace_from_json_dict(game, json.loads(out))
     profile = PropertyProfile.uniform(parse_property_spec("sd:l"), 2)
     assert trace == iterate_operator(property_operator(profile, game), game)
+
+
+BUDGET_CASES = [
+    # (GAMELATTICE_BUDGET, argv, exit code)
+    (None, ["eliminate", "--prop", "sd:l", "mp.game"], 0),
+    ("0", ["eliminate", "--prop", "sd:l", "mp.game"], 0),
+    ("0", ["eliminate", "--prop", "sd:l", "pd.game"], 2),
+    ("0", ["check", "tarski", "--prop", "sd:g", "pd.game"], 2),
+    ("0", ["epistemic", "enumerate", "--omega", "2", "--prop", "sd:g", "pd.game"], 2),
+    (None, ["eliminate", "--budget", "-5", "--prop", "sd:l", "mp.game"], 2),
+    ("-1", ["eliminate", "--prop", "sd:l", "mp.game"], 2),
+    ("-1", ["check", "singleton", "--prop", "sd:l", "mp.game"], 2),
+    ("x", ["eliminate", "--prop", "sd:l", "mp.game"], 2),
+    ("1", ["eliminate", "--prop", "sd:l", "chain.game"], 2),
+    ("1", ["check", "contracting", "--prop", "sd:l", "chain.game"], 2),
+    ("3", ["check", "contracting", "--prop", "sd:l", "chain.game"], 0),
+    ("1", ["eliminate", "--budget", "3", "--prop", "sd:l", "chain.game"], 0),
+]
+
+
+@pytest.mark.parametrize("env,argv,expected", BUDGET_CASES)
+def test_budget_exit_codes(env, argv, expected, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("GAMELATTICE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("GAMELATTICE_BUDGET", env)
+    code, _, err = run(capsys, *argv[:-1], str(FIXTURES / argv[-1]))
+    assert code == expected, err

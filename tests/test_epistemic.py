@@ -5,7 +5,6 @@ import pytest
 from gamelattice import epistemic, fixtures
 from gamelattice.epistemic import (
     EpistemicModel,
-    b_event,
     belief_correspondences,
     cells_to_correspondence,
     common_belief_event,
@@ -18,10 +17,10 @@ from gamelattice.epistemic import (
     is_evident,
     is_knowledge_correspondence,
     k_event,
-    knowledge_correspondences,
     largest_evident_subset,
     model_from_joint_strategies,
     rational_states,
+    set_partitions,
     witness_model_thm1,
     witness_model_thm2,
 )
@@ -67,7 +66,7 @@ def test_k_event_examples():
     assert k_event(model, omega) == omega
     assert k_event(model, frozenset()) == frozenset()
     assert k_event(model, frozenset([0, 1])) == frozenset([0, 1])
-    assert b_event(model, frozenset([0, 2])) == frozenset([2])
+    assert k_event(model, frozenset([0, 2])) == frozenset([2])
 
 
 def test_largest_evident_subset_peeling():
@@ -141,8 +140,8 @@ def test_common_belief_requires_belief_correspondence():
 
 
 def test_ck_ms89_bridge_on_enumerated_knowledge_models():
-    for cells1 in knowledge_correspondences(3):
-        for cells2 in knowledge_correspondences(3):
+    for cells1 in set_partitions(3):
+        for cells2 in set_partitions(3):
             corr = (
                 cells_to_correspondence(cells1, 3),
                 cells_to_correspondence(cells2, 3),
@@ -177,7 +176,7 @@ def test_b_star_laws():
     for mask in range(16):
         e = frozenset(w for w in range(4) if mask >> w & 1)
         bstar = common_belief_event(model, e)
-        be = b_event(model, e)
+        be = k_event(model, e)
         assert bstar <= be
         assert is_evident(model, bstar)
         # maximality: every evident subset of B e sits inside B* e
@@ -188,7 +187,7 @@ def test_b_star_laws():
 
 
 def test_knowledge_correspondence_cells_partition():
-    for cells in knowledge_correspondences(4):
+    for cells in set_partitions(4):
         corr = cells_to_correspondence(cells, 4)
         seen = set()
         for cell in set(corr):
@@ -242,8 +241,8 @@ def test_rational_states_excludes_dominated_choice():
 
 
 def test_correspondence_counts():
-    assert len(list(knowledge_correspondences(3))) == 5
-    assert len(list(knowledge_correspondences(4))) == 15
+    assert len(list(set_partitions(3))) == 5
+    assert len(list(set_partitions(4))) == 15
     bels3 = list(belief_correspondences(3))
     assert len(bels3) == len(set(bels3))
     # brute force: all serial cell-consistent maps on 3 states
@@ -258,7 +257,7 @@ def test_correspondence_counts():
     assert len(bels3) == brute
     every = set(belief_correspondences(4))
     assert len(every) == 89
-    for cells in knowledge_correspondences(4):
+    for cells in set_partitions(4):
         assert cells in every  # partitions are belief correspondences too
 
 

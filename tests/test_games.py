@@ -84,6 +84,26 @@ def test_all_restrictions_count():
     assert len(list(all_restrictions(fixtures.PD))) == 16
 
 
+def test_restriction_masks_and_sets_agree():
+    chain = fixtures.CHAIN
+    g = rset(chain, ["T", "B"], [])
+    assert g.masks == (0b101, 0)
+    assert g.sets == (frozenset({0, 2}), frozenset())
+    assert Restriction.from_masks(chain, g.masks) == g
+    assert hash(Restriction.from_masks(chain, g.masks)) == hash(g)
+    for bad in ((0b1000, 0), (-1, 0)):
+        with pytest.raises(ValueError):
+            Restriction.from_masks(chain, bad)
+    with pytest.raises(ShapeError):
+        Restriction.from_masks(chain, (1,))
+
+
+def test_all_restrictions_in_ascending_mask_order():
+    masks = [r.masks for r in all_restrictions(fixtures.CHAIN)]
+    assert masks == sorted(set(masks))
+    assert len(masks) == count_restrictions(fixtures.CHAIN)
+
+
 def test_lattice_laws_exhaustive():
     for game in (fixtures.PD, fixtures.CHAIN):
         report = exhaustive_lattice_laws(game)
@@ -196,6 +216,24 @@ def test_parse_malformed_rational():
 def test_parse_duplicate_strategies_line():
     text = BASE.replace("strategies 2 : X Y", "strategies 1 : X Y")
     expect_format_error(text, 4, "duplicate strategies line")
+
+
+@pytest.mark.parametrize(
+    "text,lineno,fragment",
+    [
+        # 10^30 payoff cells declared; only the file's own lines are counted
+        ("game big\nplayers 30\n"
+         + "".join(f"strategies {i} : " + " ".join(f"s{k}" for k in range(10)) + "\n"
+                   for i in range(1, 31))
+         + "payoffs\n" + " ".join(["s0"] * 30) + " : " + " ".join(["1"] * 30) + "\nend\n",
+         33, "payoff cells declared"),
+        ("game g\nplayers 1000000000000\nstrategies 1 : A\nstrategies 2 : X\n",
+         2, "needs 1000000000000 strategies lines, found 2"),
+    ],
+    ids=["cells", "players"],
+)
+def test_parse_header_counts_bounded_by_the_file(text, lineno, fragment):
+    expect_format_error(text, lineno, fragment)
 
 
 def test_parse_trailing_content():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gamelattice import fixtures
-from gamelattice.errors import BudgetError
+from gamelattice.errors import BudgetError, ShapeError
 from gamelattice.games import (
     all_restrictions,
     lattice_leq,
@@ -12,6 +12,7 @@ from gamelattice.games import (
 )
 from gamelattice.iteration import verify_tarski
 from gamelattice.properties import (
+    Evaluator,
     PropertyProfile,
     PropertySpec,
     apply_operator,
@@ -190,3 +191,78 @@ def test_profile_length_checked():
         apply_operator(
             PropertyProfile((parse_property_spec("sd:l"),)), PD, restriction_top(PD)
         )
+
+
+def _broken_operator(monkeypatch, broken_spec):
+    """Make apply_operator return the bottom element for one property, and
+    count every call."""
+    from gamelattice import properties
+    from gamelattice.games import restriction_bottom
+
+    real = properties.apply_operator
+    calls = []
+
+    def fake(profile, game, g, *rest):
+        calls.append(profile)
+        if str(profile) == broken_spec:
+            return restriction_bottom(game)
+        return real(profile, game, g, *rest)
+
+    monkeypatch.setattr(properties, "apply_operator", fake)
+    return calls
+
+
+def test_theorem_just1_failure_entries(monkeypatch):
+    _broken_operator(monkeypatch, "msd:l")
+    report = verify_theorem_just1(MIX)
+    assert not report.passed
+    kinds = {e["kind"] for e in report.entries}
+    assert kinds == {"brc-msd-image-mismatch", "outcome-inclusion-violation"}
+    mismatches = [e for e in report.entries if e["kind"] == "brc-msd-image-mismatch"]
+    assert all(
+        set(e) == {"kind", "restriction", "brc_image", "msd_image"} for e in mismatches
+    )
+    assert all(e["msd_image"] == [[], []] for e in mismatches)
+    # entries follow lattice order
+    order = [g.names() for g in all_restrictions(MIX)]
+    positions = [order.index(e["restriction"]) for e in mismatches]
+    assert positions == sorted(positions)
+    violation = report.entries[-1]
+    assert set(violation) == {"kind", "br_outcome", "msd_outcome"}
+    assert set(report.details) == {
+        "game", "restrictions_checked", "br_global_outcome", "msd_local_outcome",
+    }
+
+
+def test_theorem_just_failure_entries(monkeypatch):
+    _broken_operator(monkeypatch, "sd:g")
+    report = verify_theorem_just(PD)
+    assert not report.passed
+    assert {e["kind"] for e in report.entries} == {"brg-not-below-sdg"}
+    assert all(set(e) == {"kind", "restriction"} for e in report.entries)
+
+
+def test_theorem_just_checks_the_budget_before_any_work(monkeypatch):
+    calls = _broken_operator(monkeypatch, None)
+    with pytest.raises(BudgetError):
+        verify_theorem_just(PD, max_restrictions=3)
+    with pytest.raises(BudgetError):
+        verify_theorem_just1(PD, max_restrictions=3)
+    assert calls == []
+
+
+def test_evaluator_belongs_to_one_game():
+    with pytest.raises(ShapeError):
+        apply_operator(uniform(MP, "sd:l"), MP, restriction_top(MP), Evaluator(PD))
+
+
+def test_evaluator_cache_is_scoped_to_the_computation():
+    profile = uniform(MIX, "msd:l")
+    evaluator = Evaluator(MIX)
+    first = outcome(profile, MIX, evaluator=evaluator)
+    cached = len(evaluator.verdicts)
+    assert cached > 0
+    assert outcome(profile, MIX) == first  # a call given none uses its own
+    assert len(evaluator.verdicts) == cached
+    assert outcome(profile, MIX, evaluator=evaluator) == first  # all hits
+    assert len(evaluator.verdicts) == cached
