@@ -29,6 +29,7 @@ from .errors import (
     ClassificationError,
     GameFormatError,
     GameLatticeError,
+    InternalError,
     PreconditionError,
     ShapeError,
     UnsupportedBeliefError,

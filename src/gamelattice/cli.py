@@ -3,8 +3,10 @@
 Every verifier and analysis is a batch subcommand with deterministic output.
 Exit codes: 0 when all checks pass, 1 on a mathematical counterexample or an
 iteration left unresolved at its ordinal bound, 2 on input, parse, or budget
-errors.  --json switches to the canonical machine-readable rendering; the
-GAMELATTICE_BUDGET environment variable overrides enumeration budgets.
+errors, 3 on an internal fault (a certificate that fails its re-validation or
+an LP that should be feasible and bounded but is not).  --json switches to
+the canonical machine-readable rendering; the GAMELATTICE_BUDGET environment
+variable overrides enumeration budgets.
 Each command evaluates properties through one Evaluator, so its verdict
 cache lives exactly as long as the command.
 """
@@ -16,7 +18,7 @@ import os
 import sys
 
 from . import dominance, epistemic, iteration, properties, symbolic, witnesses
-from .errors import GameLatticeError
+from .errors import GameLatticeError, InternalError
 from .games import parse_game_file
 from .ordinals import parse_ordinal
 from .properties import Evaluator, PropertyProfile, parse_property_spec, property_operator
@@ -25,6 +27,7 @@ from .reports import CheckReport, canonical_json
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _read_budget(flag: int | None, default: int | None) -> int | None:
@@ -328,6 +331,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (GameLatticeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import lp
-from .errors import ShapeError, UnsupportedBeliefError
+from .errors import InternalError, ShapeError, UnsupportedBeliefError
 from .games import Game, Restriction
 
 PURE = "pure"
@@ -218,7 +218,7 @@ def mixed_dominance_witness(
             Fraction(0),
         )
         if got <= game.payoff(player, context.joint_with(player, dominated, y)):
-            raise RuntimeError("LP dominance witness failed re-validation")
+            raise InternalError("LP dominance witness failed re-validation")
     return witness
 
 
@@ -315,7 +315,7 @@ def exists_supporting_belief(
     base = expected_payoff(game, player, candidate, belief)
     for s in pool:
         if expected_payoff(game, player, s, belief) > base:
-            raise RuntimeError("LP belief witness failed re-validation")
+            raise InternalError("LP belief witness failed re-validation")
     if belief_kind == INDEPENDENT:
         opponent = 1 - player
         belief = independent_belief(

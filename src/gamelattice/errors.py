@@ -41,6 +41,12 @@ class PreconditionError(GameLatticeError):
     """Raised when a checked precondition of a construction fails."""
 
 
+class InternalError(GameLatticeError):
+    """Raised when the program contradicts itself: an LP it builds to be
+    feasible and bounded is not, or a certificate fails its re-validation.
+    Never caused by the input; the CLI exits with status 3."""
+
+
 class ValidationError(GameLatticeError):
     """Raised when a supplied symbolic step or limit rule misbehaves; carries
     a witness probe point when one exists."""

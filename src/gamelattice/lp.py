@@ -1,26 +1,52 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase simplex with Bland's pivoting rule.  Every coefficient is a
-Fraction, so feasibility and optimality are decided exactly; no tolerances
-exist anywhere.  Problem sizes in this package are tiny (a handful of
-variables and constraints), so the dense tableau is the right tool.
+A dense two-phase simplex with Bland's pivoting rule on an integer tableau.
+`Fraction` appears only at entry and exit: every constraint row is scaled by
+one common positive integer (the least common multiple of all coefficient
+denominators), and the tableau keeps one common denominator `D > 0`, so that
+the true tableau is `A / D` with `A` all integers.  Pivoting on `p = A[r][c]`
+is fraction-free elimination (Edmonds 1967, Bareiss 1968, as in Avis's
+`lrs`): every other row becomes `(p*a - f*b) // D`, a division that is exact
+because every entry is a minor of the scaled input, and `D` becomes `p`.
+Ratio tests compare by cross-multiplication; the optimal value and `x` are
+built as `Fraction`s only on return.  Feasibility and optimality are decided
+exactly; no tolerances exist anywhere.
+
+Scaling every row by the same positive integer scales each slack and
+artificial variable by it and leaves `x` alone, so Bland's rule makes the
+same pivots as on the rational tableau and the returned value and `x` are
+the ones a `Fraction` tableau gives.  Problem sizes in this package are tiny
+(a handful of variables and constraints), so the dense tableau is the right
+tool.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
+
+from .errors import InternalError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class Infeasible(Exception):
+class Infeasible(InternalError):
     pass
 
 
-class Unbounded(Exception):
+class Unbounded(InternalError):
     pass
+
+
+def _rational(v):
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+
+
+def _scaled(values: list, scale: int) -> list[int]:
+    """values times scale, as ints; scale is a multiple of every denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def simplex_maximize(
@@ -36,133 +62,164 @@ def simplex_maximize(
     Returns (optimal value, optimal x).  Raises Infeasible or Unbounded.
     """
     n = len(objective)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # each row as its coefficients followed by its right-hand side
+    rows: list[list] = []
     kinds: list[str] = []
     for coeffs, b in zip(lhs_le, rhs_le):
-        row, b = [Fraction(v) for v in coeffs], Fraction(b)
-        if b < 0:
-            row, b, kind = [-v for v in row], -b, "ge"
+        row = [_rational(v) for v in coeffs]
+        row.append(_rational(b))
+        if row[-1] < 0:
+            row, kind = [-v for v in row], "ge"
         else:
             kind = "le"
         rows.append(row)
-        rhs.append(b)
         kinds.append(kind)
     for coeffs, b in zip(lhs_eq, rhs_eq):
-        row, b = [Fraction(v) for v in coeffs], Fraction(b)
-        if b < 0:
-            row, b = [-v for v in row], -b
+        row = [_rational(v) for v in coeffs]
+        row.append(_rational(b))
+        if row[-1] < 0:
+            row = [-v for v in row]
         rows.append(row)
-        rhs.append(b)
         kinds.append("eq")
 
     m = len(rows)
     n_slack = sum(1 for k in kinds if k in ("le", "ge"))
     n_art = sum(1 for k in kinds if k in ("ge", "eq"))
     width = n + n_slack + n_art
+    # lcm over a set, not a generator: unpacking a generator builds a resized
+    # tuple per call that CPython then parks in its tuple free lists, which
+    # grew a long-running process by megabytes
+    scale = lcm(*{v.denominator for row in rows for v in row})
 
-    tableau = [row + [ZERO] * (n_slack + n_art) + [b] for row, b in zip(rows, rhs)]
+    # tableau rows hold `width` columns and then the right-hand side
+    tableau: list[list[int]] = []
     basis = [0] * m
     slack_pos = n
     art_pos = n + n_slack
     art_cols = []
-    for r, kind in enumerate(kinds):
+    for r, (row, kind) in enumerate(zip(rows, kinds)):
+        scaled = _scaled(row, scale)
+        trow = scaled[:n] + [0] * (n_slack + n_art) + scaled[n:]
         if kind == "le":
-            tableau[r][slack_pos] = ONE
+            trow[slack_pos] = 1
             basis[r] = slack_pos
             slack_pos += 1
         elif kind == "ge":
-            tableau[r][slack_pos] = -ONE
+            trow[slack_pos] = -1
             slack_pos += 1
-            tableau[r][art_pos] = ONE
+            trow[art_pos] = 1
             basis[r] = art_pos
             art_cols.append(art_pos)
             art_pos += 1
         else:
-            tableau[r][art_pos] = ONE
+            trow[art_pos] = 1
             basis[r] = art_pos
             art_cols.append(art_pos)
             art_pos += 1
+        tableau.append(trow)
 
-    def pivot(r: int, c: int):
+    denom = 1  # the common denominator D of the tableau and the cost row
+
+    def pivot(r: int, c: int, cost_row: list[int] | None):
+        """Fraction-free pivot on a positive tableau[r][c]."""
+        nonlocal denom
         prow = tableau[r]
-        piv = prow[c]
-        if piv != ONE:
-            inv = ONE / piv
-            tableau[r] = prow = [v * inv for v in prow]
+        p = prow[c]
+        d = denom
         for rr in range(m):
-            if rr == r:
-                continue
-            row = tableau[rr]
-            factor = row[c]
-            if factor:
-                tableau[rr] = [a - factor * b for a, b in zip(row, prow)]
+            if rr != r:
+                tableau[rr] = _eliminate(tableau[rr], prow, p, d, c)
+        if cost_row is not None:
+            cost_row[:] = _eliminate(cost_row, prow, p, d, c)
         basis[r] = c
+        denom = p
 
-    def optimize(cost: list[Fraction], allowed: int) -> Fraction:
-        """Pivot with Bland's rule to maximize cost . x over columns < allowed."""
+    def optimize(cost_row: list[int], allowed: int):
+        """Pivot with Bland's rule to maximize over columns < allowed.
+
+        cost_row holds the reduced costs times a positive multiple of D and,
+        last, minus the objective value times that multiple.
+        """
         while True:
-            # reduced costs recomputed per pass; tableau sizes make this cheap
-            reduced = cost[:allowed]
-            for r in range(m):
-                cb = cost[basis[r]]
-                if cb:
-                    row = tableau[r]
-                    reduced = [z - cb * row[j] for j, z in enumerate(reduced)]
             enter = -1
             for j in range(allowed):
-                if reduced[j] > 0:
+                if cost_row[j] > 0:
                     enter = j
                     break
             if enter < 0:
-                value = ZERO
-                for r in range(m):
-                    cb = cost[basis[r]]
-                    if cb:
-                        value += cb * tableau[r][-1]
-                return value
+                return
             leave = -1
-            best = None
+            best_b = best_a = 0
             for r in range(m):
-                a = tableau[r][enter]
+                row = tableau[r]
+                a = row[enter]
                 if a > 0:
-                    ratio = tableau[r][-1] / a
-                    if best is None or ratio < best or (
-                        ratio == best and basis[r] < basis[leave]
-                    ):
-                        best = ratio
-                        leave = r
+                    # ratio row[-1] / a against best_b / best_a
+                    b = row[-1]
+                    if leave < 0:
+                        better = True
+                    else:
+                        lhs, rhs = b * best_a, best_b * a
+                        better = lhs < rhs or (lhs == rhs and basis[r] < basis[leave])
+                    if better:
+                        best_b, best_a, leave = b, a, r
             if leave < 0:
                 raise Unbounded("objective unbounded above")
-            pivot(leave, enter)
+            pivot(leave, enter, cost_row)
+
+    def reduced_cost_row(cost: list[int]) -> list[int]:
+        """D times the reduced costs of `cost`, then minus D times the value."""
+        out = [c * denom for c in cost] + [0]
+        for r in range(m):
+            cb = cost[basis[r]]
+            if cb:
+                out = [z - cb * v for z, v in zip(out, tableau[r])]
+        return out
 
     if art_cols:
-        cost1 = [ZERO] * width
+        cost1 = [0] * width
         for c in art_cols:
-            cost1[c] = -ONE
-        value = optimize(cost1, width)
-        if value != 0:
+            cost1[c] = -1
+        cost_row = reduced_cost_row(cost1)
+        optimize(cost_row, width)
+        if cost_row[-1] != 0:
             raise Infeasible("phase 1 ended with positive artificial mass")
         # drive any degenerate artificial out of the basis
         art_set = set(art_cols)
         for r in range(m):
             if basis[r] in art_set:
+                row = tableau[r]
                 for j in range(n + n_slack):
-                    if tableau[r][j] != 0:
-                        pivot(r, j)
+                    if row[j] != 0:
+                        if row[j] < 0:
+                            # the row reads 0 on the right; negating it keeps D > 0
+                            tableau[r] = [-v for v in row]
+                        pivot(r, j, None)
                         break
         # rows still basic in an artificial are identically zero; freeze them
         for r in range(m):
             if basis[r] in art_set:
-                tableau[r] = [ZERO] * width + [ZERO]
+                tableau[r] = [0] * (width + 1)
 
-    cost2 = [ZERO] * width
-    for j in range(n):
-        cost2[j] = Fraction(objective[j])
-    value = optimize(cost2, n + n_slack)
+    objective = [_rational(v) for v in objective]
+    obj_scale = lcm(*{v.denominator for v in objective})
+    cost2 = _scaled(objective, obj_scale) + [0] * (width - n)
+    cost_row = reduced_cost_row(cost2)
+    optimize(cost_row, n + n_slack)
 
+    value = Fraction(-cost_row[-1], obj_scale * denom)
     x = [ZERO] * n
     for r in range(m):
         if basis[r] < n:
-            x[basis[r]] = tableau[r][-1]
+            x[basis[r]] = Fraction(tableau[r][-1], denom)
     return value, x
+
+
+def _eliminate(row: list[int], prow: list[int], p: int, d: int, c: int) -> list[int]:
+    """One Bareiss row update: (p*row - row[c]*prow) / d, exact in integers."""
+    f = row[c]
+    if f == 0:
+        if p == d:
+            return row
+        return [p * a // d for a in row]
+    return [(p * a - f * b) // d for a, b in zip(row, prow)]

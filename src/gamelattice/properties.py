@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import dominance
-from .dominance import BELIEF_KINDS
+from .dominance import BELIEF_KINDS, CORRELATED, INDEPENDENT, PURE
 from .errors import ShapeError
 from .games import (
     Game,
@@ -94,7 +94,9 @@ class Evaluator:
 
     A CLI command or a library entry point creates one and hands it to every
     evaluation it makes, so the cache dies with the computation.  Verdicts
-    are keyed by (spec, player, strategy, opponent masks, pool mask).
+    are keyed by (kind, belief, player, strategy, opponent masks, pool mask):
+    the scope only picks the pool, so a global and a local spec share every
+    verdict where the local pool is the full strategy set.
     """
 
     def __init__(self, game: Game):
@@ -120,35 +122,45 @@ def eval_property(
     evaluator: Evaluator | None = None,
 ) -> bool:
     """Does `strategy` satisfy the property on the restriction g?  The verdict
-    is cached in `evaluator`; a call given none starts with an empty cache."""
+    is cached in `evaluator`; a call given none starts with an empty cache.
+
+    A pure certificate settles the verdict before any LP where it can: a pure
+    strict dominator in the pool fails `msd`, and a supporting pure belief
+    passes `br` with correlated beliefs (and with independent ones for two
+    players).  Only verdicts come out of here, so no returned certificate
+    changes.
+    """
     verdicts = evaluator_for(game, evaluator).verdicts
     masks = g.masks
     full = (1 << len(game.strategy_names[player])) - 1
     pool = full if spec.scope == "g" else masks[player]
-    key = (spec, player, strategy, masks[:player] + masks[player + 1:], pool)
+    key = (spec.kind, spec.belief, player, strategy, masks[:player] + masks[player + 1:], pool)
     verdict = verdicts.get(key)
     if verdict is not None:
         return verdict
     # the player's own context component never matters below: keep all of it
     context = Restriction.from_masks(game, masks[:player] + (full,) + masks[player + 1:])
     members = mask_members(pool)
-    if spec.kind == "sd":
+    if spec.kind in ("sd", "msd"):
         verdict = not any(
             dominance.strictly_dominates_pure(game, context, player, s, strategy)
             for s in members
         )
-    elif spec.kind == "msd":
-        verdict = (
-            dominance.mixed_dominance_witness(game, context, player, members, strategy)
-            is None
-        )
-    else:
-        verdict = (
-            dominance.exists_supporting_belief(
-                game, context, members, player, strategy, spec.belief
+        if verdict and spec.kind == "msd":
+            verdict = (
+                dominance.mixed_dominance_witness(game, context, player, members, strategy)
+                is None
             )
-            is not None
+    else:
+        def supported(belief_kind: str) -> bool:
+            return dominance.exists_supporting_belief(
+                game, context, members, player, strategy, belief_kind
+            ) is not None
+
+        pure_settles = spec.belief == CORRELATED or (
+            spec.belief == INDEPENDENT and game.num_players == 2
         )
+        verdict = (pure_settles and supported(PURE)) or supported(spec.belief)
     verdicts[key] = verdict
     return verdict
 

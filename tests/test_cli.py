@@ -1,9 +1,11 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
-from gamelattice.cli import main
+from gamelattice import lp
+from gamelattice.cli import EXIT_INTERNAL, main
 from gamelattice.games import parse_game_file
 from gamelattice.iteration import trace_from_json_dict, iterate_operator
 from gamelattice.properties import PropertyProfile, parse_property_spec, property_operator
@@ -242,3 +244,45 @@ def test_budget_exit_codes(env, argv, expected, monkeypatch, capsys):
         monkeypatch.setenv("GAMELATTICE_BUDGET", env)
     code, _, err = run(capsys, *argv[:-1], str(FIXTURES / argv[-1]))
     assert code == expected, err
+
+
+def test_independent_global_beliefs_three_players_rejected(capsys):
+    # a supporting pure belief must not settle br:g:ind beyond two players
+    code, out, err = run(
+        capsys, "eliminate", "--prop", "br:g:ind", str(FIXTURES / "three.game")
+    )
+    assert code == 2
+    assert "independent mixed beliefs" in err
+
+
+def _kernel_returning_first_vertex(objective, lhs_le=(), rhs_le=(), lhs_eq=(), rhs_eq=()):
+    """A broken LP kernel: a positive value at x = (1, 0, ..., 0), whatever
+    the constraints say."""
+    return Fraction(1), [Fraction(int(j == 0)) for j in range(len(objective))]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "pearce", "pd.game"],
+        ["eliminate", "--prop", "msd:l", "pd.game"],
+        ["check", "just1", "--json", "mix.game"],
+    ],
+)
+def test_failed_revalidation_exits_internal(argv, monkeypatch, capsys):
+    monkeypatch.setattr(lp, "simplex_maximize", _kernel_returning_first_vertex)
+    code, out, err = run(capsys, *argv[:-1], str(FIXTURES / argv[-1]))
+    assert code == EXIT_INTERNAL == 3
+    assert err.startswith("internal error:") and "re-validation" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", [lp.Infeasible, lp.Unbounded])
+def test_lp_faults_exit_internal(fault, monkeypatch, capsys):
+    def kernel(*args, **kwargs):
+        raise fault("injected")
+
+    monkeypatch.setattr(lp, "simplex_maximize", kernel)
+    code, out, err = run(capsys, "check", "pearce", str(FIXTURES / "mix.game"))
+    assert code == EXIT_INTERNAL
+    assert err == "internal error: injected\n"

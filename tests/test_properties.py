@@ -1,12 +1,16 @@
+import itertools
+import pathlib
 import random
 
 import pytest
 
-from gamelattice import fixtures
+from gamelattice import dominance, fixtures
 from gamelattice.errors import BudgetError, ShapeError
 from gamelattice.games import (
     all_restrictions,
     lattice_leq,
+    make_game,
+    parse_game_file,
     restriction_from_names,
     restriction_top,
 )
@@ -27,6 +31,7 @@ from gamelattice.properties import (
 )
 
 PD, MP, MIX, CHAIN = fixtures.PD, fixtures.MP, fixtures.MIX, fixtures.CHAIN
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 ALL_SPECS = [
     "sd:l", "sd:g", "msd:l", "msd:g",
@@ -265,4 +270,66 @@ def test_evaluator_cache_is_scoped_to_the_computation():
     assert outcome(profile, MIX) == first  # a call given none uses its own
     assert len(evaluator.verdicts) == cached
     assert outcome(profile, MIX, evaluator=evaluator) == first  # all hits
+    assert len(evaluator.verdicts) == cached
+
+
+def _random_game(rng, sizes):
+    names = [tuple(f"{'abc'[i]}{k + 1}" for k in range(n)) for i, n in enumerate(sizes)]
+    table = {
+        joint: tuple(rng.randint(-5, 5) for _ in sizes)
+        for joint in itertools.product(*names)
+    }
+    return make_game(f"rand{'x'.join(map(str, sizes))}", names, table)
+
+
+def _lp_only_verdict(spec, game, player, strategy, g):
+    """The verdict from the LP procedures alone, with no pure pre-check."""
+    pool = sorted(game.strategies(player)) if spec.scope == "g" else sorted(g.sets[player])
+    if spec.kind == "msd":
+        return dominance.mixed_dominance_witness(game, g, player, pool, strategy) is None
+    found = dominance.exists_supporting_belief(game, g, pool, player, strategy, spec.belief)
+    return found is not None
+
+
+def test_pure_prechecks_agree_with_the_lp():
+    """A pure certificate settles msd and corr/ind br verdicts before the LP;
+    on every restriction the verdict must be the LP's own."""
+    fixture_games = [
+        parse_game_file(path) for path in sorted(FIXTURE_DIR.glob("*.game"))
+    ]
+    rng = random.Random(3031)
+    games = (
+        fixture_games
+        + fixtures.random_games(3030, 6, 3, 3)
+        + [_random_game(rng, sizes) for sizes in ((2, 2, 2), (2, 3, 2))]
+    )
+    texts = ["msd:l", "msd:g", "br:l:corr", "br:g:corr"]
+    checked = 0
+    for game in games:
+        specs = texts + (["br:l:ind", "br:g:ind"] if game.num_players == 2 else [])
+        # one cache for all specs, so verdicts shared across scopes are checked too
+        evaluator = Evaluator(game)
+        for text in specs:
+            spec = parse_property_spec(text)
+            for g in all_restrictions(game):
+                for i in game.players():
+                    for s in game.strategies(i):
+                        got = eval_property(spec, game, i, s, g, evaluator)
+                        assert got == _lp_only_verdict(spec, game, i, s, g), (
+                            game.name, text, g.names(), i, s,
+                        )
+                        checked += 1
+    assert checked > 10000
+
+
+def test_global_and_local_specs_share_verdicts_on_the_full_pool():
+    evaluator = Evaluator(MIX)
+    top = restriction_top(MIX)
+    for i in MIX.players():
+        for s in MIX.strategies(i):
+            eval_property(parse_property_spec("br:g:corr"), MIX, i, s, top, evaluator)
+    cached = len(evaluator.verdicts)
+    for i in MIX.players():
+        for s in MIX.strategies(i):
+            eval_property(parse_property_spec("br:l:corr"), MIX, i, s, top, evaluator)
     assert len(evaluator.verdicts) == cached
