@@ -266,13 +266,13 @@ def exists_supporting_belief(
     pool = sorted(set(comparison_pool))
     for s in pool:
         _check_strategy(game, player, s)
-    profiles = list(belief_context.opponent_profiles(player))
-    if not profiles:
-        return None
     if belief_kind == INDEPENDENT and game.num_players > 2:
         raise UnsupportedBeliefError(
             "independent mixed beliefs are only decided for 2-player games"
         )
+    profiles = list(belief_context.opponent_profiles(player))
+    if not profiles:
+        return None
 
     if belief_kind == PURE:
         for y in profiles:

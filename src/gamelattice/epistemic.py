@@ -212,28 +212,42 @@ def model_from_joint_strategies(
 # -- exhaustive enumeration of correspondences --------------------------------
 
 
-def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n states, yielded as per-state cell bitmasks."""
+def _block_partitions(members: Sequence[int]) -> Iterator[list[int]]:
+    """All partitions of the given states into blocks, as lists of block
+    bitmasks: each state joins every existing block in turn, then opens a new
+    one."""
+    k = len(members)
 
     def rec(i, blocks):
-        if i == n:
+        if i == k:
             yield list(blocks)
             return
+        bit = 1 << members[i]
         for b in range(len(blocks)):
-            blocks[b] |= 1 << i
+            blocks[b] |= bit
             yield from rec(i + 1, blocks)
-            blocks[b] &= ~(1 << i)
-        blocks.append(1 << i)
+            blocks[b] &= ~bit
+        blocks.append(bit)
         yield from rec(i + 1, blocks)
         blocks.pop()
 
-    for blocks in rec(0, []):
-        cells = [0] * n
-        for mask in blocks:
-            for w in range(n):
-                if mask >> w & 1:
-                    cells[w] = mask
-        yield tuple(cells)
+    return rec(0, [])
+
+
+def _block_cells(blocks: Sequence[int], n: int) -> list[int]:
+    """Per-state cell bitmasks: each state covered by a block gets that block."""
+    cells = [0] * n
+    for mask in blocks:
+        for w in range(n):
+            if mask >> w & 1:
+                cells[w] = mask
+    return cells
+
+
+def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
+    """All partitions of n states, yielded as per-state cell bitmasks."""
+    for blocks in _block_partitions(range(n)):
+        yield tuple(_block_cells(blocks, n))
 
 
 def belief_correspondences(n: int) -> Iterator[tuple[int, ...]]:
@@ -248,28 +262,9 @@ def belief_correspondences(n: int) -> Iterator[tuple[int, ...]]:
     full = (1 << n) - 1
     for covered in range(1, full + 1):
         members = [w for w in range(n) if covered >> w & 1]
-        k = len(members)
-
-        def rec(i, blocks):
-            if i == k:
-                yield list(blocks)
-                return
-            bit = 1 << members[i]
-            for b in range(len(blocks)):
-                blocks[b] |= bit
-                yield from rec(i + 1, blocks)
-                blocks[b] &= ~bit
-            blocks.append(bit)
-            yield from rec(i + 1, blocks)
-            blocks.pop()
-
         outside = [w for w in range(n) if not covered >> w & 1]
-        for blocks in rec(0, []):
-            base = [0] * n
-            for mask in blocks:
-                for w in range(n):
-                    if mask >> w & 1:
-                        base[w] = mask
+        for blocks in _block_partitions(members):
+            base = _block_cells(blocks, n)
             for routing in itertools.product(range(len(blocks)), repeat=len(outside)):
                 cells = list(base)
                 for w, b in zip(outside, routing):
@@ -340,7 +335,9 @@ def enumerate_ck_cb(
     mode) or holds and is common belief (belief mode).
 
     The enumeration ranges over all strategy assignments and all
-    correspondences of the required class, exactly.
+    correspondences of the required class, exactly.  It evaluates one
+    assignment per orbit under relabelling of the states; `models_enumerated`
+    counts every model up to the early exit, relabelled ones included.
     """
     n = game.num_players
     if len(profile.specs) != n:
@@ -365,19 +362,24 @@ def enumerate_ck_cb(
     check_budget(total, budget, f"enumeration of {total} models")
 
     # per correspondence combo: the per-player correspondence indices plus the
-    # evident/B tables of the players' joint cell map (they depend on the
-    # combo only through the union of cells at each state)
-    tables: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
+    # states the combo contributes for every rationality event e: the largest
+    # evident subset of e (knowledge) or e intersected with the largest
+    # evident subset of B e (belief).  Both depend on the combo only through
+    # the union of cells at each state.
+    contributions: dict[tuple[int, ...], list[int]] = {}
     combo_rows = []
     for combo in itertools.product(range(len(corrs)), repeat=n):
         union_cells = tuple(
             _or_all(corrs[c][w] for c in combo) for w in range(omega)
         )
-        if union_cells not in tables:
-            ev = _evident_table(union_cells, omega)
-            bt = _b_table(union_cells, omega) if mode == "belief" else None
-            tables[union_cells] = (ev, bt)
-        combo_rows.append((combo, tables[union_cells]))
+        con = contributions.get(union_cells)
+        if con is None:
+            con = _evident_table(union_cells, omega)
+            if mode == "belief":
+                bt = _b_table(union_cells, omega)
+                con = [e & con[bt[e]] for e in range(1 << omega)]
+            contributions[union_cells] = con
+        combo_rows.append((combo, con))
 
     all_cells = sorted({corrs[c][w] for c in range(len(corrs)) for w in range(omega)})
     assignments_per_player = [
@@ -386,6 +388,7 @@ def enumerate_ck_cb(
 
     acc = [0] * n
     full = [(1 << k) - 1 for k in game.sizes]
+    all_states = (1 << omega) - 1
     enumerated = 0
     early = False
     spec_of = profile.specs
@@ -393,6 +396,14 @@ def enumerate_ck_cb(
         cell: [w for w in range(omega) if cell >> w & 1] for cell in all_cells
     }
     for assign in itertools.product(*assignments_per_player):
+        enumerated += len(combo_rows)
+        # Relabelling the states maps the correspondences onto themselves, so
+        # every assignment in one orbit under permutations of the states
+        # gathers the same strategies.  Product order reaches first the member
+        # whose per-state joint strategies do not decrease; evaluate only it.
+        joints = list(zip(*assign))
+        if any(joints[w] > joints[w + 1] for w in range(omega - 1)):
+            continue
         # truth table of each player's property on each possible cell image
         images = {
             cell: Restriction.from_masks(
@@ -425,26 +436,15 @@ def enumerate_ck_cb(
             ok_masks.append(per_corr)
 
         union_states = 0
-        if mode == "knowledge":
-            for combo, (ev, _) in combo_rows:
-                rat = -1
-                for i in range(n):
-                    rat &= ok_masks[i][combo[i]]
-                    if not rat:
-                        break
-                enumerated += 1
-                if rat:
-                    union_states |= ev[rat]
-        else:
-            for combo, (ev, bt) in combo_rows:
-                rat = -1
-                for i in range(n):
-                    rat &= ok_masks[i][combo[i]]
-                    if not rat:
-                        break
-                enumerated += 1
-                if rat:
-                    union_states |= rat & ev[bt[rat]]
+        for combo, con in combo_rows:
+            rat = -1
+            for i in range(n):
+                rat &= ok_masks[i][combo[i]]
+                if not rat:
+                    break
+            union_states |= con[rat]
+            if union_states == all_states:
+                break
 
         for i in range(n):
             row = assign[i]

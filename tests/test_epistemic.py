@@ -25,10 +25,12 @@ from gamelattice.epistemic import (
     witness_model_thm2,
 )
 from gamelattice.errors import BudgetError, ClassificationError, PreconditionError
-from gamelattice.games import restriction_from_names
-from gamelattice.properties import PropertyProfile, parse_property_spec, outcome
+from gamelattice.games import Restriction, restriction_from_names
+from gamelattice.properties import Evaluator, PropertyProfile, parse_property_spec, outcome
 
-PD, MP, MIX, CHAIN = fixtures.PD, fixtures.MP, fixtures.MIX, fixtures.CHAIN
+PD, MP, MIX, CHAIN, THREE = (
+    fixtures.PD, fixtures.MP, fixtures.MIX, fixtures.CHAIN, fixtures.THREE,
+)
 
 
 def uniform(game, text):
@@ -261,6 +263,48 @@ def test_correspondence_counts():
         assert cells in every  # partitions are belief correspondences too
 
 
+# the enumeration order of each correspondence generator, pinned
+SET_PARTITION_ORDER = {
+    1: [(1,)],
+    2: [(3, 3), (1, 2)],
+    3: [(7, 7, 7), (3, 3, 4), (5, 2, 5), (1, 6, 6), (1, 2, 4)],
+    4: [(15, 15, 15, 15), (7, 7, 7, 8), (11, 11, 4, 11), (3, 3, 12, 12), (3, 3, 4, 8),
+        (13, 2, 13, 13), (5, 10, 5, 10), (5, 2, 5, 8), (9, 6, 6, 9), (1, 14, 14, 14),
+        (1, 6, 6, 8), (9, 2, 4, 9), (1, 10, 4, 10), (1, 2, 12, 12), (1, 2, 4, 8)],
+}
+BELIEF_CORRESPONDENCE_ORDER = {
+    1: [(1,)],
+    2: [(1, 1), (2, 2), (3, 3), (1, 2)],
+    3: [(1, 1, 1), (2, 2, 2), (3, 3, 3), (1, 2, 1), (1, 2, 2), (4, 4, 4), (5, 5, 5),
+        (1, 1, 4), (1, 4, 4), (6, 6, 6), (2, 2, 4), (4, 2, 4), (7, 7, 7), (3, 3, 4),
+        (5, 2, 5), (1, 6, 6), (1, 2, 4)],
+    4: [(1, 1, 1, 1), (2, 2, 2, 2), (3, 3, 3, 3), (1, 2, 1, 1), (1, 2, 1, 2),
+        (1, 2, 2, 1), (1, 2, 2, 2), (4, 4, 4, 4), (5, 5, 5, 5), (1, 1, 4, 1),
+        (1, 1, 4, 4), (1, 4, 4, 1), (1, 4, 4, 4), (6, 6, 6, 6), (2, 2, 4, 2),
+        (2, 2, 4, 4), (4, 2, 4, 2), (4, 2, 4, 4), (7, 7, 7, 7), (3, 3, 4, 3),
+        (3, 3, 4, 4), (5, 2, 5, 5), (5, 2, 5, 2), (1, 6, 6, 1), (1, 6, 6, 6),
+        (1, 2, 4, 1), (1, 2, 4, 2), (1, 2, 4, 4), (8, 8, 8, 8), (9, 9, 9, 9),
+        (1, 1, 1, 8), (1, 1, 8, 8), (1, 8, 1, 8), (1, 8, 8, 8), (10, 10, 10, 10),
+        (2, 2, 2, 8), (2, 2, 8, 8), (8, 2, 2, 8), (8, 2, 8, 8), (11, 11, 11, 11),
+        (3, 3, 3, 8), (3, 3, 8, 8), (9, 2, 9, 9), (9, 2, 2, 9), (1, 10, 1, 10),
+        (1, 10, 10, 10), (1, 2, 1, 8), (1, 2, 2, 8), (1, 2, 8, 8), (12, 12, 12, 12),
+        (4, 4, 4, 8), (4, 8, 4, 8), (8, 4, 4, 8), (8, 8, 4, 8), (13, 13, 13, 13),
+        (5, 5, 5, 8), (5, 8, 5, 8), (9, 9, 4, 9), (9, 4, 4, 9), (1, 1, 12, 12),
+        (1, 12, 12, 12), (1, 1, 4, 8), (1, 4, 4, 8), (1, 8, 4, 8), (14, 14, 14, 14),
+        (6, 6, 6, 8), (8, 6, 6, 8), (10, 10, 4, 10), (4, 10, 4, 10), (2, 2, 12, 12),
+        (12, 2, 12, 12), (2, 2, 4, 8), (4, 2, 4, 8), (8, 2, 4, 8), (15, 15, 15, 15),
+        (7, 7, 7, 8), (11, 11, 4, 11), (3, 3, 12, 12), (3, 3, 4, 8), (13, 2, 13, 13),
+        (5, 10, 5, 10), (5, 2, 5, 8), (9, 6, 6, 9), (1, 14, 14, 14), (1, 6, 6, 8),
+        (9, 2, 4, 9), (1, 10, 4, 10), (1, 2, 12, 12), (1, 2, 4, 8)],
+}
+
+
+def test_correspondence_generators_keep_their_order():
+    for n in range(1, 5):
+        assert list(set_partitions(n)) == SET_PARTITION_ORDER[n]
+        assert list(belief_correspondences(n)) == BELIEF_CORRESPONDENCE_ORDER[n]
+
+
 def test_enumerate_examples():
     res = enumerate_ck_cb(PD, 4, uniform(PD, "sd:g"), mode="knowledge")
     assert res.restriction == restriction_from_names(PD, [["D"], ["D"]])
@@ -344,3 +388,71 @@ def test_model_requires_omega_at_least_strategies():
                 (frozenset([0]), frozenset([1])),
             ),
         )
+
+
+def brute_ck_cb(game, omega, profile, mode):
+    """The CK/CB restriction by building every model outright: every strategy
+    assignment times every tuple of correspondences, in product order, with
+    the early exit at the first assignment after which every strategy of
+    every player is gathered."""
+    n = game.num_players
+    cells = set_partitions if mode == "knowledge" else belief_correspondences
+    corrs = [cells_to_correspondence(c, omega) for c in cells(omega)]
+    states = tuple(f"w{w}" for w in range(omega))
+    rows = [list(itertools.product(range(k), repeat=omega)) for k in game.sizes]
+    evaluator = Evaluator(game)
+    gathered = [set() for _ in range(n)]
+    per_assignment = len(corrs) ** n
+    total = per_assignment
+    for r in rows:
+        total *= len(r)
+    for index, assign in enumerate(itertools.product(*rows)):
+        for combo in itertools.product(corrs, repeat=n):
+            model = EpistemicModel(game, states, assign, combo)
+            rat = rational_states(model, profile, evaluator)
+            if mode == "knowledge":
+                event = common_knowledge_event(model, rat)
+            else:
+                event = rat & common_belief_event(model, rat)
+            for i in range(n):
+                gathered[i].update(assign[i][w] for w in event)
+        if all(len(gathered[i]) == game.sizes[i] for i in range(n)):
+            enumerated, early = (index + 1) * per_assignment, True
+            break
+    else:
+        enumerated, early = total, False
+    restriction = Restriction(game, tuple(frozenset(g) for g in gathered))
+    return restriction, total, enumerated, early
+
+
+def mixed_profile(game):
+    specs = ["sd:g", "br:g:pure", "sd:l"][: game.num_players]
+    return PropertyProfile(tuple(parse_property_spec(t) for t in specs))
+
+
+# every fixture at every omega <= 3 whose brute force takes a few seconds;
+# CHAIN and THREE at omega 3 in belief mode would take minutes
+BOTH = ("knowledge", "belief")
+DIFFERENTIAL_CASES = [
+    (game, omega, mode)
+    for game, omega, modes in [
+        (PD, 2, BOTH), (PD, 3, BOTH), (MP, 2, BOTH), (MP, 3, BOTH), (MIX, 3, BOTH),
+        (CHAIN, 3, ("knowledge",)), (THREE, 2, BOTH), (THREE, 3, ("knowledge",)),
+    ]
+    for mode in modes
+]
+
+
+@pytest.mark.parametrize(
+    "game,omega,mode",
+    DIFFERENTIAL_CASES,
+    ids=[f"{g.name}-w{o}-{m}" for g, o, m in DIFFERENTIAL_CASES],
+)
+def test_enumerate_matches_brute_force_models(game, omega, mode):
+    profiles = [uniform(game, t) for t in ("sd:g", "sd:l", "br:g:pure")]
+    for profile in profiles + [mixed_profile(game)]:
+        res = enumerate_ck_cb(game, omega, profile, mode=mode)
+        restriction, total, enumerated, early = brute_ck_cb(game, omega, profile, mode)
+        assert (res.restriction, res.models_total, res.models_enumerated, res.early_exit) == (
+            restriction, total, enumerated, early
+        ), (game.name, omega, mode, str(profile))

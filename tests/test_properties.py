@@ -5,8 +5,9 @@ import random
 import pytest
 
 from gamelattice import dominance, fixtures
-from gamelattice.errors import BudgetError, ShapeError
+from gamelattice.errors import BudgetError, ShapeError, UnsupportedBeliefError
 from gamelattice.games import (
+    Restriction,
     all_restrictions,
     lattice_leq,
     make_game,
@@ -333,3 +334,12 @@ def test_global_and_local_specs_share_verdicts_on_the_full_pool():
         for s in MIX.strategies(i):
             eval_property(parse_property_spec("br:l:corr"), MIX, i, s, top, evaluator)
     assert len(evaluator.verdicts) == cached
+
+
+@pytest.mark.parametrize("masks", [(3, 3, 3), (3, 0, 3), (3, 3, 0), (0, 0, 0)])
+def test_independent_beliefs_rejected_for_three_players_on_every_context(masks):
+    # the rejection holds on contexts with an empty opponent component too,
+    # where no belief exists at all
+    g = Restriction.from_masks(fixtures.THREE, masks)
+    with pytest.raises(UnsupportedBeliefError):
+        eval_property(parse_property_spec("br:l:ind"), fixtures.THREE, 0, 0, g)
