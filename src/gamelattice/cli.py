@@ -14,12 +14,13 @@ cache lives exactly as long as the command.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
 from . import dominance, epistemic, iteration, properties, symbolic, witnesses
 from .errors import GameLatticeError, InternalError
-from .games import parse_game_file
+from .games import parse_game_file, restriction_top
 from .ordinals import parse_ordinal
 from .properties import Evaluator, PropertyProfile, parse_property_spec, property_operator
 from .reports import CheckReport, canonical_json
@@ -184,8 +185,6 @@ def cmd_epistemic(args) -> int:
         if expectation == "outcome":
             target = operator_outcome
         elif expectation == "full-game":
-            from .games import restriction_top
-
             target = restriction_top(game)
         else:
             target = None
@@ -260,7 +259,10 @@ def cmd_transfinite(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing never
+    changes it."""
     parser = argparse.ArgumentParser(
         prog="gamelattice",
         description="Iterated strategy elimination, lattice fixpoint checks, "
@@ -327,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except InternalError as exc:

@@ -9,13 +9,15 @@ literally: a universal is vacuously true, an existential is false.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import lp
 from .errors import InternalError, ShapeError, UnsupportedBeliefError
-from .games import Game, Restriction
+from .games import Game, Restriction, all_restrictions
+from .reports import CheckReport
 
 PURE = "pure"
 CORRELATED = "corr"
@@ -90,8 +92,6 @@ class Belief:
             return frozenset([self.profile])
         if self.kind == CORRELATED:
             return frozenset(p for p, _ in self.weights)
-        import itertools
-
         return frozenset(
             itertools.product(*(sorted(m.support) for m in self.mixtures))
         )
@@ -361,19 +361,13 @@ def _belief_json(game: Game, player: int, b: Belief) -> dict:
     }
 
 
-def pearce_equivalence_suite(game: Game, restrictions=None, max_restrictions: int = 1 << 10):
-    """pearce_equivalence_check across many restrictions (all of them by
-    default); the aggregate report keeps only failing entries."""
-    from .games import all_restrictions
-    from .reports import CheckReport
-
-    if restrictions is None:
-        restrictions = list(all_restrictions(game, max_count=max_restrictions))
-    checked = 0
+def pearce_equivalence_suite(game: Game, max_restrictions: int = 1 << 10):
+    """pearce_equivalence_check across every restriction; the aggregate
+    report keeps only failing entries."""
+    restrictions = list(all_restrictions(game, max_count=max_restrictions))
     mismatches = []
     for g in restrictions:
         rep = pearce_equivalence_check(game, g)
-        checked += 1
         if not rep.passed:
             mismatches.append(
                 {
@@ -386,7 +380,7 @@ def pearce_equivalence_suite(game: Game, restrictions=None, max_restrictions: in
         passed=not mismatches,
         details={
             "game": game.name,
-            "restrictions_checked": checked,
+            "restrictions_checked": len(restrictions),
             "mismatching_restrictions": len(mismatches),
         },
         entries=mismatches,
@@ -401,8 +395,6 @@ def pearce_equivalence_check(game: Game, g: Restriction):
     Both images are computed by their own LPs, and the report carries both
     certificates per strategy.  A mismatch is a release-blocking bug.
     """
-    from .reports import CheckReport
-
     _check_context(game, g)
     entries = []
     mismatches = 0

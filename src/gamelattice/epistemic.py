@@ -482,11 +482,7 @@ class WitnessResult:
     report: CheckReport
 
 
-def witness_model_thm1(
-    game: Game,
-    profile: PropertyProfile,
-    check_monotone: bool = True,
-) -> WitnessResult:
+def witness_model_thm1(game: Game, profile: PropertyProfile) -> WitnessResult:
     """A model with an evident event E whose image is exactly the elimination
     outcome, on which everyone is rational, and where rationality is common
     knowledge: pick the player with the largest surviving component, map a
@@ -494,13 +490,12 @@ def witness_model_thm1(
     that prefix, and give every player the cell E on E and singleton cells
     elsewhere."""
     evaluator = Evaluator(game)
-    if check_monotone:
-        for spec in sorted(set(profile.specs), key=str):
-            rep = check_property_monotone(spec, game, evaluator=evaluator)
-            if not rep.passed:
-                raise PreconditionError(
-                    f"property {spec} is not monotonic on {game.name}"
-                )
+    for spec in sorted(set(profile.specs), key=str):
+        rep = check_property_monotone(spec, game, evaluator=evaluator)
+        if not rep.passed:
+            raise PreconditionError(
+                f"property {spec} is not monotonic on {game.name}"
+            )
     fix = outcome(profile, game, evaluator=evaluator).outcome
     survivors = [mask_members(m) for m in fix.masks]
     m = max(game.sizes)

@@ -49,8 +49,10 @@ class InternalError(GameLatticeError):
 
 class ValidationError(GameLatticeError):
     """Raised when a supplied symbolic step or limit rule misbehaves; carries
-    a witness probe point when one exists."""
+    the stage that failed ("step" or "limit") and a witness probe point when
+    one exists."""
 
-    def __init__(self, message, witness=None):
+    def __init__(self, message, stage, witness=None):
+        self.stage = stage
         self.witness = witness
         super().__init__(message)

@@ -21,10 +21,6 @@ class Ordinal:
             raise ValueError("ordinal parts must be non-negative")
 
     @property
-    def is_finite(self) -> bool:
-        return self.omega_coeff == 0
-
-    @property
     def is_limit(self) -> bool:
         return self.finite == 0 and self.omega_coeff > 0
 

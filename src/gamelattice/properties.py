@@ -35,6 +35,9 @@ from .reports import CheckReport
 KINDS = ("sd", "msd", "br")
 SCOPES = ("l", "g")
 
+# check_property_monotone lists at most this many violations
+MAX_MONOTONE_ENTRIES = 20
+
 
 @dataclass(frozen=True)
 class PropertySpec:
@@ -213,7 +216,6 @@ def check_property_monotone(
     game: Game,
     max_restrictions: int = DEFAULT_LATTICE_BUDGET,
     max_pairs: int = DEFAULT_PAIR_BUDGET,
-    max_entries: int = 20,
     evaluator: Evaluator | None = None,
 ) -> CheckReport:
     """Exhaustively check: G below G' and property holds at G implies it holds
@@ -240,7 +242,7 @@ def check_property_monotone(
             bad = table[small][i] & ~table[big][i]
             if bad:
                 violations += bin(bad).count("1")
-                if len(entries) < max_entries:
+                if len(entries) < MAX_MONOTONE_ENTRIES:
                     entries.append(
                         {
                             "player": i + 1,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ValidationError
-from .ordinals import Ordinal
+from .ordinals import OMEGA, Ordinal
 from .reports import CheckReport
 
 INF = float("inf")
@@ -297,12 +297,11 @@ def _check_descent(prev, nxt, stage: str, where: str):
         diff = b.difference(a)
         if not diff.is_empty:
             probe = diff.sample_points(1)[0]
-            err = ValidationError(
+            raise ValidationError(
                 f"{where}: player {i + 1}'s set grew (probe point {probe})",
+                stage,
                 witness=probe,
             )
-            err.stage = stage
-            raise err
 
 
 def iterate_symbolic(
@@ -343,25 +342,21 @@ def iterate_symbolic(
         current = lim
 
 
-def validate_witness(
-    game: SymbolicGame,
-    samples: int = 3,
-    bound: Ordinal | None = None,
-    probe_depth: int = 16,
-) -> CheckReport:
-    """Probe-point and canonical-form checks of a symbolic game: the step
-    contracts along the trace, every limit output sits inside every iterate
-    of its block, and whether the first limit was a fixpoint already."""
-    if bound is None:
-        bound = Ordinal(2, probe_depth)
-    entries = []
+def validate_witness(game: SymbolicGame, probe_depth: int = 16) -> CheckReport:
+    """Iterate a symbolic game up to 2w+probe_depth and report whether the
+    first limit was a fixpoint already.
+
+    iterate_symbolic checks every successor and every limit for exact
+    descent, so a trace that returns descends throughout and every limit lies
+    inside every iterate of its block; a failed check is reported with its
+    probe point."""
     details: dict = {"witness": game.name, "encodes": game.encodes}
     try:
-        trace = iterate_symbolic(game, bound, probe_depth=probe_depth)
+        trace = iterate_symbolic(game, Ordinal(2, probe_depth), probe_depth=probe_depth)
     except ValidationError as exc:
         kind = (
             "limit-containment-failure"
-            if getattr(exc, "stage", "step") == "limit"
+            if exc.stage == "limit"
             else "step-contraction-failure"
         )
         return CheckReport(
@@ -376,55 +371,14 @@ def validate_witness(
     )
     details["steps_recorded"] = len(trace.steps)
 
-    block: list[tuple[Ordinal, tuple[SymbolicSet, ...]]] = []
-    omega_value = None
-    omega_next = None
-    for (o1, s1), (o2, s2) in zip(trace.steps, trace.steps[1:]):
-        if o2.is_limit:
-            for o_prev, prev in block + [(o1, s1)]:
-                for i, (lim_i, prev_i) in enumerate(zip(s2, prev)):
-                    diff = lim_i.difference(prev_i)
-                    if not diff.is_empty:
-                        probe = diff.sample_points(1)[0]
-                        entries.append(
-                            {
-                                "kind": "limit-containment-failure",
-                                "limit": str(o2),
-                                "iterate": str(o_prev),
-                                "player": i + 1,
-                                "probe": str(probe),
-                            }
-                        )
-            block = []
-        else:
-            # successor step: probe-point contraction evidence
-            for i, (b, a) in enumerate(zip(s2, s1)):
-                for probe in b.sample_points(samples):
-                    if not a.contains(probe):
-                        entries.append(
-                            {
-                                "kind": "contraction-probe-failure",
-                                "at": str(o2),
-                                "player": i + 1,
-                                "probe": str(probe),
-                            }
-                        )
-            block.append((o1, s1))
-        if o2 == Ordinal(1, 0):
-            omega_value = s2
-        if o2 == Ordinal(1, 1):
-            omega_next = s2
-
+    by_label = dict(trace.steps)
+    omega_value = by_label.get(OMEGA)
+    omega_next = by_label.get(OMEGA.successor())
     transfinite_required = None
     if omega_value is not None:
         if omega_next is not None:
             transfinite_required = omega_next != omega_value
-        elif trace.status == "fixpoint" and trace.closure_ordinal == Ordinal(1, 0):
+        elif trace.status == "fixpoint" and trace.closure_ordinal == OMEGA:
             transfinite_required = False
     details["transfinite_required"] = transfinite_required
-    return CheckReport(
-        name="witness-validation",
-        passed=not entries,
-        details=details,
-        entries=entries,
-    )
+    return CheckReport(name="witness-validation", passed=True, details=details)

@@ -275,7 +275,7 @@ def criterion_8():
 
 def criterion_9():
     witness = load_witness("witness-tg")
-    validation = validate_witness(witness, samples=5)
+    validation = validate_witness(witness)
     trace = iterate_symbolic(witness, parse_ordinal("2w+8"))
     by_label = {str(o): sets for o, sets in trace.steps}
     failures = []

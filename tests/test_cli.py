@@ -1,3 +1,4 @@
+import gc
 import json
 import pathlib
 from fractions import Fraction
@@ -286,3 +287,15 @@ def test_lp_faults_exit_internal(fault, monkeypatch, capsys):
     code, out, err = run(capsys, "check", "pearce", str(FIXTURES / "mix.game"))
     assert code == EXIT_INTERNAL
     assert err == "internal error: injected\n"
+
+
+def test_a_cli_call_leaves_no_cyclic_garbage(capsys):
+    argv = ["check", "just1", str(FIXTURES / "pd.game")]
+    assert main(argv) == 0  # warm-up: builds the parser once
+    gc.disable()
+    try:
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -48,6 +48,13 @@ def sweep() -> list[list[str]]:
                 runs.append(["epistemic", "witness", "--theorem", theorem, "--prop", prop, rel])
     for witness in ("embedded-finite-pd", "witness-tg"):
         runs.append(["transfinite", "run", witness])
+    for witness in ("embedded-finite-pd", "witness-tg"):
+        runs.append(["transfinite", "run", "--json", witness])
+    for bound in ("0w+3", "1w+0"):
+        runs.append(["transfinite", "run", "--bound", bound, "witness-tg"])
+    runs.append(["transfinite", "list"])
+    runs.append(["transfinite", "run", "no-such-witness"])
+    runs.append(["transfinite", "run", "--bound", "w+3", "witness-tg"])
     return runs
 
 

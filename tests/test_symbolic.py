@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamelattice import fixtures
+from gamelattice.errors import ValidationError
 from gamelattice.ordinals import Ordinal, parse_ordinal
 from gamelattice.properties import PropertyProfile, parse_property_spec, outcome
 from gamelattice.symbolic import (
@@ -150,7 +152,7 @@ def test_witness_unresolved_below_closure():
 
 
 def test_witness_validation_passes():
-    report = validate_witness(transfinite_witness(), samples=5)
+    report = validate_witness(transfinite_witness())
     assert report.passed, report.entries
     assert report.details["transfinite_required"] is True
     assert report.details["closure_ordinal"] == "1w+1"
@@ -221,6 +223,33 @@ def test_step_contraction_violation_raises_with_witness():
     with pytest.raises(ValidationError) as exc:
         iterate_symbolic(grower, parse_ordinal("0w+5"))
     assert exc.value.witness == 9
+
+
+def _grows_at(stage):
+    """The transfinite witness with a step, or a limit rule, that adds -7."""
+    base = transfinite_witness()
+
+    def grow(sets):
+        return tuple(s.union(SymbolicSet.point(-7)) for s in sets)
+
+    if stage == "step":
+        return replace(base, name="growing-step", step=lambda sets: grow(base.step(sets)))
+    return replace(base, name="growing-limit", limit=lambda block: grow(block[-1]))
+
+
+@pytest.mark.parametrize(
+    "stage,kind",
+    [("step", "step-contraction-failure"), ("limit", "limit-containment-failure")],
+)
+def test_descent_failure_is_reported_with_its_stage(stage, kind):
+    game = _grows_at(stage)
+    with pytest.raises(ValidationError) as exc:
+        iterate_symbolic(game, parse_ordinal("2w+8"))
+    assert exc.value.stage == stage
+    assert exc.value.witness == -7
+    report = validate_witness(game)
+    assert not report.passed
+    assert report.entries == [{"kind": kind, "message": str(exc.value), "probe": "-7"}]
 
 
 # -- embedding finite games ----------------------------------------------------
