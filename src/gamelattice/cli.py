@@ -235,17 +235,19 @@ def cmd_transfinite(args) -> int:
     game = witnesses.load_witness(args.witness)
     bound = parse_ordinal(args.bound)
     validation = symbolic.validate_witness(game)
-    trace = symbolic.iterate_symbolic(game, bound)
+    trace = symbolic.iterate_symbolic(game, bound) if validation.passed else None
     if args.json:
         payload = {
             "witness": game.name,
             "encodes": game.encodes,
             "validation": validation.to_json_dict(),
-            "trace": trace.to_json_dict(),
+            "trace": None if trace is None else trace.to_json_dict(),
         }
         print(canonical_json(payload))
     else:
         print("\n".join(validation.summary_lines()))
+        if trace is None:
+            return EXIT_COUNTEREXAMPLE
         print(f"trace of {game.name} (bound {bound}):")
         for ordinal, sets in trace.steps:
             rendered = " || ".join(str(s) for s in sets)
@@ -254,7 +256,7 @@ def cmd_transfinite(args) -> int:
             print(f"fixpoint at {trace.closure_ordinal}")
         else:
             print(f"unresolved at bound {bound}")
-    if not validation.passed or trace.status != "fixpoint":
+    if trace is None or trace.status != "fixpoint":
         return EXIT_COUNTEREXAMPLE
     return EXIT_OK
 

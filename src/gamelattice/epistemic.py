@@ -212,26 +212,19 @@ def model_from_joint_strategies(
 # -- exhaustive enumeration of correspondences --------------------------------
 
 
-def _block_partitions(members: Sequence[int]) -> Iterator[list[int]]:
+def _block_partitions(members: Sequence[int]) -> list[list[int]]:
     """All partitions of the given states into blocks, as lists of block
     bitmasks: each state joins every existing block in turn, then opens a new
     one."""
-    k = len(members)
-
-    def rec(i, blocks):
-        if i == k:
-            yield list(blocks)
-            return
-        bit = 1 << members[i]
-        for b in range(len(blocks)):
-            blocks[b] |= bit
-            yield from rec(i + 1, blocks)
-            blocks[b] &= ~bit
-        blocks.append(bit)
-        yield from rec(i + 1, blocks)
-        blocks.pop()
-
-    return rec(0, [])
+    partitions: list[list[int]] = [[]]
+    for w in members:
+        bit = 1 << w
+        partitions = [
+            [*p[:b], p[b] | bit, *p[b + 1 :]] if b < len(p) else [*p, bit]
+            for p in partitions
+            for b in range(len(p) + 1)
+        ]
+    return partitions
 
 
 def _block_cells(blocks: Sequence[int], n: int) -> list[int]:

@@ -385,7 +385,7 @@ def parse_game(text: str, name_hint: str = "game") -> Game:
         lineno, tokens = take()
         if tokens == ["end"]:
             break
-        if tokens[0] == "end":
+        if tokens[0] == "end" and ":" not in tokens:
             raise GameFormatError("expected bare 'end' line", line=lineno)
         if ":" not in tokens:
             raise GameFormatError("expected '<s1> ... <sn> : <q1> ... <qn>'", line=lineno)

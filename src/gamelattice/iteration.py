@@ -8,6 +8,7 @@ games never need a limit step, so the trace ordinals are all finite here.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -112,21 +113,20 @@ def is_post_fixpoint(op: Operator, g: Restriction) -> bool:
 # -- mask-level verifiers -----------------------------------------------------
 
 
+def _submasks(m: int) -> list[int]:
+    """The submasks of m, from m itself down to 0."""
+    subs = [m]
+    while subs[-1]:
+        subs.append((subs[-1] - 1) & m)
+    return subs
+
+
 def _submask_tuples(masks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every componentwise submask tuple of `masks` (including itself)."""
-    def rec(i):
-        if i == len(masks):
-            yield ()
-            return
-        for rest in rec(i + 1):
-            m = masks[i]
-            sub = m
-            while True:
-                yield (sub,) + rest
-                if sub == 0:
-                    break
-                sub = (sub - 1) & m
-    yield from rec(0)
+    """Every componentwise submask tuple of `masks` (including itself), each
+    component descending from its mask, the first component varying
+    fastest."""
+    for rev in itertools.product(*(_submasks(m) for m in reversed(masks))):
+        yield rev[::-1]
 
 
 def _image_table(
@@ -152,11 +152,11 @@ def non_monotone_pairs(table: dict) -> Iterator[tuple[tuple[int, ...], tuple[int
                 yield small, big
 
 
-def _monotonicity_counterexample(
-    game: Game, table: dict, max_pairs: int
-) -> tuple | None:
-    """First comparable pair with a non-monotone image, in a fixed order."""
-    count_comparable_pairs(game, max_pairs)
+def _monotonicity_counterexample(game: Game, table: dict) -> tuple | None:
+    """First comparable pair with a non-monotone image, in a fixed order.
+
+    `table` covers the lattice of `game`; its callers check the pair budget
+    of `game` before they build the table."""
     return next(non_monotone_pairs(table), None)
 
 
@@ -165,13 +165,13 @@ def verify_tarski(
     game: Game,
     op_name: str = "operator",
     max_restrictions: int = DEFAULT_LATTICE_BUDGET,
-    max_pairs: int = DEFAULT_PAIR_BUDGET,
 ) -> CheckReport:
     """Exhaustively confirm outcome = largest fixpoint = join of post-fixpoints.
 
     The operator must pass an exhaustive monotonicity check first; a failure
     there is reported as a precondition violation, not raised.
     """
+    count_comparable_pairs(game, DEFAULT_PAIR_BUDGET)
     table = _image_table(op, game, max_restrictions)
     details = {
         "game": game.name,
@@ -179,7 +179,7 @@ def verify_tarski(
         "restrictions": len(table),
     }
 
-    violation = _monotonicity_counterexample(game, table, max_pairs)
+    violation = _monotonicity_counterexample(game, table)
     if violation is not None:
         small, big = violation
         return CheckReport(
@@ -291,10 +291,10 @@ def verify_inclusion_lemma(
     op1_name: str = "op1",
     op2_name: str = "op2",
     max_restrictions: int = DEFAULT_LATTICE_BUDGET,
-    max_pairs: int = DEFAULT_PAIR_BUDGET,
 ) -> CheckReport:
     """Hypotheses: op1 pointwise below op2, op1 monotonic, op2 contracting.
     Conclusion: outcome(op1) is included in outcome(op2)."""
+    count_comparable_pairs(game, DEFAULT_PAIR_BUDGET)
     table1 = _image_table(op1, game, max_restrictions)
     table2 = _image_table(op2, game, max_restrictions)
     entries = []
@@ -311,7 +311,7 @@ def verify_inclusion_lemma(
                 }
             )
             break
-    violation = _monotonicity_counterexample(game, table1, max_pairs)
+    violation = _monotonicity_counterexample(game, table1)
     if violation is not None:
         small, big = violation
         hypotheses["op1_monotonic"] = False

@@ -215,12 +215,11 @@ def check_property_monotone(
     spec: PropertySpec,
     game: Game,
     max_restrictions: int = DEFAULT_LATTICE_BUDGET,
-    max_pairs: int = DEFAULT_PAIR_BUDGET,
     evaluator: Evaluator | None = None,
 ) -> CheckReport:
     """Exhaustively check: G below G' and property holds at G implies it holds
     at G', for every comparable pair and every strategy in T_i."""
-    pairs = count_comparable_pairs(game, max_pairs)
+    pairs = count_comparable_pairs(game, DEFAULT_PAIR_BUDGET)
     evaluator = evaluator_for(game, evaluator)
     # per restriction (in lattice order), per player: the bitmask of the
     # strategies in T_i satisfying the property there

@@ -202,28 +202,18 @@ class SymbolicSet:
         p = self.pieces[0]
         return p.lo, p.lo_closed
 
-    def supremum(self) -> tuple[object, bool]:
+    def probe(self) -> Fraction:
+        """A rational member of the first piece: the point itself, the
+        midpoint of a bounded interval, or one away from a ray's finite end
+        (-1 on the whole line).  Raises on the empty set."""
         if self.is_empty:
-            raise ValueError("the empty set has no supremum here")
-        p = self.pieces[-1]
-        return p.hi, p.hi_closed
-
-    def sample_points(self, per_piece: int = 3) -> list[Fraction]:
-        """Rational probe points: interior points of every piece."""
-        out = []
-        for p in self.pieces:
-            if p.is_point:
-                out.append(p.lo)
-            elif p.lo == NEG_INF and p.hi == INF:
-                out.extend(Fraction(j) for j in range(-per_piece // 2, per_piece - per_piece // 2))
-            elif p.lo == NEG_INF:
-                out.extend(p.hi - j for j in range(1, per_piece + 1))
-            elif p.hi == INF:
-                out.extend(p.lo + j for j in range(1, per_piece + 1))
-            else:
-                width = p.hi - p.lo
-                out.extend(p.lo + width * j / (per_piece + 1) for j in range(1, per_piece + 1))
-        return out
+            raise ValueError("the empty set has no probe point")
+        p = self.pieces[0]
+        if p.lo == NEG_INF:
+            return Fraction(-1) if p.hi == INF else p.hi - 1
+        if p.hi == INF:
+            return p.lo + 1
+        return (p.lo + p.hi) / 2
 
     def to_json_dict(self) -> dict:
         return {"pieces": [p.to_json_dict() for p in self.pieces]}
@@ -255,18 +245,16 @@ SymbolicRestriction = tuple  # of SymbolicSet, one per player
 class SymbolicGame:
     """Infinite-strategy elimination given by code: per-player initial sets,
     a one-round eliminator, and a rule producing the intersection of the
-    current infinite chain of iterates at a limit ordinal."""
+    current infinite chain of iterates at a limit ordinal.  The limit rule
+    gets the iterates since the last limit, the last of them not a fixpoint,
+    and raises a ValidationError with stage "limit" when it cannot decide
+    that intersection from them."""
 
     name: str
-    players: int
     initial: tuple[SymbolicSet, ...]
     step: Callable[[tuple[SymbolicSet, ...]], tuple[SymbolicSet, ...]]
     limit: Callable[[list[tuple[SymbolicSet, ...]]], tuple[SymbolicSet, ...]]
     encodes: str | None = None
-
-    def __post_init__(self):
-        if len(self.initial) != self.players:
-            raise ValueError("need one initial set per player")
 
 
 @dataclass(frozen=True)
@@ -296,7 +284,7 @@ def _check_descent(prev, nxt, stage: str, where: str):
     for i, (a, b) in enumerate(zip(prev, nxt)):
         diff = b.difference(a)
         if not diff.is_empty:
-            probe = diff.sample_points(1)[0]
+            probe = diff.probe()
             raise ValidationError(
                 f"{where}: player {i + 1}'s set grew (probe point {probe})",
                 stage,
@@ -310,36 +298,35 @@ def iterate_symbolic(
     """Apply the eliminator at successor ordinals and the limit rule at
     omega-multiples, stopping at the first fixpoint or at the bound.
 
-    Within each omega-block at most probe_depth successor steps are taken
-    before the limit rule is consulted; the final block is capped by the
-    bound's finite part.  Reaching the bound without a fixpoint is an
-    explicit 'unresolved' status, never silent truncation.
+    Every iterate is tested for a fixpoint first.  Within each omega-block at
+    most probe_depth successor steps are taken before the limit rule is
+    consulted; the final block is capped by the bound's finite part.
+    Reaching the bound without a fixpoint is an explicit 'unresolved'
+    status, never silent truncation.
     """
     current = game.initial
     label = Ordinal(0, 0)
     steps = [(label, current)]
     block = [current]
     while True:
+        nxt = game.step(current)
+        _check_descent(current, nxt, "step", f"step at {label.successor()}")
+        if nxt == current:
+            return SymbolicTrace(tuple(steps), "fixpoint", label, current)
         in_final_block = label.omega_coeff == bound.omega_coeff
-        cap = bound.finite if in_final_block else probe_depth
-        if label.finite < cap:
-            nxt = game.step(current)
-            _check_descent(current, nxt, "step", f"step at {label.successor()}")
-            if nxt == current:
-                return SymbolicTrace(tuple(steps), "fixpoint", label, current)
+        if label.finite < (bound.finite if in_final_block else probe_depth):
             label = label.successor()
-            steps.append((label, nxt))
             block.append(nxt)
             current = nxt
-            continue
-        if in_final_block:
+        elif in_final_block:
             return SymbolicTrace(tuple(steps), "unresolved", None, None)
-        lim = game.limit(block)
-        _check_descent(current, lim, "limit", f"limit at {label.next_limit()}")
-        label = label.next_limit()
-        steps.append((label, lim))
-        block = [lim]
-        current = lim
+        else:
+            lim = game.limit(block)
+            _check_descent(current, lim, "limit", f"limit at {label.next_limit()}")
+            label = label.next_limit()
+            block = [lim]
+            current = lim
+        steps.append((label, current))
 
 
 def validate_witness(game: SymbolicGame, probe_depth: int = 16) -> CheckReport:

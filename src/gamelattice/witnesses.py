@@ -30,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable
 
+from .errors import ValidationError
 from .games import Game, Restriction, restriction_top
 from .properties import PropertyProfile, apply_operator, parse_property_spec
 from .symbolic import SymbolicGame, SymbolicSet
@@ -39,7 +40,9 @@ TWO = Fraction(2)
 
 _UNIT = SymbolicSet.interval(0, 1)
 _BELOW_ONE = SymbolicSet.interval(0, 1, hi_closed=False)
-_TOP_COMPONENT = _UNIT.union(SymbolicSet.point(TWO))
+_OUTSIDE = SymbolicSet.point(TWO)
+_ONE_TWO = SymbolicSet.points([ONE, TWO])
+_TOP_COMPONENT = _UNIT.union(_OUTSIDE)
 
 
 def _psi_threshold(opponent: SymbolicSet) -> tuple[Fraction, bool]:
@@ -64,12 +67,12 @@ def _eliminate_one_side(own: SymbolicSet, opponent: SymbolicSet) -> SymbolicSet:
         SymbolicSet.interval(tau, 1, lo_closed=attained, hi_closed=False)
     )
     out = surviving_low
-    opp_in_tail = opponent.difference(SymbolicSet.points([ONE, TWO])).is_empty
+    opp_in_tail = opponent.difference(_ONE_TWO).is_empty
     if own.contains(ONE) and not opp_in_tail:
         out = out.union(SymbolicSet.point(ONE))
     opp_below_one = opponent.difference(_BELOW_ONE).is_empty
     if own.contains(TWO) and not opp_below_one:
-        out = out.union(SymbolicSet.point(TWO))
+        out = out.union(_OUTSIDE)
     return out
 
 
@@ -78,47 +81,42 @@ def _witness_step(sets):
     return (_eliminate_one_side(x, y), _eliminate_one_side(y, x))
 
 
-def _witness_limit(block):
-    """The intersection of the current infinite chain.
-
-    In the shrinking regime the per-player sets are [l, 1] u {2} with the
-    lower ends following l -> (1 + l)/2, whose fixed point is 1; the chain's
-    intersection is then {1, 2}.  A stabilized chain returns its last
-    element, and anything unrecognized falls back to the exact intersection
-    of the iterates seen so far (always a superset of the true limit and a
-    subset of every iterate).
-    """
-    last = block[-1]
-    if len(block) >= 2 and block[-2] == last:
-        return last
-    out = []
-    for i in range(len(last)):
-        chain = [sets[i] for sets in block]
-        shrinking = all(
-            b.issubset(a) and a != b for a, b in zip(chain, chain[1:])
+def _lower_end(s: SymbolicSet) -> Fraction:
+    """l when s is [l,1] u {2} with l < 1; a limit-stage ValidationError,
+    probing s's lowest point, otherwise."""
+    low, closed = s.infimum() if s.pieces else (None, False)
+    if not (closed and low < 1 and s == SymbolicSet.interval(low, 1).union(_OUTSIDE)):
+        raise ValidationError(
+            f"limit: {s} is not [l,1] u {{2}} with l < 1", "limit", witness=low
         )
-        low_parts = [s.intersection(_UNIT) for s in chain]
-        if (
-            shrinking
-            and all(not p.is_empty for p in low_parts)
-            and all(p.supremum() == (ONE, True) for p in low_parts)
-        ):
-            lim = SymbolicSet.point(ONE)
-            if all(s.contains(TWO) for s in chain):
-                lim = lim.union(SymbolicSet.point(TWO))
-            out.append(lim)
-        else:
-            acc = chain[0]
-            for s in chain[1:]:
-                acc = acc.intersection(s)
-            out.append(acc)
-    return tuple(out)
+    return low
+
+
+def _witness_limit(block):
+    """{1, 2} per player, checked: every iterate of the block is [l,1] u {2}
+    with l < 1, and each recorded step sends l to (1 + l)/2.  The lower ends
+    then rise to the map's fixed point 1 without reaching it, so the chain's
+    intersection is {1} u {2}.  Any other block, one that records no step
+    included, raises a ValidationError with stage "limit" and the offending
+    lower end as its probe."""
+    if len(block) < 2:
+        raise ValidationError("limit: the block records no step", "limit")
+    for i in range(len(block[0])):
+        ends = [_lower_end(sets[i]) for sets in block]
+        for low, nxt in zip(ends, ends[1:]):
+            if nxt != (1 + low) / 2:
+                raise ValidationError(
+                    f"limit: player {i + 1}'s lower end went from {low} to {nxt},"
+                    f" not to {(1 + low) / 2}",
+                    "limit",
+                    witness=nxt,
+                )
+    return tuple(_ONE_TWO for _ in block[0])
 
 
 def transfinite_witness() -> SymbolicGame:
     return SymbolicGame(
         name="witness-tg",
-        players=2,
         initial=(_TOP_COMPONENT, _TOP_COMPONENT),
         step=_witness_step,
         limit=_witness_limit,
@@ -156,14 +154,21 @@ def lift_finite_game(
         return encode(apply_operator(profile, game, decode(sets)))
 
     def limit(block):
-        acc = block[0]
-        for sets in block[1:]:
-            acc = tuple(a.intersection(b) for a, b in zip(acc, sets))
-        return acc
+        """Refuses: a finite game whose last step still removed something
+        has not reached a limit.  The probe is a strategy that step removed."""
+        before = block[-2] if len(block) > 1 else block[-1]
+        removed = (a.difference(b) for a, b in zip(before, block[-1]))
+        probe = next((d.probe() for d in removed if not d.is_empty), None)
+        raise ValidationError(
+            f"limit: {game.name} still removes strategies after"
+            f" {len(block) - 1} steps of its block; a finite game never needs"
+            " a limit",
+            "limit",
+            witness=probe,
+        )
 
     return SymbolicGame(
         name=name or f"embedded-finite-{game.name}",
-        players=game.num_players,
         initial=encode(restriction_top(game)),
         step=step,
         limit=limit,

@@ -1,15 +1,17 @@
 import gc
 import json
 import pathlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from gamelattice import lp
+from gamelattice import cli, lp, witnesses
 from gamelattice.cli import EXIT_INTERNAL, main
 from gamelattice.games import parse_game_file
 from gamelattice.iteration import trace_from_json_dict, iterate_operator
 from gamelattice.properties import PropertyProfile, parse_property_spec, property_operator
+from gamelattice.symbolic import SymbolicSet
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -290,12 +292,99 @@ def test_lp_faults_exit_internal(fault, monkeypatch, capsys):
 
 
 def test_a_cli_call_leaves_no_cyclic_garbage(capsys):
-    argv = ["check", "just1", str(FIXTURES / "pd.game")]
-    assert main(argv) == 0  # warm-up: builds the parser once
-    gc.disable()
-    try:
-        gc.collect()
-        assert main(argv) == 0
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
+    pd, chain = str(FIXTURES / "pd.game"), str(FIXTURES / "chain.game")
+    for argv in (
+        ["check", "just1", pd],
+        ["check", "tarski", "--prop", "sd:g", chain],
+        ["epistemic", "enumerate", "--omega", "2", "--prop", "sd:g", pd],
+    ):
+        assert main(argv) == 0  # warm-up: builds the parser once
+        gc.disable()
+        try:
+            gc.collect()
+            assert main(argv) == 0
+            assert gc.collect() == 0, argv
+        finally:
+            gc.enable()
+
+
+def _broken_kernel(monkeypatch):
+    monkeypatch.setattr(lp, "simplex_maximize", _kernel_returning_first_vertex)
+
+
+def _growing_limit_witness(monkeypatch):
+    base = witnesses.transfinite_witness()
+
+    def limit(block):
+        return tuple(s.union(SymbolicSet.point(-7)) for s in block[-1])
+
+    monkeypatch.setitem(
+        witnesses.REGISTRY, "growing-limit", lambda: replace(base, limit=limit)
+    )
+
+
+def _lifted_msd_witness(monkeypatch):
+    _broken_kernel(monkeypatch)
+    profile = PropertyProfile.uniform(parse_property_spec("msd:l"), 2)
+    game = parse_game_file(FIXTURES / "pd.game")
+    lifted = witnesses.lift_finite_game(game, profile)
+    monkeypatch.setitem(witnesses.REGISTRY, "lifted-msd", lambda: lifted)
+
+
+def _full_game_expected(monkeypatch):
+    monkeypatch.setattr(cli, "_epistemic_expectation", lambda *args: "full-game")
+
+
+EXIT_CASES = [
+    # (argv, fault injected first, exit code); eliminate has no
+    # counterexample to report, so it never exits 1
+    (["eliminate", "--prop", "sd:l", "pd.game"], None, 0),
+    (["eliminate", "--prop", "br:g:ind", "three.game"], None, 2),
+    (["eliminate", "--prop", "msd:l", "pd.game"], _broken_kernel, 3),
+    (["check", "tarski", "--prop", "sd:g", "pd.game"], None, 0),
+    (["check", "tarski", "--prop", "sd:l", "chain.game"], None, 1),
+    (["check", "tarski", "--prop", "sd:g", "no-such.game"], None, 2),
+    (["check", "pearce", "pd.game"], _broken_kernel, 3),
+    (["epistemic", "enumerate", "--omega", "2", "--prop", "sd:g", "pd.game"], None, 0),
+    # a theorem that fails: the enumeration misses its expected restriction
+    (["epistemic", "enumerate", "--omega", "2", "--prop", "sd:g", "pd.game"],
+     _full_game_expected, 1),
+    (["epistemic", "witness", "--theorem", "2", "--prop", "sd:g", "pd.game"], None, 2),
+    (["epistemic", "witness", "--theorem", "1", "--prop", "msd:l", "pd.game"],
+     _broken_kernel, 3),
+    (["transfinite", "run", "witness-tg"], None, 0),
+    # the fixpoint at 1 is tested before the bound of 1 applies
+    (["transfinite", "run", "--bound", "1", "embedded-finite-pd"], None, 0),
+    (["transfinite", "run", "--bound", "0w+3", "witness-tg"], None, 1),
+    (["transfinite", "run", "growing-limit"], _growing_limit_witness, 1),
+    (["transfinite", "run", "no-such-witness"], None, 2),
+    (["transfinite", "run", "lifted-msd"], _lifted_msd_witness, 3),
+]
+
+
+@pytest.mark.parametrize("argv,fault,expected", EXIT_CASES)
+def test_exit_code_contract(argv, fault, expected, monkeypatch, capsys):
+    if fault is not None:
+        fault(monkeypatch)
+    if argv[-1].endswith(".game"):
+        argv = [*argv[:-1], str(FIXTURES / argv[-1])]
+    code, out, err = run(capsys, *argv)
+    assert code == expected, err
+    assert "Traceback" not in err
+    assert bool(err) == (expected in (2, 3))
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_transfinite_prints_a_failed_validation(as_json, monkeypatch, capsys):
+    _growing_limit_witness(monkeypatch)
+    flags = ["--json"] if as_json else []
+    code, out, err = run(capsys, "transfinite", "run", *flags, "growing-limit")
+    assert code == 1 and err == ""
+    if as_json:
+        payload = json.loads(out)
+        assert payload["trace"] is None
+        assert not payload["validation"]["passed"]
+        assert payload["validation"]["entries"][0]["probe"] == "-7"
+    else:
+        assert out.startswith("[FAIL] witness-validation")
+        assert "limit-containment-failure" in out and "trace of" not in out

@@ -154,6 +154,40 @@ def test_format_parse_round_trip():
         assert parse_game(format_game(game)) == game
 
 
+# a token of the text format: no whitespace, no '#' comment start and no
+# ':' separator; the format's own keywords are fair strategy names
+tokens = st.one_of(
+    st.sampled_from(["end", "game", "players", "strategies", "payoffs"]),
+    st.text(
+        st.characters(min_codepoint=33, max_codepoint=126, exclude_characters="#:"),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
+@st.composite
+def games(draw):
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    names = tuple(
+        tuple(draw(st.lists(tokens, min_size=k, max_size=k, unique=True))) for k in sizes
+    )
+    cells = 1
+    for k in sizes:
+        cells *= k
+    values = st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    payoffs = tuple(
+        tuple(draw(values) for _ in sizes) for _ in range(cells)
+    )
+    return Game(draw(tokens), names, payoffs)
+
+
+@given(game=games())
+@settings(max_examples=300, deadline=None)
+def test_format_parse_round_trip_on_any_game(game):
+    assert parse_game(format_game(game)) == game
+
+
 def test_parse_comments_and_whitespace():
     text = """
 # a comment line

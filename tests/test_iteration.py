@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -121,6 +122,19 @@ def test_tarski_non_monotonic_reports_precondition():
 def test_tarski_budget():
     with pytest.raises(BudgetError):
         verify_tarski(op_for(PD, "sd:g"), PD, max_restrictions=4)
+
+
+def test_lattice_verifiers_check_the_pair_budget_before_any_work():
+    # 3^14 comparable pairs, beyond the 2,000,000 pair budget
+    game = fixtures.random_game(random.Random(7), 7, 7)
+
+    def op(g):
+        pytest.fail("an operator was applied before the pair budget was checked")
+
+    with pytest.raises(BudgetError, match="comparable-pair"):
+        verify_tarski(op, game)
+    with pytest.raises(BudgetError, match="comparable-pair"):
+        verify_inclusion_lemma(op, op, game)
 
 
 def test_contracting_msd_mix():

@@ -144,8 +144,10 @@ def test_local_sd_monotonicity_violation_found_by_search():
 
 
 def test_monotone_budget_error():
-    with pytest.raises(BudgetError):
-        check_property_monotone(parse_property_spec("sd:g"), CHAIN, max_pairs=10)
+    # 3^14 comparable pairs, beyond the 2,000,000 pair budget
+    game = fixtures.random_game(random.Random(7), 7, 7)
+    with pytest.raises(BudgetError, match="comparable-pair"):
+        check_property_monotone(parse_property_spec("sd:g"), game)
 
 
 def test_singleton_condition_local_properties():

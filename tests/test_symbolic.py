@@ -19,6 +19,8 @@ from gamelattice.symbolic import (
     validate_witness,
 )
 from gamelattice.witnesses import (
+    _witness_limit,
+    _witness_step,
     lift_finite_game,
     load_witness,
     transfinite_witness,
@@ -83,9 +85,12 @@ def test_canonical_form_laws(a, b):
 
 @given(a=symbolic_sets())
 @settings(max_examples=200, deadline=None)
-def test_sample_points_are_members(a):
-    for q in a.sample_points(3):
-        assert a.contains(q)
+def test_probe_is_a_member(a):
+    if a.is_empty:
+        with pytest.raises(ValueError):
+            a.probe()
+    else:
+        assert a.contains(a.probe())
 
 
 def test_canonical_merging():
@@ -152,16 +157,18 @@ def test_witness_unresolved_below_closure():
 
 
 def test_witness_validation_passes():
-    report = validate_witness(transfinite_witness())
-    assert report.passed, report.entries
-    assert report.details["transfinite_required"] is True
-    assert report.details["closure_ordinal"] == "1w+1"
+    # every depth closes at 1w+1: the engine tests for a fixpoint before it
+    # applies a block's depth, so a one-step block already reaches omega
+    for depth in range(1, 17):
+        report = validate_witness(transfinite_witness(), probe_depth=depth)
+        assert report.passed, (depth, report.entries)
+        assert report.details["transfinite_required"] is True
+        assert report.details["closure_ordinal"] == "1w+1"
 
 
 def test_validate_identity_game():
     ident = SymbolicGame(
         name="identity",
-        players=2,
         initial=(SymbolicSet.interval(0, 1), SymbolicSet.interval(0, 1)),
         step=lambda sets: sets,
         limit=lambda block: block[-1],
@@ -177,7 +184,6 @@ def test_validate_broken_limit_rule():
     base = transfinite_witness()
     broken = SymbolicGame(
         name="broken-limit",
-        players=2,
         initial=base.initial,
         step=base.step,
         # grows the set at the limit: invalid
@@ -197,7 +203,6 @@ def test_validate_limit_stuck_at_block_start():
     base = transfinite_witness()
     stuck = SymbolicGame(
         name="stuck-limit",
-        players=2,
         initial=base.initial,
         step=base.step,
         # returns the first iterate of the block: above the later ones
@@ -215,7 +220,6 @@ def test_step_contraction_violation_raises_with_witness():
 
     grower = SymbolicGame(
         name="grower",
-        players=1,
         initial=(SymbolicSet.interval(0, 1),),
         step=lambda sets: (sets[0].union(SymbolicSet.point(9)),),
         limit=lambda block: block[-1],
@@ -223,6 +227,133 @@ def test_step_contraction_violation_raises_with_witness():
     with pytest.raises(ValidationError) as exc:
         iterate_symbolic(grower, parse_ordinal("0w+5"))
     assert exc.value.witness == 9
+
+
+# -- the witness step against its payoffs --------------------------------------
+
+
+def _psi(y):
+    return (1 + min(y, 1)) / 2
+
+
+def _payoff(x, y):
+    """u(x, y): min(x, psi(y)) on [0,1]; the outside option 2 pays 2 against
+    y in {1, 2} and -1 otherwise."""
+    if x == 2:
+        return 2 if y in (1, 2) else -1
+    return min(x, _psi(y))
+
+
+FULL = SymbolicSet.interval(0, 1).union(SymbolicSet.point(2))
+
+
+def _dominated(x, opponents):
+    """Does some z in [0,1] u {2} pay strictly more than x against every y?
+    Against y the better z form {z in [0,1] : z > u(x,y)} when psi(y) exceeds
+    u(x,y), plus 2 when u(2,y) does; no opponents leave every z."""
+    better = FULL
+    for y in opponents:
+        c = _payoff(x, y)
+        against_y = SymbolicSet.empty()
+        if _psi(y) > c:
+            against_y = SymbolicSet.interval(c, 1, lo_closed=False)
+        if _payoff(2, y) > c:
+            against_y = against_y.union(SymbolicSet.point(2))
+        better = better.intersection(against_y)
+    return not better.is_empty
+
+
+def _breakpoints():
+    eps = Fraction(1, 1024)
+    out = {Fraction(1), Fraction(2), 1 - eps}
+    for k in range(5):
+        b = 1 - Fraction(1, 2**k)
+        out.update(q for q in (b - eps, b, b + eps) if 0 <= q <= 1)
+    return sorted(out)
+
+
+point_sets = st.lists(st.sampled_from(_breakpoints()), max_size=5).map(set)
+
+
+@given(xs=point_sets, ys=point_sets)
+@settings(max_examples=400, deadline=None)
+def test_witness_step_matches_its_payoffs(xs, ys):
+    new_x, new_y = _witness_step((SymbolicSet.points(xs), SymbolicSet.points(ys)))
+    assert new_x == SymbolicSet.points(x for x in xs if not _dominated(x, ys))
+    assert new_y == SymbolicSet.points(y for y in ys if not _dominated(y, xs))
+
+
+# -- limit rules that refuse ----------------------------------------------------
+
+
+def _tail(lo, closed=True):
+    return SymbolicSet.interval(lo, 1, lo_closed=closed).union(SymbolicSet.point(2))
+
+
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "block,probe",
+    [
+        ([(_tail(0), _tail(0))], None),  # no recorded step
+        ([(_tail(0), _tail(0)), (_tail(HALF), _tail(Fraction(1, 3)))], Fraction(1, 3)),
+        ([(_tail(0), _tail(0)), (_tail(HALF), SymbolicSet.interval(HALF, 1))], HALF),
+        ([(_tail(0), _tail(0)), (_tail(HALF), _tail(HALF, closed=False))], HALF),
+        ([(_tail(0), _tail(0)), (_tail(HALF), SymbolicSet.empty())], None),
+        ([(_tail(0), _tail(0)), (_tail(1), _tail(1))], 1),
+        (
+            [
+                (SymbolicSet.interval(NEG_INF, 1).union(SymbolicSet.point(2)),) * 2,
+                (_tail(HALF), _tail(HALF)),
+            ],
+            NEG_INF,
+        ),
+    ],
+)
+def test_witness_limit_refuses_blocks_it_cannot_check(block, probe):
+    with pytest.raises(ValidationError) as exc:
+        _witness_limit(block)
+    assert exc.value.stage == "limit"
+    assert exc.value.witness == probe
+
+
+def _lifted_chain():
+    profile = PropertyProfile.uniform(parse_property_spec("sd:l"), 2)
+    return lift_finite_game(fixtures.CHAIN, profile)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_lifted_limit_refuses_a_game_still_moving(depth):
+    game = _lifted_chain()
+    with pytest.raises(ValidationError) as exc:
+        iterate_symbolic(game, parse_ordinal("2w+0"), probe_depth=depth)
+    assert exc.value.stage == "limit"
+    trace = iterate_symbolic(game, parse_ordinal(f"0w+{depth}"))
+    (_, before), (_, after) = trace.steps[-2:]
+    removed = [a.difference(b) for a, b in zip(before, after)]
+    assert any(r.contains(exc.value.witness) for r in removed)
+    report = validate_witness(game, probe_depth=depth)
+    assert not report.passed
+    assert report.entries[0]["kind"] == "limit-containment-failure"
+
+
+@pytest.mark.parametrize("depth", [3, 4, 16, 32])
+def test_lifted_chain_closes_at_three_from_depth_three(depth):
+    trace = iterate_symbolic(_lifted_chain(), parse_ordinal("2w+0"), probe_depth=depth)
+    assert trace.status == "fixpoint"
+    assert trace.closure_ordinal == Ordinal(0, 3)
+    assert validate_witness(_lifted_chain(), probe_depth=depth).passed
+
+
+def test_a_fixpoint_at_the_bound_is_found():
+    pd = load_witness("embedded-finite-pd")
+    trace = iterate_symbolic(pd, parse_ordinal("1"))
+    assert trace.status == "fixpoint"
+    assert trace.closure_ordinal == Ordinal(0, 1)
+    chain = iterate_symbolic(_lifted_chain(), parse_ordinal("3"))
+    assert chain.closure_ordinal == Ordinal(0, 3)
+    assert iterate_symbolic(_lifted_chain(), parse_ordinal("2")).status == "unresolved"
 
 
 def _grows_at(stage):
