@@ -9,7 +9,6 @@ literally: a universal is vacuously true, an existential is false.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,6 +25,16 @@ INDEPENDENT = "ind"
 BELIEF_KINDS = (PURE, CORRELATED, INDEPENDENT)
 
 
+def _check_distribution(weights, what: str):
+    total = Fraction(0)
+    for _, w in weights:
+        if w <= 0:
+            raise ValueError(f"{what} weights must be positive")
+        total += w
+    if total != 1:
+        raise ValueError(f"{what} weights sum to {total}, not 1")
+
+
 @dataclass(frozen=True)
 class MixedStrategy:
     """A probability mixture over one player's strategies (positive weights only)."""
@@ -34,13 +43,7 @@ class MixedStrategy:
     weights: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        total = Fraction(0)
-        for strategy, w in self.weights:
-            if w <= 0:
-                raise ValueError("mixed strategy weights must be positive")
-            total += w
-        if total != 1:
-            raise ValueError(f"mixed strategy weights sum to {total}, not 1")
+        _check_distribution(self.weights, "mixed strategy")
 
     @property
     def support(self) -> frozenset[int]:
@@ -61,44 +64,21 @@ def uniform_mixture(owner: int, pool: Sequence[int]) -> MixedStrategy:
 
 @dataclass(frozen=True)
 class Belief:
-    """What a player holds about the opponents: a single opponent profile, a
-    distribution over opponent profiles, or one mixture per opponent."""
+    """What a player holds about the opponents: a distribution over opponent
+    profiles (positive weights only).  A pure belief is a point mass, and with
+    one opponent an independent belief is such a distribution too."""
 
-    kind: str
-    profile: tuple[int, ...] | None = None
-    weights: tuple[tuple[tuple[int, ...], Fraction], ...] | None = None
-    mixtures: tuple[MixedStrategy, ...] | None = None
+    weights: tuple[tuple[tuple[int, ...], Fraction], ...]
 
     def __post_init__(self):
-        if self.kind not in BELIEF_KINDS:
-            raise ValueError(f"unknown belief kind {self.kind!r}")
-        if self.kind == PURE and self.profile is None:
-            raise ValueError("pure belief needs an opponent profile")
-        if self.kind == CORRELATED:
-            if not self.weights:
-                raise ValueError("correlated belief needs a distribution")
-            total = Fraction(0)
-            for _, w in self.weights:
-                if w <= 0:
-                    raise ValueError("belief weights must be positive")
-                total += w
-            if total != 1:
-                raise ValueError(f"belief weights sum to {total}, not 1")
-        if self.kind == INDEPENDENT and not self.mixtures:
-            raise ValueError("independent belief needs one mixture per opponent")
+        _check_distribution(self.weights, "belief")
 
     def support(self) -> frozenset[tuple[int, ...]]:
-        if self.kind == PURE:
-            return frozenset([self.profile])
-        if self.kind == CORRELATED:
-            return frozenset(p for p, _ in self.weights)
-        return frozenset(
-            itertools.product(*(sorted(m.support) for m in self.mixtures))
-        )
+        return frozenset(p for p, _ in self.weights)
 
 
 def pure_belief(profile: Sequence[int]) -> Belief:
-    return Belief(PURE, profile=tuple(profile))
+    return Belief(((tuple(profile), Fraction(1)),))
 
 
 def correlated_belief(weight_map) -> Belief:
@@ -107,11 +87,24 @@ def correlated_belief(weight_map) -> Belief:
         for p, w in sorted(weight_map.items())
         if Fraction(w) != 0
     )
-    return Belief(CORRELATED, weights=items)
+    return Belief(items)
 
 
-def independent_belief(mixtures: Sequence[MixedStrategy]) -> Belief:
-    return Belief(INDEPENDENT, mixtures=tuple(mixtures))
+def decided_kind(game: Game, belief_kind: str) -> str:
+    """The belief kind whose procedure decides `belief_kind` on `game`.
+
+    With one opponent an independent belief is a correlated one (Pearce 1984),
+    so `ind` is decided as `corr` for two players and rejected beyond that.
+    """
+    if belief_kind not in BELIEF_KINDS:
+        raise ValueError(f"unknown belief kind {belief_kind!r}")
+    if belief_kind != INDEPENDENT:
+        return belief_kind
+    if game.num_players > 2:
+        raise UnsupportedBeliefError(
+            "independent mixed beliefs are only decided for 2-player games"
+        )
+    return CORRELATED
 
 
 def _check_context(game: Game, context: Restriction):
@@ -130,27 +123,10 @@ def _check_strategy(game: Game, player: int, strategy: int):
 
 def expected_payoff(game: Game, player: int, strategy: int, belief: Belief) -> Fraction:
     """Exact expected payoff of `strategy` for `player` under `belief`."""
-    if belief.kind == PURE:
-        joint = list(belief.profile)
-        joint.insert(player, strategy)
-        return game.payoff(player, joint)
-    if belief.kind == CORRELATED:
-        total = Fraction(0)
-        for profile, w in belief.weights:
-            joint = list(profile)
-            joint.insert(player, strategy)
-            total += w * game.payoff(player, joint)
-        return total
-    if game.num_players > 2:
-        raise UnsupportedBeliefError(
-            "independent mixed beliefs are only decided for 2-player games"
-        )
-    (mix,) = belief.mixtures
     total = Fraction(0)
-    for s, w in mix.weights:
-        joint = [0, 0]
-        joint[player] = strategy
-        joint[1 - player] = s
+    for profile, w in belief.weights:
+        joint = list(profile)
+        joint.insert(player, strategy)
         total += w * game.payoff(player, joint)
     return total
 
@@ -256,45 +232,33 @@ def exists_supporting_belief(
 ) -> Belief | None:
     """Some belief held in the context making `candidate` a best response in
     the pool, or None.  Pure beliefs are found by enumeration, correlated
-    beliefs by an exact feasibility LP; independent beliefs are routed through
-    the correlated path for 2 players and rejected beyond that.
+    beliefs by an exact feasibility LP; independent beliefs are decided as
+    correlated ones for 2 players and rejected beyond that.
     """
     _check_context(game, belief_context)
     _check_strategy(game, player, candidate)
-    if belief_kind not in BELIEF_KINDS:
-        raise ValueError(f"unknown belief kind {belief_kind!r}")
+    belief_kind = decided_kind(game, belief_kind)
     pool = sorted(set(comparison_pool))
     for s in pool:
         _check_strategy(game, player, s)
-    if belief_kind == INDEPENDENT and game.num_players > 2:
-        raise UnsupportedBeliefError(
-            "independent mixed beliefs are only decided for 2-player games"
-        )
     profiles = list(belief_context.opponent_profiles(player))
     if not profiles:
         return None
 
     if belief_kind == PURE:
         for y in profiles:
-            belief = pure_belief(y)
-            base = expected_payoff(game, player, candidate, belief)
+            base = game.payoff(player, belief_context.joint_with(player, candidate, y))
             if all(
-                expected_payoff(game, player, s, belief) <= base for s in pool
+                game.payoff(player, belief_context.joint_with(player, s, y)) <= base
+                for s in pool
             ):
-                return belief
+                return pure_belief(y)
         return None
 
     if not pool:
         # nothing to be beaten by: the first profile, as a point distribution
-        belief = correlated_belief({profiles[0]: Fraction(1)})
-        if belief_kind == INDEPENDENT:
-            opponent = 1 - player
-            return independent_belief(
-                [mixture(opponent, {profiles[0][0]: Fraction(1)})]
-            )
-        return belief
+        return pure_belief(profiles[0])
 
-    # correlated path (also serves independent beliefs for 2 players)
     r = len(profiles)
     objective = [lp.ZERO] * r + [lp.ONE, -lp.ONE]
     lhs_le, rhs_le = [], []
@@ -316,11 +280,6 @@ def exists_supporting_belief(
     for s in pool:
         if expected_payoff(game, player, s, belief) > base:
             raise InternalError("LP belief witness failed re-validation")
-    if belief_kind == INDEPENDENT:
-        opponent = 1 - player
-        belief = independent_belief(
-            [mixture(opponent, {y[0]: w for y, w in belief.weights})]
-        )
     return belief
 
 
@@ -335,29 +294,15 @@ def _mixture_json(game: Game, m: MixedStrategy) -> dict:
 
 def _belief_json(game: Game, player: int, b: Belief) -> dict:
     others = [j for j in game.players() if j != player]
-    if b.kind == PURE:
-        return {
-            "kind": "pure",
-            "profile": [
-                game.strategy_names[j][s] for j, s in zip(others, b.profile)
-            ],
-        }
-    if b.kind == CORRELATED:
-        return {
-            "kind": "corr",
-            "weights": [
-                {
-                    "profile": [
-                        game.strategy_names[j][s] for j, s in zip(others, p)
-                    ],
-                    "weight": str(w),
-                }
-                for p, w in b.weights
-            ],
-        }
     return {
-        "kind": "ind",
-        "mixtures": [_mixture_json(game, m) for m in b.mixtures],
+        "kind": "corr",
+        "weights": [
+            {
+                "profile": [game.strategy_names[j][s] for j, s in zip(others, p)],
+                "weight": str(w),
+            }
+            for p, w in b.weights
+        ],
     }
 
 

@@ -14,6 +14,7 @@ which is correct because evident events are closed under union.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -265,6 +266,27 @@ def belief_correspondences(n: int) -> Iterator[tuple[int, ...]]:
                 yield tuple(cells)
 
 
+def count_correspondences(n: int, mode: str) -> int:
+    """How many correspondences set_partitions(n) (knowledge mode) or
+    belief_correspondences(n) (belief mode) yield, without listing them.
+
+    With S(m, k) the number of ways to split m states into k blocks,
+    partitions number the Bell number sum_k S(n, k), and belief
+    correspondences number sum_m C(n, m) sum_k S(m, k) k^(n-m): m covered
+    states split into k target cells, and each other state routed to one.
+    """
+    stirling = [[1]]  # stirling[m][k] = S(m, k)
+    for m in range(1, n + 1):
+        prev = stirling[-1]
+        stirling.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, m)] + [1])
+    if mode == "knowledge":
+        return sum(stirling[n])
+    return sum(
+        math.comb(n, m) * sum(s * k ** (n - m) for k, s in enumerate(stirling[m]))
+        for m in range(1, n + 1)
+    )
+
+
 def cells_to_correspondence(cells: Sequence[int], n: int) -> tuple[frozenset[int], ...]:
     return tuple(
         frozenset(w for w in range(n) if cells[s] >> w & 1) for s in range(n)
@@ -343,16 +365,15 @@ def enumerate_ck_cb(
         )
     evaluator = evaluator_for(game, evaluator)
     omega = omega_size
+    n_assign = 1
+    for k in game.sizes:
+        n_assign *= k ** omega
+    total = n_assign * count_correspondences(omega, mode) ** n
+    check_budget(total, budget, f"enumeration of {total} models")
     if mode == "knowledge":
         corrs = list(set_partitions(omega))
     else:
         corrs = list(belief_correspondences(omega))
-
-    n_assign = 1
-    for k in game.sizes:
-        n_assign *= k ** omega
-    total = n_assign * len(corrs) ** n
-    check_budget(total, budget, f"enumeration of {total} models")
 
     # per correspondence combo: the per-player correspondence indices plus the
     # states the combo contributes for every rationality event e: the largest

@@ -313,7 +313,7 @@ def all_restrictions(game: Game, max_count: int | None = None) -> Iterator[Restr
 # -- game text format ---------------------------------------------------------
 
 
-def parse_game(text: str, name_hint: str = "game") -> Game:
+def parse_game(text: str) -> Game:
     """Parse the plain-text game format.
 
     '#' starts a comment to end of line; tokens are whitespace-separated.
@@ -421,7 +421,7 @@ def parse_game(text: str, name_hint: str = "game") -> Game:
         raise GameFormatError(
             f"{missing} payoff cell(s) missing before 'end'", line=lineno
         )
-    return Game(name or name_hint, tuple(strategy_names), tuple(payoffs))  # type: ignore[arg-type]
+    return Game(name, tuple(strategy_names), tuple(payoffs))  # type: ignore[arg-type]
 
 
 def parse_game_file(path) -> Game:

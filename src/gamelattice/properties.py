@@ -127,17 +127,22 @@ def eval_property(
     """Does `strategy` satisfy the property on the restriction g?  The verdict
     is cached in `evaluator`; a call given none starts with an empty cache.
 
-    A pure certificate settles the verdict before any LP where it can: a pure
+    A two-player `ind` spec is decided as `corr` and shares its verdicts.  A
+    pure certificate settles the verdict before any LP where it can: a pure
     strict dominator in the pool fails `msd`, and a supporting pure belief
-    passes `br` with correlated beliefs (and with independent ones for two
-    players).  Only verdicts come out of here, so no returned certificate
-    changes.
+    passes `br` with correlated beliefs.  Only verdicts come out of here, so
+    no returned certificate changes.
     """
+    if g.game is not game and g.game != game:
+        raise ShapeError("restriction belongs to a different game")
     verdicts = evaluator_for(game, evaluator).verdicts
+    belief = spec.belief
+    if belief == INDEPENDENT:
+        belief = dominance.decided_kind(game, belief)
     masks = g.masks
     full = (1 << len(game.strategy_names[player])) - 1
     pool = full if spec.scope == "g" else masks[player]
-    key = (spec.kind, spec.belief, player, strategy, masks[:player] + masks[player + 1:], pool)
+    key = (spec.kind, belief, player, strategy, masks[:player] + masks[player + 1:], pool)
     verdict = verdicts.get(key)
     if verdict is not None:
         return verdict
@@ -160,10 +165,7 @@ def eval_property(
                 game, context, members, player, strategy, belief_kind
             ) is not None
 
-        pure_settles = spec.belief == CORRELATED or (
-            spec.belief == INDEPENDENT and game.num_players == 2
-        )
-        verdict = (pure_settles and supported(PURE)) or supported(spec.belief)
+        verdict = (belief == CORRELATED and supported(PURE)) or supported(belief)
     verdicts[key] = verdict
     return verdict
 

@@ -9,7 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, is_dataclass, asdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -17,7 +17,7 @@ def json_ready(value):
     """Recursively convert package values to JSON-encodable ones.
 
     Fractions become 'p/q' strings, sets become sorted lists, tuples become
-    lists; dataclasses are flattened to dicts.
+    lists; any other type is a TypeError.
     """
     if isinstance(value, Fraction):
         return str(value)
@@ -25,19 +25,13 @@ def json_ready(value):
         return value
     if isinstance(value, (int, str)):
         return value
-    if isinstance(value, float):
-        raise TypeError("floats are not allowed in reports")
     if isinstance(value, dict):
         return {str(k): json_ready(v) for k, v in value.items()}
     if isinstance(value, (set, frozenset)):
         return [json_ready(v) for v in sorted(value)]
     if isinstance(value, (list, tuple)):
         return [json_ready(v) for v in value]
-    if is_dataclass(value):
-        return json_ready(asdict(value))
-    if hasattr(value, "to_json_dict"):
-        return value.to_json_dict()
-    return str(value)
+    raise TypeError(f"{type(value).__name__} values are not allowed in reports")
 
 
 def canonical_json(value) -> str:

@@ -1,6 +1,7 @@
 import gc
 import json
 import pathlib
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 
 from gamelattice import cli, lp, witnesses
 from gamelattice.cli import EXIT_INTERNAL, main
+from gamelattice.epistemic import count_correspondences
 from gamelattice.games import parse_game_file
 from gamelattice.iteration import trace_from_json_dict, iterate_operator
 from gamelattice.properties import PropertyProfile, parse_property_spec, property_operator
@@ -256,6 +258,18 @@ def test_independent_global_beliefs_three_players_rejected(capsys):
     )
     assert code == 2
     assert "independent mixed beliefs" in err
+
+
+def test_enumerate_refuses_a_huge_omega_before_listing_models(capsys):
+    start = time.perf_counter()
+    code, _, err = run(
+        capsys, "epistemic", "enumerate", "--omega", "30", "--prop", "sd:g",
+        str(FIXTURES / "pd.game"),
+    )
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    total = (2 ** 30) ** 2 * count_correspondences(30, "knowledge") ** 2
+    assert f"enumeration of {total} models exceeds" in err
 
 
 def _kernel_returning_first_vertex(objective, lhs_le=(), rhs_le=(), lhs_eq=(), rhs_eq=()):

@@ -9,7 +9,6 @@ from gamelattice.dominance import (
     correlated_belief,
     exists_supporting_belief,
     expected_payoff,
-    independent_belief,
     is_best_response,
     mixed_dominance_witness,
     mixture,
@@ -191,10 +190,6 @@ def test_best_response_support_outside_context():
 
 def test_independent_belief_three_players_rejected():
     top = restriction_top(THREE)
-    mix1 = mixture(1, {0: Fraction(1)})
-    mix2 = mixture(2, {0: Fraction(1)})
-    with pytest.raises(UnsupportedBeliefError):
-        is_best_response(THREE, top, [0, 1], 0, 0, independent_belief([mix1, mix2]))
     with pytest.raises(UnsupportedBeliefError):
         exists_supporting_belief(THREE, top, [0, 1], 0, 0, "ind")
 
@@ -202,8 +197,28 @@ def test_independent_belief_three_players_rejected():
 def test_independent_belief_two_players_routes_via_correlated():
     top = restriction_top(MP)
     belief = exists_supporting_belief(MP, top, [0, 1], 0, 0, "ind")
-    assert belief is not None and belief.kind == "ind"
+    assert belief is not None
+    assert belief == exists_supporting_belief(MP, top, [0, 1], 0, 0, "corr")
     assert is_best_response(MP, top, [0, 1], 0, 0, belief)
+
+
+def test_every_supporting_belief_is_a_distribution_that_supports():
+    games = [PD, MP, MIX, CHAIN, THREE] + fixtures.random_games(29, 3, 3, 3)
+    for game in games:
+        kinds = ("pure", "corr", "ind") if game.num_players == 2 else ("pure", "corr")
+        for g in all_restrictions(game):
+            for i in game.players():
+                for pool in (sorted(g.sets[i]), list(game.strategies(i))):
+                    for s in game.strategies(i):
+                        for kind in kinds:
+                            belief = exists_supporting_belief(game, g, pool, i, s, kind)
+                            if belief is None:
+                                continue
+                            weights = [w for _, w in belief.weights]
+                            assert all(w > 0 for w in weights) and sum(weights) == 1
+                            assert is_best_response(game, g, pool, i, s, belief)
+                            if kind == "pure":
+                                assert weights == [1]
 
 
 def test_supporting_belief_mp_pure():
@@ -279,7 +294,7 @@ def test_expected_payoff_correlated_exact():
 
 def test_belief_weights_must_sum_to_one():
     with pytest.raises(ValueError):
-        Belief("corr", weights=(((0,), Fraction(1, 2)),))
+        Belief((((0,), Fraction(1, 2)),))
 
 
 def test_mixture_weights_must_sum_to_one():

@@ -456,3 +456,11 @@ def test_enumerate_matches_brute_force_models(game, omega, mode):
         assert (res.restriction, res.models_total, res.models_enumerated, res.early_exit) == (
             restriction, total, enumerated, early
         ), (game.name, omega, mode, str(profile))
+
+
+def test_correspondence_counts_match_the_generators():
+    for n in range(1, 7):
+        assert epistemic.count_correspondences(n, "knowledge") == len(list(set_partitions(n)))
+        assert epistemic.count_correspondences(n, "belief") == len(
+            list(belief_correspondences(n))
+        )

@@ -206,3 +206,9 @@ def test_report_round_trip():
     data = json.loads(report.to_json())
     back = CheckReport.from_json_dict(data)
     assert back.to_json() == report.to_json()
+
+
+@pytest.mark.parametrize("value", [1.5, Ordinal(0, 1), object()])
+def test_canonical_json_refuses_values_it_has_no_form_for(value):
+    with pytest.raises(TypeError):
+        canonical_json({"value": value})

@@ -20,6 +20,7 @@ from gamelattice.properties import (
     Evaluator,
     PropertyProfile,
     PropertySpec,
+    SCOPES,
     apply_operator,
     check_property_monotone,
     check_singleton_condition,
@@ -345,3 +346,38 @@ def test_independent_beliefs_rejected_for_three_players_on_every_context(masks):
     g = Restriction.from_masks(fixtures.THREE, masks)
     with pytest.raises(UnsupportedBeliefError):
         eval_property(parse_property_spec("br:l:ind"), fixtures.THREE, 0, 0, g)
+
+
+def test_eval_property_rejects_a_restriction_of_another_game():
+    spec = parse_property_spec("sd:g")
+    evaluator = Evaluator(PD)
+    eval_property(spec, PD, 0, 0, restriction_top(PD), evaluator)
+    # MP's top has PD's masks, so a cache lookup alone would answer
+    with pytest.raises(ShapeError):
+        eval_property(spec, PD, 0, 0, restriction_top(MP), evaluator)
+    with pytest.raises(ShapeError):
+        apply_operator(uniform(PD, "sd:g"), PD, restriction_top(MP))
+
+
+def test_two_player_ind_and_corr_agree_and_share_verdicts():
+    fixture_games = [
+        parse_game_file(path) for path in sorted(FIXTURE_DIR.glob("*.game"))
+    ]
+    games = [g for g in fixture_games if g.num_players == 2]
+    games += fixtures.random_games(4040, 6, 3, 3)
+    for game in games:
+        shared = Evaluator(game)
+        ind_only = Evaluator(game)
+        for scope in SCOPES:
+            ind = parse_property_spec(f"br:{scope}:ind")
+            corr = parse_property_spec(f"br:{scope}:corr")
+            for g in all_restrictions(game):
+                for i in game.players():
+                    for s in game.strategies(i):
+                        verdict = eval_property(corr, game, i, s, g, shared)
+                        assert eval_property(ind, game, i, s, g, ind_only) == verdict, (
+                            game.name, scope, g.names(), i, s,
+                        )
+                        cached = len(shared.verdicts)
+                        assert eval_property(ind, game, i, s, g, shared) == verdict
+                        assert len(shared.verdicts) == cached
