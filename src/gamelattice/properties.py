@@ -174,6 +174,8 @@ def apply_operator(
     profile: PropertyProfile, game: Game, g: Restriction, evaluator: Evaluator | None = None
 ) -> Restriction:
     """Remove every strategy of every player that fails its property on g."""
+    if g.game is not game and g.game != game:
+        raise ShapeError("restriction belongs to a different game")
     if len(profile.specs) != game.num_players:
         raise ValueError("profile length differs from the number of players")
     evaluator = evaluator_for(game, evaluator)

@@ -1,12 +1,16 @@
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamelattice import fixtures
 from gamelattice.errors import BudgetError
 from gamelattice.games import (
     Restriction,
+    masks_leq,
     restriction_from_names,
     restriction_top,
 )
@@ -15,6 +19,7 @@ from gamelattice.iteration import (
     is_fixpoint,
     is_post_fixpoint,
     iterate_operator,
+    non_monotone_pairs,
     trace_from_json_dict,
     verify_contracting_outcome,
     verify_inclusion_lemma,
@@ -135,6 +140,69 @@ def test_lattice_verifiers_check_the_pair_budget_before_any_work():
         verify_tarski(op, game)
     with pytest.raises(BudgetError, match="comparable-pair"):
         verify_inclusion_lemma(op, op, game)
+
+
+def _all_masks(sizes):
+    return list(itertools.product(*(range(1 << k) for k in sizes)))
+
+
+def _brute_force_non_monotone_pairs(table):
+    """Every comparable pair, larger keys in table order, smaller ones with
+    each component descending and the first component varying fastest."""
+    pairs = []
+    for big in table:
+        smalls = [small for small in table if masks_leq(small, big)]
+        smalls.sort(key=lambda small: small[::-1], reverse=True)
+        pairs += [(small, big) for small in smalls if not masks_leq(table[small], table[big])]
+    return pairs
+
+
+@st.composite
+def mask_tables(draw):
+    """A table over every restriction of a small game: the image of a sample
+    monotone map (intersect with a cap, then add the output of every rule
+    whose trigger lies below), with some entries overwritten."""
+    sizes = draw(st.sampled_from(
+        [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (2, 2, 2)]
+    ))
+    mask_tuple = st.tuples(*(st.integers(0, (1 << k) - 1) for k in sizes))
+    cap = draw(mask_tuple)
+    rules = draw(st.lists(st.tuples(mask_tuple, mask_tuple), max_size=4))
+    table = {}
+    for g in _all_masks(sizes):
+        img = tuple(x & c for x, c in zip(g, cap))
+        for trigger, out in rules:
+            if masks_leq(trigger, g):
+                img = tuple(x | y for x, y in zip(img, out))
+        table[g] = img
+    keys = list(table)
+    for g, img in draw(st.lists(st.tuples(st.sampled_from(keys), mask_tuple), max_size=3)):
+        table[g] = img
+    return table
+
+
+@given(table=mask_tables())
+@settings(max_examples=300, deadline=None)
+def test_non_monotone_pairs_matches_a_scan_of_every_comparable_pair(table):
+    assert list(non_monotone_pairs(table)) == _brute_force_non_monotone_pairs(table)
+
+
+def test_a_monotone_table_is_decided_on_its_covers():
+    class CountingTable(dict):
+        lookups = 0
+
+        def __getitem__(self, key):
+            CountingTable.lookups += 1
+            return super().__getitem__(key)
+
+    sizes = (6, 6)
+    table = CountingTable((g, (g[0] & g[1], g[0] | g[1])) for g in _all_masks(sizes))
+    assert list(non_monotone_pairs(table)) == []
+    restrictions = len(table)
+    covers = restrictions * sum(sizes) // 2
+    assert (restrictions, covers) == (4096, 24_576)
+    # the scan of every comparable pair makes 3^12 = 531,441 lookups
+    assert CountingTable.lookups <= covers + restrictions
 
 
 def test_contracting_msd_mix():

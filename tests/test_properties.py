@@ -357,6 +357,9 @@ def test_eval_property_rejects_a_restriction_of_another_game():
         eval_property(spec, PD, 0, 0, restriction_top(MP), evaluator)
     with pytest.raises(ShapeError):
         apply_operator(uniform(PD, "sd:g"), PD, restriction_top(MP))
+    # with every component empty no property is evaluated at all
+    with pytest.raises(ShapeError):
+        apply_operator(uniform(PD, "sd:g"), PD, Restriction.from_masks(MP, (0, 0)))
 
 
 def test_two_player_ind_and_corr_agree_and_share_verdicts():
