@@ -76,6 +76,14 @@ def _profile_from_args(args, game) -> PropertyProfile:
     return PropertyProfile.uniform(parse_property_spec(args.prop), n)
 
 
+def _refuse_flags(args, command: str, *flags: str) -> None:
+    """An input error naming the first of `flags` that was given, since
+    `command` would ignore it."""
+    for flag in flags:
+        if getattr(args, flag[2:]) is not None:
+            raise ValueError(f"{command} does not use {flag}")
+
+
 def _emit_report(report: CheckReport, as_json: bool) -> int:
     if as_json:
         print(report.to_json())
@@ -101,6 +109,13 @@ def cmd_eliminate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    command = f"check {args.verifier}"
+    if args.verifier in ("pearce", "just", "just1"):
+        _refuse_flags(args, command, "--prop", "--player", "--prop2")
+    elif args.verifier == "inclusion":
+        _refuse_flags(args, command, "--player")
+    else:
+        _refuse_flags(args, command, "--prop2")
     budget = _read_budget(None, None)
     lattice_budget = iteration.DEFAULT_LATTICE_BUDGET if budget is None else budget
     game = parse_game_file(args.game)
@@ -169,6 +184,10 @@ def _epistemic_expectation(game, profile, evaluator):
 
 
 def cmd_epistemic(args) -> int:
+    if args.action == "enumerate":
+        _refuse_flags(args, "epistemic enumerate", "--joint")
+    elif args.theorem == 1:
+        _refuse_flags(args, "epistemic witness --theorem 1", "--joint")
     budget = _read_budget(None, epistemic.DEFAULT_MODEL_BUDGET)
     game = parse_game_file(args.game)
     profile = _profile_from_args(args, game)

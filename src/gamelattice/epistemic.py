@@ -2,19 +2,24 @@
 knowledge and common belief, rationality events, exhaustive model
 enumeration, and the two witness constructions.
 
-A possibility correspondence is classified, never assumed: it is a belief
-correspondence when every value is non-empty and consistent across its own
-cells, and a knowledge correspondence when additionally every state sits in
-its own cell (then the cells partition the state space).  Common knowledge of
-an event is membership in some evident subset of it; the engine computes the
-largest evident subset by iteratively peeling states whose cells stick out,
-which is correct because evident events are closed under union.
+Events and cells are state bitmasks (bit w is state w), and a correspondence
+is a tuple of per-state cell masks.  A possibility correspondence is
+classified, never assumed: it is a belief correspondence when every value is
+non-empty and consistent across its own cells, and a knowledge
+correspondence when additionally every state sits in its own cell (then the
+cells partition the state space).  Common knowledge of an event is
+membership in some evident subset of it; model queries and the enumerator
+compute the largest evident subset by the same peeling of states whose
+cells stick out, which is correct because evident events are closed under
+union.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -33,18 +38,16 @@ from .reports import CheckReport
 
 DEFAULT_MODEL_BUDGET = 4_000_000
 
-Event = frozenset  # of state indices
-
 
 @dataclass(frozen=True)
 class EpistemicModel:
     """A state space, one strategy per player per state, and one possibility
-    correspondence per player."""
+    correspondence (a tuple of per-state cell masks) per player."""
 
     game: Game
     states: tuple[str, ...]
     assignment: tuple[tuple[int, ...], ...]
-    correspondences: tuple[tuple[frozenset[int], ...], ...]
+    correspondences: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         n = self.game.num_players
@@ -68,25 +71,21 @@ class EpistemicModel:
             if len(corr) != omega:
                 raise ValueError(f"player {i + 1}: correspondence not total")
             for cell in corr:
-                for w in cell:
-                    if not 0 <= w < omega:
-                        raise ValueError("correspondence cell mentions unknown state")
+                if cell < 0 or cell >> omega:
+                    raise ValueError("correspondence cell mentions unknown state")
 
     @property
     def omega(self) -> int:
         return len(self.states)
 
-    def all_states(self) -> Event:
-        return frozenset(range(self.omega))
 
-
-def correspondence_flags(corr: Sequence[frozenset[int]]) -> dict[str, bool]:
+def correspondence_flags(corr: Sequence[int]) -> dict[str, bool]:
     """The three classification properties of one correspondence, computed."""
-    serial = all(cell for cell in corr)
+    serial = all(corr)
     cell_consistent = all(
-        corr[w2] == corr[w] for w in range(len(corr)) for w2 in corr[w]
+        corr[w2] == cell for cell in corr for w2 in range(len(corr)) if cell >> w2 & 1
     )
-    reflexive = all(w in corr[w] for w in range(len(corr)))
+    reflexive = all(corr[w] >> w & 1 for w in range(len(corr)))
     return {
         "serial": serial,
         "cell_consistent": cell_consistent,
@@ -94,47 +93,63 @@ def correspondence_flags(corr: Sequence[frozenset[int]]) -> dict[str, bool]:
     }
 
 
-def is_belief_correspondence(corr: Sequence[frozenset[int]]) -> bool:
+def is_belief_correspondence(corr: Sequence[int]) -> bool:
     flags = correspondence_flags(corr)
     return flags["serial"] and flags["cell_consistent"]
 
 
-def is_knowledge_correspondence(corr: Sequence[frozenset[int]]) -> bool:
+def is_knowledge_correspondence(corr: Sequence[int]) -> bool:
     flags = correspondence_flags(corr)
     return flags["serial"] and flags["cell_consistent"] and flags["reflexive"]
 
 
-def is_evident(model: EpistemicModel, f: Event) -> bool:
+def _or_all(values) -> int:
+    return functools.reduce(operator.or_, values, 0)
+
+
+def _union_cells(correspondences: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Per state, the union of every player's cell there."""
+    return tuple(_or_all(cells) for cells in zip(*correspondences))
+
+
+def _everyone_knows(union_cells: Sequence[int], e: int) -> int:
+    """The states whose cell, for every player, fits inside e."""
+    k = 0
+    for w, cell in enumerate(union_cells):
+        if not cell & ~e:
+            k |= 1 << w
+    return k
+
+
+def _largest_evident(
+    union_cells: Sequence[int], e: int, solved: Sequence[int] = ()
+) -> int:
+    """The largest evident subset of e, by peeling the states whose cells
+    stick out of it until none does.  Peeling only removes states, so an
+    event below len(solved) is read there: `solved[f]` is the largest evident
+    subset of f."""
+    while e >= len(solved):
+        k = e & _everyone_knows(union_cells, e)
+        if k == e:
+            return e
+        e = k
+    return solved[e]
+
+
+def is_evident(model: EpistemicModel, f: int) -> bool:
     """Every player's cell stays inside f at every state of f."""
-    return all(
-        model.correspondences[i][w] <= f for w in f for i in model.game.players()
-    )
+    return not f & ~k_event(model, f)
 
 
-def k_event(model: EpistemicModel, e: Event) -> Event:
+def k_event(model: EpistemicModel, e: int) -> int:
     """States where every player's cell is contained in e."""
-    return frozenset(
-        w
-        for w in range(model.omega)
-        if all(model.correspondences[i][w] <= e for i in model.game.players())
-    )
+    return _everyone_knows(_union_cells(model.correspondences), e)
 
 
-def largest_evident_subset(model: EpistemicModel, e: Event) -> Event:
+def largest_evident_subset(model: EpistemicModel, e: int) -> int:
     """Greatest-fixpoint peeling: drop states whose cells stick out of the
     current set until stable.  Equals the union of all evident subsets of e."""
-    current = set(e)
-    players = list(model.game.players())
-    changed = True
-    while changed:
-        changed = False
-        for w in list(current):
-            for i in players:
-                if not model.correspondences[i][w] <= current:
-                    current.discard(w)
-                    changed = True
-                    break
-    return frozenset(current)
+    return _largest_evident(_union_cells(model.correspondences), e)
 
 
 def _require_class(model: EpistemicModel, predicate, what: str):
@@ -145,52 +160,57 @@ def _require_class(model: EpistemicModel, predicate, what: str):
             )
 
 
-def common_knowledge_event(model: EpistemicModel, e: Event) -> Event:
+def common_knowledge_event(model: EpistemicModel, e: int) -> int:
     """States where e is common knowledge: members of some evident subset of e."""
     _require_class(model, is_knowledge_correspondence, "knowledge")
     return largest_evident_subset(model, e)
 
 
-def common_knowledge_event_ms89(model: EpistemicModel, e: Event) -> Event:
+def common_knowledge_event_ms89(model: EpistemicModel, e: int) -> int:
     """The alternative form: membership in some evident subset of K e."""
     _require_class(model, is_knowledge_correspondence, "knowledge")
     return largest_evident_subset(model, k_event(model, e))
 
 
-def common_belief_event(model: EpistemicModel, e: Event) -> Event:
+def common_belief_event(model: EpistemicModel, e: int) -> int:
     """States where e is common belief: members of some evident subset of B e."""
     _require_class(model, is_belief_correspondence, "belief")
     return largest_evident_subset(model, k_event(model, e))
 
 
-def event_restriction(model: EpistemicModel, e: Event) -> Restriction:
+def _image(
+    game: Game, assignment: Sequence[Sequence[int]], states: Sequence[int]
+) -> Restriction:
+    """The componentwise image of the listed states under an assignment."""
+    return Restriction.from_masks(
+        game, tuple(_or_all(1 << row[w] for w in states) for row in assignment)
+    )
+
+
+def event_restriction(model: EpistemicModel, e: int) -> Restriction:
     """The componentwise image of an event under the strategy assignment."""
-    masks = tuple(_or_all(1 << row[w] for w in e) for row in model.assignment)
-    return Restriction.from_masks(model.game, masks)
+    return _image(model.game, model.assignment, mask_members(e))
 
 
 def rational_states(
     model: EpistemicModel, profile: PropertyProfile, evaluator: Evaluator | None = None
-) -> Event:
+) -> int:
     """States where every player's chosen strategy satisfies the player's
     property on the restriction induced by the player's cell."""
     if len(profile.specs) != model.game.num_players:
         raise ValueError("profile length differs from the number of players")
     evaluator = evaluator_for(model.game, evaluator)
-    good = []
+    good = 0
     for w in range(model.omega):
-        ok = True
         for i in model.game.players():
-            cell = model.correspondences[i][w]
-            g = event_restriction(model, cell)
+            g = event_restriction(model, model.correspondences[i][w])
             if not eval_property(
                 profile.specs[i], model.game, i, model.assignment[i][w], g, evaluator
             ):
-                ok = False
                 break
-        if ok:
-            good.append(w)
-    return frozenset(good)
+        else:
+            good |= 1 << w
+    return good
 
 
 def model_from_joint_strategies(
@@ -205,7 +225,7 @@ def model_from_joint_strategies(
         tuple(j[i] for j in joints) for i in game.players()
     )
     if correspondences is None:
-        singles = tuple(frozenset([w]) for w in range(len(joints)))
+        singles = tuple(1 << w for w in range(len(joints)))
         correspondences = tuple(singles for _ in game.players())
     return EpistemicModel(game, states, assignment, tuple(correspondences))
 
@@ -232,9 +252,8 @@ def _block_cells(blocks: Sequence[int], n: int) -> list[int]:
     """Per-state cell bitmasks: each state covered by a block gets that block."""
     cells = [0] * n
     for mask in blocks:
-        for w in range(n):
-            if mask >> w & 1:
-                cells[w] = mask
+        for w in mask_members(mask):
+            cells[w] = mask
     return cells
 
 
@@ -287,12 +306,6 @@ def count_correspondences(n: int, mode: str) -> int:
     )
 
 
-def cells_to_correspondence(cells: Sequence[int], n: int) -> tuple[frozenset[int], ...]:
-    return tuple(
-        frozenset(w for w in range(n) if cells[s] >> w & 1) for s in range(n)
-    )
-
-
 # -- enumeration of CK/CB restrictions ----------------------------------------
 
 
@@ -306,35 +319,17 @@ class CkCbResult:
     early_exit: bool
 
 
-def _evident_table(union_cells: tuple[int, ...], omega: int) -> list[int]:
-    """largest evident subset of E, for every event bitmask E."""
-    size = 1 << omega
-    tbl = [0] * size
-    for e in range(size):
-        cur = e
-        while True:
-            nxt = cur
-            for w in range(omega):
-                if cur >> w & 1 and union_cells[w] & ~cur:
-                    nxt &= ~(1 << w)
-            if nxt == cur:
-                break
-            cur = nxt
-        tbl[e] = cur
-    return tbl
-
-
-def _b_table(union_cells: tuple[int, ...], omega: int) -> list[int]:
-    """B E for every event bitmask E (w included iff its joint cell fits)."""
-    size = 1 << omega
-    tbl = [0] * size
-    for e in range(size):
-        mask = 0
-        for w in range(omega):
-            if union_cells[w] & ~e == 0:
-                mask |= 1 << w
-        tbl[e] = mask
-    return tbl
+def _contribution_table(union_cells: tuple[int, ...], mode: str) -> list[int]:
+    """For every event bitmask e, the states that models with these joint
+    cells contribute when e is their rationality event: the largest evident
+    subset of e (knowledge), or e & that of K e (belief).  One ascending pass:
+    a peeling step keeps e or yields a smaller mask, whose entry is filled."""
+    evident: list[int] = []
+    for e in range(1 << len(union_cells)):
+        evident.append(_largest_evident(union_cells, e, evident))
+    if mode == "knowledge":
+        return evident
+    return [e & evident[_everyone_knows(union_cells, e)] for e in range(len(evident))]
 
 
 def enumerate_ck_cb(
@@ -376,26 +371,19 @@ def enumerate_ck_cb(
         corrs = list(belief_correspondences(omega))
 
     # per correspondence combo: the per-player correspondence indices plus the
-    # states the combo contributes for every rationality event e: the largest
-    # evident subset of e (knowledge) or e intersected with the largest
-    # evident subset of B e (belief).  Both depend on the combo only through
-    # the union of cells at each state.
+    # states the combo contributes for every rationality event.  These depend
+    # on the combo only through the union of cells at each state.
     contributions: dict[tuple[int, ...], list[int]] = {}
     combo_rows = []
     for combo in itertools.product(range(len(corrs)), repeat=n):
-        union_cells = tuple(
-            _or_all(corrs[c][w] for c in combo) for w in range(omega)
-        )
+        union_cells = _union_cells([corrs[c] for c in combo])
         con = contributions.get(union_cells)
         if con is None:
-            con = _evident_table(union_cells, omega)
-            if mode == "belief":
-                bt = _b_table(union_cells, omega)
-                con = [e & con[bt[e]] for e in range(1 << omega)]
-            contributions[union_cells] = con
+            con = contributions[union_cells] = _contribution_table(union_cells, mode)
         combo_rows.append((combo, con))
 
-    all_cells = sorted({corrs[c][w] for c in range(len(corrs)) for w in range(omega)})
+    cells_used = sorted({cell for corr in corrs for cell in corr})
+    cell_members = {cell: mask_members(cell) for cell in cells_used}
     assignments_per_player = [
         list(itertools.product(range(k), repeat=omega)) for k in game.sizes
     ]
@@ -406,9 +394,6 @@ def enumerate_ck_cb(
     enumerated = 0
     early = False
     spec_of = profile.specs
-    cell_members = {
-        cell: [w for w in range(omega) if cell >> w & 1] for cell in all_cells
-    }
     for assign in itertools.product(*assignments_per_player):
         enumerated += len(combo_rows)
         # Relabelling the states maps the correspondences onto themselves, so
@@ -420,29 +405,23 @@ def enumerate_ck_cb(
             continue
         # truth table of each player's property on each possible cell image
         images = {
-            cell: Restriction.from_masks(
-                game, tuple(_or_all(1 << row[w] for w in members) for row in assign)
-            )
-            for cell, members in cell_members.items()
+            cell: _image(game, assign, members) for cell, members in cell_members.items()
         }
         ok: list[dict[int, dict[int, bool]]] = []
         for i in range(n):
             used = set(assign[i])
             per_cell: dict[int, dict[int, bool]] = {}
-            for cell in all_cells:
-                g = images[cell]
+            for cell, g in images.items():
                 per_cell[cell] = {
                     s: eval_property(spec_of[i], game, i, s, g, evaluator) for s in used
                 }
             ok.append(per_cell)
         ok_masks: list[dict[int, int]] = []
         for i in range(n):
+            row, oki = assign[i], ok[i]
             per_corr = {}
-            for ci in range(len(corrs)):
-                cells = corrs[ci]
+            for ci, cells in enumerate(corrs):
                 mask = 0
-                row = assign[i]
-                oki = ok[i]
                 for w in range(omega):
                     if oki[cells[w]][row[w]]:
                         mask |= 1 << w
@@ -460,11 +439,8 @@ def enumerate_ck_cb(
             if union_states == all_states:
                 break
 
-        for i in range(n):
-            row = assign[i]
-            for w in range(omega):
-                if union_states >> w & 1:
-                    acc[i] |= 1 << row[w]
+        gathered = _image(game, assign, mask_members(union_states)).masks
+        acc = [a | m for a, m in zip(acc, gathered)]
         if all(acc[i] == full[i] for i in range(n)):
             early = True
             break
@@ -479,20 +455,13 @@ def enumerate_ck_cb(
     )
 
 
-def _or_all(values) -> int:
-    acc = 0
-    for v in values:
-        acc |= v
-    return acc
-
-
 # -- witness constructions ----------------------------------------------------
 
 
 @dataclass
 class WitnessResult:
     model: EpistemicModel
-    event: Event
+    event: int
     report: CheckReport
 
 
@@ -518,9 +487,9 @@ def witness_model_thm1(game: Game, profile: PropertyProfile) -> WitnessResult:
 
     if degenerate:
         assignment = tuple(tuple(0 for _ in states) for _ in game.players())
-        singles = tuple(frozenset([w]) for w in range(m))
+        singles = tuple(1 << w for w in range(m))
         correspondences = tuple(singles for _ in game.players())
-        event: Event = frozenset()
+        event = 0
     else:
         best = max(
             game.players(),
@@ -535,7 +504,7 @@ def witness_model_thm1(game: Game, profile: PropertyProfile) -> WitnessResult:
         surplus = m - game.sizes[best]
         row = own + [own[0]] * surplus + others
         e_size = len(own) + surplus
-        event = frozenset(range(e_size))
+        event = (1 << e_size) - 1
         assignment_rows = []
         for i in game.players():
             if i == best:
@@ -551,10 +520,7 @@ def witness_model_thm1(game: Game, profile: PropertyProfile) -> WitnessResult:
                 )
             )
         assignment = tuple(assignment_rows)
-        cells = tuple(
-            frozenset(range(e_size)) if w < e_size else frozenset([w])
-            for w in range(m)
-        )
+        cells = tuple(event if w < e_size else 1 << w for w in range(m))
         correspondences = tuple(cells for _ in game.players())
 
     model = EpistemicModel(game, states, assignment, correspondences)
@@ -564,8 +530,8 @@ def witness_model_thm1(game: Game, profile: PropertyProfile) -> WitnessResult:
     checks = {
         "event_evident": is_evident(model, event),
         "image_matches_outcome": image == fix,
-        "event_subset_rational": event <= rat,
-        "event_subset_ck_rational": event <= ck_rat,
+        "event_subset_rational": not event & ~rat,
+        "event_subset_ck_rational": not event & ~ck_rat,
     }
     required = dict(checks)
     if degenerate:
@@ -577,7 +543,7 @@ def witness_model_thm1(game: Game, profile: PropertyProfile) -> WitnessResult:
             "game": game.name,
             "profile": str(profile),
             "outcome": fix.names(),
-            "event": sorted(states[w] for w in event),
+            "event": sorted(states[w] for w in mask_members(event)),
             "degenerate": degenerate,
             "checks": checks,
         },
@@ -609,7 +575,7 @@ def witness_model_thm2(
     target = joints.index(joint)
     rat = rational_states(model, profile, evaluator)
     ck_rat = common_knowledge_event(model, rat)
-    ok = target in ck_rat
+    ok = bool(ck_rat >> target & 1)
     report = CheckReport(
         name="witness-construction-2",
         passed=ok,
@@ -618,9 +584,9 @@ def witness_model_thm2(
             "profile": str(profile),
             "joint": list(game.joint_names(joint)),
             "state": model.states[target],
-            "rational_states": len(rat),
+            "rational_states": rat.bit_count(),
             "checks": {"state_in_ck_rational": ok},
         },
         entries=[] if ok else [{"failed": ["state_in_ck_rational"]}],
     )
-    return WitnessResult(model=model, event=frozenset([target]), report=report)
+    return WitnessResult(model=model, event=1 << target, report=report)

@@ -12,11 +12,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .errors import BudgetError
 from .games import (
     Game,
     Restriction,
     all_restrictions,
+    check_budget,
     count_comparable_pairs,
     lattice_join,
     lattice_leq,
@@ -86,10 +86,7 @@ def _iterates(
         if nxt == current:
             return
         k += 1
-        if k > budget:
-            raise BudgetError(
-                f"no fixpoint within {budget} iterations", attempted=k
-            )
+        check_budget(k, budget, f"iteration of {k} strict steps without a fixpoint")
         current = nxt
 
 

@@ -373,6 +373,21 @@ EXIT_CASES = [
     (["transfinite", "run", "growing-limit"], _growing_limit_witness, 1),
     (["transfinite", "run", "no-such-witness"], None, 2),
     (["transfinite", "run", "lifted-msd"], _lifted_msd_witness, 3),
+    # a flag the command would ignore is an input error
+    (["check", "just", "--prop", "sd:g", "pd.game"], None, 2),
+    (["check", "just1", "--prop2", "sd:l", "pd.game"], None, 2),
+    (["check", "pearce", "--player", "1=sd:l", "--player", "2=sd:l", "pd.game"], None, 2),
+    (["check", "tarski", "--prop", "sd:g", "--prop2", "sd:l", "pd.game"], None, 2),
+    (["check", "monotone", "--prop", "sd:g", "--prop2", "sd:l", "pd.game"], None, 2),
+    (["check", "inclusion", "--prop", "sd:g", "--prop2", "sd:l",
+      "--player", "1=br:g:pure", "--player", "2=br:g:pure", "pd.game"], None, 2),
+    (["check", "inclusion", "--prop", "sd:g", "--prop2", "sd:l", "pd.game"], None, 0),
+    (["epistemic", "witness", "--theorem", "2", "--prop", "sd:l", "--joint", "C,C",
+      "pd.game"], None, 0),
+    (["epistemic", "witness", "--theorem", "1", "--prop", "sd:g", "--joint", "C,C",
+      "pd.game"], None, 2),
+    (["epistemic", "enumerate", "--omega", "2", "--prop", "sd:g", "--joint", "C,C",
+      "pd.game"], None, 2),
 ]
 
 
@@ -386,6 +401,20 @@ def test_exit_code_contract(argv, fault, expected, monkeypatch, capsys):
     assert code == expected, err
     assert "Traceback" not in err
     assert bool(err) == (expected in (2, 3))
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["check", "just1", "--player", "1=sd:l"], "--player"),
+        (["check", "singleton", "--prop", "sd:l", "--prop2", "sd:l"], "--prop2"),
+        (["epistemic", "witness", "--prop", "sd:l", "--joint", "C,C"], "--joint"),
+    ],
+)
+def test_an_ignored_flag_is_named_before_the_game_is_read(argv, flag, capsys):
+    code, out, err = run(capsys, *argv, str(FIXTURES / "no-such.game"))
+    assert (code, out) == (2, "")
+    assert flag in err and "no-such" not in err
 
 
 @pytest.mark.parametrize("as_json", [False, True])

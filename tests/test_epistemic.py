@@ -6,7 +6,6 @@ from gamelattice import epistemic, fixtures
 from gamelattice.epistemic import (
     EpistemicModel,
     belief_correspondences,
-    cells_to_correspondence,
     common_belief_event,
     common_knowledge_event,
     common_knowledge_event_ms89,
@@ -25,7 +24,7 @@ from gamelattice.epistemic import (
     witness_model_thm2,
 )
 from gamelattice.errors import BudgetError, ClassificationError, PreconditionError
-from gamelattice.games import Restriction, restriction_from_names
+from gamelattice.games import Restriction, make_game, mask_members, restriction_from_names
 from gamelattice.properties import Evaluator, PropertyProfile, parse_property_spec, outcome
 
 PD, MP, MIX, CHAIN, THREE = (
@@ -37,91 +36,106 @@ def uniform(game, text):
     return PropertyProfile.uniform(parse_property_spec(text), game.num_players)
 
 
+def event(*states):
+    """The event bitmask of the given states."""
+    return sum(1 << w for w in states)
+
+
 def pd_model(cells_per_player):
     """PD model over the 4 joint-strategy states with given correspondences."""
     corr = tuple(
-        tuple(frozenset(c) for c in cells) for cells in cells_per_player
+        tuple(event(*c) for c in cells) for cells in cells_per_player
     )
     return model_from_joint_strategies(PD, corr)
 
 
+OMEGA4 = event(0, 1, 2, 3)
 FULL = [{0, 1, 2, 3}] * 4
 PARTITION_12_3 = [{0, 1}, {0, 1}, {2}, {3}]  # cells {w0,w1},{w2},{w3}
 
 
 def test_is_evident_full_and_empty():
     model = pd_model([FULL, FULL])
-    assert is_evident(model, frozenset(range(4)))
-    assert is_evident(model, frozenset())
-    assert not is_evident(model, frozenset([0]))
+    assert is_evident(model, OMEGA4)
+    assert is_evident(model, 0)
+    assert not is_evident(model, event(0))
 
 
 def test_is_evident_singleton_cell_breaks():
     model = pd_model([[{0, 1}, {0, 1}, {2}, {3}], [[0], [1], [2], [3]]])
-    assert not is_evident(model, frozenset([0]))
-    assert is_evident(model, frozenset([0, 1]))
+    assert not is_evident(model, event(0))
+    assert is_evident(model, event(0, 1))
 
 
 def test_k_event_examples():
     model = pd_model([PARTITION_12_3, PARTITION_12_3])
-    omega = frozenset(range(4))
-    assert k_event(model, omega) == omega
-    assert k_event(model, frozenset()) == frozenset()
-    assert k_event(model, frozenset([0, 1])) == frozenset([0, 1])
-    assert k_event(model, frozenset([0, 2])) == frozenset([2])
+    assert k_event(model, OMEGA4) == OMEGA4
+    assert k_event(model, 0) == 0
+    assert k_event(model, event(0, 1)) == event(0, 1)
+    assert k_event(model, event(0, 2)) == event(2)
 
 
 def test_largest_evident_subset_peeling():
     model = pd_model([PARTITION_12_3, PARTITION_12_3])
     # event {w0, w2}: w0's cell {w0,w1} sticks out, w2's cell fits
-    assert common_knowledge_event(model, frozenset([0, 2])) == frozenset([2])
-    assert common_knowledge_event(model, frozenset(range(4))) == frozenset(range(4))
-    assert common_knowledge_event(model, frozenset()) == frozenset()
+    assert common_knowledge_event(model, event(0, 2)) == event(2)
+    assert common_knowledge_event(model, OMEGA4) == OMEGA4
+    assert common_knowledge_event(model, 0) == 0
 
 
 def brute_largest_evident(model, e):
-    best = set()
-    states = list(range(model.omega))
-    for r in range(len(states) + 1):
-        for combo in itertools.combinations(states, r):
-            f = frozenset(combo)
-            if f <= e and is_evident(model, f):
-                best |= f
-    return frozenset(best)
+    best = 0
+    for f in range(1 << model.omega):
+        if f & ~e == 0 and is_evident(model, f):
+            best |= f
+    return best
 
 
 def test_peeling_matches_brute_force_on_belief_models():
-    count = 0
     for cells1 in belief_correspondences(3):
         for cells2 in belief_correspondences(3):
-            if count % 17:  # thin the grid to keep the test quick
-                count += 1
-                continue
-            count += 1
-            corr = (
-                cells_to_correspondence(cells1, 3),
-                cells_to_correspondence(cells2, 3),
-            )
             model = EpistemicModel(
-                PD, ("a", "b", "c"), ((0, 1, 0), (1, 0, 1)), corr
+                PD, ("a", "b", "c"), ((0, 1, 0), (1, 0, 1)), (cells1, cells2)
             )
-            for mask in range(8):
-                e = frozenset(w for w in range(3) if mask >> w & 1)
+            for e in range(8):
                 assert largest_evident_subset(model, e) == brute_largest_evident(model, e)
 
 
+# one strategy per player, so every state space of size >= 1 is allowed
+ONE = make_game("one", [("a",), ("b",)], {("a", "b"): (0, 0)})
+
+
+@pytest.mark.parametrize("omega", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["knowledge", "belief"])
+def test_contribution_table_matches_the_model_api(omega, mode):
+    cells = set_partitions if mode == "knowledge" else belief_correspondences
+    states = tuple(f"w{w}" for w in range(omega))
+    assignment = ((0,) * omega, (0,) * omega)
+    for cells1, cells2 in itertools.product(list(cells(omega)), repeat=2):
+        model = EpistemicModel(ONE, states, assignment, (cells1, cells2))
+        union_cells = tuple(a | b for a, b in zip(cells1, cells2))
+        table = epistemic._contribution_table(union_cells, mode)
+        assert len(table) == 1 << omega
+        for e in range(1 << omega):
+            if mode == "knowledge":
+                expected = common_knowledge_event(model, e)
+            else:
+                expected = e & common_belief_event(model, e)
+            assert table[e] == expected, (cells1, cells2, e)
+
+
 def test_classification_flags():
-    constant = tuple(frozenset([0]) for _ in range(3))
+    constant = tuple(event(0) for _ in range(3))
     flags = correspondence_flags(constant)
     assert flags == {"serial": True, "cell_consistent": True, "reflexive": False}
-    partition = (frozenset([0, 1]), frozenset([0, 1]), frozenset([2]))
+    partition = (event(0, 1), event(0, 1), event(2))
     assert is_knowledge_correspondence(partition)
-    beliefish = (frozenset([1]), frozenset([1]), frozenset([1]))
+    beliefish = (event(1), event(1), event(1))
     assert is_belief_correspondence(beliefish)
     assert not is_knowledge_correspondence(beliefish)
-    empty_cell = (frozenset(), frozenset([1]), frozenset([2]))
+    empty_cell = (event(), event(1), event(2))
     assert not is_belief_correspondence(empty_cell)
-    inconsistent = (frozenset([0, 1]), frozenset([1]), frozenset([2]))
+    inconsistent = (event(0, 1), event(1), event(2))
     assert not is_belief_correspondence(inconsistent)
 
 
@@ -129,30 +143,25 @@ def test_common_knowledge_requires_knowledge_correspondence():
     beliefish = [[1], [1], [2], [3]]
     model = pd_model([beliefish, [[0], [1], [2], [3]]])
     with pytest.raises(ClassificationError):
-        common_knowledge_event(model, frozenset(range(4)))
+        common_knowledge_event(model, OMEGA4)
     # but common belief is fine there
-    assert common_belief_event(model, frozenset(range(4))) == frozenset(range(4))
+    assert common_belief_event(model, OMEGA4) == OMEGA4
 
 
 def test_common_belief_requires_belief_correspondence():
     broken = [[0, 1], [0], [2], [3]]  # cell-consistency fails
     model = pd_model([broken, [[0], [1], [2], [3]]])
     with pytest.raises(ClassificationError):
-        common_belief_event(model, frozenset(range(4)))
+        common_belief_event(model, OMEGA4)
 
 
 def test_ck_ms89_bridge_on_enumerated_knowledge_models():
     for cells1 in set_partitions(3):
         for cells2 in set_partitions(3):
-            corr = (
-                cells_to_correspondence(cells1, 3),
-                cells_to_correspondence(cells2, 3),
-            )
             model = EpistemicModel(
-                PD, ("a", "b", "c"), ((0, 0, 1), (1, 0, 0)), corr
+                PD, ("a", "b", "c"), ((0, 0, 1), (1, 0, 0)), (cells1, cells2)
             )
-            for mask in range(8):
-                e = frozenset(w for w in range(3) if mask >> w & 1)
+            for e in range(8):
                 assert common_knowledge_event(model, e) == common_knowledge_event_ms89(
                     model, e
                 )
@@ -160,50 +169,45 @@ def test_ck_ms89_bridge_on_enumerated_knowledge_models():
 
 def test_k_star_laws_on_partition_models():
     model = pd_model([PARTITION_12_3, [[0], [1], [2], [3]]])
-    for mask in range(16):
-        e = frozenset(w for w in range(4) if mask >> w & 1)
+    for e in range(16):
         ck = common_knowledge_event(model, e)
-        assert ck <= e
+        assert ck & ~e == 0
         assert is_evident(model, ck)
         assert common_knowledge_event(model, ck) == ck
-        for mask2 in range(16):
-            e2 = frozenset(w for w in range(4) if mask2 >> w & 1)
-            if e <= e2:
-                assert ck <= common_knowledge_event(model, e2)
+        for e2 in range(16):
+            if e & ~e2 == 0:
+                assert ck & ~common_knowledge_event(model, e2) == 0
 
 
 def test_b_star_laws():
     beliefish = [[1], [1], [3], [3]]
     model = pd_model([beliefish, beliefish])
-    for mask in range(16):
-        e = frozenset(w for w in range(4) if mask >> w & 1)
+    for e in range(16):
         bstar = common_belief_event(model, e)
         be = k_event(model, e)
-        assert bstar <= be
+        assert bstar & ~be == 0
         assert is_evident(model, bstar)
         # maximality: every evident subset of B e sits inside B* e
-        for mask2 in range(16):
-            f = frozenset(w for w in range(4) if mask2 >> w & 1)
-            if f <= be and is_evident(model, f):
-                assert f <= bstar
+        for f in range(16):
+            if f & ~be == 0 and is_evident(model, f):
+                assert f & ~bstar == 0
 
 
 def test_knowledge_correspondence_cells_partition():
     for cells in set_partitions(4):
-        corr = cells_to_correspondence(cells, 4)
-        seen = set()
-        for cell in set(corr):
+        seen = 0
+        for cell in set(cells):
             assert not (seen & cell)
             seen |= cell
-        assert seen == set(range(4))
+        assert seen == OMEGA4
 
 
 def test_event_restriction_examples():
     model = model_from_joint_strategies(PD)
-    assert event_restriction(model, frozenset(range(4))).is_top()
-    empty = event_restriction(model, frozenset())
+    assert event_restriction(model, OMEGA4).is_top()
+    empty = event_restriction(model, 0)
     assert empty.has_empty_component()
-    dd = frozenset([3])  # state (D,D) is last in product order
+    dd = event(3)  # state (D,D) is last in product order
     assert event_restriction(model, dd) == restriction_from_names(PD, [["D"], ["D"]])
 
 
@@ -211,11 +215,9 @@ def test_event_restriction_monotone_and_join_preserving():
     model = model_from_joint_strategies(PD)
     from gamelattice.games import lattice_join, lattice_leq
 
-    for m1 in range(16):
-        e1 = frozenset(w for w in range(4) if m1 >> w & 1)
-        for m2 in range(16):
-            e2 = frozenset(w for w in range(4) if m2 >> w & 1)
-            if e1 <= e2:
+    for e1 in range(16):
+        for e2 in range(16):
+            if e1 & ~e2 == 0:
                 assert lattice_leq(
                     event_restriction(model, e1), event_restriction(model, e2)
                 )
@@ -227,19 +229,19 @@ def test_event_restriction_monotone_and_join_preserving():
 def test_rational_states_sd_global_full_cells():
     model = pd_model([FULL, FULL])
     rat = rational_states(model, uniform(PD, "sd:g"))
-    assert rat == frozenset([3])  # only (D,D)
+    assert rat == event(3)  # only (D,D)
 
 
 def test_rational_states_sd_local_singleton_cells():
     model = model_from_joint_strategies(PD)
     rat = rational_states(model, uniform(PD, "sd:l"))
-    assert rat == frozenset(range(4))
+    assert rat == OMEGA4
 
 
 def test_rational_states_excludes_dominated_choice():
     model = pd_model([FULL, FULL])
     rat = rational_states(model, uniform(PD, "sd:g"))
-    assert 0 not in rat  # state (C,C): player 1's C is dominated on the full image
+    assert not rat & event(0)  # state (C,C): player 1's C is dominated on the full image
 
 
 def test_correspondence_counts():
@@ -383,10 +385,15 @@ def test_model_requires_omega_at_least_strategies():
             CHAIN,
             ("a", "b"),
             ((0, 1), (0, 1)),
-            (
-                (frozenset([0]), frozenset([1])),
-                (frozenset([0]), frozenset([1])),
-            ),
+            ((event(0), event(1)), (event(0), event(1))),
+        )
+
+
+@pytest.mark.parametrize("bad", [-1, event(2), event(0, 5)])
+def test_model_rejects_cells_outside_the_state_space(bad):
+    with pytest.raises(ValueError, match="unknown state"):
+        EpistemicModel(
+            PD, ("a", "b"), ((0, 1), (0, 1)), ((bad, event(1)), (event(0), event(1)))
         )
 
 
@@ -397,7 +404,7 @@ def brute_ck_cb(game, omega, profile, mode):
     every player is gathered."""
     n = game.num_players
     cells = set_partitions if mode == "knowledge" else belief_correspondences
-    corrs = [cells_to_correspondence(c, omega) for c in cells(omega)]
+    corrs = list(cells(omega))
     states = tuple(f"w{w}" for w in range(omega))
     rows = [list(itertools.product(range(k), repeat=omega)) for k in game.sizes]
     evaluator = Evaluator(game)
@@ -411,11 +418,11 @@ def brute_ck_cb(game, omega, profile, mode):
             model = EpistemicModel(game, states, assign, combo)
             rat = rational_states(model, profile, evaluator)
             if mode == "knowledge":
-                event = common_knowledge_event(model, rat)
+                ck_cb = common_knowledge_event(model, rat)
             else:
-                event = rat & common_belief_event(model, rat)
+                ck_cb = rat & common_belief_event(model, rat)
             for i in range(n):
-                gathered[i].update(assign[i][w] for w in event)
+                gathered[i].update(assign[i][w] for w in mask_members(ck_cb))
         if all(len(gathered[i]) == game.sizes[i] for i in range(n)):
             enumerated, early = (index + 1) * per_assignment, True
             break

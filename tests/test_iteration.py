@@ -81,8 +81,10 @@ def test_iterate_budget_guard():
     def flipper(g):
         return other if g == top else top
 
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as exc:
         iterate_operator(flipper, PD)
+    # the default budget is 10 steps per strategy; the step past it is reported
+    assert exc.value.attempted == 41
 
 
 def test_fixpoint_checks():
