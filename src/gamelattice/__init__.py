@@ -10,7 +10,6 @@ from .dominance import (
     is_best_response,
     mixed_dominance_witness,
     pearce_equivalence_check,
-    pearce_equivalence_suite,
     strictly_dominates_pure,
 )
 from .epistemic import (
@@ -67,6 +66,7 @@ from .properties import (
     eval_property,
     outcome,
     parse_property_spec,
+    pearce_equivalence_suite,
     property_operator,
     verify_theorem_just,
     verify_theorem_just1,

@@ -18,7 +18,7 @@ import functools
 import os
 import sys
 
-from . import dominance, epistemic, iteration, properties, symbolic, witnesses
+from . import epistemic, iteration, properties, symbolic, witnesses
 from .errors import GameLatticeError, InternalError
 from .games import parse_game_file, restriction_top
 from .ordinals import parse_ordinal
@@ -156,7 +156,7 @@ def cmd_check(args) -> int:
             max_restrictions=lattice_budget,
         )
     elif args.verifier == "pearce":
-        report = dominance.pearce_equivalence_suite(
+        report = properties.pearce_equivalence_suite(
             game, max_restrictions=lattice_budget
         )
     elif args.verifier == "just":
@@ -185,19 +185,23 @@ def _epistemic_expectation(game, profile, evaluator):
 
 def cmd_epistemic(args) -> int:
     if args.action == "enumerate":
-        _refuse_flags(args, "epistemic enumerate", "--joint")
-    elif args.theorem == 1:
-        _refuse_flags(args, "epistemic witness --theorem 1", "--joint")
+        _refuse_flags(args, "epistemic enumerate", "--joint", "--theorem")
+        omega = 4 if args.omega is None else args.omega
+    else:
+        _refuse_flags(args, "epistemic witness", "--omega")
+        theorem = 1 if args.theorem is None else args.theorem
+        if theorem == 1:
+            _refuse_flags(args, "epistemic witness --theorem 1", "--joint")
     budget = _read_budget(None, epistemic.DEFAULT_MODEL_BUDGET)
     game = parse_game_file(args.game)
     profile = _profile_from_args(args, game)
     if args.action == "enumerate":
         evaluator = Evaluator(game)
         ck = epistemic.enumerate_ck_cb(
-            game, args.omega, profile, "knowledge", budget, evaluator
+            game, omega, profile, "knowledge", budget, evaluator
         )
         cb = epistemic.enumerate_ck_cb(
-            game, args.omega, profile, "belief", budget, evaluator
+            game, omega, profile, "belief", budget, evaluator
         )
         operator_outcome = properties.outcome(profile, game, evaluator=evaluator).outcome
         expectation = _epistemic_expectation(game, profile, evaluator)
@@ -216,7 +220,7 @@ def cmd_epistemic(args) -> int:
             details={
                 "game": game.name,
                 "profile": str(profile),
-                "omega_size": args.omega,
+                "omega_size": omega,
                 "models_enumerated": ck.models_enumerated + cb.models_enumerated,
                 "models_total": ck.models_total + cb.models_total,
                 "ck_restriction": ck.restriction.names(),
@@ -228,7 +232,7 @@ def cmd_epistemic(args) -> int:
         )
         return _emit_report(report, args.json)
     # witness construction
-    if args.theorem == 1:
+    if theorem == 1:
         result = epistemic.witness_model_thm1(game, profile)
     else:
         if args.joint:
@@ -330,8 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epistemic", help="model enumeration and witness constructions")
     p.add_argument("action", choices=["enumerate", "witness"])
     add_profile_flags(p)
-    p.add_argument("--omega", type=int, default=4, help="state-space size")
-    p.add_argument("--theorem", type=int, choices=[1, 2], default=1)
+    p.add_argument("--omega", type=int, help="state-space size for enumerate (default 4)")
+    p.add_argument(
+        "--theorem", type=int, choices=[1, 2], help="witness theorem (default 1)"
+    )
     p.add_argument("--joint", help="joint strategy for --theorem 2, e.g. C,C")
     p.add_argument("--json", action="store_true")
     p.add_argument("game", help="game file")

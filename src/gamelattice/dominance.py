@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import lp
 from .errors import InternalError, ShapeError, UnsupportedBeliefError
-from .games import Game, Restriction, all_restrictions
+from .games import Game, Restriction
 from .reports import CheckReport
 
 PURE = "pure"
@@ -174,6 +174,9 @@ def mixed_dominance_witness(
     if not profiles:
         # no opponent profile to fail at: dominance is vacuous
         return uniform_mixture(player, pool)
+    if pool == [dominated]:
+        # a mixture over `dominated` alone ties it everywhere: the LP value is 0
+        return None
     k = len(pool)
     objective = [lp.ZERO] * k + [lp.ONE, -lp.ONE]
     lhs_le, rhs_le = [], []
@@ -304,32 +307,6 @@ def _belief_json(game: Game, player: int, b: Belief) -> dict:
             for p, w in b.weights
         ],
     }
-
-
-def pearce_equivalence_suite(game: Game, max_restrictions: int = 1 << 10):
-    """pearce_equivalence_check across every restriction; the aggregate
-    report keeps only failing entries."""
-    restrictions = list(all_restrictions(game, max_count=max_restrictions))
-    mismatches = []
-    for g in restrictions:
-        rep = pearce_equivalence_check(game, g)
-        if not rep.passed:
-            mismatches.append(
-                {
-                    "restriction": g.names(),
-                    "entries": [e for e in rep.entries if not e["agree"]],
-                }
-            )
-    return CheckReport(
-        name="pearce-equivalence-suite",
-        passed=not mismatches,
-        details={
-            "game": game.name,
-            "restrictions_checked": len(restrictions),
-            "mismatching_restrictions": len(mismatches),
-        },
-        entries=mismatches,
-    )
 
 
 def pearce_equivalence_check(game: Game, g: Restriction):

@@ -390,3 +390,40 @@ def verify_theorem_just1(
         ("br", "msd"),
         max_restrictions,
     )
+
+
+def pearce_equivalence_suite(
+    game: Game, max_restrictions: int = DEFAULT_LATTICE_BUDGET
+) -> CheckReport:
+    """Pearce's lemma on every restriction: the br:l:corr and msd:l images,
+    each decided by its own pure pre-check and LP through one Evaluator, must
+    be equal.  Only a restriction where they differ is handed to
+    dominance.pearce_equivalence_check, whose disagreeing entries, with both
+    certificates, make up the report's entries."""
+    evaluator = Evaluator(game)
+    brc, msd = (
+        PropertyProfile.uniform(parse_property_spec(text), game.num_players)
+        for text in ("br:l:corr", "msd:l")
+    )
+    mismatches = []
+    checked = 0
+    for g in all_restrictions(game, max_count=max_restrictions):
+        checked += 1
+        if apply_operator(brc, game, g, evaluator) != apply_operator(msd, game, g, evaluator):
+            rep = dominance.pearce_equivalence_check(game, g)
+            mismatches.append(
+                {
+                    "restriction": g.names(),
+                    "entries": [e for e in rep.entries if not e["agree"]],
+                }
+            )
+    return CheckReport(
+        name="pearce-equivalence-suite",
+        passed=not mismatches,
+        details={
+            "game": game.name,
+            "restrictions_checked": checked,
+            "mismatching_restrictions": len(mismatches),
+        },
+        entries=mismatches,
+    )

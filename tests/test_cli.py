@@ -156,6 +156,20 @@ def test_epistemic_witnesses(capsys):
     assert code == 2  # precondition failure is an input error
 
 
+@pytest.mark.parametrize(
+    "argv,default",
+    [
+        (["epistemic", "enumerate", "--prop", "sd:l"], ["--omega", "4"]),
+        (["epistemic", "witness", "--prop", "sd:g"], ["--theorem", "1"]),
+    ],
+)
+def test_epistemic_flag_defaults(argv, default, capsys):
+    pd = str(FIXTURES / "pd.game")
+    implicit = run(capsys, *argv, "--json", pd)
+    assert implicit == run(capsys, *argv, *default, "--json", pd)
+    assert implicit[0] == 0
+
+
 def test_epistemic_budget_error(capsys, monkeypatch):
     monkeypatch.setenv("GAMELATTICE_BUDGET", "100")
     code, out, err = run(
@@ -387,6 +401,9 @@ EXIT_CASES = [
     (["epistemic", "witness", "--theorem", "1", "--prop", "sd:g", "--joint", "C,C",
       "pd.game"], None, 2),
     (["epistemic", "enumerate", "--omega", "2", "--prop", "sd:g", "--joint", "C,C",
+      "pd.game"], None, 2),
+    (["epistemic", "witness", "--omega", "9", "--prop", "sd:g", "pd.game"], None, 2),
+    (["epistemic", "enumerate", "--theorem", "2", "--omega", "2", "--prop", "sd:g",
       "pd.game"], None, 2),
 ]
 

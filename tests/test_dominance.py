@@ -1,9 +1,10 @@
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from gamelattice import dominance, fixtures
+from gamelattice import dominance, fixtures, lp
 from gamelattice.dominance import (
     Belief,
     correlated_belief,
@@ -20,9 +21,12 @@ from gamelattice.errors import ShapeError, UnsupportedBeliefError
 from gamelattice.games import (
     Restriction,
     all_restrictions,
+    parse_game_file,
     restriction_from_names,
     restriction_top,
 )
+
+FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 PD, MP, MIX, CHAIN, THREE = (
     fixtures.PD,
@@ -118,6 +122,27 @@ def test_mixed_witness_self_pool_none():
     top = restriction_top(MIX)
     b = idx(MIX, 0, "B")
     assert mixed_dominance_witness(MIX, top, 0, [b], b) is None
+
+
+def test_mixed_witness_self_pool_solves_no_lp(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    monkeypatch.setattr(lp, "simplex_maximize", no_lp)
+    vacuous = 0
+    for path in sorted(FIXTURE_DIR.glob("*.game")):
+        game = parse_game_file(path)
+        for g in all_restrictions(game):
+            for i in game.players():
+                has_profiles = any(True for _ in g.opponent_profiles(i))
+                for s in game.strategies(i):
+                    witness = mixed_dominance_witness(game, g, i, [s], s)
+                    if has_profiles:
+                        assert witness is None, (game.name, g.names(), i, s)
+                    else:
+                        assert dict(witness.weights) == {s: Fraction(1)}
+                        vacuous += 1
+    assert vacuous > 0
 
 
 def test_mixed_witness_empty_pool_none():

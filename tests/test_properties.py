@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gamelattice import dominance, fixtures
+from gamelattice import dominance, fixtures, lp
 from gamelattice.errors import BudgetError, ShapeError, UnsupportedBeliefError
 from gamelattice.games import (
     Restriction,
@@ -27,6 +27,7 @@ from gamelattice.properties import (
     eval_property,
     outcome,
     parse_property_spec,
+    pearce_equivalence_suite,
     property_operator,
     verify_theorem_just,
     verify_theorem_just1,
@@ -384,3 +385,70 @@ def test_two_player_ind_and_corr_agree_and_share_verdicts():
                         cached = len(shared.verdicts)
                         assert eval_property(ind, game, i, s, g, shared) == verdict
                         assert len(shared.verdicts) == cached
+
+
+def _pearce_reference(game):
+    """The suite's report fields from pearce_equivalence_check on every
+    restriction, with its disagreeing entries per mismatching restriction."""
+    checked = 0
+    mismatches = []
+    for g in all_restrictions(game):
+        checked += 1
+        rep = dominance.pearce_equivalence_check(game, g)
+        if not rep.passed:
+            mismatches.append(
+                {
+                    "restriction": g.names(),
+                    "entries": [e for e in rep.entries if not e["agree"]],
+                }
+            )
+    return checked, mismatches
+
+
+def test_pearce_suite_matches_the_check_on_every_restriction():
+    rng = random.Random(5151)
+    games = (
+        [parse_game_file(path) for path in sorted(FIXTURE_DIR.glob("*.game"))]
+        + fixtures.random_games(5150, 6, 4, 4)
+        + [fixtures.random_game(rng, 4, 4)]
+        + [_random_game(rng, (2, 2, 2)) for _ in range(2)]
+    )
+    for game in games:
+        checked, mismatches = _pearce_reference(game)
+        rep = pearce_equivalence_suite(game)
+        assert rep.passed == (not mismatches), game.name
+        assert rep.details["restrictions_checked"] == checked
+        assert rep.details["mismatching_restrictions"] == len(mismatches)
+        assert rep.entries == mismatches
+
+
+def test_pearce_suite_reports_the_checks_entries_on_a_disagreement(monkeypatch):
+    # no mixture ever dominates: B of mix, dominated only by a mixture of T
+    # and M, is then eliminated under br:l:corr but kept under msd:l
+    monkeypatch.setattr(dominance, "mixed_dominance_witness", lambda *args: None)
+    rep = pearce_equivalence_suite(MIX)
+    assert not rep.passed
+    assert rep.details["mismatching_restrictions"] == len(rep.entries) > 0
+    _, reference = _pearce_reference(MIX)
+    expected = {tuple(map(tuple, m["restriction"])): m["entries"] for m in reference}
+    for mismatch in rep.entries:
+        entries = expected[tuple(map(tuple, mismatch["restriction"]))]
+        assert mismatch["entries"] == entries
+        assert entries
+
+
+def test_pearce_suite_lp_count_on_mix(monkeypatch):
+    """Each image is decided once, through the verdict cache and the pure
+    pre-checks: running pearce_equivalence_check on every restriction of mix
+    solves 105 LPs, and this pin would catch that double solve."""
+    solve = lp.simplex_maximize
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "simplex_maximize", counting)
+    rep = pearce_equivalence_suite(parse_game_file(FIXTURE_DIR / "mix.game"))
+    assert rep.passed
+    assert len(calls) == 42
