@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import lp
-from .errors import InternalError, ShapeError, UnsupportedBeliefError
-from .games import Game, Restriction
+from .errors import InternalError, UnsupportedBeliefError
+from .games import Game, Restriction, check_same_game, mask_members
 from .reports import CheckReport
 
 PURE = "pure"
@@ -107,12 +107,7 @@ def decided_kind(game: Game, belief_kind: str) -> str:
     return CORRELATED
 
 
-def _check_context(game: Game, context: Restriction):
-    if context.game is not game and context.game != game:
-        raise ShapeError("restriction belongs to a different game")
-
-
-def _check_strategy(game: Game, player: int, strategy: int):
+def check_strategy(game: Game, player: int, strategy: int):
     if not 0 <= player < game.num_players:
         raise ValueError(f"no player {player}")
     if not 0 <= strategy < len(game.strategy_names[player]):
@@ -121,13 +116,18 @@ def _check_strategy(game: Game, player: int, strategy: int):
         )
 
 
+def _payoff(game: Game, player: int, strategy: int, opp_profile: Sequence[int]) -> Fraction:
+    """`player`'s payoff for `strategy` against the opponents' profile."""
+    joint = list(opp_profile)
+    joint.insert(player, strategy)
+    return game.payoff(player, joint)
+
+
 def expected_payoff(game: Game, player: int, strategy: int, belief: Belief) -> Fraction:
     """Exact expected payoff of `strategy` for `player` under `belief`."""
     total = Fraction(0)
     for profile, w in belief.weights:
-        joint = list(profile)
-        joint.insert(player, strategy)
-        total += w * game.payoff(player, joint)
+        total += w * _payoff(game, player, strategy, profile)
     return total
 
 
@@ -138,12 +138,12 @@ def strictly_dominates_pure(
 
     Vacuously true when the context has no opponent profiles.
     """
-    _check_context(game, context)
-    _check_strategy(game, player, dominator)
-    _check_strategy(game, player, dominated)
+    check_same_game(game, context.game, "restriction")
+    check_strategy(game, player, dominator)
+    check_strategy(game, player, dominated)
     for profile in context.opponent_profiles(player):
-        up = game.payoff(player, context.joint_with(player, dominator, profile))
-        low = game.payoff(player, context.joint_with(player, dominated, profile))
+        up = _payoff(game, player, dominator, profile)
+        low = _payoff(game, player, dominated, profile)
         if up <= low:
             return False
     return True
@@ -163,11 +163,11 @@ def mixed_dominance_witness(
     sum_s m(s) p(s, y) >= p(dominated, y) + eps for every opponent profile y,
     with m a distribution over the pool.  A witness exists iff eps* > 0.
     """
-    _check_context(game, context)
-    _check_strategy(game, player, dominated)
+    check_same_game(game, context.game, "restriction")
+    check_strategy(game, player, dominated)
     pool = sorted(set(dominator_pool))
     for s in pool:
-        _check_strategy(game, player, s)
+        check_strategy(game, player, s)
     if not pool:
         return None
     profiles = list(context.opponent_profiles(player))
@@ -181,10 +181,10 @@ def mixed_dominance_witness(
     objective = [lp.ZERO] * k + [lp.ONE, -lp.ONE]
     lhs_le, rhs_le = [], []
     for y in profiles:
-        row = [-game.payoff(player, context.joint_with(player, s, y)) for s in pool]
+        row = [-_payoff(game, player, s, y) for s in pool]
         row += [lp.ONE, -lp.ONE]
         lhs_le.append(row)
-        rhs_le.append(-game.payoff(player, context.joint_with(player, dominated, y)))
+        rhs_le.append(-_payoff(game, player, dominated, y))
     lhs_eq = [[lp.ONE] * k + [lp.ZERO, lp.ZERO]]
     value, x = lp.simplex_maximize(objective, lhs_le, rhs_le, lhs_eq, [lp.ONE])
     if value <= 0:
@@ -192,11 +192,9 @@ def mixed_dominance_witness(
     witness = mixture(player, {s: x[i] for i, s in enumerate(pool)})
     for y in profiles:
         got = sum(
-            (w * game.payoff(player, context.joint_with(player, s, y))
-             for s, w in witness.weights),
-            Fraction(0),
+            (w * _payoff(game, player, s, y) for s, w in witness.weights), Fraction(0)
         )
-        if got <= game.payoff(player, context.joint_with(player, dominated, y)):
+        if got <= _payoff(game, player, dominated, y):
             raise InternalError("LP dominance witness failed re-validation")
     return witness
 
@@ -210,8 +208,8 @@ def is_best_response(
     belief: Belief,
 ) -> bool:
     """candidate is weakly payoff-maximal against `belief` among the pool."""
-    _check_context(game, belief_context)
-    _check_strategy(game, player, candidate)
+    check_same_game(game, belief_context.game, "restriction")
+    check_strategy(game, player, candidate)
     allowed = set()
     for profile in belief_context.opponent_profiles(player):
         allowed.add(profile)
@@ -219,7 +217,7 @@ def is_best_response(
         raise ValueError("belief support lies outside the stated restriction")
     base = expected_payoff(game, player, candidate, belief)
     for rival in comparison_pool:
-        _check_strategy(game, player, rival)
+        check_strategy(game, player, rival)
         if expected_payoff(game, player, rival, belief) > base:
             return False
     return True
@@ -238,23 +236,20 @@ def exists_supporting_belief(
     beliefs by an exact feasibility LP; independent beliefs are decided as
     correlated ones for 2 players and rejected beyond that.
     """
-    _check_context(game, belief_context)
-    _check_strategy(game, player, candidate)
+    check_same_game(game, belief_context.game, "restriction")
+    check_strategy(game, player, candidate)
     belief_kind = decided_kind(game, belief_kind)
     pool = sorted(set(comparison_pool))
     for s in pool:
-        _check_strategy(game, player, s)
+        check_strategy(game, player, s)
     profiles = list(belief_context.opponent_profiles(player))
     if not profiles:
         return None
 
     if belief_kind == PURE:
         for y in profiles:
-            base = game.payoff(player, belief_context.joint_with(player, candidate, y))
-            if all(
-                game.payoff(player, belief_context.joint_with(player, s, y)) <= base
-                for s in pool
-            ):
+            base = _payoff(game, player, candidate, y)
+            if all(_payoff(game, player, s, y) <= base for s in pool):
                 return pure_belief(y)
         return None
 
@@ -267,8 +262,7 @@ def exists_supporting_belief(
     lhs_le, rhs_le = [], []
     for s in pool:
         row = [
-            game.payoff(player, belief_context.joint_with(player, s, y))
-            - game.payoff(player, belief_context.joint_with(player, candidate, y))
+            _payoff(game, player, s, y) - _payoff(game, player, candidate, y)
             for y in profiles
         ]
         row += [lp.ONE, -lp.ONE]
@@ -317,13 +311,13 @@ def pearce_equivalence_check(game: Game, g: Restriction):
     Both images are computed by their own LPs, and the report carries both
     certificates per strategy.  A mismatch is a release-blocking bug.
     """
-    _check_context(game, g)
+    check_same_game(game, g.game, "restriction")
     entries = []
     mismatches = 0
     brc_image = []
     msd_image = []
     for i in game.players():
-        pool = sorted(g.sets[i])
+        pool = mask_members(g.masks[i])
         brc_survivors = set()
         msd_survivors = set()
         for s in pool:

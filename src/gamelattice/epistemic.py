@@ -182,7 +182,7 @@ def _image(
     game: Game, assignment: Sequence[Sequence[int]], states: Sequence[int]
 ) -> Restriction:
     """The componentwise image of the listed states under an assignment."""
-    return Restriction.from_masks(
+    return Restriction(
         game, tuple(_or_all(1 << row[w] for w in states) for row in assignment)
     )
 
@@ -348,6 +348,11 @@ def enumerate_ck_cb(
     correspondences of the required class, exactly.  It evaluates one
     assignment per orbit under relabelling of the states; `models_enumerated`
     counts every model up to the early exit, relabelled ones included.
+
+    A model count over `budget` is a BudgetError.  Where the lower bound
+    2^(n(omega - 1)) on it already exceeds the budget, the exact count is
+    never computed, and the message and `attempted` give a lower bound: the
+    least power of two above the budget.
     """
     n = game.num_players
     if len(profile.specs) != n:
@@ -360,6 +365,12 @@ def enumerate_ck_cb(
         )
     evaluator = evaluator_for(game, evaluator)
     omega = omega_size
+    # each player has at least Bell(omega) >= 2^(omega - 1) correspondences,
+    # so at least 2^(n(omega - 1)) models: compared by bit length, a hopeless
+    # omega is refused before any count that grows with it is computed
+    if budget is not None and n * (omega - 1) >= budget.bit_length():
+        floor = 1 << budget.bit_length()
+        check_budget(floor, budget, f"enumeration of at least {floor} models")
     n_assign = 1
     for k in game.sizes:
         n_assign *= k ** omega
@@ -446,7 +457,7 @@ def enumerate_ck_cb(
             break
 
     return CkCbResult(
-        restriction=Restriction.from_masks(game, tuple(acc)),
+        restriction=Restriction(game, tuple(acc)),
         mode=mode,
         omega_size=omega,
         models_total=total,

@@ -113,8 +113,8 @@ def random_games(seed: int, count: int, max_rows: int, max_cols: int) -> list[Ga
 
 def random_restriction(rng: random.Random, game: Game) -> Restriction:
     """A uniformly random restriction (empty components permitted)."""
-    sets = tuple(
-        frozenset(s for s in game.strategies(i) if rng.random() < 0.5)
+    masks = tuple(
+        sum(1 << s for s in game.strategies(i) if rng.random() < 0.5)
         for i in game.players()
     )
-    return Restriction(game, sets)
+    return Restriction(game, masks)

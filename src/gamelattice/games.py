@@ -157,43 +157,21 @@ class Restriction:
     """A per-player strategy subset; an element of the restriction lattice.
 
     Each component is one int bitmask, bit s set iff strategy s is kept.
-    `Restriction(game, sets)` takes the components as collections of
-    strategy indices, `Restriction.from_masks(game, masks)` the masks.
+    Masks are the only form of a restriction: `Restriction(game, masks)`
+    builds one, and `mask_members` lists a component's strategy indices.
     """
 
     game: Game
     masks: tuple[int, ...]
 
-    def __init__(self, game: Game, sets: Sequence[Iterable[int]]):
-        if len(sets) != game.num_players:
-            raise ShapeError("restriction has wrong number of components")
-        masks = []
-        for i, component in enumerate(sets):
-            mask = 0
-            for idx in component:
-                if not 0 <= idx < len(game.strategy_names[i]):
-                    raise ValueError(f"player {i + 1}: strategy index {idx} out of range")
-                mask |= 1 << idx
-            masks.append(mask)
-        object.__setattr__(self, "game", game)
-        object.__setattr__(self, "masks", tuple(masks))
-
-    @classmethod
-    def from_masks(cls, game: Game, masks: tuple[int, ...]) -> "Restriction":
+    def __init__(self, game: Game, masks: Sequence[int]):
         if len(masks) != game.num_players:
             raise ShapeError("restriction has wrong number of components")
         for i, mask in enumerate(masks):
             if mask >> len(game.strategy_names[i]):
                 raise ValueError(f"player {i + 1}: strategy mask {mask} out of range")
-        r = object.__new__(cls)
-        object.__setattr__(r, "game", game)
-        object.__setattr__(r, "masks", tuple(masks))
-        return r
-
-    @property
-    def sets(self) -> tuple[frozenset[int], ...]:
-        """The components as frozensets of strategy indices."""
-        return tuple(frozenset(mask_members(m)) for m in self.masks)
+        object.__setattr__(self, "game", game)
+        object.__setattr__(self, "masks", tuple(masks))
 
     def names(self) -> list[list[str]]:
         return [
@@ -201,25 +179,11 @@ class Restriction:
             for names, m in zip(self.game.strategy_names, self.masks)
         ]
 
-    def is_top(self) -> bool:
-        return all(
-            m == (1 << len(names)) - 1
-            for names, m in zip(self.game.strategy_names, self.masks)
-        )
-
-    def has_empty_component(self) -> bool:
-        return not all(self.masks)
-
     def opponent_profiles(self, player: int) -> Iterator[tuple[int, ...]]:
         """Joint strategies of everyone but `player`, in player order."""
         return itertools.product(
             *(mask_members(m) for j, m in enumerate(self.masks) if j != player)
         )
-
-    def joint_with(self, player: int, strategy: int, opp_profile: Sequence[int]) -> tuple[int, ...]:
-        joint = list(opp_profile)
-        joint.insert(player, strategy)
-        return tuple(joint)
 
     def __str__(self) -> str:
         parts = ["{" + ",".join(names) + "}" for names in self.names()]
@@ -228,24 +192,27 @@ class Restriction:
 
 def restriction_top(game: Game) -> Restriction:
     """The largest lattice element: every player keeps every strategy."""
-    return Restriction.from_masks(game, tuple((1 << k) - 1 for k in game.sizes))
+    return Restriction(game, tuple((1 << k) - 1 for k in game.sizes))
 
 
 def restriction_bottom(game: Game) -> Restriction:
-    return Restriction.from_masks(game, tuple(0 for _ in game.players()))
+    return Restriction(game, tuple(0 for _ in game.players()))
 
 
 def restriction_from_names(game: Game, components: Sequence[Iterable[str]]) -> Restriction:
-    sets = tuple(
-        frozenset(game.strategy_index(i, name) for name in names)
+    # a set of bits, so that a name listed twice is counted once
+    masks = tuple(
+        sum({1 << game.strategy_index(i, name) for name in names})
         for i, names in enumerate(components)
     )
-    return Restriction(game, sets)
+    return Restriction(game, masks)
 
 
-def _same_game(a: Restriction, b: Restriction):
-    if a.game is not b.game and a.game != b.game:
-        raise ShapeError("restrictions belong to different games")
+def check_same_game(game: Game, other: Game, what: str):
+    """A ShapeError unless `other` is `game`; `what` names the thing that
+    belongs to `other`."""
+    if other is not game and other != game:
+        raise ShapeError(f"{what} belongs to a different game")
 
 
 def masks_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -255,7 +222,7 @@ def masks_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
 
 def lattice_leq(g1: Restriction, g2: Restriction) -> bool:
     """Componentwise inclusion."""
-    _same_game(g1, g2)
+    check_same_game(g1.game, g2.game, "restriction")
     return masks_leq(g1.masks, g2.masks)
 
 
@@ -265,9 +232,9 @@ def lattice_meet(gs: Sequence[Restriction]) -> Restriction:
         raise ValueError("meet of an empty list; pass the top element explicitly")
     masks = gs[0].masks
     for other in gs[1:]:
-        _same_game(gs[0], other)
+        check_same_game(gs[0].game, other.game, "restriction")
         masks = tuple(x & y for x, y in zip(masks, other.masks))
-    return Restriction.from_masks(gs[0].game, masks)
+    return Restriction(gs[0].game, masks)
 
 
 def lattice_join(gs: Sequence[Restriction]) -> Restriction:
@@ -276,9 +243,9 @@ def lattice_join(gs: Sequence[Restriction]) -> Restriction:
         raise ValueError("join of an empty list; pass the bottom element explicitly")
     masks = gs[0].masks
     for other in gs[1:]:
-        _same_game(gs[0], other)
+        check_same_game(gs[0].game, other.game, "restriction")
         masks = tuple(x | y for x, y in zip(masks, other.masks))
-    return Restriction.from_masks(gs[0].game, masks)
+    return Restriction(gs[0].game, masks)
 
 
 def check_budget(count: int, budget: int | None, what: str) -> int:
@@ -307,7 +274,7 @@ def all_restrictions(game: Game, max_count: int | None = None) -> Iterator[Restr
     the last player's mask varying fastest (the sorted order of the masks)."""
     count_restrictions(game, max_count)
     for masks in itertools.product(*(range(1 << k) for k in game.sizes)):
-        yield Restriction.from_masks(game, masks)
+        yield Restriction(game, masks)
 
 
 # -- game text format ---------------------------------------------------------

@@ -203,18 +203,18 @@ def verify_tarski(
             entries=[
                 {
                     "kind": "monotonicity-violation",
-                    "smaller": Restriction.from_masks(game, small).names(),
-                    "larger": Restriction.from_masks(game, big).names(),
-                    "image_smaller": Restriction.from_masks(game, table[small]).names(),
-                    "image_larger": Restriction.from_masks(game, table[big]).names(),
+                    "smaller": Restriction(game, small).names(),
+                    "larger": Restriction(game, big).names(),
+                    "image_smaller": Restriction(game, table[small]).names(),
+                    "image_larger": Restriction(game, table[big]).names(),
                 }
             ],
         )
 
     outcome = iterate_operator(op, game).outcome
-    fixpoints = [Restriction.from_masks(game, m) for m, img in table.items() if img == m]
+    fixpoints = [Restriction(game, m) for m, img in table.items() if img == m]
     post_fixpoints = [
-        Restriction.from_masks(game, m) for m, img in table.items() if masks_leq(m, img)
+        Restriction(game, m) for m, img in table.items() if masks_leq(m, img)
     ]
     bottom = restriction_bottom(game)
     largest_fixpoint = lattice_join([bottom, *fixpoints])
@@ -310,9 +310,9 @@ def verify_inclusion_lemma(
             entries.append(
                 {
                     "kind": "pointwise-inclusion-violation",
-                    "restriction": Restriction.from_masks(game, m).names(),
-                    "op1_image": Restriction.from_masks(game, img1).names(),
-                    "op2_image": Restriction.from_masks(game, table2[m]).names(),
+                    "restriction": Restriction(game, m).names(),
+                    "op1_image": Restriction(game, img1).names(),
+                    "op2_image": Restriction(game, table2[m]).names(),
                 }
             )
             break
@@ -323,8 +323,8 @@ def verify_inclusion_lemma(
         entries.append(
             {
                 "kind": "op1-monotonicity-violation",
-                "smaller": Restriction.from_masks(game, small).names(),
-                "larger": Restriction.from_masks(game, big).names(),
+                "smaller": Restriction(game, small).names(),
+                "larger": Restriction(game, big).names(),
             }
         )
     for m, img2 in table2.items():
@@ -333,7 +333,7 @@ def verify_inclusion_lemma(
             entries.append(
                 {
                     "kind": "op2-contraction-violation",
-                    "restriction": Restriction.from_masks(game, m).names(),
+                    "restriction": Restriction(game, m).names(),
                 }
             )
             break
@@ -367,12 +367,14 @@ def verify_inclusion_lemma(
 def exhaustive_lattice_laws(game: Game, max_restrictions: int = 1 << 8) -> CheckReport:
     """Partial-order and glb/lub laws, checked on a fully enumerated lattice.
 
-    Pairs are checked with the lattice operations on Restriction objects,
-    against componentwise inclusion of their masks; the two greatest/least
+    Pairs are checked with the lattice operations on Restriction objects:
+    lattice_leq against inclusion of the strategy sets that mask_members
+    lists, meet and join against the masks.  The two greatest/least
     quantifiers run over the masks so games up to eight strategies total
     stay fast.
     """
     restrictions = list(all_restrictions(game, max_count=max_restrictions))
+    members = {r.masks: [set(mask_members(m)) for m in r.masks] for r in restrictions}
     entries = []
     for a in restrictions:
         ma = a.masks
@@ -380,7 +382,7 @@ def exhaustive_lattice_laws(game: Game, max_restrictions: int = 1 << 8) -> Check
             entries.append({"kind": "not-reflexive", "restriction": a.names()})
         for b in restrictions:
             mb = b.masks
-            if lattice_leq(a, b) != all(x <= y for x, y in zip(a.sets, b.sets)):
+            if lattice_leq(a, b) != all(x <= y for x, y in zip(members[ma], members[mb])):
                 entries.append({"kind": "leq-disagrees-with-inclusion"})
             if lattice_leq(a, b) and lattice_leq(b, a) and a != b:
                 entries.append({"kind": "not-antisymmetric"})

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 from . import dominance
 from .dominance import BELIEF_KINDS, CORRELATED, INDEPENDENT, PURE
-from .errors import ShapeError
 from .games import (
     Game,
     Restriction,
     all_restrictions,
+    check_same_game,
     count_comparable_pairs,
     lattice_leq,
     mask_members,
@@ -111,8 +111,7 @@ def evaluator_for(game: Game, evaluator: Evaluator | None) -> Evaluator:
     """`evaluator` after checking it belongs to `game`, or a fresh one."""
     if evaluator is None:
         return Evaluator(game)
-    if evaluator.game is not game and evaluator.game != game:
-        raise ShapeError("evaluator belongs to a different game")
+    check_same_game(game, evaluator.game, "evaluator")
     return evaluator
 
 
@@ -131,38 +130,41 @@ def eval_property(
     pure certificate settles the verdict before any LP where it can: a pure
     strict dominator in the pool fails `msd`, and a supporting pure belief
     passes `br` with correlated beliefs.  Only verdicts come out of here, so
-    no returned certificate changes.
+    no returned certificate changes.  The dominance procedures read only the
+    opponents' components of g.  A player or strategy the game lacks is a
+    ValueError, raised before anything is cached.
     """
-    if g.game is not game and g.game != game:
-        raise ShapeError("restriction belongs to a different game")
+    check_same_game(game, g.game, "restriction")
     verdicts = evaluator_for(game, evaluator).verdicts
     belief = spec.belief
     if belief == INDEPENDENT:
         belief = dominance.decided_kind(game, belief)
     masks = g.masks
-    full = (1 << len(game.strategy_names[player])) - 1
-    pool = full if spec.scope == "g" else masks[player]
+    try:
+        full = (1 << len(game.strategy_names[player])) - 1
+        pool = full if spec.scope == "g" else masks[player]
+    except IndexError:
+        pool = None  # no such player: refused below, on the cache miss
     key = (spec.kind, belief, player, strategy, masks[:player] + masks[player + 1:], pool)
     verdict = verdicts.get(key)
     if verdict is not None:
         return verdict
-    # the player's own context component never matters below: keep all of it
-    context = Restriction.from_masks(game, masks[:player] + (full,) + masks[player + 1:])
+    dominance.check_strategy(game, player, strategy)
     members = mask_members(pool)
     if spec.kind in ("sd", "msd"):
         verdict = not any(
-            dominance.strictly_dominates_pure(game, context, player, s, strategy)
+            dominance.strictly_dominates_pure(game, g, player, s, strategy)
             for s in members
         )
         if verdict and spec.kind == "msd":
             verdict = (
-                dominance.mixed_dominance_witness(game, context, player, members, strategy)
+                dominance.mixed_dominance_witness(game, g, player, members, strategy)
                 is None
             )
     else:
         def supported(belief_kind: str) -> bool:
             return dominance.exists_supporting_belief(
-                game, context, members, player, strategy, belief_kind
+                game, g, members, player, strategy, belief_kind
             ) is not None
 
         verdict = (belief == CORRELATED and supported(PURE)) or supported(belief)
@@ -174,8 +176,7 @@ def apply_operator(
     profile: PropertyProfile, game: Game, g: Restriction, evaluator: Evaluator | None = None
 ) -> Restriction:
     """Remove every strategy of every player that fails its property on g."""
-    if g.game is not game and g.game != game:
-        raise ShapeError("restriction belongs to a different game")
+    check_same_game(game, g.game, "restriction")
     if len(profile.specs) != game.num_players:
         raise ValueError("profile length differs from the number of players")
     evaluator = evaluator_for(game, evaluator)
@@ -187,7 +188,7 @@ def apply_operator(
         )
         for i in game.players()
     )
-    return Restriction.from_masks(game, masks)
+    return Restriction(game, masks)
 
 
 def property_operator(
@@ -252,8 +253,8 @@ def check_property_monotone(
                             "strategies": [
                                 game.strategy_names[i][s] for s in mask_members(bad)
                             ],
-                            "smaller": Restriction.from_masks(game, small).names(),
-                            "larger": Restriction.from_masks(game, big).names(),
+                            "smaller": Restriction(game, small).names(),
+                            "larger": Restriction(game, big).names(),
                         }
                     )
     return CheckReport(
@@ -278,7 +279,7 @@ def check_singleton_condition(
     entries = []
     checked = 0
     for joint in game.joint_strategies():
-        g = Restriction.from_masks(game, tuple(1 << s for s in joint))
+        g = Restriction(game, tuple(1 << s for s in joint))
         for i in game.players():
             checked += 1
             if not eval_property(spec, game, i, joint[i], g, evaluator):

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ValidationError
-from .games import Game, Restriction, restriction_top
+from .games import Game, Restriction, mask_members, restriction_top
 from .properties import PropertyProfile, apply_operator, parse_property_spec
 from .symbolic import SymbolicGame, SymbolicSet
 
@@ -135,17 +135,14 @@ def lift_finite_game(
 
     def encode(r: Restriction):
         return tuple(
-            SymbolicSet.points([Fraction(s) for s in sorted(r.sets[i])])
-            for i in game.players()
+            SymbolicSet.points([Fraction(s) for s in mask_members(m)]) for m in r.masks
         )
 
     def decode(sets) -> Restriction:
         return Restriction(
             game,
             tuple(
-                frozenset(
-                    s for s in game.strategies(i) if sets[i].contains(Fraction(s))
-                )
+                sum(1 << s for s in game.strategies(i) if sets[i].contains(Fraction(s)))
                 for i in game.players()
             ),
         )

@@ -9,7 +9,7 @@ import pytest
 
 from gamelattice import epistemic, fixtures
 from gamelattice.dominance import pearce_equivalence_check
-from gamelattice.games import all_restrictions, restriction_top
+from gamelattice.games import all_restrictions, mask_members, restriction_top
 from gamelattice.iteration import verify_tarski
 from gamelattice.ordinals import Ordinal, parse_ordinal
 from gamelattice.properties import (
@@ -297,7 +297,7 @@ def criterion_9():
     same_labels = [str(o) for o, _ in sym.steps] == [str(o) for o, _ in fin.steps]
     same_sets = len(sym.steps) == len(fin.steps) and all(
         {s for s in fixtures.PD.strategies(i) if sets[i].contains(s)}
-        == set(r.sets[i])
+        == set(mask_members(r.masks[i]))
         for (_, sets), (_, r) in zip(sym.steps, fin.steps)
         for i in fixtures.PD.players()
     )

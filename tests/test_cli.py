@@ -9,7 +9,7 @@ import pytest
 
 from gamelattice import cli, lp, witnesses
 from gamelattice.cli import EXIT_INTERNAL, main
-from gamelattice.epistemic import count_correspondences
+from gamelattice.epistemic import DEFAULT_MODEL_BUDGET
 from gamelattice.games import parse_game_file
 from gamelattice.iteration import trace_from_json_dict, iterate_operator
 from gamelattice.properties import PropertyProfile, parse_property_spec, property_operator
@@ -275,15 +275,19 @@ def test_independent_global_beliefs_three_players_rejected(capsys):
 
 
 def test_enumerate_refuses_a_huge_omega_before_listing_models(capsys):
-    start = time.perf_counter()
-    code, _, err = run(
-        capsys, "epistemic", "enumerate", "--omega", "30", "--prop", "sd:g",
-        str(FIXTURES / "pd.game"),
-    )
-    assert code == 2
-    assert time.perf_counter() - start < 1.0
-    total = (2 ** 30) ** 2 * count_correspondences(30, "knowledge") ** 2
-    assert f"enumeration of {total} models exceeds" in err
+    # 2^(n(omega - 1)) models at least already exceed the budget, so neither
+    # the exact count nor any model is computed; the message gives the least
+    # power of two above the budget as a lower bound
+    floor = 1 << DEFAULT_MODEL_BUDGET.bit_length()
+    for omega in (30, 3000, 10**6):
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "epistemic", "enumerate", "--omega", str(omega), "--prop", "sd:g",
+            str(FIXTURES / "pd.game"),
+        )
+        assert code == 2
+        assert time.perf_counter() - start < 1.0
+        assert f"enumeration of at least {floor} models exceeds the budget" in err
 
 
 def _kernel_returning_first_vertex(objective, lhs_le=(), rhs_le=(), lhs_eq=(), rhs_eq=()):

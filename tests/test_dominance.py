@@ -21,6 +21,7 @@ from gamelattice.errors import ShapeError, UnsupportedBeliefError
 from gamelattice.games import (
     Restriction,
     all_restrictions,
+    mask_members,
     parse_game_file,
     restriction_from_names,
     restriction_top,
@@ -42,15 +43,12 @@ def idx(game, player, name):
 
 
 def validate_dominance_witness(game, context, player, witness, dominated):
+    def payoff(s, y):
+        return game.payoff(player, y[:player] + (s,) + y[player:])
+
     for y in context.opponent_profiles(player):
-        mixed = sum(
-            (
-                w * game.payoff(player, context.joint_with(player, s, y))
-                for s, w in witness.weights
-            ),
-            Fraction(0),
-        )
-        assert mixed > game.payoff(player, context.joint_with(player, dominated, y))
+        mixed = sum((w * payoff(s, y) for s, w in witness.weights), Fraction(0))
+        assert mixed > payoff(dominated, y)
 
 
 # -- strictly_dominates_pure ---------------------------------------------------
@@ -233,7 +231,7 @@ def test_every_supporting_belief_is_a_distribution_that_supports():
         kinds = ("pure", "corr", "ind") if game.num_players == 2 else ("pure", "corr")
         for g in all_restrictions(game):
             for i in game.players():
-                for pool in (sorted(g.sets[i]), list(game.strategies(i))):
+                for pool in (mask_members(g.masks[i]), list(game.strategies(i))):
                     for s in game.strategies(i):
                         for kind in kinds:
                             belief = exists_supporting_belief(game, g, pool, i, s, kind)
@@ -288,7 +286,7 @@ def test_correlated_belief_witnesses_validate():
             for i in game.players():
                 if not list(g.opponent_profiles(i)):
                     continue
-                pool = sorted(g.sets[i]) or list(game.strategies(i))
+                pool = mask_members(g.masks[i]) or list(game.strategies(i))
                 for s in game.strategies(i):
                     belief = exists_supporting_belief(game, g, pool, i, s, "corr")
                     if belief is not None:
@@ -348,7 +346,7 @@ def test_pearce_singleton_opponents_reduces_to_pure():
     # pure best-response / pure-dominance pictures
     for game in (PD, MP, CHAIN):
         for joint in game.joint_strategies():
-            g = Restriction(game, tuple(frozenset([s]) for s in joint))
+            g = Restriction(game, tuple(1 << s for s in joint))
             rep = pearce_equivalence_check(game, g)
             assert rep.passed
 

@@ -24,7 +24,13 @@ from gamelattice.epistemic import (
     witness_model_thm2,
 )
 from gamelattice.errors import BudgetError, ClassificationError, PreconditionError
-from gamelattice.games import Restriction, make_game, mask_members, restriction_from_names
+from gamelattice.games import (
+    Restriction,
+    make_game,
+    mask_members,
+    restriction_from_names,
+    restriction_top,
+)
 from gamelattice.properties import Evaluator, PropertyProfile, parse_property_spec, outcome
 
 PD, MP, MIX, CHAIN, THREE = (
@@ -204,9 +210,9 @@ def test_knowledge_correspondence_cells_partition():
 
 def test_event_restriction_examples():
     model = model_from_joint_strategies(PD)
-    assert event_restriction(model, OMEGA4).is_top()
+    assert event_restriction(model, OMEGA4) == restriction_top(PD)
     empty = event_restriction(model, 0)
-    assert empty.has_empty_component()
+    assert not all(empty.masks)
     dd = event(3)  # state (D,D) is last in product order
     assert event_restriction(model, dd) == restriction_from_names(PD, [["D"], ["D"]])
 
@@ -311,9 +317,9 @@ def test_enumerate_examples():
     res = enumerate_ck_cb(PD, 4, uniform(PD, "sd:g"), mode="knowledge")
     assert res.restriction == restriction_from_names(PD, [["D"], ["D"]])
     res = enumerate_ck_cb(PD, 4, uniform(PD, "sd:l"), mode="knowledge")
-    assert res.restriction.is_top()
+    assert res.restriction == restriction_top(PD)
     res = enumerate_ck_cb(MP, 4, uniform(MP, "br:g:pure"), mode="belief")
-    assert res.restriction.is_top()
+    assert res.restriction == restriction_top(MP)
 
 
 def test_enumerate_budget_error_reports_exact_count():
@@ -349,7 +355,7 @@ def test_witness_thm1_outcome_equalities():
         uniform(PD, "sd:g"), PD
     ).outcome
     w = witness_model_thm1(MP, uniform(MP, "br:g:pure"))
-    assert event_restriction(w.model, w.event).is_top()
+    assert event_restriction(w.model, w.event) == restriction_top(MP)
     w = witness_model_thm1(CHAIN, uniform(CHAIN, "sd:g"))
     assert event_restriction(w.model, w.event) == restriction_from_names(
         CHAIN, [["T"], ["L"]]
@@ -428,7 +434,7 @@ def brute_ck_cb(game, omega, profile, mode):
             break
     else:
         enumerated, early = total, False
-    restriction = Restriction(game, tuple(frozenset(g) for g in gathered))
+    restriction = Restriction(game, tuple(sum(1 << s for s in g) for g in gathered))
     return restriction, total, enumerated, early
 
 

@@ -16,6 +16,7 @@ from gamelattice.games import (
     lattice_leq,
     lattice_meet,
     make_game,
+    mask_members,
     parse_game,
     parse_rational,
     restriction_bottom,
@@ -74,7 +75,7 @@ def test_meet_join_empty_list_is_an_error():
 def test_empty_components_are_permitted():
     pd = fixtures.PD
     bottom = restriction_bottom(pd)
-    assert bottom.has_empty_component()
+    assert not all(bottom.masks)
     assert lattice_leq(bottom, restriction_top(pd))
 
 
@@ -88,14 +89,14 @@ def test_restriction_masks_and_sets_agree():
     chain = fixtures.CHAIN
     g = rset(chain, ["T", "B"], [])
     assert g.masks == (0b101, 0)
-    assert g.sets == (frozenset({0, 2}), frozenset())
-    assert Restriction.from_masks(chain, g.masks) == g
-    assert hash(Restriction.from_masks(chain, g.masks)) == hash(g)
+    assert [mask_members(m) for m in g.masks] == [[0, 2], []]
+    assert Restriction(chain, g.masks) == g
+    assert hash(Restriction(chain, list(g.masks))) == hash(g)
     for bad in ((0b1000, 0), (-1, 0)):
         with pytest.raises(ValueError):
-            Restriction.from_masks(chain, bad)
+            Restriction(chain, bad)
     with pytest.raises(ShapeError):
-        Restriction.from_masks(chain, (1,))
+        Restriction(chain, (1,))
 
 
 def test_all_restrictions_in_ascending_mask_order():
@@ -121,20 +122,15 @@ def test_lattice_laws_exhaustive():
 @settings(max_examples=200, deadline=None)
 def test_meet_join_match_set_algebra(masks):
     pd = fixtures.PD
-    def build(m1, m2):
-        return Restriction(
-            pd,
-            (
-                frozenset(i for i in range(2) if m1 >> i & 1),
-                frozenset(i for i in range(2) if m2 >> i & 1),
-            ),
-        )
-    a, b = build(masks[0], masks[1]), build(masks[2], masks[3])
+    def sets(r):
+        return [set(mask_members(m)) for m in r.masks]
+
+    a, b = Restriction(pd, masks[:2]), Restriction(pd, masks[2:])
     meet, join = lattice_meet([a, b]), lattice_join([a, b])
     for i in range(2):
-        assert meet.sets[i] == a.sets[i] & b.sets[i]
-        assert join.sets[i] == a.sets[i] | b.sets[i]
-    assert lattice_leq(a, b) == all(a.sets[i] <= b.sets[i] for i in range(2))
+        assert sets(meet)[i] == sets(a)[i] & sets(b)[i]
+        assert sets(join)[i] == sets(a)[i] | sets(b)[i]
+    assert lattice_leq(a, b) == all(sets(a)[i] <= sets(b)[i] for i in range(2))
 
 
 def test_parse_rational():
@@ -286,4 +282,4 @@ def test_make_game_requires_total_table():
 
 def test_unknown_strategy_index_rejected():
     with pytest.raises(ValueError):
-        Restriction(fixtures.PD, (frozenset([5]), frozenset()))
+        Restriction(fixtures.PD, (1 << 5, 0))

@@ -71,7 +71,7 @@ def test_iterate_chain_three_rounds():
 def test_iterate_identity():
     trace = iterate_operator(lambda g: g, PD)
     assert trace.closure_ordinal == Ordinal(0, 0)
-    assert trace.outcome.is_top()
+    assert trace.outcome == restriction_top(PD)
 
 
 def test_iterate_budget_guard():
@@ -92,7 +92,7 @@ def test_fixpoint_checks():
     dd = restriction_from_names(PD, [["D"], ["D"]])
     assert is_fixpoint(sdl, dd)
     assert not is_post_fixpoint(sdl, restriction_top(PD))
-    empty = Restriction(PD, (frozenset(), frozenset()))
+    empty = Restriction(PD, (0, 0))
     assert is_fixpoint(sdl, empty)
 
 

@@ -11,6 +11,7 @@ from gamelattice.games import (
     all_restrictions,
     lattice_leq,
     make_game,
+    mask_members,
     parse_game_file,
     restriction_from_names,
     restriction_top,
@@ -85,12 +86,12 @@ def test_apply_operator_heterogeneous():
     # each player's component is computed independently from the same input
     sd_image = apply_operator(uniform(CHAIN, "sd:l"), CHAIN, top)
     br_image = apply_operator(uniform(CHAIN, "br:g:pure"), CHAIN, top)
-    assert image.sets[0] == sd_image.sets[0]
-    assert image.sets[1] == br_image.sets[1]
+    assert image.masks[0] == sd_image.masks[0]
+    assert image.masks[1] == br_image.masks[1]
 
 
 def test_outcome_examples():
-    assert outcome(uniform(MP, "br:g:pure"), MP).outcome.is_top()
+    assert outcome(uniform(MP, "br:g:pure"), MP).outcome == restriction_top(MP)
     trace = outcome(uniform(CHAIN, "sd:l"), CHAIN)
     assert trace.outcome.names() == [["T"], ["L"]]
     assert str(trace.closure_ordinal) == "3"
@@ -289,7 +290,7 @@ def _random_game(rng, sizes):
 
 def _lp_only_verdict(spec, game, player, strategy, g):
     """The verdict from the LP procedures alone, with no pure pre-check."""
-    pool = sorted(game.strategies(player)) if spec.scope == "g" else sorted(g.sets[player])
+    pool = list(game.strategies(player)) if spec.scope == "g" else mask_members(g.masks[player])
     if spec.kind == "msd":
         return dominance.mixed_dominance_witness(game, g, player, pool, strategy) is None
     found = dominance.exists_supporting_belief(game, g, pool, player, strategy, spec.belief)
@@ -344,7 +345,7 @@ def test_global_and_local_specs_share_verdicts_on_the_full_pool():
 def test_independent_beliefs_rejected_for_three_players_on_every_context(masks):
     # the rejection holds on contexts with an empty opponent component too,
     # where no belief exists at all
-    g = Restriction.from_masks(fixtures.THREE, masks)
+    g = Restriction(fixtures.THREE, masks)
     with pytest.raises(UnsupportedBeliefError):
         eval_property(parse_property_spec("br:l:ind"), fixtures.THREE, 0, 0, g)
 
@@ -360,7 +361,62 @@ def test_eval_property_rejects_a_restriction_of_another_game():
         apply_operator(uniform(PD, "sd:g"), PD, restriction_top(MP))
     # with every component empty no property is evaluated at all
     with pytest.raises(ShapeError):
-        apply_operator(uniform(PD, "sd:g"), PD, Restriction.from_masks(MP, (0, 0)))
+        apply_operator(uniform(PD, "sd:g"), PD, Restriction(MP, (0, 0)))
+
+
+@pytest.mark.parametrize("text", ALL_SPECS)
+def test_eval_property_refuses_a_player_or_strategy_the_game_lacks(text):
+    # with player 1's component empty no dominance check runs, so only the
+    # up-front check can refuse player 1's strategy 7
+    spec = parse_property_spec(text)
+    evaluator = Evaluator(PD)
+    g = Restriction(PD, (0, 3))
+    for player, strategy in ((0, 7), (0, -1), (2, 0), (-1, 0)):
+        with pytest.raises(ValueError):
+            eval_property(spec, PD, player, strategy, g, evaluator)
+    assert not evaluator.verdicts
+
+
+def _normal_forms(profile, game):
+    """Per restriction, in ascending mask order: the normal forms reachable by
+    removing any non-empty subset of its failing strategies, step after step;
+    a restriction where nothing fails is its own normal form."""
+    evaluator = Evaluator(game)
+    forms = {}
+    for g in all_restrictions(game):
+        image = apply_operator(profile, game, g, evaluator).masks
+        failing = [m & ~k for m, k in zip(g.masks, image)]
+        if not any(failing):
+            forms[g.masks] = {g.masks}
+            continue
+        reached = set()
+        for removed in itertools.product(
+            *([d for d in range(f + 1) if d & ~f == 0] for f in failing)
+        ):
+            if any(removed):
+                reached |= forms[tuple(m & ~d for m, d in zip(g.masks, removed))]
+        forms[g.masks] = reached
+    return forms
+
+
+def _order_games():
+    rng = random.Random(41)
+    return [PD, MP, MIX, CHAIN, fixtures.THREE] + [
+        fixtures.random_game(rng, rng.randint(2, 4), rng.randint(2, 4), bound=2)
+        for _ in range(60)
+    ]
+
+
+@pytest.mark.parametrize("text", ALL_SPECS)
+def test_elimination_order_does_not_matter(text):
+    # order independence of iterated elimination (Gilboa, Kalai and Zemel
+    # 1990; Apt 2004), checked exhaustively: every way of removing failing
+    # strategies, some or all at each step, ends at the outcome
+    for k, game in enumerate(_order_games()):
+        profile = uniform(game, text)
+        forms = _normal_forms(profile, game)
+        top = restriction_top(game).masks
+        assert forms[top] == {outcome(profile, game).outcome.masks}, (k, game.name)
 
 
 def test_two_player_ind_and_corr_agree_and_share_verdicts():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gamelattice import fixtures
 from gamelattice.errors import ValidationError
+from gamelattice.games import mask_members
 from gamelattice.ordinals import Ordinal, parse_ordinal
 from gamelattice.properties import PropertyProfile, parse_property_spec, outcome
 from gamelattice.symbolic import (
@@ -409,7 +410,7 @@ def test_embedding_consistency(game, prop):
         assert str(o1) == str(o2)
         for i in game.players():
             members = {s for s in game.strategies(i) if sets[i].contains(s)}
-            assert members == set(r.sets[i])
+            assert members == set(mask_members(r.masks[i]))
 
 
 def test_registry_round_trip():
