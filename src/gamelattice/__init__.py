@@ -66,7 +66,9 @@ from .properties import (
     eval_property,
     outcome,
     parse_property_spec,
+    passing_mask,
     pearce_equivalence_suite,
+    property_is_monotone,
     property_operator,
     verify_theorem_just,
     verify_theorem_just1,

@@ -173,10 +173,7 @@ def _epistemic_expectation(game, profile, evaluator):
     is monotonic, 'full-game' when every property accepts singletons, else
     None."""
     specs = sorted(set(profile.specs), key=str)
-    if all(
-        properties.check_property_monotone(s, game, evaluator=evaluator).passed
-        for s in specs
-    ):
+    if all(properties.property_is_monotone(s, game, evaluator) for s in specs):
         return "outcome"
     if all(properties.check_singleton_condition(s, game, evaluator).passed for s in specs):
         return "full-game"

@@ -28,11 +28,12 @@ from .games import Game, Restriction, check_budget, mask_members
 from .properties import (
     Evaluator,
     PropertyProfile,
-    check_property_monotone,
     check_singleton_condition,
     eval_property,
     evaluator_for,
     outcome,
+    passing_mask,
+    property_is_monotone,
 )
 from .reports import CheckReport
 
@@ -414,30 +415,25 @@ def enumerate_ck_cb(
         joints = list(zip(*assign))
         if any(joints[w] > joints[w + 1] for w in range(omega - 1)):
             continue
-        # truth table of each player's property on each possible cell image
+        # per player and possible cell image: the mask of the player's
+        # strategies in this assignment that satisfy the property there
         images = {
             cell: _image(game, assign, members) for cell, members in cell_members.items()
         }
-        ok: list[dict[int, dict[int, bool]]] = []
+        ok_masks: list[list[int]] = []
         for i in range(n):
-            used = set(assign[i])
-            per_cell: dict[int, dict[int, bool]] = {}
-            for cell, g in images.items():
-                per_cell[cell] = {
-                    s: eval_property(spec_of[i], game, i, s, g, evaluator) for s in used
-                }
-            ok.append(per_cell)
-        ok_masks: list[dict[int, int]] = []
-        for i in range(n):
-            row, oki = assign[i], ok[i]
-            per_corr = {}
-            for ci, cells in enumerate(corrs):
-                mask = 0
-                for w in range(omega):
-                    if oki[cells[w]][row[w]]:
-                        mask |= 1 << w
-                per_corr[ci] = mask
-            ok_masks.append(per_corr)
+            row = assign[i]
+            used = _or_all(1 << s for s in row)
+            ok = {
+                cell: passing_mask(spec_of[i], game, i, g, used, evaluator)
+                for cell, g in images.items()
+            }
+            ok_masks.append(
+                [
+                    sum(1 << w for w in range(omega) if ok[cells[w]] >> row[w] & 1)
+                    for cells in corrs
+                ]
+            )
 
         union_states = 0
         for combo, con in combo_rows:
@@ -485,8 +481,7 @@ def witness_model_thm1(game: Game, profile: PropertyProfile) -> WitnessResult:
     elsewhere."""
     evaluator = Evaluator(game)
     for spec in sorted(set(profile.specs), key=str):
-        rep = check_property_monotone(spec, game, evaluator=evaluator)
-        if not rep.passed:
+        if not property_is_monotone(spec, game, evaluator):
             raise PreconditionError(
                 f"property {spec} is not monotonic on {game.name}"
             )

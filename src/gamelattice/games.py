@@ -200,6 +200,8 @@ def restriction_bottom(game: Game) -> Restriction:
 
 
 def restriction_from_names(game: Game, components: Sequence[Iterable[str]]) -> Restriction:
+    if len(components) != game.num_players:
+        raise ShapeError("restriction has wrong number of components")
     # a set of bits, so that a name listed twice is counted once
     masks = tuple(
         sum({1 << game.strategy_index(i, name) for name in names})

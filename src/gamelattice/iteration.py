@@ -138,27 +138,34 @@ def _image_table(
     }
 
 
+def monotone_on_covers(table: dict) -> bool:
+    """Are the entries of `table` componentwise included along every cover?
+
+    `table` maps the masks of every restriction to a mask tuple.  A cover is
+    a comparable pair whose larger restriction is the smaller one plus one
+    strategy.  Every comparable pair is joined by a chain of covers and
+    componentwise inclusion is transitive, so the table is monotone on all
+    3^(sum of sizes) comparable pairs exactly when it is monotone on its
+    covers, of which there are (number of keys) * (sum of sizes) / 2; a
+    failing cover is itself a non-monotone comparable pair."""
+    return all(
+        masks_leq(table[big[:i] + (m ^ (1 << s),) + big[i + 1:]], img_big)
+        for big, img_big in table.items()
+        for i, m in enumerate(big)
+        for s in mask_members(m)
+    )
+
+
 def non_monotone_pairs(table: dict) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every comparable pair (small, big) of restrictions whose table entries
     are not componentwise included, in a fixed order.
 
     `table` maps the masks of every restriction to a mask tuple and lists its
-    keys in lattice order, as `all_restrictions` yields them.
-
-    A cover is a comparable pair whose larger restriction is the smaller one
-    plus one strategy.  Every comparable pair is joined by a chain of covers
-    and componentwise inclusion is transitive, so the table is monotone on
-    all 3^(sum of sizes) comparable pairs exactly when it is monotone on its
-    covers, of which there are (number of keys) * (sum of sizes) / 2.  The
-    covers are scanned first.  Only when one fails are all comparable pairs
-    visited, so the pairs yielded and their order are those of that full
-    scan alone."""
-    if all(
-        masks_leq(table[big[:i] + (m ^ (1 << s),) + big[i + 1:]], img_big)
-        for big, img_big in table.items()
-        for i, m in enumerate(big)
-        for s in mask_members(m)
-    ):
+    keys in lattice order, as `all_restrictions` yields them.  The covers are
+    scanned first (`monotone_on_covers`).  Only when one fails are all
+    comparable pairs visited, so the pairs yielded and their order are those
+    of that full scan alone."""
+    if monotone_on_covers(table):
         return
     for big, img_big in table.items():
         for small in _submask_tuples(big):

@@ -10,16 +10,18 @@ strategy that fails its property on the current restriction.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import dominance
-from .dominance import BELIEF_KINDS, CORRELATED, INDEPENDENT, PURE
+from .dominance import BELIEF_KINDS, CORRELATED
 from .games import (
     Game,
     Restriction,
     all_restrictions,
     check_same_game,
     count_comparable_pairs,
+    joint_layout,
     lattice_leq,
     mask_members,
 )
@@ -28,6 +30,7 @@ from .iteration import (
     DEFAULT_PAIR_BUDGET,
     IterationTrace,
     iterate_operator,
+    monotone_on_covers,
     non_monotone_pairs,
 )
 from .reports import CheckReport
@@ -96,14 +99,35 @@ class Evaluator:
     """Property verdicts on one game, cached for one top-level computation.
 
     A CLI command or a library entry point creates one and hands it to every
-    evaluation it makes, so the cache dies with the computation.  Verdicts
-    are keyed by (kind, belief, player, strategy, opponent masks, pool mask):
-    the scope only picks the pool, so a global and a local spec share every
-    verdict where the local pool is the full strategy set.
+    evaluation it makes, so the cache dies with the computation.
+
+    On first use for a player it compares that player's payoffs exactly, once
+    per pair of strategies and opponent profile, into two tables of int
+    bitmasks (`tables[player]`).  Opponent profiles are numbered row-major
+    over the opponents' strategy sets, so with two players a profile is the
+    opponent's strategy index:
+
+    - `beats[t][s]`: the opponent profiles where t strictly beats s;
+    - `beaters[s][y]`: the strategies that strictly beat s at profile y.
+
+    A restriction's opponent profiles form one mask Y: the opponent's own
+    mask for two players, otherwise expanded once per (player, opponent
+    masks) into `profiles`.  `passing` holds one mask per (pure family,
+    player, Y, pool mask), decided with int operations: s fails "sd" iff some
+    t in the pool has Y & ~beats[t][s] == 0 (every t, vacuously, when Y is
+    empty), and s passes "br:pure" iff some y in Y has
+    pool & beaters[s][y] == 0.  Those masks are also the pure pre-checks of
+    msd and br:corr; `verdicts` holds the LP verdicts the pre-checks leave
+    open, per (family, player, strategy, Y, pool mask).  The scope only picks
+    the pool, so a global and a local spec share every mask and verdict where
+    the local pool is the full strategy set.
     """
 
     def __init__(self, game: Game):
         self.game = game
+        self.tables: dict[int, tuple] = {}
+        self.profiles: dict[tuple, int] = {}
+        self.passing: dict[tuple, int] = {}
         self.verdicts: dict[tuple, bool] = {}
 
 
@@ -115,6 +139,130 @@ def evaluator_for(game: Game, evaluator: Evaluator | None) -> Evaluator:
     return evaluator
 
 
+def _family(spec: PropertySpec, game: Game) -> str:
+    """What decides `spec` on `game`: "sd", "msd", "br:pure" or "br:corr"; a
+    two-player `ind` spec is decided as `corr`."""
+    if spec.kind != "br":
+        return spec.kind
+    return "br:" + dominance.decided_kind(game, spec.belief)
+
+
+def _comparisons(evaluator: Evaluator, player: int):
+    """(beats, beaters) of `player`, built on first use from one exact
+    comparison per pair of strategies and opponent profile."""
+    tables = evaluator.tables.get(player)
+    if tables is None:
+        game = evaluator.game
+        k = len(game.strategy_names[player])
+        opponents = [range(m) for j, m in enumerate(game.sizes) if j != player]
+        beaters: list[list[int]] = [[] for _ in range(k)]
+        for y in itertools.product(*opponents):
+            column = [game.payoff(player, y[:player] + (s,) + y[player:]) for s in range(k)]
+            for s, low in enumerate(column):
+                beaters[s].append(sum(1 << t for t, up in enumerate(column) if up > low))
+        beats = [
+            [sum(1 << y for y, row in enumerate(beaters[s]) if row >> t & 1) for s in range(k)]
+            for t in range(k)
+        ]
+        tables = evaluator.tables[player] = (beats, beaters)
+    return tables
+
+
+def _opponent_profiles(evaluator: Evaluator, player: int, masks: tuple[int, ...]) -> int:
+    """The mask Y of the opponent profiles of the restriction with `masks`."""
+    if len(masks) == 2:
+        return masks[1 - player]
+    # keyed by the player too: the same opponent masks of another player
+    # number their profiles over other strategy-set sizes
+    key = (player, masks[:player] + masks[player + 1:])
+    ys = evaluator.profiles.get(key)
+    if ys is None:
+        sizes = evaluator.game.sizes
+        strides, _ = joint_layout(sizes[:player] + sizes[player + 1:])
+        ys = 1
+        for stride, mask in zip(strides, key[1]):
+            # the shifted copies are disjoint, so their sum is their union
+            ys = sum(ys << stride * s for s in mask_members(mask))
+        evaluator.profiles[key] = ys
+    return ys
+
+
+def _passing(
+    evaluator: Evaluator, family: str, scope: str, player: int, g: Restriction, candidates: int
+) -> int:
+    """The strategies in the mask `candidates` that pass `family` on g.  msd
+    sends what sd keeps, and br:corr what br:pure drops, to its own LP, one
+    strategy at a time."""
+    game = evaluator.game
+    masks = g.masks
+    k = len(game.strategy_names[player])
+    pool = (1 << k) - 1 if scope == "g" else masks[player]
+    ys = _opponent_profiles(evaluator, player, masks)
+    pure = "sd" if family in ("sd", "msd") else "br:pure"
+    key = (pure, player, ys, pool)
+    passing = evaluator.passing.get(key)
+    if passing is None:
+        beats, beaters = _comparisons(evaluator, player)
+        if pure == "sd":
+            dominated = 0
+            for t in mask_members(pool):
+                dominated |= sum(1 << s for s, won in enumerate(beats[t]) if not ys & ~won)
+            passing = ((1 << k) - 1) & ~dominated
+        else:
+            profiles = mask_members(ys)
+            passing = sum(
+                1 << s
+                for s, row in enumerate(beaters)
+                if any(not pool & row[y] for y in profiles)
+            )
+        evaluator.passing[key] = passing
+    if family == pure:
+        return passing & candidates
+    if family == "msd":
+        settled, open_ = 0, passing & candidates
+    else:
+        settled, open_ = passing & candidates, candidates & ~passing
+    for s in mask_members(open_):
+        key = (family, player, s, ys, pool)
+        verdict = evaluator.verdicts.get(key)
+        if verdict is None:
+            members = mask_members(pool)
+            if family == "msd":
+                witness = dominance.mixed_dominance_witness(game, g, player, members, s)
+                verdict = witness is None
+            else:
+                belief = dominance.exists_supporting_belief(
+                    game, g, members, player, s, CORRELATED
+                )
+                verdict = belief is not None
+            evaluator.verdicts[key] = verdict
+        if verdict:
+            settled |= 1 << s
+    return settled
+
+
+def passing_mask(
+    spec: PropertySpec,
+    game: Game,
+    player: int,
+    g: Restriction,
+    candidates: int,
+    evaluator: Evaluator | None = None,
+) -> int:
+    """The strategies in the mask `candidates` that satisfy the property on
+    g, as a mask; an LP runs only for a candidate its pure pre-check leaves
+    open.  A player the game lacks, or a candidate mask out of its range, is
+    a ValueError."""
+    check_same_game(game, g.game, "restriction")
+    evaluator = evaluator_for(game, evaluator)
+    family = _family(spec, game)
+    if not 0 <= player < game.num_players:
+        raise ValueError(f"no player {player}")
+    if candidates < 0 or candidates >> len(game.strategy_names[player]):
+        raise ValueError(f"player {player + 1}: strategy mask {candidates} out of range")
+    return _passing(evaluator, family, spec.scope, player, g, candidates)
+
+
 def eval_property(
     spec: PropertySpec,
     game: Game,
@@ -123,8 +271,10 @@ def eval_property(
     g: Restriction,
     evaluator: Evaluator | None = None,
 ) -> bool:
-    """Does `strategy` satisfy the property on the restriction g?  The verdict
-    is cached in `evaluator`; a call given none starts with an empty cache.
+    """Does `strategy` satisfy the property on the restriction g?  This is
+    the one-strategy reader of `passing_mask`: it decides what that decides,
+    caches it in `evaluator` the same way, and a call given none starts with
+    an empty cache.
 
     A two-player `ind` spec is decided as `corr` and shares its verdicts.  A
     pure certificate settles the verdict before any LP where it can: a pure
@@ -135,41 +285,10 @@ def eval_property(
     ValueError, raised before anything is cached.
     """
     check_same_game(game, g.game, "restriction")
-    verdicts = evaluator_for(game, evaluator).verdicts
-    belief = spec.belief
-    if belief == INDEPENDENT:
-        belief = dominance.decided_kind(game, belief)
-    masks = g.masks
-    try:
-        full = (1 << len(game.strategy_names[player])) - 1
-        pool = full if spec.scope == "g" else masks[player]
-    except IndexError:
-        pool = None  # no such player: refused below, on the cache miss
-    key = (spec.kind, belief, player, strategy, masks[:player] + masks[player + 1:], pool)
-    verdict = verdicts.get(key)
-    if verdict is not None:
-        return verdict
+    evaluator = evaluator_for(game, evaluator)
+    family = _family(spec, game)
     dominance.check_strategy(game, player, strategy)
-    members = mask_members(pool)
-    if spec.kind in ("sd", "msd"):
-        verdict = not any(
-            dominance.strictly_dominates_pure(game, g, player, s, strategy)
-            for s in members
-        )
-        if verdict and spec.kind == "msd":
-            verdict = (
-                dominance.mixed_dominance_witness(game, g, player, members, strategy)
-                is None
-            )
-    else:
-        def supported(belief_kind: str) -> bool:
-            return dominance.exists_supporting_belief(
-                game, g, members, player, strategy, belief_kind
-            ) is not None
-
-        verdict = (belief == CORRELATED and supported(PURE)) or supported(belief)
-    verdicts[key] = verdict
-    return verdict
+    return bool(_passing(evaluator, family, spec.scope, player, g, 1 << strategy))
 
 
 def apply_operator(
@@ -181,12 +300,8 @@ def apply_operator(
         raise ValueError("profile length differs from the number of players")
     evaluator = evaluator_for(game, evaluator)
     masks = tuple(
-        sum(
-            1 << s
-            for s in mask_members(g.masks[i])
-            if eval_property(profile.specs[i], game, i, s, g, evaluator)
-        )
-        for i in game.players()
+        _passing(evaluator, _family(spec, game), spec.scope, i, g, g.masks[i])
+        for i, spec in enumerate(profile.specs)
     )
     return Restriction(game, masks)
 
@@ -216,6 +331,32 @@ def outcome(
     )
 
 
+def _monotone_table(
+    spec: PropertySpec, game: Game, max_restrictions: int, evaluator: Evaluator
+) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Per restriction (in lattice order), per player: the mask of the
+    strategies in T_i satisfying the property there."""
+    family = _family(spec, game)
+    full = [(1 << k) - 1 for k in game.sizes]
+    return {
+        g.masks: tuple(
+            _passing(evaluator, family, spec.scope, i, g, full[i]) for i in game.players()
+        )
+        for g in all_restrictions(game, max_count=max_restrictions)
+    }
+
+
+def property_is_monotone(
+    spec: PropertySpec, game: Game, evaluator: Evaluator | None = None
+) -> bool:
+    """The verdict of check_property_monotone alone, decided on the covers:
+    a failing cover is itself a non-monotone comparable pair, so no other
+    pair is scanned."""
+    count_comparable_pairs(game, DEFAULT_PAIR_BUDGET)
+    evaluator = evaluator_for(game, evaluator)
+    return monotone_on_covers(_monotone_table(spec, game, DEFAULT_LATTICE_BUDGET, evaluator))
+
+
 def check_property_monotone(
     spec: PropertySpec,
     game: Game,
@@ -226,19 +367,7 @@ def check_property_monotone(
     at G', for every comparable pair and every strategy in T_i."""
     pairs = count_comparable_pairs(game, DEFAULT_PAIR_BUDGET)
     evaluator = evaluator_for(game, evaluator)
-    # per restriction (in lattice order), per player: the bitmask of the
-    # strategies in T_i satisfying the property there
-    table = {
-        g.masks: tuple(
-            sum(
-                1 << s
-                for s in game.strategies(i)
-                if eval_property(spec, game, i, s, g, evaluator)
-            )
-            for i in game.players()
-        )
-        for g in all_restrictions(game, max_count=max_restrictions)
-    }
+    table = _monotone_table(spec, game, max_restrictions, evaluator)
     entries = []
     violations = 0
     for small, big in non_monotone_pairs(table):

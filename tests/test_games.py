@@ -50,6 +50,13 @@ def test_leq_examples():
     assert lattice_leq(g, g)
 
 
+def test_restriction_from_names_checks_the_component_count():
+    # a later component naming a strategy must not reach the name lookup
+    for components in ([["C"], ["C"], ["C"]], [["C"]], [["C"], [], []]):
+        with pytest.raises(ShapeError, match="wrong number of components"):
+            restriction_from_names(fixtures.PD, components)
+
+
 def test_leq_shape_error():
     with pytest.raises(ShapeError):
         lattice_leq(restriction_top(fixtures.PD), restriction_top(fixtures.MP))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamelattice import fixtures
-from gamelattice.errors import BudgetError
+from gamelattice.errors import BudgetError, ShapeError
 from gamelattice.games import (
     Restriction,
     masks_leq,
@@ -19,6 +19,7 @@ from gamelattice.iteration import (
     is_fixpoint,
     is_post_fixpoint,
     iterate_operator,
+    monotone_on_covers,
     non_monotone_pairs,
     trace_from_json_dict,
     verify_contracting_outcome,
@@ -187,6 +188,23 @@ def mask_tables(draw):
 @settings(max_examples=300, deadline=None)
 def test_non_monotone_pairs_matches_a_scan_of_every_comparable_pair(table):
     assert list(non_monotone_pairs(table)) == _brute_force_non_monotone_pairs(table)
+
+
+@given(table=mask_tables())
+@settings(max_examples=300, deadline=None)
+def test_monotone_on_covers_is_the_verdict_of_every_pair(table):
+    assert monotone_on_covers(table) == (not _brute_force_non_monotone_pairs(table))
+
+
+def test_trace_with_too_many_components_is_a_shape_error():
+    trace = iterate_operator(op_for(PD, "sd:g"), PD).to_json_dict()
+    trace["steps"][0]["restriction"].append(["C"])
+    with pytest.raises(ShapeError):
+        trace_from_json_dict(PD, trace)
+    trace = iterate_operator(op_for(PD, "sd:g"), PD).to_json_dict()
+    trace["outcome"] = [["D"], ["D"], ["D"]]
+    with pytest.raises(ShapeError):
+        trace_from_json_dict(PD, trace)
 
 
 def test_a_monotone_table_is_decided_on_its_covers():

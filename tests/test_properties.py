@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gamelattice import dominance, fixtures, lp
+from gamelattice import dominance, fixtures, iteration, lp
 from gamelattice.errors import BudgetError, ShapeError, UnsupportedBeliefError
 from gamelattice.games import (
     Restriction,
@@ -28,7 +28,9 @@ from gamelattice.properties import (
     eval_property,
     outcome,
     parse_property_spec,
+    passing_mask,
     pearce_equivalence_suite,
+    property_is_monotone,
     property_operator,
     verify_theorem_just,
     verify_theorem_just1,
@@ -144,6 +146,31 @@ def test_local_sd_monotonicity_violation_found_by_search():
     game, report = found
     entry = report.entries[0]
     assert entry["strategies"]
+
+
+def test_property_is_monotone_is_the_checks_verdict(monkeypatch):
+    games = [PD, MP, MIX, CHAIN, fixtures.THREE] + fixtures.random_games(23, 40, 3, 2)
+    failing = 0
+    for game in games:
+        for text in ALL_SPECS:
+            spec = parse_property_spec(text)
+            evaluator = Evaluator(game)
+            passed = check_property_monotone(spec, game, evaluator=evaluator).passed
+            failing += not passed
+            assert property_is_monotone(spec, game) == passed, (game.name, text)
+            assert property_is_monotone(spec, game, evaluator) == passed
+    assert failing > 0
+    # a failing cover decides the verdict, so no comparable pair is scanned;
+    # the full check still scans them all to count its violations
+    sd_l = parse_property_spec("sd:l")
+    game = next(
+        game for game in fixtures.random_games(23, 40, 3, 2)
+        if not property_is_monotone(sd_l, game)
+    )
+    monkeypatch.setattr(iteration, "_submask_tuples", None)
+    assert not property_is_monotone(sd_l, game)
+    with pytest.raises(TypeError):
+        check_property_monotone(sd_l, game)
 
 
 def test_monotone_budget_error():
@@ -297,21 +324,26 @@ def _lp_only_verdict(spec, game, player, strategy, g):
     return found is not None
 
 
-def test_pure_prechecks_agree_with_the_lp():
-    """A pure certificate settles msd and corr/ind br verdicts before the LP;
-    on every restriction the verdict must be the LP's own."""
+def _precheck_games():
+    """The fixtures, six seeded 2-player games up to 3x3, then a 2x2x2 and a
+    2x3x2 game."""
     fixture_games = [
         parse_game_file(path) for path in sorted(FIXTURE_DIR.glob("*.game"))
     ]
     rng = random.Random(3031)
-    games = (
+    return (
         fixture_games
         + fixtures.random_games(3030, 6, 3, 3)
         + [_random_game(rng, sizes) for sizes in ((2, 2, 2), (2, 3, 2))]
     )
+
+
+def test_pure_prechecks_agree_with_the_lp():
+    """A pure certificate settles msd and corr/ind br verdicts before the LP;
+    on every restriction the verdict must be the LP's own."""
     texts = ["msd:l", "msd:g", "br:l:corr", "br:g:corr"]
     checked = 0
-    for game in games:
+    for game in _precheck_games():
         specs = texts + (["br:l:ind", "br:g:ind"] if game.num_players == 2 else [])
         # one cache for all specs, so verdicts shared across scopes are checked too
         evaluator = Evaluator(game)
@@ -326,6 +358,78 @@ def test_pure_prechecks_agree_with_the_lp():
                         )
                         checked += 1
     assert checked > 10000
+
+
+def _pure_oracle_mask(spec, game, player, g):
+    """The strategies of T_i passing sd or br:pure on g, decided one at a
+    time by the dominance procedures."""
+    pool = list(game.strategies(player)) if spec.scope == "g" else mask_members(g.masks[player])
+    passing = 0
+    for s in game.strategies(player):
+        if spec.kind == "sd":
+            ok = not any(
+                dominance.strictly_dominates_pure(game, g, player, t, s) for t in pool
+            )
+        else:
+            ok = dominance.exists_supporting_belief(game, g, pool, player, s, "pure") is not None
+        passing |= ok << s
+    return passing
+
+
+def test_pure_passing_masks_match_the_dominance_procedures():
+    """The sd and br:pure masks, decided with int operations on the comparison
+    tables, against strictly_dominates_pure and the pure branch of
+    exists_supporting_belief: every restriction, empty components included,
+    every strategy of T_i, both scopes."""
+    games = _precheck_games() + fixtures.random_games(1212, 6, 4, 4)
+    checked = 0
+    for game in games:
+        # one cache for both families and scopes, so shared masks are checked too
+        evaluator = Evaluator(game)
+        for text in ("sd:l", "sd:g", "br:l:pure", "br:g:pure"):
+            spec = parse_property_spec(text)
+            for g in all_restrictions(game):
+                for i in game.players():
+                    full = (1 << len(game.strategy_names[i])) - 1
+                    want = _pure_oracle_mask(spec, game, i, g)
+                    got = passing_mask(spec, game, i, g, full, evaluator)
+                    assert got == want, (game.name, text, g.names(), i)
+                    assert apply_operator(uniform(game, text), game, g, evaluator).masks[i] == (
+                        want & g.masks[i]
+                    )
+                    checked += 1
+    assert checked > 10000
+
+
+def test_opponent_profiles_are_keyed_by_the_player():
+    # In a 2x3x2 game the restriction (m, m, m) gives players 1 and 3 the
+    # same opponent masks (m, m), over strategy sets of sizes 3, 2 and 2, 3:
+    # for m = 2 or 3 their opponent profiles are different index masks, so a
+    # cache keyed by the opponent masks alone hands one player the other's.
+    game = _precheck_games()[-1]
+    assert game.sizes == (2, 3, 2)
+    for m in (2, 3):
+        g = Restriction(game, (m, m, m))
+        for order in itertools.permutations(game.players()):
+            evaluator = Evaluator(game)
+            for text in ("sd:l", "sd:g", "br:l:pure", "br:g:pure"):
+                spec = parse_property_spec(text)
+                for i in order:
+                    full = (1 << game.sizes[i]) - 1
+                    assert passing_mask(spec, game, i, g, full, evaluator) == _pure_oracle_mask(
+                        spec, game, i, g
+                    ), (m, order, text, i)
+
+
+def test_passing_mask_refuses_a_player_or_mask_the_game_lacks():
+    spec = parse_property_spec("sd:g")
+    top = restriction_top(PD)
+    assert passing_mask(spec, PD, 0, top, 3) == 2
+    for player, candidates in ((2, 1), (-1, 1), (0, 4), (0, -1)):
+        with pytest.raises(ValueError):
+            passing_mask(spec, PD, player, top, candidates)
+    with pytest.raises(ShapeError):
+        passing_mask(spec, PD, 0, restriction_top(MP), 3)
 
 
 def test_global_and_local_specs_share_verdicts_on_the_full_pool():
