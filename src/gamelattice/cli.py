@@ -20,7 +20,7 @@ import sys
 
 from . import epistemic, iteration, properties, symbolic, witnesses
 from .errors import GameLatticeError, InternalError
-from .games import parse_game_file, restriction_top
+from .games import check_budget, parse_game_file, restriction_top
 from .ordinals import parse_ordinal
 from .properties import Evaluator, PropertyProfile, parse_property_spec, property_operator
 from .reports import CheckReport, canonical_json
@@ -252,8 +252,12 @@ def cmd_transfinite(args) -> int:
         for name in sorted(witnesses.REGISTRY):
             print(name)
         return EXIT_OK
-    game = witnesses.load_witness(args.witness)
+    budget = _read_budget(None, symbolic.DEFAULT_ITERATE_BUDGET)
     bound = parse_ordinal(args.bound)
+    # every omega-block below the bound's holds at most PROBE_DEPTH + 1 iterates
+    iterates = bound.omega_coeff * (symbolic.PROBE_DEPTH + 1) + bound.finite + 1
+    check_budget(iterates, budget, f"{iterates} iterates to bound {bound}")
+    game = witnesses.load_witness(args.witness)
     validation = symbolic.validate_witness(game)
     trace = symbolic.iterate_symbolic(game, bound) if validation.passed else None
     if args.json:

@@ -102,33 +102,33 @@ class Evaluator:
     evaluation it makes, so the cache dies with the computation.
 
     On first use for a player it compares that player's payoffs exactly, once
-    per pair of strategies and opponent profile, into two tables of int
-    bitmasks (`tables[player]`).  Opponent profiles are numbered row-major
-    over the opponents' strategy sets, so with two players a profile is the
-    opponent's strategy index:
-
-    - `beats[t][s]`: the opponent profiles where t strictly beats s;
-    - `beaters[s][y]`: the strategies that strictly beat s at profile y.
+    per pair of strategies and opponent profile, into one table of int
+    bitmasks, `beaters[player][s][y]`: the strategies that strictly beat s at
+    opponent profile y.  Opponent profiles are numbered row-major over the
+    opponents' strategy sets, so with two players a profile is the
+    opponent's strategy index.
 
     A restriction's opponent profiles form one mask Y: the opponent's own
     mask for two players, otherwise expanded once per (player, opponent
-    masks) into `profiles`.  `passing` holds one mask per (pure family,
-    player, Y, pool mask), decided with int operations: s fails "sd" iff some
-    t in the pool has Y & ~beats[t][s] == 0 (every t, vacuously, when Y is
-    empty), and s passes "br:pure" iff some y in Y has
-    pool & beaters[s][y] == 0.  Those masks are also the pure pre-checks of
-    msd and br:corr; `verdicts` holds the LP verdicts the pre-checks leave
-    open, per (family, player, strategy, Y, pool mask).  The scope only picks
-    the pool, so a global and a local spec share every mask and verdict where
-    the local pool is the full strategy set.
+    masks) into `profiles`.  `entries` holds one (decided, passing) pair of
+    strategy masks per (family, player, Y, pool mask).  An "sd" or "br:pure"
+    entry is decided for all of T_i when it is built, with int operations:
+    s fails "sd" iff pool & (the AND of beaters[s][y] over y in Y) is
+    non-zero (the pool itself, so every t, when Y is empty), and s passes
+    "br:pure" iff some y in Y has pool & beaters[s][y] == 0.  An "msd" entry
+    starts from the "sd" entry, with the strategies sd fails decided and
+    none passing; a "br:corr" entry starts from the "br:pure" entry, whose
+    passing strategies are decided.  A query solves one LP per candidate
+    its entry leaves undecided, in ascending order, and marks it decided.
+    The scope only picks the pool, so a global and a local spec share every
+    entry where the local pool is the full strategy set.
     """
 
     def __init__(self, game: Game):
         self.game = game
-        self.tables: dict[int, tuple] = {}
+        self.beaters: dict[int, list[list[int]]] = {}
         self.profiles: dict[tuple, int] = {}
-        self.passing: dict[tuple, int] = {}
-        self.verdicts: dict[tuple, bool] = {}
+        self.entries: dict[tuple, tuple[int, int]] = {}
 
 
 def evaluator_for(game: Game, evaluator: Evaluator | None) -> Evaluator:
@@ -147,25 +147,20 @@ def _family(spec: PropertySpec, game: Game) -> str:
     return "br:" + dominance.decided_kind(game, spec.belief)
 
 
-def _comparisons(evaluator: Evaluator, player: int):
-    """(beats, beaters) of `player`, built on first use from one exact
-    comparison per pair of strategies and opponent profile."""
-    tables = evaluator.tables.get(player)
-    if tables is None:
+def _comparisons(evaluator: Evaluator, player: int) -> list[list[int]]:
+    """`beaters` of `player`, built on first use from one exact comparison
+    per pair of strategies and opponent profile."""
+    beaters = evaluator.beaters.get(player)
+    if beaters is None:
         game = evaluator.game
         k = len(game.strategy_names[player])
         opponents = [range(m) for j, m in enumerate(game.sizes) if j != player]
-        beaters: list[list[int]] = [[] for _ in range(k)]
+        beaters = evaluator.beaters[player] = [[] for _ in range(k)]
         for y in itertools.product(*opponents):
             column = [game.payoff(player, y[:player] + (s,) + y[player:]) for s in range(k)]
             for s, low in enumerate(column):
                 beaters[s].append(sum(1 << t for t, up in enumerate(column) if up > low))
-        beats = [
-            [sum(1 << y for y, row in enumerate(beaters[s]) if row >> t & 1) for s in range(k)]
-            for t in range(k)
-        ]
-        tables = evaluator.tables[player] = (beats, beaters)
-    return tables
+    return beaters
 
 
 def _opponent_profiles(evaluator: Evaluator, player: int, masks: tuple[int, ...]) -> int:
@@ -190,55 +185,50 @@ def _opponent_profiles(evaluator: Evaluator, player: int, masks: tuple[int, ...]
 def _passing(
     evaluator: Evaluator, family: str, scope: str, player: int, g: Restriction, candidates: int
 ) -> int:
-    """The strategies in the mask `candidates` that pass `family` on g.  msd
-    sends what sd keeps, and br:corr what br:pure drops, to its own LP, one
-    strategy at a time."""
+    """The strategies in the mask `candidates` that pass `family` on g.  An
+    msd or br:corr entry starts from its pure pre-check's entry; a candidate
+    it leaves undecided goes to its own LP, one strategy at a time, and the
+    entry records the verdict."""
     game = evaluator.game
-    masks = g.masks
-    k = len(game.strategy_names[player])
-    pool = (1 << k) - 1 if scope == "g" else masks[player]
-    ys = _opponent_profiles(evaluator, player, masks)
-    pure = "sd" if family in ("sd", "msd") else "br:pure"
-    key = (pure, player, ys, pool)
-    passing = evaluator.passing.get(key)
-    if passing is None:
-        beats, beaters = _comparisons(evaluator, player)
-        if pure == "sd":
-            dominated = 0
-            for t in mask_members(pool):
-                dominated |= sum(1 << s for s, won in enumerate(beats[t]) if not ys & ~won)
-            passing = ((1 << k) - 1) & ~dominated
+    full = (1 << len(game.strategy_names[player])) - 1
+    pool = full if scope == "g" else g.masks[player]
+    ys = _opponent_profiles(evaluator, player, g.masks)
+    key = (family, player, ys, pool)
+    entry = evaluator.entries.get(key)
+    if entry is None:
+        if family == "msd":
+            entry = (full & ~_passing(evaluator, "sd", scope, player, g, full), 0)
+        elif family == "br:corr":
+            passing = _passing(evaluator, "br:pure", scope, player, g, full)
+            entry = (passing, passing)
         else:
             profiles = mask_members(ys)
-            passing = sum(
-                1 << s
-                for s, row in enumerate(beaters)
-                if any(not pool & row[y] for y in profiles)
-            )
-        evaluator.passing[key] = passing
-    if family == pure:
-        return passing & candidates
-    if family == "msd":
-        settled, open_ = 0, passing & candidates
-    else:
-        settled, open_ = passing & candidates, candidates & ~passing
-    for s in mask_members(open_):
-        key = (family, player, s, ys, pool)
-        verdict = evaluator.verdicts.get(key)
-        if verdict is None:
-            members = mask_members(pool)
+            passing = 0
+            for s, row in enumerate(_comparisons(evaluator, player)):
+                if family == "sd":
+                    dominators = pool
+                    for y in profiles:
+                        dominators &= row[y]
+                    passing |= (not dominators) << s
+                else:
+                    passing |= any(not pool & row[y] for y in profiles) << s
+            entry = (full, passing)
+        evaluator.entries[key] = entry
+    decided, passing = entry
+    open_ = candidates & ~decided
+    if open_:
+        members = mask_members(pool)
+        for s in mask_members(open_):
             if family == "msd":
-                witness = dominance.mixed_dominance_witness(game, g, player, members, s)
-                verdict = witness is None
+                verdict = dominance.mixed_dominance_witness(game, g, player, members, s) is None
             else:
                 belief = dominance.exists_supporting_belief(
                     game, g, members, player, s, CORRELATED
                 )
                 verdict = belief is not None
-            evaluator.verdicts[key] = verdict
-        if verdict:
-            settled |= 1 << s
-    return settled
+            passing |= verdict << s
+        evaluator.entries[key] = (decided | open_, passing)
+    return passing & candidates
 
 
 def passing_mask(
@@ -351,8 +341,7 @@ def property_is_monotone(
 ) -> bool:
     """The verdict of check_property_monotone alone, decided on the covers:
     a failing cover is itself a non-monotone comparable pair, so no other
-    pair is scanned."""
-    count_comparable_pairs(game, DEFAULT_PAIR_BUDGET)
+    pair is scanned and only the lattice budget applies."""
     evaluator = evaluator_for(game, evaluator)
     return monotone_on_covers(_monotone_table(spec, game, DEFAULT_LATTICE_BUDGET, evaluator))
 

@@ -23,6 +23,11 @@ from .reports import CheckReport
 INF = float("inf")
 NEG_INF = float("-inf")
 
+# successor steps iterate_symbolic takes in each omega-block before its limit
+PROBE_DEPTH = 32
+# the most iterates a `transfinite run --bound` may allow
+DEFAULT_ITERATE_BUDGET = 1000
+
 
 def _fmt_endpoint(v) -> str:
     if v == INF:
@@ -293,7 +298,7 @@ def _check_descent(prev, nxt, stage: str, where: str):
 
 
 def iterate_symbolic(
-    game: SymbolicGame, bound: Ordinal, probe_depth: int = 32
+    game: SymbolicGame, bound: Ordinal, probe_depth: int = PROBE_DEPTH
 ) -> SymbolicTrace:
     """Apply the eliminator at successor ordinals and the limit rule at
     omega-multiples, stopping at the first fixpoint or at the bound.

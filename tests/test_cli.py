@@ -265,6 +265,15 @@ def test_budget_exit_codes(env, argv, expected, monkeypatch, capsys):
     assert code == expected, err
 
 
+@pytest.mark.parametrize("env,expected", [("74", 2), ("75", 0)])
+def test_transfinite_bound_is_charged_before_any_iterate(env, expected, monkeypatch, capsys):
+    # the default bound 2w+8 allows 33 + 33 + 9 = 75 iterates
+    monkeypatch.setenv("GAMELATTICE_BUDGET", env)
+    code, out, err = run(capsys, "transfinite", "run", "witness-tg")
+    assert code == expected, err
+    assert (out == "") == (expected == 2)
+
+
 def test_independent_global_beliefs_three_players_rejected(capsys):
     # a supporting pure belief must not settle br:g:ind beyond two players
     code, out, err = run(
@@ -409,6 +418,8 @@ EXIT_CASES = [
     (["epistemic", "witness", "--omega", "9", "--prop", "sd:g", "pd.game"], None, 2),
     (["epistemic", "enumerate", "--theorem", "2", "--omega", "2", "--prop", "sd:g",
       "pd.game"], None, 2),
+    # 2001 iterates, beyond the default budget of 1000
+    (["transfinite", "run", "--bound", "2000", "witness-tg"], None, 2),
 ]
 
 

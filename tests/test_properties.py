@@ -180,6 +180,17 @@ def test_monotone_budget_error():
         check_property_monotone(parse_property_spec("sd:g"), game)
 
 
+def test_property_is_monotone_charges_the_lattice_not_the_pairs():
+    # the verdict is read off the covers of the 2^14 restrictions, so the
+    # 3^14 comparable pairs that the full check refuses are never charged
+    game = fixtures.random_game(random.Random(7), 7, 7)
+    assert property_is_monotone(parse_property_spec("sd:g"), game)
+    # the lattice budget still bounds the table: 2^17 restrictions
+    game = fixtures.random_game(random.Random(7), 9, 8)
+    with pytest.raises(BudgetError, match="lattice"):
+        property_is_monotone(parse_property_spec("sd:g"), game)
+
+
 def test_singleton_condition_local_properties():
     rep = check_singleton_condition(parse_property_spec("sd:l"), PD)
     assert rep.passed and rep.details["checked"] == 8
@@ -298,12 +309,32 @@ def test_evaluator_cache_is_scoped_to_the_computation():
     profile = uniform(MIX, "msd:l")
     evaluator = Evaluator(MIX)
     first = outcome(profile, MIX, evaluator=evaluator)
-    cached = len(evaluator.verdicts)
-    assert cached > 0
+    cached = dict(evaluator.entries)
+    assert cached
     assert outcome(profile, MIX) == first  # a call given none uses its own
-    assert len(evaluator.verdicts) == cached
+    assert evaluator.entries == cached
     assert outcome(profile, MIX, evaluator=evaluator) == first  # all hits
-    assert len(evaluator.verdicts) == cached
+    assert evaluator.entries == cached
+
+
+@pytest.mark.parametrize("text,open_", [("msd:l", 0b111), ("br:l:corr", 0b100)])
+def test_an_lp_entry_solves_only_the_newly_open_candidates(text, open_, monkeypatch):
+    # On MIX's top no pure strategy dominates T, M or B, so msd leaves all
+    # three to the LP; T and M are pure best responses, so br:corr leaves
+    # only B.  Each open candidate costs one LP the first time it is asked.
+    solves = []
+    simplex = lp.simplex_maximize
+    monkeypatch.setattr(lp, "simplex_maximize", lambda *a: solves.append(a) or simplex(*a))
+    spec = parse_property_spec(text)
+    evaluator = Evaluator(MIX)
+    top = restriction_top(MIX)
+    asked = 0
+    for candidates in (0b010, 0b110, 0b111, 0b111):
+        before = len(solves)
+        assert passing_mask(spec, MIX, 0, top, candidates, evaluator) == 0b011 & candidates
+        assert len(solves) - before == bin(open_ & candidates & ~asked).count("1")
+        asked |= candidates
+    assert len(solves) == bin(open_).count("1")
 
 
 def _random_game(rng, sizes):
@@ -438,11 +469,11 @@ def test_global_and_local_specs_share_verdicts_on_the_full_pool():
     for i in MIX.players():
         for s in MIX.strategies(i):
             eval_property(parse_property_spec("br:g:corr"), MIX, i, s, top, evaluator)
-    cached = len(evaluator.verdicts)
+    cached = dict(evaluator.entries)
     for i in MIX.players():
         for s in MIX.strategies(i):
             eval_property(parse_property_spec("br:l:corr"), MIX, i, s, top, evaluator)
-    assert len(evaluator.verdicts) == cached
+    assert evaluator.entries == cached
 
 
 @pytest.mark.parametrize("masks", [(3, 3, 3), (3, 0, 3), (3, 3, 0), (0, 0, 0)])
@@ -478,7 +509,7 @@ def test_eval_property_refuses_a_player_or_strategy_the_game_lacks(text):
     for player, strategy in ((0, 7), (0, -1), (2, 0), (-1, 0)):
         with pytest.raises(ValueError):
             eval_property(spec, PD, player, strategy, g, evaluator)
-    assert not evaluator.verdicts
+    assert not evaluator.entries
 
 
 def _normal_forms(profile, game):
@@ -542,9 +573,9 @@ def test_two_player_ind_and_corr_agree_and_share_verdicts():
                         assert eval_property(ind, game, i, s, g, ind_only) == verdict, (
                             game.name, scope, g.names(), i, s,
                         )
-                        cached = len(shared.verdicts)
+                        cached = dict(shared.entries)
                         assert eval_property(ind, game, i, s, g, shared) == verdict
-                        assert len(shared.verdicts) == cached
+                        assert shared.entries == cached
 
 
 def _pearce_reference(game):
