@@ -347,13 +347,16 @@ def enumerate_ck_cb(
 
     The enumeration ranges over all strategy assignments and all
     correspondences of the required class, exactly.  It evaluates one
-    assignment per orbit under relabelling of the states; `models_enumerated`
+    assignment per orbit under relabelling of the states, and within it works
+    only for the states that could still add a strategy; `models_enumerated`
     counts every model up to the early exit, relabelled ones included.
 
-    A model count over `budget` is a BudgetError.  Where the lower bound
-    2^(n(omega - 1)) on it already exceeds the budget, the exact count is
-    never computed, and the message and `attempted` give a lower bound: the
-    least power of two above the budget.
+    The budget is charged with the models the loop can evaluate: one
+    assignment per orbit, C(J + omega - 1, omega) of them for J joint
+    strategies, times every combination of correspondences.  Where the lower
+    bound 2^(n(omega - 1)) on that count already exceeds the budget, the
+    exact count is never computed, and the message and `attempted` give a
+    lower bound: the least power of two above the budget.
     """
     n = game.num_players
     if len(profile.specs) != n:
@@ -372,27 +375,22 @@ def enumerate_ck_cb(
     if budget is not None and n * (omega - 1) >= budget.bit_length():
         floor = 1 << budget.bit_length()
         check_budget(floor, budget, f"enumeration of at least {floor} models")
-    n_assign = 1
-    for k in game.sizes:
-        n_assign *= k ** omega
-    total = n_assign * count_correspondences(omega, mode) ** n
-    check_budget(total, budget, f"enumeration of {total} models")
+    joints = math.prod(game.sizes)
+    combos_per_assignment = count_correspondences(omega, mode) ** n
+    evaluable = math.comb(joints + omega - 1, omega) * combos_per_assignment
+    check_budget(evaluable, budget, f"enumeration of {evaluable} models")
+    total = joints**omega * combos_per_assignment
     if mode == "knowledge":
         corrs = list(set_partitions(omega))
     else:
         corrs = list(belief_correspondences(omega))
+    combos = list(itertools.product(range(len(corrs)), repeat=n))
 
-    # per correspondence combo: the per-player correspondence indices plus the
-    # states the combo contributes for every rationality event.  These depend
-    # on the combo only through the union of cells at each state.
-    contributions: dict[tuple[int, ...], list[int]] = {}
-    combo_rows = []
-    for combo in itertools.product(range(len(corrs)), repeat=n):
-        union_cells = _union_cells([corrs[c] for c in combo])
-        con = contributions.get(union_cells)
-        if con is None:
-            con = contributions[union_cells] = _contribution_table(union_cells, mode)
-        combo_rows.append((combo, con))
+    # What a combo contributes for every rationality event depends on it only
+    # through the union of its cells at each state.  A combo's table is found
+    # or built the first time a non-empty rationality event reaches it.
+    tables: list[list[int] | None] = [None] * len(combos)
+    by_union: dict[tuple[int, ...], list[int]] = {}
 
     cells_used = sorted({cell for corr in corrs for cell in corr})
     cell_members = {cell: mask_members(cell) for cell in cells_used}
@@ -402,18 +400,26 @@ def enumerate_ck_cb(
 
     acc = [0] * n
     full = [(1 << k) - 1 for k in game.sizes]
-    all_states = (1 << omega) - 1
     enumerated = 0
     early = False
     spec_of = profile.specs
     for assign in itertools.product(*assignments_per_player):
-        enumerated += len(combo_rows)
+        enumerated += len(combos)
         # Relabelling the states maps the correspondences onto themselves, so
         # every assignment in one orbit under permutations of the states
         # gathers the same strategies.  Product order reaches first the member
         # whose per-state joint strategies do not decrease; evaluate only it.
-        joints = list(zip(*assign))
-        if any(joints[w] > joints[w + 1] for w in range(omega - 1)):
+        per_state = list(zip(*assign))
+        if any(per_state[w] > per_state[w + 1] for w in range(omega - 1)):
+            continue
+        # A gathered state adds the strategies chosen there, so only the
+        # states choosing a strategy not yet gathered can change acc.
+        need = _or_all(
+            1 << w
+            for w, joint in enumerate(per_state)
+            if any(not acc[i] >> s & 1 for i, s in enumerate(joint))
+        )
+        if not need:
             continue
         # per player and possible cell image: the mask of the player's
         # strategies in this assignment that satisfy the property there
@@ -434,16 +440,31 @@ def enumerate_ck_cb(
                     for cells in corrs
                 ]
             )
+            # every contribution lies inside the rationality event, so a
+            # state whose strategy passes in none of its cells is never
+            # gathered
+            need &= _or_all(ok_masks[i])
+        if not need:
+            continue
 
         union_states = 0
-        for combo, con in combo_rows:
+        for index, combo in enumerate(combos):
             rat = -1
             for i in range(n):
                 rat &= ok_masks[i][combo[i]]
                 if not rat:
                     break
+            if not rat:
+                continue
+            con = tables[index]
+            if con is None:
+                union_cells = _union_cells([corrs[c] for c in combo])
+                con = by_union.get(union_cells)
+                if con is None:
+                    con = by_union[union_cells] = _contribution_table(union_cells, mode)
+                tables[index] = con
             union_states |= con[rat]
-            if union_states == all_states:
+            if not need & ~union_states:
                 break
 
         gathered = _image(game, assign, mask_members(union_states)).masks

@@ -132,6 +132,23 @@ def test_epistemic_enumerate_local(capsys):
     assert payload["details"]["expectation"] == "full-game"
 
 
+def test_epistemic_enumerate_charges_only_the_evaluated_models(capsys):
+    # CHAIN at omega 4 has 51,969,681 belief models, but the loop evaluates
+    # one assignment per orbit: C(9 + 4 - 1, 4) = 495 of them times 89^2
+    # correspondence pairs is 3,920,895 models, within the default budget
+    code, out, err = run(
+        capsys,
+        "epistemic", "enumerate",
+        "--omega", "4", "--prop", "sd:g", "--json",
+        str(FIXTURES / "chain.game"),
+    )
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["details"]["ck_restriction"] == [["T"], ["L"]]
+    assert payload["details"]["cb_restriction"] == [["T"], ["L"]]
+    assert payload["details"]["verdict"] == "pass"
+
+
 def test_epistemic_witnesses(capsys):
     code, _, _ = run(
         capsys,

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -323,9 +324,35 @@ def test_enumerate_examples():
 
 
 def test_enumerate_budget_error_reports_exact_count():
+    # the charge is the models the loop can evaluate: one assignment per
+    # orbit, C(4 + 4 - 1, 4) = 35 of them, times 89^2 correspondence pairs
     with pytest.raises(BudgetError) as exc:
         enumerate_ck_cb(PD, 4, uniform(PD, "sd:g"), mode="belief", budget=1000)
-    assert exc.value.attempted == 16 * 16 * 89 * 89
+    assert exc.value.attempted == 35 * 89 * 89
+    res = enumerate_ck_cb(PD, 4, uniform(PD, "sd:g"), mode="belief", budget=35 * 89 * 89)
+    assert res.models_total == 16 * 16 * 89 * 89
+
+
+@pytest.mark.parametrize(
+    "mode,tables,unions", [("knowledge", 2, 60), ("belief", 1147, 1850)]
+)
+def test_enumerate_builds_tables_only_where_they_are_read(monkeypatch, mode, tables, unions):
+    # a table is built when a non-empty rationality event first reaches a
+    # combo whose cell union has none yet, so PD at omega 4 builds few of
+    # the tables its distinct unions would need, and none twice
+    built = []
+    contribution_table = epistemic._contribution_table
+
+    def counting_table(union_cells, table_mode):
+        built.append(union_cells)
+        return contribution_table(union_cells, table_mode)
+
+    monkeypatch.setattr(epistemic, "_contribution_table", counting_table)
+    res = enumerate_ck_cb(PD, 4, uniform(PD, "sd:g"), mode=mode)
+    assert res.restriction == restriction_from_names(PD, [["D"], ["D"]])
+    assert len(built) == len(set(built)) == tables
+    corrs = list(set_partitions(4) if mode == "knowledge" else belief_correspondences(4))
+    assert len({epistemic._union_cells(pair) for pair in itertools.product(corrs, repeat=2)}) == unions
 
 
 def test_enumerate_omega_must_cover_strategies():
@@ -444,7 +471,10 @@ def mixed_profile(game):
 
 
 # every fixture at every omega <= 3 whose brute force takes a few seconds;
-# CHAIN and THREE at omega 3 in belief mode would take minutes
+# CHAIN and THREE at omega 3 in belief mode would take minutes.  The LP-backed
+# families decide their passing masks lazily, and the enumerator prunes
+# states on those masks, so they are compared too; msd:g on MIX at omega 3 in
+# belief mode alone takes seconds and is left out
 BOTH = ("knowledge", "belief")
 DIFFERENTIAL_CASES = [
     (game, omega, mode)
@@ -462,13 +492,38 @@ DIFFERENTIAL_CASES = [
     ids=[f"{g.name}-w{o}-{m}" for g, o, m in DIFFERENTIAL_CASES],
 )
 def test_enumerate_matches_brute_force_models(game, omega, mode):
-    profiles = [uniform(game, t) for t in ("sd:g", "sd:l", "br:g:pure")]
+    specs = ("sd:g", "sd:l", "br:g:pure", "msd:g", "br:l:corr")
+    if (game, omega, mode) == (MIX, 3, "belief"):
+        specs = tuple(t for t in specs if t != "msd:g")
+    profiles = [uniform(game, t) for t in specs]
     for profile in profiles + [mixed_profile(game)]:
         res = enumerate_ck_cb(game, omega, profile, mode=mode)
         restriction, total, enumerated, early = brute_ck_cb(game, omega, profile, mode)
         assert (res.restriction, res.models_total, res.models_enumerated, res.early_exit) == (
             restriction, total, enumerated, early
         ), (game.name, omega, mode, str(profile))
+
+
+def seeded_game(seed):
+    """A 2x2 game with payoffs drawn from [-3, 3] by a generator seeded with `seed`."""
+    rng = random.Random(seed)
+    names = [("a1", "a2"), ("b1", "b2")]
+    payoffs = {joint: (rng.randint(-3, 3), rng.randint(-3, 3)) for joint in itertools.product(*names)}
+    return make_game(f"seeded{seed}", names, payoffs)
+
+
+def test_enumerate_matches_brute_force_on_seeded_games():
+    # seeded games reach early exits at many different assignments, so they
+    # check that the loop gathers every state an assignment can add, not
+    # only the restriction that later assignments would complete anyway
+    for seed in range(60):
+        game = seeded_game(seed)
+        profiles = [uniform(game, "sd:g"), uniform(game, "br:g:pure"), mixed_profile(game)]
+        for mode, profile in itertools.product(BOTH, profiles):
+            res = enumerate_ck_cb(game, 2, profile, mode=mode)
+            assert (
+                res.restriction, res.models_total, res.models_enumerated, res.early_exit
+            ) == brute_ck_cb(game, 2, profile, mode), (seed, mode, str(profile))
 
 
 def test_correspondence_counts_match_the_generators():
