@@ -4,8 +4,7 @@ rationality, and transfinite symbolic iteration, all in exact rational
 arithmetic."""
 
 from .dominance import (
-    Belief,
-    MixedStrategy,
+    Distribution,
     exists_supporting_belief,
     is_best_response,
     mixed_dominance_witness,

@@ -1,10 +1,13 @@
 """Decision procedures for strict dominance and best response.
 
-Pure dominance is a direct quantifier check.  Mixed dominance and
-best-response-to-a-correlated-belief run exact LPs and hand back certificates;
-every certificate is re-validated by direct rational evaluation before it is
-returned.  Quantifiers over an empty set of opponent profiles are taken
-literally: a universal is vacuously true, an existential is false.
+Pure dominance is a direct quantifier check.  Strict dominance by a mixed
+strategy and best response to a correlated belief, the two sides of Pearce's
+lemma, each solve the same exact max-margin LP over a distribution and hand
+back a certificate of one type, a `Distribution`: a mixture over the player's
+strategies or a belief over the opponents' profiles.  Every certificate is
+re-validated by direct rational evaluation before it is returned.
+Quantifiers over an empty set of opponent profiles are taken literally: a
+universal is vacuously true, an existential is false.
 """
 
 from __future__ import annotations
@@ -25,69 +28,32 @@ INDEPENDENT = "ind"
 BELIEF_KINDS = (PURE, CORRELATED, INDEPENDENT)
 
 
-def _check_distribution(weights, what: str):
-    total = Fraction(0)
-    for _, w in weights:
-        if w <= 0:
-            raise ValueError(f"{what} weights must be positive")
-        total += w
-    if total != 1:
-        raise ValueError(f"{what} weights sum to {total}, not 1")
-
-
 @dataclass(frozen=True)
-class MixedStrategy:
-    """A probability mixture over one player's strategies (positive weights only)."""
+class Distribution:
+    """A certificate: a probability distribution over items, positive weights
+    only.  A mixture is one over a player's strategies; a belief is one over
+    opponent profiles, and a pure belief is a point mass.  With one opponent an
+    independent belief is such a distribution too."""
 
-    owner: int
-    weights: tuple[tuple[int, Fraction], ...]
+    weights: tuple[tuple[object, Fraction], ...]
 
     def __post_init__(self):
-        _check_distribution(self.weights, "mixed strategy")
+        total = Fraction(0)
+        for _, w in self.weights:
+            if w <= 0:
+                raise ValueError("distribution weights must be positive")
+            total += w
+        if total != 1:
+            raise ValueError(f"distribution weights sum to {total}, not 1")
 
-    @property
-    def support(self) -> frozenset[int]:
-        return frozenset(s for s, _ in self.weights)
-
-
-def mixture(owner: int, weight_map) -> MixedStrategy:
-    items = tuple(
-        (s, Fraction(w)) for s, w in sorted(weight_map.items()) if Fraction(w) != 0
-    )
-    return MixedStrategy(owner, items)
+    def support(self) -> frozenset:
+        return frozenset(item for item, _ in self.weights)
 
 
-def uniform_mixture(owner: int, pool: Sequence[int]) -> MixedStrategy:
-    k = len(pool)
-    return mixture(owner, {s: Fraction(1, k) for s in pool})
-
-
-@dataclass(frozen=True)
-class Belief:
-    """What a player holds about the opponents: a distribution over opponent
-    profiles (positive weights only).  A pure belief is a point mass, and with
-    one opponent an independent belief is such a distribution too."""
-
-    weights: tuple[tuple[tuple[int, ...], Fraction], ...]
-
-    def __post_init__(self):
-        _check_distribution(self.weights, "belief")
-
-    def support(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(p for p, _ in self.weights)
-
-
-def pure_belief(profile: Sequence[int]) -> Belief:
-    return Belief(((tuple(profile), Fraction(1)),))
-
-
-def correlated_belief(weight_map) -> Belief:
-    items = tuple(
-        (tuple(p), Fraction(w))
-        for p, w in sorted(weight_map.items())
-        if Fraction(w) != 0
-    )
-    return Belief(items)
+def distribution(weight_map) -> Distribution:
+    """The distribution with these weights, zero weights dropped, items sorted."""
+    items = ((item, Fraction(w)) for item, w in sorted(weight_map.items()))
+    return Distribution(tuple((item, w) for item, w in items if w))
 
 
 def decided_kind(game: Game, belief_kind: str) -> str:
@@ -123,12 +89,45 @@ def _payoff(game: Game, player: int, strategy: int, opp_profile: Sequence[int]) 
     return game.payoff(player, joint)
 
 
-def expected_payoff(game: Game, player: int, strategy: int, belief: Belief) -> Fraction:
-    """Exact expected payoff of `strategy` for `player` under `belief`."""
+def expected_payoff(
+    game: Game, player: int, strategy: int, belief: Distribution
+) -> Fraction:
+    """Exact expected payoff of `strategy` for `player` under `belief`, a
+    distribution over the opponents' profiles."""
+    check_strategy(game, player, strategy)
+    sizes = [k for j, k in enumerate(game.sizes) if j != player]
+    for profile in belief.support():
+        # Game.payoff does not check its cell: a profile the game lacks would
+        # read another cell's payoff or run off the table
+        if len(profile) != len(sizes) or not all(
+            0 <= s < k for s, k in zip(profile, sizes)
+        ):
+            raise ValueError(
+                f"{profile!r} is not an opponent profile of player {player + 1}"
+            )
+    return _expected_payoff(game, player, strategy, belief)
+
+
+def _expected_payoff(
+    game: Game, player: int, strategy: int, belief: Distribution
+) -> Fraction:
+    """expected_payoff for a strategy and belief already checked against the game."""
     total = Fraction(0)
     for profile, w in belief.weights:
         total += w * _payoff(game, player, strategy, profile)
     return total
+
+
+def _max_margin(rows, bounds) -> tuple[Fraction, list[Fraction]]:
+    """The exact max-margin LP that both sides of Pearce's lemma solve:
+    maximize t = t+ - t- over distributions x subject to
+    sum_j rows[r][j] x_j + t <= bounds[r] for every r.  Returns t* and x*,
+    whose entries before t+ and t- are the weights, one per column of rows."""
+    k = len(rows[0])
+    objective = [lp.ZERO] * k + [lp.ONE, -lp.ONE]
+    lhs_le = [row + [lp.ONE, -lp.ONE] for row in rows]
+    lhs_eq = [[lp.ONE] * k + [lp.ZERO, lp.ZERO]]
+    return lp.simplex_maximize(objective, lhs_le, bounds, lhs_eq, [lp.ONE])
 
 
 def strictly_dominates_pure(
@@ -155,13 +154,13 @@ def mixed_dominance_witness(
     player: int,
     dominator_pool: Sequence[int],
     dominated: int,
-) -> MixedStrategy | None:
+) -> Distribution | None:
     """A mixture over the pool that strictly beats `dominated` everywhere on
     the context, or None.
 
-    Decided by the exact LP: maximize eps subject to
-    sum_s m(s) p(s, y) >= p(dominated, y) + eps for every opponent profile y,
-    with m a distribution over the pool.  A witness exists iff eps* > 0.
+    Decided by the max-margin LP over mixtures m on the pool:
+    sum_s m(s) p(s, y) >= p(dominated, y) + t for every opponent profile y.
+    A witness exists iff t* > 0.
     """
     check_same_game(game, context.game, "restriction")
     check_strategy(game, player, dominated)
@@ -173,23 +172,17 @@ def mixed_dominance_witness(
     profiles = list(context.opponent_profiles(player))
     if not profiles:
         # no opponent profile to fail at: dominance is vacuous
-        return uniform_mixture(player, pool)
+        return distribution({s: Fraction(1, len(pool)) for s in pool})
     if pool == [dominated]:
         # a mixture over `dominated` alone ties it everywhere: the LP value is 0
         return None
-    k = len(pool)
-    objective = [lp.ZERO] * k + [lp.ONE, -lp.ONE]
-    lhs_le, rhs_le = [], []
-    for y in profiles:
-        row = [-_payoff(game, player, s, y) for s in pool]
-        row += [lp.ONE, -lp.ONE]
-        lhs_le.append(row)
-        rhs_le.append(-_payoff(game, player, dominated, y))
-    lhs_eq = [[lp.ONE] * k + [lp.ZERO, lp.ZERO]]
-    value, x = lp.simplex_maximize(objective, lhs_le, rhs_le, lhs_eq, [lp.ONE])
+    value, x = _max_margin(
+        [[-_payoff(game, player, s, y) for s in pool] for y in profiles],
+        [-_payoff(game, player, dominated, y) for y in profiles],
+    )
     if value <= 0:
         return None
-    witness = mixture(player, {s: x[i] for i, s in enumerate(pool)})
+    witness = distribution(dict(zip(pool, x)))
     for y in profiles:
         got = sum(
             (w * _payoff(game, player, s, y) for s, w in witness.weights), Fraction(0)
@@ -205,7 +198,7 @@ def is_best_response(
     comparison_pool: Sequence[int],
     player: int,
     candidate: int,
-    belief: Belief,
+    belief: Distribution,
 ) -> bool:
     """candidate is weakly payoff-maximal against `belief` among the pool."""
     check_same_game(game, belief_context.game, "restriction")
@@ -215,10 +208,10 @@ def is_best_response(
         allowed.add(profile)
     if not belief.support() <= allowed:
         raise ValueError("belief support lies outside the stated restriction")
-    base = expected_payoff(game, player, candidate, belief)
+    base = _expected_payoff(game, player, candidate, belief)
     for rival in comparison_pool:
         check_strategy(game, player, rival)
-        if expected_payoff(game, player, rival, belief) > base:
+        if _expected_payoff(game, player, rival, belief) > base:
             return False
     return True
 
@@ -230,11 +223,13 @@ def exists_supporting_belief(
     player: int,
     candidate: int,
     belief_kind: str,
-) -> Belief | None:
+) -> Distribution | None:
     """Some belief held in the context making `candidate` a best response in
-    the pool, or None.  Pure beliefs are found by enumeration, correlated
-    beliefs by an exact feasibility LP; independent beliefs are decided as
-    correlated ones for 2 players and rejected beyond that.
+    the pool, or None.  Pure beliefs are found by enumeration; independent
+    beliefs are decided as correlated ones for 2 players and rejected beyond
+    that.  A correlated belief is decided by the max-margin LP over beliefs b
+    on the context's profiles: sum_y b(y) (p(s, y) - p(candidate, y)) <= -t
+    for every s in the pool.  A belief exists iff t* >= 0.
     """
     check_same_game(game, belief_context.game, "restriction")
     check_strategy(game, player, candidate)
@@ -250,46 +245,41 @@ def exists_supporting_belief(
         for y in profiles:
             base = _payoff(game, player, candidate, y)
             if all(_payoff(game, player, s, y) <= base for s in pool):
-                return pure_belief(y)
+                return distribution({y: 1})
         return None
 
     if not pool:
         # nothing to be beaten by: the first profile, as a point distribution
-        return pure_belief(profiles[0])
+        return distribution({profiles[0]: 1})
 
-    r = len(profiles)
-    objective = [lp.ZERO] * r + [lp.ONE, -lp.ONE]
-    lhs_le, rhs_le = [], []
-    for s in pool:
-        row = [
-            _payoff(game, player, s, y) - _payoff(game, player, candidate, y)
-            for y in profiles
-        ]
-        row += [lp.ONE, -lp.ONE]
-        lhs_le.append(row)
-        rhs_le.append(lp.ZERO)
-    lhs_eq = [[lp.ONE] * r + [lp.ZERO, lp.ZERO]]
-    value, x = lp.simplex_maximize(objective, lhs_le, rhs_le, lhs_eq, [lp.ONE])
+    value, x = _max_margin(
+        [
+            [
+                _payoff(game, player, s, y) - _payoff(game, player, candidate, y)
+                for y in profiles
+            ]
+            for s in pool
+        ],
+        [lp.ZERO] * len(pool),
+    )
     if value < 0:
         return None
-    belief = correlated_belief({y: x[i] for i, y in enumerate(profiles)})
-    base = expected_payoff(game, player, candidate, belief)
+    belief = distribution(dict(zip(profiles, x)))
+    base = _expected_payoff(game, player, candidate, belief)
     for s in pool:
-        if expected_payoff(game, player, s, belief) > base:
+        if _expected_payoff(game, player, s, belief) > base:
             raise InternalError("LP belief witness failed re-validation")
     return belief
 
 
-def _mixture_json(game: Game, m: MixedStrategy) -> dict:
+def _mixture_json(game: Game, player: int, m: Distribution) -> dict:
     return {
-        "owner": m.owner + 1,
-        "weights": {
-            game.strategy_names[m.owner][s]: str(w) for s, w in m.weights
-        },
+        "owner": player + 1,
+        "weights": {game.strategy_names[player][s]: str(w) for s, w in m.weights},
     }
 
 
-def _belief_json(game: Game, player: int, b: Belief) -> dict:
+def _belief_json(game: Game, player: int, b: Distribution) -> dict:
     others = [j for j in game.players() if j != player]
     return {
         "kind": "corr",
@@ -339,7 +329,7 @@ def pearce_equivalence_check(game: Game, g: Restriction):
             if belief is not None:
                 entry["belief_witness"] = _belief_json(game, i, belief)
             if witness is not None:
-                entry["dominance_witness"] = _mixture_json(game, witness)
+                entry["dominance_witness"] = _mixture_json(game, i, witness)
             entries.append(entry)
         brc_image.append(sorted(game.strategy_names[i][s] for s in brc_survivors))
         msd_image.append(sorted(game.strategy_names[i][s] for s in msd_survivors))

@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 import random
 from fractions import Fraction
@@ -6,15 +7,13 @@ import pytest
 
 from gamelattice import dominance, fixtures, lp
 from gamelattice.dominance import (
-    Belief,
-    correlated_belief,
+    Distribution,
+    distribution,
     exists_supporting_belief,
     expected_payoff,
     is_best_response,
     mixed_dominance_witness,
-    mixture,
     pearce_equivalence_check,
-    pure_belief,
     strictly_dominates_pure,
 )
 from gamelattice.errors import ShapeError, UnsupportedBeliefError
@@ -189,18 +188,20 @@ def test_witness_monotone_in_pool():
 def test_best_response_mp_pure_belief():
     top = restriction_top(MP)
     h = idx(MP, 0, "H")
-    assert is_best_response(MP, top, [0, 1], 0, h, pure_belief((idx(MP, 1, "H"),)))
+    belief = distribution({(idx(MP, 1, "H"),): 1})
+    assert is_best_response(MP, top, [0, 1], 0, h, belief)
 
 
 def test_best_response_pd_c_fails():
     top = restriction_top(PD)
     c = idx(PD, 0, "C")
-    assert not is_best_response(PD, top, [0, 1], 0, c, pure_belief((idx(PD, 1, "C"),)))
+    belief = distribution({(idx(PD, 1, "C"),): 1})
+    assert not is_best_response(PD, top, [0, 1], 0, c, belief)
 
 
 def test_best_response_mix_correlated():
     top = restriction_top(MIX)
-    belief = correlated_belief({(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
+    belief = distribution({(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
     b = idx(MIX, 0, "B")
     assert not is_best_response(MIX, top, [0, 1, 2], 0, b, belief)
 
@@ -208,7 +209,9 @@ def test_best_response_mix_correlated():
 def test_best_response_support_outside_context():
     g = restriction_from_names(PD, [["C", "D"], ["D"]])
     with pytest.raises(ValueError):
-        is_best_response(PD, g, [0, 1], 0, 0, pure_belief((idx(PD, 1, "C"),)))
+        is_best_response(
+            PD, g, [0, 1], 0, 0, distribution({(idx(PD, 1, "C"),): 1})
+        )
 
 
 def test_independent_belief_three_players_rejected():
@@ -310,19 +313,73 @@ def test_three_player_correlated_path_works():
 
 
 def test_expected_payoff_correlated_exact():
-    belief = correlated_belief({(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
+    belief = distribution({(0,): Fraction(1, 3), (1,): Fraction(2, 3)})
     got = expected_payoff(MIX, 0, idx(MIX, 0, "T"), belief)
     assert got == Fraction(1)  # 3 * 1/3 + 0 * 2/3
 
 
+def test_expected_payoff_rejects_what_the_game_lacks():
+    c = idx(PD, 0, "C")
+    # the column player has two strategies: C against (2,) would read the
+    # payoff of (D, C)
+    with pytest.raises(ValueError):
+        expected_payoff(PD, 0, c, distribution({(2,): 1}))
+    with pytest.raises(ValueError):
+        expected_payoff(PD, 0, 5, distribution({(0,): 1}))
+    with pytest.raises(ValueError):
+        expected_payoff(PD, 0, c, distribution({(0, 0): 1}))
+
+
 def test_belief_weights_must_sum_to_one():
     with pytest.raises(ValueError):
-        Belief((((0,), Fraction(1, 2)),))
+        Distribution((((0,), Fraction(1, 2)),))
 
 
 def test_mixture_weights_must_sum_to_one():
     with pytest.raises(ValueError):
-        mixture(0, {0: Fraction(1, 2)})
+        distribution({0: Fraction(1, 2)})
+
+
+# -- the max-margin LP both sides solve ----------------------------------------
+
+
+def test_both_sides_build_the_pinned_max_margin_lp(monkeypatch):
+    solve = lp.simplex_maximize
+    solved = []
+
+    def recording(*args):
+        value, x = solve(*args)
+        solved.append((args, value))
+        return value, x
+
+    monkeypatch.setattr(lp, "simplex_maximize", recording)
+    top = restriction_top(MIX)
+    pool = list(MIX.strategies(0))
+    b = idx(MIX, 0, "B")
+    assert mixed_dominance_witness(MIX, top, 0, pool, b) is not None
+    assert exists_supporting_belief(MIX, top, pool, 0, b, "corr") is None
+    assert solved == [
+        (
+            (
+                [0, 0, 0, 1, -1],
+                [[-3, 0, -1, 1, -1], [0, -3, -1, 1, -1]],
+                [-1, -1],
+                [[1, 1, 1, 0, 0]],
+                [1],
+            ),
+            Fraction(1, 2),
+        ),
+        (
+            (
+                [0, 0, 1, -1],
+                [[2, -1, 1, -1], [-1, 2, 1, -1], [0, 0, 1, -1]],
+                [0, 0, 0],
+                [[1, 1, 0, 0]],
+                [1],
+            ),
+            Fraction(-1, 2),
+        ),
+    ]
 
 
 # -- pearce equivalence --------------------------------------------------------
@@ -349,6 +406,19 @@ def test_pearce_singleton_opponents_reduces_to_pure():
             g = Restriction(game, tuple(1 << s for s in joint))
             rep = pearce_equivalence_check(game, g)
             assert rep.passed
+
+
+def test_pearce_certificates_are_pinned():
+    # `check pearce` prints certificates only on a mismatch, so no golden
+    # output shows them: these are the bytes of every report
+    digest = hashlib.sha256()
+    games = [fixtures.FIXTURES[name] for name in sorted(fixtures.FIXTURES)]
+    for game in games + fixtures.random_games(5, 12, 4, 4):
+        for g in all_restrictions(game):
+            digest.update(pearce_equivalence_check(game, g).to_json().encode())
+    assert digest.hexdigest() == (
+        "5bb7c01aa34ffaf46863eed931bdb5373957444dc4e666890f87de8148a36bc6"
+    )
 
 
 def test_pearce_every_restriction_of_fixtures():
