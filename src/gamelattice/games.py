@@ -279,6 +279,32 @@ def all_restrictions(game: Game, max_count: int | None = None) -> Iterator[Restr
         yield Restriction(game, masks)
 
 
+# A restriction's lattice index is its masks packed into one int, the last
+# player's mask in the lowest bits.  Ascending indices are the order of
+# all_restrictions, so the k-th restriction it yields has index k.  On
+# indices, inclusion is `a & ~b == 0`, meet is `&`, join is `|`, and the
+# restrictions with one strategy fewer than `idx` (the covers below it) are
+# `idx ^ bit` for each bit set in it.
+
+
+def pack_masks(sizes: Sequence[int], masks: Sequence[int]) -> int:
+    """The lattice index of the restriction with `masks`, each within its
+    strategy set of the given size."""
+    idx = 0
+    for k, mask in zip(sizes, masks):
+        idx = idx << k | mask
+    return idx
+
+
+def unpack_index(sizes: Sequence[int], idx: int) -> tuple[int, ...]:
+    """The masks of the restriction with lattice index `idx`."""
+    masks = []
+    for k in reversed(sizes):
+        masks.append(idx & ((1 << k) - 1))
+        idx >>= k
+    return tuple(reversed(masks))
+
+
 # -- game text format ---------------------------------------------------------
 
 

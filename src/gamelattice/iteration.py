@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Callable, Iterator
 
 from .games import (
@@ -23,9 +25,10 @@ from .games import (
     lattice_meet,
     mask_members,
     masks_leq,
-    restriction_bottom,
+    pack_masks,
     restriction_from_names,
     restriction_top,
+    unpack_index,
 )
 from .ordinals import Ordinal, parse_ordinal
 from .reports import CheckReport
@@ -108,7 +111,7 @@ def is_post_fixpoint(op: Operator, g: Restriction) -> bool:
     return lattice_leq(g, op(g))
 
 
-# -- mask-level verifiers -----------------------------------------------------
+# -- index-level verifiers ----------------------------------------------------
 
 
 def _submasks(m: int) -> list[int]:
@@ -127,58 +130,67 @@ def _submask_tuples(masks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield rev[::-1]
 
 
-def _image_table(
-    op: Operator, game: Game, max_restrictions: int
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The masks of op(G) for every restriction G, keyed by G's masks, in
-    lattice order."""
-    return {
-        g.masks: op(g).masks
+def _image_table(op: Operator, game: Game, max_restrictions: int) -> list[int]:
+    """The lattice index of op(G) for every restriction G, at G's index."""
+    sizes = game.sizes
+    return [
+        pack_masks(sizes, op(g).masks)
         for g in all_restrictions(game, max_count=max_restrictions)
-    }
+    ]
 
 
-def monotone_on_covers(table: dict) -> bool:
-    """Are the entries of `table` componentwise included along every cover?
+def monotone_on_covers(images: list[int]) -> bool:
+    """Are the entries of `images` included along every cover?
 
-    `table` maps the masks of every restriction to a mask tuple.  A cover is
-    a comparable pair whose larger restriction is the smaller one plus one
-    strategy.  Every comparable pair is joined by a chain of covers and
-    componentwise inclusion is transitive, so the table is monotone on all
-    3^(sum of sizes) comparable pairs exactly when it is monotone on its
-    covers, of which there are (number of keys) * (sum of sizes) / 2; a
-    failing cover is itself a non-monotone comparable pair."""
-    return all(
-        masks_leq(table[big[:i] + (m ^ (1 << s),) + big[i + 1:]], img_big)
-        for big, img_big in table.items()
-        for i, m in enumerate(big)
-        for s in mask_members(m)
-    )
+    `images` holds one lattice index per restriction, at the restriction's
+    own index, so its entries are ordered as the lattice is.  A cover is a
+    comparable pair whose larger restriction is the smaller one plus one
+    strategy: the larger index with one of its bits cleared.  Every
+    comparable pair is joined by a chain of covers and inclusion is
+    transitive, so the table is monotone on all 3^(sum of sizes) comparable
+    pairs exactly when it is monotone on its covers, of which there are
+    len(images) * (sum of sizes) / 2; a failing cover is itself a
+    non-monotone comparable pair."""
+    for big, img_big in enumerate(images):
+        rest = big
+        while rest:
+            low = rest & -rest
+            if images[big ^ low] & ~img_big:
+                return False
+            rest ^= low
+    return True
 
 
-def non_monotone_pairs(table: dict) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every comparable pair (small, big) of restrictions whose table entries
-    are not componentwise included, in a fixed order.
+def non_monotone_pairs(
+    sizes: tuple[int, ...], images: list[int]
+) -> Iterator[tuple[int, int]]:
+    """The lattice indices of every comparable pair (small, big) whose
+    entries in `images` are not included, in a fixed order.
 
-    `table` maps the masks of every restriction to a mask tuple and lists its
-    keys in lattice order, as `all_restrictions` yields them.  The covers are
-    scanned first (`monotone_on_covers`).  Only when one fails are all
-    comparable pairs visited, so the pairs yielded and their order are those
-    of that full scan alone."""
-    if monotone_on_covers(table):
+    `images` is indexed as in `monotone_on_covers`, over strategy sets of
+    the given sizes.  The covers are scanned first.  Only when one fails are
+    all comparable pairs visited: the larger ones ascending, the smaller ones
+    below each in the order of `_submask_tuples`, so the pairs yielded and
+    their order are those of that full scan alone."""
+    if monotone_on_covers(images):
         return
-    for big, img_big in table.items():
-        for small in _submask_tuples(big):
-            if not masks_leq(table[small], img_big):
+    for big, img_big in enumerate(images):
+        for masks in _submask_tuples(unpack_index(sizes, big)):
+            small = pack_masks(sizes, masks)
+            if images[small] & ~img_big:
                 yield small, big
 
 
-def _monotonicity_counterexample(game: Game, table: dict) -> tuple | None:
+def _monotonicity_counterexample(game: Game, images: list[int]) -> tuple[int, int] | None:
     """First comparable pair with a non-monotone image, in a fixed order.
 
-    `table` covers the lattice of `game`; its callers check the pair budget
+    `images` covers the lattice of `game`; its callers check the pair budget
     of `game` before they build the table."""
-    return next(non_monotone_pairs(table), None)
+    return next(non_monotone_pairs(game.sizes, images), None)
+
+
+def _restriction_at(game: Game, idx: int) -> Restriction:
+    return Restriction(game, unpack_index(game.sizes, idx))
 
 
 def verify_tarski(
@@ -193,14 +205,14 @@ def verify_tarski(
     there is reported as a precondition violation, not raised.
     """
     count_comparable_pairs(game, DEFAULT_PAIR_BUDGET)
-    table = _image_table(op, game, max_restrictions)
+    images = _image_table(op, game, max_restrictions)
     details = {
         "game": game.name,
         "operator": op_name,
-        "restrictions": len(table),
+        "restrictions": len(images),
     }
 
-    violation = _monotonicity_counterexample(game, table)
+    violation = _monotonicity_counterexample(game, images)
     if violation is not None:
         small, big = violation
         return CheckReport(
@@ -210,24 +222,23 @@ def verify_tarski(
             entries=[
                 {
                     "kind": "monotonicity-violation",
-                    "smaller": Restriction(game, small).names(),
-                    "larger": Restriction(game, big).names(),
-                    "image_smaller": Restriction(game, table[small]).names(),
-                    "image_larger": Restriction(game, table[big]).names(),
+                    "smaller": _restriction_at(game, small).names(),
+                    "larger": _restriction_at(game, big).names(),
+                    "image_smaller": _restriction_at(game, images[small]).names(),
+                    "image_larger": _restriction_at(game, images[big]).names(),
                 }
             ],
         )
 
     outcome = iterate_operator(op, game).outcome
-    fixpoints = [Restriction(game, m) for m, img in table.items() if img == m]
-    post_fixpoints = [
-        Restriction(game, m) for m, img in table.items() if masks_leq(m, img)
-    ]
-    bottom = restriction_bottom(game)
-    largest_fixpoint = lattice_join([bottom, *fixpoints])
-    post_join = lattice_join([bottom, *post_fixpoints])
+    fixpoints = [idx for idx, img in enumerate(images) if img == idx]
+    post_fixpoints = [idx for idx, img in enumerate(images) if not idx & ~img]
+    # both joins start from the bottom, index 0
+    fixpoint_join = reduce(or_, fixpoints, 0)
+    largest_fixpoint = _restriction_at(game, fixpoint_join)
+    post_join = _restriction_at(game, reduce(or_, post_fixpoints, 0))
     entries = []
-    if table.get(largest_fixpoint.masks) != largest_fixpoint.masks:
+    if images[fixpoint_join] != fixpoint_join:
         entries.append(
             {"kind": "fixpoint-join-not-fixpoint", "join": largest_fixpoint.names()}
         )
@@ -307,40 +318,40 @@ def verify_inclusion_lemma(
     """Hypotheses: op1 pointwise below op2, op1 monotonic, op2 contracting.
     Conclusion: outcome(op1) is included in outcome(op2)."""
     count_comparable_pairs(game, DEFAULT_PAIR_BUDGET)
-    table1 = _image_table(op1, game, max_restrictions)
-    table2 = _image_table(op2, game, max_restrictions)
+    images1 = _image_table(op1, game, max_restrictions)
+    images2 = _image_table(op2, game, max_restrictions)
     entries = []
     hypotheses = {"pointwise": True, "op1_monotonic": True, "op2_contracting": True}
-    for m, img1 in table1.items():
-        if not masks_leq(img1, table2[m]):
+    for idx, (img1, img2) in enumerate(zip(images1, images2)):
+        if img1 & ~img2:
             hypotheses["pointwise"] = False
             entries.append(
                 {
                     "kind": "pointwise-inclusion-violation",
-                    "restriction": Restriction(game, m).names(),
-                    "op1_image": Restriction(game, img1).names(),
-                    "op2_image": Restriction(game, table2[m]).names(),
+                    "restriction": _restriction_at(game, idx).names(),
+                    "op1_image": _restriction_at(game, img1).names(),
+                    "op2_image": _restriction_at(game, img2).names(),
                 }
             )
             break
-    violation = _monotonicity_counterexample(game, table1)
+    violation = _monotonicity_counterexample(game, images1)
     if violation is not None:
         small, big = violation
         hypotheses["op1_monotonic"] = False
         entries.append(
             {
                 "kind": "op1-monotonicity-violation",
-                "smaller": Restriction(game, small).names(),
-                "larger": Restriction(game, big).names(),
+                "smaller": _restriction_at(game, small).names(),
+                "larger": _restriction_at(game, big).names(),
             }
         )
-    for m, img2 in table2.items():
-        if not masks_leq(img2, m):
+    for idx, img2 in enumerate(images2):
+        if img2 & ~idx:
             hypotheses["op2_contracting"] = False
             entries.append(
                 {
                     "kind": "op2-contraction-violation",
-                    "restriction": Restriction(game, m).names(),
+                    "restriction": _restriction_at(game, idx).names(),
                 }
             )
             break

@@ -24,6 +24,8 @@ from .games import (
     joint_layout,
     lattice_leq,
     mask_members,
+    pack_masks,
+    unpack_index,
 )
 from .iteration import (
     DEFAULT_LATTICE_BUDGET,
@@ -323,17 +325,20 @@ def outcome(
 
 def _monotone_table(
     spec: PropertySpec, game: Game, max_restrictions: int, evaluator: Evaluator
-) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Per restriction (in lattice order), per player: the mask of the
-    strategies in T_i satisfying the property there."""
+) -> list[int]:
+    """Per restriction, at its lattice index: the lattice index whose
+    player-i mask holds the strategies in T_i satisfying the property
+    there."""
     family = _family(spec, game)
-    full = [(1 << k) - 1 for k in game.sizes]
-    return {
-        g.masks: tuple(
-            _passing(evaluator, family, spec.scope, i, g, full[i]) for i in game.players()
+    sizes = game.sizes
+    full = [(1 << k) - 1 for k in sizes]
+    return [
+        pack_masks(
+            sizes,
+            [_passing(evaluator, family, spec.scope, i, g, full[i]) for i in game.players()],
         )
         for g in all_restrictions(game, max_count=max_restrictions)
-    }
+    ]
 
 
 def property_is_monotone(
@@ -356,12 +361,12 @@ def check_property_monotone(
     at G', for every comparable pair and every strategy in T_i."""
     pairs = count_comparable_pairs(game, DEFAULT_PAIR_BUDGET)
     evaluator = evaluator_for(game, evaluator)
-    table = _monotone_table(spec, game, max_restrictions, evaluator)
+    images = _monotone_table(spec, game, max_restrictions, evaluator)
+    sizes = game.sizes
     entries = []
     violations = 0
-    for small, big in non_monotone_pairs(table):
-        for i in game.players():
-            bad = table[small][i] & ~table[big][i]
+    for small, big in non_monotone_pairs(sizes, images):
+        for i, bad in enumerate(unpack_index(sizes, images[small] & ~images[big])):
             if bad:
                 violations += bin(bad).count("1")
                 if len(entries) < MAX_MONOTONE_ENTRIES:
@@ -371,8 +376,8 @@ def check_property_monotone(
                             "strategies": [
                                 game.strategy_names[i][s] for s in mask_members(bad)
                             ],
-                            "smaller": Restriction(game, small).names(),
-                            "larger": Restriction(game, big).names(),
+                            "smaller": Restriction(game, unpack_index(sizes, small)).names(),
+                            "larger": Restriction(game, unpack_index(sizes, big)).names(),
                         }
                     )
     return CheckReport(

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from fractions import Fraction
 
@@ -17,11 +19,14 @@ from gamelattice.games import (
     lattice_meet,
     make_game,
     mask_members,
+    masks_leq,
+    pack_masks,
     parse_game,
     parse_rational,
     restriction_bottom,
     restriction_from_names,
     restriction_top,
+    unpack_index,
 )
 from gamelattice.iteration import exhaustive_lattice_laws
 
@@ -110,6 +115,48 @@ def test_all_restrictions_in_ascending_mask_order():
     masks = [r.masks for r in all_restrictions(fixtures.CHAIN)]
     assert masks == sorted(set(masks))
     assert len(masks) == count_restrictions(fixtures.CHAIN)
+
+
+def _zero_game(sizes):
+    names = [tuple(f"s{s}" for s in range(k)) for k in sizes]
+    joints = itertools.product(*names)
+    return make_game("zero", names, {joint: (0,) * len(sizes) for joint in joints})
+
+
+def _bit_walk_covers(idx):
+    """The indices one strategy below `idx`: `idx` with one set bit cleared,
+    walked from the lowest bit up."""
+    covers = []
+    rest = idx
+    while rest:
+        low = rest & -rest
+        covers.append(idx ^ low)
+        rest ^= low
+    return covers
+
+
+@pytest.mark.parametrize(
+    "sizes", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (2, 2, 2), (1, 2, 3)]
+)
+def test_lattice_index_agrees_with_the_mask_tuples(sizes):
+    restrictions = list(all_restrictions(_zero_game(sizes)))
+    assert len(restrictions) == 1 << sum(sizes)
+    for idx, a in enumerate(restrictions):
+        # ascending indices are the order of all_restrictions
+        assert pack_masks(sizes, a.masks) == idx
+        assert unpack_index(sizes, idx) == a.masks
+        tuple_covers = {
+            a.masks[:i] + (m ^ (1 << s),) + a.masks[i + 1:]
+            for i, m in enumerate(a.masks)
+            for s in mask_members(m)
+        }
+        walked = [unpack_index(sizes, c) for c in _bit_walk_covers(idx)]
+        assert len(walked) == len(tuple_covers)
+        assert set(walked) == tuple_covers
+        for jdx, b in enumerate(restrictions):
+            assert (idx & ~jdx == 0) == masks_leq(a.masks, b.masks) == lattice_leq(a, b)
+            assert unpack_index(sizes, idx & jdx) == lattice_meet([a, b]).masks
+            assert unpack_index(sizes, idx | jdx) == lattice_join([a, b]).masks
 
 
 def test_lattice_laws_exhaustive():

@@ -10,9 +10,14 @@ from gamelattice import fixtures
 from gamelattice.errors import BudgetError, ShapeError
 from gamelattice.games import (
     Restriction,
+    all_restrictions,
+    make_game,
+    mask_members,
     masks_leq,
+    pack_masks,
     restriction_from_names,
     restriction_top,
+    unpack_index,
 )
 from gamelattice.iteration import (
     IterationTrace,
@@ -28,8 +33,11 @@ from gamelattice.iteration import (
 )
 from gamelattice.ordinals import Ordinal, parse_ordinal
 from gamelattice.properties import (
+    MAX_MONOTONE_ENTRIES,
     PropertyProfile,
+    check_property_monotone,
     parse_property_spec,
+    passing_mask,
     property_operator,
 )
 from gamelattice.reports import CheckReport, canonical_json
@@ -160,11 +168,18 @@ def _brute_force_non_monotone_pairs(table):
     return pairs
 
 
+def _pack_table(sizes, table):
+    """The images of `table`, a dict of mask tuples, as lattice indices at
+    their restriction's lattice index."""
+    return [pack_masks(sizes, table[g]) for g in _all_masks(sizes)]
+
+
 @st.composite
 def mask_tables(draw):
-    """A table over every restriction of a small game: the image of a sample
-    monotone map (intersect with a cap, then add the output of every rule
-    whose trigger lies below), with some entries overwritten."""
+    """The strategy-set sizes of a small game and a dict table over every
+    restriction's masks: the image of a sample monotone map (intersect with a
+    cap, then add the output of every rule whose trigger lies below), with
+    some entries overwritten."""
     sizes = draw(st.sampled_from(
         [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2), (3, 3), (2, 2, 2)]
     ))
@@ -181,19 +196,103 @@ def mask_tables(draw):
     keys = list(table)
     for g, img in draw(st.lists(st.tuples(st.sampled_from(keys), mask_tuple), max_size=3)):
         table[g] = img
-    return table
+    return sizes, table
 
 
-@given(table=mask_tables())
+@given(drawn=mask_tables())
 @settings(max_examples=300, deadline=None)
-def test_non_monotone_pairs_matches_a_scan_of_every_comparable_pair(table):
-    assert list(non_monotone_pairs(table)) == _brute_force_non_monotone_pairs(table)
+def test_non_monotone_pairs_matches_a_scan_of_every_comparable_pair(drawn):
+    sizes, table = drawn
+    pairs = non_monotone_pairs(sizes, _pack_table(sizes, table))
+    unpacked = [(unpack_index(sizes, small), unpack_index(sizes, big)) for small, big in pairs]
+    assert unpacked == _brute_force_non_monotone_pairs(table)
 
 
-@given(table=mask_tables())
+@given(drawn=mask_tables())
 @settings(max_examples=300, deadline=None)
-def test_monotone_on_covers_is_the_verdict_of_every_pair(table):
-    assert monotone_on_covers(table) == (not _brute_force_non_monotone_pairs(table))
+def test_monotone_on_covers_is_the_verdict_of_every_pair(drawn):
+    sizes, table = drawn
+    images = _pack_table(sizes, table)
+    assert monotone_on_covers(images) == (not _brute_force_non_monotone_pairs(table))
+
+
+def _random_three_player_game(seed):
+    rng = random.Random(seed)
+    names = [("a1", "a2"), ("b1", "b2"), ("c1", "c2")]
+    table = {
+        joint: tuple(rng.randint(-5, 5) for _ in names)
+        for joint in itertools.product(*names)
+    }
+    return make_game(f"rand2x2x2-{seed}", names, table)
+
+
+FALLBACK_GAMES = (
+    [CHAIN, fixtures.THREE]
+    + [fixtures.random_game(random.Random(seed), 3, 3) for seed in (1, 2, 3)]
+    + [fixtures.random_game(random.Random(seed), 4, 4) for seed in (4, 5)]
+    + [_random_three_player_game(seed) for seed in (6, 7, 8)]
+)
+
+
+def _tuple_table(game, image_of):
+    return {g.masks: image_of(g) for g in all_restrictions(game)}
+
+
+def _brute_force_monotone_check(spec, game):
+    """The violation count and the listed entries of check_property_monotone,
+    from a scan of every comparable pair of a dict table of mask tuples."""
+    full = [(1 << k) - 1 for k in game.sizes]
+    table = _tuple_table(
+        game, lambda g: tuple(passing_mask(spec, game, i, g, full[i]) for i in game.players())
+    )
+    violations, entries = 0, []
+    for small, big in _brute_force_non_monotone_pairs(table):
+        for i, (low, high) in enumerate(zip(table[small], table[big])):
+            bad = low & ~high
+            if bad:
+                violations += len(mask_members(bad))
+                entries.append(
+                    {
+                        "player": i + 1,
+                        "strategies": [game.strategy_names[i][s] for s in mask_members(bad)],
+                        "smaller": Restriction(game, small).names(),
+                        "larger": Restriction(game, big).names(),
+                    }
+                )
+    return violations, entries[:MAX_MONOTONE_ENTRIES]
+
+
+@pytest.mark.parametrize("text", ["sd:l", "br:l:pure"])
+def test_the_fallback_scan_reports_what_a_scan_of_every_pair_finds(text):
+    # no benchmark job reaches the scan of every comparable pair, so the
+    # monotonicity reports are checked here, on local properties that fail
+    # on every one of these games
+    spec = parse_property_spec(text)
+    for game in FALLBACK_GAMES:
+        report = check_property_monotone(spec, game)
+        violations, entries = _brute_force_monotone_check(spec, game)
+        assert violations > MAX_MONOTONE_ENTRIES
+        assert (report.details["violations"], report.entries) == (violations, entries)
+
+        op = op_for(game, text)
+        table = _tuple_table(game, lambda g: op(g).masks)
+        small, big = _brute_force_non_monotone_pairs(table)[0]
+        expected = {
+            "smaller": Restriction(game, small).names(),
+            "larger": Restriction(game, big).names(),
+        }
+        tarski = verify_tarski(op, game, text)
+        assert tarski.entries == [
+            {
+                "kind": "monotonicity-violation",
+                **expected,
+                "image_smaller": Restriction(game, table[small]).names(),
+                "image_larger": Restriction(game, table[big]).names(),
+            }
+        ]
+        inclusion = verify_inclusion_lemma(op, op_for(game, "sd:l"), game, text, "sd:l")
+        found = [e for e in inclusion.entries if e["kind"] == "op1-monotonicity-violation"]
+        assert found == [{"kind": "op1-monotonicity-violation", **expected}]
 
 
 def test_trace_with_too_many_components_is_a_shape_error():
@@ -208,21 +307,23 @@ def test_trace_with_too_many_components_is_a_shape_error():
 
 
 def test_a_monotone_table_is_decided_on_its_covers():
-    class CountingTable(dict):
+    class CountingImages(list):
         lookups = 0
 
         def __getitem__(self, key):
-            CountingTable.lookups += 1
+            CountingImages.lookups += 1
             return super().__getitem__(key)
 
     sizes = (6, 6)
-    table = CountingTable((g, (g[0] & g[1], g[0] | g[1])) for g in _all_masks(sizes))
-    assert list(non_monotone_pairs(table)) == []
-    restrictions = len(table)
+    images = CountingImages(
+        pack_masks(sizes, (g[0] & g[1], g[0] | g[1])) for g in _all_masks(sizes)
+    )
+    assert list(non_monotone_pairs(sizes, images)) == []
+    restrictions = len(images)
     covers = restrictions * sum(sizes) // 2
     assert (restrictions, covers) == (4096, 24_576)
     # the scan of every comparable pair makes 3^12 = 531,441 lookups
-    assert CountingTable.lookups <= covers + restrictions
+    assert 0 < CountingImages.lookups <= covers + restrictions
 
 
 def test_contracting_msd_mix():
