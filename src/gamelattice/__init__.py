@@ -62,7 +62,6 @@ from .properties import (
     apply_operator,
     check_property_monotone,
     check_singleton_condition,
-    eval_property,
     outcome,
     parse_property_spec,
     passing_mask,

@@ -29,7 +29,6 @@ from .properties import (
     Evaluator,
     PropertyProfile,
     check_singleton_condition,
-    eval_property,
     evaluator_for,
     outcome,
     passing_mask,
@@ -205,8 +204,8 @@ def rational_states(
     for w in range(model.omega):
         for i in model.game.players():
             g = event_restriction(model, model.correspondences[i][w])
-            if not eval_property(
-                profile.specs[i], model.game, i, model.assignment[i][w], g, evaluator
+            if not passing_mask(
+                profile.specs[i], model.game, i, g, 1 << model.assignment[i][w], evaluator
             ):
                 break
         else:

@@ -264,13 +264,6 @@ def count_restrictions(game: Game, max_count: int | None = None) -> int:
     return check_budget(total, max_count, f"lattice of {total} restrictions")
 
 
-def count_comparable_pairs(game: Game, max_count: int | None = None) -> int:
-    """The number of pairs G <= G' in the lattice, 3^(sum of strategy-set
-    sizes), within max_count."""
-    pairs = 3 ** sum(game.sizes)
-    return check_budget(pairs, max_count, f"comparable-pair count {pairs}")
-
-
 def all_restrictions(game: Game, max_count: int | None = None) -> Iterator[Restriction]:
     """Every restriction of the game in lattice order: ascending mask tuples,
     the last player's mask varying fastest (the sorted order of the masks)."""
@@ -303,6 +296,11 @@ def unpack_index(sizes: Sequence[int], idx: int) -> tuple[int, ...]:
         masks.append(idx & ((1 << k) - 1))
         idx >>= k
     return tuple(reversed(masks))
+
+
+def restriction_at(game: Game, idx: int) -> Restriction:
+    """The restriction of `game` with lattice index `idx`."""
+    return Restriction(game, unpack_index(game.sizes, idx))
 
 
 # -- game text format ---------------------------------------------------------

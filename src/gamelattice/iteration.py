@@ -12,20 +12,20 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .games import (
     Game,
     Restriction,
     all_restrictions,
     check_budget,
-    count_comparable_pairs,
     lattice_join,
     lattice_leq,
     lattice_meet,
     mask_members,
     masks_leq,
     pack_masks,
+    restriction_at,
     restriction_from_names,
     restriction_top,
     unpack_index,
@@ -130,11 +130,15 @@ def _submask_tuples(masks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield rev[::-1]
 
 
-def _image_table(op: Operator, game: Game, max_restrictions: int) -> list[int]:
-    """The lattice index of op(G) for every restriction G, at G's index."""
+def image_table(
+    image: Callable[[Restriction], Sequence[int]], game: Game, max_restrictions: int
+) -> list[int]:
+    """The lattice index of the masks image(G) for every restriction G, at
+    G's own index: one walk of the lattice, in the order of
+    `all_restrictions`, within the lattice budget `max_restrictions`."""
     sizes = game.sizes
     return [
-        pack_masks(sizes, op(g).masks)
+        pack_masks(sizes, image(g))
         for g in all_restrictions(game, max_count=max_restrictions)
     ]
 
@@ -171,26 +175,18 @@ def non_monotone_pairs(
     the given sizes.  The covers are scanned first.  Only when one fails are
     all comparable pairs visited: the larger ones ascending, the smaller ones
     below each in the order of `_submask_tuples`, so the pairs yielded and
-    their order are those of that full scan alone."""
+    their order are those of that full scan alone.  The pair budget is
+    charged just before that scan, so a table that is monotone on its covers
+    is bounded by the lattice budget alone."""
     if monotone_on_covers(images):
         return
+    pairs = 3 ** sum(sizes)
+    check_budget(pairs, DEFAULT_PAIR_BUDGET, f"comparable-pair count {pairs}")
     for big, img_big in enumerate(images):
         for masks in _submask_tuples(unpack_index(sizes, big)):
             small = pack_masks(sizes, masks)
             if images[small] & ~img_big:
                 yield small, big
-
-
-def _monotonicity_counterexample(game: Game, images: list[int]) -> tuple[int, int] | None:
-    """First comparable pair with a non-monotone image, in a fixed order.
-
-    `images` covers the lattice of `game`; its callers check the pair budget
-    of `game` before they build the table."""
-    return next(non_monotone_pairs(game.sizes, images), None)
-
-
-def _restriction_at(game: Game, idx: int) -> Restriction:
-    return Restriction(game, unpack_index(game.sizes, idx))
 
 
 def verify_tarski(
@@ -204,15 +200,14 @@ def verify_tarski(
     The operator must pass an exhaustive monotonicity check first; a failure
     there is reported as a precondition violation, not raised.
     """
-    count_comparable_pairs(game, DEFAULT_PAIR_BUDGET)
-    images = _image_table(op, game, max_restrictions)
+    images = image_table(lambda g: op(g).masks, game, max_restrictions)
     details = {
         "game": game.name,
         "operator": op_name,
         "restrictions": len(images),
     }
 
-    violation = _monotonicity_counterexample(game, images)
+    violation = next(non_monotone_pairs(game.sizes, images), None)
     if violation is not None:
         small, big = violation
         return CheckReport(
@@ -222,10 +217,10 @@ def verify_tarski(
             entries=[
                 {
                     "kind": "monotonicity-violation",
-                    "smaller": _restriction_at(game, small).names(),
-                    "larger": _restriction_at(game, big).names(),
-                    "image_smaller": _restriction_at(game, images[small]).names(),
-                    "image_larger": _restriction_at(game, images[big]).names(),
+                    "smaller": restriction_at(game, small).names(),
+                    "larger": restriction_at(game, big).names(),
+                    "image_smaller": restriction_at(game, images[small]).names(),
+                    "image_larger": restriction_at(game, images[big]).names(),
                 }
             ],
         )
@@ -235,8 +230,8 @@ def verify_tarski(
     post_fixpoints = [idx for idx, img in enumerate(images) if not idx & ~img]
     # both joins start from the bottom, index 0
     fixpoint_join = reduce(or_, fixpoints, 0)
-    largest_fixpoint = _restriction_at(game, fixpoint_join)
-    post_join = _restriction_at(game, reduce(or_, post_fixpoints, 0))
+    largest_fixpoint = restriction_at(game, fixpoint_join)
+    post_join = restriction_at(game, reduce(or_, post_fixpoints, 0))
     entries = []
     if images[fixpoint_join] != fixpoint_join:
         entries.append(
@@ -317,9 +312,8 @@ def verify_inclusion_lemma(
 ) -> CheckReport:
     """Hypotheses: op1 pointwise below op2, op1 monotonic, op2 contracting.
     Conclusion: outcome(op1) is included in outcome(op2)."""
-    count_comparable_pairs(game, DEFAULT_PAIR_BUDGET)
-    images1 = _image_table(op1, game, max_restrictions)
-    images2 = _image_table(op2, game, max_restrictions)
+    images1 = image_table(lambda g: op1(g).masks, game, max_restrictions)
+    images2 = image_table(lambda g: op2(g).masks, game, max_restrictions)
     entries = []
     hypotheses = {"pointwise": True, "op1_monotonic": True, "op2_contracting": True}
     for idx, (img1, img2) in enumerate(zip(images1, images2)):
@@ -328,21 +322,21 @@ def verify_inclusion_lemma(
             entries.append(
                 {
                     "kind": "pointwise-inclusion-violation",
-                    "restriction": _restriction_at(game, idx).names(),
-                    "op1_image": _restriction_at(game, img1).names(),
-                    "op2_image": _restriction_at(game, img2).names(),
+                    "restriction": restriction_at(game, idx).names(),
+                    "op1_image": restriction_at(game, img1).names(),
+                    "op2_image": restriction_at(game, img2).names(),
                 }
             )
             break
-    violation = _monotonicity_counterexample(game, images1)
+    violation = next(non_monotone_pairs(game.sizes, images1), None)
     if violation is not None:
         small, big = violation
         hypotheses["op1_monotonic"] = False
         entries.append(
             {
                 "kind": "op1-monotonicity-violation",
-                "smaller": _restriction_at(game, small).names(),
-                "larger": _restriction_at(game, big).names(),
+                "smaller": restriction_at(game, small).names(),
+                "larger": restriction_at(game, big).names(),
             }
         )
     for idx, img2 in enumerate(images2):
@@ -351,7 +345,7 @@ def verify_inclusion_lemma(
             entries.append(
                 {
                     "kind": "op2-contraction-violation",
-                    "restriction": _restriction_at(game, idx).names(),
+                    "restriction": restriction_at(game, idx).names(),
                 }
             )
             break

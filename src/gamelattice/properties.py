@@ -18,19 +18,17 @@ from .dominance import BELIEF_KINDS, CORRELATED
 from .games import (
     Game,
     Restriction,
-    all_restrictions,
     check_same_game,
-    count_comparable_pairs,
     joint_layout,
     lattice_leq,
     mask_members,
-    pack_masks,
+    restriction_at,
     unpack_index,
 )
 from .iteration import (
     DEFAULT_LATTICE_BUDGET,
-    DEFAULT_PAIR_BUDGET,
     IterationTrace,
+    image_table,
     iterate_operator,
     monotone_on_covers,
     non_monotone_pairs,
@@ -243,8 +241,9 @@ def passing_mask(
 ) -> int:
     """The strategies in the mask `candidates` that satisfy the property on
     g, as a mask; an LP runs only for a candidate its pure pre-check leaves
-    open.  A player the game lacks, or a candidate mask out of its range, is
-    a ValueError."""
+    open; `1 << s` asks for strategy s alone.  A player the game lacks, or a
+    candidate mask out of its range, is a ValueError, raised before anything
+    is cached."""
     check_same_game(game, g.game, "restriction")
     evaluator = evaluator_for(game, evaluator)
     family = _family(spec, game)
@@ -253,34 +252,6 @@ def passing_mask(
     if candidates < 0 or candidates >> len(game.strategy_names[player]):
         raise ValueError(f"player {player + 1}: strategy mask {candidates} out of range")
     return _passing(evaluator, family, spec.scope, player, g, candidates)
-
-
-def eval_property(
-    spec: PropertySpec,
-    game: Game,
-    player: int,
-    strategy: int,
-    g: Restriction,
-    evaluator: Evaluator | None = None,
-) -> bool:
-    """Does `strategy` satisfy the property on the restriction g?  This is
-    the one-strategy reader of `passing_mask`: it decides what that decides,
-    caches it in `evaluator` the same way, and a call given none starts with
-    an empty cache.
-
-    A two-player `ind` spec is decided as `corr` and shares its verdicts.  A
-    pure certificate settles the verdict before any LP where it can: a pure
-    strict dominator in the pool fails `msd`, and a supporting pure belief
-    passes `br` with correlated beliefs.  Only verdicts come out of here, so
-    no returned certificate changes.  The dominance procedures read only the
-    opponents' components of g.  A player or strategy the game lacks is a
-    ValueError, raised before anything is cached.
-    """
-    check_same_game(game, g.game, "restriction")
-    evaluator = evaluator_for(game, evaluator)
-    family = _family(spec, game)
-    dominance.check_strategy(game, player, strategy)
-    return bool(_passing(evaluator, family, spec.scope, player, g, 1 << strategy))
 
 
 def apply_operator(
@@ -330,15 +301,12 @@ def _monotone_table(
     player-i mask holds the strategies in T_i satisfying the property
     there."""
     family = _family(spec, game)
-    sizes = game.sizes
-    full = [(1 << k) - 1 for k in sizes]
-    return [
-        pack_masks(
-            sizes,
-            [_passing(evaluator, family, spec.scope, i, g, full[i]) for i in game.players()],
-        )
-        for g in all_restrictions(game, max_count=max_restrictions)
-    ]
+    full = [(1 << k) - 1 for k in game.sizes]
+    return image_table(
+        lambda g: [_passing(evaluator, family, spec.scope, i, g, full[i]) for i in game.players()],
+        game,
+        max_restrictions,
+    )
 
 
 def property_is_monotone(
@@ -359,7 +327,6 @@ def check_property_monotone(
 ) -> CheckReport:
     """Exhaustively check: G below G' and property holds at G implies it holds
     at G', for every comparable pair and every strategy in T_i."""
-    pairs = count_comparable_pairs(game, DEFAULT_PAIR_BUDGET)
     evaluator = evaluator_for(game, evaluator)
     images = _monotone_table(spec, game, max_restrictions, evaluator)
     sizes = game.sizes
@@ -376,8 +343,8 @@ def check_property_monotone(
                             "strategies": [
                                 game.strategy_names[i][s] for s in mask_members(bad)
                             ],
-                            "smaller": Restriction(game, unpack_index(sizes, small)).names(),
-                            "larger": Restriction(game, unpack_index(sizes, big)).names(),
+                            "smaller": restriction_at(game, small).names(),
+                            "larger": restriction_at(game, big).names(),
                         }
                     )
     return CheckReport(
@@ -386,7 +353,7 @@ def check_property_monotone(
         details={
             "game": game.name,
             "property": str(spec),
-            "pairs_checked": pairs,
+            "pairs_checked": 3 ** sum(sizes),
             "violations": violations,
         },
         entries=entries,
@@ -405,7 +372,7 @@ def check_singleton_condition(
         g = Restriction(game, tuple(1 << s for s in joint))
         for i in game.players():
             checked += 1
-            if not eval_property(spec, game, i, joint[i], g, evaluator):
+            if not passing_mask(spec, game, i, g, 1 << joint[i], evaluator):
                 entries.append(
                     {"joint": list(game.joint_names(joint)), "player": i + 1}
                 )
@@ -444,18 +411,19 @@ def _verify_pointwise_chain(
         PropertyProfile.uniform(parse_property_spec(text), game.num_players)
         for text in chain
     ]
+    tables = [
+        image_table(lambda g: apply_operator(p, game, g, evaluator).masks, game, max_restrictions)
+        for p in profiles
+    ]
     entries = []
-    checked = 0
-    for g in all_restrictions(game, max_count=max_restrictions):
-        checked += 1
-        images = [apply_operator(p, game, g, evaluator) for p in profiles]
+    for idx, images in enumerate(zip(*tables)):
         for (relation, kind, image_keys), low, high in zip(links, images, images[1:]):
-            holds = low == high if relation == "==" else lattice_leq(low, high)
-            if not holds:
-                entry = {"kind": kind, "restriction": g.names()}
+            failed = low != high if relation == "==" else low & ~high
+            if failed:
+                entry = {"kind": kind, "restriction": restriction_at(game, idx).names()}
                 if image_keys is not None:
-                    entry[image_keys[0]] = low.names()
-                    entry[image_keys[1]] = high.names()
+                    entry[image_keys[0]] = restriction_at(game, low).names()
+                    entry[image_keys[1]] = restriction_at(game, high).names()
                 entries.append(entry)
     first = outcome(profiles[0], game, evaluator=evaluator).outcome
     last = outcome(profiles[-1], game, evaluator=evaluator).outcome
@@ -473,7 +441,7 @@ def _verify_pointwise_chain(
         passed=not entries,
         details={
             "game": game.name,
-            "restrictions_checked": checked,
+            "restrictions_checked": len(tables[0]),
             f"{head}_global_outcome": first.names(),
             f"{tail}_local_outcome": last.names(),
         },
@@ -525,15 +493,18 @@ def pearce_equivalence_suite(
     dominance.pearce_equivalence_check, whose disagreeing entries, with both
     certificates, make up the report's entries."""
     evaluator = Evaluator(game)
-    brc, msd = (
+    profiles = [
         PropertyProfile.uniform(parse_property_spec(text), game.num_players)
         for text in ("br:l:corr", "msd:l")
-    )
+    ]
+    brc, msd = [
+        image_table(lambda g: apply_operator(p, game, g, evaluator).masks, game, max_restrictions)
+        for p in profiles
+    ]
     mismatches = []
-    checked = 0
-    for g in all_restrictions(game, max_count=max_restrictions):
-        checked += 1
-        if apply_operator(brc, game, g, evaluator) != apply_operator(msd, game, g, evaluator):
+    for idx, (brc_image, msd_image) in enumerate(zip(brc, msd)):
+        if brc_image != msd_image:
+            g = restriction_at(game, idx)
             rep = dominance.pearce_equivalence_check(game, g)
             mismatches.append(
                 {
@@ -546,7 +517,7 @@ def pearce_equivalence_suite(
         passed=not mismatches,
         details={
             "game": game.name,
-            "restrictions_checked": checked,
+            "restrictions_checked": len(brc),
             "mismatching_restrictions": len(mismatches),
         },
         entries=mismatches,

@@ -1,6 +1,7 @@
 import gc
 import json
 import pathlib
+import shlex
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -16,12 +17,40 @@ from gamelattice.properties import PropertyProfile, parse_property_spec, propert
 from gamelattice.symbolic import SymbolicSet
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = FIXTURES.parent
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _readme_commands():
+    """The `gamelattice ...` lines of the first code block of README's
+    "Command line" section."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("gamelattice ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_the_readme_shows_every_subcommand():
+    assert {shlex.split(line)[1] for line in README_COMMANDS} == {
+        "eliminate", "check", "epistemic", "transfinite",
+    }
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_every_readme_command_exits_0(line, capsys, monkeypatch):
+    # the documented examples run as written, from the repository root
+    monkeypatch.chdir(ROOT)
+    monkeypatch.delenv("GAMELATTICE_BUDGET", raising=False)
+    code, out, err = run(capsys, *shlex.split(line)[1:])
+    assert code == 0, err
+    assert out
 
 
 def test_eliminate_pd(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamelattice import fixtures
+from gamelattice import fixtures, iteration
 from gamelattice.errors import BudgetError, ShapeError
 from gamelattice.games import (
     Restriction,
@@ -140,17 +140,26 @@ def test_tarski_budget():
         verify_tarski(op_for(PD, "sd:g"), PD, max_restrictions=4)
 
 
-def test_lattice_verifiers_check_the_pair_budget_before_any_work():
-    # 3^14 comparable pairs, beyond the 2,000,000 pair budget
+def test_lattice_verifiers_charge_the_pair_budget_only_for_the_fallback_scan(monkeypatch):
+    # 3^14 comparable pairs, beyond the 2,000,000 pair budget, but 2^14
+    # restrictions, within the lattice budget: a check that passes on the
+    # covers decides
     game = fixtures.random_game(random.Random(7), 7, 7)
+    assert verify_tarski(op_for(game, "sd:g"), game, "sd:g").passed
+    inclusion = verify_inclusion_lemma(
+        op_for(game, "br:g:pure"), op_for(game, "sd:l"), game, "br:g:pure", "sd:l"
+    )
+    assert inclusion.passed
 
-    def op(g):
-        pytest.fail("an operator was applied before the pair budget was checked")
+    # a failing cover is charged the pair budget before any fallback pair
+    def no_fallback(masks):
+        pytest.fail("a fallback pair was visited before the pair budget was charged")
 
+    monkeypatch.setattr(iteration, "_submask_tuples", no_fallback)
     with pytest.raises(BudgetError, match="comparable-pair"):
-        verify_tarski(op, game)
+        verify_tarski(op_for(game, "sd:l"), game)
     with pytest.raises(BudgetError, match="comparable-pair"):
-        verify_inclusion_lemma(op, op, game)
+        verify_inclusion_lemma(op_for(game, "sd:l"), op_for(game, "sd:g"), game)
 
 
 def _all_masks(sizes):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import pathlib
 import random
@@ -16,7 +17,7 @@ from gamelattice.games import (
     restriction_from_names,
     restriction_top,
 )
-from gamelattice.iteration import verify_tarski
+from gamelattice.iteration import verify_inclusion_lemma, verify_tarski
 from gamelattice.properties import (
     Evaluator,
     PropertyProfile,
@@ -25,7 +26,6 @@ from gamelattice.properties import (
     apply_operator,
     check_property_monotone,
     check_singleton_condition,
-    eval_property,
     outcome,
     parse_property_spec,
     passing_mask,
@@ -60,12 +60,12 @@ def test_parse_property_spec_grammar():
 
 def test_eval_property_global_local_divergence():
     sd_l, sd_g = parse_property_spec("sd:l"), parse_property_spec("sd:g")
-    c = PD.strategy_index(0, "C")
+    c = 1 << PD.strategy_index(0, "C")
     top = restriction_top(PD)
-    assert not eval_property(sd_l, PD, 0, c, top)  # D beats C
+    assert not passing_mask(sd_l, PD, 0, top, c)  # D beats C
     cc = restriction_from_names(PD, [["C"], ["C"]])
-    assert eval_property(sd_l, PD, 0, c, cc)  # no dominator inside {C}
-    assert not eval_property(sd_g, PD, 0, c, cc)  # D from outside still beats C
+    assert passing_mask(sd_l, PD, 0, cc, c)  # no dominator inside {C}
+    assert not passing_mask(sd_g, PD, 0, cc, c)  # D from outside still beats C
 
 
 def test_apply_operator_examples():
@@ -173,16 +173,26 @@ def test_property_is_monotone_is_the_checks_verdict(monkeypatch):
         check_property_monotone(sd_l, game)
 
 
-def test_monotone_budget_error():
-    # 3^14 comparable pairs, beyond the 2,000,000 pair budget
+def test_monotone_check_charges_the_pair_budget_only_for_the_fallback_scan(monkeypatch):
+    # 3^14 comparable pairs, beyond the 2,000,000 pair budget: a property
+    # monotone on every cover is decided and reports every pair as checked
     game = fixtures.random_game(random.Random(7), 7, 7)
+    report = check_property_monotone(parse_property_spec("sd:g"), game)
+    assert report.passed
+    assert report.details["pairs_checked"] == 3 ** 14
+
+    # a failing cover is charged the pair budget before any fallback pair
+    def no_fallback(masks):
+        pytest.fail("a fallback pair was visited before the pair budget was charged")
+
+    monkeypatch.setattr(iteration, "_submask_tuples", no_fallback)
     with pytest.raises(BudgetError, match="comparable-pair"):
-        check_property_monotone(parse_property_spec("sd:g"), game)
+        check_property_monotone(parse_property_spec("sd:l"), game)
 
 
 def test_property_is_monotone_charges_the_lattice_not_the_pairs():
     # the verdict is read off the covers of the 2^14 restrictions, so the
-    # 3^14 comparable pairs that the full check refuses are never charged
+    # 3^14 comparable pairs are never charged
     game = fixtures.random_game(random.Random(7), 7, 7)
     assert property_is_monotone(parse_property_spec("sd:g"), game)
     # the lattice budget still bounds the table: 2^17 restrictions
@@ -383,7 +393,7 @@ def test_pure_prechecks_agree_with_the_lp():
             for g in all_restrictions(game):
                 for i in game.players():
                     for s in game.strategies(i):
-                        got = eval_property(spec, game, i, s, g, evaluator)
+                        got = bool(passing_mask(spec, game, i, g, 1 << s, evaluator))
                         assert got == _lp_only_verdict(spec, game, i, s, g), (
                             game.name, text, g.names(), i, s,
                         )
@@ -468,11 +478,11 @@ def test_global_and_local_specs_share_verdicts_on_the_full_pool():
     top = restriction_top(MIX)
     for i in MIX.players():
         for s in MIX.strategies(i):
-            eval_property(parse_property_spec("br:g:corr"), MIX, i, s, top, evaluator)
+            passing_mask(parse_property_spec("br:g:corr"), MIX, i, top, 1 << s, evaluator)
     cached = dict(evaluator.entries)
     for i in MIX.players():
         for s in MIX.strategies(i):
-            eval_property(parse_property_spec("br:l:corr"), MIX, i, s, top, evaluator)
+            passing_mask(parse_property_spec("br:l:corr"), MIX, i, top, 1 << s, evaluator)
     assert evaluator.entries == cached
 
 
@@ -482,16 +492,16 @@ def test_independent_beliefs_rejected_for_three_players_on_every_context(masks):
     # where no belief exists at all
     g = Restriction(fixtures.THREE, masks)
     with pytest.raises(UnsupportedBeliefError):
-        eval_property(parse_property_spec("br:l:ind"), fixtures.THREE, 0, 0, g)
+        passing_mask(parse_property_spec("br:l:ind"), fixtures.THREE, 0, g, 1)
 
 
 def test_eval_property_rejects_a_restriction_of_another_game():
     spec = parse_property_spec("sd:g")
     evaluator = Evaluator(PD)
-    eval_property(spec, PD, 0, 0, restriction_top(PD), evaluator)
+    passing_mask(spec, PD, 0, restriction_top(PD), 1, evaluator)
     # MP's top has PD's masks, so a cache lookup alone would answer
     with pytest.raises(ShapeError):
-        eval_property(spec, PD, 0, 0, restriction_top(MP), evaluator)
+        passing_mask(spec, PD, 0, restriction_top(MP), 1, evaluator)
     with pytest.raises(ShapeError):
         apply_operator(uniform(PD, "sd:g"), PD, restriction_top(MP))
     # with every component empty no property is evaluated at all
@@ -502,13 +512,13 @@ def test_eval_property_rejects_a_restriction_of_another_game():
 @pytest.mark.parametrize("text", ALL_SPECS)
 def test_eval_property_refuses_a_player_or_strategy_the_game_lacks(text):
     # with player 1's component empty no dominance check runs, so only the
-    # up-front check can refuse player 1's strategy 7
+    # up-front check can refuse player 1's strategy 7 or a negative mask
     spec = parse_property_spec(text)
     evaluator = Evaluator(PD)
     g = Restriction(PD, (0, 3))
-    for player, strategy in ((0, 7), (0, -1), (2, 0), (-1, 0)):
+    for player, candidates in ((0, 1 << 7), (0, -1), (2, 1), (-1, 1)):
         with pytest.raises(ValueError):
-            eval_property(spec, PD, player, strategy, g, evaluator)
+            passing_mask(spec, PD, player, g, candidates, evaluator)
     assert not evaluator.entries
 
 
@@ -569,12 +579,12 @@ def test_two_player_ind_and_corr_agree_and_share_verdicts():
             for g in all_restrictions(game):
                 for i in game.players():
                     for s in game.strategies(i):
-                        verdict = eval_property(corr, game, i, s, g, shared)
-                        assert eval_property(ind, game, i, s, g, ind_only) == verdict, (
+                        verdict = passing_mask(corr, game, i, g, 1 << s, shared)
+                        assert passing_mask(ind, game, i, g, 1 << s, ind_only) == verdict, (
                             game.name, scope, g.names(), i, s,
                         )
                         cached = dict(shared.entries)
-                        assert eval_property(ind, game, i, s, g, shared) == verdict
+                        assert passing_mask(ind, game, i, g, 1 << s, shared) == verdict
                         assert shared.entries == cached
 
 
@@ -643,3 +653,35 @@ def test_pearce_suite_lp_count_on_mix(monkeypatch):
     rep = pearce_equivalence_suite(parse_game_file(FIXTURE_DIR / "mix.game"))
     assert rep.passed
     assert len(calls) == 42
+
+
+def test_lattice_verifier_reports_are_pinned():
+    # the golden sweep runs the verifiers on the five fixtures only: these are
+    # the bytes of their reports on seeded 2-player and 2x2x2 games, where
+    # the local specs fail, so violation entries are built from the tables
+    rng = random.Random(1717)
+    games = fixtures.random_games(1717, 8, 4, 4) + [
+        _random_game(rng, (2, 2, 2)) for _ in range(3)
+    ]
+    digest = hashlib.sha256()
+    failing = 0
+    for game in games:
+        reports = [
+            verify_theorem_just(game),
+            verify_theorem_just1(game),
+            pearce_equivalence_suite(game),
+        ]
+        for text in ("sd:l", "sd:g", "br:l:pure", "br:g:pure", "msd:l"):
+            reports.append(check_property_monotone(parse_property_spec(text), game))
+            reports.append(verify_tarski(property_operator(uniform(game, text), game), game, text))
+        for text1, text2 in (("br:g:pure", "sd:l"), ("sd:l", "br:g:pure"), ("br:g:corr", "msd:l")):
+            op1 = property_operator(uniform(game, text1), game)
+            op2 = property_operator(uniform(game, text2), game)
+            reports.append(verify_inclusion_lemma(op1, op2, game, text1, text2))
+        for report in reports:
+            failing += not report.passed
+            digest.update(report.to_json().encode())
+    assert failing > 0
+    assert digest.hexdigest() == (
+        "1cee5b85b1c8be7c04dd990150db0926884f2d7679620ee85dc51bbe826fa5df"
+    )
