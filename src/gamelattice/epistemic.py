@@ -11,7 +11,8 @@ cells partition the state space).  Common knowledge of an event is
 membership in some evident subset of it; model queries and the enumerator
 compute the largest evident subset by the same peeling of states whose
 cells stick out, which is correct because evident events are closed under
-union.
+union.  A state's joint strategy is one lattice index (`games.pack_masks`), so
+an event's image is an OR of ints, as is the restriction the enumerator gathers.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ClassificationError, PreconditionError
-from .games import Game, Restriction, check_budget, mask_members
+from .games import Game, Restriction, check_budget, mask_members, pack_masks, restriction_at
 from .properties import (
     Evaluator,
     PropertyProfile,
@@ -71,8 +72,7 @@ class EpistemicModel:
             if len(corr) != omega:
                 raise ValueError(f"player {i + 1}: correspondence not total")
             for cell in corr:
-                if cell < 0 or cell >> omega:
-                    raise ValueError("correspondence cell mentions unknown state")
+                _check_states(self, cell)
 
     @property
     def omega(self) -> int:
@@ -136,6 +136,12 @@ def _largest_evident(
     return solved[e]
 
 
+def _check_states(model: EpistemicModel, e: int):
+    """A ValueError unless the bitmask e is a set of the model's states."""
+    if e < 0 or e >> model.omega:
+        raise ValueError(f"state mask {e} mentions unknown state")
+
+
 def is_evident(model: EpistemicModel, f: int) -> bool:
     """Every player's cell stays inside f at every state of f."""
     return not f & ~k_event(model, f)
@@ -143,12 +149,14 @@ def is_evident(model: EpistemicModel, f: int) -> bool:
 
 def k_event(model: EpistemicModel, e: int) -> int:
     """States where every player's cell is contained in e."""
+    _check_states(model, e)
     return _everyone_knows(_union_cells(model.correspondences), e)
 
 
 def largest_evident_subset(model: EpistemicModel, e: int) -> int:
     """Greatest-fixpoint peeling: drop states whose cells stick out of the
     current set until stable.  Equals the union of all evident subsets of e."""
+    _check_states(model, e)
     return _largest_evident(_union_cells(model.correspondences), e)
 
 
@@ -178,18 +186,16 @@ def common_belief_event(model: EpistemicModel, e: int) -> int:
     return largest_evident_subset(model, k_event(model, e))
 
 
-def _image(
-    game: Game, assignment: Sequence[Sequence[int]], states: Sequence[int]
-) -> Restriction:
-    """The componentwise image of the listed states under an assignment."""
-    return Restriction(
-        game, tuple(_or_all(1 << row[w] for w in states) for row in assignment)
-    )
+def _state_indices(sizes: Sequence[int], per_state: Iterable[Sequence[int]]) -> list[int]:
+    """Per state, the lattice index of the joint strategy chosen there."""
+    return [pack_masks(sizes, [1 << s for s in joint]) for joint in per_state]
 
 
 def event_restriction(model: EpistemicModel, e: int) -> Restriction:
     """The componentwise image of an event under the strategy assignment."""
-    return _image(model.game, model.assignment, mask_members(e))
+    _check_states(model, e)
+    indices = _state_indices(model.game.sizes, zip(*model.assignment))
+    return restriction_at(model.game, _or_all(indices[w] for w in mask_members(e)))
 
 
 def rational_states(
@@ -200,10 +206,12 @@ def rational_states(
     if len(profile.specs) != model.game.num_players:
         raise ValueError("profile length differs from the number of players")
     evaluator = evaluator_for(model.game, evaluator)
+    indices = _state_indices(model.game.sizes, zip(*model.assignment))
     good = 0
     for w in range(model.omega):
         for i in model.game.players():
-            g = event_restriction(model, model.correspondences[i][w])
+            members = mask_members(model.correspondences[i][w])
+            g = restriction_at(model.game, _or_all(indices[v] for v in members))
             if not passing_mask(
                 profile.specs[i], model.game, i, g, 1 << model.assignment[i][w], evaluator
             ):
@@ -391,14 +399,13 @@ def enumerate_ck_cb(
     tables: list[list[int] | None] = [None] * len(combos)
     by_union: dict[tuple[int, ...], list[int]] = {}
 
-    cells_used = sorted({cell for corr in corrs for cell in corr})
-    cell_members = {cell: mask_members(cell) for cell in cells_used}
     assignments_per_player = [
         list(itertools.product(range(k), repeat=omega)) for k in game.sizes
     ]
 
-    acc = [0] * n
-    full = [(1 << k) - 1 for k in game.sizes]
+    # the gathered restriction and the full game, as lattice indices
+    acc = 0
+    top = pack_masks(game.sizes, [(1 << k) - 1 for k in game.sizes])
     enumerated = 0
     early = False
     spec_of = profile.specs
@@ -413,26 +420,23 @@ def enumerate_ck_cb(
             continue
         # A gathered state adds the strategies chosen there, so only the
         # states choosing a strategy not yet gathered can change acc.
-        need = _or_all(
-            1 << w
-            for w, joint in enumerate(per_state)
-            if any(not acc[i] >> s & 1 for i, s in enumerate(joint))
-        )
+        state_idx = _state_indices(game.sizes, per_state)
+        need = _or_all(1 << w for w, idx in enumerate(state_idx) if idx & ~acc)
         if not need:
             continue
-        # per player and possible cell image: the mask of the player's
-        # strategies in this assignment that satisfy the property there
-        images = {
-            cell: _image(game, assign, members) for cell, members in cell_members.items()
-        }
+        # images[e] is the image of the states in e and ok[e] a player's
+        # passing strategies there; the cells are exactly the non-empty e
+        images = [0]
+        for idx in state_idx:
+            images += [m | idx for m in images]
+        restrictions = [restriction_at(game, m) for m in images[1:]]
         ok_masks: list[list[int]] = []
         for i in range(n):
             row = assign[i]
             used = _or_all(1 << s for s in row)
-            ok = {
-                cell: passing_mask(spec_of[i], game, i, g, used, evaluator)
-                for cell, g in images.items()
-            }
+            ok = [0] + [
+                passing_mask(spec_of[i], game, i, g, used, evaluator) for g in restrictions
+            ]
             ok_masks.append(
                 [
                     sum(1 << w for w in range(omega) if ok[cells[w]] >> row[w] & 1)
@@ -466,14 +470,13 @@ def enumerate_ck_cb(
             if not need & ~union_states:
                 break
 
-        gathered = _image(game, assign, mask_members(union_states)).masks
-        acc = [a | m for a, m in zip(acc, gathered)]
-        if all(acc[i] == full[i] for i in range(n)):
+        acc |= images[union_states]
+        if acc == top:
             early = True
             break
 
     return CkCbResult(
-        restriction=Restriction(game, tuple(acc)),
+        restriction=restriction_at(game, acc),
         mode=mode,
         omega_size=omega,
         models_total=total,

@@ -37,7 +37,6 @@ class Ordinal:
         return f"{self.omega_coeff}w+{self.finite}"
 
 
-ZERO = Ordinal(0, 0)
 OMEGA = Ordinal(1, 0)
 
 

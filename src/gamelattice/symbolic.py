@@ -243,9 +243,6 @@ class SymbolicSet:
         return " u ".join(str(p) for p in self.pieces)
 
 
-SymbolicRestriction = tuple  # of SymbolicSet, one per player
-
-
 @dataclass(frozen=True)
 class SymbolicGame:
     """Infinite-strategy elimination given by code: per-player initial sets,

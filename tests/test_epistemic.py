@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -233,6 +234,25 @@ def test_event_restriction_monotone_and_join_preserving():
             )
 
 
+EVENT_QUERIES = [
+    event_restriction,
+    is_evident,
+    k_event,
+    largest_evident_subset,
+    common_knowledge_event,
+    common_knowledge_event_ms89,
+    common_belief_event,
+]
+
+
+@pytest.mark.parametrize("query", EVENT_QUERIES, ids=[q.__name__ for q in EVENT_QUERIES])
+@pytest.mark.parametrize("bad", [-1, 1 << 4])
+def test_event_queries_reject_events_outside_the_state_space(query, bad):
+    model = model_from_joint_strategies(PD)  # four states
+    with pytest.raises(ValueError, match="unknown state"):
+        query(model, bad)
+
+
 def test_rational_states_sd_global_full_cells():
     model = pd_model([FULL, FULL])
     rat = rational_states(model, uniform(PD, "sd:g"))
@@ -353,6 +373,23 @@ def test_enumerate_builds_tables_only_where_they_are_read(monkeypatch, mode, tab
     assert len(built) == len(set(built)) == tables
     corrs = list(set_partitions(4) if mode == "knowledge" else belief_correspondences(4))
     assert len({epistemic._union_cells(pair) for pair in itertools.product(corrs, repeat=2)}) == unions
+
+
+def test_enumerate_results_are_pinned():
+    # the brute-force differential below stops at omega 3 and leaves out
+    # belief mode on CHAIN and THREE: this pins 88 runs it cannot reach
+    games = [(PD, 4), (MP, 4), (MIX, 3), (CHAIN, 3), (THREE, 3)]
+    games += [(game, 3) for game in fixtures.random_games(18, 6, 3, 3)]
+    digest = hashlib.sha256()
+    for game, omega in games:
+        for mode in ("knowledge", "belief"):
+            for text in ("sd:g", "br:g:pure", "sd:l", "br:l:pure"):
+                r = enumerate_ck_cb(game, omega, uniform(game, text), mode=mode)
+                run = (r.restriction.masks, r.models_total, r.models_enumerated, r.early_exit)
+                digest.update(repr(run).encode())
+    assert digest.hexdigest() == (
+        "e692054ee1c7b07694cf65ad9880a885ff536859cbe9b3be9f5b75081258dc00"
+    )
 
 
 def test_enumerate_omega_must_cover_strategies():
