@@ -36,7 +36,8 @@ class Game:
     """An n-player strategic game (n > 1) with named strategies.
 
     payoffs[j][i] is player i's payoff at the joint strategy with row-major
-    index j over the per-player strategy indices.
+    index j over the per-player strategy indices.  sizes[i], computed once,
+    is the number of player i's strategies.
     """
 
     name: str
@@ -64,7 +65,8 @@ class Game:
                 raise ValueError(f"player {i + 1} has an empty strategy set")
             if len(set(names)) != len(names):
                 raise ValueError(f"player {i + 1} has duplicate strategy names")
-        strides, cells = joint_layout(self.sizes)
+        sizes = tuple(len(names) for names in self.strategy_names)
+        strides, cells = joint_layout(sizes)
         if len(self.payoffs) != cells:
             raise ValueError(
                 f"expected {cells} payoff cells, got {len(self.payoffs)}"
@@ -72,6 +74,7 @@ class Game:
         for vec in self.payoffs:
             if len(vec) != n:
                 raise ValueError("each payoff cell needs one value per player")
+        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "_strides", strides)
         object.__setattr__(self, "_hash", hash((self.name, self.strategy_names, self.payoffs)))
 
@@ -81,10 +84,6 @@ class Game:
     @property
     def num_players(self) -> int:
         return len(self.strategy_names)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(names) for names in self.strategy_names)
 
     def players(self) -> range:
         return range(self.num_players)

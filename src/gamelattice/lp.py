@@ -59,33 +59,37 @@ def simplex_maximize(
     """Maximize objective . x subject to lhs_le . x <= rhs_le,
     lhs_eq . x == rhs_eq, and x >= 0.
 
-    Returns (optimal value, optimal x).  Raises Infeasible or Unbounded.
+    Returns (optimal value, optimal x).  Raises Infeasible or Unbounded,
+    and ValueError when a row's length or the number of right-hand sides
+    does not match.
     """
     n = len(objective)
-    # each row as its coefficients followed by its right-hand side
+    if len(lhs_le) != len(rhs_le) or len(lhs_eq) != len(rhs_eq):
+        raise ValueError("every constraint row needs one right-hand side")
+    if any(len(coeffs) != n for lhs in (lhs_le, lhs_eq) for coeffs in lhs):
+        raise ValueError(f"every constraint row needs {n} coefficients")
+    # each row as its coefficients followed by its right-hand side; a row
+    # with a negative right-hand side is negated, so a `<=` row turns `>=`
     rows: list[list] = []
     kinds: list[str] = []
-    for coeffs, b in zip(lhs_le, rhs_le):
-        row = [_rational(v) for v in coeffs]
-        row.append(_rational(b))
-        if row[-1] < 0:
-            row, kind = [-v for v in row], "ge"
-        else:
-            kind = "le"
-        rows.append(row)
-        kinds.append(kind)
-    for coeffs, b in zip(lhs_eq, rhs_eq):
-        row = [_rational(v) for v in coeffs]
-        row.append(_rational(b))
-        if row[-1] < 0:
-            row = [-v for v in row]
-        rows.append(row)
-        kinds.append("eq")
+    # (kind, kind once negated, rows, right-hand sides)
+    groups = (("le", "ge", lhs_le, rhs_le), ("eq", "eq", lhs_eq, rhs_eq))
+    for kind, flipped, lhs, rhs in groups:
+        for coeffs, b in zip(lhs, rhs):
+            row = [_rational(v) for v in coeffs]
+            row.append(_rational(b))
+            if row[-1] < 0:
+                rows.append([-v for v in row])
+                kinds.append(flipped)
+            else:
+                rows.append(row)
+                kinds.append(kind)
 
     m = len(rows)
-    n_slack = sum(1 for k in kinds if k in ("le", "ge"))
-    n_art = sum(1 for k in kinds if k in ("ge", "eq"))
-    width = n + n_slack + n_art
+    # one slack column per `<=` or `>=` row, then one artificial column per
+    # `>=` or `==` row, each in row order
+    art_start = n + len(lhs_le)
+    width = art_start + m - kinds.count("le")
     # lcm over a set, not a generator: unpacking a generator builds a resized
     # tuple per call that CPython then parks in its tuple free lists, which
     # grew a long-running process by megabytes
@@ -95,26 +99,17 @@ def simplex_maximize(
     tableau: list[list[int]] = []
     basis = [0] * m
     slack_pos = n
-    art_pos = n + n_slack
-    art_cols = []
+    art_pos = art_start
     for r, (row, kind) in enumerate(zip(rows, kinds)):
         scaled = _scaled(row, scale)
-        trow = scaled[:n] + [0] * (n_slack + n_art) + scaled[n:]
-        if kind == "le":
-            trow[slack_pos] = 1
+        trow = scaled[:n] + [0] * (width - n) + scaled[n:]
+        if kind != "eq":
+            trow[slack_pos] = 1 if kind == "le" else -1
             basis[r] = slack_pos
             slack_pos += 1
-        elif kind == "ge":
-            trow[slack_pos] = -1
-            slack_pos += 1
+        if kind != "le":
             trow[art_pos] = 1
             basis[r] = art_pos
-            art_cols.append(art_pos)
-            art_pos += 1
-        else:
-            trow[art_pos] = 1
-            basis[r] = art_pos
-            art_cols.append(art_pos)
             art_pos += 1
         tableau.append(trow)
 
@@ -176,20 +171,16 @@ def simplex_maximize(
                 out = [z - cb * v for z, v in zip(out, tableau[r])]
         return out
 
-    if art_cols:
-        cost1 = [0] * width
-        for c in art_cols:
-            cost1[c] = -1
-        cost_row = reduced_cost_row(cost1)
+    if width > art_start:
+        cost_row = reduced_cost_row([0] * art_start + [-1] * (width - art_start))
         optimize(cost_row, width)
         if cost_row[-1] != 0:
             raise Infeasible("phase 1 ended with positive artificial mass")
         # drive any degenerate artificial out of the basis
-        art_set = set(art_cols)
         for r in range(m):
-            if basis[r] in art_set:
+            if basis[r] >= art_start:
                 row = tableau[r]
-                for j in range(n + n_slack):
+                for j in range(art_start):
                     if row[j] != 0:
                         if row[j] < 0:
                             # the row reads 0 on the right; negating it keeps D > 0
@@ -198,14 +189,14 @@ def simplex_maximize(
                         break
         # rows still basic in an artificial are identically zero; freeze them
         for r in range(m):
-            if basis[r] in art_set:
+            if basis[r] >= art_start:
                 tableau[r] = [0] * (width + 1)
 
     objective = [_rational(v) for v in objective]
     obj_scale = lcm(*{v.denominator for v in objective})
     cost2 = _scaled(objective, obj_scale) + [0] * (width - n)
     cost_row = reduced_cost_row(cost2)
-    optimize(cost_row, n + n_slack)
+    optimize(cost_row, art_start)
 
     value = Fraction(-cost_row[-1], obj_scale * denom)
     x = [ZERO] * n

@@ -4,10 +4,11 @@ iteration of supplied set-valued eliminators for infinite-strategy games.
 A SymbolicSet is a finite union of rational intervals (open or closed ends,
 optionally unbounded) and isolated rational points, kept in a canonical form:
 pieces pairwise disjoint, sorted, with touching pieces merged.  Equality of
-canonical forms is decidable set equality, and union, intersection and
-difference are exact.  Endpoints are Fractions; the only floats anywhere are
-the +/-inf sentinels of unbounded pieces, which compare exactly against any
-Fraction.
+canonical forms is decidable set equality.  The canonical form, union,
+intersection, difference and complement are all one boundary sweep
+(`_sweep`), exact and canonical by construction.  Endpoints are Fractions;
+the only floats anywhere are the +/-inf sentinels of unbounded pieces, which
+compare exactly against any Fraction.
 """
 
 from __future__ import annotations
@@ -92,29 +93,40 @@ class Piece:
         return f"{left}{_fmt_endpoint(self.lo)},{_fmt_endpoint(self.hi)}{right}"
 
 
-def _mergeable(a: Piece, b: Piece) -> bool:
-    """a sorted before b: do they overlap or touch with a closed side?"""
-    if a.hi > b.lo:
-        return True
-    return a.hi == b.lo and (a.hi_closed or b.lo_closed)
+def _sweep(sets, keep) -> tuple[Piece, ...]:
+    """The canonical pieces of the points q where keep(depths) holds, with
+    depths[k] the number of pieces of sets[k] that contain q.
 
-
-def _canonical(pieces) -> tuple[Piece, ...]:
-    items = sorted(pieces, key=lambda p: (p.lo, not p.lo_closed))
-    merged: list[Piece] = []
-    for p in items:
-        if merged and _mergeable(merged[-1], p):
-            last = merged[-1]
-            if p.hi > last.hi:
-                hi, hic = p.hi, p.hi_closed
-            elif p.hi < last.hi:
-                hi, hic = last.hi, last.hi_closed
-            else:
-                hi, hic = last.hi, last.hi_closed or p.hi_closed
-            merged[-1] = Piece(last.lo, hi, last.lo_closed, hic)
-        else:
-            merged.append(p)
-    return tuple(merged)
+    Each piece spans two cuts, (q, False) just below q and (q, True) just
+    above it.  Every depth is constant between consecutive distinct cuts, so
+    the answer can change only at a cut: a piece starts where keep turns
+    true and ends where it turns false.  Cuts that coincide count as one.
+    The pieces come out sorted and disjoint with a gap between any two, the
+    canonical form.  When keep holds with every depth 0, as for a
+    complement, the first piece starts at -inf; a piece that would end
+    there, or start at +inf, holds no rational and is left out."""
+    cuts = []
+    for k, pieces in enumerate(sets):
+        for p in pieces:
+            cuts += (p.lo, not p.lo_closed, k, 1), (p.hi, p.hi_closed, k, -1)
+    cuts.sort()
+    depths = [0] * len(sets)
+    inside = keep(depths)
+    lo, lo_above = NEG_INF, True
+    out = []
+    for i, (q, side, k, step) in enumerate(cuts, 1):
+        depths[k] += step
+        if i < len(cuts) and cuts[i][1] == side and cuts[i][0] == q:
+            continue
+        if keep(depths) != inside:
+            inside = not inside
+            if inside:
+                lo, lo_above = q, side
+            elif lo_above != side or lo != q:
+                out.append(Piece(lo, q, not lo_above, side))
+    if inside and lo != INF:
+        out.append(Piece(lo, INF, not lo_above, False))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -123,7 +135,7 @@ class SymbolicSet:
 
     @classmethod
     def from_pieces(cls, pieces) -> "SymbolicSet":
-        return cls(_canonical(pieces))
+        return cls(_sweep((pieces,), any))
 
     @classmethod
     def empty(cls) -> "SymbolicSet":
@@ -161,41 +173,18 @@ class SymbolicSet:
         return any(p.contains(q) for p in self.pieces)
 
     def union(self, other: "SymbolicSet") -> "SymbolicSet":
-        return SymbolicSet.from_pieces(self.pieces + other.pieces)
+        return SymbolicSet(_sweep((self.pieces, other.pieces), any))
 
     def intersection(self, other: "SymbolicSet") -> "SymbolicSet":
-        out = []
-        for a in self.pieces:
-            for b in other.pieces:
-                if a.lo > b.lo or (a.lo == b.lo and not a.lo_closed):
-                    lo, loc = a.lo, a.lo_closed
-                else:
-                    lo, loc = b.lo, b.lo_closed
-                if a.hi < b.hi or (a.hi == b.hi and not a.hi_closed):
-                    hi, hic = a.hi, a.hi_closed
-                else:
-                    hi, hic = b.hi, b.hi_closed
-                if lo < hi or (lo == hi and loc and hic and lo not in (INF, NEG_INF)):
-                    out.append(Piece(lo, hi, loc, hic))
-        return SymbolicSet.from_pieces(out)
+        return SymbolicSet(_sweep((self.pieces, other.pieces), all))
 
     def complement(self) -> "SymbolicSet":
-        out = []
-        cursor, cursor_closed = NEG_INF, False
-        for p in self.pieces:
-            lo, loc, hi, hic = cursor, cursor_closed, p.lo, not p.lo_closed
-            if lo < hi or (lo == hi and loc and hic and lo not in (INF, NEG_INF)):
-                out.append(Piece(lo, hi, loc, hic))
-            cursor, cursor_closed = p.hi, not p.hi_closed
-        if cursor < INF:
-            if cursor == NEG_INF:
-                out.append(Piece(NEG_INF, INF, False, False))
-            else:
-                out.append(Piece(cursor, INF, cursor_closed, False))
-        return SymbolicSet.from_pieces(out)
+        return SymbolicSet(_sweep((self.pieces,), lambda d: not d[0]))
 
     def difference(self, other: "SymbolicSet") -> "SymbolicSet":
-        return self.intersection(other.complement())
+        return SymbolicSet(
+            _sweep((self.pieces, other.pieces), lambda d: d[0] and not d[1])
+        )
 
     def issubset(self, other: "SymbolicSet") -> bool:
         return self.difference(other).is_empty

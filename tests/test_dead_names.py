@@ -1,7 +1,9 @@
 """Every module-level function, class and constant of the package is named
 somewhere besides its definition: in its own module, or from `src/`, `tests/`
 or `bench/` through an import, an attribute of the module, or a
-`getattr`/`setattr`-style call on the module with the name as a string."""
+`getattr`/`setattr`-style call on the module with the name as a string.
+And every name a module imports is used in that module, except in the
+package's `__init__.py`, whose imports are its exports."""
 
 import ast
 from pathlib import Path
@@ -59,4 +61,33 @@ def test_every_module_level_name_is_used():
         for name in _definitions(tree)
         if (path.stem, name) not in referenced
     ]
+    assert unused == []
+
+
+def _imported_names(tree):
+    """(line, name) for every name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path, tree in _parsed_sources():
+        if path == PACKAGE / "__init__.py":
+            continue
+        loaded = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{path.relative_to(ROOT)}:{line} {name}"
+            for line, name in _imported_names(tree)
+            if name not in loaded
+        ]
     assert unused == []

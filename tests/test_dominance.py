@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gamelattice import dominance, fixtures, lp
+from gamelattice import fixtures, lp
 from gamelattice.dominance import (
     Distribution,
     distribution,

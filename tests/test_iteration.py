@@ -20,7 +20,6 @@ from gamelattice.games import (
     unpack_index,
 )
 from gamelattice.iteration import (
-    IterationTrace,
     is_fixpoint,
     is_post_fixpoint,
     iterate_operator,

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import itertools
 import pathlib
@@ -94,6 +95,15 @@ def test_internal_faults_are_package_errors():
     assert issubclass(lp.Infeasible, InternalError)
     assert issubclass(lp.Unbounded, InternalError)
     assert issubclass(InternalError, GameLatticeError)
+
+
+def test_ragged_input_is_rejected():
+    # a short row would read its right-hand side as a coefficient, and zip
+    # would drop a row that has no right-hand side
+    with pytest.raises(ValueError, match="coefficients"):
+        lp.simplex_maximize([1, 1], [[1], [0, 1]], [1, 2])
+    with pytest.raises(ValueError, match="right-hand side"):
+        lp.simplex_maximize([1, 1], [[1, 0], [0, 1]], [1])
 
 
 def test_non_fraction_inputs_are_taken_exactly():
@@ -234,3 +244,22 @@ def test_frozen_corpus_replays_exactly():
         if got != inst[5] or (x is not None and not lpcorpus.attains(inst, Fraction(got), x)):
             mismatches.append((k, inst[5], got))
     assert mismatches == []
+
+
+# sha256 over the corpus, one line per instance: repr((str(value), [str(v)
+# for v in x])), or the name of the exception raised
+CORPUS_VERTEX_DIGEST = "654146ae125e4170fd85f63bc1723dd6c4577fa7100d03d5702483a6ff7fc4d5"
+
+
+def test_frozen_corpus_vertices_are_pinned():
+    """The replay accepts any optimal x; this pins the vertex itself, so a
+    change in pivoting order that lands on another optimum shows."""
+    digest = hashlib.sha256()
+    for obj, lhs_le, rhs_le, lhs_eq, rhs_eq, _ in _load_lpcorpus().load():
+        try:
+            value, x = lp.simplex_maximize(obj, lhs_le, rhs_le, lhs_eq, rhs_eq)
+            line = repr((str(value), [str(v) for v in x]))
+        except GameLatticeError as exc:
+            line = type(exc).__name__
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == CORPUS_VERTEX_DIGEST
