@@ -306,8 +306,8 @@ def pearce_equivalence_check(game: Game, g: Restriction):
     mismatches = 0
     brc_image = []
     msd_image = []
-    for i in game.players():
-        pool = mask_members(g.masks[i])
+    for i, mask in enumerate(g.masks):
+        pool = mask_members(mask)
         brc_survivors = set()
         msd_survivors = set()
         for s in pool:

@@ -11,8 +11,9 @@ cells partition the state space).  Common knowledge of an event is
 membership in some evident subset of it; model queries and the enumerator
 compute the largest evident subset by the same peeling of states whose
 cells stick out, which is correct because evident events are closed under
-union.  A state's joint strategy is one lattice index (`games.pack_masks`), so
-an event's image is an OR of ints, as is the restriction the enumerator gathers.
+union.  A state's joint strategy is one lattice index (`Restriction.index`),
+so an event's image is an OR of ints, as is the restriction the enumerator
+gathers.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ClassificationError, PreconditionError
-from .games import Game, Restriction, check_budget, mask_members, pack_masks, restriction_at
+from .games import Game, Restriction, check_budget, mask_members, restriction_at
 from .properties import (
     Evaluator,
     PropertyProfile,
@@ -186,15 +187,16 @@ def common_belief_event(model: EpistemicModel, e: int) -> int:
     return largest_evident_subset(model, k_event(model, e))
 
 
-def _state_indices(sizes: Sequence[int], per_state: Iterable[Sequence[int]]) -> list[int]:
+def _state_indices(game: Game, per_state: Iterable[Sequence[int]]) -> list[int]:
     """Per state, the lattice index of the joint strategy chosen there."""
-    return [pack_masks(sizes, [1 << s for s in joint]) for joint in per_state]
+    shifts = game.shifts
+    return [sum(1 << shift + s for shift, s in zip(shifts, joint)) for joint in per_state]
 
 
 def event_restriction(model: EpistemicModel, e: int) -> Restriction:
     """The componentwise image of an event under the strategy assignment."""
     _check_states(model, e)
-    indices = _state_indices(model.game.sizes, zip(*model.assignment))
+    indices = _state_indices(model.game, zip(*model.assignment))
     return restriction_at(model.game, _or_all(indices[w] for w in mask_members(e)))
 
 
@@ -206,7 +208,7 @@ def rational_states(
     if len(profile.specs) != model.game.num_players:
         raise ValueError("profile length differs from the number of players")
     evaluator = evaluator_for(model.game, evaluator)
-    indices = _state_indices(model.game.sizes, zip(*model.assignment))
+    indices = _state_indices(model.game, zip(*model.assignment))
     good = 0
     for w in range(model.omega):
         for i in model.game.players():
@@ -405,7 +407,7 @@ def enumerate_ck_cb(
 
     # the gathered restriction and the full game, as lattice indices
     acc = 0
-    top = pack_masks(game.sizes, [(1 << k) - 1 for k in game.sizes])
+    top = (1 << sum(game.sizes)) - 1
     enumerated = 0
     early = False
     spec_of = profile.specs
@@ -420,7 +422,7 @@ def enumerate_ck_cb(
             continue
         # A gathered state adds the strategies chosen there, so only the
         # states choosing a strategy not yet gathered can change acc.
-        state_idx = _state_indices(game.sizes, per_state)
+        state_idx = _state_indices(game, per_state)
         need = _or_all(1 << w for w, idx in enumerate(state_idx) if idx & ~acc)
         if not need:
             continue

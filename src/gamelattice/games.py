@@ -5,7 +5,8 @@ A game fixes per-player strategy lists and a total payoff tensor with
 Fraction entries.  A restriction picks a subset of each player's strategies;
 restrictions ordered by componentwise inclusion form the complete lattice
 every elimination operator acts on.  Empty components are allowed so the
-lattice stays complete.
+lattice stays complete.  A restriction is stored as one int, its lattice
+index, so the order, meet and join are int bit operations.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class Game:
 
     payoffs[j][i] is player i's payoff at the joint strategy with row-major
     index j over the per-player strategy indices.  sizes[i], computed once,
-    is the number of player i's strategies.
+    is the number of player i's strategies, and shifts[i] the lowest bit of
+    player i's mask in a lattice index.
     """
 
     name: str
@@ -75,6 +77,7 @@ class Game:
             if len(vec) != n:
                 raise ValueError("each payoff cell needs one value per player")
         object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "shifts", tuple(sum(sizes[i + 1:]) for i in range(n)))
         object.__setattr__(self, "_strides", strides)
         object.__setattr__(self, "_hash", hash((self.name, self.strategy_names, self.payoffs)))
 
@@ -155,13 +158,15 @@ def mask_members(mask: int) -> list[int]:
 class Restriction:
     """A per-player strategy subset; an element of the restriction lattice.
 
-    Each component is one int bitmask, bit s set iff strategy s is kept.
-    Masks are the only form of a restriction: `Restriction(game, masks)`
-    builds one, and `mask_members` lists a component's strategy indices.
+    A restriction is stored as its lattice index: one int holding every
+    player's strategy bitmask, bit s of a mask set iff strategy s is kept.
+    `Restriction(game, masks)` checks and packs the masks, `restriction_at`
+    wraps an index, `masks` unpacks the per-player tuple, and
+    `mask_members` lists a component's strategy indices.
     """
 
     game: Game
-    masks: tuple[int, ...]
+    index: int
 
     def __init__(self, game: Game, masks: Sequence[int]):
         if len(masks) != game.num_players:
@@ -170,7 +175,11 @@ class Restriction:
             if mask >> len(game.strategy_names[i]):
                 raise ValueError(f"player {i + 1}: strategy mask {mask} out of range")
         object.__setattr__(self, "game", game)
-        object.__setattr__(self, "masks", tuple(masks))
+        object.__setattr__(self, "index", pack_masks(game.sizes, masks))
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        return unpack_index(self.game.sizes, self.index)
 
     def names(self) -> list[list[str]]:
         return [
@@ -216,37 +225,32 @@ def check_same_game(game: Game, other: Game, what: str):
         raise ShapeError(f"{what} belongs to a different game")
 
 
-def masks_leq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Componentwise inclusion of two mask tuples."""
-    return all(x & ~y == 0 for x, y in zip(a, b))
-
-
 def lattice_leq(g1: Restriction, g2: Restriction) -> bool:
     """Componentwise inclusion."""
     check_same_game(g1.game, g2.game, "restriction")
-    return masks_leq(g1.masks, g2.masks)
+    return not g1.index & ~g2.index
 
 
 def lattice_meet(gs: Sequence[Restriction]) -> Restriction:
     """Componentwise intersection of a non-empty list."""
     if not gs:
         raise ValueError("meet of an empty list; pass the top element explicitly")
-    masks = gs[0].masks
+    idx = gs[0].index
     for other in gs[1:]:
         check_same_game(gs[0].game, other.game, "restriction")
-        masks = tuple(x & y for x, y in zip(masks, other.masks))
-    return Restriction(gs[0].game, masks)
+        idx &= other.index
+    return restriction_at(gs[0].game, idx)
 
 
 def lattice_join(gs: Sequence[Restriction]) -> Restriction:
     """Componentwise union of a non-empty list."""
     if not gs:
         raise ValueError("join of an empty list; pass the bottom element explicitly")
-    masks = gs[0].masks
+    idx = gs[0].index
     for other in gs[1:]:
         check_same_game(gs[0].game, other.game, "restriction")
-        masks = tuple(x | y for x, y in zip(masks, other.masks))
-    return Restriction(gs[0].game, masks)
+        idx |= other.index
+    return restriction_at(gs[0].game, idx)
 
 
 def check_budget(count: int, budget: int | None, what: str) -> int:
@@ -264,19 +268,19 @@ def count_restrictions(game: Game, max_count: int | None = None) -> int:
 
 
 def all_restrictions(game: Game, max_count: int | None = None) -> Iterator[Restriction]:
-    """Every restriction of the game in lattice order: ascending mask tuples,
-    the last player's mask varying fastest (the sorted order of the masks)."""
-    count_restrictions(game, max_count)
-    for masks in itertools.product(*(range(1 << k) for k in game.sizes)):
-        yield Restriction(game, masks)
+    """Every restriction of the game in lattice order: ascending lattice
+    indices, which is the sorted order of the mask tuples."""
+    for idx in range(count_restrictions(game, max_count)):
+        yield restriction_at(game, idx)
 
 
 # A restriction's lattice index is its masks packed into one int, the last
-# player's mask in the lowest bits.  Ascending indices are the order of
-# all_restrictions, so the k-th restriction it yields has index k.  On
-# indices, inclusion is `a & ~b == 0`, meet is `&`, join is `|`, and the
-# restrictions with one strategy fewer than `idx` (the covers below it) are
-# `idx ^ bit` for each bit set in it.
+# player's mask in the lowest bits, so player i's mask starts at bit
+# game.shifts[i].  Ascending indices are the order of all_restrictions, so
+# the k-th restriction it yields has index k.  On indices, inclusion is
+# `a & ~b == 0`, meet is `&`, join is `|`, and the restrictions with one
+# strategy fewer than `idx` (the covers below it) are `idx ^ bit` for each
+# bit set in it.
 
 
 def pack_masks(sizes: Sequence[int], masks: Sequence[int]) -> int:
@@ -298,8 +302,14 @@ def unpack_index(sizes: Sequence[int], idx: int) -> tuple[int, ...]:
 
 
 def restriction_at(game: Game, idx: int) -> Restriction:
-    """The restriction of `game` with lattice index `idx`."""
-    return Restriction(game, unpack_index(game.sizes, idx))
+    """The restriction of `game` with lattice index `idx`; a ValueError
+    unless 0 <= idx < 2^(sum of strategy-set sizes)."""
+    if idx < 0 or idx >> sum(game.sizes):
+        raise ValueError(f"lattice index {idx} out of range")
+    r = object.__new__(Restriction)
+    object.__setattr__(r, "game", game)
+    object.__setattr__(r, "index", idx)
+    return r
 
 
 # -- game text format ---------------------------------------------------------

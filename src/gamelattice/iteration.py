@@ -12,18 +12,14 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from .games import (
     Game,
     Restriction,
     all_restrictions,
     check_budget,
-    lattice_join,
     lattice_leq,
-    lattice_meet,
-    mask_members,
-    masks_leq,
     pack_masks,
     restriction_at,
     restriction_from_names,
@@ -130,17 +126,11 @@ def _submask_tuples(masks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield rev[::-1]
 
 
-def image_table(
-    image: Callable[[Restriction], Sequence[int]], game: Game, max_restrictions: int
-) -> list[int]:
-    """The lattice index of the masks image(G) for every restriction G, at
-    G's own index: one walk of the lattice, in the order of
-    `all_restrictions`, within the lattice budget `max_restrictions`."""
-    sizes = game.sizes
-    return [
-        pack_masks(sizes, image(g))
-        for g in all_restrictions(game, max_count=max_restrictions)
-    ]
+def image_table(op: Operator, game: Game, max_restrictions: int) -> list[int]:
+    """The lattice index of op(G) for every restriction G, at G's own index:
+    one walk of the lattice, in the order of `all_restrictions`, within the
+    lattice budget `max_restrictions`."""
+    return [op(g).index for g in all_restrictions(game, max_count=max_restrictions)]
 
 
 def monotone_on_covers(images: list[int]) -> bool:
@@ -200,7 +190,7 @@ def verify_tarski(
     The operator must pass an exhaustive monotonicity check first; a failure
     there is reported as a precondition violation, not raised.
     """
-    images = image_table(lambda g: op(g).masks, game, max_restrictions)
+    images = image_table(op, game, max_restrictions)
     details = {
         "game": game.name,
         "operator": op_name,
@@ -312,8 +302,8 @@ def verify_inclusion_lemma(
 ) -> CheckReport:
     """Hypotheses: op1 pointwise below op2, op1 monotonic, op2 contracting.
     Conclusion: outcome(op1) is included in outcome(op2)."""
-    images1 = image_table(lambda g: op1(g).masks, game, max_restrictions)
-    images2 = image_table(lambda g: op2(g).masks, game, max_restrictions)
+    images1 = image_table(op1, game, max_restrictions)
+    images2 = image_table(op2, game, max_restrictions)
     entries = []
     hypotheses = {"pointwise": True, "op1_monotonic": True, "op2_contracting": True}
     for idx, (img1, img2) in enumerate(zip(images1, images2)):
@@ -373,46 +363,4 @@ def verify_inclusion_lemma(
             "op2_outcome": out2.names(),
         },
         entries=entries,
-    )
-
-
-def exhaustive_lattice_laws(game: Game, max_restrictions: int = 1 << 8) -> CheckReport:
-    """Partial-order and glb/lub laws, checked on a fully enumerated lattice.
-
-    Pairs are checked with the lattice operations on Restriction objects:
-    lattice_leq against inclusion of the strategy sets that mask_members
-    lists, meet and join against the masks.  The two greatest/least
-    quantifiers run over the masks so games up to eight strategies total
-    stay fast.
-    """
-    restrictions = list(all_restrictions(game, max_count=max_restrictions))
-    members = {r.masks: [set(mask_members(m)) for m in r.masks] for r in restrictions}
-    entries = []
-    for a in restrictions:
-        ma = a.masks
-        if not lattice_leq(a, a):
-            entries.append({"kind": "not-reflexive", "restriction": a.names()})
-        for b in restrictions:
-            mb = b.masks
-            if lattice_leq(a, b) != all(x <= y for x, y in zip(members[ma], members[mb])):
-                entries.append({"kind": "leq-disagrees-with-inclusion"})
-            if lattice_leq(a, b) and lattice_leq(b, a) and a != b:
-                entries.append({"kind": "not-antisymmetric"})
-            meet = lattice_meet([a, b]).masks
-            join = lattice_join([a, b]).masks
-            if not (masks_leq(meet, ma) and masks_leq(meet, mb)):
-                entries.append({"kind": "meet-not-lower-bound"})
-            if not (masks_leq(ma, join) and masks_leq(mb, join)):
-                entries.append({"kind": "join-not-upper-bound"})
-            for c in restrictions:
-                mc = c.masks
-                if masks_leq(mc, ma) and masks_leq(mc, mb) and not masks_leq(mc, meet):
-                    entries.append({"kind": "meet-not-greatest"})
-                if masks_leq(ma, mc) and masks_leq(mb, mc) and not masks_leq(join, mc):
-                    entries.append({"kind": "join-not-least"})
-    return CheckReport(
-        name="lattice-laws",
-        passed=not entries,
-        details={"game": game.name, "restrictions": len(restrictions)},
-        entries=entries[:5],
     )

@@ -18,6 +18,7 @@ from .dominance import BELIEF_KINDS, CORRELATED
 from .games import (
     Game,
     Restriction,
+    all_restrictions,
     check_same_game,
     joint_layout,
     lattice_leq,
@@ -163,19 +164,23 @@ def _comparisons(evaluator: Evaluator, player: int) -> list[list[int]]:
     return beaters
 
 
-def _opponent_profiles(evaluator: Evaluator, player: int, masks: tuple[int, ...]) -> int:
-    """The mask Y of the opponent profiles of the restriction with `masks`."""
-    if len(masks) == 2:
-        return masks[1 - player]
-    # keyed by the player too: the same opponent masks of another player
-    # number their profiles over other strategy-set sizes
-    key = (player, masks[:player] + masks[player + 1:])
+def _opponent_profiles(evaluator: Evaluator, player: int, index: int) -> int:
+    """The mask Y of the opponent profiles of the restriction with lattice
+    index `index`."""
+    game = evaluator.game
+    sizes, shifts = game.sizes, game.shifts
+    if len(sizes) == 2:
+        return index >> shifts[1 - player] & (1 << sizes[1 - player]) - 1
+    # the index with the player's own mask cleared, keyed by the player too:
+    # the same opponent masks of another player number their profiles over
+    # other strategy-set sizes
+    key = (player, index & ~((1 << sizes[player]) - 1 << shifts[player]))
     ys = evaluator.profiles.get(key)
     if ys is None:
-        sizes = evaluator.game.sizes
+        masks = unpack_index(sizes, key[1])
         strides, _ = joint_layout(sizes[:player] + sizes[player + 1:])
         ys = 1
-        for stride, mask in zip(strides, key[1]):
+        for stride, mask in zip(strides, masks[:player] + masks[player + 1:]):
             # the shifted copies are disjoint, so their sum is their union
             ys = sum(ys << stride * s for s in mask_members(mask))
         evaluator.profiles[key] = ys
@@ -191,8 +196,8 @@ def _passing(
     entry records the verdict."""
     game = evaluator.game
     full = (1 << len(game.strategy_names[player])) - 1
-    pool = full if scope == "g" else g.masks[player]
-    ys = _opponent_profiles(evaluator, player, g.masks)
+    pool = full if scope == "g" else g.index >> game.shifts[player] & full
+    ys = _opponent_profiles(evaluator, player, g.index)
     key = (family, player, ys, pool)
     entry = evaluator.entries.get(key)
     if entry is None:
@@ -262,11 +267,11 @@ def apply_operator(
     if len(profile.specs) != game.num_players:
         raise ValueError("profile length differs from the number of players")
     evaluator = evaluator_for(game, evaluator)
-    masks = tuple(
-        _passing(evaluator, _family(spec, game), spec.scope, i, g, g.masks[i])
-        for i, spec in enumerate(profile.specs)
-    )
-    return Restriction(game, masks)
+    masks, shifts = g.masks, game.shifts
+    idx = 0
+    for i, spec in enumerate(profile.specs):
+        idx |= _passing(evaluator, _family(spec, game), spec.scope, i, g, masks[i]) << shifts[i]
+    return restriction_at(game, idx)
 
 
 def property_operator(
@@ -302,11 +307,13 @@ def _monotone_table(
     there."""
     family = _family(spec, game)
     full = [(1 << k) - 1 for k in game.sizes]
-    return image_table(
-        lambda g: [_passing(evaluator, family, spec.scope, i, g, full[i]) for i in game.players()],
-        game,
-        max_restrictions,
-    )
+    return [
+        sum(
+            _passing(evaluator, family, spec.scope, i, g, full[i]) << game.shifts[i]
+            for i in game.players()
+        )
+        for g in all_restrictions(game, max_count=max_restrictions)
+    ]
 
 
 def property_is_monotone(
@@ -412,7 +419,7 @@ def _verify_pointwise_chain(
         for text in chain
     ]
     tables = [
-        image_table(lambda g: apply_operator(p, game, g, evaluator).masks, game, max_restrictions)
+        image_table(property_operator(p, game, evaluator), game, max_restrictions)
         for p in profiles
     ]
     entries = []
@@ -498,7 +505,7 @@ def pearce_equivalence_suite(
         for text in ("br:l:corr", "msd:l")
     ]
     brc, msd = [
-        image_table(lambda g: apply_operator(p, game, g, evaluator).masks, game, max_restrictions)
+        image_table(property_operator(p, game, evaluator), game, max_restrictions)
         for p in profiles
     ]
     mismatches = []

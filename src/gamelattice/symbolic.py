@@ -57,13 +57,15 @@ class Piece:
     hi_closed: bool
 
     def __post_init__(self):
-        if self.lo == NEG_INF and self.lo_closed:
+        # each flag is tested before the comparison it guards, so a Fraction
+        # is compared only where the flag leaves the verdict open
+        if self.lo_closed and self.lo == NEG_INF:
             raise ValueError("-inf cannot be a closed end")
-        if self.hi == INF and self.hi_closed:
+        if self.hi_closed and self.hi == INF:
             raise ValueError("inf cannot be a closed end")
         if self.lo > self.hi:
             raise ValueError("empty piece")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+        if not (self.lo_closed and self.hi_closed) and self.lo == self.hi:
             raise ValueError("degenerate piece must be a closed point")
 
     @property

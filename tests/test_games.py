@@ -19,16 +19,15 @@ from gamelattice.games import (
     lattice_meet,
     make_game,
     mask_members,
-    masks_leq,
     pack_masks,
     parse_game,
     parse_rational,
+    restriction_at,
     restriction_bottom,
     restriction_from_names,
     restriction_top,
     unpack_index,
 )
-from gamelattice.iteration import exhaustive_lattice_laws
 
 
 def rset(game, *components):
@@ -123,6 +122,10 @@ def _zero_game(sizes):
     return make_game("zero", names, {joint: (0,) * len(sizes) for joint in joints})
 
 
+def _masks_leq(a, b):
+    return all(x & ~y == 0 for x, y in zip(a, b))
+
+
 def _bit_walk_covers(idx):
     """The indices one strategy below `idx`: `idx` with one set bit cleared,
     walked from the lowest bit up."""
@@ -139,10 +142,14 @@ def _bit_walk_covers(idx):
     "sizes", [(1, 1), (1, 3), (2, 2), (2, 3), (3, 3), (2, 2, 2), (1, 2, 3)]
 )
 def test_lattice_index_agrees_with_the_mask_tuples(sizes):
-    restrictions = list(all_restrictions(_zero_game(sizes)))
+    game = _zero_game(sizes)
+    restrictions = list(all_restrictions(game))
     assert len(restrictions) == 1 << sum(sizes)
     for idx, a in enumerate(restrictions):
         # ascending indices are the order of all_restrictions
+        assert a.index == idx
+        assert restriction_at(game, idx) == a
+        assert hash(restriction_at(game, idx)) == hash(a) == hash(Restriction(game, a.masks))
         assert pack_masks(sizes, a.masks) == idx
         assert unpack_index(sizes, idx) == a.masks
         tuple_covers = {
@@ -154,15 +161,18 @@ def test_lattice_index_agrees_with_the_mask_tuples(sizes):
         assert len(walked) == len(tuple_covers)
         assert set(walked) == tuple_covers
         for jdx, b in enumerate(restrictions):
-            assert (idx & ~jdx == 0) == masks_leq(a.masks, b.masks) == lattice_leq(a, b)
+            assert (idx & ~jdx == 0) == _masks_leq(a.masks, b.masks) == lattice_leq(a, b)
             assert unpack_index(sizes, idx & jdx) == lattice_meet([a, b]).masks
             assert unpack_index(sizes, idx | jdx) == lattice_join([a, b]).masks
 
 
-def test_lattice_laws_exhaustive():
-    for game in (fixtures.PD, fixtures.CHAIN):
-        report = exhaustive_lattice_laws(game)
-        assert report.passed, report.entries
+@pytest.mark.parametrize("game", [fixtures.PD, fixtures.THREE], ids=lambda g: g.name)
+def test_restriction_at_rejects_an_index_outside_the_lattice(game):
+    count = 1 << sum(game.sizes)
+    assert restriction_at(game, count - 1) == restriction_top(game)
+    for idx in (-1, count):
+        with pytest.raises(ValueError, match="out of range"):
+            restriction_at(game, idx)
 
 
 @given(

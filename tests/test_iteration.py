@@ -13,7 +13,6 @@ from gamelattice.games import (
     all_restrictions,
     make_game,
     mask_members,
-    masks_leq,
     pack_masks,
     restriction_from_names,
     restriction_top,
@@ -161,6 +160,10 @@ def test_lattice_verifiers_charge_the_pair_budget_only_for_the_fallback_scan(mon
         verify_inclusion_lemma(op_for(game, "sd:l"), op_for(game, "sd:g"), game)
 
 
+def _masks_leq(a, b):
+    return all(x & ~y == 0 for x, y in zip(a, b))
+
+
 def _all_masks(sizes):
     return list(itertools.product(*(range(1 << k) for k in sizes)))
 
@@ -170,9 +173,9 @@ def _brute_force_non_monotone_pairs(table):
     each component descending and the first component varying fastest."""
     pairs = []
     for big in table:
-        smalls = [small for small in table if masks_leq(small, big)]
+        smalls = [small for small in table if _masks_leq(small, big)]
         smalls.sort(key=lambda small: small[::-1], reverse=True)
-        pairs += [(small, big) for small in smalls if not masks_leq(table[small], table[big])]
+        pairs += [(small, big) for small in smalls if not _masks_leq(table[small], table[big])]
     return pairs
 
 
@@ -198,7 +201,7 @@ def mask_tables(draw):
     for g in _all_masks(sizes):
         img = tuple(x & c for x, c in zip(g, cap))
         for trigger, out in rules:
-            if masks_leq(trigger, g):
+            if _masks_leq(trigger, g):
                 img = tuple(x | y for x, y in zip(img, out))
         table[g] = img
     keys = list(table)
