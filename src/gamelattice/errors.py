@@ -43,7 +43,8 @@ class PreconditionError(GameLatticeError):
 
 class InternalError(GameLatticeError):
     """Raised when the program contradicts itself: an LP it builds to be
-    feasible and bounded is not, or a certificate fails its re-validation.
+    feasible and bounded is not, a certificate fails its re-validation, or
+    inherited LP verdicts prove one strategy both passing and failing.
     Never caused by the input; the CLI exits with status 3."""
 
 

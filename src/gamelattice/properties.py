@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from . import dominance
 from .dominance import BELIEF_KINDS, CORRELATED
+from .errors import InternalError
 from .games import (
     Game,
     Restriction,
@@ -38,6 +40,9 @@ from .reports import CheckReport
 
 KINDS = ("sd", "msd", "br")
 SCOPES = ("l", "g")
+
+# the LP families, the only ones whose entries leave candidates open
+INHERITING_FAMILIES = frozenset({"msd", "br:corr"})
 
 # check_property_monotone lists at most this many violations
 MAX_MONOTONE_ENTRIES = 20
@@ -123,10 +128,26 @@ class Evaluator:
     its entry leaves undecided, in ascending order, and marks it decided.
     The scope only picks the pool, so a global and a local spec share every
     entry where the local pool is the full strategy set.
+
+    `inherit` names the LP families ("msd", "br:corr") whose open candidates
+    may take their verdict from a neighbouring entry before any LP: one pool
+    bit or one opponent strategy bit away.  Both families pass on fewer
+    strategies as the pool P grows and on more as Y grows, so a verdict
+    carries exactly, by the same mixture or belief: a pass from (P0, Y0) to
+    every (P <= P0, Y >= Y0), a fail from (P0, Y0) to every (P >= P0,
+    Y <= Y0).  That is the monotonicity `check monotone` and just1's first
+    link verify, so a caller sets it only for families whose monotonicity is
+    not its own claim.  The default inherits nothing.
     """
 
-    def __init__(self, game: Game):
+    def __init__(self, game: Game, inherit: Iterable[str] = ()):
+        inherit = frozenset(inherit)
+        if not inherit <= INHERITING_FAMILIES:
+            raise ValueError(
+                f"only {sorted(INHERITING_FAMILIES)} may inherit, got {sorted(inherit)}"
+            )
         self.game = game
+        self.inherit = inherit
         self.beaters: dict[int, list[list[int]]] = {}
         self.profiles: dict[tuple, int] = {}
         self.entries: dict[tuple, tuple[int, int]] = {}
@@ -187,13 +208,51 @@ def _opponent_profiles(evaluator: Evaluator, player: int, index: int) -> int:
     return ys
 
 
+def _inherited(evaluator: Evaluator, key: tuple, index: int, open_: int) -> tuple[int, int]:
+    """(passes, fails): the candidates in `open_` that a decided verdict of
+    an entry one pool bit or one opponent strategy bit away from the entry
+    `key`, of the restriction with lattice index `index`, decides.  An entry with a larger pool or a smaller Y hands down its
+    passes, one with a smaller pool or a larger Y its fails.  A candidate
+    proved both ways is an InternalError: only a wrong LP verdict makes
+    one."""
+    game = evaluator.game
+    family, player, ys, pool = key
+    neighbours = [
+        (ys, pool ^ 1 << t, not pool >> t & 1) for t in range(game.sizes[player])
+    ]
+    for j in game.players():
+        if j != player:
+            for b in range(game.sizes[j]):
+                bit = 1 << game.shifts[j] + b
+                ys2 = _opponent_profiles(evaluator, player, index ^ bit)
+                neighbours.append((ys2, pool, bool(index & bit)))
+    passes = fails = 0
+    for ys2, pool2, harder in neighbours:
+        entry = evaluator.entries.get((family, player, ys2, pool2))
+        if entry is not None:
+            decided, passing = entry
+            if harder:
+                passes |= decided & passing
+            else:
+                fails |= decided & ~passing
+    passes &= open_
+    fails &= open_
+    if passes & fails:
+        names = [game.strategy_names[player][s] for s in mask_members(passes & fails)]
+        raise InternalError(
+            f"{family}: neighbouring verdicts both pass and fail player {player + 1}'s {names}"
+        )
+    return passes, fails
+
+
 def _passing(
     evaluator: Evaluator, family: str, scope: str, player: int, g: Restriction, candidates: int
 ) -> int:
     """The strategies in the mask `candidates` that pass `family` on g.  An
     msd or br:corr entry starts from its pure pre-check's entry; a candidate
-    it leaves undecided goes to its own LP, one strategy at a time, and the
-    entry records the verdict."""
+    it leaves undecided takes a neighbouring entry's verdict when the
+    evaluator lets the family inherit (`_inherited`), and otherwise goes to
+    its own LP, one strategy at a time; the entry records every verdict."""
     game = evaluator.game
     full = (1 << len(game.strategy_names[player])) - 1
     pool = full if scope == "g" else g.index >> game.shifts[player] & full
@@ -222,8 +281,13 @@ def _passing(
     decided, passing = entry
     open_ = candidates & ~decided
     if open_:
+        unsolved = open_
+        if family in evaluator.inherit:
+            passes, fails = _inherited(evaluator, key, g.index, open_)
+            passing |= passes
+            unsolved &= ~(passes | fails)
         members = mask_members(pool)
-        for s in mask_members(open_):
+        for s in mask_members(unsolved):
             if family == "msd":
                 verdict = dominance.mixed_dominance_witness(game, g, player, members, s) is None
             else:
@@ -412,8 +476,11 @@ def _verify_pointwise_chain(
     inclusion and "==" for equality; image keys, when given, name the two
     images in a failing entry.  The outcome entry and details take their keys
     from the two prefixes.
+
+    Only msd verdicts are inherited: just1's first link, br:g:corr within
+    br:l:corr, is br:corr's monotonicity in the pool.
     """
-    evaluator = Evaluator(game)
+    evaluator = Evaluator(game, inherit=("msd",))
     profiles = [
         PropertyProfile.uniform(parse_property_spec(text), game.num_players)
         for text in chain
@@ -496,10 +563,12 @@ def pearce_equivalence_suite(
 ) -> CheckReport:
     """Pearce's lemma on every restriction: the br:l:corr and msd:l images,
     each decided by its own pure pre-check and LP through one Evaluator, must
-    be equal.  Only a restriction where they differ is handed to
-    dominance.pearce_equivalence_check, whose disagreeing entries, with both
-    certificates, make up the report's entries."""
-    evaluator = Evaluator(game)
+    be equal; both families inherit verdicts from neighbouring entries, as
+    neither's monotonicity is checked here.  Only a restriction where they
+    differ is handed to dominance.pearce_equivalence_check, which solves both
+    LPs itself and whose disagreeing entries, with both certificates, make
+    up the report's entries."""
+    evaluator = Evaluator(game, inherit=INHERITING_FAMILIES)
     profiles = [
         PropertyProfile.uniform(parse_property_spec(text), game.num_players)
         for text in ("br:l:corr", "msd:l")

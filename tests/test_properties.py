@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from gamelattice import dominance, fixtures, iteration, lp
-from gamelattice.errors import BudgetError, ShapeError, UnsupportedBeliefError
+from gamelattice import dominance, fixtures, iteration, lp, properties
+from gamelattice.cli import EXIT_INTERNAL, main
+from gamelattice.errors import BudgetError, InternalError, ShapeError, UnsupportedBeliefError
 from gamelattice.games import (
     Restriction,
     all_restrictions,
@@ -19,6 +20,7 @@ from gamelattice.games import (
 )
 from gamelattice.iteration import verify_inclusion_lemma, verify_tarski
 from gamelattice.properties import (
+    INHERITING_FAMILIES,
     Evaluator,
     PropertyProfile,
     PropertySpec,
@@ -639,9 +641,10 @@ def test_pearce_suite_reports_the_checks_entries_on_a_disagreement(monkeypatch):
 
 
 def test_pearce_suite_lp_count_on_mix(monkeypatch):
-    """Each image is decided once, through the verdict cache and the pure
-    pre-checks: running pearce_equivalence_check on every restriction of mix
-    solves 105 LPs, and this pin would catch that double solve."""
+    """Each image is decided once, through the verdict cache, the pure
+    pre-checks and the verdicts inherited from neighbouring contexts: running
+    pearce_equivalence_check on every restriction of mix solves 105 LPs, and
+    without inheritance the suite solves 42, so this pin would catch either."""
     solve = lp.simplex_maximize
     calls = []
 
@@ -652,7 +655,172 @@ def test_pearce_suite_lp_count_on_mix(monkeypatch):
     monkeypatch.setattr(lp, "simplex_maximize", counting)
     rep = pearce_equivalence_suite(parse_game_file(FIXTURE_DIR / "mix.game"))
     assert rep.passed
-    assert len(calls) == 42
+    assert len(calls) == 22
+
+
+LP_SPECS = ["msd:l", "msd:g", "br:l:corr", "br:g:corr"]
+
+
+def _inheritance_games():
+    """The fixtures, six seeded 2-player games up to 4x4, then a 2x2x2 and a
+    2x3x2 game."""
+    rng = random.Random(2121)
+    return (
+        [parse_game_file(path) for path in sorted(FIXTURE_DIR.glob("*.game"))]
+        + fixtures.random_games(2120, 6, 4, 4)
+        + [_random_game(rng, sizes) for sizes in ((2, 2, 2), (2, 3, 2))]
+    )
+
+
+def _walks(game):
+    """Every restriction in ascending, descending and shuffled lattice order."""
+    ascending = list(all_restrictions(game))
+    shuffled = ascending[:]
+    random.Random(len(ascending)).shuffle(shuffled)
+    return [ascending, ascending[::-1], shuffled]
+
+
+def _counting_inheritance(monkeypatch):
+    """Count the candidates `_inherited` proves passing and failing."""
+    real = properties._inherited
+    proved = {"passes": 0, "fails": 0}
+
+    def counting(*args):
+        passes, fails = real(*args)
+        proved["passes"] += bin(passes).count("1")
+        proved["fails"] += bin(fails).count("1")
+        return passes, fails
+
+    monkeypatch.setattr(properties, "_inherited", counting)
+    return proved
+
+
+def test_inherited_verdicts_are_the_lps(monkeypatch):
+    """With both LP families inheriting, every passing mask, asked first for
+    the component's own strategies and then for all of T_i, on every
+    restriction in three walk orders, equals a no-inheritance Evaluator's;
+    both rules fire."""
+    proved = _counting_inheritance(monkeypatch)
+    specs = [parse_property_spec(text) for text in LP_SPECS]
+    checked = 0
+    for game in _inheritance_games():
+        fresh = Evaluator(game)
+        for walk in _walks(game):
+            evaluator = Evaluator(game, inherit=INHERITING_FAMILIES)
+            for g in walk:
+                for spec in specs:
+                    for i in game.players():
+                        for candidates in (g.masks[i], (1 << game.sizes[i]) - 1):
+                            got = passing_mask(spec, game, i, g, candidates, evaluator)
+                            want = passing_mask(spec, game, i, g, candidates, fresh)
+                            assert got == want, (game.name, str(spec), g.names(), i)
+                            checked += 1
+    assert checked > 30000
+    assert proved["passes"] > 0 and proved["fails"] > 0
+
+
+def test_evaluator_inherits_only_lp_families():
+    assert Evaluator(MIX).inherit == frozenset()
+    assert Evaluator(MIX, inherit=["msd"]).inherit == {"msd"}
+    for bad in (["sd"], ["br:pure"], ["msd", "br:ind"]):
+        with pytest.raises(ValueError):
+            Evaluator(MIX, inherit=bad)
+
+
+def _refuse_inheritance(monkeypatch, families):
+    """Make `_inherited` fail the test for `families`; count its calls."""
+    real = properties._inherited
+    calls = []
+
+    def guarded(evaluator, key, *rest):
+        family = key[0]
+        if family in families:
+            pytest.fail(f"{family} read a neighbouring verdict")
+        calls.append(family)
+        return real(evaluator, key, *rest)
+
+    monkeypatch.setattr(properties, "_inherited", guarded)
+    return calls
+
+
+def test_monotonicity_claims_never_read_a_neighbour(monkeypatch):
+    # check monotone verifies the very monotonicity inheritance rests on,
+    # and so does just1's first link, br:g:corr within br:l:corr, for br:corr
+    calls = _refuse_inheritance(monkeypatch, INHERITING_FAMILIES)
+    for game in [MIX, CHAIN] + fixtures.random_games(6060, 4, 4, 4):
+        for text in ("msd:g", "br:g:corr"):
+            assert check_property_monotone(parse_property_spec(text), game).passed
+    assert calls == []
+    monkeypatch.undo()
+    calls = _refuse_inheritance(monkeypatch, {"br:corr"})
+    for game in [MIX, CHAIN] + fixtures.random_games(6060, 4, 4, 4):
+        assert verify_theorem_just1(game).passed
+    assert calls and set(calls) == {"msd"}
+
+
+def test_monotone_msd_lp_count_on_mix(monkeypatch):
+    """check monotone inherits nothing: one LP per candidate its pure
+    pre-checks leave open, on every restriction of mix."""
+    solve = lp.simplex_maximize
+    calls = []
+    monkeypatch.setattr(lp, "simplex_maximize", lambda *a: calls.append(1) or solve(*a))
+    assert main(["check", "monotone", "--prop", "msd:g", str(FIXTURE_DIR / "mix.game")]) == 0
+    assert len(calls) == 19
+
+
+def _lying_on_one_context(monkeypatch, index, player, strategy):
+    """Make mixed_dominance_witness flip its verdict on one strategy of one
+    restriction, handing back a pure mixture as a false witness."""
+    real = dominance.mixed_dominance_witness
+
+    def liar(game, context, who, pool, dominated):
+        witness = real(game, context, who, pool, dominated)
+        if (context.index, who, dominated) == (index, player, strategy):
+            return None if witness is not None else dominance.distribution({pool[0]: 1})
+        return witness
+
+    monkeypatch.setattr(dominance, "mixed_dominance_witness", liar)
+
+
+def _shuffled_image_table(op, game, max_restrictions):
+    """iteration.image_table, walking the restrictions in a shuffled order."""
+    walk = list(all_restrictions(game, max_count=max_restrictions))
+    random.Random(0).shuffle(walk)
+    table = [0] * len(walk)
+    for g in walk:
+        table[g.index] = op(g).index
+    return table
+
+
+def test_contradicting_neighbours_are_an_internal_error(monkeypatch):
+    # On a walk where visited contexts surround unvisited ones, a wrong LP
+    # verdict is handed on and meets a correct one from the other side.  In
+    # ascending (or descending) order it never can: a candidate proved both
+    # ways has a one-step neighbour, visited earlier, that decided it and
+    # would have settled the lying LP's context first.
+    walk = list(all_restrictions(MIX))
+    random.Random(0).shuffle(walk)
+    msd = parse_property_spec("msd:l")
+
+    def run():
+        evaluator = Evaluator(MIX, inherit=["msd"])
+        for g in walk:
+            for i in MIX.players():
+                passing_mask(msd, MIX, i, g, g.masks[i], evaluator)
+
+    run()
+    _lying_on_one_context(monkeypatch, 7, 0, 0)
+    with pytest.raises(InternalError, match="neighbouring verdicts"):
+        run()
+
+
+def test_contradicting_neighbours_exit_internal_from_check_pearce(monkeypatch, capsys):
+    _lying_on_one_context(monkeypatch, 7, 0, 0)
+    monkeypatch.setattr(properties, "image_table", _shuffled_image_table)
+    assert main(["check", "pearce", str(FIXTURE_DIR / "mix.game")]) == EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: msd: neighbouring verdicts")
+    assert "Traceback" not in err
 
 
 def test_lattice_verifier_reports_are_pinned():
