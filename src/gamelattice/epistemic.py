@@ -8,12 +8,13 @@ classified, never assumed: it is a belief correspondence when every value is
 non-empty and consistent across its own cells, and a knowledge
 correspondence when additionally every state sits in its own cell (then the
 cells partition the state space).  Common knowledge of an event is
-membership in some evident subset of it; model queries and the enumerator
-compute the largest evident subset by the same peeling of states whose
-cells stick out, which is correct because evident events are closed under
-union.  A state's joint strategy is one lattice index (`Restriction.index`),
-so an event's image is an OR of ints, as is the restriction the enumerator
-gathers.
+membership in some evident subset of it, and evident events are closed under
+union: model queries compute the largest evident subset by peeling states
+whose cells stick out, and the enumerator decides for each player on their
+own which sets of states their correspondences can make evident inside
+their rationality, then keeps the sets every player marks.  A state's joint
+strategy is one lattice index (`Restriction.index`), so an event's image is
+an OR of ints, as is the restriction the enumerator gathers.
 """
 
 from __future__ import annotations
@@ -122,19 +123,14 @@ def _everyone_knows(union_cells: Sequence[int], e: int) -> int:
     return k
 
 
-def _largest_evident(
-    union_cells: Sequence[int], e: int, solved: Sequence[int] = ()
-) -> int:
+def _largest_evident(union_cells: Sequence[int], e: int) -> int:
     """The largest evident subset of e, by peeling the states whose cells
-    stick out of it until none does.  Peeling only removes states, so an
-    event below len(solved) is read there: `solved[f]` is the largest evident
-    subset of f."""
-    while e >= len(solved):
+    stick out of it until none does."""
+    while True:
         k = e & _everyone_knows(union_cells, e)
         if k == e:
             return e
         e = k
-    return solved[e]
 
 
 def _check_states(model: EpistemicModel, e: int):
@@ -329,17 +325,44 @@ class CkCbResult:
     early_exit: bool
 
 
-def _contribution_table(union_cells: tuple[int, ...], mode: str) -> list[int]:
-    """For every event bitmask e, the states that models with these joint
-    cells contribute when e is their rationality event: the largest evident
-    subset of e (knowledge), or e & that of K e (belief).  One ascending pass:
-    a peeling step keeps e or yields a smaller mask, whose entry is filled."""
-    evident: list[int] = []
-    for e in range(1 << len(union_cells)):
-        evident.append(_largest_evident(union_cells, e, evident))
-    if mode == "knowledge":
-        return evident
-    return [e & evident[_everyone_knows(union_cells, e)] for e in range(len(evident))]
+def _partial_partitions(omega: int) -> list[list[int]]:
+    """Every partition of every non-empty set of the omega states into
+    blocks, as lists of block bitmasks."""
+    return [
+        blocks
+        for covered in range(1, 1 << omega)
+        for blocks in _block_partitions(mask_members(covered))
+    ]
+
+
+def _marked_sets(
+    partitions: Sequence[Sequence[int]], passes: Sequence[int], mode: str
+) -> int:
+    """The non-empty sets of states G, as the bits of one int, for which some
+    correspondence Q of the mode's class gives every state u of G a cell
+    Q(u) inside G at whose image u passes; `passes[b]` is the set of states
+    whose strategy passes at the image of the set of states b.
+
+    Call a block b good when b lies inside passes[b].  By cell-consistency
+    the cells of such a Q inside G are disjoint good blocks: a knowledge
+    correspondence partitions G into them, and a belief correspondence's
+    target cells cover some S inside G and route every other state of G to
+    a target cell where it passes.  Any cells outside G complete Q.  So
+    knowledge mode marks the union S of every partition into good blocks,
+    and belief mode every G from S up to the states passing in its blocks.
+    """
+    good = [not b & ~p for b, p in enumerate(passes)]
+    marked = 0
+    for blocks in partitions:
+        if all(good[b] for b in blocks):
+            covered = _or_all(blocks)
+            free = 0
+            if mode == "belief":
+                free = _or_all(passes[b] for b in blocks) & ~covered
+            for sub in range(free + 1):
+                if not sub & ~free:
+                    marked |= 1 << (covered | sub)
+    return marked
 
 
 def enumerate_ck_cb(
@@ -356,12 +379,14 @@ def enumerate_ck_cb(
 
     The enumeration ranges over all strategy assignments and all
     correspondences of the required class, exactly.  It evaluates one
-    assignment per orbit under relabelling of the states, and within it works
-    only for the states that could still add a strategy; `models_enumerated`
-    counts every model up to the early exit, relabelled ones included.
+    assignment per orbit under relabelling of the states, skips an
+    assignment none of whose states could add a strategy, and decides the
+    correspondences of an evaluated one player by player (`_marked_sets`);
+    `models_enumerated` counts every model up to the early exit, relabelled
+    ones included.
 
-    The budget is charged with the models the loop can evaluate: one
-    assignment per orbit, C(J + omega - 1, omega) of them for J joint
+    The budget is charged with the models of the assignments it evaluates:
+    one assignment per orbit, C(J + omega - 1, omega) of them for J joint
     strategies, times every combination of correspondences.  Where the lower
     bound 2^(n(omega - 1)) on that count already exceeds the budget, the
     exact count is never computed, and the message and `attempted` give a
@@ -389,17 +414,7 @@ def enumerate_ck_cb(
     evaluable = math.comb(joints + omega - 1, omega) * combos_per_assignment
     check_budget(evaluable, budget, f"enumeration of {evaluable} models")
     total = joints**omega * combos_per_assignment
-    if mode == "knowledge":
-        corrs = list(set_partitions(omega))
-    else:
-        corrs = list(belief_correspondences(omega))
-    combos = list(itertools.product(range(len(corrs)), repeat=n))
-
-    # What a combo contributes for every rationality event depends on it only
-    # through the union of its cells at each state.  A combo's table is found
-    # or built the first time a non-empty rationality event reaches it.
-    tables: list[list[int] | None] = [None] * len(combos)
-    by_union: dict[tuple[int, ...], list[int]] = {}
+    partitions = _partial_partitions(omega)
 
     assignments_per_player = [
         list(itertools.product(range(k), repeat=omega)) for k in game.sizes
@@ -412,7 +427,7 @@ def enumerate_ck_cb(
     early = False
     spec_of = profile.specs
     for assign in itertools.product(*assignments_per_player):
-        enumerated += len(combos)
+        enumerated += combos_per_assignment
         # Relabelling the states maps the correspondences onto themselves, so
         # every assignment in one orbit under permutations of the states
         # gathers the same strategies.  Product order reaches first the member
@@ -420,59 +435,35 @@ def enumerate_ck_cb(
         per_state = list(zip(*assign))
         if any(per_state[w] > per_state[w + 1] for w in range(omega - 1)):
             continue
-        # A gathered state adds the strategies chosen there, so only the
-        # states choosing a strategy not yet gathered can change acc.
+        # A gathered state adds the strategies chosen there, so an assignment
+        # whose states all choose gathered strategies cannot change acc.
         state_idx = _state_indices(game, per_state)
-        need = _or_all(1 << w for w, idx in enumerate(state_idx) if idx & ~acc)
-        if not need:
+        if not any(idx & ~acc for idx in state_idx):
             continue
-        # images[e] is the image of the states in e and ok[e] a player's
-        # passing strategies there; the cells are exactly the non-empty e
+        # images[e] is the image of the states in e; the cells are exactly
+        # the non-empty e
         images = [0]
         for idx in state_idx:
             images += [m | idx for m in images]
         restrictions = [restriction_at(game, m) for m in images[1:]]
-        ok_masks: list[list[int]] = []
+        # A state is gathered when some model puts it in an evident set
+        # inside rationality (in belief mode too, since by cell-consistency
+        # the union of an evident set's cells is evident).  A set is evident
+        # inside rationality under a tuple of correspondences when it is
+        # under each player's own, so the players' marked sets are ANDed.
+        marked = -1
         for i in range(n):
             row = assign[i]
             used = _or_all(1 << s for s in row)
-            ok = [0] + [
-                passing_mask(spec_of[i], game, i, g, used, evaluator) for g in restrictions
-            ]
-            ok_masks.append(
-                [
-                    sum(1 << w for w in range(omega) if ok[cells[w]] >> row[w] & 1)
-                    for cells in corrs
-                ]
-            )
-            # every contribution lies inside the rationality event, so a
-            # state whose strategy passes in none of its cells is never
-            # gathered
-            need &= _or_all(ok_masks[i])
-        if not need:
-            continue
-
-        union_states = 0
-        for index, combo in enumerate(combos):
-            rat = -1
-            for i in range(n):
-                rat &= ok_masks[i][combo[i]]
-                if not rat:
-                    break
-            if not rat:
-                continue
-            con = tables[index]
-            if con is None:
-                union_cells = _union_cells([corrs[c] for c in combo])
-                con = by_union.get(union_cells)
-                if con is None:
-                    con = by_union[union_cells] = _contribution_table(union_cells, mode)
-                tables[index] = con
-            union_states |= con[rat]
-            if not need & ~union_states:
+            passes = [0]
+            for g in restrictions:
+                ok = passing_mask(spec_of[i], game, i, g, used, evaluator)
+                passes.append(sum(1 << w for w in range(omega) if ok >> row[w] & 1))
+            marked &= _marked_sets(partitions, passes, mode)
+            if not marked:
                 break
-
-        acc |= images[union_states]
+        gathered = _or_all(g for g in range(1, 1 << omega) if marked >> g & 1)
+        acc |= images[gathered]
         if acc == top:
             early = True
             break

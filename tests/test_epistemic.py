@@ -113,25 +113,6 @@ def test_peeling_matches_brute_force_on_belief_models():
 ONE = make_game("one", [("a",), ("b",)], {("a", "b"): (0, 0)})
 
 
-@pytest.mark.parametrize("omega", [1, 2, 3])
-@pytest.mark.parametrize("mode", ["knowledge", "belief"])
-def test_contribution_table_matches_the_model_api(omega, mode):
-    cells = set_partitions if mode == "knowledge" else belief_correspondences
-    states = tuple(f"w{w}" for w in range(omega))
-    assignment = ((0,) * omega, (0,) * omega)
-    for cells1, cells2 in itertools.product(list(cells(omega)), repeat=2):
-        model = EpistemicModel(ONE, states, assignment, (cells1, cells2))
-        union_cells = tuple(a | b for a, b in zip(cells1, cells2))
-        table = epistemic._contribution_table(union_cells, mode)
-        assert len(table) == 1 << omega
-        for e in range(1 << omega):
-            if mode == "knowledge":
-                expected = common_knowledge_event(model, e)
-            else:
-                expected = e & common_belief_event(model, e)
-            assert table[e] == expected, (cells1, cells2, e)
-
-
 def test_classification_flags():
     constant = tuple(event(0) for _ in range(3))
     flags = correspondence_flags(constant)
@@ -353,28 +334,6 @@ def test_enumerate_budget_error_reports_exact_count():
     assert res.models_total == 16 * 16 * 89 * 89
 
 
-@pytest.mark.parametrize(
-    "mode,tables,unions", [("knowledge", 2, 60), ("belief", 1147, 1850)]
-)
-def test_enumerate_builds_tables_only_where_they_are_read(monkeypatch, mode, tables, unions):
-    # a table is built when a non-empty rationality event first reaches a
-    # combo whose cell union has none yet, so PD at omega 4 builds few of
-    # the tables its distinct unions would need, and none twice
-    built = []
-    contribution_table = epistemic._contribution_table
-
-    def counting_table(union_cells, table_mode):
-        built.append(union_cells)
-        return contribution_table(union_cells, table_mode)
-
-    monkeypatch.setattr(epistemic, "_contribution_table", counting_table)
-    res = enumerate_ck_cb(PD, 4, uniform(PD, "sd:g"), mode=mode)
-    assert res.restriction == restriction_from_names(PD, [["D"], ["D"]])
-    assert len(built) == len(set(built)) == tables
-    corrs = list(set_partitions(4) if mode == "knowledge" else belief_correspondences(4))
-    assert len({epistemic._union_cells(pair) for pair in itertools.product(corrs, repeat=2)}) == unions
-
-
 def test_enumerate_results_are_pinned():
     # the brute-force differential below stops at omega 3 and leaves out
     # belief mode on CHAIN and THREE: this pins 88 runs it cannot reach
@@ -569,3 +528,53 @@ def test_correspondence_counts_match_the_generators():
         assert epistemic.count_correspondences(n, "belief") == len(
             list(belief_correspondences(n))
         )
+
+
+@pytest.mark.parametrize("omega", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", BOTH)
+def test_marked_sets_match_their_definition(omega, mode):
+    # G is marked iff some correspondence Q of the mode's class gives every
+    # u in G a cell Q(u) inside G with u in passes[Q(u)]
+    cells = set_partitions if mode == "knowledge" else belief_correspondences
+    corrs = list(cells(omega))
+    partitions = epistemic._partial_partitions(omega)
+    sets = range(1, 1 << omega)
+    rng = random.Random(f"{mode}-{omega}")
+    counts = [0, 0]
+    for density in (0.3, 0.6, 0.9):
+        for _ in range(40):
+            passes = [0] + [
+                sum(1 << w for w in range(omega) if rng.random() < density) for _ in sets
+            ]
+            expected = 0
+            for g in sets:
+                if any(
+                    all(not q[u] & ~g and passes[q[u]] >> u & 1 for u in mask_members(g))
+                    for q in corrs
+                ):
+                    expected |= 1 << g
+            assert epistemic._marked_sets(partitions, passes, mode) == expected, passes
+            marked = expected.bit_count()
+            counts[0] += marked
+            counts[1] += len(sets) - marked
+    assert all(counts), counts
+
+
+THEOREM_CASES = [(PD, 5), (MP, 5), (CHAIN, 5), (THREE, 4), (MIX, 4)]
+
+
+@pytest.mark.parametrize(
+    "game,omega", THEOREM_CASES, ids=[f"{g.name}-w{o}" for g, o in THEOREM_CASES]
+)
+@pytest.mark.parametrize("mode", BOTH)
+def test_enumerate_theorems_beyond_the_brute_force(game, omega, mode):
+    # common knowledge (belief) of global rationality gathers exactly the
+    # elimination outcome, and of local rationality the whole game, at state
+    # spaces past the brute force and past the default model budget
+    for text in ("sd:g", "br:g:pure"):
+        profile = uniform(game, text)
+        res = enumerate_ck_cb(game, omega, profile, mode=mode, budget=None)
+        assert res.restriction == outcome(profile, game).outcome, text
+    for text in ("sd:l", "br:l:pure"):
+        res = enumerate_ck_cb(game, omega, uniform(game, text), mode=mode, budget=None)
+        assert res.restriction == restriction_top(game), text
