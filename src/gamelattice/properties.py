@@ -20,9 +20,8 @@ from .errors import InternalError
 from .games import (
     Game,
     Restriction,
-    all_restrictions,
     check_same_game,
-    joint_layout,
+    count_restrictions,
     lattice_leq,
     mask_members,
     restriction_at,
@@ -114,30 +113,30 @@ class Evaluator:
     opponents' strategy sets, so with two players a profile is the
     opponent's strategy index.
 
-    A restriction's opponent profiles form one mask Y: the opponent's own
-    mask for two players, otherwise expanded once per (player, opponent
-    masks) into `profiles`.  `entries` holds one (decided, passing) pair of
-    strategy masks per (family, player, Y, pool mask).  An "sd" or "br:pure"
-    entry is decided for all of T_i when it is built, with int operations:
-    s fails "sd" iff pool & (the AND of beaters[s][y] over y in Y) is
-    non-zero (the pool itself, so every t, when Y is empty), and s passes
-    "br:pure" iff some y in Y has pool & beaters[s][y] == 0.  An "msd" entry
-    starts from the "sd" entry, with the strategies sd fails decided and
-    none passing; a "br:corr" entry starts from the "br:pure" entry, whose
-    passing strategies are decided.  A query solves one LP per candidate
-    its entry leaves undecided, in ascending order, and marks it decided.
-    The scope only picks the pool, so a global and a local spec share every
-    entry where the local pool is the full strategy set.
+    `entries` holds one (decided, passing) pair of strategy masks per
+    (family, player, the index's opponent bits, pool mask): the opponent
+    bits are the restriction's lattice index with the player's own bits
+    cleared.  An "sd" or "br:pure" entry is decided for all of T_i when it is
+    built, with int operations over the restriction's opponent profiles Y,
+    listed only then: s fails "sd" iff pool & (the AND of beaters[s][y] over
+    y in Y) is non-zero (the pool itself, so every t, when Y is empty), and
+    s passes "br:pure" iff some y in Y has pool & beaters[s][y] == 0.  An
+    "msd" entry starts from the "sd" entry, with the strategies sd fails
+    decided and none passing; a "br:corr" entry starts from the "br:pure"
+    entry, whose passing strategies are decided.  A query solves one LP per
+    candidate its entry leaves undecided, in ascending order, and marks it
+    decided.  The scope only picks the pool, so a global and a local spec
+    share every entry where the local pool is the full strategy set.
 
     `inherit` names the LP families ("msd", "br:corr") whose open candidates
     may take their verdict from a neighbouring entry before any LP: one pool
-    bit or one opponent strategy bit away.  Both families pass on fewer
-    strategies as the pool P grows and on more as Y grows, so a verdict
-    carries exactly, by the same mixture or belief: a pass from (P0, Y0) to
-    every (P <= P0, Y >= Y0), a fail from (P0, Y0) to every (P >= P0,
-    Y <= Y0).  That is the monotonicity `check monotone` and just1's first
-    link verify, so a caller sets it only for families whose monotonicity is
-    not its own claim.  The default inherits nothing.
+    bit or one opponent strategy bit of the index away.  Both families pass
+    on fewer strategies as the pool P grows and on more as Y grows, so a
+    verdict carries exactly, by the same mixture or belief: a pass from
+    (P0, Y0) to every (P <= P0, Y >= Y0), a fail from (P0, Y0) to every
+    (P >= P0, Y <= Y0).  That is the monotonicity `check monotone` and
+    just1's first link verify, so a caller sets it only for families whose
+    monotonicity is not its own claim.  The default inherits nothing.
     """
 
     def __init__(self, game: Game, inherit: Iterable[str] = ()):
@@ -149,7 +148,6 @@ class Evaluator:
         self.game = game
         self.inherit = inherit
         self.beaters: dict[int, list[list[int]]] = {}
-        self.profiles: dict[tuple, int] = {}
         self.entries: dict[tuple, tuple[int, int]] = {}
 
 
@@ -185,50 +183,36 @@ def _comparisons(evaluator: Evaluator, player: int) -> list[list[int]]:
     return beaters
 
 
-def _opponent_profiles(evaluator: Evaluator, player: int, index: int) -> int:
-    """The mask Y of the opponent profiles of the restriction with lattice
-    index `index`."""
-    game = evaluator.game
-    sizes, shifts = game.sizes, game.shifts
-    if len(sizes) == 2:
-        return index >> shifts[1 - player] & (1 << sizes[1 - player]) - 1
-    # the index with the player's own mask cleared, keyed by the player too:
-    # the same opponent masks of another player number their profiles over
-    # other strategy-set sizes
-    key = (player, index & ~((1 << sizes[player]) - 1 << shifts[player]))
-    ys = evaluator.profiles.get(key)
-    if ys is None:
-        masks = unpack_index(sizes, key[1])
-        strides, _ = joint_layout(sizes[:player] + sizes[player + 1:])
-        ys = 1
-        for stride, mask in zip(strides, masks[:player] + masks[player + 1:]):
-            # the shifted copies are disjoint, so their sum is their union
-            ys = sum(ys << stride * s for s in mask_members(mask))
-        evaluator.profiles[key] = ys
+def _opponent_profiles(game: Game, player: int, index: int) -> list[int]:
+    """The opponent profiles of the restriction with lattice index `index`,
+    ascending: row-major numbers over the opponents' strategy sets."""
+    ys = [0]
+    for j, k in enumerate(game.sizes):
+        if j != player:
+            mask = index >> game.shifts[j]
+            ys = [y * k + s for y in ys for s in range(k) if mask >> s & 1]
     return ys
 
 
-def _inherited(evaluator: Evaluator, key: tuple, index: int, open_: int) -> tuple[int, int]:
+def _inherited(evaluator: Evaluator, key: tuple, open_: int) -> tuple[int, int]:
     """(passes, fails): the candidates in `open_` that a decided verdict of
-    an entry one pool bit or one opponent strategy bit away from the entry
-    `key`, of the restriction with lattice index `index`, decides.  An entry with a larger pool or a smaller Y hands down its
-    passes, one with a smaller pool or a larger Y its fails.  A candidate
-    proved both ways is an InternalError: only a wrong LP verdict makes
-    one."""
+    an entry one pool bit or one opponent strategy bit of the index away
+    from the entry `key` decides.  An entry with a larger pool or fewer
+    opponent strategies hands down its passes, one with a smaller pool or
+    more opponent strategies its fails.  A candidate proved both ways is an
+    InternalError: only a wrong LP verdict makes one."""
     game = evaluator.game
-    family, player, ys, pool = key
+    family, player, opponents, pool = key
     neighbours = [
-        (ys, pool ^ 1 << t, not pool >> t & 1) for t in range(game.sizes[player])
+        (opponents, pool ^ 1 << t, not pool >> t & 1) for t in range(game.sizes[player])
     ]
     for j in game.players():
         if j != player:
-            for b in range(game.sizes[j]):
-                bit = 1 << game.shifts[j] + b
-                ys2 = _opponent_profiles(evaluator, player, index ^ bit)
-                neighbours.append((ys2, pool, bool(index & bit)))
+            for b in range(game.shifts[j], game.shifts[j] + game.sizes[j]):
+                neighbours.append((opponents ^ 1 << b, pool, bool(opponents >> b & 1)))
     passes = fails = 0
-    for ys2, pool2, harder in neighbours:
-        entry = evaluator.entries.get((family, player, ys2, pool2))
+    for opponents2, pool2, harder in neighbours:
+        entry = evaluator.entries.get((family, player, opponents2, pool2))
         if entry is not None:
             decided, passing = entry
             if harder:
@@ -246,27 +230,28 @@ def _inherited(evaluator: Evaluator, key: tuple, index: int, open_: int) -> tupl
 
 
 def _passing(
-    evaluator: Evaluator, family: str, scope: str, player: int, g: Restriction, candidates: int
+    evaluator: Evaluator, family: str, scope: str, player: int, index: int, candidates: int
 ) -> int:
-    """The strategies in the mask `candidates` that pass `family` on g.  An
-    msd or br:corr entry starts from its pure pre-check's entry; a candidate
-    it leaves undecided takes a neighbouring entry's verdict when the
-    evaluator lets the family inherit (`_inherited`), and otherwise goes to
-    its own LP, one strategy at a time; the entry records every verdict."""
+    """The strategies in the mask `candidates` that pass `family` on the
+    restriction with lattice index `index`.  An msd or br:corr entry starts
+    from its pure pre-check's entry; a candidate it leaves undecided takes a
+    neighbouring entry's verdict when the evaluator lets the family inherit
+    (`_inherited`), and otherwise goes to its own LP, one strategy at a
+    time; the entry records every verdict."""
     game = evaluator.game
-    full = (1 << len(game.strategy_names[player])) - 1
-    pool = full if scope == "g" else g.index >> game.shifts[player] & full
-    ys = _opponent_profiles(evaluator, player, g.index)
-    key = (family, player, ys, pool)
+    shift = game.shifts[player]
+    full = (1 << game.sizes[player]) - 1
+    pool = full if scope == "g" else index >> shift & full
+    key = (family, player, index & ~(full << shift), pool)
     entry = evaluator.entries.get(key)
     if entry is None:
         if family == "msd":
-            entry = (full & ~_passing(evaluator, "sd", scope, player, g, full), 0)
+            entry = (full & ~_passing(evaluator, "sd", scope, player, index, full), 0)
         elif family == "br:corr":
-            passing = _passing(evaluator, "br:pure", scope, player, g, full)
+            passing = _passing(evaluator, "br:pure", scope, player, index, full)
             entry = (passing, passing)
         else:
-            profiles = mask_members(ys)
+            profiles = _opponent_profiles(game, player, index)
             passing = 0
             for s, row in enumerate(_comparisons(evaluator, player)):
                 if family == "sd":
@@ -283,19 +268,21 @@ def _passing(
     if open_:
         unsolved = open_
         if family in evaluator.inherit:
-            passes, fails = _inherited(evaluator, key, g.index, open_)
+            passes, fails = _inherited(evaluator, key, open_)
             passing |= passes
             unsolved &= ~(passes | fails)
-        members = mask_members(pool)
-        for s in mask_members(unsolved):
-            if family == "msd":
-                verdict = dominance.mixed_dominance_witness(game, g, player, members, s) is None
-            else:
-                belief = dominance.exists_supporting_belief(
-                    game, g, members, player, s, CORRELATED
-                )
-                verdict = belief is not None
-            passing |= verdict << s
+        if unsolved:
+            g = restriction_at(game, index)
+            members = mask_members(pool)
+            for s in mask_members(unsolved):
+                if family == "msd":
+                    verdict = dominance.mixed_dominance_witness(game, g, player, members, s) is None
+                else:
+                    belief = dominance.exists_supporting_belief(
+                        game, g, members, player, s, CORRELATED
+                    )
+                    verdict = belief is not None
+                passing |= verdict << s
         evaluator.entries[key] = (decided | open_, passing)
     return passing & candidates
 
@@ -320,7 +307,7 @@ def passing_mask(
         raise ValueError(f"no player {player}")
     if candidates < 0 or candidates >> len(game.strategy_names[player]):
         raise ValueError(f"player {player + 1}: strategy mask {candidates} out of range")
-    return _passing(evaluator, family, spec.scope, player, g, candidates)
+    return _passing(evaluator, family, spec.scope, player, g.index, candidates)
 
 
 def apply_operator(
@@ -334,7 +321,8 @@ def apply_operator(
     masks, shifts = g.masks, game.shifts
     idx = 0
     for i, spec in enumerate(profile.specs):
-        idx |= _passing(evaluator, _family(spec, game), spec.scope, i, g, masks[i]) << shifts[i]
+        passing = _passing(evaluator, _family(spec, game), spec.scope, i, g.index, masks[i])
+        idx |= passing << shifts[i]
     return restriction_at(game, idx)
 
 
@@ -373,10 +361,10 @@ def _monotone_table(
     full = [(1 << k) - 1 for k in game.sizes]
     return [
         sum(
-            _passing(evaluator, family, spec.scope, i, g, full[i]) << game.shifts[i]
+            _passing(evaluator, family, spec.scope, i, idx, full[i]) << game.shifts[i]
             for i in game.players()
         )
-        for g in all_restrictions(game, max_count=max_restrictions)
+        for idx in range(count_restrictions(game, max_restrictions))
     ]
 
 

@@ -560,6 +560,55 @@ def test_marked_sets_match_their_definition(omega, mode):
     assert all(counts), counts
 
 
+def _upward_closed(passes):
+    """`passes` closed upward, as for a global property, which is monotone
+    in the restriction: each set's entry ORs in those of its subsets."""
+    closed = passes[:]
+    for b in range(len(closed)):
+        for w in mask_members(b):
+            closed[b] |= closed[b & ~(1 << w)]
+    return closed
+
+
+@pytest.mark.parametrize("omega", [1, 2, 3, 4])
+def test_knowledge_and_belief_marks_agree_for_shipped_properties(omega):
+    # For a global property passes[B] is upward closed, so the union G of a
+    # belief-marked partition and its routed states lies inside passes[G]:
+    # G is one good block, which knowledge mode marks.  For a local one
+    # every state passes at its own singleton, so knowledge mode marks
+    # every set.  Either way the two modes mark the same sets.
+    partitions = epistemic._partial_partitions(omega)
+    rng = random.Random(f"marks-{omega}")
+    sets = 1 << omega
+    counts = [0, 0]
+    for density in (0.1, 0.3, 0.6):
+        for _ in range(50):
+            drawn = [
+                sum(1 << w for w in range(omega) if rng.random() < density)
+                for _ in range(sets)
+            ]
+            local = drawn[:]
+            for w in range(omega):
+                local[1 << w] |= 1 << w
+            for passes in (_upward_closed(drawn), local):
+                knowledge = epistemic._marked_sets(partitions, passes, "knowledge")
+                assert epistemic._marked_sets(partitions, passes, "belief") == knowledge, passes
+                marked = knowledge.bit_count()
+                counts[0] += marked
+                counts[1] += sets - 1 - marked
+    assert all(counts), counts
+
+
+def test_belief_marks_routed_states_where_knowledge_cannot():
+    # the control: neither upward closed nor singleton accepting.  Block {0}
+    # is good and routes state 1, which passes at {0}, so belief mode marks
+    # {0} and {0, 1} while knowledge mode marks {0} alone
+    partitions = epistemic._partial_partitions(2)
+    passes = [0, 0b11, 0, 0]
+    assert epistemic._marked_sets(partitions, passes, "knowledge") == 1 << 0b01
+    assert epistemic._marked_sets(partitions, passes, "belief") == 1 << 0b01 | 1 << 0b11
+
+
 THEOREM_CASES = [(PD, 5), (MP, 5), (CHAIN, 5), (THREE, 4), (MIX, 4)]
 
 

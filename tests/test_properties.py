@@ -444,6 +444,22 @@ def test_pure_passing_masks_match_the_dominance_procedures():
     assert checked > 10000
 
 
+def test_opponent_profiles_are_the_row_major_numbers_of_the_context():
+    # a pure entry reads beaters[s][y] at these numbers, so they must be the
+    # row-major indices of the restriction's opponent profiles, ascending
+    for game in _precheck_games()[-2:]:
+        for g in all_restrictions(game):
+            for i in game.players():
+                sizes = [k for j, k in enumerate(game.sizes) if j != i]
+                want = []
+                for y in g.opponent_profiles(i):
+                    number = 0
+                    for k, s in zip(sizes, y):
+                        number = number * k + s
+                    want.append(number)
+                assert properties._opponent_profiles(game, i, g.index) == want, (g.names(), i)
+
+
 def test_opponent_profiles_are_keyed_by_the_player():
     # In a 2x3x2 game the restriction (m, m, m) gives players 1 and 3 the
     # same opponent masks (m, m), over strategy sets of sizes 3, 2 and 2, 3:
