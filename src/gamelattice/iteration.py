@@ -1,7 +1,8 @@
 """Generic operator iteration on the restriction lattice, with exhaustive
 desk-scale verifiers for the classic fixpoint facts.
 
-Operators are plain callables Restriction -> Restriction over one game.
+Operators are callables Restriction -> Restriction over one game; one may
+also build its whole image table itself (`image_table`).
 Iteration starts at the top element and stops at the first fixpoint; finite
 games never need a limit step, so the trace ordinals are all finite here.
 """
@@ -127,9 +128,13 @@ def _submask_tuples(masks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 
 def image_table(op: Operator, game: Game, max_restrictions: int) -> list[int]:
-    """The lattice index of op(G) for every restriction G, at G's own index:
-    one walk of the lattice, in the order of `all_restrictions`, within the
-    lattice budget `max_restrictions`."""
+    """The lattice index of op(G) for every restriction G, at G's own index,
+    within the lattice budget `max_restrictions`: the operator's own
+    `table(game, max_restrictions)` when it has one, else one walk of the
+    lattice in the order of `all_restrictions`."""
+    table = getattr(op, "table", None)
+    if table is not None:
+        return table(game, max_restrictions)
     return [op(g).index for g in all_restrictions(game, max_count=max_restrictions)]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import and_, or_
 from typing import Iterable
 
 from . import dominance
@@ -123,7 +124,8 @@ class Evaluator:
     s passes "br:pure" iff some y in Y has pool & beaters[s][y] == 0.  An
     "msd" entry starts from the "sd" entry, with the strategies sd fails
     decided and none passing; a "br:corr" entry starts from the "br:pure"
-    entry, whose passing strategies are decided.  A query solves one LP per
+    entry, whose passing strategies are decided, or every strategy when Y is
+    empty, since no belief lives on no profiles.  A query solves one LP per
     candidate its entry leaves undecided, in ascending order, and marks it
     decided.  The scope only picks the pool, so a global and a local spec
     share every entry where the local pool is the full strategy set.
@@ -249,7 +251,12 @@ def _passing(
             entry = (full & ~_passing(evaluator, "sd", scope, player, index, full), 0)
         elif family == "br:corr":
             passing = _passing(evaluator, "br:pure", scope, player, index, full)
-            entry = (passing, passing)
+            no_profiles = any(
+                not index >> game.shifts[j] & (1 << k) - 1
+                for j, k in enumerate(game.sizes)
+                if j != player
+            )
+            entry = (full if no_profiles else passing, passing)
         else:
             profiles = _opponent_profiles(game, player, index)
             passing = 0
@@ -326,17 +333,30 @@ def apply_operator(
     return restriction_at(game, idx)
 
 
+@dataclass(frozen=True)
+class PropertyOperator:
+    """The elimination operator of `profile` on `game`: a Restriction ->
+    Restriction callable for `iterate_operator`, whose `table` builds the
+    image of every restriction at once for `image_table`.  Its verdicts are
+    cached in `evaluator` for as long as the operator lives."""
+
+    profile: PropertyProfile
+    game: Game
+    evaluator: Evaluator
+
+    def __call__(self, g: Restriction) -> Restriction:
+        return apply_operator(self.profile, self.game, g, self.evaluator)
+
+    def table(self, game: Game, max_restrictions: int) -> list[int]:
+        check_same_game(game, self.game, "operator")
+        return _property_table(self.profile, game, self.evaluator, max_restrictions, True)
+
+
 def property_operator(
     profile: PropertyProfile, game: Game, evaluator: Evaluator | None = None
-):
-    """The elimination operator as a plain Restriction -> Restriction callable;
-    its verdicts are cached for as long as the operator lives."""
-    evaluator = evaluator_for(game, evaluator)
-
-    def op(g: Restriction) -> Restriction:
-        return apply_operator(profile, game, g, evaluator)
-
-    return op
+) -> PropertyOperator:
+    """The elimination operator of `profile` on `game`."""
+    return PropertyOperator(profile, game, evaluator_for(game, evaluator))
 
 
 def outcome(
@@ -351,21 +371,63 @@ def outcome(
     )
 
 
-def _monotone_table(
-    spec: PropertySpec, game: Game, max_restrictions: int, evaluator: Evaluator
+def _component(
+    evaluator: Evaluator, spec: PropertySpec, player: int, count: int, own: bool
+) -> list[int]:
+    """Per restriction, at its lattice index: the strategies passing `spec`
+    for `player` there, at the player's bits of the index; asked among the
+    restriction's own strategies when `own`, among all of T_i otherwise.
+
+    A global sd or br:pure verdict depends only on the opponents' bits, so it
+    is asked once per opponent context for all of T_i and repeated over the
+    player's own masks: the indices sharing the bits above the player's
+    field repeat one block of contexts, one per own mask.  Every other
+    family is asked once per index, ascending, so the LP families solve and
+    inherit as they do for one restriction at a time."""
+    game = evaluator.game
+    family = _family(spec, game)
+    shift = game.shifts[player]
+    full = (1 << game.sizes[player]) - 1
+    if spec.scope == "g" and family in ("sd", "br:pure"):
+        width = (full + 1) << shift
+        component = []
+        for high in range(0, count, width):
+            block = [
+                _passing(evaluator, family, "g", player, high | low, full) << shift
+                for low in range(1 << shift)
+            ]
+            component += block * (full + 1)
+        return component
+    return [
+        _passing(evaluator, family, spec.scope, player, idx, idx >> shift & full if own else full)
+        << shift
+        for idx in range(count)
+    ]
+
+
+def _property_table(
+    profile: PropertyProfile,
+    game: Game,
+    evaluator: Evaluator,
+    max_restrictions: int,
+    own: bool,
 ) -> list[int]:
     """Per restriction, at its lattice index: the lattice index whose
-    player-i mask holds the strategies in T_i satisfying the property
-    there."""
-    family = _family(spec, game)
-    full = [(1 << k) - 1 for k in game.sizes]
-    return [
-        sum(
-            _passing(evaluator, family, spec.scope, i, idx, full[i]) << game.shifts[i]
-            for i in game.players()
-        )
-        for idx in range(count_restrictions(game, max_restrictions))
-    ]
+    player-i mask holds the strategies passing player i's property there.
+    With `own` these are taken among the restriction's own strategies, which
+    makes the table the operator's images; otherwise among all of T_i, which
+    is the table a monotonicity check compares.  The lattice budget is
+    charged before anything else."""
+    count = count_restrictions(game, max_restrictions)
+    if len(profile.specs) != game.num_players:
+        raise ValueError("profile length differs from the number of players")
+    table = [0] * count
+    for i, spec in enumerate(profile.specs):
+        table = list(map(or_, table, _component(evaluator, spec, i, count, own)))
+    if own:
+        # a global pure component holds every passing strategy of T_i
+        return list(map(and_, range(count), table))
+    return table
 
 
 def property_is_monotone(
@@ -375,7 +437,10 @@ def property_is_monotone(
     a failing cover is itself a non-monotone comparable pair, so no other
     pair is scanned and only the lattice budget applies."""
     evaluator = evaluator_for(game, evaluator)
-    return monotone_on_covers(_monotone_table(spec, game, DEFAULT_LATTICE_BUDGET, evaluator))
+    profile = PropertyProfile.uniform(spec, game.num_players)
+    return monotone_on_covers(
+        _property_table(profile, game, evaluator, DEFAULT_LATTICE_BUDGET, False)
+    )
 
 
 def check_property_monotone(
@@ -387,7 +452,8 @@ def check_property_monotone(
     """Exhaustively check: G below G' and property holds at G implies it holds
     at G', for every comparable pair and every strategy in T_i."""
     evaluator = evaluator_for(game, evaluator)
-    images = _monotone_table(spec, game, max_restrictions, evaluator)
+    profile = PropertyProfile.uniform(spec, game.num_players)
+    images = _property_table(profile, game, evaluator, max_restrictions, False)
     sizes = game.sizes
     entries = []
     violations = 0

@@ -1,6 +1,7 @@
 import gc
 import json
 import pathlib
+import random
 import shlex
 import time
 from dataclasses import replace
@@ -8,11 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from gamelattice import cli, lp, witnesses
+from gamelattice import cli, fixtures, iteration, lp, properties, witnesses
 from gamelattice.cli import EXIT_INTERNAL, main
 from gamelattice.epistemic import DEFAULT_MODEL_BUDGET
-from gamelattice.games import parse_game_file
-from gamelattice.iteration import trace_from_json_dict, iterate_operator
+from gamelattice.errors import BudgetError
+from gamelattice.games import format_game, parse_game_file
+from gamelattice.iteration import DEFAULT_LATTICE_BUDGET, trace_from_json_dict, iterate_operator
 from gamelattice.properties import PropertyProfile, parse_property_spec, property_operator
 from gamelattice.symbolic import SymbolicSet
 
@@ -309,6 +311,46 @@ def test_budget_exit_codes(env, argv, expected, monkeypatch, capsys):
         monkeypatch.setenv("GAMELATTICE_BUDGET", env)
     code, _, err = run(capsys, *argv[:-1], str(FIXTURES / argv[-1]))
     assert code == expected, err
+
+
+@pytest.mark.parametrize("prop", ["sd:g", "br:g:pure"])
+def test_lattice_checks_at_the_budget_edge(prop, tmp_path, monkeypatch, capsys):
+    # 8x8 has exactly DEFAULT_LATTICE_BUDGET restrictions and 8x9 twice that;
+    # the larger one is refused before any property is asked
+    monkeypatch.delenv("GAMELATTICE_BUDGET", raising=False)
+    rng = random.Random(8)
+    paths = []
+    for cols in (8, 9):
+        path = tmp_path / f"g{cols}.game"
+        path.write_text(format_game(fixtures.random_game(rng, 8, cols)))
+        paths.append(str(path))
+    assert 1 << 16 == DEFAULT_LATTICE_BUDGET
+    code, out, err = run(capsys, "eliminate", "--prop", prop, "--json", paths[0])
+    assert code == 0, err
+    outcome = json.loads(out)["outcome"]
+    code, out, err = run(capsys, "check", "tarski", "--prop", prop, "--json", paths[0])
+    assert code == 0, err
+    assert json.loads(out)["details"]["outcome"] == outcome
+    code, out, err = run(capsys, "check", "monotone", "--prop", prop, paths[0])
+    assert code == 0, err
+    real = properties._passing
+    asked = []
+    monkeypatch.setattr(properties, "_passing", lambda *a: asked.append(a) or real(*a))
+    for verifier in ("tarski", "monotone"):
+        code, out, err = run(capsys, "check", verifier, "--prop", prop, paths[1])
+        assert (code, out) == (2, "")
+        assert "lattice of 131072 restrictions exceeds the budget of 65536" in err
+    game = parse_game_file(paths[1])
+    spec = parse_property_spec(prop)
+    op = property_operator(PropertyProfile.uniform(spec, 2), game)
+    for check in (
+        lambda: iteration.verify_tarski(op, game),
+        lambda: properties.check_property_monotone(spec, game),
+    ):
+        with pytest.raises(BudgetError) as exc:
+            check()
+        assert exc.value.attempted == 131072
+    assert asked == []
 
 
 @pytest.mark.parametrize("env,expected", [("74", 2), ("75", 0)])

@@ -255,21 +255,28 @@ def test_profile_length_checked():
 
 
 def _broken_operator(monkeypatch, broken_spec):
-    """Make apply_operator return the bottom element for one property, and
-    count every call."""
-    from gamelattice import properties
+    """Make the operator of one property map every restriction to the bottom
+    element, both in the image tables `_property_table` builds and in the
+    steps `apply_operator` takes, and count every table built and every
+    step taken."""
     from gamelattice.games import restriction_bottom
 
-    real = properties.apply_operator
+    real_table, real_apply = properties._property_table, properties.apply_operator
     calls = []
 
-    def fake(profile, game, g, *rest):
+    def table(profile, game, *rest):
+        images = real_table(profile, game, *rest)
+        calls.append(profile)
+        return [0] * len(images) if str(profile) == broken_spec else images
+
+    def apply(profile, game, g, *rest):
         calls.append(profile)
         if str(profile) == broken_spec:
             return restriction_bottom(game)
-        return real(profile, game, g, *rest)
+        return real_apply(profile, game, g, *rest)
 
-    monkeypatch.setattr(properties, "apply_operator", fake)
+    monkeypatch.setattr(properties, "_property_table", table)
+    monkeypatch.setattr(properties, "apply_operator", apply)
     return calls
 
 
@@ -305,11 +312,15 @@ def test_theorem_just_failure_entries(monkeypatch):
 
 def test_theorem_just_checks_the_budget_before_any_work(monkeypatch):
     calls = _broken_operator(monkeypatch, None)
+    asked = []
+    real = properties._passing
+    monkeypatch.setattr(properties, "_passing", lambda *a: asked.append(a) or real(*a))
     with pytest.raises(BudgetError):
         verify_theorem_just(PD, max_restrictions=3)
     with pytest.raises(BudgetError):
         verify_theorem_just1(PD, max_restrictions=3)
     assert calls == []
+    assert asked == []
 
 
 def test_evaluator_belongs_to_one_game():
@@ -442,6 +453,74 @@ def test_pure_passing_masks_match_the_dominance_procedures():
                     )
                     checked += 1
     assert checked > 10000
+
+
+def _table_games():
+    rng = random.Random(2424)
+    return fixtures.random_games(2424, 3, 3, 3) + [
+        _random_game(rng, (2, 2, 2)),
+        _random_game(rng, (2, 3, 2)),
+    ]
+
+
+@pytest.mark.parametrize("game", _table_games(), ids=lambda game: game.name)
+def test_property_tables_match_the_per_restriction_definitions(game):
+    # the reference asks a fresh Evaluator per restriction, so it shares no
+    # entry, inherits nothing and walks no context in the builder's order
+    n = game.num_players
+    specs = [parse_property_spec(text) for text in ALL_SPECS + ["br:l:ind", "br:g:ind"]]
+    if n > 2:
+        specs = [spec for spec in specs if spec.belief != "ind"]
+    rng = random.Random(game.name)
+    profiles = [PropertyProfile.uniform(spec, n) for spec in specs] + [
+        PropertyProfile(tuple(rng.choice(specs) for _ in range(n))) for _ in range(4)
+    ]
+    assert any(len(set(profile.specs)) > 1 for profile in profiles)
+    restrictions = list(all_restrictions(game))
+    for profile in profiles:
+        want = [apply_operator(profile, game, g, Evaluator(game)).index for g in restrictions]
+        for inherit in ((), INHERITING_FAMILIES):
+            op = property_operator(profile, game, Evaluator(game, inherit))
+            assert iteration.image_table(op, game, len(restrictions)) == want, str(profile)
+    full = [(1 << k) - 1 for k in game.sizes]
+    for spec in specs:
+        want = [
+            sum(passing_mask(spec, game, i, g, full[i]) << game.shifts[i] for i in game.players())
+            for g in restrictions
+        ]
+        profile = PropertyProfile.uniform(spec, n)
+        table = properties._property_table(profile, game, Evaluator(game), len(restrictions), False)
+        assert table == want, str(spec)
+
+
+def test_an_empty_opponent_component_decides_br_corr_without_a_belief_search(monkeypatch):
+    # no belief lives on an empty set of opponent profiles, so every strategy
+    # fails there, as the search itself answers
+    game = _random_game(random.Random(24), (2, 2, 2))
+    contexts = [
+        (g, i)
+        for g in all_restrictions(game)
+        for i in game.players()
+        if not all(m for j, m in enumerate(g.masks) if j != i)
+    ]
+    assert len(contexts) == 84
+    for g, i in contexts:
+        pool = mask_members(g.masks[i])
+        assert all(
+            dominance.exists_supporting_belief(game, g, pool, i, s, "corr") is None
+            for s in game.strategies(i)
+        )
+    real = dominance.exists_supporting_belief
+    searches = []
+    monkeypatch.setattr(
+        dominance, "exists_supporting_belief", lambda *a: searches.append(a) or real(*a)
+    )
+    for text in ("br:l:corr", "br:g:corr"):
+        spec = parse_property_spec(text)
+        evaluator = Evaluator(game, inherit=INHERITING_FAMILIES)
+        for g, i in contexts:
+            assert passing_mask(spec, game, i, g, 0b11, evaluator) == 0
+    assert searches == []
 
 
 def test_opponent_profiles_are_the_row_major_numbers_of_the_context():
