@@ -385,6 +385,15 @@ def enumerate_ck_cb(
     `models_enumerated` counts every model up to the early exit, relabelled
     ones included.
 
+    Two memos live in the call.  Per player, the passing mask of the
+    strategies an assignment uses is asked once per (image index, used
+    strategies) pair, and a `Restriction` is built only then; a state's
+    verdict is read from `states_of`, the states choosing each mask of the
+    player's strategies.  Per `passes` tuple, `_marked_sets` decides once:
+    its answer depends on the mode, so the memo does not outlive the call,
+    even where the caller shares its `Evaluator` with a call in the other
+    mode.
+
     The budget is charged with the models of the assignments it evaluates:
     one assignment per orbit, C(J + omega - 1, omega) of them for J joint
     strategies, times every combination of correspondences.  Where the lower
@@ -426,6 +435,10 @@ def enumerate_ck_cb(
     enumerated = 0
     early = False
     spec_of = profile.specs
+    # per player, the passing mask asked per (image index, used strategies);
+    # per `passes` tuple, the marked sets, which depend on this call's mode
+    verdicts: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    decisions: dict[tuple[int, ...], int] = {}
     for assign in itertools.product(*assignments_per_player):
         enumerated += combos_per_assignment
         # Relabelling the states maps the correspondences onto themselves, so
@@ -445,7 +458,6 @@ def enumerate_ck_cb(
         images = [0]
         for idx in state_idx:
             images += [m | idx for m in images]
-        restrictions = [restriction_at(game, m) for m in images[1:]]
         # A state is gathered when some model puts it in an evident set
         # inside rationality (in belief mode too, since by cell-consistency
         # the union of an evident set's cells is evident).  A set is evident
@@ -455,11 +467,24 @@ def enumerate_ck_cb(
         for i in range(n):
             row = assign[i]
             used = _or_all(1 << s for s in row)
+            # states_of[x] is the set of states whose strategy is in mask x
+            states_of = [0]
+            for s in range(game.sizes[i]):
+                at_s = _or_all(1 << w for w in range(omega) if row[w] == s)
+                states_of += [m | at_s for m in states_of]
+            asked = verdicts[i]
             passes = [0]
-            for g in restrictions:
-                ok = passing_mask(spec_of[i], game, i, g, used, evaluator)
-                passes.append(sum(1 << w for w in range(omega) if ok >> row[w] & 1))
-            marked &= _marked_sets(partitions, passes, mode)
+            for m in images[1:]:
+                ok = asked.get((m, used))
+                if ok is None:
+                    g = restriction_at(game, m)
+                    ok = asked[m, used] = passing_mask(spec_of[i], game, i, g, used, evaluator)
+                passes.append(states_of[ok])
+            passes = tuple(passes)
+            marks = decisions.get(passes)
+            if marks is None:
+                marks = decisions[passes] = _marked_sets(partitions, passes, mode)
+            marked &= marks
             if not marked:
                 break
         gathered = _or_all(g for g in range(1, 1 << omega) if marked >> g & 1)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from gamelattice import epistemic, fixtures
+from gamelattice import dominance, epistemic, fixtures
 from gamelattice.epistemic import (
     EpistemicModel,
     belief_correspondences,
@@ -627,3 +627,85 @@ def test_enumerate_theorems_beyond_the_brute_force(game, omega, mode):
     for text in ("sd:l", "br:l:pure"):
         res = enumerate_ck_cb(game, omega, uniform(game, text), mode=mode, budget=None)
         assert res.restriction == restriction_top(game), text
+
+
+def _recorded(monkeypatch, module, name, key=lambda *args: args):
+    """The calls made from now on to `module.name`, each recorded as key(*args)."""
+    calls = []
+    real = getattr(module, name)
+
+    def recorded(*args):
+        calls.append(key(*args))
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def _passes_of(partitions, passes, mode):
+    return tuple(passes)
+
+
+LP_PINS = [
+    (MIX, 3, "msd:g", (19, 0)),
+    (MIX, 3, "br:l:corr", (0, 4)),
+    (CHAIN, 3, "msd:l", (22, 0)),
+    (CHAIN, 3, "br:g:corr", (0, 22)),
+    (THREE, 2, "msd:l", (24, 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "game,omega,text,expected", LP_PINS, ids=[f"{g.name}-w{o}-{t}" for g, o, t, _ in LP_PINS]
+)
+@pytest.mark.parametrize("mode", BOTH)
+def test_enumerate_solves_the_pinned_lps(game, omega, text, expected, mode, monkeypatch):
+    # the enumerator asks an LP family only for the strategies an assignment
+    # uses; asking all of T_i would solve LPs these counts leave out
+    msd = _recorded(monkeypatch, dominance, "mixed_dominance_witness")
+    belief = _recorded(monkeypatch, dominance, "exists_supporting_belief")
+    enumerate_ck_cb(game, omega, uniform(game, text), mode=mode, evaluator=Evaluator(game))
+    assert (len(msd), len(belief)) == expected
+
+
+@pytest.mark.parametrize("mode", BOTH)
+@pytest.mark.parametrize("profile", [uniform(CHAIN, "sd:g"), mixed_profile(CHAIN)], ids=str)
+def test_enumerate_asks_each_image_and_decides_each_passes_once(profile, mode, monkeypatch):
+    asked = _recorded(
+        monkeypatch, epistemic, "passing_mask",
+        lambda spec, game, player, g, candidates, evaluator: (player, g.index, candidates),
+    )
+    decided = _recorded(monkeypatch, epistemic, "_marked_sets", _passes_of)
+    enumerate_ck_cb(CHAIN, 4, profile, mode=mode)
+    assert asked and decided
+    assert len(set(asked)) == len(asked)
+    assert len(set(decided)) == len(decided)
+
+
+SHARED_CASES = [
+    (game, text)
+    for game in (PD, MIX, CHAIN)
+    for text in ("sd:g", "sd:l", "br:g:pure", "br:l:pure", "msd:g")
+]
+
+
+@pytest.mark.parametrize(
+    "game,text", SHARED_CASES, ids=[f"{g.name}-{t}" for g, t in SHARED_CASES]
+)
+def test_a_shared_evaluator_gives_each_mode_its_fresh_result(game, text, monkeypatch):
+    # one Evaluator serves a knowledge and a belief call, in either order;
+    # neither call may read what the other decided for its own mode.  The
+    # shipped properties mark the same sets in both modes, so the decisions
+    # each call makes are compared too: a leaked decision would be skipped
+    profile = uniform(game, text)
+    decided = _recorded(monkeypatch, epistemic, "_marked_sets", _passes_of)
+
+    def run(mode, evaluator):
+        start = len(decided)
+        r = enumerate_ck_cb(game, 3, profile, mode=mode, evaluator=evaluator)
+        return r.restriction, r.models_total, r.models_enumerated, r.early_exit, decided[start:]
+
+    fresh = {mode: run(mode, Evaluator(game)) for mode in BOTH}
+    for order in (BOTH, BOTH[::-1]):
+        shared = Evaluator(game)
+        assert {mode: run(mode, shared) for mode in order} == fresh, order
