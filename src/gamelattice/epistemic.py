@@ -24,7 +24,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ClassificationError, PreconditionError
 from .games import Game, Restriction, check_budget, mask_members, restriction_at
@@ -171,12 +171,6 @@ def common_knowledge_event(model: EpistemicModel, e: int) -> int:
     return largest_evident_subset(model, e)
 
 
-def common_knowledge_event_ms89(model: EpistemicModel, e: int) -> int:
-    """The alternative form: membership in some evident subset of K e."""
-    _require_class(model, is_knowledge_correspondence, "knowledge")
-    return largest_evident_subset(model, k_event(model, e))
-
-
 def common_belief_event(model: EpistemicModel, e: int) -> int:
     """States where e is common belief: members of some evident subset of B e."""
     _require_class(model, is_belief_correspondence, "belief")
@@ -236,69 +230,18 @@ def model_from_joint_strategies(
     return EpistemicModel(game, states, assignment, tuple(correspondences))
 
 
-# -- exhaustive enumeration of correspondences --------------------------------
-
-
-def _block_partitions(members: Sequence[int]) -> list[list[int]]:
-    """All partitions of the given states into blocks, as lists of block
-    bitmasks: each state joins every existing block in turn, then opens a new
-    one."""
-    partitions: list[list[int]] = [[]]
-    for w in members:
-        bit = 1 << w
-        partitions = [
-            [*p[:b], p[b] | bit, *p[b + 1 :]] if b < len(p) else [*p, bit]
-            for p in partitions
-            for b in range(len(p) + 1)
-        ]
-    return partitions
-
-
-def _block_cells(blocks: Sequence[int], n: int) -> list[int]:
-    """Per-state cell bitmasks: each state covered by a block gets that block."""
-    cells = [0] * n
-    for mask in blocks:
-        for w in mask_members(mask):
-            cells[w] = mask
-    return cells
-
-
-def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """All partitions of n states, yielded as per-state cell bitmasks."""
-    for blocks in _block_partitions(range(n)):
-        yield tuple(_block_cells(blocks, n))
-
-
-def belief_correspondences(n: int) -> Iterator[tuple[int, ...]]:
-    """All correspondences satisfying seriality and cell-consistency, as
-    per-state cell bitmasks.
-
-    Cell-consistency forces the image cells to be pairwise disjoint and
-    fixed on themselves, so the enumeration picks disjoint non-empty target
-    cells covering some subset and routes every remaining state to one of
-    them.
-    """
-    full = (1 << n) - 1
-    for covered in range(1, full + 1):
-        members = [w for w in range(n) if covered >> w & 1]
-        outside = [w for w in range(n) if not covered >> w & 1]
-        for blocks in _block_partitions(members):
-            base = _block_cells(blocks, n)
-            for routing in itertools.product(range(len(blocks)), repeat=len(outside)):
-                cells = list(base)
-                for w, b in zip(outside, routing):
-                    cells[w] = blocks[b]
-                yield tuple(cells)
+# -- enumeration of CK/CB restrictions ----------------------------------------
 
 
 def count_correspondences(n: int, mode: str) -> int:
-    """How many correspondences set_partitions(n) (knowledge mode) or
-    belief_correspondences(n) (belief mode) yield, without listing them.
+    """How many possibility correspondences n states have in the mode's
+    class, without listing them.
 
-    With S(m, k) the number of ways to split m states into k blocks,
-    partitions number the Bell number sum_k S(n, k), and belief
-    correspondences number sum_m C(n, m) sum_k S(m, k) k^(n-m): m covered
-    states split into k target cells, and each other state routed to one.
+    With S(m, k) the number of ways to split m states into k blocks, the
+    partitions (knowledge mode) number the Bell number sum_k S(n, k), and
+    the serial, cell-consistent correspondences (belief mode) number
+    sum_m C(n, m) sum_k S(m, k) k^(n-m): m covered states split into k
+    target cells, and each other state routed to one.
     """
     stirling = [[1]]  # stirling[m][k] = S(m, k)
     for m in range(1, n + 1):
@@ -312,9 +255,6 @@ def count_correspondences(n: int, mode: str) -> int:
     )
 
 
-# -- enumeration of CK/CB restrictions ----------------------------------------
-
-
 @dataclass(frozen=True)
 class CkCbResult:
     restriction: Restriction
@@ -325,19 +265,7 @@ class CkCbResult:
     early_exit: bool
 
 
-def _partial_partitions(omega: int) -> list[list[int]]:
-    """Every partition of every non-empty set of the omega states into
-    blocks, as lists of block bitmasks."""
-    return [
-        blocks
-        for covered in range(1, 1 << omega)
-        for blocks in _block_partitions(mask_members(covered))
-    ]
-
-
-def _marked_sets(
-    partitions: Sequence[Sequence[int]], passes: Sequence[int], mode: str
-) -> int:
+def _marked_sets(passes: Sequence[int], mode: str) -> int:
     """The non-empty sets of states G, as the bits of one int, for which some
     correspondence Q of the mode's class gives every state u of G a cell
     Q(u) inside G at whose image u passes; `passes[b]` is the set of states
@@ -348,20 +276,56 @@ def _marked_sets(
     correspondence partitions G into them, and a belief correspondence's
     target cells cover some S inside G and route every other state of G to
     a target cell where it passes.  Any cells outside G complete Q.  So
-    knowledge mode marks the union S of every partition into good blocks,
-    and belief mode every G from S up to the states passing in its blocks.
+    knowledge mode marks every S that splits into good blocks, and belief
+    mode every G with S <= G <= S | R, R the union of the blocks' passes[b].
+
+    One pass over S ascending decides either.  The lowest state of S lies in
+    exactly one block b of any partition of S, so S splits into good blocks
+    iff some good b inside S that holds that state leaves S - b empty or
+    split; only the submasks of S that hold it are tried.  Belief mode keeps
+    `unions[S]`, the distinct R over the partitions of S into good blocks,
+    each got as R' | passes[b] from such a b and an R' of S - b.  Only the
+    part of R outside S can widen a G over S or over any set holding S, so
+    R is kept as that part, and repeated (S, R) pairs merge.
     """
     good = [not b & ~p for b, p in enumerate(passes)]
+    if mode == "knowledge":
+        # bit 0 stands for the empty set, which splits into no blocks
+        marked = 1
+        for s in range(1, len(passes)):
+            low = s & -s
+            rest = sub = s ^ low
+            while True:
+                b = low | sub
+                if good[b] and marked >> (s ^ b) & 1:
+                    marked |= 1 << s
+                    break
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
+        return marked & ~1
+    unions = [{0}]
     marked = 0
-    for blocks in partitions:
-        if all(good[b] for b in blocks):
-            covered = _or_all(blocks)
-            free = 0
-            if mode == "belief":
-                free = _or_all(passes[b] for b in blocks) & ~covered
-            for sub in range(free + 1):
-                if not sub & ~free:
-                    marked |= 1 << (covered | sub)
+    for s in range(1, len(passes)):
+        low = s & -s
+        rest = sub = s ^ low
+        found = set()
+        while True:
+            b = low | sub
+            if good[b]:
+                for r in unions[s ^ b]:
+                    found.add((r | passes[b]) & ~s)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        unions.append(found)
+        for free in found:
+            sub = free
+            while True:
+                marked |= 1 << (s | sub)
+                if not sub:
+                    break
+                sub = (sub - 1) & free
     return marked
 
 
@@ -379,11 +343,14 @@ def enumerate_ck_cb(
 
     The enumeration ranges over all strategy assignments and all
     correspondences of the required class, exactly.  It evaluates one
-    assignment per orbit under relabelling of the states, skips an
-    assignment none of whose states could add a strategy, and decides the
-    correspondences of an evaluated one player by player (`_marked_sets`);
-    `models_enumerated` counts every model up to the early exit, relabelled
-    ones included.
+    assignment per orbit under relabelling of the states, the one whose
+    per-state joint strategies do not decrease, and visits these
+    representatives in the order of their rank among all assignments in
+    product order.  It skips a representative none of whose states could
+    add a strategy, and decides the correspondences of an evaluated one
+    player by player (`_marked_sets`).  `models_enumerated` counts every
+    model up to the early exit, relabelled ones included: (rank + 1) times
+    the correspondence combinations per assignment.
 
     Two memos live in the call.  Per player, the passing mask of the
     strategies an assignment uses is asked once per (image index, used
@@ -423,31 +390,40 @@ def enumerate_ck_cb(
     evaluable = math.comb(joints + omega - 1, omega) * combos_per_assignment
     check_budget(evaluable, budget, f"enumeration of {evaluable} models")
     total = joints**omega * combos_per_assignment
-    partitions = _partial_partitions(omega)
 
-    assignments_per_player = [
-        list(itertools.product(range(k), repeat=omega)) for k in game.sizes
-    ]
+    # Relabelling the states maps the correspondences onto themselves, so
+    # every assignment in one orbit under permutations of the states gathers
+    # the same strategies.  Product order over the players' rows (player 1's
+    # most significant, each row a base-k number with state 0 most
+    # significant) reaches first the member whose per-state joint strategies
+    # do not decrease.  Those representatives are visited in that order, so
+    # the gathered restriction follows the product walk's path and the early
+    # exit falls at the same assignment, whose rank counts the models.
+    def product_rank(per_state):
+        r = 0
+        for i, k in enumerate(game.sizes):
+            for joint in per_state:
+                r = r * k + joint[i]
+        return r
+
+    representatives = sorted(
+        (product_rank(per_state), per_state)
+        for per_state in itertools.combinations_with_replacement(
+            game.joint_strategies(), omega
+        )
+    )
 
     # the gathered restriction and the full game, as lattice indices
     acc = 0
     top = (1 << sum(game.sizes)) - 1
-    enumerated = 0
+    enumerated = total
     early = False
     spec_of = profile.specs
     # per player, the passing mask asked per (image index, used strategies);
     # per `passes` tuple, the marked sets, which depend on this call's mode
     verdicts: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
     decisions: dict[tuple[int, ...], int] = {}
-    for assign in itertools.product(*assignments_per_player):
-        enumerated += combos_per_assignment
-        # Relabelling the states maps the correspondences onto themselves, so
-        # every assignment in one orbit under permutations of the states
-        # gathers the same strategies.  Product order reaches first the member
-        # whose per-state joint strategies do not decrease; evaluate only it.
-        per_state = list(zip(*assign))
-        if any(per_state[w] > per_state[w + 1] for w in range(omega - 1)):
-            continue
+    for rank, per_state in representatives:
         # A gathered state adds the strategies chosen there, so an assignment
         # whose states all choose gathered strategies cannot change acc.
         state_idx = _state_indices(game, per_state)
@@ -464,8 +440,7 @@ def enumerate_ck_cb(
         # inside rationality under a tuple of correspondences when it is
         # under each player's own, so the players' marked sets are ANDed.
         marked = -1
-        for i in range(n):
-            row = assign[i]
+        for i, row in enumerate(zip(*per_state)):
             used = _or_all(1 << s for s in row)
             # states_of[x] is the set of states whose strategy is in mask x
             states_of = [0]
@@ -483,13 +458,14 @@ def enumerate_ck_cb(
             passes = tuple(passes)
             marks = decisions.get(passes)
             if marks is None:
-                marks = decisions[passes] = _marked_sets(partitions, passes, mode)
+                marks = decisions[passes] = _marked_sets(passes, mode)
             marked &= marks
             if not marked:
                 break
         gathered = _or_all(g for g in range(1, 1 << omega) if marked >> g & 1)
         acc |= images[gathered]
         if acc == top:
+            enumerated = (rank + 1) * combos_per_assignment
             early = True
             break
 

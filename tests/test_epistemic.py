@@ -7,10 +7,8 @@ import pytest
 from gamelattice import dominance, epistemic, fixtures
 from gamelattice.epistemic import (
     EpistemicModel,
-    belief_correspondences,
     common_belief_event,
     common_knowledge_event,
-    common_knowledge_event_ms89,
     correspondence_flags,
     enumerate_ck_cb,
     event_restriction,
@@ -21,7 +19,6 @@ from gamelattice.epistemic import (
     largest_evident_subset,
     model_from_joint_strategies,
     rational_states,
-    set_partitions,
     witness_model_thm1,
     witness_model_thm2,
 )
@@ -34,6 +31,13 @@ from gamelattice.games import (
     restriction_top,
 )
 from gamelattice.properties import Evaluator, PropertyProfile, parse_property_spec, outcome
+from oracles import (
+    belief_correspondences,
+    common_knowledge_event_ms89,
+    partial_partitions,
+    set_partitions,
+    walked_marked_sets,
+)
 
 PD, MP, MIX, CHAIN, THREE = (
     fixtures.PD, fixtures.MP, fixtures.MIX, fixtures.CHAIN, fixtures.THREE,
@@ -537,7 +541,6 @@ def test_marked_sets_match_their_definition(omega, mode):
     # u in G a cell Q(u) inside G with u in passes[Q(u)]
     cells = set_partitions if mode == "knowledge" else belief_correspondences
     corrs = list(cells(omega))
-    partitions = epistemic._partial_partitions(omega)
     sets = range(1, 1 << omega)
     rng = random.Random(f"{mode}-{omega}")
     counts = [0, 0]
@@ -553,7 +556,7 @@ def test_marked_sets_match_their_definition(omega, mode):
                     for q in corrs
                 ):
                     expected |= 1 << g
-            assert epistemic._marked_sets(partitions, passes, mode) == expected, passes
+            assert epistemic._marked_sets(passes, mode) == expected, passes
             marked = expected.bit_count()
             counts[0] += marked
             counts[1] += len(sets) - marked
@@ -577,7 +580,6 @@ def test_knowledge_and_belief_marks_agree_for_shipped_properties(omega):
     # G is one good block, which knowledge mode marks.  For a local one
     # every state passes at its own singleton, so knowledge mode marks
     # every set.  Either way the two modes mark the same sets.
-    partitions = epistemic._partial_partitions(omega)
     rng = random.Random(f"marks-{omega}")
     sets = 1 << omega
     counts = [0, 0]
@@ -591,8 +593,8 @@ def test_knowledge_and_belief_marks_agree_for_shipped_properties(omega):
             for w in range(omega):
                 local[1 << w] |= 1 << w
             for passes in (_upward_closed(drawn), local):
-                knowledge = epistemic._marked_sets(partitions, passes, "knowledge")
-                assert epistemic._marked_sets(partitions, passes, "belief") == knowledge, passes
+                knowledge = epistemic._marked_sets(passes, "knowledge")
+                assert epistemic._marked_sets(passes, "belief") == knowledge, passes
                 marked = knowledge.bit_count()
                 counts[0] += marked
                 counts[1] += sets - 1 - marked
@@ -603,10 +605,32 @@ def test_belief_marks_routed_states_where_knowledge_cannot():
     # the control: neither upward closed nor singleton accepting.  Block {0}
     # is good and routes state 1, which passes at {0}, so belief mode marks
     # {0} and {0, 1} while knowledge mode marks {0} alone
-    partitions = epistemic._partial_partitions(2)
     passes = [0, 0b11, 0, 0]
-    assert epistemic._marked_sets(partitions, passes, "knowledge") == 1 << 0b01
-    assert epistemic._marked_sets(partitions, passes, "belief") == 1 << 0b01 | 1 << 0b11
+    assert epistemic._marked_sets(passes, "knowledge") == 1 << 0b01
+    assert epistemic._marked_sets(passes, "belief") == 1 << 0b01 | 1 << 0b11
+
+
+@pytest.mark.parametrize("omega", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("mode", BOTH)
+def test_marked_sets_match_the_partition_walk(omega, mode):
+    # the recursion over sets of states against the walk over every
+    # partition of every set of states, on seeded tables of every density
+    partitions = partial_partitions(omega)
+    rng = random.Random(f"walk-{mode}-{omega}")
+    sets = 1 << omega
+    counts = [0, 0]
+    for density in (0.2, 0.5, 0.8, 0.95):
+        for _ in range(50):
+            passes = [0] + [
+                sum(1 << w for w in range(omega) if rng.random() < density)
+                for _ in range(1, sets)
+            ]
+            expected = walked_marked_sets(partitions, passes, mode)
+            assert epistemic._marked_sets(passes, mode) == expected, passes
+            marked = expected.bit_count()
+            counts[0] += marked
+            counts[1] += sets - 1 - marked
+    assert all(counts), counts
 
 
 THEOREM_CASES = [(PD, 5), (MP, 5), (CHAIN, 5), (THREE, 4), (MIX, 4)]
@@ -629,6 +653,30 @@ def test_enumerate_theorems_beyond_the_brute_force(game, omega, mode):
         assert res.restriction == restriction_top(game), text
 
 
+# (game, omega, mode): (models_enumerated, models_total) of a local property,
+# whose enumeration exits early; models_enumerated is the product-order rank
+# of the exiting assignment, plus one, times the correspondence combinations
+EARLY_EXIT_PINS = {
+    (CHAIN, 5, "knowledge"): (1_316_848, 159_668_496),
+    (CHAIN, 5, "belief"): (148_390_848, 17_992_466_496),
+    (MP, 5, "knowledge"): (89_232, 2_768_896),
+    (MP, 5, "belief"): (10_055_232, 312_016_896),
+    (THREE, 4, "knowledge"): (867_375, 13_824_000),
+    (THREE, 4, "belief"): (181_177_033, 2_887_553_024),
+}
+
+
+@pytest.mark.parametrize(
+    "game,omega,mode", EARLY_EXIT_PINS, ids=[f"{g.name}-w{o}-{m}" for g, o, m in EARLY_EXIT_PINS]
+)
+def test_enumerate_early_exits_are_pinned_beyond_the_brute_force(game, omega, mode):
+    for text in ("sd:l", "br:l:pure"):
+        r = enumerate_ck_cb(game, omega, uniform(game, text), mode=mode, budget=None)
+        assert (r.models_enumerated, r.models_total, r.early_exit) == (
+            *EARLY_EXIT_PINS[game, omega, mode], True
+        ), text
+
+
 def _recorded(monkeypatch, module, name, key=lambda *args: args):
     """The calls made from now on to `module.name`, each recorded as key(*args)."""
     calls = []
@@ -642,7 +690,7 @@ def _recorded(monkeypatch, module, name, key=lambda *args: args):
     return calls
 
 
-def _passes_of(partitions, passes, mode):
+def _passes_of(passes, mode):
     return tuple(passes)
 
 
