@@ -350,7 +350,12 @@ def enumerate_ck_cb(
     add a strategy, and decides the correspondences of an evaluated one
     player by player (`_marked_sets`).  `models_enumerated` counts every
     model up to the early exit, relabelled ones included: (rank + 1) times
-    the correspondence combinations per assignment.
+    the correspondence combinations per assignment.  The representatives
+    are listed and sorted in full before the walk begins, so they cost
+    their whole count in time and memory even where the early exit comes
+    at a low rank; the budget bounds that count by the budget over the
+    correspondence combinations (1,287 at omega = 5 on 3x3), and only
+    `budget=None` leaves it unbounded.
 
     Two memos live in the call.  Per player, the passing mask of the
     strategies an assignment uses is asked once per (image index, used

@@ -6,7 +6,14 @@ sets by walking every partition of every set of states."""
 import itertools
 from typing import Iterator, Sequence
 
-from gamelattice.epistemic import EpistemicModel, _or_all, common_knowledge_event, k_event
+from gamelattice.epistemic import (
+    EpistemicModel,
+    _or_all,
+    _require_class,
+    is_knowledge_correspondence,
+    k_event,
+    largest_evident_subset,
+)
 from gamelattice.games import mask_members
 
 
@@ -64,7 +71,8 @@ def belief_correspondences(n: int) -> Iterator[tuple[int, ...]]:
 
 def common_knowledge_event_ms89(model: EpistemicModel, e: int) -> int:
     """The alternative form: membership in some evident subset of K e."""
-    return common_knowledge_event(model, k_event(model, e))
+    _require_class(model, is_knowledge_correspondence, "knowledge")
+    return largest_evident_subset(model, k_event(model, e))
 
 
 def partial_partitions(omega: int) -> list[list[int]]:
