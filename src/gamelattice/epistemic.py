@@ -68,6 +68,8 @@ class EpistemicModel:
             if len(row) != omega:
                 raise ValueError(f"player {i + 1}: assignment not total")
             for s in row:
+                if not isinstance(s, int):
+                    raise ValueError(f"player {i + 1}: strategy index {s!r} is not an int")
                 if not 0 <= s < self.game.sizes[i]:
                     raise ValueError(f"player {i + 1}: strategy index {s} out of range")
         for i, corr in enumerate(self.correspondences):
@@ -135,6 +137,8 @@ def _largest_evident(union_cells: Sequence[int], e: int) -> int:
 
 def _check_states(model: EpistemicModel, e: int):
     """A ValueError unless the bitmask e is a set of the model's states."""
+    if not isinstance(e, int):
+        raise ValueError(f"state mask {e!r} is not an int")
     if e < 0 or e >> model.omega:
         raise ValueError(f"state mask {e} mentions unknown state")
 
@@ -346,11 +350,14 @@ def enumerate_ck_cb(
     assignment per orbit under relabelling of the states, the one whose
     per-state joint strategies do not decrease, and visits these
     representatives in the order of their rank among all assignments in
-    product order.  It skips a representative none of whose states could
-    add a strategy, and decides the correspondences of an evaluated one
-    player by player (`_marked_sets`).  `models_enumerated` counts every
-    model up to the early exit, relabelled ones included: (rank + 1) times
-    the correspondence combinations per assignment.  The representatives
+    product order, the tuple order of their per-player rows, reading each
+    state's lattice index from a table built once per call.  It skips a
+    representative none of whose states could add a strategy, and decides
+    the correspondences of an evaluated one player by player
+    (`_marked_sets`).  `models_enumerated` counts every model up to the
+    early exit, relabelled ones included: (rank + 1) times the
+    correspondence combinations per assignment, the rank read from the
+    exiting representative's rows.  The representatives
     are listed and sorted in full before the walk begins, so they cost
     their whole count in time and memory even where the early exit comes
     at a low rank; the budget bounds that count by the budget over the
@@ -398,24 +405,17 @@ def enumerate_ck_cb(
 
     # Relabelling the states maps the correspondences onto themselves, so
     # every assignment in one orbit under permutations of the states gathers
-    # the same strategies.  Product order over the players' rows (player 1's
-    # most significant, each row a base-k number with state 0 most
-    # significant) reaches first the member whose per-state joint strategies
-    # do not decrease.  Those representatives are visited in that order, so
-    # the gathered restriction follows the product walk's path and the early
-    # exit falls at the same assignment, whose rank counts the models.
-    def product_rank(per_state):
-        r = 0
-        for i, k in enumerate(game.sizes):
-            for joint in per_state:
-                r = r * k + joint[i]
-        return r
-
+    # the same strategies.  Product order, the tuple order of the players'
+    # rows (each row omega digits below k), reaches first the member whose
+    # per-state joint strategies do not decrease.  Those representatives are
+    # visited in that order, so the gathered restriction follows the product
+    # walk's path and the early exit falls at the same assignment, whose rank
+    # counts the models.
+    joint_list = list(game.joint_strategies())
+    index_of = dict(zip(joint_list, _state_indices(game, joint_list)))
     representatives = sorted(
-        (product_rank(per_state), per_state)
-        for per_state in itertools.combinations_with_replacement(
-            game.joint_strategies(), omega
-        )
+        tuple(zip(*per_state))
+        for per_state in itertools.combinations_with_replacement(joint_list, omega)
     )
 
     # the gathered restriction and the full game, as lattice indices
@@ -428,10 +428,10 @@ def enumerate_ck_cb(
     # per `passes` tuple, the marked sets, which depend on this call's mode
     verdicts: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
     decisions: dict[tuple[int, ...], int] = {}
-    for rank, per_state in representatives:
+    for rows in representatives:
         # A gathered state adds the strategies chosen there, so an assignment
         # whose states all choose gathered strategies cannot change acc.
-        state_idx = _state_indices(game, per_state)
+        state_idx = [index_of[joint] for joint in zip(*rows)]
         if not any(idx & ~acc for idx in state_idx):
             continue
         # images[e] is the image of the states in e; the cells are exactly
@@ -445,12 +445,15 @@ def enumerate_ck_cb(
         # inside rationality under a tuple of correspondences when it is
         # under each player's own, so the players' marked sets are ANDed.
         marked = -1
-        for i, row in enumerate(zip(*per_state)):
-            used = _or_all(1 << s for s in row)
-            # states_of[x] is the set of states whose strategy is in mask x
+        for i, row in enumerate(rows):
+            # at[s] holds the states choosing s, states_of[x] those choosing in x
+            at = [0] * game.sizes[i]
+            used = 0
+            for w, s in enumerate(row):
+                at[s] |= 1 << w
+                used |= 1 << s
             states_of = [0]
-            for s in range(game.sizes[i]):
-                at_s = _or_all(1 << w for w in range(omega) if row[w] == s)
+            for at_s in at:
                 states_of += [m | at_s for m in states_of]
             asked = verdicts[i]
             passes = [0]
@@ -470,6 +473,10 @@ def enumerate_ck_cb(
         gathered = _or_all(g for g in range(1, 1 << omega) if marked >> g & 1)
         acc |= images[gathered]
         if acc == top:
+            rank = 0
+            for k, row in zip(game.sizes, rows):
+                for s in row:
+                    rank = rank * k + s
             enumerated = (rank + 1) * combos_per_assignment
             early = True
             break

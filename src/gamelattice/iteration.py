@@ -20,12 +20,11 @@ from .games import (
     Restriction,
     all_restrictions,
     check_budget,
+    check_same_game,
     lattice_leq,
-    pack_masks,
     restriction_at,
     restriction_from_names,
     restriction_top,
-    unpack_index,
 )
 from .ordinals import Ordinal, parse_ordinal
 from .reports import CheckReport
@@ -71,6 +70,13 @@ def default_iteration_budget(game: Game) -> int:
     return 10 * sum(game.sizes)
 
 
+def _apply(op: Operator, game: Game, g: Restriction) -> Restriction:
+    """op(g); a ShapeError unless the image is a restriction of `game`."""
+    image = op(g)
+    check_same_game(game, image.game, "operator image")
+    return image
+
+
 def _iterates(
     op: Operator, game: Game, budget: int | None
 ) -> Iterator[tuple[Restriction, Restriction]]:
@@ -81,7 +87,7 @@ def _iterates(
     current = restriction_top(game)
     k = 0
     while True:
-        nxt = op(current)
+        nxt = _apply(op, game, current)
         yield current, nxt
         if nxt == current:
             return
@@ -101,7 +107,7 @@ def iterate_operator(
 
 
 def is_fixpoint(op: Operator, g: Restriction) -> bool:
-    return op(g) == g
+    return _apply(op, g.game, g) == g
 
 
 def is_post_fixpoint(op: Operator, g: Restriction) -> bool:
@@ -119,14 +125,6 @@ def _submasks(m: int) -> list[int]:
     return subs
 
 
-def _submask_tuples(masks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every componentwise submask tuple of `masks` (including itself), each
-    component descending from its mask, the first component varying
-    fastest."""
-    for rev in itertools.product(*(_submasks(m) for m in reversed(masks))):
-        yield rev[::-1]
-
-
 def image_table(op: Operator, game: Game, max_restrictions: int) -> list[int]:
     """The lattice index of op(G) for every restriction G, at G's own index,
     within the lattice budget `max_restrictions`: the operator's own
@@ -135,7 +133,9 @@ def image_table(op: Operator, game: Game, max_restrictions: int) -> list[int]:
     table = getattr(op, "table", None)
     if table is not None:
         return table(game, max_restrictions)
-    return [op(g).index for g in all_restrictions(game, max_count=max_restrictions)]
+    return [
+        _apply(op, game, g).index for g in all_restrictions(game, max_count=max_restrictions)
+    ]
 
 
 def monotone_on_covers(images: list[int]) -> bool:
@@ -169,17 +169,22 @@ def non_monotone_pairs(
     `images` is indexed as in `monotone_on_covers`, over strategy sets of
     the given sizes.  The covers are scanned first.  Only when one fails are
     all comparable pairs visited: the larger ones ascending, the smaller ones
-    below each in the order of `_submask_tuples`, so the pairs yielded and
-    their order are those of that full scan alone.  The pair budget is
+    below each with every player's field descending through its submasks,
+    the first player's field varying fastest, so the pairs yielded and their
+    order are those of that full scan alone.  The pair budget is
     charged just before that scan, so a table that is monotone on its covers
     is bounded by the lattice budget alone."""
     if monotone_on_covers(images):
         return
     pairs = 3 ** sum(sizes)
     check_budget(pairs, DEFAULT_PAIR_BUDGET, f"comparable-pair count {pairs}")
+    # (shift, size) per player's field, the last (lowest) player's first, so
+    # that the first player's field, the product's last factor, varies fastest
+    fields = list(zip(itertools.accumulate(sizes[::-1], initial=0), sizes[::-1]))
     for big, img_big in enumerate(images):
-        for masks in _submask_tuples(unpack_index(sizes, big)):
-            small = pack_masks(sizes, masks)
+        parts = [[m << shift for m in _submasks(big >> shift & (1 << k) - 1)] for shift, k in fields]
+        for part in itertools.product(*parts):
+            small = sum(part)
             if images[small] & ~img_big:
                 yield small, big
 

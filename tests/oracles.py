@@ -1,7 +1,8 @@
 """Reference procedures that the tests compare the package against: the
 generators of every possibility correspondence of each class, the Monderer
-and Samet form of common knowledge, and the decision of a player's marked
-sets by walking every partition of every set of states."""
+and Samet form of common knowledge, the decision of a player's marked sets
+by walking every partition of every set of states, and the rank of a
+strategy assignment in product order."""
 
 import itertools
 from typing import Iterator, Sequence
@@ -104,3 +105,15 @@ def walked_marked_sets(
                 if not sub & ~free:
                     marked |= 1 << (covered | sub)
     return marked
+
+
+def product_rank(sizes: Sequence[int], per_state: Sequence[Sequence[int]]) -> int:
+    """The rank among all strategy assignments in product order of the one
+    choosing the joint strategy per_state[w] at state w: per player, the row
+    read as a base-k number, state 0 most significant, combined player 1
+    first."""
+    r = 0
+    for i, k in enumerate(sizes):
+        for joint in per_state:
+            r = r * k + joint[i]
+    return r

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -35,6 +36,7 @@ from oracles import (
     belief_correspondences,
     common_knowledge_event_ms89,
     partial_partitions,
+    product_rank,
     set_partitions,
     walked_marked_sets,
 )
@@ -430,6 +432,16 @@ def test_model_rejects_cells_outside_the_state_space(bad):
         )
 
 
+@pytest.mark.parametrize(
+    "assignment,cells",
+    [(((0, 1.0), (0, 1)), (event(0), event(1))), (((0, 1), (0, 1)), (1.0, event(1)))],
+    ids=["strategy", "cell"],
+)
+def test_model_rejects_entries_that_are_not_ints(assignment, cells):
+    with pytest.raises(ValueError, match="not an int"):
+        EpistemicModel(PD, ("a", "b"), assignment, (cells, (event(0), event(1))))
+
+
 def brute_ck_cb(game, omega, profile, mode):
     """The CK/CB restriction by building every model outright: every strategy
     assignment times every tuple of correspondences, in product order, with
@@ -675,6 +687,71 @@ def test_enumerate_early_exits_are_pinned_beyond_the_brute_force(game, omega, mo
         assert (r.models_enumerated, r.models_total, r.early_exit) == (
             *EARLY_EXIT_PINS[game, omega, mode], True
         ), text
+
+
+class _Walk(list):
+    """A list that keeps the last item its iteration handed out."""
+
+    def __iter__(self):
+        for item in super().__iter__():
+            self.last = item
+            yield item
+
+
+def _walks(monkeypatch):
+    """The representatives each `enumerate_ck_cb` call from now on sorts, as
+    `_Walk`s, so each also keeps the one its walk visited last."""
+    walks = []
+
+    def recorded(items, **kwargs):
+        walks.append(_Walk(sorted(items, **kwargs)))
+        return walks[-1]
+
+    monkeypatch.setattr(epistemic, "sorted", recorded, raising=False)
+    return walks
+
+
+SHAPE_CASES = [
+    (game, omega)
+    for game in (PD, fixtures.random_game(random.Random(3), 2, 3), CHAIN, THREE)
+    for omega in range(max(game.sizes), 5 if game.num_players == 2 else 4)
+]
+
+
+@pytest.mark.parametrize(
+    "game,omega", SHAPE_CASES, ids=[f"{g.name}-w{o}" for g, o in SHAPE_CASES]
+)
+def test_representatives_are_walked_in_product_order(game, omega, monkeypatch):
+    # the rows' tuple order is product order: the oracle ranks of the
+    # non-decreasing per-state joint strategies rise strictly along the walk
+    walks = _walks(monkeypatch)
+    enumerate_ck_cb(game, omega, uniform(game, "sd:l"), budget=None)
+    (walk,) = walks
+    per_states = [tuple(zip(*rows)) for rows in walk]
+    assert sorted(per_states) == list(
+        itertools.combinations_with_replacement(game.joint_strategies(), omega)
+    )
+    ranks = [product_rank(game.sizes, per_state) for per_state in per_states]
+    assert all(a < b for a, b in zip(ranks, ranks[1:]))
+
+
+@pytest.mark.parametrize(
+    "game,omega", SHAPE_CASES, ids=[f"{g.name}-w{o}" for g, o in SHAPE_CASES]
+)
+@pytest.mark.parametrize("mode", BOTH)
+def test_the_early_exit_counts_the_oracle_rank_of_the_last_representative(
+    game, omega, mode, monkeypatch
+):
+    # models_enumerated is read from the rows of the representative the walk
+    # exits at; the oracle ranks that representative's per-state strategies
+    combos = epistemic.count_correspondences(omega, mode) ** game.num_players
+    walks = _walks(monkeypatch)
+    for text in ("sd:l", "br:l:pure"):
+        r = enumerate_ck_cb(game, omega, uniform(game, text), mode=mode, budget=None)
+        assert r.early_exit, text
+        rank = product_rank(game.sizes, tuple(zip(*walks[-1].last)))
+        assert r.models_enumerated == (rank + 1) * combos, text
+        assert r.models_total == math.prod(game.sizes) ** omega * combos
 
 
 def _recorded(monkeypatch, module, name, key=lambda *args: args):

@@ -150,10 +150,10 @@ def test_lattice_verifiers_charge_the_pair_budget_only_for_the_fallback_scan(mon
     assert inclusion.passed
 
     # a failing cover is charged the pair budget before any fallback pair
-    def no_fallback(masks):
+    def no_fallback(mask):
         pytest.fail("a fallback pair was visited before the pair budget was charged")
 
-    monkeypatch.setattr(iteration, "_submask_tuples", no_fallback)
+    monkeypatch.setattr(iteration, "_submasks", no_fallback)
     with pytest.raises(BudgetError, match="comparable-pair"):
         verify_tarski(op_for(game, "sd:l"), game)
     with pytest.raises(BudgetError, match="comparable-pair"):
@@ -315,6 +315,23 @@ def test_trace_with_too_many_components_is_a_shape_error():
     trace["outcome"] = [["D"], ["D"], ["D"]]
     with pytest.raises(ShapeError):
         trace_from_json_dict(PD, trace)
+
+
+@pytest.mark.parametrize("foreign", [MP, CHAIN], ids=lambda g: g.name)
+def test_an_operator_image_from_another_game_is_a_shape_error(foreign):
+    # MP has PD's shape, so its image would be read as a PD restriction;
+    # CHAIN's would index past PD's table
+    def op(g):
+        return restriction_top(foreign)
+
+    with pytest.raises(ShapeError, match="operator image"):
+        verify_tarski(op, PD)
+    with pytest.raises(ShapeError, match="operator image"):
+        verify_inclusion_lemma(op_for(PD, "sd:l"), op, PD)
+    with pytest.raises(ShapeError, match="operator image"):
+        iterate_operator(op, PD)
+    with pytest.raises(ShapeError, match="operator image"):
+        is_fixpoint(op, restriction_top(PD))
 
 
 def test_a_monotone_table_is_decided_on_its_covers():

@@ -169,7 +169,7 @@ def test_property_is_monotone_is_the_checks_verdict(monkeypatch):
         game for game in fixtures.random_games(23, 40, 3, 2)
         if not property_is_monotone(sd_l, game)
     )
-    monkeypatch.setattr(iteration, "_submask_tuples", None)
+    monkeypatch.setattr(iteration, "_submasks", None)
     assert not property_is_monotone(sd_l, game)
     with pytest.raises(TypeError):
         check_property_monotone(sd_l, game)
@@ -184,10 +184,10 @@ def test_monotone_check_charges_the_pair_budget_only_for_the_fallback_scan(monke
     assert report.details["pairs_checked"] == 3 ** 14
 
     # a failing cover is charged the pair budget before any fallback pair
-    def no_fallback(masks):
+    def no_fallback(mask):
         pytest.fail("a fallback pair was visited before the pair budget was charged")
 
-    monkeypatch.setattr(iteration, "_submask_tuples", no_fallback)
+    monkeypatch.setattr(iteration, "_submasks", no_fallback)
     with pytest.raises(BudgetError, match="comparable-pair"):
         check_property_monotone(parse_property_spec("sd:l"), game)
 
