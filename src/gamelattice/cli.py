@@ -3,9 +3,9 @@
 Every verifier and analysis is a batch subcommand with deterministic output.
 Exit codes: 0 when all checks pass, 1 on a mathematical counterexample or an
 iteration left unresolved at its ordinal bound, 2 on input, parse, or budget
-errors, 3 on an internal fault (a certificate that fails its re-validation,
-an LP that should be feasible and bounded but is not, or neighbouring LP
-verdicts that contradict each other).  --json switches to
+errors, 3 on an internal fault (a certificate, an LP's witness or its dual,
+that fails its re-validation, or an LP that should be feasible and bounded
+but is not).  --json switches to
 the canonical machine-readable rendering; the GAMELATTICE_BUDGET environment
 variable overrides enumeration budgets.
 Each command evaluates properties through one Evaluator, so its verdict

@@ -5,7 +5,12 @@ strategy and best response to a correlated belief, the two sides of Pearce's
 lemma, each solve the same exact max-margin LP over a distribution and hand
 back a certificate of one type, a `Distribution`: a mixture over the player's
 strategies or a belief over the opponents' profiles.  Every certificate is
-re-validated by direct rational evaluation before it is returned.
+re-validated by direct rational evaluation before it is returned.  A negative
+answer has a certificate of the other type, by LP duality (Pearce 1984,
+Lemma 3): the LP's optimal dual solution.  A caller that asks for it gets it
+through the keyword `refutation`, checked to be a distribution; what it
+proves is checked by the caller (`properties` checks it against the whole
+game when it stores it).
 Quantifiers over an empty set of opponent profiles are taken literally: a
 universal is vacuously true, an existential is false.
 """
@@ -39,6 +44,8 @@ class Distribution:
 
     def __post_init__(self):
         total = Fraction(0)
+        if len({item for item, _ in self.weights}) != len(self.weights):
+            raise ValueError("distribution items must be distinct")
         for _, w in self.weights:
             if w <= 0:
                 raise ValueError("distribution weights must be positive")
@@ -118,16 +125,27 @@ def _expected_payoff(
     return total
 
 
-def _max_margin(rows, bounds) -> tuple[Fraction, list[Fraction]]:
+def _max_margin(rows, bounds) -> lp.Optimum:
     """The exact max-margin LP that both sides of Pearce's lemma solve:
     maximize t = t+ - t- over distributions x subject to
     sum_j rows[r][j] x_j + t <= bounds[r] for every r.  Returns t* and x*,
-    whose entries before t+ and t- are the weights, one per column of rows."""
+    whose entries before t+ and t- are the weights, one per column of rows.
+    Its dual multipliers of the rows are a distribution too (the dual
+    constraints of t+ and t- make them sum to 1), read by `_refuting`."""
     k = len(rows[0])
     objective = [lp.ZERO] * k + [lp.ONE, -lp.ONE]
     lhs_le = [row + [lp.ONE, -lp.ONE] for row in rows]
     lhs_eq = [[lp.ONE] * k + [lp.ZERO, lp.ZERO]]
     return lp.simplex_maximize(objective, lhs_le, bounds, lhs_eq, [lp.ONE])
+
+
+def _refuting(items, optimum: lp.Optimum) -> Distribution:
+    """The max-margin LP's dual multipliers of its rows, one per item, as a
+    distribution; anything else is an InternalError."""
+    try:
+        return distribution(dict(zip(items, optimum.duals)))
+    except ValueError as exc:
+        raise InternalError(f"LP dual certificate failed re-validation: {exc}") from None
 
 
 def strictly_dominates_pure(
@@ -154,33 +172,42 @@ def mixed_dominance_witness(
     player: int,
     dominator_pool: Sequence[int],
     dominated: int,
+    *,
+    refutation: list | None = None,
 ) -> Distribution | None:
     """A mixture over the pool that strictly beats `dominated` everywhere on
     the context, or None.
 
     Decided by the max-margin LP over mixtures m on the pool:
     sum_s m(s) p(s, y) >= p(dominated, y) + t for every opponent profile y.
-    A witness exists iff t* > 0.
+    A witness exists iff t* > 0.  When there is none and `refutation` is a
+    list, a belief on the context's profiles under which `dominated` is a
+    weak best response in the pool is appended to it: the LP's dual, or a
+    point belief when the pool is empty or `dominated` alone.
     """
     check_same_game(game, context.game, "restriction")
     check_strategy(game, player, dominated)
     pool = sorted(set(dominator_pool))
     for s in pool:
         check_strategy(game, player, s)
-    if not pool:
-        return None
     profiles = list(context.opponent_profiles(player))
-    if not profiles:
+    if pool and not profiles:
         # no opponent profile to fail at: dominance is vacuous
         return distribution({s: Fraction(1, len(pool)) for s in pool})
-    if pool == [dominated]:
-        # a mixture over `dominated` alone ties it everywhere: the LP value is 0
+    if pool in ([], [dominated]):
+        # no mixture, or one over `dominated` alone, which ties it everywhere:
+        # the LP value is 0, and nothing in the pool beats `dominated` anywhere
+        if profiles and refutation is not None:
+            refutation.append(distribution({profiles[0]: 1}))
         return None
-    value, x = _max_margin(
+    optimum = _max_margin(
         [[-_payoff(game, player, s, y) for s in pool] for y in profiles],
         [-_payoff(game, player, dominated, y) for y in profiles],
     )
+    value, x = optimum
     if value <= 0:
+        if refutation is not None:
+            refutation.append(_refuting(profiles, optimum))
         return None
     witness = distribution(dict(zip(pool, x)))
     for y in profiles:
@@ -223,13 +250,17 @@ def exists_supporting_belief(
     player: int,
     candidate: int,
     belief_kind: str,
+    *,
+    refutation: list | None = None,
 ) -> Distribution | None:
     """Some belief held in the context making `candidate` a best response in
     the pool, or None.  Pure beliefs are found by enumeration; independent
     beliefs are decided as correlated ones for 2 players and rejected beyond
     that.  A correlated belief is decided by the max-margin LP over beliefs b
     on the context's profiles: sum_y b(y) (p(s, y) - p(candidate, y)) <= -t
-    for every s in the pool.  A belief exists iff t* >= 0.
+    for every s in the pool.  A belief exists iff t* >= 0.  When the LP finds
+    none and `refutation` is a list, the LP's dual is appended to it: a
+    mixture on the pool that strictly beats `candidate` at every profile.
     """
     check_same_game(game, belief_context.game, "restriction")
     check_strategy(game, player, candidate)
@@ -252,7 +283,7 @@ def exists_supporting_belief(
         # nothing to be beaten by: the first profile, as a point distribution
         return distribution({profiles[0]: 1})
 
-    value, x = _max_margin(
+    optimum = _max_margin(
         [
             [
                 _payoff(game, player, s, y) - _payoff(game, player, candidate, y)
@@ -262,7 +293,10 @@ def exists_supporting_belief(
         ],
         [lp.ZERO] * len(pool),
     )
+    value, x = optimum
     if value < 0:
+        if refutation is not None:
+            refutation.append(_refuting(pool, optimum))
         return None
     belief = distribution(dict(zip(profiles, x)))
     base = _expected_payoff(game, player, candidate, belief)

@@ -15,9 +15,12 @@ exactly; no tolerances exist anywhere.
 Scaling every row by the same positive integer scales each slack and
 artificial variable by it and leaves `x` alone, so Bland's rule makes the
 same pivots as on the rational tableau and the returned value and `x` are
-the ones a `Fraction` tableau gives.  Problem sizes in this package are tiny
-(a handful of variables and constraints), so the dense tableau is the right
-tool.
+the ones a `Fraction` tableau gives.  The optimal dual solution is read off
+the final cost row, which holds D times the reduced costs: the reduced cost
+of a row's slack or artificial column is minus that row's dual multiplier,
+up to the row's sign and the two scales, so it costs no extra LP or pivot.
+Problem sizes in this package are tiny (a handful of variables and
+constraints), so the dense tableau is the right tool.
 """
 
 from __future__ import annotations
@@ -40,6 +43,19 @@ class Unbounded(InternalError):
     pass
 
 
+class Optimum(tuple):
+    """An optimal solution: unpacks as (value, x), and `duals` holds an
+    optimal solution y of the dual LP, one multiplier per `<=` row and then
+    one per `==` row, in input order.  The `<=` multipliers are
+    non-negative, lhs_le^T y_le + lhs_eq^T y_eq >= objective componentwise,
+    and rhs_le . y_le + rhs_eq . y_eq equals the value."""
+
+    def __new__(cls, value: Fraction, x: list[Fraction], duals: list[Fraction]):
+        optimum = super().__new__(cls, (value, x))
+        optimum.duals = duals
+        return optimum
+
+
 def _rational(v):
     return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
@@ -55,11 +71,12 @@ def simplex_maximize(
     rhs_le: Sequence[Fraction] = (),
     lhs_eq: Sequence[Sequence[Fraction]] = (),
     rhs_eq: Sequence[Fraction] = (),
-) -> tuple[Fraction, list[Fraction]]:
+) -> Optimum:
     """Maximize objective . x subject to lhs_le . x <= rhs_le,
     lhs_eq . x == rhs_eq, and x >= 0.
 
-    Returns (optimal value, optimal x).  Raises Infeasible or Unbounded,
+    Returns the Optimum (optimal value, optimal x), with the optimal dual
+    solution as its `duals`.  Raises Infeasible or Unbounded,
     and ValueError when a row's length or the number of right-hand sides
     does not match.
     """
@@ -72,6 +89,7 @@ def simplex_maximize(
     # with a negative right-hand side is negated, so a `<=` row turns `>=`
     rows: list[list] = []
     kinds: list[str] = []
+    signs: list[int] = []  # -1 for a negated row
     # (kind, kind once negated, rows, right-hand sides)
     groups = (("le", "ge", lhs_le, rhs_le), ("eq", "eq", lhs_eq, rhs_eq))
     for kind, flipped, lhs, rhs in groups:
@@ -81,9 +99,11 @@ def simplex_maximize(
             if row[-1] < 0:
                 rows.append([-v for v in row])
                 kinds.append(flipped)
+                signs.append(-1)
             else:
                 rows.append(row)
                 kinds.append(kind)
+                signs.append(1)
 
     m = len(rows)
     # one slack column per `<=` or `>=` row, then one artificial column per
@@ -98,6 +118,9 @@ def simplex_maximize(
     # tableau rows hold `width` columns and then the right-hand side
     tableau: list[list[int]] = []
     basis = [0] * m
+    # per row, (column, sign): its dual multiplier is sign times the final
+    # cost row's entry in that column, times scale / (D * obj_scale)
+    dual_columns = []
     slack_pos = n
     art_pos = art_start
     for r, (row, kind) in enumerate(zip(rows, kinds)):
@@ -106,7 +129,12 @@ def simplex_maximize(
         if kind != "eq":
             trow[slack_pos] = 1 if kind == "le" else -1
             basis[r] = slack_pos
+            # the slack's reduced cost is -pi on a kept row and +pi on a
+            # negated one, and the negation flips pi back
+            dual_columns.append((slack_pos, -1))
             slack_pos += 1
+        else:
+            dual_columns.append((art_pos, -signs[r]))
         if kind != "le":
             trow[art_pos] = 1
             basis[r] = art_pos
@@ -203,7 +231,8 @@ def simplex_maximize(
     for r in range(m):
         if basis[r] < n:
             x[basis[r]] = Fraction(tableau[r][-1], denom)
-    return value, x
+    duals = [Fraction(sign * cost_row[c] * scale, obj_scale * denom) for c, sign in dual_columns]
+    return Optimum(value, x, duals)
 
 
 def _eliminate(row: list[int], prow: list[int], p: int, d: int, c: int) -> list[int]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from operator import and_, or_
-from typing import Iterable
 
 from . import dominance
 from .dominance import BELIEF_KINDS, CORRELATED
@@ -40,9 +40,6 @@ from .reports import CheckReport
 
 KINDS = ("sd", "msd", "br")
 SCOPES = ("l", "g")
-
-# the LP families, the only ones whose entries leave candidates open
-INHERITING_FAMILIES = frozenset({"msd", "br:corr"})
 
 # check_property_monotone lists at most this many violations
 MAX_MONOTONE_ENTRIES = 20
@@ -107,12 +104,14 @@ class Evaluator:
     A CLI command or a library entry point creates one and hands it to every
     evaluation it makes, so the cache dies with the computation.
 
-    On first use for a player it compares that player's payoffs exactly, once
-    per pair of strategies and opponent profile, into one table of int
-    bitmasks, `beaters[player][s][y]`: the strategies that strictly beat s at
-    opponent profile y.  Opponent profiles are numbered row-major over the
-    opponents' strategy sets, so with two players a profile is the
-    opponent's strategy index.
+    On first use for a player it reads that player's payoffs into `payoffs`,
+    `payoffs[player][y][s]` for opponent profile y, as ints over one common
+    denominator, and compares them exactly, once per pair of strategies and
+    opponent profile, into one table of int bitmasks,
+    `beaters[player][s][y]`: the strategies that strictly beat s at opponent
+    profile y.  Opponent profiles are numbered row-major over the opponents'
+    strategy sets, so with two players a profile is the opponent's strategy
+    index.
 
     `entries` holds one (decided, passing) pair of strategy masks per
     (family, player, the index's opponent bits, pool mask): the opponent
@@ -125,32 +124,36 @@ class Evaluator:
     "msd" entry starts from the "sd" entry, with the strategies sd fails
     decided and none passing; a "br:corr" entry starts from the "br:pure"
     entry, whose passing strategies are decided, or every strategy when Y is
-    empty, since no belief lives on no profiles.  A query solves one LP per
-    candidate its entry leaves undecided, in ascending order, and marks it
+    empty, since no belief lives on no profiles.  A query decides each
+    candidate its entry leaves open, in ascending order, and marks it
     decided.  The scope only picks the pool, so a global and a local spec
     share every entry where the local pool is the full strategy set.
 
-    `inherit` names the LP families ("msd", "br:corr") whose open candidates
-    may take their verdict from a neighbouring entry before any LP: one pool
-    bit or one opponent strategy bit of the index away.  Both families pass
-    on fewer strategies as the pool P grows and on more as Y grows, so a
-    verdict carries exactly, by the same mixture or belief: a pass from
-    (P0, Y0) to every (P <= P0, Y >= Y0), a fail from (P0, Y0) to every
-    (P >= P0, Y <= Y0).  That is the monotonicity `check monotone` and
-    just1's first link verify, so a caller sets it only for families whose
-    monotonicity is not its own claim.  The default inherits nothing.
+    An open candidate s of an LP family ("msd", "br:corr") on pool P and
+    opponent profiles Y is first settled from `certificates`, which keeps
+    per (family, player, s) a list of mixtures and a list of beliefs: the
+    certificates of that family's earlier LP answers for s, both ways
+    (Pearce 1984, Lemma 3), each reduced to two masks and tried newest
+    first:
+    - a mixture, as (its support, the profiles at which it strictly beats
+      s), proves s fails on every (P, Y) with its support in P and Y in
+      those profiles;
+    - a belief, as (its support, the strategies that strictly beat s under
+      it), proves s passes on every (P, Y) with its support in Y and none of
+      those strategies in P.
+    Both are exact, whatever (P, Y) the certificate came from, and assume no
+    monotonicity.  Only a candidate no certificate settles goes to its own
+    LP; the answer's certificate, the witness or the LP's dual, is checked
+    against the whole game and stored.  Each family reads only its own
+    certificates, so `check pearce`'s two sides stay independent.
     """
 
-    def __init__(self, game: Game, inherit: Iterable[str] = ()):
-        inherit = frozenset(inherit)
-        if not inherit <= INHERITING_FAMILIES:
-            raise ValueError(
-                f"only {sorted(INHERITING_FAMILIES)} may inherit, got {sorted(inherit)}"
-            )
+    def __init__(self, game: Game):
         self.game = game
-        self.inherit = inherit
+        self.payoffs: dict[int, list[list[int]]] = {}
         self.beaters: dict[int, list[list[int]]] = {}
         self.entries: dict[tuple, tuple[int, int]] = {}
+        self.certificates: dict[tuple, tuple[list, list]] = {}
 
 
 def evaluator_for(game: Game, evaluator: Evaluator | None) -> Evaluator:
@@ -170,18 +173,25 @@ def _family(spec: PropertySpec, game: Game) -> str:
 
 
 def _comparisons(evaluator: Evaluator, player: int) -> list[list[int]]:
-    """`beaters` of `player`, built on first use from one exact comparison
-    per pair of strategies and opponent profile."""
+    """`beaters` of `player`, built on first use, with `payoffs`, from one
+    exact comparison per pair of strategies and opponent profile."""
     beaters = evaluator.beaters.get(player)
     if beaters is None:
         game = evaluator.game
         k = len(game.strategy_names[player])
         opponents = [range(m) for j, m in enumerate(game.sizes) if j != player]
-        beaters = evaluator.beaters[player] = [[] for _ in range(k)]
-        for y in itertools.product(*opponents):
-            column = [game.payoff(player, y[:player] + (s,) + y[player:]) for s in range(k)]
-            for s, low in enumerate(column):
-                beaters[s].append(sum(1 << t for t, up in enumerate(column) if up > low))
+        columns = [
+            [game.payoff(player, y[:player] + (s,) + y[player:]) for s in range(k)]
+            for y in itertools.product(*opponents)
+        ]
+        scale = lcm(*{v.denominator for column in columns for v in column})
+        columns = evaluator.payoffs[player] = [
+            [v.numerator * (scale // v.denominator) for v in column] for column in columns
+        ]
+        beaters = evaluator.beaters[player] = [
+            [sum(1 << t for t, up in enumerate(column) if up > column[s]) for column in columns]
+            for s in range(k)
+        ]
     return beaters
 
 
@@ -196,39 +206,87 @@ def _opponent_profiles(game: Game, player: int, index: int) -> list[int]:
     return ys
 
 
-def _inherited(evaluator: Evaluator, key: tuple, open_: int) -> tuple[int, int]:
-    """(passes, fails): the candidates in `open_` that a decided verdict of
-    an entry one pool bit or one opponent strategy bit of the index away
-    from the entry `key` decides.  An entry with a larger pool or fewer
-    opponent strategies hands down its passes, one with a smaller pool or
-    more opponent strategies its fails.  A candidate proved both ways is an
-    InternalError: only a wrong LP verdict makes one."""
+def _settled(certificates: tuple[list, list], pool: int, profiles: int) -> bool | None:
+    """The verdict a stored certificate proves on pool `pool` and the
+    profile mask `profiles`, or None: False from a mixture with its support
+    in the pool that beats the candidate at every profile, True from a
+    belief with its support in the profiles under which no strategy of the
+    pool beats it."""
+    mixtures, beliefs = certificates
+    for support, beaten in reversed(mixtures):
+        if not support & ~pool and not profiles & ~beaten:
+            return False
+    for support, beaters in reversed(beliefs):
+        if not support & ~profiles and not pool & beaters:
+            return True
+    return None
+
+
+def _certificate_masks(
+    evaluator: Evaluator, player: int, strategy: int, certificate, mixture: bool
+) -> tuple[int, int]:
+    """A mixture as (its support, the opponent profiles of the whole game at
+    which it strictly beats `strategy`), or a belief as (its support, as
+    profile numbers, the strategies that strictly beat `strategy` under it),
+    by exact integer evaluation of `payoffs`, which the pure entry an open
+    candidate's entry starts from has built."""
     game = evaluator.game
-    family, player, opponents, pool = key
-    neighbours = [
-        (opponents, pool ^ 1 << t, not pool >> t & 1) for t in range(game.sizes[player])
-    ]
-    for j in game.players():
-        if j != player:
-            for b in range(game.shifts[j], game.shifts[j] + game.sizes[j]):
-                neighbours.append((opponents ^ 1 << b, pool, bool(opponents >> b & 1)))
-    passes = fails = 0
-    for opponents2, pool2, harder in neighbours:
-        entry = evaluator.entries.get((family, player, opponents2, pool2))
-        if entry is not None:
-            decided, passing = entry
-            if harder:
-                passes |= decided & passing
-            else:
-                fails |= decided & ~passing
-    passes &= open_
-    fails &= open_
-    if passes & fails:
-        names = [game.strategy_names[player][s] for s in mask_members(passes & fails)]
-        raise InternalError(
-            f"{family}: neighbouring verdicts both pass and fail player {player + 1}'s {names}"
+    columns = evaluator.payoffs[player]
+    scale = lcm(*{w.denominator for _, w in certificate.weights})
+    weights = [(item, w.numerator * (scale // w.denominator)) for item, w in certificate.weights]
+    if mixture:
+        support = sum(1 << s for s, _ in weights)
+        beaten = 0
+        for y, column in enumerate(columns):
+            if sum(w * column[s] for s, w in weights) > scale * column[strategy]:
+                beaten |= 1 << y
+        return support, beaten
+    sizes = [k for j, k in enumerate(game.sizes) if j != player]
+    support = 0
+    expected = [0] * game.sizes[player]
+    for profile, w in weights:
+        y = 0
+        for k, s in zip(sizes, profile):
+            y = y * k + s
+        support |= 1 << y
+        expected = [e + w * v for e, v in zip(expected, columns[y])]
+    base = expected[strategy]
+    return support, sum(1 << t for t, e in enumerate(expected) if e > base)
+
+
+def _solved(
+    evaluator: Evaluator, family: str, g: Restriction, player: int, pool: int,
+    profiles: int, s: int,
+) -> bool:
+    """s's `family` verdict on g, with pool `pool` and profile mask
+    `profiles`, from its LP.  The answer's certificate, the witness or the
+    refutation the LP hands back, is reduced to masks, must prove the
+    verdict on g, and is stored; an answer that hands back none is taken as
+    it is."""
+    game = evaluator.game
+    members = mask_members(pool)
+    refutation = []
+    if family == "msd":
+        witness = dominance.mixed_dominance_witness(
+            game, g, player, members, s, refutation=refutation
         )
-    return passes, fails
+        passes = witness is None
+    else:
+        witness = dominance.exists_supporting_belief(
+            game, g, members, player, s, CORRELATED, refutation=refutation
+        )
+        passes = witness is not None
+    certificate = witness if witness is not None else refutation[0] if refutation else None
+    if certificate is not None:
+        masks = _certificate_masks(evaluator, player, s, certificate, not passes)
+        alone = ([], [masks]) if passes else ([masks], [])
+        if _settled(alone, pool, profiles) is not passes:
+            raise InternalError(
+                f"{family}: the certificate for player {player + 1}'s "
+                f"{game.strategy_names[player][s]} on {g.names()} failed re-validation"
+            )
+        evaluator.certificates[family, player, s][passes].append(masks)  # (mixtures, beliefs)
+    return passes
 
 
 def _passing(
@@ -236,10 +294,9 @@ def _passing(
 ) -> int:
     """The strategies in the mask `candidates` that pass `family` on the
     restriction with lattice index `index`.  An msd or br:corr entry starts
-    from its pure pre-check's entry; a candidate it leaves undecided takes a
-    neighbouring entry's verdict when the evaluator lets the family inherit
-    (`_inherited`), and otherwise goes to its own LP, one strategy at a
-    time; the entry records every verdict."""
+    from its pure pre-check's entry; a candidate it leaves open is settled
+    by a stored certificate (`_settled`) or else by its own LP (`_solved`),
+    one strategy at a time; the entry records every verdict."""
     game = evaluator.game
     shift = game.shifts[player]
     full = (1 << game.sizes[player]) - 1
@@ -273,23 +330,16 @@ def _passing(
     decided, passing = entry
     open_ = candidates & ~decided
     if open_:
-        unsolved = open_
-        if family in evaluator.inherit:
-            passes, fails = _inherited(evaluator, key, open_)
-            passing |= passes
-            unsolved &= ~(passes | fails)
-        if unsolved:
-            g = restriction_at(game, index)
-            members = mask_members(pool)
-            for s in mask_members(unsolved):
-                if family == "msd":
-                    verdict = dominance.mixed_dominance_witness(game, g, player, members, s) is None
-                else:
-                    belief = dominance.exists_supporting_belief(
-                        game, g, members, player, s, CORRELATED
-                    )
-                    verdict = belief is not None
-                passing |= verdict << s
+        profiles = sum(1 << y for y in _opponent_profiles(game, player, index))
+        g = None
+        for s in mask_members(open_):
+            certificates = evaluator.certificates.setdefault((family, player, s), ([], []))
+            verdict = _settled(certificates, pool, profiles)
+            if verdict is None:
+                if g is None:
+                    g = restriction_at(game, index)
+                verdict = _solved(evaluator, family, g, player, pool, profiles, s)
+            passing |= verdict << s
         evaluator.entries[key] = (decided | open_, passing)
     return passing & candidates
 
@@ -383,7 +433,7 @@ def _component(
     player's own masks: the indices sharing the bits above the player's
     field repeat one block of contexts, one per own mask.  Every other
     family is asked once per index, ascending, so the LP families solve and
-    inherit as they do for one restriction at a time."""
+    store certificates as they do for one restriction at a time."""
     game = evaluator.game
     family = _family(spec, game)
     shift = game.shifts[player]
@@ -530,11 +580,8 @@ def _verify_pointwise_chain(
     inclusion and "==" for equality; image keys, when given, name the two
     images in a failing entry.  The outcome entry and details take their keys
     from the two prefixes.
-
-    Only msd verdicts are inherited: just1's first link, br:g:corr within
-    br:l:corr, is br:corr's monotonicity in the pool.
     """
-    evaluator = Evaluator(game, inherit=("msd",))
+    evaluator = Evaluator(game)
     profiles = [
         PropertyProfile.uniform(parse_property_spec(text), game.num_players)
         for text in chain
@@ -616,13 +663,13 @@ def pearce_equivalence_suite(
     game: Game, max_restrictions: int = DEFAULT_LATTICE_BUDGET
 ) -> CheckReport:
     """Pearce's lemma on every restriction: the br:l:corr and msd:l images,
-    each decided by its own pure pre-check and LP through one Evaluator, must
-    be equal; both families inherit verdicts from neighbouring entries, as
-    neither's monotonicity is checked here.  Only a restriction where they
-    differ is handed to dominance.pearce_equivalence_check, which solves both
-    LPs itself and whose disagreeing entries, with both certificates, make
-    up the report's entries."""
-    evaluator = Evaluator(game, inherit=INHERITING_FAMILIES)
+    each decided by its own pure pre-check, stored certificates and LP
+    through one Evaluator, must be equal; neither family reads the other's
+    certificates.  Only a restriction where they differ is handed to
+    dominance.pearce_equivalence_check, which solves both LPs itself and
+    whose disagreeing entries, with both certificates, make up the report's
+    entries."""
+    evaluator = Evaluator(game)
     profiles = [
         PropertyProfile.uniform(parse_property_spec(text), game.num_players)
         for text in ("br:l:corr", "msd:l")

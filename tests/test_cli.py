@@ -409,6 +409,40 @@ def test_failed_revalidation_exits_internal(argv, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def _negated(duals):
+    return [-y for y in duals]
+
+
+def _onto_the_first_row(duals):
+    """Every `<=` row's weight moved to the first, the equality's kept."""
+    return [Fraction(1)] + [Fraction(0)] * (len(duals) - 2) + duals[-1:]
+
+
+@pytest.mark.parametrize("corrupt", [_negated, _onto_the_first_row])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "pearce", "mix.game"],
+        ["eliminate", "--prop", "msd:l", "mix.game"],
+        ["check", "just1", "--json", "mix.game"],
+    ],
+)
+def test_a_wrong_dual_exits_internal(argv, corrupt, monkeypatch, capsys):
+    # the optimum and x are right, so only the certificate of a negative
+    # answer is wrong: not a distribution, or one that proves nothing
+    solve = lp.simplex_maximize
+
+    def kernel(*args):
+        optimum = solve(*args)
+        return lp.Optimum(*optimum, corrupt(optimum.duals))
+
+    monkeypatch.setattr(lp, "simplex_maximize", kernel)
+    code, out, err = run(capsys, *argv[:-1], str(FIXTURES / argv[-1]))
+    assert code == EXIT_INTERNAL == 3
+    assert err.startswith("internal error:") and "re-validation" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("fault", [lp.Infeasible, lp.Unbounded])
 def test_lp_faults_exit_internal(fault, monkeypatch, capsys):
     def kernel(*args, **kwargs):
@@ -479,7 +513,8 @@ EXIT_CASES = [
     (["epistemic", "enumerate", "--omega", "2", "--prop", "sd:g", "pd.game"],
      _full_game_expected, 1),
     (["epistemic", "witness", "--theorem", "2", "--prop", "sd:g", "pd.game"], None, 2),
-    (["epistemic", "witness", "--theorem", "1", "--prop", "msd:l", "pd.game"],
+    # on pd stored certificates settle every msd candidate, so no LP runs
+    (["epistemic", "witness", "--theorem", "1", "--prop", "msd:l", "mix.game"],
      _broken_kernel, 3),
     (["transfinite", "run", "witness-tg"], None, 0),
     # the fixpoint at 1 is tested before the bound of 1 applies

@@ -340,6 +340,16 @@ def test_mixture_weights_must_sum_to_one():
         distribution({0: Fraction(1, 2)})
 
 
+def test_distribution_items_must_be_distinct():
+    # a repeated item would sum to 1 across its copies, while a rendering
+    # keyed by item keeps one copy's weight
+    half = Fraction(1, 2)
+    for weights in (((0, half), (0, half)), (((1,), half), ((0,), Fraction(1, 4)), ((1,), Fraction(1, 4)))):
+        with pytest.raises(ValueError, match="distinct"):
+            Distribution(weights)
+    assert Distribution(((0, half), (1, half))).support() == {0, 1}
+
+
 # -- the max-margin LP both sides solve ----------------------------------------
 
 

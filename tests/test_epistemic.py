@@ -759,9 +759,9 @@ def _recorded(monkeypatch, module, name, key=lambda *args: args):
     calls = []
     real = getattr(module, name)
 
-    def recorded(*args):
+    def recorded(*args, **kwargs):
         calls.append(key(*args))
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, recorded)
     return calls
@@ -772,11 +772,11 @@ def _passes_of(passes, mode):
 
 
 LP_PINS = [
-    (MIX, 3, "msd:g", (19, 0)),
-    (MIX, 3, "br:l:corr", (0, 4)),
-    (CHAIN, 3, "msd:l", (22, 0)),
-    (CHAIN, 3, "br:g:corr", (0, 22)),
-    (THREE, 2, "msd:l", (24, 0)),
+    (MIX, 3, "msd:g", (9, 0)),
+    (MIX, 3, "br:l:corr", (0, 2)),
+    (CHAIN, 3, "msd:l", (10, 0)),
+    (CHAIN, 3, "br:g:corr", (0, 9)),
+    (THREE, 2, "msd:l", (12, 0)),
 ]
 
 
@@ -786,7 +786,8 @@ LP_PINS = [
 @pytest.mark.parametrize("mode", BOTH)
 def test_enumerate_solves_the_pinned_lps(game, omega, text, expected, mode, monkeypatch):
     # the enumerator asks an LP family only for the strategies an assignment
-    # uses; asking all of T_i would solve LPs these counts leave out
+    # uses, and a stored certificate settles a candidate before any call;
+    # asking all of T_i would solve LPs these counts leave out
     msd = _recorded(monkeypatch, dominance, "mixed_dominance_witness")
     belief = _recorded(monkeypatch, dominance, "exists_supporting_belief")
     enumerate_ck_cb(game, omega, uniform(game, text), mode=mode, evaluator=Evaluator(game))

@@ -106,6 +106,20 @@ def test_ragged_input_is_rejected():
         lp.simplex_maximize([1, 1], [[1, 0], [0, 1]], [1])
 
 
+def test_duals_of_a_small_lp():
+    # max x + y subject to x + 2y <= 4, 3x + y <= 6: y = (2/5, 1/5) prices
+    # both rows, and a row that is not tight at the optimum is priced 0
+    optimum = lp.simplex_maximize(
+        [F(1), F(1)], [[F(1), F(2)], [F(3), F(1)], [F(1), F(0)]], [F(4), F(6), F(5)]
+    )
+    assert optimum.duals == [Fraction(2, 5), Fraction(1, 5), F(0)]
+    # a negated `<=` row and an equality: max -x subject to -x <= -2 (x >= 2),
+    # x + y == 3, priced by y = (1, 0) with the value -2
+    optimum = lp.simplex_maximize([F(-1), F(0)], [[F(-1), F(0)]], [F(-2)], [[F(1), F(1)]], [F(3)])
+    value, x = optimum
+    assert (value, x, optimum.duals) == (-2, [F(2), F(1)], [F(1), F(0)])
+
+
 def test_non_fraction_inputs_are_taken_exactly():
     value, x = lp.simplex_maximize([1, 0.5], [[1, 1]], ["3/2"])
     assert value == Fraction(3, 2) and x == [Fraction(3, 2), 0]
@@ -152,6 +166,18 @@ def _vertices(n, le, b_le, eq, b_eq):
         if x is not None and _feasible(x, le, b_le, eq, b_eq):
             points.append(x)
     return points
+
+
+def _dual_optimal(c, le, b_le, eq, b_eq, value, duals):
+    """duals is feasible for the dual LP (minimize b . y subject to
+    le^T y_le + eq^T y_eq >= c, y_le >= 0) and reaches the primal value."""
+    rows = list(le) + list(eq)
+    return (
+        len(duals) == len(rows)
+        and all(y >= 0 for y in duals[: len(le)])
+        and all(_dot([row[j] for row in rows], duals) >= c[j] for j in range(len(c)))
+        and _dot(list(b_le) + list(b_eq), duals) == value
+    )
 
 
 def brute_force_maximize(c, le, b_le, eq, b_eq):
@@ -209,16 +235,19 @@ def test_simplex_agrees_with_vertex_enumeration(case):
     c, le, b_le, eq, b_eq = case
     expected = brute_force_maximize(c, le, b_le, eq, b_eq)
     try:
-        value, x = lp.simplex_maximize(c, le, b_le, eq, b_eq)
+        optimum = lp.simplex_maximize(c, le, b_le, eq, b_eq)
     except lp.Infeasible:
         assert expected == "Infeasible"
         return
     except lp.Unbounded:
         assert expected == "Unbounded"
         return
+    value, x = optimum
     assert value == expected
     assert _feasible(x, le, b_le, eq, b_eq)
     assert _dot(c, x) == value
+    # strong duality: the dual read off the final tableau is optimal too
+    assert _dual_optimal(c, le, b_le, eq, b_eq, value, optimum.duals)
 
 
 # -- the frozen LP corpus of the benchmark -------------------------------------
@@ -234,16 +263,24 @@ def _load_lpcorpus():
 
 def test_frozen_corpus_replays_exactly():
     """Every captured LP gives its recorded value (or raises the recorded
-    exception), and every returned x is feasible and attains the value."""
+    exception), every returned x is feasible and attains the value, and
+    every returned dual is feasible and attains it too."""
     lpcorpus = _load_lpcorpus()
     instances = lpcorpus.load()
     assert len(instances) == 3000
     mismatches = []
+    duals_checked = 0
     for k, inst in enumerate(instances):
         got, x = lpcorpus.outcome_of(lp.simplex_maximize, inst)
         if got != inst[5] or (x is not None and not lpcorpus.attains(inst, Fraction(got), x)):
             mismatches.append((k, inst[5], got))
+        elif x is not None:
+            duals = lp.simplex_maximize(*inst[:5]).duals
+            if not _dual_optimal(*inst[:5], Fraction(got), duals):
+                mismatches.append((k, "dual", [str(y) for y in duals]))
+            duals_checked += 1
     assert mismatches == []
+    assert duals_checked == 3000
 
 
 # sha256 over the corpus, one line per instance: repr((str(value), [str(v)

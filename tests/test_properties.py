@@ -20,7 +20,6 @@ from gamelattice.games import (
 )
 from gamelattice.iteration import verify_inclusion_lemma, verify_tarski
 from gamelattice.properties import (
-    INHERITING_FAMILIES,
     Evaluator,
     PropertyProfile,
     PropertySpec,
@@ -466,7 +465,7 @@ def _table_games():
 @pytest.mark.parametrize("game", _table_games(), ids=lambda game: game.name)
 def test_property_tables_match_the_per_restriction_definitions(game):
     # the reference asks a fresh Evaluator per restriction, so it shares no
-    # entry, inherits nothing and walks no context in the builder's order
+    # entry or certificate and walks no context in the builder's order
     n = game.num_players
     specs = [parse_property_spec(text) for text in ALL_SPECS + ["br:l:ind", "br:g:ind"]]
     if n > 2:
@@ -479,9 +478,8 @@ def test_property_tables_match_the_per_restriction_definitions(game):
     restrictions = list(all_restrictions(game))
     for profile in profiles:
         want = [apply_operator(profile, game, g, Evaluator(game)).index for g in restrictions]
-        for inherit in ((), INHERITING_FAMILIES):
-            op = property_operator(profile, game, Evaluator(game, inherit))
-            assert iteration.image_table(op, game, len(restrictions)) == want, str(profile)
+        op = property_operator(profile, game, Evaluator(game))
+        assert iteration.image_table(op, game, len(restrictions)) == want, str(profile)
     full = [(1 << k) - 1 for k in game.sizes]
     for spec in specs:
         want = [
@@ -517,7 +515,7 @@ def test_an_empty_opponent_component_decides_br_corr_without_a_belief_search(mon
     )
     for text in ("br:l:corr", "br:g:corr"):
         spec = parse_property_spec(text)
-        evaluator = Evaluator(game, inherit=INHERITING_FAMILIES)
+        evaluator = Evaluator(game)
         for g, i in contexts:
             assert passing_mask(spec, game, i, g, 0b11, evaluator) == 0
     assert searches == []
@@ -723,7 +721,7 @@ def test_pearce_suite_matches_the_check_on_every_restriction():
 def test_pearce_suite_reports_the_checks_entries_on_a_disagreement(monkeypatch):
     # no mixture ever dominates: B of mix, dominated only by a mixture of T
     # and M, is then eliminated under br:l:corr but kept under msd:l
-    monkeypatch.setattr(dominance, "mixed_dominance_witness", lambda *args: None)
+    monkeypatch.setattr(dominance, "mixed_dominance_witness", lambda *args, **kwargs: None)
     rep = pearce_equivalence_suite(MIX)
     assert not rep.passed
     assert rep.details["mismatching_restrictions"] == len(rep.entries) > 0
@@ -737,9 +735,9 @@ def test_pearce_suite_reports_the_checks_entries_on_a_disagreement(monkeypatch):
 
 def test_pearce_suite_lp_count_on_mix(monkeypatch):
     """Each image is decided once, through the verdict cache, the pure
-    pre-checks and the verdicts inherited from neighbouring contexts: running
-    pearce_equivalence_check on every restriction of mix solves 105 LPs, and
-    without inheritance the suite solves 42, so this pin would catch either."""
+    pre-checks and each family's stored certificates: running
+    pearce_equivalence_check on every restriction of mix solves 105 LPs,
+    so this pin would catch the loss of any of them."""
     solve = lp.simplex_maximize
     calls = []
 
@@ -750,13 +748,13 @@ def test_pearce_suite_lp_count_on_mix(monkeypatch):
     monkeypatch.setattr(lp, "simplex_maximize", counting)
     rep = pearce_equivalence_suite(parse_game_file(FIXTURE_DIR / "mix.game"))
     assert rep.passed
-    assert len(calls) == 22
+    assert len(calls) == 8
 
 
 LP_SPECS = ["msd:l", "msd:g", "br:l:corr", "br:g:corr"]
 
 
-def _inheritance_games():
+def _certificate_games():
     """The fixtures, six seeded 2-player games up to 4x4, then a 2x2x2 and a
     2x3x2 game."""
     rng = random.Random(2121)
@@ -775,92 +773,38 @@ def _walks(game):
     return [ascending, ascending[::-1], shuffled]
 
 
-def _counting_inheritance(monkeypatch):
-    """Count the candidates `_inherited` proves passing and failing."""
-    real = properties._inherited
-    proved = {"passes": 0, "fails": 0}
-
-    def counting(*args):
-        passes, fails = real(*args)
-        proved["passes"] += bin(passes).count("1")
-        proved["fails"] += bin(fails).count("1")
-        return passes, fails
-
-    monkeypatch.setattr(properties, "_inherited", counting)
-    return proved
-
-
-def test_inherited_verdicts_are_the_lps(monkeypatch):
-    """With both LP families inheriting, every passing mask, asked first for
-    the component's own strategies and then for all of T_i, on every
-    restriction in three walk orders, equals a no-inheritance Evaluator's;
-    both rules fire."""
-    proved = _counting_inheritance(monkeypatch)
+def test_certificate_verdicts_are_the_direct_calls(monkeypatch):
+    """Every passing mask of an LP spec, asked first for the component's own
+    strategies and then for all of T_i, on every restriction in three walk
+    orders through one Evaluator per walk, equals the dominance procedure
+    called directly for each candidate; stored certificates settle both
+    passes and fails along the way."""
+    real = properties._settled
+    settled = []
+    monkeypatch.setattr(
+        properties, "_settled", lambda *a: settled.append(real(*a)) or settled[-1]
+    )
     specs = [parse_property_spec(text) for text in LP_SPECS]
     checked = 0
-    for game in _inheritance_games():
-        fresh = Evaluator(game)
+    for game in _certificate_games():
+        direct = {}
         for walk in _walks(game):
-            evaluator = Evaluator(game, inherit=INHERITING_FAMILIES)
+            evaluator = Evaluator(game)
             for g in walk:
                 for spec in specs:
                     for i in game.players():
                         for candidates in (g.masks[i], (1 << game.sizes[i]) - 1):
                             got = passing_mask(spec, game, i, g, candidates, evaluator)
-                            want = passing_mask(spec, game, i, g, candidates, fresh)
+                            want = 0
+                            for s in mask_members(candidates):
+                                key = (str(spec), g.index, i, s)
+                                if key not in direct:
+                                    direct[key] = _lp_only_verdict(spec, game, i, s, g)
+                                want |= direct[key] << s
                             assert got == want, (game.name, str(spec), g.names(), i)
                             checked += 1
     assert checked > 30000
-    assert proved["passes"] > 0 and proved["fails"] > 0
-
-
-def test_evaluator_inherits_only_lp_families():
-    assert Evaluator(MIX).inherit == frozenset()
-    assert Evaluator(MIX, inherit=["msd"]).inherit == {"msd"}
-    for bad in (["sd"], ["br:pure"], ["msd", "br:ind"]):
-        with pytest.raises(ValueError):
-            Evaluator(MIX, inherit=bad)
-
-
-def _refuse_inheritance(monkeypatch, families):
-    """Make `_inherited` fail the test for `families`; count its calls."""
-    real = properties._inherited
-    calls = []
-
-    def guarded(evaluator, key, *rest):
-        family = key[0]
-        if family in families:
-            pytest.fail(f"{family} read a neighbouring verdict")
-        calls.append(family)
-        return real(evaluator, key, *rest)
-
-    monkeypatch.setattr(properties, "_inherited", guarded)
-    return calls
-
-
-def test_monotonicity_claims_never_read_a_neighbour(monkeypatch):
-    # check monotone verifies the very monotonicity inheritance rests on,
-    # and so does just1's first link, br:g:corr within br:l:corr, for br:corr
-    calls = _refuse_inheritance(monkeypatch, INHERITING_FAMILIES)
-    for game in [MIX, CHAIN] + fixtures.random_games(6060, 4, 4, 4):
-        for text in ("msd:g", "br:g:corr"):
-            assert check_property_monotone(parse_property_spec(text), game).passed
-    assert calls == []
-    monkeypatch.undo()
-    calls = _refuse_inheritance(monkeypatch, {"br:corr"})
-    for game in [MIX, CHAIN] + fixtures.random_games(6060, 4, 4, 4):
-        assert verify_theorem_just1(game).passed
-    assert calls and set(calls) == {"msd"}
-
-
-def test_monotone_msd_lp_count_on_mix(monkeypatch):
-    """check monotone inherits nothing: one LP per candidate its pure
-    pre-checks leave open, on every restriction of mix."""
-    solve = lp.simplex_maximize
-    calls = []
-    monkeypatch.setattr(lp, "simplex_maximize", lambda *a: calls.append(1) or solve(*a))
-    assert main(["check", "monotone", "--prop", "msd:g", str(FIXTURE_DIR / "mix.game")]) == 0
-    assert len(calls) == 19
+    assert settled.count(True) > 0 and settled.count(False) > 0
 
 
 def _lying_on_one_context(monkeypatch, index, player, strategy):
@@ -868,8 +812,8 @@ def _lying_on_one_context(monkeypatch, index, player, strategy):
     restriction, handing back a pure mixture as a false witness."""
     real = dominance.mixed_dominance_witness
 
-    def liar(game, context, who, pool, dominated):
-        witness = real(game, context, who, pool, dominated)
+    def liar(game, context, who, pool, dominated, **kwargs):
+        witness = real(game, context, who, pool, dominated, **kwargs)
         if (context.index, who, dominated) == (index, player, strategy):
             return None if witness is not None else dominance.distribution({pool[0]: 1})
         return witness
@@ -877,45 +821,56 @@ def _lying_on_one_context(monkeypatch, index, player, strategy):
     monkeypatch.setattr(dominance, "mixed_dominance_witness", liar)
 
 
-def _shuffled_image_table(op, game, max_restrictions):
-    """iteration.image_table, walking the restrictions in a shuffled order."""
-    walk = list(all_restrictions(game, max_count=max_restrictions))
-    random.Random(0).shuffle(walk)
-    table = [0] * len(walk)
-    for g in walk:
-        table[g.index] = op(g).index
-    return table
-
-
-def test_contradicting_neighbours_are_an_internal_error(monkeypatch):
-    # On a walk where visited contexts surround unvisited ones, a wrong LP
-    # verdict is handed on and meets a correct one from the other side.  In
-    # ascending (or descending) order it never can: a candidate proved both
-    # ways has a one-step neighbour, visited earlier, that decided it and
-    # would have settled the lying LP's context first.
-    walk = list(all_restrictions(MIX))
-    random.Random(0).shuffle(walk)
+def test_a_false_witness_fails_its_own_context(monkeypatch):
+    # On each walk, the first msd call that answers None is made to hand
+    # back a pure mixture instead: the pure pre-check left that candidate
+    # open, so no pure strategy of the pool beats it everywhere, and the
+    # mixture does not prove the failure it claims
     msd = parse_property_spec("msd:l")
+    for walk in _walks(MIX):
 
-    def run():
-        evaluator = Evaluator(MIX, inherit=["msd"])
-        for g in walk:
-            for i in MIX.players():
-                passing_mask(msd, MIX, i, g, g.masks[i], evaluator)
+        def run():
+            evaluator = Evaluator(MIX)
+            for g in walk:
+                for i in MIX.players():
+                    passing_mask(msd, MIX, i, g, g.masks[i], evaluator)
 
-    run()
-    _lying_on_one_context(monkeypatch, 7, 0, 0)
-    with pytest.raises(InternalError, match="neighbouring verdicts"):
+        real = dominance.mixed_dominance_witness
+        passes = []
+
+        def recording(game, context, who, pool, dominated, **kwargs):
+            witness = real(game, context, who, pool, dominated, **kwargs)
+            if witness is None:
+                passes.append((context.index, who, dominated))
+            return witness
+
+        monkeypatch.setattr(dominance, "mixed_dominance_witness", recording)
         run()
+        monkeypatch.undo()
+        _lying_on_one_context(monkeypatch, *passes[0])
+        with pytest.raises(InternalError, match="failed re-validation"):
+            run()
+        monkeypatch.undo()
 
 
-def test_contradicting_neighbours_exit_internal_from_check_pearce(monkeypatch, capsys):
-    _lying_on_one_context(monkeypatch, 7, 0, 0)
-    monkeypatch.setattr(properties, "image_table", _shuffled_image_table)
+def test_a_false_witness_exits_internal_from_check_pearce(monkeypatch, capsys):
+    # restriction 5 of mix keeps T for player 1; check pearce asks msd there
+    # with the pool {T}, which proves T passes
+    _lying_on_one_context(monkeypatch, 5, 0, 0)
     assert main(["check", "pearce", str(FIXTURE_DIR / "mix.game")]) == EXIT_INTERNAL == 3
     err = capsys.readouterr().err
-    assert err.startswith("internal error: msd: neighbouring verdicts")
+    assert err.startswith("internal error: msd: the certificate") and "re-validation" in err
     assert "Traceback" not in err
+
+
+def test_monotone_msd_lp_count_on_mix(monkeypatch):
+    """check monotone solves one LP per candidate its pure pre-checks and
+    stored certificates leave open, on every restriction of mix."""
+    solve = lp.simplex_maximize
+    calls = []
+    monkeypatch.setattr(lp, "simplex_maximize", lambda *a: calls.append(1) or solve(*a))
+    assert main(["check", "monotone", "--prop", "msd:g", str(FIXTURE_DIR / "mix.game")]) == 0
+    assert len(calls) == 9
 
 
 def test_lattice_verifier_reports_are_pinned():
