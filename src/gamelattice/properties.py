@@ -113,21 +113,28 @@ class Evaluator:
     strategy sets, so with two players a profile is the opponent's strategy
     index.
 
-    `entries` holds one (decided, passing) pair of strategy masks per
-    (family, player, the index's opponent bits, pool mask): the opponent
-    bits are the restriction's lattice index with the player's own bits
-    cleared.  An "sd" or "br:pure" entry is decided for all of T_i when it is
-    built, with int operations over the restriction's opponent profiles Y,
-    listed only then: s fails "sd" iff pool & (the AND of beaters[s][y] over
-    y in Y) is non-zero (the pool itself, so every t, when Y is empty), and
-    s passes "br:pure" iff some y in Y has pool & beaters[s][y] == 0.  An
-    "msd" entry starts from the "sd" entry, with the strategies sd fails
-    decided and none passing; a "br:corr" entry starts from the "br:pure"
-    entry, whose passing strategies are decided, or every strategy when Y is
-    empty, since no belief lives on no profiles.  A query decides each
-    candidate its entry leaves open, in ascending order, and marks it
-    decided.  The scope only picks the pool, so a global and a local spec
-    share every entry where the local pool is the full strategy set.
+    `contexts` holds one record (`_Context`) per (player, the index's
+    opponent bits): the opponent bits are the restriction's lattice index
+    with the player's own bits cleared.  The record lists the context's
+    opponent profiles Y once, when the context is first asked, and keeps
+    what is derived from them the first time a query needs it: the profile
+    mask Y; per strategy s, D_s(Y), the AND of beaters[s][y] over y in Y
+    (every strategy when Y is empty); and per s, the distinct masks
+    beaters[s][y] over y in Y.  The pure families are decided from it with
+    a few bit tests on pool P: s passes "sd" iff P & D_s(Y) == 0, and
+    "br:pure" iff some stored mask b has P & b == 0.  They take no entry;
+    the record keeps only their answer on the full pool, which global
+    queries ask again and again.
+
+    `entries` holds one (decided, passing) pair of strategy masks per LP
+    family ("msd", "br:corr"), player, opponent bits and pool mask.  An
+    "msd" entry starts with the strategies sd fails decided and none
+    passing; a "br:corr" entry starts with the strategies br:pure passes
+    decided, or every strategy when Y is empty, since no belief lives on no
+    profiles.  A query decides each candidate its entry leaves open, in
+    ascending order, and marks it decided.  The scope only picks the pool,
+    so a global and a local spec share every entry where the local pool is
+    the full strategy set.
 
     An open candidate s of an LP family ("msd", "br:corr") on pool P and
     opponent profiles Y is first settled from `certificates`, which keeps
@@ -142,16 +149,21 @@ class Evaluator:
       it), proves s passes on every (P, Y) with its support in Y and none of
       those strategies in P.
     Both are exact, whatever (P, Y) the certificate came from, and assume no
-    monotonicity.  Only a candidate no certificate settles goes to its own
-    LP; the answer's certificate, the witness or the LP's dual, is checked
-    against the whole game and stored.  Each family reads only its own
-    certificates, so `check pearce`'s two sides stay independent.
+    monotonicity.  An msd candidate no certificate settles whose pool holds
+    nothing but s, with Y non-empty, passes at once: nothing in the pool
+    beats s, and the point belief on Y's lowest profile, the refutation the
+    procedure would hand back, is stored.  Any other candidate no
+    certificate settles goes to its own LP; the answer's certificate, the
+    witness or the LP's dual, is checked against the whole game and
+    stored.  Each family reads only its own certificates, so `check
+    pearce`'s two sides stay independent.
     """
 
     def __init__(self, game: Game):
         self.game = game
         self.payoffs: dict[int, list[list[int]]] = {}
         self.beaters: dict[int, list[list[int]]] = {}
+        self.contexts: dict[tuple[int, int], _Context] = {}
         self.entries: dict[tuple, tuple[int, int]] = {}
         self.certificates: dict[tuple, tuple[list, list]] = {}
 
@@ -206,6 +218,66 @@ def _opponent_profiles(game: Game, player: int, index: int) -> list[int]:
     return ys
 
 
+class _Context:
+    """The record of one player's opponent context: its opponent profiles
+    `ys`, listed ascending when the record is built, and what is derived
+    from them, each part None until a query needs it: the profile mask
+    `profiles` (Y), sd's masks `dominators` and br:pure's masks `rows` for
+    `_pure_passing`, and `on_full`, the strategies passing sd and br:pure
+    on the full pool."""
+
+    __slots__ = ("ys", "profiles", "dominators", "rows", "on_full")
+
+    def __init__(self, ys: list[int]):
+        self.ys = ys
+        self.profiles = self.dominators = self.rows = None
+        self.on_full: list[int | None] = [None, None]
+
+
+def _context(evaluator: Evaluator, player: int, opponents: int) -> _Context:
+    """The new record of `player`'s opponent context `opponents`, a lattice
+    index with the player's own bits cleared, stored in `contexts`."""
+    _comparisons(evaluator, player)  # the record's parts read `beaters`
+    ys = _opponent_profiles(evaluator.game, player, opponents)
+    record = evaluator.contexts[player, opponents] = _Context(ys)
+    return record
+
+
+def _pure_passing(
+    evaluator: Evaluator, family: str, player: int, record: _Context, pool: int
+) -> int:
+    """The strategies of T_i passing `family`, "sd" or "br:pure", on pool
+    `pool` in the context of `record`.  s passes sd iff the pool misses
+    D_s(Y), the AND of beaters[s][y] over y in Y (every strategy when Y is
+    empty), and br:pure iff the pool misses some beaters[s][y] with y in
+    Y: `dominators[s]` holds D_s(Y), and `rows[s]` the distinct
+    beaters[s][y]."""
+    passing = 0
+    if family == "sd":
+        if record.dominators is None:
+            beaters = evaluator.beaters[player]
+            full = (1 << len(beaters)) - 1
+            record.dominators = []
+            for row in beaters:
+                dominators = full
+                for y in record.ys:
+                    dominators &= row[y]
+                record.dominators.append(dominators)
+        for s, dominators in enumerate(record.dominators):
+            if not pool & dominators:
+                passing |= 1 << s
+        return passing
+    if record.rows is None:
+        ys = record.ys
+        record.rows = [tuple({row[y] for y in ys}) for row in evaluator.beaters[player]]
+    for s, masks in enumerate(record.rows):
+        for mask in masks:
+            if not pool & mask:
+                passing |= 1 << s
+                break
+    return passing
+
+
 def _settled(certificates: tuple[list, list], pool: int, profiles: int) -> bool | None:
     """The verdict a stored certificate proves on pool `pool` and the
     profile mask `profiles`, or None: False from a mixture with its support
@@ -228,8 +300,8 @@ def _certificate_masks(
     """A mixture as (its support, the opponent profiles of the whole game at
     which it strictly beats `strategy`), or a belief as (its support, as
     profile numbers, the strategies that strictly beat `strategy` under it),
-    by exact integer evaluation of `payoffs`, which the pure entry an open
-    candidate's entry starts from has built."""
+    by exact integer evaluation of `payoffs`, which the record of the open
+    candidate's context has built."""
     game = evaluator.game
     columns = evaluator.payoffs[player]
     scale = lcm(*{w.denominator for _, w in certificate.weights})
@@ -293,49 +365,58 @@ def _passing(
     evaluator: Evaluator, family: str, scope: str, player: int, index: int, candidates: int
 ) -> int:
     """The strategies in the mask `candidates` that pass `family` on the
-    restriction with lattice index `index`.  An msd or br:corr entry starts
-    from its pure pre-check's entry; a candidate it leaves open is settled
-    by a stored certificate (`_settled`) or else by its own LP (`_solved`),
-    one strategy at a time; the entry records every verdict."""
+    restriction with lattice index `index`.  A pure family is decided from
+    the context's record (`_context`); an msd or br:corr entry starts from
+    the same record, and a candidate it leaves open is settled by a stored
+    certificate (`_settled`), by its lone pool, or else by its own LP
+    (`_solved`), one strategy at a time; the entry records every verdict."""
     game = evaluator.game
     shift = game.shifts[player]
     full = (1 << game.sizes[player]) - 1
     pool = full if scope == "g" else index >> shift & full
-    key = (family, player, index & ~(full << shift), pool)
+    opponents = index & ~(full << shift)
+    record = evaluator.contexts.get((player, opponents))
+    if record is None:
+        record = _context(evaluator, player, opponents)
+    if family in ("sd", "br:pure"):
+        if pool != full:
+            return _pure_passing(evaluator, family, player, record, pool) & candidates
+        # a global query's answer is kept: the CK/CB enumerator asks it again
+        slot = family == "br:pure"
+        passing = record.on_full[slot]
+        if passing is None:
+            passing = record.on_full[slot] = _pure_passing(
+                evaluator, family, player, record, full
+            )
+        return passing & candidates
+    profiles = record.profiles
+    if profiles is None:
+        profiles = record.profiles = sum(1 << y for y in record.ys)
+    key = (family, player, opponents, pool)
     entry = evaluator.entries.get(key)
     if entry is None:
         if family == "msd":
-            entry = (full & ~_passing(evaluator, "sd", scope, player, index, full), 0)
-        elif family == "br:corr":
-            passing = _passing(evaluator, "br:pure", scope, player, index, full)
-            no_profiles = any(
-                not index >> game.shifts[j] & (1 << k) - 1
-                for j, k in enumerate(game.sizes)
-                if j != player
-            )
-            entry = (full if no_profiles else passing, passing)
+            entry = (full & ~_pure_passing(evaluator, "sd", player, record, pool), 0)
         else:
-            profiles = _opponent_profiles(game, player, index)
-            passing = 0
-            for s, row in enumerate(_comparisons(evaluator, player)):
-                if family == "sd":
-                    dominators = pool
-                    for y in profiles:
-                        dominators &= row[y]
-                    passing |= (not dominators) << s
-                else:
-                    passing |= any(not pool & row[y] for y in profiles) << s
-            entry = (full, passing)
+            passing = _pure_passing(evaluator, "br:pure", player, record, pool)
+            # no belief lives on no profiles
+            entry = (passing if profiles else full, passing)
         evaluator.entries[key] = entry
     decided, passing = entry
     open_ = candidates & ~decided
     if open_:
-        profiles = sum(1 << y for y in _opponent_profiles(game, player, index))
         g = None
         for s in mask_members(open_):
             certificates = evaluator.certificates.setdefault((family, player, s), ([], []))
             verdict = _settled(certificates, pool, profiles)
-            if verdict is None:
+            if verdict is None and family == "msd" and profiles and not pool & ~(1 << s):
+                # nothing in the pool beats s: the point belief on the
+                # lowest profile proves it passes, as the procedure's
+                # refutation would
+                y = record.ys[0]
+                certificates[1].append((1 << y, evaluator.beaters[player][s][y]))
+                verdict = True
+            elif verdict is None:
                 if g is None:
                     g = restriction_at(game, index)
                 verdict = _solved(evaluator, family, g, player, pool, profiles, s)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gamelattice import dominance, epistemic, fixtures
+from gamelattice import dominance, epistemic, fixtures, lp
 from gamelattice.epistemic import (
     EpistemicModel,
     common_belief_event,
@@ -771,12 +771,13 @@ def _passes_of(passes, mode):
     return tuple(passes)
 
 
+# (msd procedure calls, belief procedure calls, LPs solved)
 LP_PINS = [
-    (MIX, 3, "msd:g", (9, 0)),
-    (MIX, 3, "br:l:corr", (0, 2)),
-    (CHAIN, 3, "msd:l", (10, 0)),
-    (CHAIN, 3, "br:g:corr", (0, 9)),
-    (THREE, 2, "msd:l", (12, 0)),
+    (MIX, 3, "msd:g", (9, 0, 9)),
+    (MIX, 3, "br:l:corr", (0, 2, 2)),
+    (CHAIN, 3, "msd:l", (0, 0, 0)),
+    (CHAIN, 3, "br:g:corr", (0, 9, 9)),
+    (THREE, 2, "msd:l", (2, 0, 2)),
 ]
 
 
@@ -787,11 +788,13 @@ LP_PINS = [
 def test_enumerate_solves_the_pinned_lps(game, omega, text, expected, mode, monkeypatch):
     # the enumerator asks an LP family only for the strategies an assignment
     # uses, and a stored certificate settles a candidate before any call;
-    # asking all of T_i would solve LPs these counts leave out
+    # asking all of T_i would solve LPs these counts leave out.  An msd
+    # candidate alone in its pool is settled without a procedure call
     msd = _recorded(monkeypatch, dominance, "mixed_dominance_witness")
     belief = _recorded(monkeypatch, dominance, "exists_supporting_belief")
+    solves = _recorded(monkeypatch, lp, "simplex_maximize")
     enumerate_ck_cb(game, omega, uniform(game, text), mode=mode, evaluator=Evaluator(game))
-    assert (len(msd), len(belief)) == expected
+    assert (len(msd), len(belief), len(solves)) == expected
 
 
 @pytest.mark.parametrize("mode", BOTH)

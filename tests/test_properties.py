@@ -18,7 +18,12 @@ from gamelattice.games import (
     restriction_from_names,
     restriction_top,
 )
-from gamelattice.iteration import verify_inclusion_lemma, verify_tarski
+from gamelattice.iteration import (
+    DEFAULT_LATTICE_BUDGET,
+    image_table,
+    verify_inclusion_lemma,
+    verify_tarski,
+)
 from gamelattice.properties import (
     Evaluator,
     PropertyProfile,
@@ -822,28 +827,34 @@ def _lying_on_one_context(monkeypatch, index, player, strategy):
 
 
 def test_a_false_witness_fails_its_own_context(monkeypatch):
-    # On each walk, the first msd call that answers None is made to hand
-    # back a pure mixture instead: the pure pre-check left that candidate
-    # open, so no pure strategy of the pool beats it everywhere, and the
-    # mixture does not prove the failure it claims
+    # On each walk, the first msd call that solves an LP and answers None
+    # is made to hand back a pure mixture instead: the pure pre-check left
+    # that candidate open, so no pure strategy of the pool beats it
+    # everywhere, and the mixture does not prove the failure it claims.  A
+    # candidate alone in its pool is settled without a call, so on CHAIN,
+    # where every walk has such an LP, the liar is aimed at one
     msd = parse_property_spec("msd:l")
-    for walk in _walks(MIX):
+    for walk in _walks(CHAIN):
 
         def run():
-            evaluator = Evaluator(MIX)
+            evaluator = Evaluator(CHAIN)
             for g in walk:
-                for i in MIX.players():
-                    passing_mask(msd, MIX, i, g, g.masks[i], evaluator)
+                for i in CHAIN.players():
+                    passing_mask(msd, CHAIN, i, g, g.masks[i], evaluator)
 
         real = dominance.mixed_dominance_witness
+        simplex = lp.simplex_maximize
+        solves = []
         passes = []
 
         def recording(game, context, who, pool, dominated, **kwargs):
+            before = len(solves)
             witness = real(game, context, who, pool, dominated, **kwargs)
-            if witness is None:
+            if witness is None and len(solves) > before:
                 passes.append((context.index, who, dominated))
             return witness
 
+        monkeypatch.setattr(lp, "simplex_maximize", lambda *a: solves.append(a) or simplex(*a))
         monkeypatch.setattr(dominance, "mixed_dominance_witness", recording)
         run()
         monkeypatch.undo()
@@ -854,13 +865,97 @@ def test_a_false_witness_fails_its_own_context(monkeypatch):
 
 
 def test_a_false_witness_exits_internal_from_check_pearce(monkeypatch, capsys):
-    # restriction 5 of mix keeps T for player 1; check pearce asks msd there
-    # with the pool {T}, which proves T passes
-    _lying_on_one_context(monkeypatch, 5, 0, 0)
-    assert main(["check", "pearce", str(FIXTURE_DIR / "mix.game")]) == EXIT_INTERNAL == 3
+    # restriction 62 of chain keeps T, M, B for player 1 and C, R for player
+    # 2; check pearce asks msd for M there, which solves its LP and passes
+    _lying_on_one_context(monkeypatch, 62, 0, 1)
+    assert main(["check", "pearce", str(FIXTURE_DIR / "chain.game")]) == EXIT_INTERNAL == 3
     err = capsys.readouterr().err
     assert err.startswith("internal error: msd: the certificate") and "re-validation" in err
     assert "Traceback" not in err
+
+
+def _lp_family_results(game, monkeypatch):
+    """The reports, image tables and stored certificates of
+    verify_theorem_just1 and pearce_equivalence_suite on `game`, then the
+    msd:l verdicts and certificates of one descending walk, which reaches a
+    lone pool before any smaller context has stored a belief for it."""
+    tables, evaluators = [], []
+    real_table, real_evaluator = properties.image_table, properties.Evaluator
+    monkeypatch.setattr(
+        properties, "image_table", lambda *a: tables.append(real_table(*a)) or tables[-1]
+    )
+    monkeypatch.setattr(
+        properties, "Evaluator", lambda g: evaluators.append(real_evaluator(g)) or evaluators[-1]
+    )
+    reports = [verify_theorem_just1(game).to_json(), pearce_equivalence_suite(game).to_json()]
+    msd = parse_property_spec("msd:l")
+    walker = real_evaluator(game)
+    walk = [
+        passing_mask(msd, game, i, g, candidates, walker)
+        for g in reversed(list(all_restrictions(game)))
+        for i in game.players()
+        for candidates in (g.masks[i], (1 << game.sizes[i]) - 1)
+    ]
+    return reports, tables, walk, [e.certificates for e in evaluators + [walker]]
+
+
+@pytest.mark.parametrize(
+    "game", _precheck_games()[:5] + _table_games(), ids=lambda game: game.name
+)
+def test_a_lone_pool_candidate_stores_what_its_procedure_would(game, monkeypatch):
+    # The stand-in hands every msd candidate alone in its pool, with
+    # profiles to believe in and no stored certificate settling it, to
+    # mixed_dominance_witness through _solved before the real _passing
+    # runs, which then settles it from the stored refutation
+    shortcut = _lp_family_results(game, monkeypatch)
+    monkeypatch.undo()
+    real_passing = properties._passing
+    calls = []
+
+    def routed(evaluator, family, scope, player, index, candidates):
+        shift = game.shifts[player]
+        full = (1 << game.sizes[player]) - 1
+        pool = full if scope == "g" else index >> shift & full
+        profiles = sum(1 << y for y in properties._opponent_profiles(game, player, index))
+        for s in mask_members(candidates) if family == "msd" and profiles else ():
+            store = evaluator.certificates.setdefault((family, player, s), ([], []))
+            if not pool & ~(1 << s) and properties._settled(store, pool, profiles) is None:
+                g = properties.restriction_at(game, index)
+                calls.append(s)
+                assert properties._solved(evaluator, family, g, player, pool, profiles, s)
+        return real_passing(evaluator, family, scope, player, index, candidates)
+
+    monkeypatch.setattr(properties, "_passing", routed)
+    assert _lp_family_results(game, monkeypatch) == shortcut
+    assert calls
+
+
+def test_just1_lists_each_opponent_context_once(monkeypatch):
+    # a 4x4 game has 16 opponent masks per player: the per-context record
+    # lists a context's profiles once, whatever pools and families ask it
+    game = fixtures.random_game(random.Random(2929), 4, 4)
+    real = properties._opponent_profiles
+    asked = []
+
+    def recording(game, player, index):
+        shift = game.shifts[player]
+        asked.append((player, index & ~(((1 << game.sizes[player]) - 1) << shift)))
+        return real(game, player, index)
+
+    monkeypatch.setattr(properties, "_opponent_profiles", recording)
+    verify_theorem_just1(game)
+    assert game.sizes == (4, 4)
+    assert len(asked) == len(set(asked)) <= 2 * 16
+
+
+def test_pure_verdicts_take_no_entry():
+    # sd and br:pure are decided from the per-context records alone
+    for game in (MIX, CHAIN):
+        evaluator = Evaluator(game)
+        for text in ("sd:l", "sd:g", "br:l:pure", "br:g:pure"):
+            op = property_operator(uniform(game, text), game, evaluator)
+            image_table(op, game, DEFAULT_LATTICE_BUDGET)
+        assert evaluator.contexts and not evaluator.entries
 
 
 def test_monotone_msd_lp_count_on_mix(monkeypatch):
