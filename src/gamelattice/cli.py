@@ -120,7 +120,9 @@ def cmd_check(args) -> int:
     budget = _read_budget(None, None)
     lattice_budget = iteration.DEFAULT_LATTICE_BUDGET if budget is None else budget
     game = parse_game_file(args.game)
-    evaluator = Evaluator(game)
+    # pearce, just and just1 make their own
+    if args.verifier not in ("pearce", "just", "just1"):
+        evaluator = Evaluator(game)
     if args.verifier in ("tarski", "contracting", "monotone", "singleton"):
         profile = _profile_from_args(args, game)
     if args.verifier == "tarski":

@@ -31,6 +31,8 @@ from .games import Game, Restriction, check_budget, mask_members, restriction_at
 from .properties import (
     Evaluator,
     PropertyProfile,
+    _family,
+    _passing,
     check_singleton_condition,
     evaluator_for,
     outcome,
@@ -365,8 +367,8 @@ def enumerate_ck_cb(
     `budget=None` leaves it unbounded.
 
     Two memos live in the call.  Per player, the passing mask of the
-    strategies an assignment uses is asked once per (image index, used
-    strategies) pair, and a `Restriction` is built only then; a state's
+    strategies an assignment uses is asked of `properties._passing` once
+    per (image index, used strategies) pair, on the index itself; a state's
     verdict is read from `states_of`, the states choosing each mask of the
     player's strategies.  Per `passes` tuple, `_marked_sets` decides once:
     its answer depends on the mode, so the memo does not outlive the call,
@@ -423,7 +425,8 @@ def enumerate_ck_cb(
     top = (1 << sum(game.sizes)) - 1
     enumerated = total
     early = False
-    spec_of = profile.specs
+    # each player's (family, scope), resolved once for `_passing`
+    decided_as = [(_family(spec, game), spec.scope) for spec in profile.specs]
     # per player, the passing mask asked per (image index, used strategies);
     # per `passes` tuple, the marked sets, which depend on this call's mode
     verdicts: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
@@ -460,8 +463,7 @@ def enumerate_ck_cb(
             for m in images[1:]:
                 ok = asked.get((m, used))
                 if ok is None:
-                    g = restriction_at(game, m)
-                    ok = asked[m, used] = passing_mask(spec_of[i], game, i, g, used, evaluator)
+                    ok = asked[m, used] = _passing(evaluator, *decided_as[i], i, m, used)
                 passes.append(states_of[ok])
             passes = tuple(passes)
             marks = decisions.get(passes)

@@ -120,14 +120,15 @@ class Evaluator:
     what is derived from them the first time a query needs it: the profile
     mask Y; per strategy s, D_s(Y), the AND of beaters[s][y] over y in Y
     (every strategy when Y is empty); and per s, the distinct masks
-    beaters[s][y] over y in Y.  The pure families are decided from it with
-    a few bit tests on pool P: s passes "sd" iff P & D_s(Y) == 0, and
-    "br:pure" iff some stored mask b has P & b == 0.  They take no entry;
-    the record keeps only their answer on the full pool, which global
-    queries ask again and again.
+    beaters[s][y] over y in Y.  The pure pre-checks are a few bit tests on
+    pool P: s passes "sd" iff P & D_s(Y) == 0, and "br:pure" iff some
+    stored mask b has P & b == 0.
 
-    `entries` holds one (decided, passing) pair of strategy masks per LP
-    family ("msd", "br:corr"), player, opponent bits and pool mask.  An
+    The record's `verdicts` hold one (decided, passing) pair of strategy
+    masks per (family, pool mask).  A pure family ("sd", "br:pure") keeps
+    only its full-pool entry, with every strategy decided, which global
+    queries ask again and again; a local pure query is computed and not
+    stored.  An LP family ("msd", "br:corr") keeps an entry per pool: an
     "msd" entry starts with the strategies sd fails decided and none
     passing; a "br:corr" entry starts with the strategies br:pure passes
     decided, or every strategy when Y is empty, since no belief lives on no
@@ -164,7 +165,6 @@ class Evaluator:
         self.payoffs: dict[int, list[list[int]]] = {}
         self.beaters: dict[int, list[list[int]]] = {}
         self.contexts: dict[tuple[int, int], _Context] = {}
-        self.entries: dict[tuple, tuple[int, int]] = {}
         self.certificates: dict[tuple, tuple[list, list]] = {}
 
 
@@ -220,18 +220,18 @@ def _opponent_profiles(game: Game, player: int, index: int) -> list[int]:
 
 class _Context:
     """The record of one player's opponent context: its opponent profiles
-    `ys`, listed ascending when the record is built, and what is derived
-    from them, each part None until a query needs it: the profile mask
+    `ys`, listed ascending when the record is built; what is derived from
+    them, each part None until a query needs it: the profile mask
     `profiles` (Y), sd's masks `dominators` and br:pure's masks `rows` for
-    `_pure_passing`, and `on_full`, the strategies passing sd and br:pure
-    on the full pool."""
+    `_pure_passing`; and `verdicts`, one (decided, passing) pair of
+    strategy masks per (family, pool mask)."""
 
-    __slots__ = ("ys", "profiles", "dominators", "rows", "on_full")
+    __slots__ = ("ys", "profiles", "dominators", "rows", "verdicts")
 
     def __init__(self, ys: list[int]):
         self.ys = ys
         self.profiles = self.dominators = self.rows = None
-        self.on_full: list[int | None] = [None, None]
+        self.verdicts: dict[tuple[str, int], tuple[int, int]] = {}
 
 
 def _context(evaluator: Evaluator, player: int, opponents: int) -> _Context:
@@ -327,15 +327,16 @@ def _certificate_masks(
 
 
 def _solved(
-    evaluator: Evaluator, family: str, g: Restriction, player: int, pool: int,
+    evaluator: Evaluator, family: str, index: int, player: int, pool: int,
     profiles: int, s: int,
 ) -> bool:
-    """s's `family` verdict on g, with pool `pool` and profile mask
-    `profiles`, from its LP.  The answer's certificate, the witness or the
-    refutation the LP hands back, is reduced to masks, must prove the
-    verdict on g, and is stored; an answer that hands back none is taken as
-    it is."""
+    """s's `family` verdict on the restriction with lattice index `index`,
+    with pool `pool` and profile mask `profiles`, from its LP.  The answer's
+    certificate, the witness or the refutation the LP hands back, is reduced
+    to masks, must prove the verdict there, and is stored; an answer that
+    hands back none is taken as it is."""
     game = evaluator.game
+    g = restriction_at(game, index)
     members = mask_members(pool)
     refutation = []
     if family == "msd":
@@ -365,11 +366,12 @@ def _passing(
     evaluator: Evaluator, family: str, scope: str, player: int, index: int, candidates: int
 ) -> int:
     """The strategies in the mask `candidates` that pass `family` on the
-    restriction with lattice index `index`.  A pure family is decided from
-    the context's record (`_context`); an msd or br:corr entry starts from
-    the same record, and a candidate it leaves open is settled by a stored
+    restriction with lattice index `index`.  The context's record
+    (`_context`) keeps the verdicts per (family, pool), each entry built
+    from the pure pre-check; a local pure query is computed and not stored.
+    A candidate an msd or br:corr entry leaves open is settled by a stored
     certificate (`_settled`), by its lone pool, or else by its own LP
-    (`_solved`), one strategy at a time; the entry records every verdict."""
+    (`_solved`), one strategy at a time, and the entry records it."""
     game = evaluator.game
     shift = game.shifts[player]
     full = (1 << game.sizes[player]) - 1
@@ -378,34 +380,26 @@ def _passing(
     record = evaluator.contexts.get((player, opponents))
     if record is None:
         record = _context(evaluator, player, opponents)
-    if family in ("sd", "br:pure"):
-        if pool != full:
-            return _pure_passing(evaluator, family, player, record, pool) & candidates
-        # a global query's answer is kept: the CK/CB enumerator asks it again
-        slot = family == "br:pure"
-        passing = record.on_full[slot]
-        if passing is None:
-            passing = record.on_full[slot] = _pure_passing(
-                evaluator, family, player, record, full
-            )
-        return passing & candidates
-    profiles = record.profiles
-    if profiles is None:
-        profiles = record.profiles = sum(1 << y for y in record.ys)
-    key = (family, player, opponents, pool)
-    entry = evaluator.entries.get(key)
+    pure = family in ("sd", "br:pure")
+    if pure and pool != full:
+        return _pure_passing(evaluator, family, player, record, pool) & candidates
+    entry = record.verdicts.get((family, pool))
     if entry is None:
-        if family == "msd":
+        if pure:
+            entry = (full, _pure_passing(evaluator, family, player, record, pool))
+        elif family == "msd":
             entry = (full & ~_pure_passing(evaluator, "sd", player, record, pool), 0)
         else:
             passing = _pure_passing(evaluator, "br:pure", player, record, pool)
             # no belief lives on no profiles
-            entry = (passing if profiles else full, passing)
-        evaluator.entries[key] = entry
+            entry = (passing if record.ys else full, passing)
+        record.verdicts[family, pool] = entry
     decided, passing = entry
     open_ = candidates & ~decided
     if open_:
-        g = None
+        profiles = record.profiles
+        if profiles is None:
+            profiles = record.profiles = sum(1 << y for y in record.ys)
         for s in mask_members(open_):
             certificates = evaluator.certificates.setdefault((family, player, s), ([], []))
             verdict = _settled(certificates, pool, profiles)
@@ -417,11 +411,9 @@ def _passing(
                 certificates[1].append((1 << y, evaluator.beaters[player][s][y]))
                 verdict = True
             elif verdict is None:
-                if g is None:
-                    g = restriction_at(game, index)
-                verdict = _solved(evaluator, family, g, player, pool, profiles, s)
+                verdict = _solved(evaluator, family, index, player, pool, profiles, s)
             passing |= verdict << s
-        evaluator.entries[key] = (decided | open_, passing)
+        record.verdicts[family, pool] = (decided | open_, passing)
     return passing & candidates
 
 

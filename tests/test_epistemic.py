@@ -801,8 +801,8 @@ def test_enumerate_solves_the_pinned_lps(game, omega, text, expected, mode, monk
 @pytest.mark.parametrize("profile", [uniform(CHAIN, "sd:g"), mixed_profile(CHAIN)], ids=str)
 def test_enumerate_asks_each_image_and_decides_each_passes_once(profile, mode, monkeypatch):
     asked = _recorded(
-        monkeypatch, epistemic, "passing_mask",
-        lambda spec, game, player, g, candidates, evaluator: (player, g.index, candidates),
+        monkeypatch, epistemic, "_passing",
+        lambda evaluator, family, scope, player, index, candidates: (player, index, candidates),
     )
     decided = _recorded(monkeypatch, epistemic, "_marked_sets", _passes_of)
     enumerate_ck_cb(CHAIN, 4, profile, mode=mode)

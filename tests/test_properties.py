@@ -332,16 +332,26 @@ def test_evaluator_belongs_to_one_game():
         apply_operator(uniform(MP, "sd:l"), MP, restriction_top(MP), Evaluator(PD))
 
 
+def _verdicts(evaluator):
+    """Every record's verdicts, per opponent context, copied."""
+    return {key: dict(record.verdicts) for key, record in evaluator.contexts.items()}
+
+
+def _stores(evaluator):
+    """Every certificate store, copied."""
+    return {key: (list(m), list(b)) for key, (m, b) in evaluator.certificates.items()}
+
+
 def test_evaluator_cache_is_scoped_to_the_computation():
     profile = uniform(MIX, "msd:l")
     evaluator = Evaluator(MIX)
     first = outcome(profile, MIX, evaluator=evaluator)
-    cached = dict(evaluator.entries)
-    assert cached
+    cached, stores = _verdicts(evaluator), _stores(evaluator)
+    assert any(cached.values()) and stores
     assert outcome(profile, MIX) == first  # a call given none uses its own
-    assert evaluator.entries == cached
+    assert _verdicts(evaluator) == cached and _stores(evaluator) == stores
     assert outcome(profile, MIX, evaluator=evaluator) == first  # all hits
-    assert evaluator.entries == cached
+    assert _verdicts(evaluator) == cached and _stores(evaluator) == stores
 
 
 @pytest.mark.parametrize("text,open_", [("msd:l", 0b111), ("br:l:corr", 0b100)])
@@ -527,7 +537,7 @@ def test_an_empty_opponent_component_decides_br_corr_without_a_belief_search(mon
 
 
 def test_opponent_profiles_are_the_row_major_numbers_of_the_context():
-    # a pure entry reads beaters[s][y] at these numbers, so they must be the
+    # a pure pre-check reads beaters[s][y] at these numbers, so they must be the
     # row-major indices of the restriction's opponent profiles, ascending
     for game in _precheck_games()[-2:]:
         for g in all_restrictions(game):
@@ -579,11 +589,11 @@ def test_global_and_local_specs_share_verdicts_on_the_full_pool():
     for i in MIX.players():
         for s in MIX.strategies(i):
             passing_mask(parse_property_spec("br:g:corr"), MIX, i, top, 1 << s, evaluator)
-    cached = dict(evaluator.entries)
+    cached, stores = _verdicts(evaluator), _stores(evaluator)
     for i in MIX.players():
         for s in MIX.strategies(i):
             passing_mask(parse_property_spec("br:l:corr"), MIX, i, top, 1 << s, evaluator)
-    assert evaluator.entries == cached
+    assert _verdicts(evaluator) == cached and _stores(evaluator) == stores
 
 
 @pytest.mark.parametrize("masks", [(3, 3, 3), (3, 0, 3), (3, 3, 0), (0, 0, 0)])
@@ -619,7 +629,7 @@ def test_eval_property_refuses_a_player_or_strategy_the_game_lacks(text):
     for player, candidates in ((0, 1 << 7), (0, -1), (2, 1), (-1, 1)):
         with pytest.raises(ValueError):
             passing_mask(spec, PD, player, g, candidates, evaluator)
-    assert not evaluator.entries
+    assert not evaluator.contexts and not evaluator.certificates
 
 
 def _normal_forms(profile, game):
@@ -683,9 +693,9 @@ def test_two_player_ind_and_corr_agree_and_share_verdicts():
                         assert passing_mask(ind, game, i, g, 1 << s, ind_only) == verdict, (
                             game.name, scope, g.names(), i, s,
                         )
-                        cached = dict(shared.entries)
+                        cached, stores = _verdicts(shared), _stores(shared)
                         assert passing_mask(ind, game, i, g, 1 << s, shared) == verdict
-                        assert shared.entries == cached
+                        assert _verdicts(shared) == cached and _stores(shared) == stores
 
 
 def _pearce_reference(game):
@@ -920,9 +930,8 @@ def test_a_lone_pool_candidate_stores_what_its_procedure_would(game, monkeypatch
         for s in mask_members(candidates) if family == "msd" and profiles else ():
             store = evaluator.certificates.setdefault((family, player, s), ([], []))
             if not pool & ~(1 << s) and properties._settled(store, pool, profiles) is None:
-                g = properties.restriction_at(game, index)
                 calls.append(s)
-                assert properties._solved(evaluator, family, g, player, pool, profiles, s)
+                assert properties._solved(evaluator, family, index, player, pool, profiles, s)
         return real_passing(evaluator, family, scope, player, index, candidates)
 
     monkeypatch.setattr(properties, "_passing", routed)
@@ -948,14 +957,68 @@ def test_just1_lists_each_opponent_context_once(monkeypatch):
     assert len(asked) == len(set(asked)) <= 2 * 16
 
 
-def test_pure_verdicts_take_no_entry():
-    # sd and br:pure are decided from the per-context records alone
+def test_local_pure_verdicts_take_no_slot():
+    # sd and br:pure keep only their full-pool verdicts on the records,
+    # every strategy decided; a query on any other pool is computed anew
     for game in (MIX, CHAIN):
         evaluator = Evaluator(game)
         for text in ("sd:l", "sd:g", "br:l:pure", "br:g:pure"):
             op = property_operator(uniform(game, text), game, evaluator)
             image_table(op, game, DEFAULT_LATTICE_BUDGET)
-        assert evaluator.contexts and not evaluator.entries
+        slots = [
+            (player, family, pool, decided)
+            for (player, _), record in evaluator.contexts.items()
+            for (family, pool), (decided, _) in record.verdicts.items()
+        ]
+        assert slots and not evaluator.certificates
+        for player, family, pool, decided in slots:
+            full = (1 << game.sizes[player]) - 1
+            assert family in ("sd", "br:pure") and pool == decided == full
+
+
+def test_a_second_pass_over_the_lp_tables_decides_nothing_again(monkeypatch):
+    # every image table and monotonicity table of the LP families, built
+    # twice through one Evaluator: the second pass reads every verdict from
+    # the records, so it calls no procedure and changes no record or store
+    games = [parse_game_file(path) for path in sorted(FIXTURE_DIR.glob("*.game"))]
+    games += fixtures.random_games(3030, 6, 3, 3)
+    calls = []
+    for module, name in (
+        (lp, "simplex_maximize"),
+        (dominance, "mixed_dominance_witness"),
+        (dominance, "exists_supporting_belief"),
+    ):
+        real = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *a, real=real, name=name, **k: calls.append(name) or real(*a, **k)
+        )
+    for game in games:
+        evaluator = Evaluator(game)
+        texts = LP_SPECS + ["br:l:ind"] * (game.num_players == 2)
+
+        def tables():
+            return [
+                result
+                for text in texts
+                for result in (
+                    image_table(
+                        property_operator(uniform(game, text), game, evaluator),
+                        game,
+                        DEFAULT_LATTICE_BUDGET,
+                    ),
+                    check_property_monotone(
+                        parse_property_spec(text), game, evaluator=evaluator
+                    ).to_json(),
+                )
+            ]
+
+        first = tables()
+        cached, stores = _verdicts(evaluator), _stores(evaluator)
+        made = len(calls)
+        assert tables() == first
+        assert len(calls) == made, (game.name, calls[made:])
+        assert _verdicts(evaluator) == cached and _stores(evaluator) == stores
+    assert calls
 
 
 def test_monotone_msd_lp_count_on_mix(monkeypatch):
