@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, GameFormatError, ShapeError
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/([0-9]+))?$")
 
 
 def parse_rational(token: str) -> Fraction:
@@ -315,6 +315,12 @@ def restriction_at(game: Game, idx: int) -> Restriction:
 # -- game text format ---------------------------------------------------------
 
 
+def _is_count(token: str) -> bool:
+    """Is `token` a run of ASCII digits?  str.isdigit alone also passes
+    other scripts' digits and superscripts."""
+    return token.isascii() and token.isdigit()
+
+
 def parse_game(text: str) -> Game:
     """Parse the plain-text game format.
 
@@ -345,7 +351,7 @@ def parse_game(text: str) -> Game:
     name = tokens[1]
 
     lineno, tokens = take("players")
-    if len(tokens) != 2 or not tokens[1].isdigit():
+    if len(tokens) != 2 or not _is_count(tokens[1]):
         raise GameFormatError("expected 'players <n>'", line=lineno)
     n = int(tokens[1])
     if n < 2:
@@ -361,7 +367,7 @@ def parse_game(text: str) -> Game:
         lineno, tokens = take("strategies")
         if len(tokens) < 4 or tokens[2] != ":":
             raise GameFormatError("expected 'strategies <i> : <name>+'", line=lineno)
-        if not tokens[1].isdigit() or not 1 <= int(tokens[1]) <= n:
+        if not _is_count(tokens[1]) or not 1 <= int(tokens[1]) <= n:
             raise GameFormatError(f"player index {tokens[1]!r} out of range 1..{n}", line=lineno)
         i = int(tokens[1]) - 1
         if strategy_names[i] is not None:
@@ -432,7 +438,12 @@ def parse_game_file(path) -> Game:
 
 
 def format_game(game: Game) -> str:
-    """Render a game in the text format; parse_game inverts this."""
+    """Render a game in the text format; parse_game inverts this.  A
+    ValueError names the first game or strategy name that is no token of the
+    format: one that is empty or holds whitespace, '#' or ':'."""
+    for name in (game.name, *(s for names in game.strategy_names for s in names)):
+        if name.split() != [name] or "#" in name or ":" in name:
+            raise ValueError(f"name {name!r} cannot be written in the game format")
     out = [f"game {game.name}", f"players {game.num_players}"]
     for i in game.players():
         out.append(f"strategies {i + 1} : " + " ".join(game.strategy_names[i]))

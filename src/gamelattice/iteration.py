@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
+from operator import add, or_
 from typing import Callable, Iterator
 
 from .games import (
@@ -32,7 +32,6 @@ from .reports import CheckReport
 Operator = Callable[[Restriction], Restriction]
 
 DEFAULT_LATTICE_BUDGET = 1 << 16
-DEFAULT_PAIR_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -160,6 +159,32 @@ def monotone_on_covers(images: list[int]) -> bool:
     return True
 
 
+def violations_below(images: list[int]) -> list[int]:
+    """Per lattice index, the number of (smaller index, strategy bit) pairs
+    whose bit is in the smaller index's entry of `images` but not in its own.
+
+    Each of the K bits' counts is a subset sum over the lattice (Yates 1937),
+    packed as a field of one int per index wide enough for all K fields' sum:
+    K passes add every index's sums into the index with one more bit, and the
+    fields of the bits missing from an index's entry are summed by casting
+    out (2^width - 1)s."""
+    k = len(images).bit_length() - 1
+    width = k + (k + 1).bit_length()
+    field = (1 << width) - 1
+    units = [0]  # units[m]: a 1 in field b for every bit b of m
+    for b in range(k):
+        units += [u + (1 << b * width) for u in units]
+    sums = [units[img] for img in images]
+    half = len(sums) // 2
+    for _ in range(k):
+        # add each index's sums into the index with its top bit set, then
+        # rotate every index's bits left by one to bring the next bit on top
+        low, high = sums[:half], list(map(add, sums[half:], sums[:half]))
+        sums[0::2], sums[1::2] = low, high
+    top = len(images) - 1
+    return [(s & field * units[top ^ img]) % field for s, img in zip(sums, images)]
+
+
 def non_monotone_pairs(
     sizes: tuple[int, ...], images: list[int]
 ) -> Iterator[tuple[int, int]]:
@@ -168,20 +193,19 @@ def non_monotone_pairs(
 
     `images` is indexed as in `monotone_on_covers`, over strategy sets of
     the given sizes.  The covers are scanned first.  Only when one fails are
-    all comparable pairs visited: the larger ones ascending, the smaller ones
-    below each with every player's field descending through its submasks,
-    the first player's field varying fastest, so the pairs yielded and their
-    order are those of that full scan alone.  The pair budget is
-    charged just before that scan, so a table that is monotone on its covers
-    is bounded by the lattice budget alone."""
+    the pairs listed: the larger indices ascending, skipping each that
+    `violations_below` counts no violation for, and the smaller ones below
+    each with every player's field descending through its submasks, the
+    first player's field varying fastest.  So a table that is monotone on
+    its covers costs one cover scan, and any other table one subset sum
+    besides the pairs its caller takes; the lattice budget bounds both."""
     if monotone_on_covers(images):
         return
-    pairs = 3 ** sum(sizes)
-    check_budget(pairs, DEFAULT_PAIR_BUDGET, f"comparable-pair count {pairs}")
     # (shift, size) per player's field, the last (lowest) player's first, so
     # that the first player's field, the product's last factor, varies fastest
     fields = list(zip(itertools.accumulate(sizes[::-1], initial=0), sizes[::-1]))
-    for big, img_big in enumerate(images):
+    for big in itertools.compress(range(len(images)), violations_below(images)):
+        img_big = images[big]
         parts = [[m << shift for m in _submasks(big >> shift & (1 << k) - 1)] for shift, k in fields]
         for part in itertools.product(*parts):
             small = sum(part)

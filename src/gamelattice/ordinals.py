@@ -6,7 +6,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-_ORDINAL_RE = re.compile(r"^(?:(\d+)w\+)?(\d+)$")
+_ORDINAL_RE = re.compile(r"^(?:([0-9]+)w\+)?([0-9]+)$")
 
 
 @dataclass(frozen=True, order=True)

@@ -35,6 +35,7 @@ from .iteration import (
     iterate_operator,
     monotone_on_covers,
     non_monotone_pairs,
+    violations_below,
 )
 from .reports import CheckReport
 
@@ -557,8 +558,8 @@ def property_is_monotone(
     spec: PropertySpec, game: Game, evaluator: Evaluator | None = None
 ) -> bool:
     """The verdict of check_property_monotone alone, decided on the covers:
-    a failing cover is itself a non-monotone comparable pair, so no other
-    pair is scanned and only the lattice budget applies."""
+    a failing cover is itself a non-monotone comparable pair, so neither the
+    violations are counted nor any pair listed."""
     evaluator = evaluator_for(game, evaluator)
     profile = PropertyProfile.uniform(spec, game.num_players)
     return monotone_on_covers(
@@ -573,28 +574,30 @@ def check_property_monotone(
     evaluator: Evaluator | None = None,
 ) -> CheckReport:
     """Exhaustively check: G below G' and property holds at G implies it holds
-    at G', for every comparable pair and every strategy in T_i."""
+    at G', for every comparable pair and every strategy in T_i.  Past the
+    cover scan, `violations_below` counts the violations, and pairs are
+    listed only until MAX_MONOTONE_ENTRIES entries are found."""
     evaluator = evaluator_for(game, evaluator)
     profile = PropertyProfile.uniform(spec, game.num_players)
     images = _property_table(profile, game, evaluator, max_restrictions, False)
     sizes = game.sizes
     entries = []
-    violations = 0
     for small, big in non_monotone_pairs(sizes, images):
         for i, bad in enumerate(unpack_index(sizes, images[small] & ~images[big])):
             if bad:
-                violations += bin(bad).count("1")
-                if len(entries) < MAX_MONOTONE_ENTRIES:
-                    entries.append(
-                        {
-                            "player": i + 1,
-                            "strategies": [
-                                game.strategy_names[i][s] for s in mask_members(bad)
-                            ],
-                            "smaller": restriction_at(game, small).names(),
-                            "larger": restriction_at(game, big).names(),
-                        }
-                    )
+                entries.append(
+                    {
+                        "player": i + 1,
+                        "strategies": [
+                            game.strategy_names[i][s] for s in mask_members(bad)
+                        ],
+                        "smaller": restriction_at(game, small).names(),
+                        "larger": restriction_at(game, big).names(),
+                    }
+                )
+        if len(entries) >= MAX_MONOTONE_ENTRIES:
+            break
+    violations = sum(violations_below(images)) if entries else 0
     return CheckReport(
         name="property-monotonicity",
         passed=violations == 0,
@@ -604,7 +607,7 @@ def check_property_monotone(
             "pairs_checked": 3 ** sum(sizes),
             "violations": violations,
         },
-        entries=entries,
+        entries=entries[:MAX_MONOTONE_ENTRIES],
     )
 
 

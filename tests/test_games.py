@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from fractions import Fraction
@@ -305,6 +306,44 @@ def test_parse_malformed_rational():
     expect_format_error(text, 8, "malformed rational")
     text = BASE.replace("B X : 1 1", "B X : 0.5 1")
     expect_format_error(text, 8, "malformed rational")
+    # a Unicode \d would read these Arabic-Indic digits as 1 and 1/2
+    for token in ("\u0661", "1/\u0662"):
+        expect_format_error(BASE.replace("B X : 1 1", f"B X : {token} 1"), 8, "malformed rational")
+
+
+@pytest.mark.parametrize(
+    "old,new,lineno,fragment",
+    [
+        ("players 2", "players \u00b2", 2, "expected 'players <n>'"),
+        ("players 2", "players \u0662", 2, "expected 'players <n>'"),
+        ("strategies 2 :", "strategies \u00b2 :", 4, "player index '\u00b2' out of range"),
+        ("strategies 2 :", "strategies \u0662 :", 4, "player index '\u0662' out of range"),
+    ],
+    ids=["players-superscript", "players-arabic", "index-superscript", "index-arabic"],
+)
+def test_parse_header_counts_are_ascii_digits(old, new, lineno, fragment):
+    # str.isdigit passes these, and int() reads the Arabic-Indic digit as 2
+    # but refuses the superscript
+    expect_format_error(BASE.replace(old, new), lineno, fragment)
+
+
+@pytest.mark.parametrize(
+    "name,strategies,bad",
+    [
+        ("g", ("a b", "c"), "a b"),
+        ("g", ("", "c"), ""),
+        ("g", ("a", "b#"), "b#"),
+        ("g", ("a", ":"), ":"),
+        ("g", ("a", "b:c"), "b:c"),
+        ("a\tgame", ("a b", "c"), "a\tgame"),
+    ],
+)
+def test_format_game_refuses_names_the_format_cannot_hold(name, strategies, bad):
+    # a name is one token without '#' or ':'; all but "b:c" would render as
+    # text that parse_game rejects, and the first bad name is reported
+    game = make_game(name, [strategies, ("x",)], {(s, "x"): (0, 0) for s in strategies})
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        format_game(game)
 
 
 def test_parse_duplicate_strategies_line():

@@ -14,6 +14,7 @@ from gamelattice.games import (
     make_game,
     mask_members,
     pack_masks,
+    restriction_at,
     restriction_from_names,
     restriction_top,
     unpack_index,
@@ -53,8 +54,9 @@ def test_ordinal_parse_and_format():
     assert str(parse_ordinal("2w+5")) == "2w+5"
     assert parse_ordinal("1w+0") == Ordinal(1, 0)
     assert Ordinal(0, 4) < Ordinal(1, 0) < Ordinal(1, 1) < Ordinal(2, 0)
-    with pytest.raises(ValueError):
-        parse_ordinal("w^2")
+    for text in ("w^2", "\u0663", "\u00b2", "\u0661w+0"):
+        with pytest.raises(ValueError, match="malformed ordinal"):
+            parse_ordinal(text)
 
 
 def test_iterate_pd_sd_local():
@@ -138,26 +140,38 @@ def test_tarski_budget():
         verify_tarski(op_for(PD, "sd:g"), PD, max_restrictions=4)
 
 
-def test_lattice_verifiers_charge_the_pair_budget_only_for_the_fallback_scan(monkeypatch):
-    # 3^14 comparable pairs, beyond the 2,000,000 pair budget, but 2^14
-    # restrictions, within the lattice budget: a check that passes on the
-    # covers decides
+def test_lattice_verifiers_are_bounded_by_the_lattice_budget_alone(monkeypatch):
+    # 2^14 restrictions, within the lattice budget, and 3^14 comparable pairs
     game = fixtures.random_game(random.Random(7), 7, 7)
-    assert verify_tarski(op_for(game, "sd:g"), game, "sd:g").passed
-    inclusion = verify_inclusion_lemma(
-        op_for(game, "br:g:pure"), op_for(game, "sd:l"), game, "br:g:pure", "sd:l"
-    )
-    assert inclusion.passed
 
-    # a failing cover is charged the pair budget before any fallback pair
-    def no_fallback(mask):
-        pytest.fail("a fallback pair was visited before the pair budget was charged")
+    # a table monotone on its covers is decided by the cover scan alone
+    def no_count(images):
+        pytest.fail("the violations were counted on a table monotone on its covers")
 
-    monkeypatch.setattr(iteration, "_submasks", no_fallback)
-    with pytest.raises(BudgetError, match="comparable-pair"):
-        verify_tarski(op_for(game, "sd:l"), game)
-    with pytest.raises(BudgetError, match="comparable-pair"):
-        verify_inclusion_lemma(op_for(game, "sd:l"), op_for(game, "sd:g"), game)
+    with monkeypatch.context() as patched:
+        patched.setattr(iteration, "violations_below", no_count)
+        assert verify_tarski(op_for(game, "sd:g"), game, "sd:g").passed
+        inclusion = verify_inclusion_lemma(
+            op_for(game, "br:g:pure"), op_for(game, "sd:l"), game, "br:g:pure", "sd:l"
+        )
+        assert inclusion.passed
+
+    # a failing cover is decided too, and the pair reported is the first
+    # non-monotone one below the least index with a violation
+    images = iteration.image_table(op_for(game, "sd:l"), game, 1 << 14)
+    small, big = next(non_monotone_pairs(game.sizes, images))
+    assert big == next(idx for idx, count in enumerate(iteration.violations_below(images)) if count)
+    expected = {
+        "smaller": restriction_at(game, small).names(),
+        "larger": restriction_at(game, big).names(),
+    }
+    tarski = verify_tarski(op_for(game, "sd:l"), game, "sd:l")
+    assert tarski.details["precondition_violation"] == "operator is not monotonic"
+    assert tarski.entries[0]["kind"] == "monotonicity-violation"
+    assert {key: tarski.entries[0][key] for key in expected} == expected
+    inclusion = verify_inclusion_lemma(op_for(game, "sd:l"), op_for(game, "sd:g"), game)
+    assert not inclusion.details["hypotheses"]["op1_monotonic"]
+    assert {"kind": "op1-monotonicity-violation", **expected} in inclusion.entries
 
 
 def _masks_leq(a, b):
@@ -214,9 +228,25 @@ def mask_tables(draw):
 @settings(max_examples=300, deadline=None)
 def test_non_monotone_pairs_matches_a_scan_of_every_comparable_pair(drawn):
     sizes, table = drawn
-    pairs = non_monotone_pairs(sizes, _pack_table(sizes, table))
+    images = _pack_table(sizes, table)
+    pairs = non_monotone_pairs(sizes, images)
     unpacked = [(unpack_index(sizes, small), unpack_index(sizes, big)) for small, big in pairs]
-    assert unpacked == _brute_force_non_monotone_pairs(table)
+    expected = _brute_force_non_monotone_pairs(table)
+    assert unpacked == expected
+    # each index's count is the strategies its non-monotone pairs below lose
+    counts = dict.fromkeys(table, 0)
+    for small, big in expected:
+        counts[big] += sum(len(mask_members(x & ~y)) for x, y in zip(table[small], table[big]))
+    assert iteration.violations_below(images) == [counts[g] for g in _all_masks(sizes)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 16])
+def test_violations_below_holds_the_largest_count(k):
+    # every smaller index keeps all k strategies and the top keeps none: the
+    # top's count, k * (2^k - 1), is the largest any table of k strategies has
+    top = (1 << k) - 1
+    images = [top] * top + [0]
+    assert iteration.violations_below(images) == [0] * top + [k * top]
 
 
 @given(drawn=mask_tables())

@@ -34,6 +34,7 @@ from gamelattice.properties import (
     check_singleton_condition,
     outcome,
     parse_property_spec,
+    MAX_MONOTONE_ENTRIES,
     passing_mask,
     pearce_equivalence_suite,
     property_is_monotone,
@@ -166,8 +167,8 @@ def test_property_is_monotone_is_the_checks_verdict(monkeypatch):
             assert property_is_monotone(spec, game) == passed, (game.name, text)
             assert property_is_monotone(spec, game, evaluator) == passed
     assert failing > 0
-    # a failing cover decides the verdict, so no comparable pair is scanned;
-    # the full check still scans them all to count its violations
+    # a failing cover decides the verdict, so no comparable pair is listed;
+    # the full check still lists pairs for its entries
     sd_l = parse_property_spec("sd:l")
     game = next(
         game for game in fixtures.random_games(23, 40, 3, 2)
@@ -179,21 +180,32 @@ def test_property_is_monotone_is_the_checks_verdict(monkeypatch):
         check_property_monotone(sd_l, game)
 
 
-def test_monotone_check_charges_the_pair_budget_only_for_the_fallback_scan(monkeypatch):
-    # 3^14 comparable pairs, beyond the 2,000,000 pair budget: a property
-    # monotone on every cover is decided and reports every pair as checked
+def test_monotone_check_is_bounded_by_the_lattice_budget_alone(monkeypatch):
+    # 2^14 restrictions, within the lattice budget, and 3^14 comparable
+    # pairs: a property monotone on every cover is decided by the cover scan
+    # alone and reports every pair as checked
     game = fixtures.random_game(random.Random(7), 7, 7)
-    report = check_property_monotone(parse_property_spec("sd:g"), game)
+
+    def no_count(images):
+        pytest.fail("the violations were counted on a table monotone on its covers")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(iteration, "violations_below", no_count)
+        patched.setattr(properties, "violations_below", no_count)
+        report = check_property_monotone(parse_property_spec("sd:g"), game)
     assert report.passed
     assert report.details["pairs_checked"] == 3 ** 14
 
-    # a failing cover is charged the pair budget before any fallback pair
-    def no_fallback(mask):
-        pytest.fail("a fallback pair was visited before the pair budget was charged")
-
-    monkeypatch.setattr(iteration, "_submasks", no_fallback)
-    with pytest.raises(BudgetError, match="comparable-pair"):
-        check_property_monotone(parse_property_spec("sd:l"), game)
+    # a failing cover is decided too: every violation is counted and the
+    # first MAX_MONOTONE_ENTRIES are listed
+    sd_l = parse_property_spec("sd:l")
+    report = check_property_monotone(sd_l, game)
+    assert not report.passed
+    table = properties._property_table(
+        PropertyProfile.uniform(sd_l, 2), game, Evaluator(game), 1 << 14, False
+    )
+    assert report.details["violations"] == sum(iteration.violations_below(table)) > 0
+    assert len(report.entries) == MAX_MONOTONE_ENTRIES
 
 
 def test_property_is_monotone_charges_the_lattice_not_the_pairs():
