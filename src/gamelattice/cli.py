@@ -21,7 +21,7 @@ import sys
 
 from . import epistemic, iteration, properties, symbolic, witnesses
 from .errors import GameLatticeError, InternalError
-from .games import check_budget, parse_game_file, restriction_top
+from .games import check_budget, is_count, parse_game_file, restriction_top
 from .ordinals import parse_ordinal
 from .properties import Evaluator, PropertyProfile, parse_property_spec, property_operator
 from .reports import CheckReport, canonical_json
@@ -32,21 +32,24 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _read_budget(flag: int | None, default: int | None) -> int | None:
+def _count(text: str, what: str) -> int:
+    """`text` as a non-negative integer, written in ASCII digits alone
+    (`games.is_count`); anything else, a sign included, is an input error
+    naming `what`."""
+    if not is_count(text):
+        raise ValueError(f"{what} must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _read_budget(flag: str | None, default: int | None) -> int | None:
     """The --budget value, else GAMELATTICE_BUDGET, else `default`.  Zero is a
     budget of zero; a negative budget is an input error."""
-    budget = flag
-    if budget is None:
-        raw = os.environ.get("GAMELATTICE_BUDGET")
-        if raw is None:
-            return default
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise ValueError(f"GAMELATTICE_BUDGET must be an integer, got {raw!r}") from None
-    if budget < 0:
-        raise ValueError(f"a budget must be non-negative, got {budget}")
-    return budget
+    if flag is not None:
+        return _count(flag, "--budget")
+    raw = os.environ.get("GAMELATTICE_BUDGET")
+    if raw is None:
+        return default
+    return _count(raw, "GAMELATTICE_BUDGET")
 
 
 def _profile_from_args(args, game) -> PropertyProfile:
@@ -59,10 +62,7 @@ def _profile_from_args(args, game) -> PropertyProfile:
             head, _, spec_text = item.partition("=")
             if not spec_text:
                 raise ValueError(f"--player wants <i>=<spec>, got {item!r}")
-            try:
-                idx = int(head)
-            except ValueError:
-                raise ValueError(f"--player index {head!r} is not an integer") from None
+            idx = _count(head, "--player index")
             if not 1 <= idx <= n:
                 raise ValueError(f"--player index {idx} out of range 1..{n}")
             if specs[idx - 1] is not None:
@@ -186,10 +186,12 @@ def _epistemic_expectation(game, profile, evaluator):
 def cmd_epistemic(args) -> int:
     if args.action == "enumerate":
         _refuse_flags(args, "epistemic enumerate", "--joint", "--theorem")
-        omega = 4 if args.omega is None else args.omega
+        omega = 4 if args.omega is None else _count(args.omega, "--omega")
     else:
         _refuse_flags(args, "epistemic witness", "--omega")
-        theorem = 1 if args.theorem is None else args.theorem
+        theorem = 1 if args.theorem is None else _count(args.theorem, "--theorem")
+        if theorem not in (1, 2):
+            raise ValueError(f"--theorem must be 1 or 2, got {theorem}")
         if theorem == 1:
             _refuse_flags(args, "epistemic witness --theorem 1", "--joint")
     budget = _read_budget(None, epistemic.DEFAULT_MODEL_BUDGET)
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eliminate", help="run iterated elimination and print the trace")
     add_profile_flags(p)
     p.add_argument("--json", action="store_true", help="canonical JSON output")
-    p.add_argument("--budget", type=int, help="iteration budget override")
+    p.add_argument("--budget", metavar="N", help="iteration budget override")
     p.add_argument("game", help="game file")
     p.set_defaults(func=cmd_eliminate)
 
@@ -338,10 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epistemic", help="model enumeration and witness constructions")
     p.add_argument("action", choices=["enumerate", "witness"])
     add_profile_flags(p)
-    p.add_argument("--omega", type=int, help="state-space size for enumerate (default 4)")
-    p.add_argument(
-        "--theorem", type=int, choices=[1, 2], help="witness theorem (default 1)"
-    )
+    p.add_argument("--omega", metavar="N", help="state-space size for enumerate (default 4)")
+    p.add_argument("--theorem", metavar="{1,2}", help="witness theorem (default 1)")
     p.add_argument("--joint", help="joint strategy for --theorem 2, e.g. C,C")
     p.add_argument("--json", action="store_true")
     p.add_argument("game", help="game file")

@@ -315,9 +315,11 @@ def restriction_at(game: Game, idx: int) -> Restriction:
 # -- game text format ---------------------------------------------------------
 
 
-def _is_count(token: str) -> bool:
-    """Is `token` a run of ASCII digits?  str.isdigit alone also passes
-    other scripts' digits and superscripts."""
+def is_count(token: str) -> bool:
+    """Is `token` a run of ASCII digits, a count the game format and the
+    command line accept?  str.isdigit alone also passes other scripts'
+    digits and superscripts, and int() takes those digits, underscores,
+    a sign and surrounding blanks."""
     return token.isascii() and token.isdigit()
 
 
@@ -351,7 +353,7 @@ def parse_game(text: str) -> Game:
     name = tokens[1]
 
     lineno, tokens = take("players")
-    if len(tokens) != 2 or not _is_count(tokens[1]):
+    if len(tokens) != 2 or not is_count(tokens[1]):
         raise GameFormatError("expected 'players <n>'", line=lineno)
     n = int(tokens[1])
     if n < 2:
@@ -367,7 +369,7 @@ def parse_game(text: str) -> Game:
         lineno, tokens = take("strategies")
         if len(tokens) < 4 or tokens[2] != ":":
             raise GameFormatError("expected 'strategies <i> : <name>+'", line=lineno)
-        if not _is_count(tokens[1]) or not 1 <= int(tokens[1]) <= n:
+        if not is_count(tokens[1]) or not 1 <= int(tokens[1]) <= n:
             raise GameFormatError(f"player index {tokens[1]!r} out of range 1..{n}", line=lineno)
         i = int(tokens[1]) - 1
         if strategy_names[i] is not None:

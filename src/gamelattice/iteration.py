@@ -137,28 +137,6 @@ def image_table(op: Operator, game: Game, max_restrictions: int) -> list[int]:
     ]
 
 
-def monotone_on_covers(images: list[int]) -> bool:
-    """Are the entries of `images` included along every cover?
-
-    `images` holds one lattice index per restriction, at the restriction's
-    own index, so its entries are ordered as the lattice is.  A cover is a
-    comparable pair whose larger restriction is the smaller one plus one
-    strategy: the larger index with one of its bits cleared.  Every
-    comparable pair is joined by a chain of covers and inclusion is
-    transitive, so the table is monotone on all 3^(sum of sizes) comparable
-    pairs exactly when it is monotone on its covers, of which there are
-    len(images) * (sum of sizes) / 2; a failing cover is itself a
-    non-monotone comparable pair."""
-    for big, img_big in enumerate(images):
-        rest = big
-        while rest:
-            low = rest & -rest
-            if images[big ^ low] & ~img_big:
-                return False
-            rest ^= low
-    return True
-
-
 def violations_below(images: list[int]) -> list[int]:
     """Per lattice index, the number of (smaller index, strategy bit) pairs
     whose bit is in the smaller index's entry of `images` but not in its own.
@@ -186,25 +164,24 @@ def violations_below(images: list[int]) -> list[int]:
 
 
 def non_monotone_pairs(
-    sizes: tuple[int, ...], images: list[int]
+    sizes: tuple[int, ...], images: list[int], counts: list[int]
 ) -> Iterator[tuple[int, int]]:
     """The lattice indices of every comparable pair (small, big) whose
-    entries in `images` are not included, in a fixed order.
+    entries in `images` are not included, in a fixed order, given `counts`,
+    the table's `violations_below`.
 
-    `images` is indexed as in `monotone_on_covers`, over strategy sets of
-    the given sizes.  The covers are scanned first.  Only when one fails are
-    the pairs listed: the larger indices ascending, skipping each that
-    `violations_below` counts no violation for, and the smaller ones below
-    each with every player's field descending through its submasks, the
-    first player's field varying fastest.  So a table that is monotone on
-    its covers costs one cover scan, and any other table one subset sum
-    besides the pairs its caller takes; the lattice budget bounds both."""
-    if monotone_on_covers(images):
-        return
+    `images` holds one lattice index per restriction, at the restriction's
+    own index, over strategy sets of the given sizes, so its entries are
+    ordered as the lattice is.  The larger indices are listed ascending,
+    skipping each whose count is 0, and the smaller ones below each with
+    every player's field descending through its submasks, the first
+    player's field varying fastest.  So a monotone table, whose counts are
+    all 0, lists nothing; a caller pays for one subset sum and the pairs it
+    takes, and the lattice budget bounds both."""
     # (shift, size) per player's field, the last (lowest) player's first, so
     # that the first player's field, the product's last factor, varies fastest
     fields = list(zip(itertools.accumulate(sizes[::-1], initial=0), sizes[::-1]))
-    for big in itertools.compress(range(len(images)), violations_below(images)):
+    for big in itertools.compress(range(len(images)), counts):
         img_big = images[big]
         parts = [[m << shift for m in _submasks(big >> shift & (1 << k) - 1)] for shift, k in fields]
         for part in itertools.product(*parts):
@@ -231,7 +208,7 @@ def verify_tarski(
         "restrictions": len(images),
     }
 
-    violation = next(non_monotone_pairs(game.sizes, images), None)
+    violation = next(non_monotone_pairs(game.sizes, images, violations_below(images)), None)
     if violation is not None:
         small, big = violation
         return CheckReport(
@@ -352,7 +329,7 @@ def verify_inclusion_lemma(
                 }
             )
             break
-    violation = next(non_monotone_pairs(game.sizes, images1), None)
+    violation = next(non_monotone_pairs(game.sizes, images1, violations_below(images1)), None)
     if violation is not None:
         small, big = violation
         hypotheses["op1_monotonic"] = False

@@ -33,7 +33,6 @@ from .iteration import (
     IterationTrace,
     image_table,
     iterate_operator,
-    monotone_on_covers,
     non_monotone_pairs,
     violations_below,
 )
@@ -126,17 +125,15 @@ class Evaluator:
     stored mask b has P & b == 0.
 
     The record's `verdicts` hold one (decided, passing) pair of strategy
-    masks per (family, pool mask).  A pure family ("sd", "br:pure") keeps
-    only its full-pool entry, with every strategy decided, which global
-    queries ask again and again; a local pure query is computed and not
-    stored.  An LP family ("msd", "br:corr") keeps an entry per pool: an
-    "msd" entry starts with the strategies sd fails decided and none
-    passing; a "br:corr" entry starts with the strategies br:pure passes
-    decided, or every strategy when Y is empty, since no belief lives on no
-    profiles.  A query decides each candidate its entry leaves open, in
-    ascending order, and marks it decided.  The scope only picks the pool,
-    so a global and a local spec share every entry where the local pool is
-    the full strategy set.
+    masks per LP family ("msd", "br:corr") and pool mask; a pure query is
+    computed from the record's masks each time and never stored.  An "msd"
+    entry starts with the strategies sd fails decided and none passing; a
+    "br:corr" entry starts with the strategies br:pure passes decided, or
+    every strategy when Y is empty, since no belief lives on no profiles.
+    A query decides each candidate its entry leaves open, in ascending
+    order, and marks it decided.  The scope only picks the pool, so a global
+    and a local spec share every entry where the local pool is the full
+    strategy set.
 
     An open candidate s of an LP family ("msd", "br:corr") on pool P and
     opponent profiles Y is first settled from `certificates`, which keeps
@@ -225,7 +222,7 @@ class _Context:
     them, each part None until a query needs it: the profile mask
     `profiles` (Y), sd's masks `dominators` and br:pure's masks `rows` for
     `_pure_passing`; and `verdicts`, one (decided, passing) pair of
-    strategy masks per (family, pool mask)."""
+    strategy masks per (LP family, pool mask)."""
 
     __slots__ = ("ys", "profiles", "dominators", "rows", "verdicts")
 
@@ -367,12 +364,13 @@ def _passing(
     evaluator: Evaluator, family: str, scope: str, player: int, index: int, candidates: int
 ) -> int:
     """The strategies in the mask `candidates` that pass `family` on the
-    restriction with lattice index `index`.  The context's record
-    (`_context`) keeps the verdicts per (family, pool), each entry built
-    from the pure pre-check; a local pure query is computed and not stored.
-    A candidate an msd or br:corr entry leaves open is settled by a stored
-    certificate (`_settled`), by its lone pool, or else by its own LP
-    (`_solved`), one strategy at a time, and the entry records it."""
+    restriction with lattice index `index`.  A pure query ("sd",
+    "br:pure") is computed from the context's record (`_context`) and not
+    stored; the record keeps the LP families' verdicts per (family, pool),
+    each entry built from the pure pre-check.  A candidate an entry leaves
+    open is settled by a stored certificate (`_settled`), by its lone pool,
+    or else by its own LP (`_solved`), one strategy at a time, and the
+    entry records it."""
     game = evaluator.game
     shift = game.shifts[player]
     full = (1 << game.sizes[player]) - 1
@@ -381,14 +379,11 @@ def _passing(
     record = evaluator.contexts.get((player, opponents))
     if record is None:
         record = _context(evaluator, player, opponents)
-    pure = family in ("sd", "br:pure")
-    if pure and pool != full:
+    if family in ("sd", "br:pure"):
         return _pure_passing(evaluator, family, player, record, pool) & candidates
     entry = record.verdicts.get((family, pool))
     if entry is None:
-        if pure:
-            entry = (full, _pure_passing(evaluator, family, player, record, pool))
-        elif family == "msd":
+        if family == "msd":
             entry = (full & ~_pure_passing(evaluator, "sd", player, record, pool), 0)
         else:
             passing = _pure_passing(evaluator, "br:pure", player, record, pool)
@@ -557,14 +552,12 @@ def _property_table(
 def property_is_monotone(
     spec: PropertySpec, game: Game, evaluator: Evaluator | None = None
 ) -> bool:
-    """The verdict of check_property_monotone alone, decided on the covers:
-    a failing cover is itself a non-monotone comparable pair, so neither the
-    violations are counted nor any pair listed."""
+    """The verdict of check_property_monotone alone: `violations_below`
+    counts no violation, and no pair is listed."""
     evaluator = evaluator_for(game, evaluator)
     profile = PropertyProfile.uniform(spec, game.num_players)
-    return monotone_on_covers(
-        _property_table(profile, game, evaluator, DEFAULT_LATTICE_BUDGET, False)
-    )
+    table = _property_table(profile, game, evaluator, DEFAULT_LATTICE_BUDGET, False)
+    return not any(violations_below(table))
 
 
 def check_property_monotone(
@@ -574,15 +567,17 @@ def check_property_monotone(
     evaluator: Evaluator | None = None,
 ) -> CheckReport:
     """Exhaustively check: G below G' and property holds at G implies it holds
-    at G', for every comparable pair and every strategy in T_i.  Past the
-    cover scan, `violations_below` counts the violations, and pairs are
-    listed only until MAX_MONOTONE_ENTRIES entries are found."""
+    at G', for every comparable pair and every strategy in T_i.
+    `violations_below` counts the violations once, and pairs are listed
+    below the indices it counts any for, only until MAX_MONOTONE_ENTRIES
+    entries are found."""
     evaluator = evaluator_for(game, evaluator)
     profile = PropertyProfile.uniform(spec, game.num_players)
     images = _property_table(profile, game, evaluator, max_restrictions, False)
     sizes = game.sizes
+    counts = violations_below(images)
     entries = []
-    for small, big in non_monotone_pairs(sizes, images):
+    for small, big in non_monotone_pairs(sizes, images, counts):
         for i, bad in enumerate(unpack_index(sizes, images[small] & ~images[big])):
             if bad:
                 entries.append(
@@ -597,7 +592,7 @@ def check_property_monotone(
                 )
         if len(entries) >= MAX_MONOTONE_ENTRIES:
             break
-    violations = sum(violations_below(images)) if entries else 0
+    violations = sum(counts)
     return CheckReport(
         name="property-monotonicity",
         passed=violations == 0,

@@ -313,6 +313,33 @@ def test_budget_exit_codes(env, argv, expected, monkeypatch, capsys):
     assert code == expected, err
 
 
+NON_ASCII_INTEGER_CASES = [
+    # (GAMELATTICE_BUDGET, argv): each would run with ASCII digits, but
+    # int() would also take these, so each is an input error
+    ("\u0660", ["eliminate", "--prop", "sd:l", "mp.game"]),
+    (" 1_0 ", ["check", "contracting", "--prop", "sd:l", "chain.game"]),
+    ("1_0", ["check", "contracting", "--prop", "sd:l", "chain.game"]),
+    ("+3", ["check", "contracting", "--prop", "sd:l", "chain.game"]),
+    (None, ["eliminate", "--budget", "\u0663", "--prop", "sd:l", "chain.game"]),
+    (None, ["eliminate", "--player", "\u0661=sd:l", "--player", "2=sd:l", "pd.game"]),
+    (None, ["eliminate", "--player", " 1=sd:l", "--player", "2=sd:l", "pd.game"]),
+    (None, ["epistemic", "enumerate", "--omega", "\u0662", "--prop", "sd:g", "pd.game"]),
+    (None, ["epistemic", "witness", "--theorem", "\u0662", "--prop", "sd:l",
+            "--joint", "C,C", "pd.game"]),
+]
+
+
+@pytest.mark.parametrize("env,argv", NON_ASCII_INTEGER_CASES)
+def test_cli_integers_are_ascii_digits(env, argv, monkeypatch, capsys):
+    if env is None:
+        monkeypatch.delenv("GAMELATTICE_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("GAMELATTICE_BUDGET", env)
+    code, out, err = run(capsys, *argv[:-1], str(FIXTURES / argv[-1]))
+    assert (code, out) == (2, "")
+    assert "must be a non-negative integer" in err
+
+
 @pytest.mark.parametrize("prop", ["sd:g", "br:g:pure", "sd:l", "br:l:pure"])
 def test_lattice_checks_at_the_budget_edge(prop, tmp_path, monkeypatch, capsys):
     # 8x8 has exactly DEFAULT_LATTICE_BUDGET restrictions and 8x9 twice that;
@@ -543,6 +570,7 @@ EXIT_CASES = [
     (["epistemic", "enumerate", "--omega", "2", "--prop", "sd:g", "--joint", "C,C",
       "pd.game"], None, 2),
     (["epistemic", "witness", "--omega", "9", "--prop", "sd:g", "pd.game"], None, 2),
+    (["epistemic", "witness", "--theorem", "3", "--prop", "sd:g", "pd.game"], None, 2),
     (["epistemic", "enumerate", "--theorem", "2", "--omega", "2", "--prop", "sd:g",
       "pd.game"], None, 2),
     # 2001 iterates, beyond the default budget of 1000

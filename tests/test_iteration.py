@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamelattice import fixtures, iteration
+from gamelattice import fixtures, iteration, properties
 from gamelattice.errors import BudgetError, ShapeError
 from gamelattice.games import (
     Restriction,
@@ -23,7 +23,6 @@ from gamelattice.iteration import (
     is_fixpoint,
     is_post_fixpoint,
     iterate_operator,
-    monotone_on_covers,
     non_monotone_pairs,
     trace_from_json_dict,
     verify_contracting_outcome,
@@ -37,6 +36,7 @@ from gamelattice.properties import (
     check_property_monotone,
     parse_property_spec,
     passing_mask,
+    property_is_monotone,
     property_operator,
 )
 from gamelattice.reports import CheckReport, canonical_json
@@ -144,23 +144,24 @@ def test_lattice_verifiers_are_bounded_by_the_lattice_budget_alone(monkeypatch):
     # 2^14 restrictions, within the lattice budget, and 3^14 comparable pairs
     game = fixtures.random_game(random.Random(7), 7, 7)
 
-    # a table monotone on its covers is decided by the cover scan alone
-    def no_count(images):
-        pytest.fail("the violations were counted on a table monotone on its covers")
+    # a monotone table is decided by its sums, with no pair listed
+    def no_pairs(m):
+        pytest.fail("a pair was listed on a monotone table")
 
     with monkeypatch.context() as patched:
-        patched.setattr(iteration, "violations_below", no_count)
+        patched.setattr(iteration, "_submasks", no_pairs)
         assert verify_tarski(op_for(game, "sd:g"), game, "sd:g").passed
         inclusion = verify_inclusion_lemma(
             op_for(game, "br:g:pure"), op_for(game, "sd:l"), game, "br:g:pure", "sd:l"
         )
         assert inclusion.passed
 
-    # a failing cover is decided too, and the pair reported is the first
+    # a failing table is decided too, and the pair reported is the first
     # non-monotone one below the least index with a violation
     images = iteration.image_table(op_for(game, "sd:l"), game, 1 << 14)
-    small, big = next(non_monotone_pairs(game.sizes, images))
-    assert big == next(idx for idx, count in enumerate(iteration.violations_below(images)) if count)
+    counts = iteration.violations_below(images)
+    small, big = next(non_monotone_pairs(game.sizes, images, counts))
+    assert big == next(idx for idx, count in enumerate(counts) if count)
     expected = {
         "smaller": restriction_at(game, small).names(),
         "larger": restriction_at(game, big).names(),
@@ -229,15 +230,18 @@ def mask_tables(draw):
 def test_non_monotone_pairs_matches_a_scan_of_every_comparable_pair(drawn):
     sizes, table = drawn
     images = _pack_table(sizes, table)
-    pairs = non_monotone_pairs(sizes, images)
+    counts = iteration.violations_below(images)
+    pairs = non_monotone_pairs(sizes, images, counts)
     unpacked = [(unpack_index(sizes, small), unpack_index(sizes, big)) for small, big in pairs]
     expected = _brute_force_non_monotone_pairs(table)
     assert unpacked == expected
+    # the sums alone are the verdict of every pair
+    assert (not any(counts)) == (not expected)
     # each index's count is the strategies its non-monotone pairs below lose
-    counts = dict.fromkeys(table, 0)
+    lost = dict.fromkeys(table, 0)
     for small, big in expected:
-        counts[big] += sum(len(mask_members(x & ~y)) for x, y in zip(table[small], table[big]))
-    assert iteration.violations_below(images) == [counts[g] for g in _all_masks(sizes)]
+        lost[big] += sum(len(mask_members(x & ~y)) for x, y in zip(table[small], table[big]))
+    assert counts == [lost[g] for g in _all_masks(sizes)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 16])
@@ -247,14 +251,6 @@ def test_violations_below_holds_the_largest_count(k):
     top = (1 << k) - 1
     images = [top] * top + [0]
     assert iteration.violations_below(images) == [0] * top + [k * top]
-
-
-@given(drawn=mask_tables())
-@settings(max_examples=300, deadline=None)
-def test_monotone_on_covers_is_the_verdict_of_every_pair(drawn):
-    sizes, table = drawn
-    images = _pack_table(sizes, table)
-    assert monotone_on_covers(images) == (not _brute_force_non_monotone_pairs(table))
 
 
 def _random_three_player_game(seed):
@@ -364,7 +360,7 @@ def test_an_operator_image_from_another_game_is_a_shape_error(foreign):
         is_fixpoint(op, restriction_top(PD))
 
 
-def test_a_monotone_table_is_decided_on_its_covers():
+def test_a_monotone_table_lists_nothing_after_its_sums():
     class CountingImages(list):
         lookups = 0
 
@@ -376,12 +372,39 @@ def test_a_monotone_table_is_decided_on_its_covers():
     images = CountingImages(
         pack_masks(sizes, (g[0] & g[1], g[0] | g[1])) for g in _all_masks(sizes)
     )
-    assert list(non_monotone_pairs(sizes, images)) == []
-    restrictions = len(images)
-    covers = restrictions * sum(sizes) // 2
-    assert (restrictions, covers) == (4096, 24_576)
-    # the scan of every comparable pair makes 3^12 = 531,441 lookups
-    assert 0 < CountingImages.lookups <= covers + restrictions
+    counts = iteration.violations_below(images)
+    assert len(counts) == 4096 and not any(counts)
+    # the scan of every comparable pair would make 3^12 = 531,441 lookups
+    CountingImages.lookups = 0
+    assert list(non_monotone_pairs(sizes, images, counts)) == []
+    assert CountingImages.lookups == 0
+
+
+@pytest.mark.parametrize("game", [PD, CHAIN, fixtures.THREE], ids=lambda g: g.name)
+@pytest.mark.parametrize("text", ["sd:l", "sd:g", "br:l:pure", "br:g:pure"])
+def test_each_monotonicity_question_sums_the_violations_once(game, text, monkeypatch):
+    # on monotone and non-monotone tables alike, each caller runs one subset
+    # sum and reads both its verdict and its pairs from it
+    calls = []
+    real = iteration.violations_below
+
+    def counting(images):
+        calls.append(len(images))
+        return real(images)
+
+    monkeypatch.setattr(iteration, "violations_below", counting)
+    monkeypatch.setattr(properties, "violations_below", counting)
+    spec = parse_property_spec(text)
+    questions = [
+        lambda: verify_tarski(op_for(game, text), game, text),
+        lambda: verify_inclusion_lemma(op_for(game, text), op_for(game, "sd:l"), game),
+        lambda: check_property_monotone(spec, game),
+        lambda: property_is_monotone(spec, game),
+    ]
+    for question in questions:
+        calls.clear()
+        question()
+        assert calls == [1 << sum(game.sizes)]
 
 
 def test_contracting_msd_mix():

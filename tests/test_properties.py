@@ -167,8 +167,8 @@ def test_property_is_monotone_is_the_checks_verdict(monkeypatch):
             assert property_is_monotone(spec, game) == passed, (game.name, text)
             assert property_is_monotone(spec, game, evaluator) == passed
     assert failing > 0
-    # a failing cover decides the verdict, so no comparable pair is listed;
-    # the full check still lists pairs for its entries
+    # the sums decide the verdict, so no comparable pair is listed; the
+    # full check still lists pairs for its entries
     sd_l = parse_property_spec("sd:l")
     game = next(
         game for game in fixtures.random_games(23, 40, 3, 2)
@@ -182,21 +182,21 @@ def test_property_is_monotone_is_the_checks_verdict(monkeypatch):
 
 def test_monotone_check_is_bounded_by_the_lattice_budget_alone(monkeypatch):
     # 2^14 restrictions, within the lattice budget, and 3^14 comparable
-    # pairs: a property monotone on every cover is decided by the cover scan
-    # alone and reports every pair as checked
+    # pairs: a monotone property is decided by its sums with no pair listed,
+    # and reports every pair as checked
     game = fixtures.random_game(random.Random(7), 7, 7)
 
-    def no_count(images):
-        pytest.fail("the violations were counted on a table monotone on its covers")
+    def no_pairs(m):
+        pytest.fail("a pair was listed on a monotone table")
 
     with monkeypatch.context() as patched:
-        patched.setattr(iteration, "violations_below", no_count)
-        patched.setattr(properties, "violations_below", no_count)
+        patched.setattr(iteration, "_submasks", no_pairs)
         report = check_property_monotone(parse_property_spec("sd:g"), game)
     assert report.passed
     assert report.details["pairs_checked"] == 3 ** 14
+    assert report.details["violations"] == 0
 
-    # a failing cover is decided too: every violation is counted and the
+    # a failing property is decided too: every violation is counted and the
     # first MAX_MONOTONE_ENTRIES are listed
     sd_l = parse_property_spec("sd:l")
     report = check_property_monotone(sd_l, game)
@@ -209,7 +209,7 @@ def test_monotone_check_is_bounded_by_the_lattice_budget_alone(monkeypatch):
 
 
 def test_property_is_monotone_charges_the_lattice_not_the_pairs():
-    # the verdict is read off the covers of the 2^14 restrictions, so the
+    # the verdict is read off the sums over the 2^14 restrictions, so the
     # 3^14 comparable pairs are never charged
     game = fixtures.random_game(random.Random(7), 7, 7)
     assert property_is_monotone(parse_property_spec("sd:g"), game)
@@ -969,23 +969,18 @@ def test_just1_lists_each_opponent_context_once(monkeypatch):
     assert len(asked) == len(set(asked)) <= 2 * 16
 
 
-def test_local_pure_verdicts_take_no_slot():
-    # sd and br:pure keep only their full-pool verdicts on the records,
-    # every strategy decided; a query on any other pool is computed anew
-    for game in (MIX, CHAIN):
+def test_pure_families_take_no_slot():
+    # sd and br:pure queries, on the full pool and every other, are computed
+    # from each record's masks and leave no verdict on it
+    for game in (MIX, CHAIN, fixtures.THREE):
         evaluator = Evaluator(game)
         for text in ("sd:l", "sd:g", "br:l:pure", "br:g:pure"):
-            op = property_operator(uniform(game, text), game, evaluator)
-            image_table(op, game, DEFAULT_LATTICE_BUDGET)
-        slots = [
-            (player, family, pool, decided)
-            for (player, _), record in evaluator.contexts.items()
-            for (family, pool), (decided, _) in record.verdicts.items()
-        ]
-        assert slots and not evaluator.certificates
-        for player, family, pool, decided in slots:
-            full = (1 << game.sizes[player]) - 1
-            assert family in ("sd", "br:pure") and pool == decided == full
+            profile = uniform(game, text)
+            image_table(property_operator(profile, game, evaluator), game, DEFAULT_LATTICE_BUDGET)
+            outcome(profile, game, evaluator=evaluator)
+            check_property_monotone(parse_property_spec(text), game, evaluator=evaluator)
+        assert evaluator.contexts and not evaluator.certificates
+        assert not any(record.verdicts for record in evaluator.contexts.values())
 
 
 def test_a_second_pass_over_the_lp_tables_decides_nothing_again(monkeypatch):
