@@ -235,13 +235,27 @@ def test_non_monotone_pairs_matches_a_scan_of_every_comparable_pair(drawn):
     unpacked = [(unpack_index(sizes, small), unpack_index(sizes, big)) for small, big in pairs]
     expected = _brute_force_non_monotone_pairs(table)
     assert unpacked == expected
-    # the sums alone are the verdict of every pair
-    assert (not any(counts)) == (not expected)
     # each index's count is the strategies its non-monotone pairs below lose
     lost = dict.fromkeys(table, 0)
     for small, big in expected:
         lost[big] += sum(len(mask_members(x & ~y)) for x, y in zip(table[small], table[big]))
     assert counts == [lost[g] for g in _all_masks(sizes)]
+
+
+@given(drawn=mask_tables())
+@settings(max_examples=300, deadline=None)
+def test_monotone_on_covers_is_the_verdict_of_every_pair(drawn):
+    # a table is monotone on every comparable pair iff it is on every cover
+    # (pairs one strategy apart), and the subset sums count no violation iff so
+    sizes, table = drawn
+    counts = iteration.violations_below(_pack_table(sizes, table))
+    covers = [
+        (small, big) for big in table for small in table
+        if _masks_leq(small, big) and sum(len(mask_members(y & ~x)) for x, y in zip(small, big)) == 1
+    ]
+    monotone_on_covers = all(_masks_leq(table[small], table[big]) for small, big in covers)
+    assert monotone_on_covers == (not _brute_force_non_monotone_pairs(table))
+    assert (not any(counts)) == monotone_on_covers
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 16])
