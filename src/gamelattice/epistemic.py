@@ -366,21 +366,34 @@ def enumerate_ck_cb(
     correspondence combinations (1,287 at omega = 5 on 3x3), and only
     `budget=None` leaves it unbounded.
 
-    Two memos live in the call.  Per player, the passing mask of the
-    strategies an assignment uses is asked of `properties._passing` once
-    per (image index, used strategies) pair, on the index itself; a state's
-    verdict is read from `states_of`, the states choosing each mask of the
-    player's strategies.  Per `passes` tuple, `_marked_sets` decides once:
-    its answer depends on the mode, so the memo does not outlive the call,
-    even where the caller shares its `Evaluator` with a call in the other
-    mode.
-
     The budget is charged with the models of the assignments it evaluates:
     one assignment per orbit, C(J + omega - 1, omega) of them for J joint
     strategies, times every combination of correspondences.  Where the lower
     bound 2^(n(omega - 1)) on that count already exceeds the budget, the
     exact count is never computed, and the message and `attempted` give a
     lower bound: the least power of two above the budget.
+
+    Only after these checks is the mode looked up in the evaluator's
+    `enumerations[(omega_size, profile)]`.  On a miss one walk decides the
+    mode and, when the caller handed in the evaluator, the other mode too
+    if that mode is not stored yet and its own budget check passes; every
+    walked mode's result is stored.  So of a knowledge and a belief call
+    sharing one evaluator, the second is a lookup.  A fresh evaluator dies
+    with the call, so without one only the asked mode is walked.
+
+    The walk computes the state indices and images of a representative,
+    and per player its passing masks and `passes` tuple, once for every
+    mode.  Each mode keeps its own gathered restriction, skip test, marks
+    and early exit, exactly as in a walk of its own: a representative is
+    evaluated when some live mode could still gain from it, a mode asks
+    `_marked_sets` only while its own AND is non-zero, and a mode whose
+    gathered restriction is the full game leaves the walk, which ends when
+    no mode is live.  Per player, the passing mask of the strategies an
+    assignment uses is asked of `properties._passing` once per (image
+    index, used strategies) pair, on the index itself; a state's verdict is
+    read from `states_of`, the states choosing each mask of the player's
+    strategies.  Per mode and `passes` tuple, `_marked_sets` decides once,
+    so no mode reads another's marks.
     """
     n = game.num_players
     if len(profile.specs) != n:
@@ -391,6 +404,7 @@ def enumerate_ck_cb(
         raise ValueError(
             "omega_size must be at least the largest strategy-set size"
         )
+    shared = evaluator is not None
     evaluator = evaluator_for(game, evaluator)
     omega = omega_size
     # each player has at least Bell(omega) >= 2^(omega - 1) correspondences,
@@ -400,10 +414,21 @@ def enumerate_ck_cb(
         floor = 1 << budget.bit_length()
         check_budget(floor, budget, f"enumeration of at least {floor} models")
     joints = math.prod(game.sizes)
-    combos_per_assignment = count_correspondences(omega, mode) ** n
-    evaluable = math.comb(joints + omega - 1, omega) * combos_per_assignment
+    orbits = math.comb(joints + omega - 1, omega)
+    # per walked mode, the correspondence combinations per assignment
+    combos = {mode: count_correspondences(omega, mode) ** n}
+    evaluable = orbits * combos[mode]
     check_budget(evaluable, budget, f"enumeration of {evaluable} models")
-    total = joints**omega * combos_per_assignment
+
+    stored = evaluator.enumerations.setdefault((omega, profile), {})
+    if mode in stored:
+        return stored[mode]
+    other = "belief" if mode == "knowledge" else "knowledge"
+    if shared and other not in stored:
+        other_combos = count_correspondences(omega, other) ** n
+        if budget is None or orbits * other_combos <= budget:
+            combos[other] = other_combos
+    modes = list(combos)
 
     # Relabelling the states maps the correspondences onto themselves, so
     # every assignment in one orbit under permutations of the states gathers
@@ -420,22 +445,26 @@ def enumerate_ck_cb(
         for per_state in itertools.combinations_with_replacement(joint_list, omega)
     )
 
-    # the gathered restriction and the full game, as lattice indices
-    acc = 0
+    # the full game as a lattice index; per mode, the gathered restriction,
+    # the marks per `passes` tuple and the rank of the representative it
+    # exits at
     top = (1 << sum(game.sizes)) - 1
-    enumerated = total
-    early = False
+    accs = [0] * len(modes)
+    decisions: list[dict[tuple[int, ...], int]] = [{} for _ in modes]
+    ranks: list[int | None] = [None] * len(modes)
+    live = list(range(len(modes)))
     # each player's (family, scope), resolved once for `_passing`
     decided_as = [(_family(spec, game), spec.scope) for spec in profile.specs]
-    # per player, the passing mask asked per (image index, used strategies);
-    # per `passes` tuple, the marked sets, which depend on this call's mode
+    # per player, the passing mask asked per (image index, used strategies)
     verdicts: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-    decisions: dict[tuple[int, ...], int] = {}
     for rows in representatives:
         # A gathered state adds the strategies chosen there, so an assignment
-        # whose states all choose gathered strategies cannot change acc.
+        # whose states all choose a mode's gathered strategies cannot change
+        # that mode's acc.
         state_idx = [index_of[joint] for joint in zip(*rows)]
-        if not any(idx & ~acc for idx in state_idx):
+        chosen = _or_all(state_idx)
+        active = [k for k in live if chosen & ~accs[k]]
+        if not active:
             continue
         # images[e] is the image of the states in e; the cells are exactly
         # the non-empty e
@@ -446,8 +475,8 @@ def enumerate_ck_cb(
         # inside rationality (in belief mode too, since by cell-consistency
         # the union of an evident set's cells is evident).  A set is evident
         # inside rationality under a tuple of correspondences when it is
-        # under each player's own, so the players' marked sets are ANDed.
-        marked = -1
+        # under each player's own, so each mode ANDs the players' marked sets.
+        marked = [-1] * len(active)
         for i, row in enumerate(rows):
             # at[s] holds the states choosing s, states_of[x] those choosing in x
             at = [0] * game.sizes[i]
@@ -466,31 +495,43 @@ def enumerate_ck_cb(
                     ok = asked[m, used] = _passing(evaluator, *decided_as[i], i, m, used)
                 passes.append(states_of[ok])
             passes = tuple(passes)
-            marks = decisions.get(passes)
-            if marks is None:
-                marks = decisions[passes] = _marked_sets(passes, mode)
-            marked &= marks
-            if not marked:
+            for j, k in enumerate(active):
+                if marked[j]:
+                    marks = decisions[k].get(passes)
+                    if marks is None:
+                        marks = decisions[k][passes] = _marked_sets(passes, modes[k])
+                    marked[j] &= marks
+            if not any(marked):
                 break
-        gathered = _or_all(g for g in range(1, 1 << omega) if marked >> g & 1)
-        acc |= images[gathered]
-        if acc == top:
-            rank = 0
-            for k, row in zip(game.sizes, rows):
-                for s in row:
-                    rank = rank * k + s
-            enumerated = (rank + 1) * combos_per_assignment
-            early = True
+        for k, sets in zip(active, marked):
+            # the union of the marked sets of states, read from their bits
+            gathered = 0
+            while sets:
+                low = sets & -sets
+                gathered |= low.bit_length() - 1
+                sets ^= low
+            accs[k] |= images[gathered]
+            if accs[k] == top:
+                rank = 0
+                for size, row in zip(game.sizes, rows):
+                    for s in row:
+                        rank = rank * size + s
+                ranks[k] = rank
+                live.remove(k)
+        if not live:
             break
 
-    return CkCbResult(
-        restriction=restriction_at(game, acc),
-        mode=mode,
-        omega_size=omega,
-        models_total=total,
-        models_enumerated=enumerated,
-        early_exit=early,
-    )
+    for walked, acc, rank in zip(modes, accs, ranks):
+        total = joints**omega * combos[walked]
+        stored[walked] = CkCbResult(
+            restriction=restriction_at(game, acc),
+            mode=walked,
+            omega_size=omega,
+            models_total=total,
+            models_enumerated=total if rank is None else (rank + 1) * combos[walked],
+            early_exit=rank is not None,
+        )
+    return stored[mode]
 
 
 # -- witness constructions ----------------------------------------------------

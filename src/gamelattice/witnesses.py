@@ -27,6 +27,7 @@ So the closure ordinal is one past the first limit ordinal.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Callable
 
@@ -115,10 +116,14 @@ def _witness_limit(block):
 
 
 def transfinite_witness() -> SymbolicGame:
+    """The witness, its step memoised for as long as the returned game lives:
+    `transfinite run` validates it and then iterates it again from the same
+    iterates, so each step is computed once per command.  Every descent is
+    still checked, by `iterate_symbolic`."""
     return SymbolicGame(
         name="witness-tg",
         initial=(_TOP_COMPONENT, _TOP_COMPONENT),
-        step=_witness_step,
+        step=functools.cache(_witness_step),
         limit=_witness_limit,
         encodes="sd:g",
     )

@@ -9,12 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from gamelattice import cli, fixtures, iteration, lp, properties, witnesses
+from gamelattice import cli, fixtures, iteration, lp, properties, symbolic, witnesses
 from gamelattice.cli import EXIT_INTERNAL, main
 from gamelattice.epistemic import DEFAULT_MODEL_BUDGET
 from gamelattice.errors import BudgetError
 from gamelattice.games import format_game, parse_game_file
 from gamelattice.iteration import DEFAULT_LATTICE_BUDGET, trace_from_json_dict, iterate_operator
+from gamelattice.ordinals import parse_ordinal
 from gamelattice.properties import PropertyProfile, parse_property_spec, property_operator
 from gamelattice.symbolic import SymbolicSet
 
@@ -244,6 +245,35 @@ def test_transfinite_run_and_bounds(capsys):
     assert "fixpoint at 1" in out
 
 
+def test_transfinite_run_takes_each_step_once_and_checks_every_descent(monkeypatch, capsys):
+    # validation and the printed trace step witness-tg from the same
+    # iterates: the command computes each step once, and checks every
+    # descent of both iterations, as many as without the memo
+    steps, descents = [], []
+    witness_step, check_descent = witnesses._witness_step, symbolic._check_descent
+
+    def step(sets):
+        steps.append(sets)
+        return witness_step(sets)
+
+    def checked(*args):
+        descents.append(args)
+        return check_descent(*args)
+
+    monkeypatch.setattr(witnesses, "_witness_step", step)
+    monkeypatch.setattr(symbolic, "_check_descent", checked)
+    unmemoised = replace(witnesses.transfinite_witness(), step=step)
+    symbolic.validate_witness(unmemoised)
+    symbolic.iterate_symbolic(unmemoised, parse_ordinal("2w+8"))
+    assert len(set(steps)) < len(steps)
+    expected = len(set(steps)), len(descents)
+    steps.clear()
+    descents.clear()
+    code, _, _ = run(capsys, "transfinite", "run", "--bound", "2w+8", "witness-tg")
+    assert code == 0
+    assert (len(steps), len(descents)) == expected
+
+
 def test_transfinite_list(capsys):
     code, out, _ = run(capsys, "transfinite", "list")
     assert code == 0
@@ -301,6 +331,19 @@ BUDGET_CASES = [
     ("3", ["check", "contracting", "--prop", "sd:l", "chain.game"], 0),
     ("1", ["eliminate", "--budget", "3", "--prop", "sd:l", "chain.game"], 0),
 ]
+
+
+def test_epistemic_budget_between_the_modes_refuses_belief(monkeypatch, capsys):
+    # PD at omega 4 charges 7,875 knowledge and 277,235 belief models: the
+    # knowledge enumeration runs and the belief one is refused, with exit 2
+    # and the belief count on stderr
+    monkeypatch.setenv("GAMELATTICE_BUDGET", "10000")
+    code, out, err = run(
+        capsys, "epistemic", "enumerate", "--omega", "4", "--prop", "sd:g",
+        str(FIXTURES / "pd.game"),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: enumeration of 277235 models exceeds the budget of 10000\n"
 
 
 @pytest.mark.parametrize("env,argv,expected", BUDGET_CASES)

@@ -623,6 +623,28 @@ def test_belief_marks_routed_states_where_knowledge_cannot():
 
 
 @pytest.mark.parametrize("omega", [1, 2, 3, 4, 5])
+def test_knowledge_marks_are_belief_marks_on_any_table(omega):
+    # a partition of G into good blocks is a belief correspondence that
+    # routes no state, so every set knowledge mode marks belief mode marks,
+    # whatever the table; the shipped properties' equality is the special
+    # case, and the control above shows the inclusion can be strict
+    rng = random.Random(f"subset-{omega}")
+    sets = 1 << omega
+    strict = 0
+    for density in (0.2, 0.5, 0.8, 0.95):
+        for _ in range(50):
+            passes = [0] + [
+                sum(1 << w for w in range(omega) if rng.random() < density)
+                for _ in range(1, sets)
+            ]
+            knowledge = epistemic._marked_sets(passes, "knowledge")
+            belief = epistemic._marked_sets(passes, "belief")
+            assert not knowledge & ~belief, passes
+            strict += belief != knowledge
+    assert strict or omega == 1
+
+
+@pytest.mark.parametrize("omega", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("mode", BOTH)
 def test_marked_sets_match_the_partition_walk(omega, mode):
     # the recursion over sets of states against the walk over every
@@ -789,11 +811,12 @@ def test_enumerate_solves_the_pinned_lps(game, omega, text, expected, mode, monk
     # the enumerator asks an LP family only for the strategies an assignment
     # uses, and a stored certificate settles a candidate before any call;
     # asking all of T_i would solve LPs these counts leave out.  An msd
-    # candidate alone in its pool is settled without a procedure call
+    # candidate alone in its pool is settled without a procedure call.  No
+    # Evaluator is handed in, so the call walks its own mode alone
     msd = _recorded(monkeypatch, dominance, "mixed_dominance_witness")
     belief = _recorded(monkeypatch, dominance, "exists_supporting_belief")
     solves = _recorded(monkeypatch, lp, "simplex_maximize")
-    enumerate_ck_cb(game, omega, uniform(game, text), mode=mode, evaluator=Evaluator(game))
+    enumerate_ck_cb(game, omega, uniform(game, text), mode=mode)
     assert (len(msd), len(belief), len(solves)) == expected
 
 
@@ -811,10 +834,30 @@ def test_enumerate_asks_each_image_and_decides_each_passes_once(profile, mode, m
     assert len(set(decided)) == len(decided)
 
 
+def test_a_budget_that_refuses_belief_leaves_knowledge_walking_alone():
+    # PD at omega 4 charges 35 * 15^2 = 7,875 knowledge models and 35 * 89^2
+    # = 277,235 belief models: a budget of 10,000 admits only knowledge, so a
+    # knowledge call on a shared Evaluator walks no belief mode, and the
+    # belief call is refused as on a fresh Evaluator
+    profile = uniform(PD, "sd:g")
+    shared = Evaluator(PD)
+    fresh = enumerate_ck_cb(PD, 4, profile, mode="knowledge", budget=10_000)
+    assert enumerate_ck_cb(PD, 4, profile, "knowledge", 10_000, shared) == fresh
+    assert set(shared.enumerations[4, profile]) == {"knowledge"}
+    refusals = []
+    for evaluator in (None, shared):
+        with pytest.raises(BudgetError) as exc:
+            enumerate_ck_cb(PD, 4, profile, "belief", 10_000, evaluator)
+        refusals.append((str(exc.value), exc.value.attempted))
+    message = "enumeration of 277235 models exceeds the budget of 10000"
+    assert refusals == [(message, 35 * 89 * 89)] * 2
+    assert set(shared.enumerations[4, profile]) == {"knowledge"}
+
+
 SHARED_CASES = [
     (game, text)
-    for game in (PD, MIX, CHAIN)
-    for text in ("sd:g", "sd:l", "br:g:pure", "br:l:pure", "msd:g")
+    for game in (PD, MIX, CHAIN, THREE)
+    for text in ("sd:g", "sd:l", "br:g:pure", "br:l:pure", "msd:g", "br:l:corr")
 ]
 
 
@@ -822,19 +865,36 @@ SHARED_CASES = [
     "game,text", SHARED_CASES, ids=[f"{g.name}-{t}" for g, t in SHARED_CASES]
 )
 def test_a_shared_evaluator_gives_each_mode_its_fresh_result(game, text, monkeypatch):
-    # one Evaluator serves a knowledge and a belief call, in either order;
-    # neither call may read what the other decided for its own mode.  The
-    # shipped properties mark the same sets in both modes, so the decisions
-    # each call makes are compared too: a leaked decision would be skipped
+    # One Evaluator serves a knowledge and a belief call, in either order.
+    # The first call walks both modes and the second is a lookup, yet each
+    # returns what a call on a fresh Evaluator returns.  The shared walk
+    # asks the property layer and decides marks exactly as the two fresh
+    # walks together: one decision per (passes, mode) that either made, so
+    # no mode reads the other's marks.  The shipped properties mark the same
+    # sets in both modes, so a mode reading the other's marks would return
+    # the same results; only the missing decisions show it.
     profile = uniform(game, text)
-    decided = _recorded(monkeypatch, epistemic, "_marked_sets", _passes_of)
+    asked = _recorded(
+        monkeypatch, epistemic, "_passing",
+        lambda evaluator, family, scope, player, index, candidates: (player, index, candidates),
+    )
+    decided = _recorded(monkeypatch, epistemic, "_marked_sets", lambda p, mode: (tuple(p), mode))
 
     def run(mode, evaluator):
-        start = len(decided)
+        start = len(asked), len(decided)
         r = enumerate_ck_cb(game, 3, profile, mode=mode, evaluator=evaluator)
-        return r.restriction, r.models_total, r.models_enumerated, r.early_exit, decided[start:]
+        return r, asked[start[0]:], decided[start[1]:]
 
-    fresh = {mode: run(mode, Evaluator(game)) for mode in BOTH}
+    fresh = {mode: run(mode, None) for mode in BOTH}
+    fresh_asked = {key for _, calls, _ in fresh.values() for key in calls}
+    fresh_decided = [key for _, _, calls in fresh.values() for key in calls]
+    assert fresh_decided
     for order in (BOTH, BOTH[::-1]):
         shared = Evaluator(game)
-        assert {mode: run(mode, shared) for mode in order} == fresh, order
+        (first, first_asked, first_decided), (second, *lookups) = (
+            run(mode, shared) for mode in order
+        )
+        assert (first, second) == tuple(fresh[mode][0] for mode in order), order
+        assert lookups == [[], []], order
+        assert set(first_asked) == fresh_asked, order
+        assert sorted(first_decided) == sorted(fresh_decided), order
