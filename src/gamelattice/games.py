@@ -15,21 +15,28 @@ import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, GameFormatError, ShapeError
 
-_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/([0-9]+))?$")
+_RATIONAL_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
 
 
 def parse_rational(token: str) -> Fraction:
-    """Parse an integer or p/q token with q > 0."""
+    """Parse an integer or p/q token with q > 0.  The value is built from the
+    integers the match holds, so the token is read once; an integer beyond
+    the interpreter's int-string digit limit raises int()'s ValueError."""
     m = _RATIONAL_RE.match(token)
     if not m:
         raise ValueError(f"malformed rational {token!r}")
-    if m.group(1) is not None and int(m.group(1)) == 0:
+    num, den = m.groups()
+    if den is None:
+        return Fraction(int(num))
+    q = int(den)
+    if q == 0:
         raise ValueError(f"malformed rational {token!r}: zero denominator")
-    return Fraction(token)
+    return Fraction(int(num), q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,9 +44,11 @@ class Game:
     """An n-player strategic game (n > 1) with named strategies.
 
     payoffs[j][i] is player i's payoff at the joint strategy with row-major
-    index j over the per-player strategy indices.  sizes[i], computed once,
-    is the number of player i's strategies, and shifts[i] the lowest bit of
-    player i's mask in a lattice index.
+    index j over the per-player strategy indices.  Computed once: sizes[i],
+    the number of player i's strategies; strides[i], the step of j per
+    strategy of player i; and shifts[i], the lowest bit of player i's mask
+    in a lattice index.  The hash over the name, strategy names and payoffs
+    is computed on first use and kept; equality compares the hashes first.
     """
 
     name: str
@@ -78,8 +87,11 @@ class Game:
                 raise ValueError("each payoff cell needs one value per player")
         object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "shifts", tuple(sum(sizes[i + 1:]) for i in range(n)))
-        object.__setattr__(self, "_strides", strides)
-        object.__setattr__(self, "_hash", hash((self.name, self.strategy_names, self.payoffs)))
+        object.__setattr__(self, "strides", strides)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.strategy_names, self.payoffs))
 
     def __hash__(self):
         return self._hash
@@ -103,7 +115,7 @@ class Game:
             ) from None
 
     def joint_index(self, joint: Sequence[int]) -> int:
-        strides = self._strides
+        strides = self.strides
         idx = 0
         for i, s in enumerate(joint):
             idx += strides[i] * s
@@ -391,6 +403,8 @@ def parse_game(text: str) -> Game:
         )
     payoffs: list = [None] * cells
     seen_lines: dict[int, int] = {}
+    # one Fraction per distinct token, which cells share: payoffs repeat
+    values: dict[str, Fraction] = {}
     while True:
         lineno, tokens = take()
         if tokens == ["end"]:
@@ -418,10 +432,16 @@ def parse_game(text: str) -> Game:
             raise GameFormatError(
                 f"duplicate payoff cell (first given on line {seen_lines[idx]})", line=lineno
             )
-        try:
-            payoffs[idx] = tuple(parse_rational(tok) for tok in value_tokens)
-        except ValueError as exc:
-            raise GameFormatError(str(exc), line=lineno) from None
+        vec = []
+        for tok in value_tokens:
+            q = values.get(tok)
+            if q is None:
+                try:
+                    q = values[tok] = parse_rational(tok)
+                except ValueError as exc:
+                    raise GameFormatError(str(exc), line=lineno) from None
+            vec.append(q)
+        payoffs[idx] = tuple(vec)
         seen_lines[idx] = lineno
 
     if pos != len(lines):

@@ -10,7 +10,6 @@ strategy that fails its property on the current restriction.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import lcm
 from operator import and_, or_
@@ -106,8 +105,8 @@ class Evaluator:
 
     On first use for a player it reads that player's payoffs into `payoffs`,
     `payoffs[player][y][s]` for opponent profile y, as ints over one common
-    denominator, and compares them exactly, once per pair of strategies and
-    opponent profile, into one table of int bitmasks,
+    denominator, and compares them exactly, with one sort per opponent
+    profile, into one table of int bitmasks,
     `beaters[player][s][y]`: the strategies that strictly beat s at opponent
     profile y.  Opponent profiles are numbered row-major over the opponents'
     strategy sets, so with two players a profile is the opponent's strategy
@@ -190,25 +189,38 @@ def _family(spec: PropertySpec, game: Game) -> str:
 
 
 def _comparisons(evaluator: Evaluator, player: int) -> list[list[int]]:
-    """`beaters` of `player`, built on first use, with `payoffs`, from one
-    exact comparison per pair of strategies and opponent profile."""
+    """`beaters` of `player`, built on first use, with `payoffs`.  The cells
+    of opponent profile y are read from `game.payoffs` by stride: its base
+    cells are those whose digit for `player` is 0, ascending, and strategy
+    s adds s * stride.  Per profile, one sort of the column by falling
+    payoff gives each strategy the mask of strictly higher payoffs, so equal
+    payoffs never beat each other."""
     beaters = evaluator.beaters.get(player)
     if beaters is None:
         game = evaluator.game
-        k = len(game.strategy_names[player])
-        opponents = [range(m) for j, m in enumerate(game.sizes) if j != player]
+        k = game.sizes[player]
+        stride = game.strides[player]
+        cells = game.payoffs
         columns = [
-            [game.payoff(player, y[:player] + (s,) + y[player:]) for s in range(k)]
-            for y in itertools.product(*opponents)
+            [cells[base + s * stride][player] for s in range(k)]
+            for block in range(0, len(cells), k * stride)
+            for base in range(block, block + stride)
         ]
         scale = lcm(*{v.denominator for column in columns for v in column})
         columns = evaluator.payoffs[player] = [
             [v.numerator * (scale // v.denominator) for v in column] for column in columns
         ]
-        beaters = evaluator.beaters[player] = [
-            [sum(1 << t for t, up in enumerate(column) if up > column[s]) for column in columns]
-            for s in range(k)
-        ]
+        beaters = evaluator.beaters[player] = [[0] * len(columns) for _ in range(k)]
+        for y, column in enumerate(columns):
+            # by falling payoff: `seen` holds the strategies passed so far,
+            # and `above` those passed before the current run of equal payoffs
+            above = seen = 0
+            last = None
+            for t in sorted(range(k), key=column.__getitem__, reverse=True):
+                if column[t] != last:
+                    above, last = seen, column[t]
+                beaters[t][y] = above
+                seen |= 1 << t
     return beaters
 
 

@@ -1,10 +1,12 @@
 """Reference procedures that the tests compare the package against: the
 generators of every possibility correspondence of each class, the Monderer
 and Samet form of common knowledge, the decision of a player's marked sets
-by walking every partition of every set of states, and the rank of a
-strategy assignment in product order."""
+by walking every partition of every set of states, the rank of a strategy
+assignment in product order, and one player's integer payoff and beater
+tables, built cell by cell."""
 
 import itertools
+from math import lcm
 from typing import Iterator, Sequence
 
 from gamelattice.epistemic import (
@@ -15,7 +17,7 @@ from gamelattice.epistemic import (
     k_event,
     largest_evident_subset,
 )
-from gamelattice.games import mask_members
+from gamelattice.games import Game, mask_members
 
 
 def _block_partitions(members: Sequence[int]) -> list[list[int]]:
@@ -117,3 +119,25 @@ def product_rank(sizes: Sequence[int], per_state: Sequence[Sequence[int]]) -> in
         for joint in per_state:
             r = r * k + joint[i]
     return r
+
+
+def comparison_tables(game: Game, player: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The tables `properties._comparisons` builds for `player`, as
+    (`payoffs[player]`, `beaters[player]`): each opponent profile's column
+    read through `Game.payoff`, profiles in `itertools.product` order, over
+    one common denominator; and per strategy s and profile, the mask of the
+    strategies whose payoff is strictly higher, from one comparison per
+    pair."""
+    k = len(game.strategy_names[player])
+    opponents = [range(m) for j, m in enumerate(game.sizes) if j != player]
+    columns = [
+        [game.payoff(player, y[:player] + (s,) + y[player:]) for s in range(k)]
+        for y in itertools.product(*opponents)
+    ]
+    scale = lcm(*{v.denominator for column in columns for v in column})
+    columns = [[v.numerator * (scale // v.denominator) for v in column] for column in columns]
+    beaters = [
+        [sum(1 << t for t, up in enumerate(column) if up > column[s]) for column in columns]
+        for s in range(k)
+    ]
+    return columns, beaters

@@ -3,6 +3,7 @@ import json
 import pathlib
 import random
 import shlex
+import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -286,6 +287,23 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code, out, err = run(capsys, "eliminate", "--prop", "sd:l", str(bad))
     assert code == 2
     assert "line 6" in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits")
+    or not 0 < sys.get_int_max_str_digits() < 5000,
+    reason="no int-string digit limit below 5,000 digits",
+)
+def test_a_payoff_beyond_the_digit_limit_exits_with_its_line(tmp_path, capsys):
+    bad = tmp_path / "big.game"
+    bad.write_text(
+        "game g\nplayers 2\nstrategies 1 : A\nstrategies 2 : X\npayoffs\n"
+        f"A X : 1 {'9' * 5000}\nend\n"
+    )
+    with pytest.raises(ValueError) as limit:
+        int("9" * 5000)
+    code, out, err = run(capsys, "eliminate", "--prop", "sd:l", str(bad))
+    assert (code, out, err) == (2, "", f"error: line 6: {limit.value}\n")
 
 
 def test_unknown_flag_is_an_error(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import re
+import sys
 
 import pytest
 from fractions import Fraction
@@ -202,12 +203,18 @@ def test_parse_rational():
     assert parse_rational("3") == 3
     assert parse_rational("-4") == -4
     assert parse_rational("3/4") == Fraction(3, 4)
-    with pytest.raises(ValueError):
-        parse_rational("3.5")
-    with pytest.raises(ValueError):
-        parse_rational("1/0")
-    with pytest.raises(ValueError):
-        parse_rational("1/-2")
+    for token in ("0", "-0", "+3", "007", "-12", "6/4", "-6/4", "+0/9", "10/5"):
+        value = parse_rational(token)
+        assert value == Fraction(token) and type(value) is Fraction, token
+    for token, message in (
+        ("3.5", "malformed rational '3.5'"),
+        ("1/0", "malformed rational '1/0': zero denominator"),
+        ("1/-2", "malformed rational '1/-2'"),
+        ("\u0663", "malformed rational '\u0663'"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            parse_rational(token)
+        assert str(exc.value) == message
 
 
 def test_format_parse_round_trip():
@@ -309,6 +316,47 @@ def test_parse_malformed_rational():
     # a Unicode \d would read these Arabic-Indic digits as 1 and 1/2
     for token in ("\u0661", "1/\u0662"):
         expect_format_error(BASE.replace("B X : 1 1", f"B X : {token} 1"), 8, "malformed rational")
+
+
+def test_parse_game_reads_each_token_once_per_game():
+    text = BASE.replace("A X : 1 1", "A X : 6/4 -0").replace("A Y : 1 1", "A Y : 6/4 +3")
+    text = text.replace("B X : 1 1", "B X : 3 6/4").replace("B Y : 1 1", "B Y : 007 -0")
+    game = parse_game(text)
+    half = Fraction(3, 2)
+    assert game.payoffs == ((half, 0), (half, 3), (3, half), (7, 0))
+    assert all(type(q) is Fraction for cell in game.payoffs for q in cell)
+    # one Fraction per distinct token, shared by every cell that repeats it
+    assert game.payoffs[0][0] is game.payoffs[1][0] is game.payoffs[2][1]
+    assert game.payoffs[0][1] is game.payoffs[3][1]
+    assert game.payoffs[1][1] is not game.payoffs[2][0]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits")
+    or not 0 < sys.get_int_max_str_digits() < 5000,
+    reason="no int-string digit limit below 5,000 digits",
+)
+@pytest.mark.parametrize("value", ["9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000])
+def test_a_payoff_beyond_the_digit_limit_is_a_format_error(value):
+    with pytest.raises(ValueError) as limit:
+        int("9" * 5000)
+    expect_format_error(BASE.replace("B X : 1 1", f"B X : 1 {value}"), 8, str(limit.value))
+
+
+def test_games_are_equal_and_hash_alike_exactly_when_their_parts_are():
+    first, second = parse_game(BASE), parse_game(BASE)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    others = [
+        parse_game(BASE.replace("B Y : 1 1", "B Y : 1 2")),
+        parse_game(BASE.replace("game g", "game h")),
+        parse_game(BASE.replace("strategies 2 : X Y", "strategies 2 : X Z").replace("Y :", "Z :")),
+    ]
+    for other in others:
+        assert first != other and other != first
+    table = {first: "g", **{other: k for k, other in enumerate(others)}}
+    assert table[second] == "g" and len(table) == 4
+    assert second in {first} and others[0] not in {first, *others[1:]}
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,18 @@
 import hashlib
 import itertools
+import math
 import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamelattice import dominance, fixtures, iteration, lp, properties
 from gamelattice.cli import EXIT_INTERNAL, main
 from gamelattice.errors import BudgetError, InternalError, ShapeError, UnsupportedBeliefError
 from gamelattice.games import (
+    Game,
     Restriction,
     all_restrictions,
     lattice_leq,
@@ -42,6 +46,7 @@ from gamelattice.properties import (
     verify_theorem_just,
     verify_theorem_just1,
 )
+from oracles import comparison_tables
 
 PD, MP, MIX, CHAIN = fixtures.PD, fixtures.MP, fixtures.MIX, fixtures.CHAIN
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -582,6 +587,48 @@ def test_opponent_profiles_are_keyed_by_the_player():
                     assert passing_mask(spec, game, i, g, full, evaluator) == _pure_oracle_mask(
                         spec, game, i, g
                     ), (m, order, text, i)
+
+
+def _assert_tables_match_the_oracle(game):
+    evaluator = Evaluator(game)
+    for i in game.players():
+        beaters = properties._comparisons(evaluator, i)
+        assert (evaluator.payoffs[i], beaters) == comparison_tables(game, i), (game.name, i)
+
+
+@pytest.mark.parametrize(
+    "game",
+    [
+        *(parse_game_file(path) for path in sorted(FIXTURE_DIR.glob("*.game"))),
+        *fixtures.random_games(3434, 12, 6, 6),
+        *(_random_game(random.Random(seed), sizes)
+          for seed, sizes in ((1, (2, 2, 2)), (2, (2, 2, 2)), (3, (3, 3, 3)), (4, (3, 3, 3)))),
+    ],
+    ids=lambda g: g.name,
+)
+def test_integer_tables_match_the_cell_by_cell_oracle(game):
+    _assert_tables_match_the_oracle(game)
+
+
+@st.composite
+def tied_games(draw):
+    """A game whose payoffs are drawn from a pool of at most three rationals
+    in [-3, 3] with denominators up to 4, so most columns hold ties."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+    pool = draw(st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=3
+    ))
+    payoffs = tuple(
+        tuple(draw(st.sampled_from(pool)) for _ in sizes) for _ in range(math.prod(sizes))
+    )
+    names = tuple(tuple(f"s{s}" for s in range(k)) for k in sizes)
+    return Game("tied", names, payoffs)
+
+
+@given(game=tied_games())
+@settings(max_examples=300, deadline=None)
+def test_integer_tables_match_the_oracle_on_tied_rational_games(game):
+    _assert_tables_match_the_oracle(game)
 
 
 def test_passing_mask_refuses_a_player_or_mask_the_game_lacks():
