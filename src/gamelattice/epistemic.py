@@ -271,68 +271,132 @@ class CkCbResult:
     early_exit: bool
 
 
-def _marked_sets(passes: Sequence[int], mode: str) -> int:
-    """The non-empty sets of states G, as the bits of one int, for which some
-    correspondence Q of the mode's class gives every state u of G a cell
-    Q(u) inside G at whose image u passes; `passes[b]` is the set of states
-    whose strategy passes at the image of the set of states b.
+def _marked_sets(passes: Sequence[int]) -> int:
+    """The non-empty sets of states, as the bits of one int, that split into
+    good blocks: `passes[b]` is the set of states whose strategy passes at
+    the image of the set of states b, and b is good when b <= passes[b].
 
-    Call a block b good when b lies inside passes[b].  By cell-consistency
-    the cells of such a Q inside G are disjoint good blocks: a knowledge
-    correspondence partitions G into them, and a belief correspondence's
-    target cells cover some S inside G and route every other state of G to
-    a target cell where it passes.  Any cells outside G complete Q.  So
-    knowledge mode marks every S that splits into good blocks, and belief
-    mode every G with S <= G <= S | R, R the union of the blocks' passes[b].
+    By cell-consistency, a knowledge correspondence makes G evident inside
+    the player's rationality exactly when it partitions G into good blocks.
+    A belief correspondence may also route states of G to a good block b
+    with the state in passes[b], but for every property of the language
+    that marks no more sets, so both modes read their marks here.  A global
+    property is monotone, so `passes` is upward closed and such a G, with
+    b <= passes[b] <= passes[G] for its blocks and routed states, is itself
+    one good block.  A local property passes each strategy on its own
+    singleton restriction, so every set splits into good singletons.
+    `tests/test_epistemic.py` checks this against the belief definition and
+    the oracles' walk over every partition, on upward-closed and
+    singleton-accepting tables.
 
-    One pass over S ascending decides either.  The lowest state of S lies in
-    exactly one block b of any partition of S, so S splits into good blocks
-    iff some good b inside S that holds that state leaves S - b empty or
-    split; only the submasks of S that hold it are tried.  Belief mode keeps
-    `unions[S]`, the distinct R over the partitions of S into good blocks,
-    each got as R' | passes[b] from such a b and an R' of S - b.  Only the
-    part of R outside S can widen a G over S or over any set holding S, so
-    R is kept as that part, and repeated (S, R) pairs merge.
+    One pass over S ascending decides the marks.  The lowest state of S lies
+    in exactly one block b of any partition of S, so S splits into good
+    blocks iff some good b inside S that holds that state leaves S - b empty
+    or split; only the submasks of S that hold it are tried.
     """
     good = [not b & ~p for b, p in enumerate(passes)]
-    if mode == "knowledge":
-        # bit 0 stands for the empty set, which splits into no blocks
-        marked = 1
-        for s in range(1, len(passes)):
-            low = s & -s
-            rest = sub = s ^ low
-            while True:
-                b = low | sub
-                if good[b] and marked >> (s ^ b) & 1:
-                    marked |= 1 << s
-                    break
-                if not sub:
-                    break
-                sub = (sub - 1) & rest
-        return marked & ~1
-    unions = [{0}]
-    marked = 0
+    # bit 0 stands for the empty set, which splits into no blocks
+    marked = 1
     for s in range(1, len(passes)):
         low = s & -s
         rest = sub = s ^ low
-        found = set()
         while True:
             b = low | sub
-            if good[b]:
-                for r in unions[s ^ b]:
-                    found.add((r | passes[b]) & ~s)
+            if good[b] and marked >> (s ^ b) & 1:
+                marked |= 1 << s
+                break
             if not sub:
                 break
             sub = (sub - 1) & rest
-        unions.append(found)
-        for free in found:
-            sub = free
-            while True:
-                marked |= 1 << (s | sub)
-                if not sub:
-                    break
-                sub = (sub - 1) & free
-    return marked
+    return marked & ~1
+
+
+def _walk(
+    game: Game, omega: int, profile: PropertyProfile, evaluator: Evaluator
+) -> tuple[int, int]:
+    """The CK/CB walk over a state space of omega states, for both modes:
+    the lattice index `acc` of the gathered restriction, and the product-order
+    rank of the last assignment it counts, the representative at which `acc`
+    reaches the full game, or else the last assignment of all."""
+    n = game.num_players
+    # Relabelling the states maps the correspondences onto themselves, so
+    # every assignment in one orbit under permutations of the states gathers
+    # the same strategies.  Product order, the tuple order of the players'
+    # rows (each row omega digits below k), reaches first the member whose
+    # per-state joint strategies do not decrease.  Those representatives are
+    # visited in that order, so the gathered restriction follows the product
+    # walk's path and the early exit falls at the same assignment, whose rank
+    # counts the models.
+    joint_list = list(game.joint_strategies())
+    index_of = dict(zip(joint_list, _state_indices(game, joint_list)))
+    representatives = sorted(
+        tuple(zip(*per_state))
+        for per_state in itertools.combinations_with_replacement(joint_list, omega)
+    )
+
+    # the full game as a lattice index, and the marks per `passes` tuple
+    top = (1 << sum(game.sizes)) - 1
+    acc = 0
+    decisions: dict[tuple[int, ...], int] = {}
+    # each player's (family, scope), resolved once for `_passing`
+    decided_as = [(_family(spec, game), spec.scope) for spec in profile.specs]
+    # per player, the passing mask asked per (image index, used strategies)
+    verdicts: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for rows in representatives:
+        # A gathered state adds the strategies chosen there, so an assignment
+        # whose states all choose gathered strategies cannot change acc.
+        state_idx = [index_of[joint] for joint in zip(*rows)]
+        if not _or_all(state_idx) & ~acc:
+            continue
+        # images[e] is the image of the states in e; the cells are exactly
+        # the non-empty e
+        images = [0]
+        for idx in state_idx:
+            images += [m | idx for m in images]
+        # A state is gathered when some model puts it in an evident set
+        # inside rationality (in belief mode too, since by cell-consistency
+        # the union of an evident set's cells is evident).  A set is evident
+        # inside rationality under a tuple of correspondences when it is
+        # under each player's own, so the players' marked sets are ANDed.
+        marked = -1
+        for i, row in enumerate(rows):
+            # at[s] holds the states choosing s, states_of[x] those choosing in x
+            at = [0] * game.sizes[i]
+            used = 0
+            for w, s in enumerate(row):
+                at[s] |= 1 << w
+                used |= 1 << s
+            states_of = [0]
+            for at_s in at:
+                states_of += [m | at_s for m in states_of]
+            asked = verdicts[i]
+            passes = [0]
+            for m in images[1:]:
+                ok = asked.get((m, used))
+                if ok is None:
+                    ok = asked[m, used] = _passing(evaluator, *decided_as[i], i, m, used)
+                passes.append(states_of[ok])
+            passes = tuple(passes)
+            marks = decisions.get(passes)
+            if marks is None:
+                marks = decisions[passes] = _marked_sets(passes)
+            marked &= marks
+            if not marked:
+                break
+        # the union of the marked sets of states, read from their bits
+        gathered = 0
+        while marked:
+            low = marked & -marked
+            gathered |= low.bit_length() - 1
+            marked ^= low
+        acc |= images[gathered]
+        if acc == top:
+            rank = 0
+            for size, row in zip(game.sizes, rows):
+                for s in row:
+                    rank = rank * size + s
+            return acc, rank
+    return acc, len(joint_list) ** omega - 1
 
 
 def enumerate_ck_cb(
@@ -353,7 +417,7 @@ def enumerate_ck_cb(
     per-state joint strategies do not decrease, and visits these
     representatives in the order of their rank among all assignments in
     product order, the tuple order of their per-player rows, reading each
-    state's lattice index from a table built once per call.  It skips a
+    state's lattice index from a table built once per walk.  It skips a
     representative none of whose states could add a strategy, and decides
     the correspondences of an evaluated one player by player
     (`_marked_sets`).  `models_enumerated` counts every model up to the
@@ -373,27 +437,21 @@ def enumerate_ck_cb(
     exact count is never computed, and the message and `attempted` give a
     lower bound: the least power of two above the budget.
 
-    Only after these checks is the mode looked up in the evaluator's
-    `enumerations[(omega_size, profile)]`.  On a miss one walk decides the
-    mode and, when the caller handed in the evaluator, the other mode too
-    if that mode is not stored yet and its own budget check passes; every
-    walked mode's result is stored.  So of a knowledge and a belief call
-    sharing one evaluator, the second is a lookup.  A fresh evaluator dies
-    with the call, so without one only the asked mode is walked.
-
-    The walk computes the state indices and images of a representative,
-    and per player its passing masks and `passes` tuple, once for every
-    mode.  Each mode keeps its own gathered restriction, skip test, marks
-    and early exit, exactly as in a walk of its own: a representative is
-    evaluated when some live mode could still gain from it, a mode asks
-    `_marked_sets` only while its own AND is non-zero, and a mode whose
-    gathered restriction is the full game leaves the walk, which ends when
-    no mode is live.  Per player, the passing mask of the strategies an
-    assignment uses is asked of `properties._passing` once per (image
-    index, used strategies) pair, on the index itself; a state's verdict is
-    read from `states_of`, the states choosing each mask of the player's
-    strategies.  Per mode and `passes` tuple, `_marked_sets` decides once,
-    so no mode reads another's marks.
+    A player's knowledge and belief marks are the same sets for every
+    property of the language (`_marked_sets`), so the walk (`_walk`) visits
+    the same representatives, gathers the same restriction and exits at the
+    same rank in both modes, and nothing in it depends on the mode.  Only
+    after the checks is the evaluator's `enumerations[(omega_size,
+    profile)]` looked up, and only on a miss does the call walk, storing the
+    walk's `(acc, rank)` there.  So of a knowledge and a belief call sharing
+    one evaluator, the second walks nothing.  The mode sets only the
+    correspondence combinations per assignment, and with them the budget,
+    `models_total` and `models_enumerated`.  Per player, the passing mask of
+    the strategies an assignment uses is asked of `properties._passing`
+    once per (image index, used strategies) pair, on the index itself; a
+    state's verdict is read from `states_of`, the states choosing each mask
+    of the player's strategies.  Per `passes` tuple, `_marked_sets` decides
+    once.
     """
     n = game.num_players
     if len(profile.specs) != n:
@@ -404,7 +462,6 @@ def enumerate_ck_cb(
         raise ValueError(
             "omega_size must be at least the largest strategy-set size"
         )
-    shared = evaluator is not None
     evaluator = evaluator_for(game, evaluator)
     omega = omega_size
     # each player has at least Bell(omega) >= 2^(omega - 1) correspondences,
@@ -414,124 +471,23 @@ def enumerate_ck_cb(
         floor = 1 << budget.bit_length()
         check_budget(floor, budget, f"enumeration of at least {floor} models")
     joints = math.prod(game.sizes)
-    orbits = math.comb(joints + omega - 1, omega)
-    # per walked mode, the correspondence combinations per assignment
-    combos = {mode: count_correspondences(omega, mode) ** n}
-    evaluable = orbits * combos[mode]
+    # the correspondence combinations per assignment
+    combos = count_correspondences(omega, mode) ** n
+    evaluable = math.comb(joints + omega - 1, omega) * combos
     check_budget(evaluable, budget, f"enumeration of {evaluable} models")
 
-    stored = evaluator.enumerations.setdefault((omega, profile), {})
-    if mode in stored:
-        return stored[mode]
-    other = "belief" if mode == "knowledge" else "knowledge"
-    if shared and other not in stored:
-        other_combos = count_correspondences(omega, other) ** n
-        if budget is None or orbits * other_combos <= budget:
-            combos[other] = other_combos
-    modes = list(combos)
-
-    # Relabelling the states maps the correspondences onto themselves, so
-    # every assignment in one orbit under permutations of the states gathers
-    # the same strategies.  Product order, the tuple order of the players'
-    # rows (each row omega digits below k), reaches first the member whose
-    # per-state joint strategies do not decrease.  Those representatives are
-    # visited in that order, so the gathered restriction follows the product
-    # walk's path and the early exit falls at the same assignment, whose rank
-    # counts the models.
-    joint_list = list(game.joint_strategies())
-    index_of = dict(zip(joint_list, _state_indices(game, joint_list)))
-    representatives = sorted(
-        tuple(zip(*per_state))
-        for per_state in itertools.combinations_with_replacement(joint_list, omega)
+    walked = evaluator.enumerations.get((omega, profile))
+    if walked is None:
+        walked = evaluator.enumerations[omega, profile] = _walk(game, omega, profile, evaluator)
+    acc, rank = walked
+    return CkCbResult(
+        restriction=restriction_at(game, acc),
+        mode=mode,
+        omega_size=omega,
+        models_total=joints**omega * combos,
+        models_enumerated=(rank + 1) * combos,
+        early_exit=acc == (1 << sum(game.sizes)) - 1,
     )
-
-    # the full game as a lattice index; per mode, the gathered restriction,
-    # the marks per `passes` tuple and the rank of the representative it
-    # exits at
-    top = (1 << sum(game.sizes)) - 1
-    accs = [0] * len(modes)
-    decisions: list[dict[tuple[int, ...], int]] = [{} for _ in modes]
-    ranks: list[int | None] = [None] * len(modes)
-    live = list(range(len(modes)))
-    # each player's (family, scope), resolved once for `_passing`
-    decided_as = [(_family(spec, game), spec.scope) for spec in profile.specs]
-    # per player, the passing mask asked per (image index, used strategies)
-    verdicts: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-    for rows in representatives:
-        # A gathered state adds the strategies chosen there, so an assignment
-        # whose states all choose a mode's gathered strategies cannot change
-        # that mode's acc.
-        state_idx = [index_of[joint] for joint in zip(*rows)]
-        chosen = _or_all(state_idx)
-        active = [k for k in live if chosen & ~accs[k]]
-        if not active:
-            continue
-        # images[e] is the image of the states in e; the cells are exactly
-        # the non-empty e
-        images = [0]
-        for idx in state_idx:
-            images += [m | idx for m in images]
-        # A state is gathered when some model puts it in an evident set
-        # inside rationality (in belief mode too, since by cell-consistency
-        # the union of an evident set's cells is evident).  A set is evident
-        # inside rationality under a tuple of correspondences when it is
-        # under each player's own, so each mode ANDs the players' marked sets.
-        marked = [-1] * len(active)
-        for i, row in enumerate(rows):
-            # at[s] holds the states choosing s, states_of[x] those choosing in x
-            at = [0] * game.sizes[i]
-            used = 0
-            for w, s in enumerate(row):
-                at[s] |= 1 << w
-                used |= 1 << s
-            states_of = [0]
-            for at_s in at:
-                states_of += [m | at_s for m in states_of]
-            asked = verdicts[i]
-            passes = [0]
-            for m in images[1:]:
-                ok = asked.get((m, used))
-                if ok is None:
-                    ok = asked[m, used] = _passing(evaluator, *decided_as[i], i, m, used)
-                passes.append(states_of[ok])
-            passes = tuple(passes)
-            for j, k in enumerate(active):
-                if marked[j]:
-                    marks = decisions[k].get(passes)
-                    if marks is None:
-                        marks = decisions[k][passes] = _marked_sets(passes, modes[k])
-                    marked[j] &= marks
-            if not any(marked):
-                break
-        for k, sets in zip(active, marked):
-            # the union of the marked sets of states, read from their bits
-            gathered = 0
-            while sets:
-                low = sets & -sets
-                gathered |= low.bit_length() - 1
-                sets ^= low
-            accs[k] |= images[gathered]
-            if accs[k] == top:
-                rank = 0
-                for size, row in zip(game.sizes, rows):
-                    for s in row:
-                        rank = rank * size + s
-                ranks[k] = rank
-                live.remove(k)
-        if not live:
-            break
-
-    for walked, acc, rank in zip(modes, accs, ranks):
-        total = joints**omega * combos[walked]
-        stored[walked] = CkCbResult(
-            restriction=restriction_at(game, acc),
-            mode=walked,
-            omega_size=omega,
-            models_total=total,
-            models_enumerated=total if rank is None else (rank + 1) * combos[walked],
-            early_exit=rank is not None,
-        )
-    return stored[mode]
 
 
 # -- witness constructions ----------------------------------------------------

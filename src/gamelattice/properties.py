@@ -156,11 +156,11 @@ class Evaluator:
     stored.  Each family reads only its own certificates, so `check
     pearce`'s two sides stay independent.
 
-    `enumerations[(omega, profile)]` holds the CK/CB enumerator's results
-    over a state space of omega states, one `epistemic.CkCbResult` per mode.
-    A walk of the enumerator on this evaluator decides the asked mode and,
-    when the budget admits it, the other mode too, so a knowledge and a
-    belief call sharing this evaluator walk once.
+    `enumerations[(omega, profile)]` holds the CK/CB enumerator's walk over
+    a state space of omega states as two ints: the gathered restriction's
+    lattice index and the product-order rank of the last assignment the
+    walk counts.  The walk depends on no mode, so a knowledge and a belief
+    call sharing this evaluator walk once.
     """
 
     def __init__(self, game: Game):
@@ -169,7 +169,7 @@ class Evaluator:
         self.beaters: dict[int, list[list[int]]] = {}
         self.contexts: dict[tuple[int, int], _Context] = {}
         self.certificates: dict[tuple, tuple[list, list]] = {}
-        self.enumerations: dict[tuple[int, PropertyProfile], dict[str, object]] = {}
+        self.enumerations: dict[tuple[int, PropertyProfile], tuple[int, int]] = {}
 
 
 def evaluator_for(game: Game, evaluator: Evaluator | None) -> Evaluator:

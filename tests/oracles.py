@@ -91,10 +91,12 @@ def partial_partitions(omega: int) -> list[list[int]]:
 def walked_marked_sets(
     partitions: Sequence[Sequence[int]], passes: Sequence[int], mode: str
 ) -> int:
-    """The marked sets of `epistemic._marked_sets`, by walking the given
-    partitions: knowledge mode marks the union S of every partition whose
-    blocks b all lie inside passes[b], and belief mode every G from S up to
-    S and the union of the blocks' passes[b]."""
+    """A player's marked sets in the mode, by walking the given partitions:
+    knowledge mode marks the union S of every partition whose blocks b all
+    lie inside passes[b], and belief mode every G from S up to S and the
+    union of the blocks' passes[b].  `epistemic._marked_sets` decides the
+    knowledge marks, which are the belief marks on the tables of the
+    language's properties."""
     good = [not b & ~p for b, p in enumerate(passes)]
     marked = 0
     for blocks in partitions:

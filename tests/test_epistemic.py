@@ -546,33 +546,16 @@ def test_correspondence_counts_match_the_generators():
         )
 
 
-@pytest.mark.parametrize("omega", [1, 2, 3, 4])
-@pytest.mark.parametrize("mode", BOTH)
-def test_marked_sets_match_their_definition(omega, mode):
-    # G is marked iff some correspondence Q of the mode's class gives every
-    # u in G a cell Q(u) inside G with u in passes[Q(u)]
-    cells = set_partitions if mode == "knowledge" else belief_correspondences
-    corrs = list(cells(omega))
-    sets = range(1, 1 << omega)
-    rng = random.Random(f"{mode}-{omega}")
-    counts = [0, 0]
-    for density in (0.3, 0.6, 0.9):
-        for _ in range(40):
-            passes = [0] + [
-                sum(1 << w for w in range(omega) if rng.random() < density) for _ in sets
+def _drawn_tables(seed, omega, densities, count):
+    """`count` seeded `passes` tables per density: the entry of each
+    non-empty set of states holds each state with that chance."""
+    rng = random.Random(seed)
+    for density in densities:
+        for _ in range(count):
+            yield [0] + [
+                sum(1 << w for w in range(omega) if rng.random() < density)
+                for _ in range(1, 1 << omega)
             ]
-            expected = 0
-            for g in sets:
-                if any(
-                    all(not q[u] & ~g and passes[q[u]] >> u & 1 for u in mask_members(g))
-                    for q in corrs
-                ):
-                    expected |= 1 << g
-            assert epistemic._marked_sets(passes, mode) == expected, passes
-            marked = expected.bit_count()
-            counts[0] += marked
-            counts[1] += len(sets) - marked
-    assert all(counts), counts
 
 
 def _upward_closed(passes):
@@ -585,62 +568,105 @@ def _upward_closed(passes):
     return closed
 
 
+def _singleton_accepting(passes):
+    """`passes` with each state passing at its own singleton, as for a
+    local property, which accepts every strategy alone in its pool."""
+    local = passes[:]
+    for w in range(len(passes).bit_length() - 1):
+        local[1 << w] |= 1 << w
+    return local
+
+
+def _shipped_tables(seed, omega, densities, count):
+    """Each drawn table made upward closed and made singleton accepting:
+    the two kinds of table the properties of the language give."""
+    for passes in _drawn_tables(seed, omega, densities, count):
+        yield _upward_closed(passes)
+        yield _singleton_accepting(passes)
+
+
+def _defined_marks(corrs, passes):
+    """The sets G for which some correspondence Q in `corrs` gives every u
+    in G a cell Q(u) inside G with u in passes[Q(u)]."""
+    marked = 0
+    for g in range(1, len(passes)):
+        if any(
+            all(not q[u] & ~g and passes[q[u]] >> u & 1 for u in mask_members(g))
+            for q in corrs
+        ):
+            marked |= 1 << g
+    return marked
+
+
+@pytest.mark.parametrize("omega", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", BOTH)
+def test_marked_sets_match_their_definition(omega, mode):
+    # `_marked_sets` against the definition over every correspondence of
+    # the mode's class: on any table for partitions, and for belief
+    # correspondences on the tables of the language's properties, where
+    # the walk reads belief marks from it too
+    seed, densities = f"{mode}-{omega}", (0.3, 0.6, 0.9)
+    if mode == "knowledge":
+        corrs, tables = set_partitions(omega), _drawn_tables(seed, omega, densities, 40)
+    else:
+        corrs, tables = belief_correspondences(omega), _shipped_tables(seed, omega, densities, 20)
+    corrs = list(corrs)
+    counts = [0, 0]
+    for passes in tables:
+        expected = _defined_marks(corrs, passes)
+        assert epistemic._marked_sets(passes) == expected, passes
+        marked = expected.bit_count()
+        counts[0] += marked
+        counts[1] += len(passes) - 1 - marked
+    assert all(counts), counts
+
+
 @pytest.mark.parametrize("omega", [1, 2, 3, 4])
 def test_knowledge_and_belief_marks_agree_for_shipped_properties(omega):
     # For a global property passes[B] is upward closed, so the union G of a
     # belief-marked partition and its routed states lies inside passes[G]:
-    # G is one good block, which knowledge mode marks.  For a local one
-    # every state passes at its own singleton, so knowledge mode marks
-    # every set.  Either way the two modes mark the same sets.
-    rng = random.Random(f"marks-{omega}")
-    sets = 1 << omega
+    # G is one good block, which a partition marks.  For a local one every
+    # state passes at its own singleton, so a partition marks every set.
+    # Either way the two oracles mark the same sets, which is what lets the
+    # enumerator walk once for both modes.
+    partitions = partial_partitions(omega)
     counts = [0, 0]
-    for density in (0.1, 0.3, 0.6):
-        for _ in range(50):
-            drawn = [
-                sum(1 << w for w in range(omega) if rng.random() < density)
-                for _ in range(sets)
-            ]
-            local = drawn[:]
-            for w in range(omega):
-                local[1 << w] |= 1 << w
-            for passes in (_upward_closed(drawn), local):
-                knowledge = epistemic._marked_sets(passes, "knowledge")
-                assert epistemic._marked_sets(passes, "belief") == knowledge, passes
-                marked = knowledge.bit_count()
-                counts[0] += marked
-                counts[1] += sets - 1 - marked
+    for passes in _shipped_tables(f"marks-{omega}", omega, (0.1, 0.3, 0.6), 50):
+        knowledge = walked_marked_sets(partitions, passes, "knowledge")
+        assert walked_marked_sets(partitions, passes, "belief") == knowledge, passes
+        marked = knowledge.bit_count()
+        counts[0] += marked
+        counts[1] += len(passes) - 1 - marked
     assert all(counts), counts
 
 
 def test_belief_marks_routed_states_where_knowledge_cannot():
     # the control: neither upward closed nor singleton accepting.  Block {0}
-    # is good and routes state 1, which passes at {0}, so belief mode marks
-    # {0} and {0, 1} while knowledge mode marks {0} alone
+    # is good and routes state 1, which passes at {0}, so the belief oracles
+    # mark {0} and {0, 1} while the knowledge oracle and `_marked_sets`
+    # mark {0} alone
     passes = [0, 0b11, 0, 0]
-    assert epistemic._marked_sets(passes, "knowledge") == 1 << 0b01
-    assert epistemic._marked_sets(passes, "belief") == 1 << 0b01 | 1 << 0b11
+    routed = 1 << 0b01 | 1 << 0b11
+    assert _defined_marks(list(belief_correspondences(2)), passes) == routed
+    assert walked_marked_sets(partial_partitions(2), passes, "belief") == routed
+    assert walked_marked_sets(partial_partitions(2), passes, "knowledge") == 1 << 0b01
+    assert epistemic._marked_sets(passes) == 1 << 0b01
 
 
 @pytest.mark.parametrize("omega", [1, 2, 3, 4, 5])
 def test_knowledge_marks_are_belief_marks_on_any_table(omega):
     # a partition of G into good blocks is a belief correspondence that
-    # routes no state, so every set knowledge mode marks belief mode marks,
-    # whatever the table; the shipped properties' equality is the special
-    # case, and the control above shows the inclusion can be strict
-    rng = random.Random(f"subset-{omega}")
-    sets = 1 << omega
+    # routes no state, so every set the knowledge oracle marks the belief
+    # oracle marks, whatever the table; the shipped properties' equality
+    # is the special case, and the control above shows the inclusion can
+    # be strict
+    partitions = partial_partitions(omega)
     strict = 0
-    for density in (0.2, 0.5, 0.8, 0.95):
-        for _ in range(50):
-            passes = [0] + [
-                sum(1 << w for w in range(omega) if rng.random() < density)
-                for _ in range(1, sets)
-            ]
-            knowledge = epistemic._marked_sets(passes, "knowledge")
-            belief = epistemic._marked_sets(passes, "belief")
-            assert not knowledge & ~belief, passes
-            strict += belief != knowledge
+    for passes in _drawn_tables(f"subset-{omega}", omega, (0.2, 0.5, 0.8, 0.95), 50):
+        knowledge = walked_marked_sets(partitions, passes, "knowledge")
+        belief = walked_marked_sets(partitions, passes, "belief")
+        assert not knowledge & ~belief, passes
+        strict += belief != knowledge
     assert strict or omega == 1
 
 
@@ -648,26 +674,26 @@ def test_knowledge_marks_are_belief_marks_on_any_table(omega):
 @pytest.mark.parametrize("mode", BOTH)
 def test_marked_sets_match_the_partition_walk(omega, mode):
     # the recursion over sets of states against the walk over every
-    # partition of every set of states, on seeded tables of every density
+    # partition of every set of states: on seeded tables of every density
+    # for the knowledge walk, and on the tables of the language's
+    # properties for the belief walk, which routes states
     partitions = partial_partitions(omega)
-    rng = random.Random(f"walk-{mode}-{omega}")
-    sets = 1 << omega
+    seed, densities = f"walk-{mode}-{omega}", (0.2, 0.5, 0.8, 0.95)
+    if mode == "knowledge":
+        tables = _drawn_tables(seed, omega, densities, 50)
+    else:
+        tables = _shipped_tables(seed, omega, densities, 25)
     counts = [0, 0]
-    for density in (0.2, 0.5, 0.8, 0.95):
-        for _ in range(50):
-            passes = [0] + [
-                sum(1 << w for w in range(omega) if rng.random() < density)
-                for _ in range(1, sets)
-            ]
-            expected = walked_marked_sets(partitions, passes, mode)
-            assert epistemic._marked_sets(passes, mode) == expected, passes
-            marked = expected.bit_count()
-            counts[0] += marked
-            counts[1] += sets - 1 - marked
+    for passes in tables:
+        expected = walked_marked_sets(partitions, passes, mode)
+        assert epistemic._marked_sets(passes) == expected, passes
+        marked = expected.bit_count()
+        counts[0] += marked
+        counts[1] += len(passes) - 1 - marked
     assert all(counts), counts
 
 
-THEOREM_CASES = [(PD, 5), (MP, 5), (CHAIN, 5), (THREE, 4), (MIX, 4)]
+THEOREM_CASES = [(PD, 5), (MP, 5), (CHAIN, 5), (THREE, 4), (THREE, 5), (MIX, 4)]
 
 
 @pytest.mark.parametrize(
@@ -697,6 +723,10 @@ EARLY_EXIT_PINS = {
     (MP, 5, "belief"): (10_055_232, 312_016_896),
     (THREE, 4, "knowledge"): (867_375, 13_824_000),
     (THREE, 4, "belief"): (181_177_033, 2_887_553_024),
+    (CHAIN, 6, "knowledge"): (60_123_931, 21_900_152_169),
+    (CHAIN, 6, "belief"): (22_134_525_475, 8_062_504_697_025),
+    (THREE, 5, "knowledge"): (144_123_200, 4_607_442_944),
+    (THREE, 5, "belief"): (172_401_523_200, 5_511_466_450_944),
 }
 
 
@@ -789,7 +819,7 @@ def _recorded(monkeypatch, module, name, key=lambda *args: args):
     return calls
 
 
-def _passes_of(passes, mode):
+def _passes_of(passes):
     return tuple(passes)
 
 
@@ -811,8 +841,8 @@ def test_enumerate_solves_the_pinned_lps(game, omega, text, expected, mode, monk
     # the enumerator asks an LP family only for the strategies an assignment
     # uses, and a stored certificate settles a candidate before any call;
     # asking all of T_i would solve LPs these counts leave out.  An msd
-    # candidate alone in its pool is settled without a procedure call.  No
-    # Evaluator is handed in, so the call walks its own mode alone
+    # candidate alone in its pool is settled without a procedure call.  The
+    # walk depends on no mode, so both modes solve the same LPs
     msd = _recorded(monkeypatch, dominance, "mixed_dominance_witness")
     belief = _recorded(monkeypatch, dominance, "exists_supporting_belief")
     solves = _recorded(monkeypatch, lp, "simplex_maximize")
@@ -836,14 +866,16 @@ def test_enumerate_asks_each_image_and_decides_each_passes_once(profile, mode, m
 
 def test_a_budget_that_refuses_belief_leaves_knowledge_walking_alone():
     # PD at omega 4 charges 35 * 15^2 = 7,875 knowledge models and 35 * 89^2
-    # = 277,235 belief models: a budget of 10,000 admits only knowledge, so a
-    # knowledge call on a shared Evaluator walks no belief mode, and the
-    # belief call is refused as on a fresh Evaluator
+    # = 277,235 belief models: a budget of 10,000 admits only knowledge, so
+    # the belief call is refused on a shared Evaluator as on a fresh one,
+    # although the knowledge call's walk, stored there, would serve it
     profile = uniform(PD, "sd:g")
     shared = Evaluator(PD)
     fresh = enumerate_ck_cb(PD, 4, profile, mode="knowledge", budget=10_000)
     assert enumerate_ck_cb(PD, 4, profile, "knowledge", 10_000, shared) == fresh
-    assert set(shared.enumerations[4, profile]) == {"knowledge"}
+    walks = dict(shared.enumerations)
+    assert list(walks) == [(4, profile)]
+    assert all(type(v) is int for v in walks[4, profile]), walks
     refusals = []
     for evaluator in (None, shared):
         with pytest.raises(BudgetError) as exc:
@@ -851,7 +883,7 @@ def test_a_budget_that_refuses_belief_leaves_knowledge_walking_alone():
         refusals.append((str(exc.value), exc.value.attempted))
     message = "enumeration of 277235 models exceeds the budget of 10000"
     assert refusals == [(message, 35 * 89 * 89)] * 2
-    assert set(shared.enumerations[4, profile]) == {"knowledge"}
+    assert shared.enumerations == walks
 
 
 SHARED_CASES = [
@@ -865,20 +897,17 @@ SHARED_CASES = [
     "game,text", SHARED_CASES, ids=[f"{g.name}-{t}" for g, t in SHARED_CASES]
 )
 def test_a_shared_evaluator_gives_each_mode_its_fresh_result(game, text, monkeypatch):
-    # One Evaluator serves a knowledge and a belief call, in either order.
-    # The first call walks both modes and the second is a lookup, yet each
-    # returns what a call on a fresh Evaluator returns.  The shared walk
-    # asks the property layer and decides marks exactly as the two fresh
-    # walks together: one decision per (passes, mode) that either made, so
-    # no mode reads the other's marks.  The shipped properties mark the same
-    # sets in both modes, so a mode reading the other's marks would return
-    # the same results; only the missing decisions show it.
+    # The walk depends on no mode: a fresh knowledge call and a fresh belief
+    # call ask the property layer the same keys and decide the same
+    # `passes` tuples.  One Evaluator serves a knowledge and a belief call,
+    # in either order: the first call makes exactly that walk and the second
+    # makes none, yet each returns what a call on a fresh Evaluator returns.
     profile = uniform(game, text)
     asked = _recorded(
         monkeypatch, epistemic, "_passing",
         lambda evaluator, family, scope, player, index, candidates: (player, index, candidates),
     )
-    decided = _recorded(monkeypatch, epistemic, "_marked_sets", lambda p, mode: (tuple(p), mode))
+    decided = _recorded(monkeypatch, epistemic, "_marked_sets", _passes_of)
 
     def run(mode, evaluator):
         start = len(asked), len(decided)
@@ -886,15 +915,11 @@ def test_a_shared_evaluator_gives_each_mode_its_fresh_result(game, text, monkeyp
         return r, asked[start[0]:], decided[start[1]:]
 
     fresh = {mode: run(mode, None) for mode in BOTH}
-    fresh_asked = {key for _, calls, _ in fresh.values() for key in calls}
-    fresh_decided = [key for _, _, calls in fresh.values() for key in calls]
-    assert fresh_decided
+    (_, *walk), (_, *belief_walk) = fresh.values()
+    assert walk[1] and belief_walk == walk
     for order in (BOTH, BOTH[::-1]):
         shared = Evaluator(game)
-        (first, first_asked, first_decided), (second, *lookups) = (
-            run(mode, shared) for mode in order
-        )
+        (first, *first_walk), (second, *second_walk) = (run(mode, shared) for mode in order)
         assert (first, second) == tuple(fresh[mode][0] for mode in order), order
-        assert lookups == [[], []], order
-        assert set(first_asked) == fresh_asked, order
-        assert sorted(first_decided) == sorted(fresh_decided), order
+        assert first_walk == walk, order
+        assert second_walk == [[], []], order
