@@ -125,14 +125,19 @@ class Evaluator:
 
     The record's `verdicts` hold one (decided, passing) pair of strategy
     masks per LP family ("msd", "br:corr") and pool mask; a pure query is
-    computed from the record's masks each time and never stored.  An "msd"
-    entry starts with the strategies sd fails decided and none passing; a
-    "br:corr" entry starts with the strategies br:pure passes decided, or
-    every strategy when Y is empty, since no belief lives on no profiles.
-    A query decides each candidate its entry leaves open, in ascending
-    order, and marks it decided.  The scope only picks the pool, so a global
-    and a local spec share every entry where the local pool is the full
-    strategy set.
+    computed from the record's masks each time and never stored.  With Y
+    non-empty, both pure pre-checks decide one side of both LP families,
+    whose mixed forms coincide (Pearce 1984, Lemma 3): a strategy br:pure
+    passes is strictly beaten by no mixture, so it passes both, and a
+    strategy sd fails is a best response to no belief, so it fails both.
+    Each entry then starts with those strategies decided and the br:pure
+    ones passing.  With Y empty, an "msd" entry starts with the strategies
+    sd fails decided, every one unless the pool is empty, and a "br:corr"
+    entry with every strategy decided, since no belief lives on no
+    profiles; none passes.  A query decides each candidate its entry leaves
+    open, in ascending order, and marks it decided.  The scope only picks
+    the pool, so a global and a local spec share every entry where the
+    local pool is the full strategy set.
 
     An open candidate s of an LP family ("msd", "br:corr") on pool P and
     opponent profiles Y is first settled from `certificates`, which keeps
@@ -147,14 +152,11 @@ class Evaluator:
       it), proves s passes on every (P, Y) with its support in Y and none of
       those strategies in P.
     Both are exact, whatever (P, Y) the certificate came from, and assume no
-    monotonicity.  An msd candidate no certificate settles whose pool holds
-    nothing but s, with Y non-empty, passes at once: nothing in the pool
-    beats s, and the point belief on Y's lowest profile, the refutation the
-    procedure would hand back, is stored.  Any other candidate no
-    certificate settles goes to its own LP; the answer's certificate, the
-    witness or the LP's dual, is checked against the whole game and
-    stored.  Each family reads only its own certificates, so `check
-    pearce`'s two sides stay independent.
+    monotonicity.  A candidate no certificate settles goes to its own LP;
+    the answer's certificate, the witness or the LP's dual, is checked
+    against the whole game and stored.  Each family reads only its own
+    certificates, so `check pearce`'s two sides share only the pure
+    pre-checks.
 
     `enumerations[(omega, profile)]` holds the CK/CB enumerator's walk over
     a state space of omega states as two ints: the gathered restriction's
@@ -386,10 +388,10 @@ def _passing(
     restriction with lattice index `index`.  A pure query ("sd",
     "br:pure") is computed from the context's record (`_context`) and not
     stored; the record keeps the LP families' verdicts per (family, pool),
-    each entry built from the pure pre-check.  A candidate an entry leaves
-    open is settled by a stored certificate (`_settled`), by its lone pool,
-    or else by its own LP (`_solved`), one strategy at a time, and the
-    entry records it."""
+    each entry built from both pure pre-checks.  A candidate an entry
+    leaves open is settled by a stored certificate (`_settled`), or else by
+    its own LP (`_solved`), one strategy at a time, and the entry records
+    it."""
     game = evaluator.game
     shift = game.shifts[player]
     full = (1 << game.sizes[player]) - 1
@@ -402,12 +404,15 @@ def _passing(
         return _pure_passing(evaluator, family, player, record, pool) & candidates
     entry = record.verdicts.get((family, pool))
     if entry is None:
-        if family == "msd":
-            entry = (full & ~_pure_passing(evaluator, "sd", player, record, pool), 0)
-        else:
+        failing = full & ~_pure_passing(evaluator, "sd", player, record, pool)
+        if record.ys:
+            # a pure best response passes both families, and a strategy some
+            # pool strategy strictly beats at every profile fails both
             passing = _pure_passing(evaluator, "br:pure", player, record, pool)
-            # no belief lives on no profiles
-            entry = (passing if record.ys else full, passing)
+            entry = (failing | passing, passing)
+        else:
+            # no belief lives on no profiles; an empty pool leaves msd open
+            entry = (failing if family == "msd" else full, 0)
         record.verdicts[family, pool] = entry
     decided, passing = entry
     open_ = candidates & ~decided
@@ -418,14 +423,7 @@ def _passing(
         for s in mask_members(open_):
             certificates = evaluator.certificates.setdefault((family, player, s), ([], []))
             verdict = _settled(certificates, pool, profiles)
-            if verdict is None and family == "msd" and profiles and not pool & ~(1 << s):
-                # nothing in the pool beats s: the point belief on the
-                # lowest profile proves it passes, as the procedure's
-                # refutation would
-                y = record.ys[0]
-                certificates[1].append((1 << y, evaluator.beaters[player][s][y]))
-                verdict = True
-            elif verdict is None:
+            if verdict is None:
                 verdict = _solved(evaluator, family, index, player, pool, profiles, s)
             passing |= verdict << s
         record.verdicts[family, pool] = (decided | open_, passing)
@@ -753,12 +751,12 @@ def pearce_equivalence_suite(
     game: Game, max_restrictions: int = DEFAULT_LATTICE_BUDGET
 ) -> CheckReport:
     """Pearce's lemma on every restriction: the br:l:corr and msd:l images,
-    each decided by its own pure pre-check, stored certificates and LP
-    through one Evaluator, must be equal; neither family reads the other's
-    certificates.  Only a restriction where they differ is handed to
-    dominance.pearce_equivalence_check, which solves both LPs itself and
-    whose disagreeing entries, with both certificates, make up the report's
-    entries."""
+    each decided by the shared pure pre-checks, its own stored certificates
+    and its own LP through one Evaluator, must be equal; neither family
+    reads the other's certificates.  Only a restriction where they differ
+    is handed to dominance.pearce_equivalence_check, which solves both LPs
+    itself and whose disagreeing entries, with both certificates, make up
+    the report's entries."""
     evaluator = Evaluator(game)
     profiles = [
         PropertyProfile.uniform(parse_property_spec(text), game.num_players)

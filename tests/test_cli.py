@@ -485,17 +485,36 @@ def _kernel_returning_first_vertex(objective, lhs_le=(), rhs_le=(), lhs_eq=(), r
     return Fraction(1), [Fraction(int(j == 0)) for j in range(len(objective))]
 
 
+def _counted_kernel(monkeypatch, kernel):
+    """Install `kernel` as the LP kernel.  The returned list gets one entry
+    per call, so a test can check that its injected fault met an LP: on PD,
+    MP and THREE the pure pre-checks decide every candidate and none runs."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "simplex_maximize", counted)
+    return calls
+
+
+def _broken_kernel(monkeypatch):
+    return _counted_kernel(monkeypatch, _kernel_returning_first_vertex)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["check", "pearce", "pd.game"],
-        ["eliminate", "--prop", "msd:l", "pd.game"],
+        ["check", "pearce", "chain.game"],
+        ["eliminate", "--prop", "msd:l", "chain.game"],
         ["check", "just1", "--json", "mix.game"],
     ],
 )
 def test_failed_revalidation_exits_internal(argv, monkeypatch, capsys):
-    monkeypatch.setattr(lp, "simplex_maximize", _kernel_returning_first_vertex)
+    calls = _broken_kernel(monkeypatch)
     code, out, err = run(capsys, *argv[:-1], str(FIXTURES / argv[-1]))
+    assert calls
     assert code == EXIT_INTERNAL == 3
     assert err.startswith("internal error:") and "re-validation" in err
     assert "Traceback" not in err
@@ -515,7 +534,7 @@ def _onto_the_first_row(duals):
     "argv",
     [
         ["check", "pearce", "mix.game"],
-        ["eliminate", "--prop", "msd:l", "mix.game"],
+        ["eliminate", "--prop", "msd:l", "chain.game"],
         ["check", "just1", "--json", "mix.game"],
     ],
 )
@@ -528,8 +547,9 @@ def test_a_wrong_dual_exits_internal(argv, corrupt, monkeypatch, capsys):
         optimum = solve(*args)
         return lp.Optimum(*optimum, corrupt(optimum.duals))
 
-    monkeypatch.setattr(lp, "simplex_maximize", kernel)
+    calls = _counted_kernel(monkeypatch, kernel)
     code, out, err = run(capsys, *argv[:-1], str(FIXTURES / argv[-1]))
+    assert calls
     assert code == EXIT_INTERNAL == 3
     assert err.startswith("internal error:") and "re-validation" in err
     assert "Traceback" not in err
@@ -563,10 +583,6 @@ def test_a_cli_call_leaves_no_cyclic_garbage(capsys):
             gc.enable()
 
 
-def _broken_kernel(monkeypatch):
-    monkeypatch.setattr(lp, "simplex_maximize", _kernel_returning_first_vertex)
-
-
 def _growing_limit_witness(monkeypatch):
     base = witnesses.transfinite_witness()
 
@@ -579,11 +595,12 @@ def _growing_limit_witness(monkeypatch):
 
 
 def _lifted_msd_witness(monkeypatch):
-    _broken_kernel(monkeypatch)
+    calls = _broken_kernel(monkeypatch)
     profile = PropertyProfile.uniform(parse_property_spec("msd:l"), 2)
-    game = parse_game_file(FIXTURES / "pd.game")
+    game = parse_game_file(FIXTURES / "chain.game")
     lifted = witnesses.lift_finite_game(game, profile)
     monkeypatch.setitem(witnesses.REGISTRY, "lifted-msd", lambda: lifted)
+    return calls
 
 
 def _full_game_expected(monkeypatch):
@@ -592,20 +609,21 @@ def _full_game_expected(monkeypatch):
 
 EXIT_CASES = [
     # (argv, fault injected first, exit code); eliminate has no
-    # counterexample to report, so it never exits 1
+    # counterexample to report, so it never exits 1; a fault that replaces
+    # the LP kernel returns its list of calls, which must not stay empty
     (["eliminate", "--prop", "sd:l", "pd.game"], None, 0),
     (["eliminate", "--prop", "br:g:ind", "three.game"], None, 2),
-    (["eliminate", "--prop", "msd:l", "pd.game"], _broken_kernel, 3),
+    (["eliminate", "--prop", "msd:l", "chain.game"], _broken_kernel, 3),
     (["check", "tarski", "--prop", "sd:g", "pd.game"], None, 0),
     (["check", "tarski", "--prop", "sd:l", "chain.game"], None, 1),
     (["check", "tarski", "--prop", "sd:g", "no-such.game"], None, 2),
-    (["check", "pearce", "pd.game"], _broken_kernel, 3),
+    (["check", "pearce", "mix.game"], _broken_kernel, 3),
     (["epistemic", "enumerate", "--omega", "2", "--prop", "sd:g", "pd.game"], None, 0),
     # a theorem that fails: the enumeration misses its expected restriction
     (["epistemic", "enumerate", "--omega", "2", "--prop", "sd:g", "pd.game"],
      _full_game_expected, 1),
     (["epistemic", "witness", "--theorem", "2", "--prop", "sd:g", "pd.game"], None, 2),
-    # on pd stored certificates settle every msd candidate, so no LP runs
+    # on pd the pure pre-checks settle every msd candidate, so no LP runs
     (["epistemic", "witness", "--theorem", "1", "--prop", "msd:l", "mix.game"],
      _broken_kernel, 3),
     (["transfinite", "run", "witness-tg"], None, 0),
@@ -641,11 +659,11 @@ EXIT_CASES = [
 
 @pytest.mark.parametrize("argv,fault,expected", EXIT_CASES)
 def test_exit_code_contract(argv, fault, expected, monkeypatch, capsys):
-    if fault is not None:
-        fault(monkeypatch)
+    calls = None if fault is None else fault(monkeypatch)
     if argv[-1].endswith(".game"):
         argv = [*argv[:-1], str(FIXTURES / argv[-1])]
     code, out, err = run(capsys, *argv)
+    assert calls != [], "the injected LP fault met no LP"
     assert code == expected, err
     assert "Traceback" not in err
     assert bool(err) == (expected in (2, 3))

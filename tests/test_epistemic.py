@@ -825,11 +825,11 @@ def _passes_of(passes):
 
 # (msd procedure calls, belief procedure calls, LPs solved)
 LP_PINS = [
-    (MIX, 3, "msd:g", (9, 0, 9)),
-    (MIX, 3, "br:l:corr", (0, 2, 2)),
+    (MIX, 3, "msd:g", (1, 0, 1)),
+    (MIX, 3, "br:l:corr", (0, 0, 0)),
     (CHAIN, 3, "msd:l", (0, 0, 0)),
-    (CHAIN, 3, "br:g:corr", (0, 9, 9)),
-    (THREE, 2, "msd:l", (2, 0, 2)),
+    (CHAIN, 3, "br:g:corr", (0, 1, 1)),
+    (THREE, 2, "msd:l", (0, 0, 0)),
 ]
 
 
@@ -840,9 +840,11 @@ LP_PINS = [
 def test_enumerate_solves_the_pinned_lps(game, omega, text, expected, mode, monkeypatch):
     # the enumerator asks an LP family only for the strategies an assignment
     # uses, and a stored certificate settles a candidate before any call;
-    # asking all of T_i would solve LPs these counts leave out.  An msd
-    # candidate alone in its pool is settled without a procedure call.  The
-    # walk depends on no mode, so both modes solve the same LPs
+    # asking all of T_i would solve LPs these counts leave out.  A candidate
+    # either pure test decides, with profiles to believe in, reaches no
+    # procedure: a pure best response passes both families, and a strictly
+    # dominated strategy fails both.  The walk depends on no mode, so both
+    # modes solve the same LPs
     msd = _recorded(monkeypatch, dominance, "mixed_dominance_witness")
     belief = _recorded(monkeypatch, dominance, "exists_supporting_belief")
     solves = _recorded(monkeypatch, lp, "simplex_maximize")

@@ -371,11 +371,11 @@ def test_evaluator_cache_is_scoped_to_the_computation():
     assert _verdicts(evaluator) == cached and _stores(evaluator) == stores
 
 
-@pytest.mark.parametrize("text,open_", [("msd:l", 0b111), ("br:l:corr", 0b100)])
+@pytest.mark.parametrize("text,open_", [("msd:l", 0b100), ("br:l:corr", 0b100)])
 def test_an_lp_entry_solves_only_the_newly_open_candidates(text, open_, monkeypatch):
-    # On MIX's top no pure strategy dominates T, M or B, so msd leaves all
-    # three to the LP; T and M are pure best responses, so br:corr leaves
-    # only B.  Each open candidate costs one LP the first time it is asked.
+    # On MIX's top no pure strategy dominates T, M or B, and T and M are
+    # pure best responses, so both families leave only B to the LP.  Each
+    # open candidate costs one LP the first time it is asked.
     solves = []
     simplex = lp.simplex_maximize
     monkeypatch.setattr(lp, "simplex_maximize", lambda *a: solves.append(a) or simplex(*a))
@@ -809,9 +809,9 @@ def test_pearce_suite_reports_the_checks_entries_on_a_disagreement(monkeypatch):
 
 def test_pearce_suite_lp_count_on_mix(monkeypatch):
     """Each image is decided once, through the verdict cache, the pure
-    pre-checks and each family's stored certificates: running
-    pearce_equivalence_check on every restriction of mix solves 105 LPs,
-    so this pin would catch the loss of any of them."""
+    pre-checks both families share and each family's stored certificates:
+    running pearce_equivalence_check on every restriction of mix solves 105
+    LPs, so this pin would catch the loss of any of them."""
     solve = lp.simplex_maximize
     calls = []
 
@@ -822,7 +822,7 @@ def test_pearce_suite_lp_count_on_mix(monkeypatch):
     monkeypatch.setattr(lp, "simplex_maximize", counting)
     rep = pearce_equivalence_suite(parse_game_file(FIXTURE_DIR / "mix.game"))
     assert rep.passed
-    assert len(calls) == 8
+    assert len(calls) == 2
 
 
 LP_SPECS = ["msd:l", "msd:g", "br:l:corr", "br:g:corr"]
@@ -900,8 +900,8 @@ def test_a_false_witness_fails_its_own_context(monkeypatch):
     # is made to hand back a pure mixture instead: the pure pre-check left
     # that candidate open, so no pure strategy of the pool beats it
     # everywhere, and the mixture does not prove the failure it claims.  A
-    # candidate alone in its pool is settled without a call, so on CHAIN,
-    # where every walk has such an LP, the liar is aimed at one
+    # call on an empty pool answers without an LP, so the liar is aimed at
+    # a call that solved one, which every walk on CHAIN makes
     msd = parse_property_spec("msd:l")
     for walk in _walks(CHAIN):
 
@@ -972,13 +972,16 @@ def _lp_family_results(game, monkeypatch):
     "game", _precheck_games()[:5] + _table_games(), ids=lambda game: game.name
 )
 def test_a_lone_pool_candidate_stores_what_its_procedure_would(game, monkeypatch):
-    # The stand-in hands every msd candidate alone in its pool, with
-    # profiles to believe in and no stored certificate settling it, to
-    # mixed_dominance_witness through _solved before the real _passing
-    # runs, which then settles it from the stored refutation
+    # An msd candidate alone in its pool, with profiles to believe in, is a
+    # pure best response there, so the pre-check stores it passing with no
+    # LP and no certificate.  The stand-in hands each such candidate to
+    # mixed_dominance_witness through _solved on a separate Evaluator
+    # before the real _passing runs: the procedure must pass it too, and
+    # the run must store exactly what it stores without the stand-in
     shortcut = _lp_family_results(game, monkeypatch)
     monkeypatch.undo()
-    real_passing = properties._passing
+    real_passing, real_evaluator = properties._passing, properties.Evaluator
+    probe = real_evaluator(game)
     calls = []
 
     def routed(evaluator, family, scope, player, index, candidates):
@@ -987,15 +990,59 @@ def test_a_lone_pool_candidate_stores_what_its_procedure_would(game, monkeypatch
         pool = full if scope == "g" else index >> shift & full
         profiles = sum(1 << y for y in properties._opponent_profiles(game, player, index))
         for s in mask_members(candidates) if family == "msd" and profiles else ():
-            store = evaluator.certificates.setdefault((family, player, s), ([], []))
-            if not pool & ~(1 << s) and properties._settled(store, pool, profiles) is None:
+            if not pool & ~(1 << s):
                 calls.append(s)
-                assert properties._solved(evaluator, family, index, player, pool, profiles, s)
+                properties._comparisons(probe, player)
+                probe.certificates.setdefault((family, player, s), ([], []))
+                assert properties._solved(probe, family, index, player, pool, profiles, s)
         return real_passing(evaluator, family, scope, player, index, candidates)
 
     monkeypatch.setattr(properties, "_passing", routed)
     assert _lp_family_results(game, monkeypatch) == shortcut
     assert calls
+
+
+def test_the_pure_decided_side_reaches_no_procedure(monkeypatch):
+    # Every candidate an msd or br:corr query hands to its procedure is one
+    # neither pure test decides: with opponent profiles, sd passes it and
+    # br:pure fails it.  With none, a non-empty pool fails every strategy
+    # under msd and no belief lives on no profiles, so only msd on an empty
+    # pool is left open: msd:l at the bottom restriction, for one.  The
+    # 3-player games add contexts with one opponent component empty.  A
+    # fresh Evaluator per restriction keeps stored certificates from
+    # settling a candidate before its procedure sees it.
+    msd, belief = dominance.mixed_dominance_witness, dominance.exists_supporting_belief
+    reached = []
+
+    def dominating(game, g, i, pool, s, **kwargs):
+        reached.append(("msd", game, g, i, pool, s))
+        return msd(game, g, i, pool, s, **kwargs)
+
+    def believing(game, g, pool, i, s, kind, **kwargs):
+        reached.append(("br:corr", game, g, i, pool, s))
+        return belief(game, g, pool, i, s, kind, **kwargs)
+
+    monkeypatch.setattr(dominance, "mixed_dominance_witness", dominating)
+    monkeypatch.setattr(dominance, "exists_supporting_belief", believing)
+    specs = [parse_property_spec(text) for text in LP_SPECS]
+    games = _precheck_games()
+    for game in games:
+        for g in all_restrictions(game):
+            evaluator = Evaluator(game)
+            for spec in specs:
+                for i in game.players():
+                    passing_mask(spec, game, i, g, (1 << game.sizes[i]) - 1, evaluator)
+    profiled = bottoms = 0
+    for family, game, g, i, pool, s in reached:
+        if all(g.masks[j] for j in game.players() if j != i):
+            assert not any(dominance.strictly_dominates_pure(game, g, i, t, s) for t in pool)
+            assert belief(game, g, pool, i, s, "pure") is None
+            profiled += 1
+        else:
+            assert family == "msd" and pool == [], (game.name, g.names(), i, s)
+            bottoms += g.index == 0
+    assert {game.num_players for game in games} == {2, 3}
+    assert profiled > 0 and bottoms == sum(sum(game.sizes) for game in games)
 
 
 def test_just1_lists_each_opponent_context_once(monkeypatch):
@@ -1082,7 +1129,7 @@ def test_monotone_msd_lp_count_on_mix(monkeypatch):
     calls = []
     monkeypatch.setattr(lp, "simplex_maximize", lambda *a: calls.append(1) or solve(*a))
     assert main(["check", "monotone", "--prop", "msd:g", str(FIXTURE_DIR / "mix.game")]) == 0
-    assert len(calls) == 9
+    assert len(calls) == 1
 
 
 def test_lattice_verifier_reports_are_pinned():
