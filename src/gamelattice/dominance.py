@@ -8,9 +8,11 @@ strategies or a belief over the opponents' profiles.  Every certificate is
 re-validated by direct rational evaluation before it is returned.  A negative
 answer has a certificate of the other type, by LP duality (Pearce 1984,
 Lemma 3): the LP's optimal dual solution.  A caller that asks for it gets it
-through the keyword `refutation`, checked to be a distribution; what it
-proves is checked by the caller (`properties` checks it against the whole
-game when it stores it).
+through the keyword `refutation`, checked to be a distribution, whenever an
+LP decides the answer; what it proves is checked by the caller.
+`properties` asks only where an LP decides, and checks each certificate
+against the whole game before it stores it, so every LP verdict it takes has
+a checked certificate.
 Quantifiers over an empty set of opponent profiles are taken literally: a
 universal is vacuously true, an existential is false.
 """
@@ -180,10 +182,11 @@ def mixed_dominance_witness(
 
     Decided by the max-margin LP over mixtures m on the pool:
     sum_s m(s) p(s, y) >= p(dominated, y) + t for every opponent profile y.
-    A witness exists iff t* > 0.  When there is none and `refutation` is a
-    list, a belief on the context's profiles under which `dominated` is a
-    weak best response in the pool is appended to it: the LP's dual, or a
-    point belief when the pool is empty or `dominated` alone.
+    A witness exists iff t* > 0.  When the LP finds none and `refutation`
+    is a list, the LP's dual is appended to it: a belief on the context's
+    profiles under which `dominated` is a weak best response in the pool.  A
+    pool that is empty or holds only `dominated` is answered without an LP,
+    and appends nothing.
     """
     check_same_game(game, context.game, "restriction")
     check_strategy(game, player, dominated)
@@ -197,8 +200,6 @@ def mixed_dominance_witness(
     if pool in ([], [dominated]):
         # no mixture, or one over `dominated` alone, which ties it everywhere:
         # the LP value is 0, and nothing in the pool beats `dominated` anywhere
-        if profiles and refutation is not None:
-            refutation.append(distribution({profiles[0]: 1}))
         return None
     optimum = _max_margin(
         [[-_payoff(game, player, s, y) for s in pool] for y in profiles],

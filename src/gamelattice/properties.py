@@ -103,21 +103,22 @@ class Evaluator:
     A CLI command or a library entry point creates one and hands it to every
     evaluation it makes, so the cache dies with the computation.
 
-    On first use for a player it reads that player's payoffs into `payoffs`,
+    When it is built it reads every player's payoffs into `payoffs`,
     `payoffs[player][y][s]` for opponent profile y, as ints over one common
-    denominator, and compares them exactly, with one sort per opponent
-    profile, into one table of int bitmasks,
+    denominator per player, and compares them exactly, with one sort per
+    opponent profile, into one table of int bitmasks per player,
     `beaters[player][s][y]`: the strategies that strictly beat s at opponent
-    profile y.  Opponent profiles are numbered row-major over the opponents'
+    profile y.  Both tables are linear in the game's cells, as the parsed
+    game is.  Opponent profiles are numbered row-major over the opponents'
     strategy sets, so with two players a profile is the opponent's strategy
     index.
 
     `contexts` holds one record (`_Context`) per (player, the index's
     opponent bits): the opponent bits are the restriction's lattice index
     with the player's own bits cleared.  The record lists the context's
-    opponent profiles Y once, when the context is first asked, and keeps
-    what is derived from them the first time a query needs it: the profile
-    mask Y; per strategy s, D_s(Y), the AND of beaters[s][y] over y in Y
+    opponent profiles Y and their profile mask once, when the context is
+    first asked, and keeps what is derived from them the first time a query
+    needs it: per strategy s, D_s(Y), the AND of beaters[s][y] over y in Y
     (every strategy when Y is empty); and per s, the distinct masks
     beaters[s][y] over y in Y.  The pure pre-checks are a few bit tests on
     pool P: s passes "sd" iff P & D_s(Y) == 0, and "br:pure" iff some
@@ -131,13 +132,15 @@ class Evaluator:
     passes is strictly beaten by no mixture, so it passes both, and a
     strategy sd fails is a best response to no belief, so it fails both.
     Each entry then starts with those strategies decided and the br:pure
-    ones passing.  With Y empty, an "msd" entry starts with the strategies
-    sd fails decided, every one unless the pool is empty, and a "br:corr"
-    entry with every strategy decided, since no belief lives on no
-    profiles; none passes.  A query decides each candidate its entry leaves
-    open, in ascending order, and marks it decided.  The scope only picks
-    the pool, so a global and a local spec share every entry where the
-    local pool is the full strategy set.
+    ones passing.  With Y empty, an entry starts with every strategy
+    decided: "msd" passes exactly what sd passes, every strategy on an
+    empty pool and none otherwise, and "br:corr" passes none, since no
+    belief lives on no profiles.  So an entry leaves open only a candidate
+    with Y non-empty and a pool of at least two strategies, which sd passes
+    and br:pure fails; a query decides each one it asks, in ascending
+    order, and marks it decided.  The scope only picks the pool, so a
+    global and a local spec share every entry where the local pool is the
+    full strategy set.
 
     An open candidate s of an LP family ("msd", "br:corr") on pool P and
     opponent profiles Y is first settled from `certificates`, which keeps
@@ -152,11 +155,11 @@ class Evaluator:
       it), proves s passes on every (P, Y) with its support in Y and none of
       those strategies in P.
     Both are exact, whatever (P, Y) the certificate came from, and assume no
-    monotonicity.  A candidate no certificate settles goes to its own LP;
-    the answer's certificate, the witness or the LP's dual, is checked
-    against the whole game and stored.  Each family reads only its own
-    certificates, so `check pearce`'s two sides share only the pure
-    pre-checks.
+    monotonicity.  A candidate no certificate settles goes to its own LP.
+    Every answer carries a certificate, the witness or the LP's dual, which
+    is checked against the whole game and stored, so every LP verdict is
+    checked.  Each family reads only its own certificates, so `check
+    pearce`'s two sides share only the pure pre-checks.
 
     `enumerations[(omega, profile)]` holds the CK/CB enumerator's walk over
     a state space of omega states as two ints: the gathered restriction's
@@ -167,8 +170,7 @@ class Evaluator:
 
     def __init__(self, game: Game):
         self.game = game
-        self.payoffs: dict[int, list[list[int]]] = {}
-        self.beaters: dict[int, list[list[int]]] = {}
+        self.payoffs, self.beaters = zip(*(_comparisons(game, i) for i in game.players()))
         self.contexts: dict[tuple[int, int], _Context] = {}
         self.certificates: dict[tuple, tuple[list, list]] = {}
         self.enumerations: dict[tuple[int, PropertyProfile], tuple[int, int]] = {}
@@ -190,40 +192,35 @@ def _family(spec: PropertySpec, game: Game) -> str:
     return "br:" + dominance.decided_kind(game, spec.belief)
 
 
-def _comparisons(evaluator: Evaluator, player: int) -> list[list[int]]:
-    """`beaters` of `player`, built on first use, with `payoffs`.  The cells
-    of opponent profile y are read from `game.payoffs` by stride: its base
-    cells are those whose digit for `player` is 0, ascending, and strategy
-    s adds s * stride.  Per profile, one sort of the column by falling
-    payoff gives each strategy the mask of strictly higher payoffs, so equal
-    payoffs never beat each other."""
-    beaters = evaluator.beaters.get(player)
-    if beaters is None:
-        game = evaluator.game
-        k = game.sizes[player]
-        stride = game.strides[player]
-        cells = game.payoffs
-        columns = [
-            [cells[base + s * stride][player] for s in range(k)]
-            for block in range(0, len(cells), k * stride)
-            for base in range(block, block + stride)
-        ]
-        scale = lcm(*{v.denominator for column in columns for v in column})
-        columns = evaluator.payoffs[player] = [
-            [v.numerator * (scale // v.denominator) for v in column] for column in columns
-        ]
-        beaters = evaluator.beaters[player] = [[0] * len(columns) for _ in range(k)]
-        for y, column in enumerate(columns):
-            # by falling payoff: `seen` holds the strategies passed so far,
-            # and `above` those passed before the current run of equal payoffs
-            above = seen = 0
-            last = None
-            for t in sorted(range(k), key=column.__getitem__, reverse=True):
-                if column[t] != last:
-                    above, last = seen, column[t]
-                beaters[t][y] = above
-                seen |= 1 << t
-    return beaters
+def _comparisons(game: Game, player: int) -> tuple[list[list[int]], list[list[int]]]:
+    """`player`'s `payoffs` and `beaters`.  The cells of opponent profile y
+    are read from `game.payoffs` by stride: its base cells are those whose
+    digit for `player` is 0, ascending, and strategy s adds s * stride.  Per
+    profile, one sort of the column by falling payoff gives each strategy
+    the mask of strictly higher payoffs, so equal payoffs never beat each
+    other."""
+    k = game.sizes[player]
+    stride = game.strides[player]
+    cells = game.payoffs
+    columns = [
+        [cells[base + s * stride][player] for s in range(k)]
+        for block in range(0, len(cells), k * stride)
+        for base in range(block, block + stride)
+    ]
+    scale = lcm(*{v.denominator for column in columns for v in column})
+    columns = [[v.numerator * (scale // v.denominator) for v in column] for column in columns]
+    beaters = [[0] * len(columns) for _ in range(k)]
+    for y, column in enumerate(columns):
+        # by falling payoff: `seen` holds the strategies passed so far,
+        # and `above` those passed before the current run of equal payoffs
+        above = seen = 0
+        last = None
+        for t in sorted(range(k), key=column.__getitem__, reverse=True):
+            if column[t] != last:
+                above, last = seen, column[t]
+            beaters[t][y] = above
+            seen |= 1 << t
+    return columns, beaters
 
 
 def _opponent_profiles(game: Game, player: int, index: int) -> list[int]:
@@ -239,9 +236,9 @@ def _opponent_profiles(game: Game, player: int, index: int) -> list[int]:
 
 class _Context:
     """The record of one player's opponent context: its opponent profiles
-    `ys`, listed ascending when the record is built; what is derived from
-    them, each part None until a query needs it: the profile mask
-    `profiles` (Y), sd's masks `dominators` and br:pure's masks `rows` for
+    `ys`, ascending, and their profile mask `profiles` (Y), both built with
+    the record; what is derived from them, each part None until a query
+    needs it: sd's masks `dominators` and br:pure's masks `rows` for
     `_pure_passing`; and `verdicts`, one (decided, passing) pair of
     strategy masks per (LP family, pool mask)."""
 
@@ -249,17 +246,9 @@ class _Context:
 
     def __init__(self, ys: list[int]):
         self.ys = ys
-        self.profiles = self.dominators = self.rows = None
+        self.profiles = sum(1 << y for y in ys)
+        self.dominators = self.rows = None
         self.verdicts: dict[tuple[str, int], tuple[int, int]] = {}
-
-
-def _context(evaluator: Evaluator, player: int, opponents: int) -> _Context:
-    """The new record of `player`'s opponent context `opponents`, a lattice
-    index with the player's own bits cleared, stored in `contexts`."""
-    _comparisons(evaluator, player)  # the record's parts read `beaters`
-    ys = _opponent_profiles(evaluator.game, player, opponents)
-    record = evaluator.contexts[player, opponents] = _Context(ys)
-    return record
 
 
 def _pure_passing(
@@ -319,8 +308,7 @@ def _certificate_masks(
     """A mixture as (its support, the opponent profiles of the whole game at
     which it strictly beats `strategy`), or a belief as (its support, as
     profile numbers, the strategies that strictly beat `strategy` under it),
-    by exact integer evaluation of `payoffs`, which the record of the open
-    candidate's context has built."""
+    by exact integer evaluation of `payoffs`."""
     game = evaluator.game
     columns = evaluator.payoffs[player]
     scale = lcm(*{w.denominator for _, w in certificate.weights})
@@ -350,10 +338,10 @@ def _solved(
     profiles: int, s: int,
 ) -> bool:
     """s's `family` verdict on the restriction with lattice index `index`,
-    with pool `pool` and profile mask `profiles`, from its LP.  The answer's
-    certificate, the witness or the refutation the LP hands back, is reduced
-    to masks, must prove the verdict there, and is stored; an answer that
-    hands back none is taken as it is."""
+    with pool `pool` and profile mask `profiles`, from its LP.  The answer
+    must carry one certificate, the witness or the refutation the LP hands
+    back, which is reduced to masks, must prove the verdict there, and is
+    stored; anything else is an InternalError."""
     game = evaluator.game
     g = restriction_at(game, index)
     members = mask_members(pool)
@@ -368,16 +356,15 @@ def _solved(
             game, g, members, player, s, CORRELATED, refutation=refutation
         )
         passes = witness is not None
-    certificate = witness if witness is not None else refutation[0] if refutation else None
-    if certificate is not None:
-        masks = _certificate_masks(evaluator, player, s, certificate, not passes)
-        alone = ([], [masks]) if passes else ([masks], [])
-        if _settled(alone, pool, profiles) is not passes:
-            raise InternalError(
-                f"{family}: the certificate for player {player + 1}'s "
-                f"{game.strategy_names[player][s]} on {g.names()} failed re-validation"
-            )
-        evaluator.certificates[family, player, s][passes].append(masks)  # (mixtures, beliefs)
+    certificates = refutation if witness is None else [witness]
+    masks = [_certificate_masks(evaluator, player, s, c, not passes) for c in certificates]
+    alone = ([], masks) if passes else (masks, [])
+    if len(masks) != 1 or _settled(alone, pool, profiles) is not passes:
+        raise InternalError(
+            f"{family}: the certificate for player {player + 1}'s "
+            f"{game.strategy_names[player][s]} on {g.names()} is missing or failed re-validation"
+        )
+    evaluator.certificates[family, player, s][passes].extend(masks)  # (mixtures, beliefs)
     return passes
 
 
@@ -386,12 +373,12 @@ def _passing(
 ) -> int:
     """The strategies in the mask `candidates` that pass `family` on the
     restriction with lattice index `index`.  A pure query ("sd",
-    "br:pure") is computed from the context's record (`_context`) and not
+    "br:pure") is computed from the context's record (`_Context`) and not
     stored; the record keeps the LP families' verdicts per (family, pool),
-    each entry built from both pure pre-checks.  A candidate an entry
-    leaves open is settled by a stored certificate (`_settled`), or else by
-    its own LP (`_solved`), one strategy at a time, and the entry records
-    it."""
+    each entry built from both pure pre-checks, which decide every strategy
+    when the context has no opponent profiles.  A candidate an entry leaves
+    open is settled by a stored certificate (`_settled`), or else by its own
+    LP (`_solved`), one strategy at a time, and the entry records it."""
     game = evaluator.game
     shift = game.shifts[player]
     full = (1 << game.sizes[player]) - 1
@@ -399,32 +386,30 @@ def _passing(
     opponents = index & ~(full << shift)
     record = evaluator.contexts.get((player, opponents))
     if record is None:
-        record = _context(evaluator, player, opponents)
+        ys = _opponent_profiles(game, player, opponents)
+        record = evaluator.contexts[player, opponents] = _Context(ys)
     if family in ("sd", "br:pure"):
         return _pure_passing(evaluator, family, player, record, pool) & candidates
     entry = record.verdicts.get((family, pool))
     if entry is None:
-        failing = full & ~_pure_passing(evaluator, "sd", player, record, pool)
+        sd = _pure_passing(evaluator, "sd", player, record, pool)
         if record.ys:
             # a pure best response passes both families, and a strategy some
             # pool strategy strictly beats at every profile fails both
             passing = _pure_passing(evaluator, "br:pure", player, record, pool)
-            entry = (failing | passing, passing)
+            entry = (full & ~sd | passing, passing)
         else:
-            # no belief lives on no profiles; an empty pool leaves msd open
-            entry = (failing if family == "msd" else full, 0)
+            # with no profiles msd is sd, and no belief lives on no profiles
+            entry = (full, sd if family == "msd" else 0)
         record.verdicts[family, pool] = entry
     decided, passing = entry
     open_ = candidates & ~decided
     if open_:
-        profiles = record.profiles
-        if profiles is None:
-            profiles = record.profiles = sum(1 << y for y in record.ys)
         for s in mask_members(open_):
             certificates = evaluator.certificates.setdefault((family, player, s), ([], []))
-            verdict = _settled(certificates, pool, profiles)
+            verdict = _settled(certificates, pool, record.profiles)
             if verdict is None:
-                verdict = _solved(evaluator, family, index, player, pool, profiles, s)
+                verdict = _solved(evaluator, family, index, player, pool, record.profiles, s)
             passing |= verdict << s
         record.verdicts[family, pool] = (decided | open_, passing)
     return passing & candidates

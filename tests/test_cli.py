@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from gamelattice import cli, fixtures, iteration, lp, properties, symbolic, witnesses
+from gamelattice import cli, dominance, fixtures, iteration, lp, properties, symbolic, witnesses
 from gamelattice.cli import EXIT_INTERNAL, main
 from gamelattice.epistemic import DEFAULT_MODEL_BUDGET
 from gamelattice.errors import BudgetError
@@ -607,6 +607,21 @@ def _full_game_expected(monkeypatch):
     monkeypatch.setattr(cli, "_epistemic_expectation", lambda *args: "full-game")
 
 
+def _hidden(name):
+    """A fault: the procedure `name` of `dominance` solves its LP as before
+    but answers None and hands back no certificate, neither the witness
+    nor the LP's dual."""
+
+    def fault(monkeypatch):
+        calls = _counted_kernel(monkeypatch, lp.simplex_maximize)
+        real = getattr(dominance, name)
+        monkeypatch.setattr(dominance, name, lambda *args, **kwargs: real(*args) and None)
+        return calls
+
+    fault.__name__ = f"_hidden_{name}"
+    return fault
+
+
 EXIT_CASES = [
     # (argv, fault injected first, exit code); eliminate has no
     # counterexample to report, so it never exits 1; a fault that replaces
@@ -654,6 +669,10 @@ EXIT_CASES = [
       "pd.game"], None, 2),
     # 2001 iterates, beyond the default budget of 1000
     (["transfinite", "run", "--bound", "2000", "witness-tg"], None, 2),
+    # an LP answer with no certificate is not taken as it is: msd would keep
+    # B of mix, and br:corr would drop M of chain at the first step
+    (["eliminate", "--prop", "msd:l", "mix.game"], _hidden("mixed_dominance_witness"), 3),
+    (["eliminate", "--prop", "br:l:corr", "chain.game"], _hidden("exists_supporting_belief"), 3),
 ]
 
 
@@ -667,6 +686,8 @@ def test_exit_code_contract(argv, fault, expected, monkeypatch, capsys):
     assert code == expected, err
     assert "Traceback" not in err
     assert bool(err) == (expected in (2, 3))
+    if expected == 3:
+        assert out == "" and err.startswith("internal error: ")
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
+import functools
 import hashlib
 import itertools
 import math
 import random
+from operator import or_
 
 import pytest
 
@@ -28,10 +30,17 @@ from gamelattice.games import (
     Restriction,
     make_game,
     mask_members,
+    restriction_at,
     restriction_from_names,
     restriction_top,
 )
-from gamelattice.properties import Evaluator, PropertyProfile, parse_property_spec, outcome
+from gamelattice.properties import (
+    Evaluator,
+    PropertyProfile,
+    outcome,
+    parse_property_spec,
+    passing_mask,
+)
 from oracles import (
     belief_correspondences,
     common_knowledge_event_ms89,
@@ -442,15 +451,85 @@ def test_model_rejects_entries_that_are_not_ints(assignment, cells):
         EpistemicModel(PD, ("a", "b"), assignment, (cells, (event(0), event(1))))
 
 
-def brute_ck_cb(game, omega, profile, mode):
-    """The CK/CB restriction by building every model outright: every strategy
+def _events_of_models(game, omega, assign, corrs, profile, mode, evaluator):
+    """The CK/CB event of every model on the strategy assignment `assign`,
+    by building each model outright: every tuple of correspondences, in
+    product order."""
+    states = tuple(f"w{w}" for w in range(omega))
+    for combo in itertools.product(corrs, repeat=game.num_players):
+        model = EpistemicModel(game, states, assign, combo)
+        rat = rational_states(model, profile, evaluator)
+        if mode == "knowledge":
+            yield common_knowledge_event(model, rat)
+        else:
+            yield rat & common_belief_event(model, rat)
+
+
+def _or_all(masks):
+    return functools.reduce(or_, masks, 0)
+
+
+def _events_per_player(game, omega, assign, corrs, profile, mode, evaluator):
+    """The distinct events of `_events_of_models`, with each player's
+    rational event computed once per correspondence: a player's rationality
+    at a state depends only on that player's cell there.  Per model, in
+    product order, the players' events are ANDed, and the CK/CB event of
+    the result is read from `_ck_cb_tables`."""
+    index = [
+        sum(1 << game.shifts[i] + assign[i][w] for i in game.players()) for w in range(omega)
+    ]
+    rational = []
+    for i, spec in enumerate(profile.specs):
+        events = []
+        for corr in corrs:
+            event = 0
+            for w in range(omega):
+                g = restriction_at(game, _or_all(index[v] for v in mask_members(corr[w])))
+                if passing_mask(spec, game, i, g, 1 << assign[i][w], evaluator):
+                    event |= 1 << w
+            events.append(event)
+        rational.append(events)
+    rats = [(1 << omega) - 1]
+    for events in rational:
+        rats = [rat & event for rat in rats for event in events]
+    tables = _ck_cb_tables(tuple(corrs), game.num_players, mode)
+    return {table[rat] for rat, table in zip(rats, tables)}
+
+
+@functools.cache
+def _ck_cb_tables(corrs, n, mode):
+    """Per tuple of n correspondences from `corrs`, in product order, the
+    CK/CB event of every event e, at index e.  Knowledge peels e: it drops
+    each state whose union cell leaves the set until none does.  Belief
+    peels the states whose union cell lies inside e, then meets the result
+    with e."""
+    omega = len(corrs[0])
+    tables = []
+    for combo in itertools.product(corrs, repeat=n):
+        union = [_or_all(cells) for cells in zip(*combo)]
+
+        def known(e):
+            return sum(1 << w for w in range(omega) if not union[w] & ~e)
+
+        table = []
+        for e in range(1 << omega):
+            event = e if mode == "knowledge" else known(e)
+            while event & ~known(event):
+                event &= known(event)
+            table.append(event if mode == "knowledge" else e & event)
+        tables.append(table)
+    return tables
+
+
+def brute_ck_cb(game, omega, profile, mode, events=_events_of_models):
+    """The CK/CB restriction by listing every model: every strategy
     assignment times every tuple of correspondences, in product order, with
     the early exit at the first assignment after which every strategy of
-    every player is gathered."""
+    every player is gathered.  `events` gives the CK/CB event of each model
+    on one assignment."""
     n = game.num_players
     cells = set_partitions if mode == "knowledge" else belief_correspondences
     corrs = list(cells(omega))
-    states = tuple(f"w{w}" for w in range(omega))
     rows = [list(itertools.product(range(k), repeat=omega)) for k in game.sizes]
     evaluator = Evaluator(game)
     gathered = [set() for _ in range(n)]
@@ -459,13 +538,7 @@ def brute_ck_cb(game, omega, profile, mode):
     for r in rows:
         total *= len(r)
     for index, assign in enumerate(itertools.product(*rows)):
-        for combo in itertools.product(corrs, repeat=n):
-            model = EpistemicModel(game, states, assign, combo)
-            rat = rational_states(model, profile, evaluator)
-            if mode == "knowledge":
-                ck_cb = common_knowledge_event(model, rat)
-            else:
-                ck_cb = rat & common_belief_event(model, rat)
+        for ck_cb in events(game, omega, assign, corrs, profile, mode, evaluator):
             for i in range(n):
                 gathered[i].update(assign[i][w] for w in mask_members(ck_cb))
         if all(len(gathered[i]) == game.sizes[i] for i in range(n)):
@@ -482,17 +555,19 @@ def mixed_profile(game):
     return PropertyProfile(tuple(parse_property_spec(t) for t in specs))
 
 
-# every fixture at every omega <= 3 whose brute force takes a few seconds;
-# CHAIN and THREE at omega 3 in belief mode would take minutes.  The LP-backed
-# families decide their passing masks lazily, and the enumerator prunes
-# states on those masks, so they are compared too; msd:g on MIX at omega 3 in
-# belief mode alone takes seconds and is left out
+# every fixture at every omega <= 3, PD at omega 4 in knowledge mode and
+# MP at omega 4; PD at omega 4 in belief mode takes seconds and is left
+# out.  The model-building oracle runs on the omega 2 cases, next to the
+# per-player one, which alone runs beyond.  The LP-backed families decide
+# their passing masks lazily, and the enumerator prunes states on those
+# masks, so they are compared too
 BOTH = ("knowledge", "belief")
 DIFFERENTIAL_CASES = [
     (game, omega, mode)
     for game, omega, modes in [
-        (PD, 2, BOTH), (PD, 3, BOTH), (MP, 2, BOTH), (MP, 3, BOTH), (MIX, 3, BOTH),
-        (CHAIN, 3, ("knowledge",)), (THREE, 2, BOTH), (THREE, 3, ("knowledge",)),
+        (PD, 2, BOTH), (PD, 3, BOTH), (PD, 4, ("knowledge",)),
+        (MP, 2, BOTH), (MP, 3, BOTH), (MP, 4, BOTH),
+        (MIX, 3, BOTH), (CHAIN, 3, BOTH), (THREE, 2, BOTH), (THREE, 3, BOTH),
     ]
     for mode in modes
 ]
@@ -505,15 +580,13 @@ DIFFERENTIAL_CASES = [
 )
 def test_enumerate_matches_brute_force_models(game, omega, mode):
     specs = ("sd:g", "sd:l", "br:g:pure", "msd:g", "br:l:corr")
-    if (game, omega, mode) == (MIX, 3, "belief"):
-        specs = tuple(t for t in specs if t != "msd:g")
-    profiles = [uniform(game, t) for t in specs]
-    for profile in profiles + [mixed_profile(game)]:
+    oracles = [_events_per_player] + [_events_of_models] * (omega == 2)
+    for profile in [uniform(game, t) for t in specs] + [mixed_profile(game)]:
         res = enumerate_ck_cb(game, omega, profile, mode=mode)
-        restriction, total, enumerated, early = brute_ck_cb(game, omega, profile, mode)
-        assert (res.restriction, res.models_total, res.models_enumerated, res.early_exit) == (
-            restriction, total, enumerated, early
-        ), (game.name, omega, mode, str(profile))
+        for events in oracles:
+            assert (res.restriction, res.models_total, res.models_enumerated, res.early_exit) == (
+                brute_ck_cb(game, omega, profile, mode, events)
+            ), (game.name, omega, mode, str(profile), events.__name__)
 
 
 def seeded_game(seed):

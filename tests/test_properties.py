@@ -19,6 +19,7 @@ from gamelattice.games import (
     make_game,
     mask_members,
     parse_game_file,
+    restriction_at,
     restriction_from_names,
     restriction_top,
 )
@@ -592,8 +593,9 @@ def test_opponent_profiles_are_keyed_by_the_player():
 def _assert_tables_match_the_oracle(game):
     evaluator = Evaluator(game)
     for i in game.players():
-        beaters = properties._comparisons(evaluator, i)
-        assert (evaluator.payoffs[i], beaters) == comparison_tables(game, i), (game.name, i)
+        tables = properties._comparisons(game, i)
+        assert tables == (evaluator.payoffs[i], evaluator.beaters[i]), (game.name, i)
+        assert tables == comparison_tables(game, i), (game.name, i)
 
 
 @pytest.mark.parametrize(
@@ -794,7 +796,14 @@ def test_pearce_suite_matches_the_check_on_every_restriction():
 
 def test_pearce_suite_reports_the_checks_entries_on_a_disagreement(monkeypatch):
     # no mixture ever dominates: B of mix, dominated only by a mixture of T
-    # and M, is then eliminated under br:l:corr but kept under msd:l
+    # and M, is then eliminated under br:l:corr but kept under msd:l.  The
+    # suite's msd side passes every candidate its LP would decide, since an
+    # answer with no certificate is an internal error there; the check's
+    # own msd procedure finds no witness either
+    solved = properties._solved
+    monkeypatch.setattr(
+        properties, "_solved", lambda ev, family, *a: family == "msd" or solved(ev, family, *a)
+    )
     monkeypatch.setattr(dominance, "mixed_dominance_witness", lambda *args, **kwargs: None)
     rep = pearce_equivalence_suite(MIX)
     assert not rep.passed
@@ -975,9 +984,10 @@ def test_a_lone_pool_candidate_stores_what_its_procedure_would(game, monkeypatch
     # An msd candidate alone in its pool, with profiles to believe in, is a
     # pure best response there, so the pre-check stores it passing with no
     # LP and no certificate.  The stand-in hands each such candidate to
-    # mixed_dominance_witness through _solved on a separate Evaluator
-    # before the real _passing runs: the procedure must pass it too, and
-    # the run must store exactly what it stores without the stand-in
+    # mixed_dominance_witness, which must find no mixture, and to br:corr's
+    # _solved on a separate Evaluator, which must pass it with a checked
+    # belief, before the real _passing runs; the run must store exactly
+    # what it stores without the stand-in
     shortcut = _lp_family_results(game, monkeypatch)
     monkeypatch.undo()
     real_passing, real_evaluator = properties._passing, properties.Evaluator
@@ -992,9 +1002,10 @@ def test_a_lone_pool_candidate_stores_what_its_procedure_would(game, monkeypatch
         for s in mask_members(candidates) if family == "msd" and profiles else ():
             if not pool & ~(1 << s):
                 calls.append(s)
-                properties._comparisons(probe, player)
-                probe.certificates.setdefault((family, player, s), ([], []))
-                assert properties._solved(probe, family, index, player, pool, profiles, s)
+                g, members = restriction_at(game, index), mask_members(pool)
+                assert dominance.mixed_dominance_witness(game, g, player, members, s) is None
+                probe.certificates.setdefault(("br:corr", player, s), ([], []))
+                assert properties._solved(probe, "br:corr", index, player, pool, profiles, s)
         return real_passing(evaluator, family, scope, player, index, candidates)
 
     monkeypatch.setattr(properties, "_passing", routed)
@@ -1004,11 +1015,11 @@ def test_a_lone_pool_candidate_stores_what_its_procedure_would(game, monkeypatch
 
 def test_the_pure_decided_side_reaches_no_procedure(monkeypatch):
     # Every candidate an msd or br:corr query hands to its procedure is one
-    # neither pure test decides: with opponent profiles, sd passes it and
-    # br:pure fails it.  With none, a non-empty pool fails every strategy
-    # under msd and no belief lives on no profiles, so only msd on an empty
-    # pool is left open: msd:l at the bottom restriction, for one.  The
-    # 3-player games add contexts with one opponent component empty.  A
+    # neither pure test decides: it has opponent profiles and a pool of at
+    # least two strategies, sd passes it and br:pure fails it.  With no
+    # opponent profiles the entry decides every strategy, msd as sd and
+    # br:corr failing all, so no procedure sees the bottom restriction or
+    # the 3-player games' contexts with one opponent component empty.  A
     # fresh Evaluator per restriction keeps stored certificates from
     # settling a candidate before its procedure sees it.
     msd, belief = dominance.mixed_dominance_witness, dominance.exists_supporting_belief
@@ -1032,17 +1043,13 @@ def test_the_pure_decided_side_reaches_no_procedure(monkeypatch):
             for spec in specs:
                 for i in game.players():
                     passing_mask(spec, game, i, g, (1 << game.sizes[i]) - 1, evaluator)
-    profiled = bottoms = 0
     for family, game, g, i, pool, s in reached:
-        if all(g.masks[j] for j in game.players() if j != i):
-            assert not any(dominance.strictly_dominates_pure(game, g, i, t, s) for t in pool)
-            assert belief(game, g, pool, i, s, "pure") is None
-            profiled += 1
-        else:
-            assert family == "msd" and pool == [], (game.name, g.names(), i, s)
-            bottoms += g.index == 0
+        where = (family, game.name, g.names(), i, s)
+        assert all(g.masks[j] for j in game.players() if j != i) and len(pool) >= 2, where
+        assert not any(dominance.strictly_dominates_pure(game, g, i, t, s) for t in pool)
+        assert belief(game, g, pool, i, s, "pure") is None
     assert {game.num_players for game in games} == {2, 3}
-    assert profiled > 0 and bottoms == sum(sum(game.sizes) for game in games)
+    assert {family for family, *_ in reached} == {"msd", "br:corr"}
 
 
 def test_just1_lists_each_opponent_context_once(monkeypatch):
