@@ -10,6 +10,7 @@ games never need a limit step, so the trace ordinals are all finite here.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from operator import add, or_
@@ -135,6 +136,47 @@ def image_table(op: Operator, game: Game, max_restrictions: int) -> list[int]:
     return [
         _apply(op, game, g).index for g in all_restrictions(game, max_count=max_restrictions)
     ]
+
+
+def lattice_patterns(k: int) -> list[int]:
+    """Per lattice bit b < k, its bit-slice over a lattice of k bits: the
+    2^k-bit int whose bit X is bit b of X, 2^b zeros then 2^b ones,
+    repeated by doubling."""
+    patterns = []
+    for b in range(k):
+        run = 1 << b
+        pattern, width = ((1 << run) - 1) << run, run << 1
+        while width < 1 << k:
+            pattern |= pattern << width
+            width <<= 1
+        patterns.append(pattern)
+    return patterns
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+_LANES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # lane width in bytes: memoryview format
+
+
+def transpose_slices(slices: list[int], k: int) -> list[int]:
+    """The 2^k ints whose bit b at index X is bit X of slices[b].  Each
+    slice is written out as one byte per index (its binary digits, lowest
+    first, translated to 0 and 1), spread to the low byte of lanes wide
+    enough for every slice, shifted to its bit and ORed in; the lanes are
+    then read as one array.  Every step runs over whole strings and ints,
+    none per index."""
+    count = 1 << k
+    width = min(w for w in _LANES if 8 * w >= len(slices))
+    low = 0 if sys.byteorder == "little" else width - 1
+    lanes = 0
+    for b, bits in enumerate(slices):
+        if bits:
+            plane = format(bits, f"0{count}b")[::-1].encode().translate(_BITS)
+            if width > 1:
+                spread = bytearray(count * width)
+                spread[low::width] = plane
+                plane = spread
+            lanes |= int.from_bytes(plane, sys.byteorder) << b
+    return memoryview(lanes.to_bytes(count * width, sys.byteorder)).cast(_LANES[width]).tolist()
 
 
 def violations_below(images: list[int]) -> list[int]:

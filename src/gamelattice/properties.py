@@ -11,8 +11,10 @@ strategy that fails its property on the current restriction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
 from math import lcm
-from operator import and_, or_
+from operator import or_
 
 from . import dominance
 from .dominance import BELIEF_KINDS, CORRELATED
@@ -32,7 +34,9 @@ from .iteration import (
     IterationTrace,
     image_table,
     iterate_operator,
+    lattice_patterns,
     non_monotone_pairs,
+    transpose_slices,
     violations_below,
 )
 from .reports import CheckReport
@@ -115,14 +119,18 @@ class Evaluator:
 
     `contexts` holds one record (`_Context`) per (player, the index's
     opponent bits): the opponent bits are the restriction's lattice index
-    with the player's own bits cleared.  The record lists the context's
-    opponent profiles Y and their profile mask once, when the context is
-    first asked, and keeps what is derived from them the first time a query
-    needs it: per strategy s, D_s(Y), the AND of beaters[s][y] over y in Y
-    (every strategy when Y is empty); and per s, the distinct masks
-    beaters[s][y] over y in Y.  The pure pre-checks are a few bit tests on
-    pool P: s passes "sd" iff P & D_s(Y) == 0, and "br:pure" iff some
-    stored mask b has P & b == 0.
+    with the player's own bits cleared.  A record is built only by a
+    per-restriction query (an iteration step, `passing_mask`, the CK/CB
+    walk) and, while an image table is built, at an index where an LP
+    family leaves a strategy open: the table's pure verdicts come from
+    bit-slices over the whole lattice (`_component`), not from records.
+    The record lists the context's opponent profiles Y and their profile
+    mask once, when the context is first asked, and keeps what is derived
+    from them the first time a query needs it: per strategy s, D_s(Y), the
+    AND of beaters[s][y] over y in Y (every strategy when Y is empty); and
+    per s, the distinct masks beaters[s][y] over y in Y.  The pure
+    pre-checks are a few bit tests on pool P: s passes "sd" iff
+    P & D_s(Y) == 0, and "br:pure" iff some stored mask b has P & b == 0.
 
     The record's `verdicts` hold one (decided, passing) pair of strategy
     masks per LP family ("msd", "br:corr") and pool mask; a pure query is
@@ -493,37 +501,64 @@ def outcome(
 
 
 def _component(
-    evaluator: Evaluator, spec: PropertySpec, player: int, count: int, own: bool
-) -> list[int]:
-    """Per restriction, at its lattice index: the strategies passing `spec`
-    for `player` there, at the player's bits of the index; asked among the
-    restriction's own strategies when `own`, among all of T_i otherwise.
+    evaluator: Evaluator, family: str, scope: str, player: int, patterns: list[int], own: bool
+) -> tuple[list[int], list[int]]:
+    """`player`'s verdicts on every restriction at once, as bit-slices over
+    the lattice: per strategy s, one int whose bit X says that s passes
+    `family` at lattice index X with no LP, and for an LP family one whose
+    bit X says that the pure pre-checks leave s open there; both are asked
+    among the restriction's own strategies when `own`, among all of T_i
+    otherwise.  `patterns` holds one slice per lattice bit, from
+    `lattice_patterns`.
 
-    A global sd or br:pure verdict depends only on the opponents' bits, so it
-    is asked once per opponent context for all of T_i and repeated over the
-    player's own masks: the indices sharing the bits above the player's
-    field repeat one block of contexts, one per own mask.  Every other
-    family is asked once per index, ascending, so the LP families solve and
-    store certificates as they do for one restriction at a time."""
+    "y in Y" is the AND of one pattern per opponent, and "Y is non-empty"
+    the AND over opponents of the OR of their patterns.  s fails sd where
+    some pool strategy t beats it at every profile of Y, that is where t is
+    in the pool and Y misses every profile at which t does not beat s, and
+    passes br:pure where Y holds a profile y at which the pool misses
+    beaters[s][y].  The LP families take their decided part from these as
+    `_passing`'s entries do: with Y non-empty a br:pure pass passes and an
+    sd fail fails; with Y empty msd passes what sd passes and br:corr
+    nothing.  The rest, where Y is non-empty and sd passes but br:pure
+    fails, is open."""
     game = evaluator.game
-    family = _family(spec, game)
+    k = game.sizes[player]
     shift = game.shifts[player]
-    full = (1 << game.sizes[player]) - 1
-    if spec.scope == "g" and family in ("sd", "br:pure"):
-        width = (full + 1) << shift
-        component = []
-        for high in range(0, count, width):
-            block = [
-                _passing(evaluator, family, "g", player, high | low, full) << shift
-                for low in range(1 << shift)
-            ]
-            component += block * (full + 1)
-        return component
-    return [
-        _passing(evaluator, family, spec.scope, player, idx, idx >> shift & full if own else full)
-        << shift
-        for idx in range(count)
-    ]
+    ones = (1 << (1 << len(patterns))) - 1
+    own_bits = patterns[shift:shift + k]
+    in_y, nonempty = [ones], ones  # per profile y, row-major: where Y holds y
+    for j, size in enumerate(game.sizes):
+        if j != player:
+            bits = patterns[game.shifts[j]:game.shifts[j] + size]
+            in_y = [m & p for m in in_y for p in bits]
+            nonempty &= reduce(or_, bits)
+    pools = own_bits if scope == "l" else [ones] * k
+    sd, br = [], []
+    blocked = {}  # per beaters mask: where the pool meets it
+    for row in evaluator.beaters[player]:
+        fails = 0
+        for t, pool in enumerate(pools):
+            outside = 0  # where Y holds a profile at which t does not beat s
+            for y, mask in enumerate(row):
+                if not mask >> t & 1:
+                    outside |= in_y[y]
+            fails |= pool & ~outside
+        sd.append(ones & ~fails)
+        passes = 0
+        for y, mask in enumerate(row):
+            if mask not in blocked:
+                blocked[mask] = reduce(or_, (pools[t] for t in mask_members(mask)), 0)
+            passes |= in_y[y] & ~blocked[mask]
+        br.append(passes)
+    candidates = own_bits if own else [ones] * k
+    if family == "sd":
+        passing, opens = sd, []
+    elif family == "br:pure":
+        passing, opens = br, []
+    else:
+        passing = br if family == "br:corr" else [b | d & ~nonempty for d, b in zip(sd, br)]
+        opens = [nonempty & d & ~b & c for d, b, c in zip(sd, br, candidates)]
+    return [p & c for p, c in zip(passing, candidates)], opens
 
 
 def _property_table(
@@ -538,16 +573,36 @@ def _property_table(
     With `own` these are taken among the restriction's own strategies, which
     makes the table the operator's images; otherwise among all of T_i, which
     is the table a monotonicity check compares.  The lattice budget is
-    charged before anything else."""
+    charged before anything else.
+
+    Each player's pure verdicts come from `_component` as bit-slices, one
+    per lattice bit of the table, which `transpose_slices` turns into the
+    table once.  An LP family's open strategies are transposed the same way, and
+    `_passing` is asked only at the indices where some are open, per player
+    in ascending index, with those strategies as candidates: the order and
+    candidates of one restriction at a time, so the LPs and stored
+    certificates do not change."""
     count = count_restrictions(game, max_restrictions)
     if len(profile.specs) != game.num_players:
         raise ValueError("profile length differs from the number of players")
-    table = [0] * count
+    k = sum(game.sizes)
+    patterns = lattice_patterns(k)
+    slices = [0] * k
+    solved = []
     for i, spec in enumerate(profile.specs):
-        table = list(map(or_, table, _component(evaluator, spec, i, count, own)))
-    if own:
-        # a global pure component holds every passing strategy of T_i
-        return list(map(and_, range(count), table))
+        family = _family(spec, game)
+        shift = game.shifts[i]
+        passing, opens = _component(evaluator, family, spec.scope, i, patterns, own)
+        slices[shift:shift + len(passing)] = passing
+        if any(opens):
+            opens = transpose_slices(opens, k)
+            solved += [
+                (idx, _passing(evaluator, family, spec.scope, i, idx, opens[idx]) << shift)
+                for idx in compress(range(count), opens)
+            ]
+    table = transpose_slices(slices, k)
+    for idx, passing in solved:
+        table[idx] |= passing
     return table
 
 

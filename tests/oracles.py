@@ -2,13 +2,15 @@
 generators of every possibility correspondence of each class, the Monderer
 and Samet form of common knowledge, the decision of a player's marked sets
 by walking every partition of every set of states, the rank of a strategy
-assignment in product order, and one player's integer payoff and beater
-tables, built cell by cell."""
+assignment in product order, one player's integer payoff and beater
+tables, built cell by cell, and a property's image table, asked one lattice
+index at a time."""
 
 import itertools
 from math import lcm
 from typing import Iterator, Sequence
 
+from gamelattice import properties
 from gamelattice.epistemic import (
     EpistemicModel,
     _or_all,
@@ -143,3 +145,25 @@ def comparison_tables(game: Game, player: int) -> tuple[list[list[int]], list[li
         for s in range(k)
     ]
     return columns, beaters
+
+
+def per_index_table(
+    profile: properties.PropertyProfile, game: Game, evaluator: properties.Evaluator, own: bool
+) -> list[int]:
+    """The image table `properties._property_table` builds, asked one
+    lattice index at a time: per player in order, per index ascending, the
+    strategies passing that player's property there, from
+    `properties._passing` with the index's own strategies as candidates when
+    `own`, all of T_i otherwise, ORed into the index at the player's
+    bits."""
+    count = 1 << sum(game.sizes)
+    table = [0] * count
+    for i, spec in enumerate(profile.specs):
+        family = properties._family(spec, game)
+        shift = game.shifts[i]
+        full = (1 << game.sizes[i]) - 1
+        for idx in range(count):
+            candidates = idx >> shift & full if own else full
+            passing = properties._passing(evaluator, family, spec.scope, i, idx, candidates)
+            table[idx] |= passing << shift
+    return table

@@ -23,8 +23,10 @@ from gamelattice.iteration import (
     is_fixpoint,
     is_post_fixpoint,
     iterate_operator,
+    lattice_patterns,
     non_monotone_pairs,
     trace_from_json_dict,
+    transpose_slices,
     verify_contracting_outcome,
     verify_inclusion_lemma,
     verify_tarski,
@@ -496,3 +498,21 @@ def test_report_round_trip():
 def test_canonical_json_refuses_values_it_has_no_form_for(value):
     with pytest.raises(TypeError):
         canonical_json({"value": value})
+
+
+@pytest.mark.parametrize("k", [1, 8, 9, 16, 17])
+def test_transpose_turns_bit_slices_into_the_table(k):
+    # k bits need lanes of 1, 1, 2, 2 and 4 bytes; a per-bit loop over each
+    # slice's binary digits is the reference, and the lattice patterns
+    # transpose to the lattice indices themselves
+    count = 1 << k
+    rng = random.Random(k)
+    slices = [rng.getrandbits(count) for _ in range(k)]
+    slices[k // 2] = 0
+    want = [0] * count
+    for b, bits in enumerate(slices):
+        for x, digit in enumerate(reversed(format(bits, f"0{count}b"))):
+            if digit == "1":
+                want[x] |= 1 << b
+    assert transpose_slices(slices, k) == want
+    assert transpose_slices(lattice_patterns(k), k) == list(range(count))

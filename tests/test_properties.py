@@ -3,6 +3,7 @@ import itertools
 import math
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +48,7 @@ from gamelattice.properties import (
     verify_theorem_just,
     verify_theorem_just1,
 )
-from oracles import comparison_tables
+from oracles import comparison_tables, per_index_table
 
 PD, MP, MIX, CHAIN = fixtures.PD, fixtures.MP, fixtures.MIX, fixtures.CHAIN
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -392,13 +393,23 @@ def test_an_lp_entry_solves_only_the_newly_open_candidates(text, open_, monkeypa
     assert len(solves) == bin(open_).count("1")
 
 
-def _random_game(rng, sizes):
-    names = [tuple(f"{'abc'[i]}{k + 1}" for k in range(n)) for i, n in enumerate(sizes)]
+def _random_game(rng, sizes, bound=5, name="rand"):
+    names = [tuple(f"{'abcd'[i]}{k + 1}" for k in range(n)) for i, n in enumerate(sizes)]
     table = {
-        joint: tuple(rng.randint(-5, 5) for _ in sizes)
+        joint: tuple(rng.randint(-bound, bound) for _ in sizes)
         for joint in itertools.product(*names)
     }
-    return make_game(f"rand{'x'.join(map(str, sizes))}", names, table)
+    return make_game(f"{name}{'x'.join(map(str, sizes))}", names, table)
+
+
+def _fraction_game(rng, sizes):
+    """A game whose payoffs are fractions over the denominators 1 to 6."""
+    names = tuple(tuple(f"s{s}" for s in range(k)) for k in sizes)
+    payoffs = tuple(
+        tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 6)) for _ in sizes)
+        for _ in range(math.prod(sizes))
+    )
+    return Game(f"frac{'x'.join(map(str, sizes))}", names, payoffs)
 
 
 def _lp_only_verdict(spec, game, player, strategy, g):
@@ -488,10 +499,20 @@ def test_pure_passing_masks_match_the_dominance_procedures():
 
 
 def _table_games():
+    """Three seeded 2-player games up to 3x3, a 2x2x2 and a 2x3x2 game; then
+    a 3x1x2 game, whose second player has one strategy; a 2x2x2x2 game; a
+    4x5 game, whose 9 lattice bits take more than one byte per index; a 3x3
+    game with payoffs in [-1, 1], so most columns hold ties; and a 2x3x2
+    game of fractions over mixed denominators."""
     rng = random.Random(2424)
     return fixtures.random_games(2424, 3, 3, 3) + [
         _random_game(rng, (2, 2, 2)),
         _random_game(rng, (2, 3, 2)),
+        _random_game(rng, (3, 1, 2)),
+        _random_game(rng, (2, 2, 2, 2)),
+        _random_game(rng, (4, 5)),
+        _random_game(rng, (3, 3), bound=1, name="ties"),
+        _fraction_game(rng, (2, 3, 2)),
     ]
 
 
@@ -522,6 +543,48 @@ def test_property_tables_match_the_per_restriction_definitions(game):
         profile = PropertyProfile.uniform(spec, n)
         table = properties._property_table(profile, game, Evaluator(game), len(restrictions), False)
         assert table == want, str(spec)
+
+
+def _lp_solves(game, monkeypatch, build, steps):
+    """Each `_solved` call that `build(profile, game, evaluator, own)` makes,
+    as (family, player, index, strategy), the tables it returns and the
+    certificates it stores, for `steps` of (spec, own) on one Evaluator."""
+    solves = []
+    real = properties._solved
+
+    def recording(evaluator, family, index, player, pool, profiles, s):
+        solves.append((family, player, index, s))
+        return real(evaluator, family, index, player, pool, profiles, s)
+
+    monkeypatch.setattr(properties, "_solved", recording)
+    evaluator = Evaluator(game)
+    tables = [build(uniform(game, text), game, evaluator, own) for text, own in steps]
+    monkeypatch.undo()
+    return solves, tables, evaluator.certificates
+
+
+def _built_table(profile, game, evaluator, own):
+    return properties._property_table(profile, game, evaluator, DEFAULT_LATTICE_BUDGET, own)
+
+
+def test_the_table_builder_solves_the_per_index_loops_lps(monkeypatch):
+    # The builder asks _passing only where its slices leave a strategy
+    # open: it must solve the LPs of asking every index, per player in
+    # ascending index, in the same order, build the same tables and store
+    # the same certificates, on a fresh Evaluator per (spec, own) and on
+    # one Evaluator that builds them all in turn
+    games = [MIX, CHAIN, fixtures.THREE, *_table_games()[:5]]
+    games += fixtures.random_games(3838, 3, 4, 4)
+    games += [_random_game(random.Random(1), (3, 3, 2)), _random_game(random.Random(2), (2, 3, 3))]
+    steps = [(text, own) for text in LP_SPECS for own in (True, False)]
+    solving = set()
+    for game in games:
+        for chain in [[step] for step in steps] + [steps]:
+            got = _lp_solves(game, monkeypatch, _built_table, chain)
+            assert got == _lp_solves(game, monkeypatch, per_index_table, chain), (game.name, chain)
+            if got[0]:
+                solving.add(game.num_players)
+    assert solving == {2, 3}
 
 
 def test_an_empty_opponent_component_decides_br_corr_without_a_belief_search(monkeypatch):
