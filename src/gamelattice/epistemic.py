@@ -10,11 +10,12 @@ correspondence when additionally every state sits in its own cell (then the
 cells partition the state space).  Common knowledge of an event is
 membership in some evident subset of it, and evident events are closed under
 union: model queries compute the largest evident subset by peeling states
-whose cells stick out, and the enumerator decides for each player on their
-own which sets of states their correspondences can make evident inside
-their rationality, then keeps the sets every player marks.  A state's joint
-strategy is one lattice index (`Restriction.index`), so an event's image is
-an OR of ints, as is the restriction the enumerator gathers.
+whose cells stick out.  The enumerator peels too: per strategy assignment
+it gathers the greatest set of states on which every global player's
+strategies pass at the set's own image, dropping failing joint strategies
+until none fails.  A state's joint strategy is one lattice index
+(`Restriction.index`), so an event's image is an OR of ints, as is the
+restriction the enumerator gathers.
 """
 
 from __future__ import annotations
@@ -271,46 +272,6 @@ class CkCbResult:
     early_exit: bool
 
 
-def _marked_sets(passes: Sequence[int]) -> int:
-    """The non-empty sets of states, as the bits of one int, that split into
-    good blocks: `passes[b]` is the set of states whose strategy passes at
-    the image of the set of states b, and b is good when b <= passes[b].
-
-    By cell-consistency, a knowledge correspondence makes G evident inside
-    the player's rationality exactly when it partitions G into good blocks.
-    A belief correspondence may also route states of G to a good block b
-    with the state in passes[b], but for every property of the language
-    that marks no more sets, so both modes read their marks here.  A global
-    property is monotone, so `passes` is upward closed and such a G, with
-    b <= passes[b] <= passes[G] for its blocks and routed states, is itself
-    one good block.  A local property passes each strategy on its own
-    singleton restriction, so every set splits into good singletons.
-    `tests/test_epistemic.py` checks this against the belief definition and
-    the oracles' walk over every partition, on upward-closed and
-    singleton-accepting tables.
-
-    One pass over S ascending decides the marks.  The lowest state of S lies
-    in exactly one block b of any partition of S, so S splits into good
-    blocks iff some good b inside S that holds that state leaves S - b empty
-    or split; only the submasks of S that hold it are tried.
-    """
-    good = [not b & ~p for b, p in enumerate(passes)]
-    # bit 0 stands for the empty set, which splits into no blocks
-    marked = 1
-    for s in range(1, len(passes)):
-        low = s & -s
-        rest = sub = s ^ low
-        while True:
-            b = low | sub
-            if good[b] and marked >> (s ^ b) & 1:
-                marked |= 1 << s
-                break
-            if not sub:
-                break
-            sub = (sub - 1) & rest
-    return marked & ~1
-
-
 def _walk(
     game: Game, omega: int, profile: PropertyProfile, evaluator: Evaluator
 ) -> tuple[int, int]:
@@ -318,7 +279,6 @@ def _walk(
     the lattice index `acc` of the gathered restriction, and the product-order
     rank of the last assignment it counts, the representative at which `acc`
     reaches the full game, or else the last assignment of all."""
-    n = game.num_players
     # Relabelling the states maps the correspondences onto themselves, so
     # every assignment in one orbit under permutations of the states gathers
     # the same strategies.  Product order, the tuple order of the players'
@@ -334,62 +294,45 @@ def _walk(
         for per_state in itertools.combinations_with_replacement(joint_list, omega)
     )
 
-    # the full game as a lattice index, and the marks per `passes` tuple
     top = (1 << sum(game.sizes)) - 1
+    # each global player's (family, bit shift, field), resolved once for
+    # `_passing`; a local player passes every strategy, at the bits `free`
+    free = 0
+    globals_ = []
+    for i, spec in enumerate(profile.specs):
+        shift, full = game.shifts[i], (1 << game.sizes[i]) - 1
+        if spec.scope == "g":
+            globals_.append((i, _family(spec, game), shift, full))
+        else:
+            free |= full << shift
+    # per image index, the passing strategies of every player there
+    passing_at: dict[int, int] = {}
     acc = 0
-    decisions: dict[tuple[int, ...], int] = {}
-    # each player's (family, scope), resolved once for `_passing`
-    decided_as = [(_family(spec, game), spec.scope) for spec in profile.specs]
-    # per player, the passing mask asked per (image index, used strategies)
-    verdicts: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
     for rows in representatives:
+        # states choosing the same joint strategy pass or fail together
+        joints = {index_of[joint] for joint in zip(*rows)}
+        image = _or_all(joints)
         # A gathered state adds the strategies chosen there, so an assignment
         # whose states all choose gathered strategies cannot change acc.
-        state_idx = [index_of[joint] for joint in zip(*rows)]
-        if not _or_all(state_idx) & ~acc:
+        if not image & ~acc:
             continue
-        # images[e] is the image of the states in e; the cells are exactly
-        # the non-empty e
-        images = [0]
-        for idx in state_idx:
-            images += [m | idx for m in images]
-        # A state is gathered when some model puts it in an evident set
-        # inside rationality (in belief mode too, since by cell-consistency
-        # the union of an evident set's cells is evident).  A set is evident
-        # inside rationality under a tuple of correspondences when it is
-        # under each player's own, so the players' marked sets are ANDed.
-        marked = -1
-        for i, row in enumerate(rows):
-            # at[s] holds the states choosing s, states_of[x] those choosing in x
-            at = [0] * game.sizes[i]
-            used = 0
-            for w, s in enumerate(row):
-                at[s] |= 1 << w
-                used |= 1 << s
-            states_of = [0]
-            for at_s in at:
-                states_of += [m | at_s for m in states_of]
-            asked = verdicts[i]
-            passes = [0]
-            for m in images[1:]:
-                ok = asked.get((m, used))
-                if ok is None:
-                    ok = asked[m, used] = _passing(evaluator, *decided_as[i], i, m, used)
-                passes.append(states_of[ok])
-            passes = tuple(passes)
-            marks = decisions.get(passes)
-            if marks is None:
-                marks = decisions[passes] = _marked_sets(passes)
-            marked &= marks
-            if not marked:
+        # The states gathered are the greatest set G each player's
+        # rationality holds on at G's own image: peel the failing joints
+        # until none fails.
+        while image:
+            passing = passing_at.get(image)
+            if passing is None:
+                passing = free
+                for i, family, shift, full in globals_:
+                    ok = _passing(evaluator, family, "g", i, image, image >> shift & full)
+                    passing |= ok << shift
+                passing_at[image] = passing
+            kept = [idx for idx in joints if not idx & ~passing]
+            if len(kept) == len(joints):
                 break
-        # the union of the marked sets of states, read from their bits
-        gathered = 0
-        while marked:
-            low = marked & -marked
-            gathered |= low.bit_length() - 1
-            marked ^= low
-        acc |= images[gathered]
+            joints = kept
+            image = _or_all(kept)
+        acc |= image
         if acc == top:
             rank = 0
             for size, row in zip(game.sizes, rows):
@@ -418,11 +361,12 @@ def enumerate_ck_cb(
     representatives in the order of their rank among all assignments in
     product order, the tuple order of their per-player rows, reading each
     state's lattice index from a table built once per walk.  It skips a
-    representative none of whose states could add a strategy, and decides
-    the correspondences of an evaluated one player by player
-    (`_marked_sets`).  `models_enumerated` counts every model up to the
-    early exit, relabelled ones included: (rank + 1) times the
-    correspondence combinations per assignment, the rank read from the
+    representative none of whose states could add a strategy, and gathers
+    from an evaluated one the union of the sets of states that some
+    correspondence of each player makes evident inside that player's
+    rationality, by one peel (`_walk`).  `models_enumerated` counts every
+    model up to the early exit, relabelled ones included: (rank + 1) times
+    the correspondence combinations per assignment, the rank read from the
     exiting representative's rows.  The representatives
     are listed and sorted in full before the walk begins, so they cost
     their whole count in time and memory even where the early exit comes
@@ -437,21 +381,27 @@ def enumerate_ck_cb(
     exact count is never computed, and the message and `attempted` give a
     lower bound: the least power of two above the budget.
 
-    A player's knowledge and belief marks are the same sets for every
-    property of the language (`_marked_sets`), so the walk (`_walk`) visits
-    the same representatives, gathers the same restriction and exits at the
-    same rank in both modes, and nothing in it depends on the mode.  Only
+    For every property of the language, the sets of states a player's
+    belief correspondences make evident inside their rationality are those
+    their partitions do.  A global property is monotone, so those sets are
+    the sets G inside the states passing at G's image, and their union is
+    one of them; a local property passes every strategy alone in its pool,
+    so every set qualifies.  The union of the sets every player admits is
+    then the greatest G on which each global player's strategies pass at
+    G's image, which the walk reaches by peeling the assignment's distinct
+    joint indices.  So the walk visits the same representatives, gathers
+    the same restriction and exits at the same rank in both modes, and
+    nothing in it depends on the mode.  Only
     after the checks is the evaluator's `enumerations[(omega_size,
     profile)]` looked up, and only on a miss does the call walk, storing the
     walk's `(acc, rank)` there.  So of a knowledge and a belief call sharing
     one evaluator, the second walks nothing.  The mode sets only the
     correspondence combinations per assignment, and with them the budget,
-    `models_total` and `models_enumerated`.  Per player, the passing mask of
-    the strategies an assignment uses is asked of `properties._passing`
-    once per (image index, used strategies) pair, on the index itself; a
-    state's verdict is read from `states_of`, the states choosing each mask
-    of the player's strategies.  Per `passes` tuple, `_marked_sets` decides
-    once.
+    `models_total` and `models_enumerated`.  The passing index at an image
+    is kept per image index for the walk: each global player is asked of
+    `properties._passing` once per image, on the index itself, with the
+    image's own strategies as candidates, and a local player is never
+    asked.
     """
     n = game.num_players
     if len(profile.specs) != n:

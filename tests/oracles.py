@@ -1,8 +1,9 @@
 """Reference procedures that the tests compare the package against: the
 generators of every possibility correspondence of each class, the Monderer
 and Samet form of common knowledge, the decision of a player's marked sets
-by walking every partition of every set of states, the rank of a strategy
-assignment in product order, one player's integer payoff and beater
+by walking every partition of every set of states and by the good-block
+recursion, the CK/CB walk that ANDs every player's marked sets, the rank of
+a strategy assignment in product order, one player's integer payoff and beater
 tables, built cell by cell, and a property's image table, asked one lattice
 index at a time."""
 
@@ -15,6 +16,7 @@ from gamelattice.epistemic import (
     EpistemicModel,
     _or_all,
     _require_class,
+    _state_indices,
     is_knowledge_correspondence,
     k_event,
     largest_evident_subset,
@@ -96,9 +98,9 @@ def walked_marked_sets(
     """A player's marked sets in the mode, by walking the given partitions:
     knowledge mode marks the union S of every partition whose blocks b all
     lie inside passes[b], and belief mode every G from S up to S and the
-    union of the blocks' passes[b].  `epistemic._marked_sets` decides the
-    knowledge marks, which are the belief marks on the tables of the
-    language's properties."""
+    union of the blocks' passes[b].  `marked_sets` decides the knowledge
+    marks, which are the belief marks on the tables of the language's
+    properties."""
     good = [not b & ~p for b, p in enumerate(passes)]
     marked = 0
     for blocks in partitions:
@@ -111,6 +113,99 @@ def walked_marked_sets(
                 if not sub & ~free:
                     marked |= 1 << (covered | sub)
     return marked
+
+
+def marked_sets(passes: Sequence[int]) -> int:
+    """The non-empty sets of states, as the bits of one int, that split into
+    good blocks: `passes[b]` is the set of states whose strategy passes at
+    the image of the set of states b, and b is good when b <= passes[b].
+    By cell-consistency, a knowledge correspondence makes G evident inside
+    the player's rationality exactly when it partitions G into good blocks.
+
+    One pass over S ascending decides the marks.  The lowest state of S lies
+    in exactly one block b of any partition of S, so S splits into good
+    blocks iff some good b inside S that holds that state leaves S - b empty
+    or split; only the submasks of S that hold it are tried.
+    """
+    good = [not b & ~p for b, p in enumerate(passes)]
+    # bit 0 stands for the empty set, which splits into no blocks
+    marked = 1
+    for s in range(1, len(passes)):
+        low = s & -s
+        rest = sub = s ^ low
+        while True:
+            b = low | sub
+            if good[b] and marked >> (s ^ b) & 1:
+                marked |= 1 << s
+                break
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    return marked & ~1
+
+
+def marked_sets_walk(
+    game: Game, omega: int, profile: properties.PropertyProfile, evaluator: properties.Evaluator
+) -> tuple[int, int]:
+    """The `(acc, rank)` that `epistemic._walk` returns, from every player's
+    marked sets: per representative in product order, each player's
+    `passes` table is read at the image of every non-empty set of states,
+    `marked_sets` decides it, the players' marks are ANDed, and the image of
+    the union of the sets left is ORed into `acc`.  The same skip test,
+    early exit and rank as the walk.  `properties._passing` is asked once per
+    (player, image index, used strategies) and `marked_sets` once per
+    `passes` tuple."""
+    n = game.num_players
+    joint_list = list(game.joint_strategies())
+    index_of = dict(zip(joint_list, _state_indices(game, joint_list)))
+    representatives = sorted(
+        tuple(zip(*per_state))
+        for per_state in itertools.combinations_with_replacement(joint_list, omega)
+    )
+    top = (1 << sum(game.sizes)) - 1
+    acc = 0
+    decisions: dict[tuple[int, ...], int] = {}
+    decided_as = [(properties._family(spec, game), spec.scope) for spec in profile.specs]
+    verdicts: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for rows in representatives:
+        state_idx = [index_of[joint] for joint in zip(*rows)]
+        if not _or_all(state_idx) & ~acc:
+            continue
+        # images[e] is the image of the states in e
+        images = [0]
+        for idx in state_idx:
+            images += [m | idx for m in images]
+        marked = -1
+        for i, row in enumerate(rows):
+            # at[s] holds the states choosing s, states_of[x] those choosing in x
+            at = [0] * game.sizes[i]
+            used = 0
+            for w, s in enumerate(row):
+                at[s] |= 1 << w
+                used |= 1 << s
+            states_of = [0]
+            for at_s in at:
+                states_of += [m | at_s for m in states_of]
+            asked = verdicts[i]
+            passes = [0]
+            for m in images[1:]:
+                ok = asked.get((m, used))
+                if ok is None:
+                    ok = properties._passing(evaluator, *decided_as[i], i, m, used)
+                    asked[m, used] = ok
+                passes.append(states_of[ok])
+            passes = tuple(passes)
+            marks = decisions.get(passes)
+            if marks is None:
+                marks = decisions[passes] = marked_sets(passes)
+            marked &= marks
+            if not marked:
+                break
+        gathered = _or_all(s for s in range(1, 1 << omega) if marked >> s & 1)
+        acc |= images[gathered]
+        if acc == top:
+            return acc, product_rank(game.sizes, tuple(zip(*rows)))
+    return acc, len(joint_list) ** omega - 1
 
 
 def product_rank(sizes: Sequence[int], per_state: Sequence[Sequence[int]]) -> int:

@@ -37,13 +37,17 @@ from gamelattice.games import (
 from gamelattice.properties import (
     Evaluator,
     PropertyProfile,
+    check_singleton_condition,
     outcome,
     parse_property_spec,
     passing_mask,
+    property_is_monotone,
 )
 from oracles import (
     belief_correspondences,
     common_knowledge_event_ms89,
+    marked_sets,
+    marked_sets_walk,
     partial_partitions,
     product_rank,
     set_partitions,
@@ -589,12 +593,16 @@ def test_enumerate_matches_brute_force_models(game, omega, mode):
             ), (game.name, omega, mode, str(profile), events.__name__)
 
 
-def seeded_game(seed):
-    """A 2x2 game with payoffs drawn from [-3, 3] by a generator seeded with `seed`."""
+def seeded_game(seed, sizes=(2, 2)):
+    """A game of the given shape, 2x2 by default, with payoffs drawn from
+    [-3, 3] by a generator seeded with `seed`."""
     rng = random.Random(seed)
-    names = [("a1", "a2"), ("b1", "b2")]
-    payoffs = {joint: (rng.randint(-3, 3), rng.randint(-3, 3)) for joint in itertools.product(*names)}
-    return make_game(f"seeded{seed}", names, payoffs)
+    names = [tuple(f"{'abc'[i]}{k + 1}" for k in range(n)) for i, n in enumerate(sizes)]
+    payoffs = {
+        joint: tuple(rng.randint(-3, 3) for _ in sizes) for joint in itertools.product(*names)
+    }
+    shape = "" if sizes == (2, 2) else "x".join(map(str, sizes)) + "-"
+    return make_game(f"seeded{shape}{seed}", names, payoffs)
 
 
 def test_enumerate_matches_brute_force_on_seeded_games():
@@ -674,10 +682,10 @@ def _defined_marks(corrs, passes):
 @pytest.mark.parametrize("omega", [1, 2, 3, 4])
 @pytest.mark.parametrize("mode", BOTH)
 def test_marked_sets_match_their_definition(omega, mode):
-    # `_marked_sets` against the definition over every correspondence of
-    # the mode's class: on any table for partitions, and for belief
-    # correspondences on the tables of the language's properties, where
-    # the walk reads belief marks from it too
+    # the oracles' good-block recursion against the definition over every
+    # correspondence of the mode's class: on any table for partitions, and
+    # for belief correspondences on the tables of the language's
+    # properties, where it decides belief marks too
     seed, densities = f"{mode}-{omega}", (0.3, 0.6, 0.9)
     if mode == "knowledge":
         corrs, tables = set_partitions(omega), _drawn_tables(seed, omega, densities, 40)
@@ -687,7 +695,7 @@ def test_marked_sets_match_their_definition(omega, mode):
     counts = [0, 0]
     for passes in tables:
         expected = _defined_marks(corrs, passes)
-        assert epistemic._marked_sets(passes) == expected, passes
+        assert marked_sets(passes) == expected, passes
         marked = expected.bit_count()
         counts[0] += marked
         counts[1] += len(passes) - 1 - marked
@@ -716,14 +724,14 @@ def test_knowledge_and_belief_marks_agree_for_shipped_properties(omega):
 def test_belief_marks_routed_states_where_knowledge_cannot():
     # the control: neither upward closed nor singleton accepting.  Block {0}
     # is good and routes state 1, which passes at {0}, so the belief oracles
-    # mark {0} and {0, 1} while the knowledge oracle and `_marked_sets`
-    # mark {0} alone
+    # mark {0} and {0, 1} while the knowledge oracle and the good-block
+    # recursion mark {0} alone
     passes = [0, 0b11, 0, 0]
     routed = 1 << 0b01 | 1 << 0b11
     assert _defined_marks(list(belief_correspondences(2)), passes) == routed
     assert walked_marked_sets(partial_partitions(2), passes, "belief") == routed
     assert walked_marked_sets(partial_partitions(2), passes, "knowledge") == 1 << 0b01
-    assert epistemic._marked_sets(passes) == 1 << 0b01
+    assert marked_sets(passes) == 1 << 0b01
 
 
 @pytest.mark.parametrize("omega", [1, 2, 3, 4, 5])
@@ -746,9 +754,9 @@ def test_knowledge_marks_are_belief_marks_on_any_table(omega):
 @pytest.mark.parametrize("omega", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("mode", BOTH)
 def test_marked_sets_match_the_partition_walk(omega, mode):
-    # the recursion over sets of states against the walk over every
-    # partition of every set of states: on seeded tables of every density
-    # for the knowledge walk, and on the tables of the language's
+    # the oracles' recursion over sets of states against their walk over
+    # every partition of every set of states: on seeded tables of every
+    # density for the knowledge walk, and on the tables of the language's
     # properties for the belief walk, which routes states
     partitions = partial_partitions(omega)
     seed, densities = f"walk-{mode}-{omega}", (0.2, 0.5, 0.8, 0.95)
@@ -759,11 +767,107 @@ def test_marked_sets_match_the_partition_walk(omega, mode):
     counts = [0, 0]
     for passes in tables:
         expected = walked_marked_sets(partitions, passes, mode)
-        assert epistemic._marked_sets(passes) == expected, passes
+        assert marked_sets(passes) == expected, passes
         marked = expected.bit_count()
         counts[0] += marked
         counts[1] += len(passes) - 1 - marked
     assert all(counts), counts
+
+
+def _union_of(marks):
+    """The union of the sets of states whose bits `marks` sets."""
+    return functools.reduce(or_, (g for g in range(marks.bit_length()) if marks >> g & 1), 0)
+
+
+def _peeled(passes):
+    """The greatest G with G <= passes[G], when `passes` is upward closed:
+    the states failing at the current set are dropped until none fails."""
+    g = len(passes) - 1
+    while g & ~passes[g]:
+        g &= passes[g]
+    return g
+
+
+@pytest.mark.parametrize("omega", [1, 2, 3, 4])
+def test_the_peel_gathers_the_union_of_the_oracles_marks(omega):
+    # Per representative the walk gathers the greatest set of states on
+    # which every global player's strategies pass at the set's own image,
+    # and a local player drops no state.  That is the union of the sets
+    # every player marks: an upward-closed table's good sets are closed
+    # under union, so the peel reaches the greatest, and a singleton-
+    # accepting table marks every set.  The players' marks are ANDed, as
+    # the oracles' walk ANDs them.
+    full = (1 << omega) - 1
+    partitions = partial_partitions(omega)
+    tables = list(_shipped_tables(f"peel-{omega}", omega, (0.05, 0.1, 0.2, 0.6), 20))
+    closed, local = tables[::2], tables[1::2]
+    peels = set()
+    for passes, other, single in zip(closed, closed[1:] + closed[:1], local):
+        marks = marked_sets(passes)
+        peels.add(_peeled(passes))
+        assert _union_of(marks) == _peeled(passes), passes
+        for mode in BOTH:
+            assert _union_of(walked_marked_sets(partitions, passes, mode)) == _peeled(passes)
+            assert _union_of(walked_marked_sets(partitions, single, mode)) == full, single
+        assert _union_of(marked_sets(single)) == full, single
+        both = [a & b for a, b in zip(passes, other)]
+        assert _union_of(marks & marked_sets(other)) == _peeled(both), (passes, other)
+        assert _union_of(marks & marked_sets(single)) == _peeled(passes), (passes, single)
+    assert {0, full} < peels or omega == 1, peels
+
+
+WALK_FAMILIES = (
+    "sd:g", "sd:l", "br:g:pure", "br:l:pure", "msd:g", "msd:l", "br:g:corr", "br:l:corr",
+)
+# the fixtures, then one seeded game of each shape
+WALK_GAMES = [PD, MP, MIX, CHAIN, THREE] + [
+    seeded_game(seed, sizes)
+    for seed, sizes in enumerate([(2, 3), (3, 3), (3, 4), (2, 2, 2)], start=39)
+]
+
+
+def _mixed_walk_profiles(game):
+    """Profiles that mix global and local players, and the LP and pure
+    families."""
+    texts = [
+        ("sd:g", "br:l:corr", "msd:l"),
+        ("msd:l", "br:g:pure", "sd:g"),
+        ("br:g:corr", "sd:l", "br:l:pure"),
+    ]
+    n = game.num_players
+    return [PropertyProfile(tuple(parse_property_spec(t) for t in row[:n])) for row in texts]
+
+
+@pytest.mark.parametrize("game", WALK_GAMES, ids=lambda game: game.name)
+def test_walk_matches_the_marked_sets_oracle(game):
+    # the peel against the oracles' walk, which decides every player's
+    # marked sets over every set of states by the good-block recursion and
+    # ANDs them: the same gathered index and the same exit rank, each on a
+    # fresh Evaluator, at the least state space and one state more
+    profiles = [uniform(game, text) for text in WALK_FAMILIES] + _mixed_walk_profiles(game)
+    omegas = [max(game.sizes), max(game.sizes) + 1]
+    for omega, profile in itertools.product(omegas, profiles):
+        walked = epistemic._walk(game, omega, profile, Evaluator(game))
+        expected = marked_sets_walk(game, omega, profile, Evaluator(game))
+        assert walked == expected, (omega, str(profile))
+
+
+@pytest.mark.parametrize(
+    "game",
+    WALK_GAMES + [seeded_game(seed, sizes) for seed, sizes in [(7, (3, 2)), (8, (2, 3, 2))]],
+    ids=lambda game: game.name,
+)
+def test_the_peels_premises_hold(game):
+    # the peel reads no marks: it takes every global family's verdicts to be
+    # upward closed in the restriction, and every local family to pass each
+    # strategy alone in its pool
+    evaluator = Evaluator(game)
+    for text in WALK_FAMILIES:
+        spec = parse_property_spec(text)
+        if spec.scope == "l":
+            assert check_singleton_condition(spec, game, evaluator).passed, text
+        else:
+            assert property_is_monotone(spec, game, evaluator), text
 
 
 THEOREM_CASES = [(PD, 5), (MP, 5), (CHAIN, 5), (THREE, 4), (THREE, 5), (MIX, 4)]
@@ -892,10 +996,6 @@ def _recorded(monkeypatch, module, name, key=lambda *args: args):
     return calls
 
 
-def _passes_of(passes):
-    return tuple(passes)
-
-
 # (msd procedure calls, belief procedure calls, LPs solved)
 LP_PINS = [
     (MIX, 3, "msd:g", (1, 0, 1)),
@@ -928,15 +1028,20 @@ def test_enumerate_solves_the_pinned_lps(game, omega, text, expected, mode, monk
 @pytest.mark.parametrize("mode", BOTH)
 @pytest.mark.parametrize("profile", [uniform(CHAIN, "sd:g"), mixed_profile(CHAIN)], ids=str)
 def test_enumerate_asks_each_image_and_decides_each_passes_once(profile, mode, monkeypatch):
+    # the peel reads an image's passing index from the walk's memo, so each
+    # global player is asked once per image, with the image's own strategies
+    # as candidates, and a local player is never asked
     asked = _recorded(
         monkeypatch, epistemic, "_passing",
         lambda evaluator, family, scope, player, index, candidates: (player, index, candidates),
     )
-    decided = _recorded(monkeypatch, epistemic, "_marked_sets", _passes_of)
     enumerate_ck_cb(CHAIN, 4, profile, mode=mode)
-    assert asked and decided
+    assert asked
     assert len(set(asked)) == len(asked)
-    assert len(set(decided)) == len(decided)
+    shifts, sizes = CHAIN.shifts, CHAIN.sizes
+    for player, index, candidates in asked:
+        assert profile.specs[player].scope == "g"
+        assert candidates == index >> shifts[player] & (1 << sizes[player]) - 1
 
 
 def test_a_budget_that_refuses_belief_leaves_knowledge_walking_alone():
@@ -973,28 +1078,27 @@ SHARED_CASES = [
 )
 def test_a_shared_evaluator_gives_each_mode_its_fresh_result(game, text, monkeypatch):
     # The walk depends on no mode: a fresh knowledge call and a fresh belief
-    # call ask the property layer the same keys and decide the same
-    # `passes` tuples.  One Evaluator serves a knowledge and a belief call,
-    # in either order: the first call makes exactly that walk and the second
-    # makes none, yet each returns what a call on a fresh Evaluator returns.
+    # call ask the property layer the same keys, and a local profile asks
+    # none.  One Evaluator serves a knowledge and a belief call, in either
+    # order: the first call makes exactly that walk and the second makes
+    # none, yet each returns what a call on a fresh Evaluator returns.
     profile = uniform(game, text)
     asked = _recorded(
         monkeypatch, epistemic, "_passing",
         lambda evaluator, family, scope, player, index, candidates: (player, index, candidates),
     )
-    decided = _recorded(monkeypatch, epistemic, "_marked_sets", _passes_of)
 
     def run(mode, evaluator):
-        start = len(asked), len(decided)
+        start = len(asked)
         r = enumerate_ck_cb(game, 3, profile, mode=mode, evaluator=evaluator)
-        return r, asked[start[0]:], decided[start[1]:]
+        return r, asked[start:]
 
     fresh = {mode: run(mode, None) for mode in BOTH}
-    (_, *walk), (_, *belief_walk) = fresh.values()
-    assert walk[1] and belief_walk == walk
+    (_, walk), (_, belief_walk) = fresh.values()
+    assert bool(walk) == (profile.specs[0].scope == "g") and belief_walk == walk
     for order in (BOTH, BOTH[::-1]):
         shared = Evaluator(game)
-        (first, *first_walk), (second, *second_walk) = (run(mode, shared) for mode in order)
+        (first, first_walk), (second, second_walk) = (run(mode, shared) for mode in order)
         assert (first, second) == tuple(fresh[mode][0] for mode in order), order
         assert first_walk == walk, order
-        assert second_walk == [[], []], order
+        assert second_walk == [], order
