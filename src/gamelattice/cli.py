@@ -7,7 +7,9 @@ errors, 3 on an internal fault (a certificate, an LP's witness or its dual,
 that fails its re-validation, or an LP that should be feasible and bounded
 but is not).  --json switches to
 the canonical machine-readable rendering; the GAMELATTICE_BUDGET environment
-variable overrides enumeration budgets.
+variable sets the budget of every command that has one, unless --budget is
+given: the round count, the lattice size, the model count or the iterate
+count.
 Each command evaluates properties through one Evaluator, so its verdict
 cache lives exactly as long as the command.
 """

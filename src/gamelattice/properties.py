@@ -117,38 +117,22 @@ class Evaluator:
     strategy sets, so with two players a profile is the opponent's strategy
     index.
 
-    `contexts` holds one record (`_Context`) per (player, the index's
-    opponent bits): the opponent bits are the restriction's lattice index
-    with the player's own bits cleared.  A record is built only by a
-    per-restriction query (an iteration step, `passing_mask`, the CK/CB
-    walk) and, while an image table is built, at an index where an LP
-    family leaves a strategy open: the table's pure verdicts come from
-    bit-slices over the whole lattice (`_component`), not from records.
-    The record lists the context's opponent profiles Y and their profile
-    mask once, when the context is first asked, and keeps what is derived
-    from them the first time a query needs it: per strategy s, D_s(Y), the
-    AND of beaters[s][y] over y in Y (every strategy when Y is empty); and
-    per s, the distinct masks beaters[s][y] over y in Y.  The pure
-    pre-checks are a few bit tests on pool P: s passes "sd" iff
-    P & D_s(Y) == 0, and "br:pure" iff some stored mask b has P & b == 0.
-
-    The record's `verdicts` hold one (decided, passing) pair of strategy
-    masks per LP family ("msd", "br:corr") and pool mask; a pure query is
-    computed from the record's masks each time and never stored.  With Y
-    non-empty, both pure pre-checks decide one side of both LP families,
-    whose mixed forms coincide (Pearce 1984, Lemma 3): a strategy br:pure
-    passes is strictly beaten by no mixture, so it passes both, and a
-    strategy sd fails is a best response to no belief, so it fails both.
-    Each entry then starts with those strategies decided and the br:pure
-    ones passing.  With Y empty, an entry starts with every strategy
-    decided: "msd" passes exactly what sd passes, every strategy on an
-    empty pool and none otherwise, and "br:corr" passes none, since no
-    belief lives on no profiles.  So an entry leaves open only a candidate
-    with Y non-empty and a pool of at least two strategies, which sd passes
-    and br:pure fails; a query decides each one it asks, in ascending
-    order, and marks it decided.  The scope only picks the pool, so a
-    global and a local spec share every entry where the local pool is the
-    full strategy set.
+    `verdicts` holds one (decided, passing) pair of strategy masks per
+    (family, player, opponent bits, pool mask): the opponent bits are the
+    restriction's lattice index with the player's own bits cleared.  Each
+    entry is seeded from the pure pre-checks by `_seeded`, which decides a
+    pure family ("sd", "br:pure") outright and leaves an LP family ("msd",
+    "br:corr") open only where the context has opponent profiles, sd passes
+    and br:pure fails; a query decides each open candidate it asks, in
+    ascending order, and marks it decided.  The scope only picks the pool,
+    so a global and a local spec share every entry where the local pool is
+    the full strategy set.  `contexts` holds, per (player, opponent bits),
+    what `_context` derives from the context's opponent profiles Y, once:
+    their profile mask, their list and per strategy s, D_s(Y).  Both are
+    filled only by a per-restriction query (an iteration step,
+    `passing_mask`, the CK/CB walk) and, while an image table is built, at
+    an index where an LP family leaves a strategy open: the table's pure
+    verdicts come from bit-slices over the whole lattice (`_component`).
 
     An open candidate s of an LP family ("msd", "br:corr") on pool P and
     opponent profiles Y is first settled from `certificates`, which keeps
@@ -179,7 +163,8 @@ class Evaluator:
     def __init__(self, game: Game):
         self.game = game
         self.payoffs, self.beaters = zip(*(_comparisons(game, i) for i in game.players()))
-        self.contexts: dict[tuple[int, int], _Context] = {}
+        self.verdicts: dict[tuple[str, int, int, int], tuple[int, int]] = {}
+        self.contexts: dict[tuple[int, int], tuple[int, list[int], list[int]]] = {}
         self.certificates: dict[tuple, tuple[list, list]] = {}
         self.enumerations: dict[tuple[int, PropertyProfile], tuple[int, int]] = {}
 
@@ -231,67 +216,51 @@ def _comparisons(game: Game, player: int) -> tuple[list[list[int]], list[list[in
     return columns, beaters
 
 
-def _opponent_profiles(game: Game, player: int, index: int) -> list[int]:
-    """The opponent profiles of the restriction with lattice index `index`,
-    ascending: row-major numbers over the opponents' strategy sets."""
-    ys = [0]
-    for j, k in enumerate(game.sizes):
-        if j != player:
-            mask = index >> game.shifts[j]
-            ys = [y * k + s for y in ys for s in range(k) if mask >> s & 1]
-    return ys
+def _context(
+    evaluator: Evaluator, player: int, opponents: int
+) -> tuple[int, list[int], list[int]]:
+    """The opponent context of `player` at the opponent bits `opponents`,
+    built once per Evaluator: its profile mask (Y), its opponent profiles,
+    ascending row-major numbers over the opponents' strategy sets, and per
+    strategy s, D_s(Y), the AND of beaters[s][y] over y in Y (every
+    strategy when Y is empty)."""
+    context = evaluator.contexts.get((player, opponents))
+    if context is None:
+        game = evaluator.game
+        ys = [0]
+        for j, k in enumerate(game.sizes):
+            if j != player:
+                mask = opponents >> game.shifts[j]
+                ys = [y * k + s for y in ys for s in range(k) if mask >> s & 1]
+        beaters = evaluator.beaters[player]
+        dominators = []
+        for row in beaters:
+            dominator = (1 << len(beaters)) - 1
+            for y in ys:
+                dominator &= row[y]
+            dominators.append(dominator)
+        context = evaluator.contexts[player, opponents] = (sum(1 << y for y in ys), ys, dominators)
+    return context
 
 
-class _Context:
-    """The record of one player's opponent context: its opponent profiles
-    `ys`, ascending, and their profile mask `profiles` (Y), both built with
-    the record; what is derived from them, each part None until a query
-    needs it: sd's masks `dominators` and br:pure's masks `rows` for
-    `_pure_passing`; and `verdicts`, one (decided, passing) pair of
-    strategy masks per (LP family, pool mask)."""
-
-    __slots__ = ("ys", "profiles", "dominators", "rows", "verdicts")
-
-    def __init__(self, ys: list[int]):
-        self.ys = ys
-        self.profiles = sum(1 << y for y in ys)
-        self.dominators = self.rows = None
-        self.verdicts: dict[tuple[str, int], tuple[int, int]] = {}
-
-
-def _pure_passing(
-    evaluator: Evaluator, family: str, player: int, record: _Context, pool: int
-) -> int:
-    """The strategies of T_i passing `family`, "sd" or "br:pure", on pool
-    `pool` in the context of `record`.  s passes sd iff the pool misses
-    D_s(Y), the AND of beaters[s][y] over y in Y (every strategy when Y is
-    empty), and br:pure iff the pool misses some beaters[s][y] with y in
-    Y: `dominators[s]` holds D_s(Y), and `rows[s]` the distinct
-    beaters[s][y]."""
-    passing = 0
+def _seeded(family: str, sd: int, br: int, nonempty: int) -> tuple[int, int]:
+    """What the pure pre-checks decide of `family`, as (passing, open):
+    `sd` and `br` hold where sd and br:pure pass, `nonempty` where the
+    opponent profiles Y are non-empty.  Every operation is bitwise, so the
+    arguments are either strategy masks, with `nonempty` all ones or zero
+    (`_passing`), or one strategy's bit-slices over the lattice
+    (`_component`).  A pure family is decided outright.  With Y non-empty,
+    a pure best response passes both LP families, and a strategy some pool
+    strategy strictly beats at every profile fails both, since their mixed
+    forms coincide (Pearce 1984, Lemma 3); with Y empty, msd passes what sd
+    passes and br:corr nothing, since no belief lives on no profiles.  The
+    rest, where Y is non-empty, sd passes and br:pure fails, is open."""
     if family == "sd":
-        if record.dominators is None:
-            beaters = evaluator.beaters[player]
-            full = (1 << len(beaters)) - 1
-            record.dominators = []
-            for row in beaters:
-                dominators = full
-                for y in record.ys:
-                    dominators &= row[y]
-                record.dominators.append(dominators)
-        for s, dominators in enumerate(record.dominators):
-            if not pool & dominators:
-                passing |= 1 << s
-        return passing
-    if record.rows is None:
-        ys = record.ys
-        record.rows = [tuple({row[y] for y in ys}) for row in evaluator.beaters[player]]
-    for s, masks in enumerate(record.rows):
-        for mask in masks:
-            if not pool & mask:
-                passing |= 1 << s
-                break
-    return passing
+        return sd, 0
+    if family == "br:pure":
+        return br, 0
+    open_ = nonempty & sd & ~br
+    return (br | sd & ~nonempty if family == "msd" else br), open_
 
 
 def _settled(certificates: tuple[list, list], pool: int, profiles: int) -> bool | None:
@@ -380,46 +349,42 @@ def _passing(
     evaluator: Evaluator, family: str, scope: str, player: int, index: int, candidates: int
 ) -> int:
     """The strategies in the mask `candidates` that pass `family` on the
-    restriction with lattice index `index`.  A pure query ("sd",
-    "br:pure") is computed from the context's record (`_Context`) and not
-    stored; the record keeps the LP families' verdicts per (family, pool),
-    each entry built from both pure pre-checks, which decide every strategy
-    when the context has no opponent profiles.  A candidate an entry leaves
-    open is settled by a stored certificate (`_settled`), or else by its own
-    LP (`_solved`), one strategy at a time, and the entry records it."""
+    restriction with lattice index `index`.  The verdicts are kept in
+    `evaluator.verdicts`, one entry per (family, player, opponent bits,
+    pool), seeded from both pure pre-checks by `_seeded`.  A candidate an
+    entry leaves open is settled by a stored certificate (`_settled`), or
+    else by its own LP (`_solved`), one strategy at a time, and the entry
+    records it."""
     game = evaluator.game
     shift = game.shifts[player]
     full = (1 << game.sizes[player]) - 1
     pool = full if scope == "g" else index >> shift & full
     opponents = index & ~(full << shift)
-    record = evaluator.contexts.get((player, opponents))
-    if record is None:
-        ys = _opponent_profiles(game, player, opponents)
-        record = evaluator.contexts[player, opponents] = _Context(ys)
-    if family in ("sd", "br:pure"):
-        return _pure_passing(evaluator, family, player, record, pool) & candidates
-    entry = record.verdicts.get((family, pool))
+    key = (family, player, opponents, pool)
+    profiles, ys, dominators = _context(evaluator, player, opponents)
+    entry = evaluator.verdicts.get(key)
     if entry is None:
-        sd = _pure_passing(evaluator, "sd", player, record, pool)
-        if record.ys:
-            # a pure best response passes both families, and a strategy some
-            # pool strategy strictly beats at every profile fails both
-            passing = _pure_passing(evaluator, "br:pure", player, record, pool)
-            entry = (full & ~sd | passing, passing)
-        else:
-            # with no profiles msd is sd, and no belief lives on no profiles
-            entry = (full, sd if family == "msd" else 0)
-        record.verdicts[family, pool] = entry
+        sd = br = 0
+        for s, row in enumerate(evaluator.beaters[player]):
+            if not pool & dominators[s]:
+                sd |= 1 << s
+                # br:pure passes only what sd passes
+                for y in ys:
+                    if not pool & row[y]:
+                        br |= 1 << s
+                        break
+        passing, open_ = _seeded(family, sd, br, full if ys else 0)
+        entry = evaluator.verdicts[key] = (full & ~open_, passing)
     decided, passing = entry
     open_ = candidates & ~decided
     if open_:
         for s in mask_members(open_):
             certificates = evaluator.certificates.setdefault((family, player, s), ([], []))
-            verdict = _settled(certificates, pool, record.profiles)
+            verdict = _settled(certificates, pool, profiles)
             if verdict is None:
-                verdict = _solved(evaluator, family, index, player, pool, record.profiles, s)
+                verdict = _solved(evaluator, family, index, player, pool, profiles, s)
             passing |= verdict << s
-        record.verdicts[family, pool] = (decided | open_, passing)
+        evaluator.verdicts[key] = (decided | open_, passing)
     return passing & candidates
 
 
@@ -505,10 +470,10 @@ def _component(
 ) -> tuple[list[int], list[int]]:
     """`player`'s verdicts on every restriction at once, as bit-slices over
     the lattice: per strategy s, one int whose bit X says that s passes
-    `family` at lattice index X with no LP, and for an LP family one whose
-    bit X says that the pure pre-checks leave s open there; both are asked
-    among the restriction's own strategies when `own`, among all of T_i
-    otherwise.  `patterns` holds one slice per lattice bit, from
+    `family` at lattice index X with no LP, and one whose bit X says that
+    the pure pre-checks leave s open there (never for a pure family); both
+    are asked among the restriction's own strategies when `own`, among all
+    of T_i otherwise.  `patterns` holds one slice per lattice bit, from
     `lattice_patterns`.
 
     "y in Y" is the AND of one pattern per opponent, and "Y is non-empty"
@@ -516,11 +481,8 @@ def _component(
     some pool strategy t beats it at every profile of Y, that is where t is
     in the pool and Y misses every profile at which t does not beat s, and
     passes br:pure where Y holds a profile y at which the pool misses
-    beaters[s][y].  The LP families take their decided part from these as
-    `_passing`'s entries do: with Y non-empty a br:pure pass passes and an
-    sd fail fails; with Y empty msd passes what sd passes and br:corr
-    nothing.  The rest, where Y is non-empty and sd passes but br:pure
-    fails, is open."""
+    beaters[s][y].  `_seeded` turns these slices into `family`'s passing
+    and open slices by the rule `_passing`'s entries are seeded with."""
     game = evaluator.game
     k = game.sizes[player]
     shift = game.shifts[player]
@@ -533,9 +495,9 @@ def _component(
             in_y = [m & p for m in in_y for p in bits]
             nonempty &= reduce(or_, bits)
     pools = own_bits if scope == "l" else [ones] * k
-    sd, br = [], []
+    passing, opens = [], []
     blocked = {}  # per beaters mask: where the pool meets it
-    for row in evaluator.beaters[player]:
+    for row, candidates in zip(evaluator.beaters[player], own_bits if own else [ones] * k):
         fails = 0
         for t, pool in enumerate(pools):
             outside = 0  # where Y holds a profile at which t does not beat s
@@ -543,22 +505,15 @@ def _component(
                 if not mask >> t & 1:
                     outside |= in_y[y]
             fails |= pool & ~outside
-        sd.append(ones & ~fails)
-        passes = 0
+        br = 0
         for y, mask in enumerate(row):
             if mask not in blocked:
                 blocked[mask] = reduce(or_, (pools[t] for t in mask_members(mask)), 0)
-            passes |= in_y[y] & ~blocked[mask]
-        br.append(passes)
-    candidates = own_bits if own else [ones] * k
-    if family == "sd":
-        passing, opens = sd, []
-    elif family == "br:pure":
-        passing, opens = br, []
-    else:
-        passing = br if family == "br:corr" else [b | d & ~nonempty for d, b in zip(sd, br)]
-        opens = [nonempty & d & ~b & c for d, b, c in zip(sd, br, candidates)]
-    return [p & c for p, c in zip(passing, candidates)], opens
+            br |= in_y[y] & ~blocked[mask]
+        seeded, open_ = _seeded(family, ones & ~fails, br, nonempty)
+        passing.append(seeded & candidates)
+        opens.append(open_ & candidates)
+    return passing, opens
 
 
 def _property_table(

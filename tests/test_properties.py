@@ -72,7 +72,7 @@ def test_parse_property_spec_grammar():
             parse_property_spec(bad)
 
 
-def test_eval_property_global_local_divergence():
+def test_passing_mask_global_local_divergence():
     sd_l, sd_g = parse_property_spec("sd:l"), parse_property_spec("sd:g")
     c = 1 << PD.strategy_index(0, "C")
     top = restriction_top(PD)
@@ -351,11 +351,6 @@ def test_evaluator_belongs_to_one_game():
         apply_operator(uniform(MP, "sd:l"), MP, restriction_top(MP), Evaluator(PD))
 
 
-def _verdicts(evaluator):
-    """Every record's verdicts, per opponent context, copied."""
-    return {key: dict(record.verdicts) for key, record in evaluator.contexts.items()}
-
-
 def _stores(evaluator):
     """Every certificate store, copied."""
     return {key: (list(m), list(b)) for key, (m, b) in evaluator.certificates.items()}
@@ -365,12 +360,12 @@ def test_evaluator_cache_is_scoped_to_the_computation():
     profile = uniform(MIX, "msd:l")
     evaluator = Evaluator(MIX)
     first = outcome(profile, MIX, evaluator=evaluator)
-    cached, stores = _verdicts(evaluator), _stores(evaluator)
-    assert any(cached.values()) and stores
+    cached, stores = dict(evaluator.verdicts), _stores(evaluator)
+    assert cached and stores
     assert outcome(profile, MIX) == first  # a call given none uses its own
-    assert _verdicts(evaluator) == cached and _stores(evaluator) == stores
+    assert dict(evaluator.verdicts) == cached and _stores(evaluator) == stores
     assert outcome(profile, MIX, evaluator=evaluator) == first  # all hits
-    assert _verdicts(evaluator) == cached and _stores(evaluator) == stores
+    assert dict(evaluator.verdicts) == cached and _stores(evaluator) == stores
 
 
 @pytest.mark.parametrize("text,open_", [("msd:l", 0b100), ("br:l:corr", 0b100)])
@@ -473,7 +468,7 @@ def _pure_oracle_mask(spec, game, player, g):
     return passing
 
 
-def test_pure_passing_masks_match_the_dominance_procedures():
+def test_pure_masks_match_the_dominance_procedures():
     """The sd and br:pure masks, decided with int operations on the comparison
     tables, against strictly_dominates_pure and the pure branch of
     exists_supporting_belief: every restriction, empty components included,
@@ -543,6 +538,35 @@ def test_property_tables_match_the_per_restriction_definitions(game):
         profile = PropertyProfile.uniform(spec, n)
         table = properties._property_table(profile, game, Evaluator(game), len(restrictions), False)
         assert table == want, str(spec)
+
+
+@pytest.mark.parametrize("game", _table_games(), ids=lambda game: game.name)
+def test_entries_and_slices_are_seeded_by_one_rule(game):
+    # `_seeded` seeds both `_passing`'s entries, from strategy masks, and
+    # `_component`'s bit-slices over the lattice: asked with no candidates,
+    # `_passing` stores its seeded entry and runs no LP, and at every index X
+    # that entry must be bit X of the slices of every strategy
+    count = 1 << sum(game.sizes)
+    patterns = iteration.lattice_patterns(sum(game.sizes))
+    evaluator = Evaluator(game)
+    for family in ("sd", "msd", "br:pure", "br:corr"):
+        for scope in SCOPES:
+            for i in game.players():
+                full = (1 << game.sizes[i]) - 1
+                shift = game.shifts[i]
+                passing, opens = properties._component(
+                    evaluator, family, scope, i, patterns, False
+                )
+                for index in range(count):
+                    assert properties._passing(evaluator, family, scope, i, index, 0) == 0
+                    pool = full if scope == "g" else index >> shift & full
+                    key = (family, i, index & ~(full << shift), pool)
+                    want = (
+                        full & ~sum((o >> index & 1) << s for s, o in enumerate(opens)),
+                        sum((p >> index & 1) << s for s, p in enumerate(passing)),
+                    )
+                    assert evaluator.verdicts[key] == want, (family, scope, i, index)
+    assert not evaluator.certificates
 
 
 def _lp_solves(game, monkeypatch, build, steps):
@@ -630,7 +654,10 @@ def test_opponent_profiles_are_the_row_major_numbers_of_the_context():
                     for k, s in zip(sizes, y):
                         number = number * k + s
                     want.append(number)
-                assert properties._opponent_profiles(game, i, g.index) == want, (g.names(), i)
+                full = (1 << game.sizes[i]) - 1
+                opponents = g.index & ~(full << game.shifts[i])
+                profiles, ys, _ = properties._context(Evaluator(game), i, opponents)
+                assert ys == want and profiles == sum(1 << y for y in want), (g.names(), i)
 
 
 def test_opponent_profiles_are_keyed_by_the_player():
@@ -713,11 +740,11 @@ def test_global_and_local_specs_share_verdicts_on_the_full_pool():
     for i in MIX.players():
         for s in MIX.strategies(i):
             passing_mask(parse_property_spec("br:g:corr"), MIX, i, top, 1 << s, evaluator)
-    cached, stores = _verdicts(evaluator), _stores(evaluator)
+    cached, stores = dict(evaluator.verdicts), _stores(evaluator)
     for i in MIX.players():
         for s in MIX.strategies(i):
             passing_mask(parse_property_spec("br:l:corr"), MIX, i, top, 1 << s, evaluator)
-    assert _verdicts(evaluator) == cached and _stores(evaluator) == stores
+    assert dict(evaluator.verdicts) == cached and _stores(evaluator) == stores
 
 
 @pytest.mark.parametrize("masks", [(3, 3, 3), (3, 0, 3), (3, 3, 0), (0, 0, 0)])
@@ -729,7 +756,7 @@ def test_independent_beliefs_rejected_for_three_players_on_every_context(masks):
         passing_mask(parse_property_spec("br:l:ind"), fixtures.THREE, 0, g, 1)
 
 
-def test_eval_property_rejects_a_restriction_of_another_game():
+def test_passing_mask_rejects_a_restriction_of_another_game():
     spec = parse_property_spec("sd:g")
     evaluator = Evaluator(PD)
     passing_mask(spec, PD, 0, restriction_top(PD), 1, evaluator)
@@ -744,7 +771,7 @@ def test_eval_property_rejects_a_restriction_of_another_game():
 
 
 @pytest.mark.parametrize("text", ALL_SPECS)
-def test_eval_property_refuses_a_player_or_strategy_the_game_lacks(text):
+def test_passing_mask_refuses_a_player_or_strategy_before_caching(text):
     # with player 1's component empty no dominance check runs, so only the
     # up-front check can refuse player 1's strategy 7 or a negative mask
     spec = parse_property_spec(text)
@@ -753,7 +780,7 @@ def test_eval_property_refuses_a_player_or_strategy_the_game_lacks(text):
     for player, candidates in ((0, 1 << 7), (0, -1), (2, 1), (-1, 1)):
         with pytest.raises(ValueError):
             passing_mask(spec, PD, player, g, candidates, evaluator)
-    assert not evaluator.contexts and not evaluator.certificates
+    assert not evaluator.verdicts and not evaluator.contexts and not evaluator.certificates
 
 
 def _normal_forms(profile, game):
@@ -817,9 +844,9 @@ def test_two_player_ind_and_corr_agree_and_share_verdicts():
                         assert passing_mask(ind, game, i, g, 1 << s, ind_only) == verdict, (
                             game.name, scope, g.names(), i, s,
                         )
-                        cached, stores = _verdicts(shared), _stores(shared)
+                        cached, stores = dict(shared.verdicts), _stores(shared)
                         assert passing_mask(ind, game, i, g, 1 << s, shared) == verdict
-                        assert _verdicts(shared) == cached and _stores(shared) == stores
+                        assert dict(shared.verdicts) == cached and _stores(shared) == stores
 
 
 def _pearce_reference(game):
@@ -1061,7 +1088,7 @@ def test_a_lone_pool_candidate_stores_what_its_procedure_would(game, monkeypatch
         shift = game.shifts[player]
         full = (1 << game.sizes[player]) - 1
         pool = full if scope == "g" else index >> shift & full
-        profiles = sum(1 << y for y in properties._opponent_profiles(game, player, index))
+        profiles = properties._context(probe, player, index & ~(full << shift))[0]
         for s in mask_members(candidates) if family == "msd" and profiles else ():
             if not pool & ~(1 << s):
                 calls.append(s)
@@ -1116,41 +1143,53 @@ def test_the_pure_decided_side_reaches_no_procedure(monkeypatch):
 
 
 def test_just1_lists_each_opponent_context_once(monkeypatch):
-    # a 4x4 game has 16 opponent masks per player: the per-context record
-    # lists a context's profiles once, whatever pools and families ask it
+    # a 4x4 game has 16 opponent masks per player: `_context` builds a
+    # context's profiles once, whatever pools and families ask it
     game = fixtures.random_game(random.Random(2929), 4, 4)
-    real = properties._opponent_profiles
-    asked = []
+    built = []
 
-    def recording(game, player, index):
-        shift = game.shifts[player]
-        asked.append((player, index & ~(((1 << game.sizes[player]) - 1) << shift)))
-        return real(game, player, index)
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            built.append(key)
+            super().__setitem__(key, value)
 
-    monkeypatch.setattr(properties, "_opponent_profiles", recording)
+    real = properties.Evaluator
+
+    def evaluator(g):
+        made = real(g)
+        made.contexts = Recording()
+        return made
+
+    monkeypatch.setattr(properties, "Evaluator", evaluator)
     verify_theorem_just1(game)
     assert game.sizes == (4, 4)
-    assert len(asked) == len(set(asked)) <= 2 * 16
+    assert built and len(built) == len(set(built)) <= 2 * 16
 
 
-def test_pure_families_take_no_slot():
-    # sd and br:pure queries, on the full pool and every other, are computed
-    # from each record's masks and leave no verdict on it
+def test_pure_tables_store_nothing_and_a_pure_query_decides_its_entry():
+    # sd and br:pure image and monotonicity tables, on the full pool and
+    # every other, come from bit-slices and store no entry, context or
+    # certificate; a per-restriction query stores an entry that decides
+    # every strategy of its player
     for game in (MIX, CHAIN, fixtures.THREE):
         evaluator = Evaluator(game)
         for text in ("sd:l", "sd:g", "br:l:pure", "br:g:pure"):
             profile = uniform(game, text)
             image_table(property_operator(profile, game, evaluator), game, DEFAULT_LATTICE_BUDGET)
-            outcome(profile, game, evaluator=evaluator)
             check_property_monotone(parse_property_spec(text), game, evaluator=evaluator)
-        assert evaluator.contexts and not evaluator.certificates
-        assert not any(record.verdicts for record in evaluator.contexts.values())
+        assert not evaluator.verdicts and not evaluator.contexts and not evaluator.certificates
+        for text in ("sd:l", "sd:g", "br:l:pure", "br:g:pure"):
+            outcome(uniform(game, text), game, evaluator=evaluator)
+        assert {family for family, *_ in evaluator.verdicts} == {"sd", "br:pure"}
+        for (_, player, _, _), (decided, _) in evaluator.verdicts.items():
+            assert decided == (1 << game.sizes[player]) - 1
+        assert not evaluator.certificates
 
 
 def test_a_second_pass_over_the_lp_tables_decides_nothing_again(monkeypatch):
     # every image table and monotonicity table of the LP families, built
     # twice through one Evaluator: the second pass reads every verdict from
-    # the records, so it calls no procedure and changes no record or store
+    # the verdict store, so it calls no procedure and changes no entry or store
     games = [parse_game_file(path) for path in sorted(FIXTURE_DIR.glob("*.game"))]
     games += fixtures.random_games(3030, 6, 3, 3)
     calls = []
@@ -1184,11 +1223,11 @@ def test_a_second_pass_over_the_lp_tables_decides_nothing_again(monkeypatch):
             ]
 
         first = tables()
-        cached, stores = _verdicts(evaluator), _stores(evaluator)
+        cached, stores = dict(evaluator.verdicts), _stores(evaluator)
         made = len(calls)
         assert tables() == first
         assert len(calls) == made, (game.name, calls[made:])
-        assert _verdicts(evaluator) == cached and _stores(evaluator) == stores
+        assert dict(evaluator.verdicts) == cached and _stores(evaluator) == stores
     assert calls
 
 
