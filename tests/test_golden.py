@@ -52,6 +52,9 @@ def sweep() -> list[list[str]]:
         runs.append(["transfinite", "run", "--json", witness])
     for bound in ("0w+3", "1w+0"):
         runs.append(["transfinite", "run", "--bound", bound, "witness-tg"])
+    # across the validation depth (16), PROBE_DEPTH (32) and the first limit
+    for bound in ("0w+0", "0w+16", "0w+17", "0w+32", "0w+33", "1w+1"):
+        runs.append(["transfinite", "run", "--json", "--bound", bound, "witness-tg"])
     runs.append(["transfinite", "list"])
     runs.append(["transfinite", "run", "no-such-witness"])
     runs.append(["transfinite", "run", "--bound", "w+3", "witness-tg"])
