@@ -4,17 +4,20 @@ iteration of supplied set-valued eliminators for infinite-strategy games.
 A SymbolicSet is a finite union of rational intervals (open or closed ends,
 optionally unbounded) and isolated rational points, kept in a canonical form:
 pieces pairwise disjoint, sorted, with touching pieces merged.  Equality of
-canonical forms is decidable set equality.  The canonical form, union,
-intersection, difference and complement are all one boundary sweep
-(`_sweep`), exact and canonical by construction.  Endpoints are Fractions;
-the only floats anywhere are the +/-inf sentinels of unbounded pieces, which
-compare exactly against any Fraction.
+canonical forms is decidable set equality.  Union, intersection, difference
+and complement are one merge walk (`_walk`) over two canonical operands'
+boundary cuts, exact and canonical by construction; the canonical form of
+any pieces is their union, one piece at a time.  Endpoints are Fractions;
+the only floats anywhere are the +/-inf sentinels of unbounded pieces.
+Every comparison of endpoints is `_cmp`, which tells a sentinel by its
+class, so no Fraction is ever compared with a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isinf
 from typing import Callable
 
 from .errors import ValidationError
@@ -30,11 +33,35 @@ PROBE_DEPTH = 32
 DEFAULT_ITERATE_BUDGET = 1000
 
 
+def _cmp(a, b) -> int:
+    """-1, 0 or 1 as endpoint a lies below, at or above endpoint b, exactly.
+
+    Rationals (Fractions or ints) compare by their cross-multiplied
+    numerators and denominators, read from two Fractions' own fields rather
+    than through their properties, which cost a call each.  An infinite
+    sentinel is told by its class and, against a rational, settled by its
+    sign; two floats, or a rational and a finite float endpoint, keep
+    Python's own order."""
+    if a is b:
+        return 0
+    if a.__class__ is float or b.__class__ is float:
+        if a.__class__ is not float and isinf(b):
+            return -1 if b > 0 else 1
+        if b.__class__ is not float and isinf(a):
+            return 1 if a > 0 else -1
+        return (a > b) - (a < b)
+    if a.__class__ is Fraction is b.__class__:
+        x = a._numerator * b._denominator
+        y = b._numerator * a._denominator
+    else:
+        x = a.numerator * b.denominator
+        y = b.numerator * a.denominator
+    return (x > y) - (x < y)
+
+
 def _fmt_endpoint(v) -> str:
-    if v == INF:
-        return "inf"
-    if v == NEG_INF:
-        return "-inf"
+    if v.__class__ is float and isinf(v):
+        return "inf" if v > 0 else "-inf"
     return str(v)
 
 
@@ -57,27 +84,26 @@ class Piece:
     hi_closed: bool
 
     def __post_init__(self):
-        # each flag is tested before the comparison it guards, so a Fraction
-        # is compared only where the flag leaves the verdict open
-        if self.lo_closed and self.lo == NEG_INF:
+        if self.lo_closed and _cmp(self.lo, NEG_INF) == 0:
             raise ValueError("-inf cannot be a closed end")
-        if self.hi_closed and self.hi == INF:
+        if self.hi_closed and _cmp(self.hi, INF) == 0:
             raise ValueError("inf cannot be a closed end")
-        if self.lo > self.hi:
+        order = _cmp(self.lo, self.hi)
+        if order > 0:
             raise ValueError("empty piece")
-        if not (self.lo_closed and self.hi_closed) and self.lo == self.hi:
+        if order == 0 and not (self.lo_closed and self.hi_closed):
             raise ValueError("degenerate piece must be a closed point")
 
     @property
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return _cmp(self.lo, self.hi) == 0
 
     def contains(self, q: Fraction) -> bool:
-        if q < self.lo or (q == self.lo and not self.lo_closed):
+        low = _cmp(q, self.lo)
+        if low < 0 or (low == 0 and not self.lo_closed):
             return False
-        if q > self.hi or (q == self.hi and not self.hi_closed):
-            return False
-        return True
+        high = _cmp(q, self.hi)
+        return high < 0 or (high == 0 and self.hi_closed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -95,40 +121,75 @@ class Piece:
         return f"{left}{_fmt_endpoint(self.lo)},{_fmt_endpoint(self.hi)}{right}"
 
 
-def _sweep(sets, keep) -> tuple[Piece, ...]:
-    """The canonical pieces of the points q where keep(depths) holds, with
-    depths[k] the number of pieces of sets[k] that contain q.
+# the truth tables `_walk` keeps by: bit s is set when a point lying in the
+# first operand iff s & 1, and in the second iff s & 2, is kept
+_UNION, _INTERSECTION, _DIFFERENCE, _COMPLEMENT = 0b1110, 0b1000, 0b0010, 0b0101
+
+# a cut above every cut of a piece, ending each operand's cut list
+_END = (INF, True)
+
+
+def _cuts(pieces) -> list:
+    cuts = []
+    for p in pieces:
+        cuts += (p.lo, not p.lo_closed), (p.hi, p.hi_closed)
+    cuts.append(_END)
+    return cuts
+
+
+def _walk(a, b, keep: int) -> tuple[Piece, ...]:
+    """The canonical pieces of the points kept by the truth table keep, from
+    the canonical pieces a and b.
 
     Each piece spans two cuts, (q, False) just below q and (q, True) just
-    above it.  Every depth is constant between consecutive distinct cuts, so
-    the answer can change only at a cut: a piece starts where keep turns
-    true and ends where it turns false.  Cuts that coincide count as one.
-    The pieces come out sorted and disjoint with a gap between any two, the
-    canonical form.  When keep holds with every depth 0, as for a
-    complement, the first piece starts at -inf; a piece that would end
-    there, or start at +inf, holds no rational and is left out."""
-    cuts = []
-    for k, pieces in enumerate(sets):
-        for p in pieces:
-            cuts += (p.lo, not p.lo_closed, k, 1), (p.hi, p.hi_closed, k, -1)
-    cuts.sort()
-    depths = [0] * len(sets)
-    inside = keep(depths)
+    above it: its start cut (lo, not lo_closed) and its end cut (hi,
+    hi_closed).  Membership in a and in b is constant between consecutive
+    distinct cuts, so the answer can change only at a cut: a piece starts
+    where keep turns true and ends where it turns false.  A canonical set's
+    cuts are strictly increasing: a piece's start cut comes before its end
+    cut (lo < hi, or lo == hi with both ends closed), and the next piece
+    starts above it (a gap between them: hi < lo', or hi == lo' with both
+    ends open).  So two pointers merge a's and b's cuts in order, taking a
+    cut of both at once when they coincide, and no cut list is sorted.  The
+    pieces come out sorted, disjoint and with a gap between any two, the
+    canonical form.  When keep holds outside both sets, as for a complement,
+    the first piece starts at -inf; a piece that would end there, or start
+    at +inf, holds no rational and is left out."""
+    ca, cb = _cuts(a), _cuts(b)
+    i = j = state = 0
+    inside = keep & 1
     lo, lo_above = NEG_INF, True
     out = []
-    for i, (q, side, k, step) in enumerate(cuts, 1):
-        depths[k] += step
-        if i < len(cuts) and cuts[i][1] == side and cuts[i][0] == q:
-            continue
-        if keep(depths) != inside:
-            inside = not inside
+    while True:
+        x, y = ca[i], cb[j]
+        if x is y:
+            break
+        order = _cmp(x[0], y[0]) or x[1] - y[1]
+        if order <= 0:
+            q, side = x
+            i += 1
+            state ^= 1
+        if order >= 0:
+            q, side = y
+            j += 1
+            state ^= 2
+        if keep >> state & 1 != inside:
+            inside ^= 1
             if inside:
                 lo, lo_above = q, side
-            elif lo_above != side or lo != q:
+            elif _cmp(q, NEG_INF):
                 out.append(Piece(lo, q, not lo_above, side))
-    if inside and lo != INF:
+    if inside and _cmp(lo, INF):
         out.append(Piece(lo, INF, not lo_above, False))
     return tuple(out)
+
+
+def _endpoint(v):
+    """A bound of `SymbolicSet.interval` as an endpoint: an infinite float
+    as it is, anything else as a Fraction."""
+    if v.__class__ is Fraction or v.__class__ is float and isinf(v):
+        return v
+    return Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -137,7 +198,11 @@ class SymbolicSet:
 
     @classmethod
     def from_pieces(cls, pieces) -> "SymbolicSet":
-        return cls(_sweep((pieces,), any))
+        # a lone valid piece holds a rational and is canonical already
+        out = cls.empty()
+        for p in pieces:
+            out = out.union(cls((p,)))
+        return out
 
     @classmethod
     def empty(cls) -> "SymbolicSet":
@@ -147,20 +212,20 @@ class SymbolicSet:
     def interval(cls, lo, hi, lo_closed=True, hi_closed=True) -> "SymbolicSet":
         """The rationals between lo and hi; empty when the bounds cross or
         meet without both ends closed.  Infinite ends are always open."""
-        lo = lo if lo in (INF, NEG_INF) else Fraction(lo)
-        hi = hi if hi in (INF, NEG_INF) else Fraction(hi)
-        if lo == NEG_INF:
+        lo, hi = _endpoint(lo), _endpoint(hi)
+        if _cmp(lo, NEG_INF) == 0:
             lo_closed = False
-        if hi == INF:
+        if _cmp(hi, INF) == 0:
             hi_closed = False
-        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+        order = _cmp(lo, hi)
+        if order > 0 or (order == 0 and not (lo_closed and hi_closed)):
             return cls.empty()
-        return cls.from_pieces([Piece(lo, hi, lo_closed, hi_closed)])
+        return cls((Piece(lo, hi, lo_closed, hi_closed),))
 
     @classmethod
     def point(cls, q) -> "SymbolicSet":
         q = Fraction(q)
-        return cls.from_pieces([Piece(q, q, True, True)])
+        return cls((Piece(q, q, True, True),))
 
     @classmethod
     def points(cls, qs) -> "SymbolicSet":
@@ -175,18 +240,24 @@ class SymbolicSet:
         return any(p.contains(q) for p in self.pieces)
 
     def union(self, other: "SymbolicSet") -> "SymbolicSet":
-        return SymbolicSet(_sweep((self.pieces, other.pieces), any))
+        if not self.pieces:
+            return other
+        if not other.pieces:
+            return self
+        return SymbolicSet(_walk(self.pieces, other.pieces, _UNION))
 
     def intersection(self, other: "SymbolicSet") -> "SymbolicSet":
-        return SymbolicSet(_sweep((self.pieces, other.pieces), all))
+        if not self.pieces or not other.pieces:
+            return SymbolicSet.empty()
+        return SymbolicSet(_walk(self.pieces, other.pieces, _INTERSECTION))
 
     def complement(self) -> "SymbolicSet":
-        return SymbolicSet(_sweep((self.pieces,), lambda d: not d[0]))
+        return SymbolicSet(_walk(self.pieces, (), _COMPLEMENT))
 
     def difference(self, other: "SymbolicSet") -> "SymbolicSet":
-        return SymbolicSet(
-            _sweep((self.pieces, other.pieces), lambda d: d[0] and not d[1])
-        )
+        if not self.pieces or not other.pieces:
+            return self
+        return SymbolicSet(_walk(self.pieces, other.pieces, _DIFFERENCE))
 
     def issubset(self, other: "SymbolicSet") -> bool:
         return self.difference(other).is_empty
@@ -205,9 +276,9 @@ class SymbolicSet:
         if self.is_empty:
             raise ValueError("the empty set has no probe point")
         p = self.pieces[0]
-        if p.lo == NEG_INF:
-            return Fraction(-1) if p.hi == INF else p.hi - 1
-        if p.hi == INF:
+        if _cmp(p.lo, NEG_INF) == 0:
+            return Fraction(-1) if _cmp(p.hi, INF) == 0 else p.hi - 1
+        if _cmp(p.hi, INF) == 0:
             return p.lo + 1
         return (p.lo + p.hi) / 2
 

@@ -4,8 +4,9 @@ and Samet form of common knowledge, the decision of a player's marked sets
 by walking every partition of every set of states and by the good-block
 recursion, the CK/CB walk that ANDs every player's marked sets, the rank of
 a strategy assignment in product order, one player's integer payoff and beater
-tables, built cell by cell, and a property's image table, asked one lattice
-index at a time."""
+tables, built cell by cell, a property's image table, asked one lattice
+index at a time, and the symbolic set algebra as one sorted sweep over every
+operand's boundary cuts."""
 
 import itertools
 from math import lcm
@@ -22,6 +23,7 @@ from gamelattice.epistemic import (
     largest_evident_subset,
 )
 from gamelattice.games import Game, mask_members
+from gamelattice.symbolic import INF, NEG_INF, Piece
 
 
 def _block_partitions(members: Sequence[int]) -> list[list[int]]:
@@ -262,3 +264,59 @@ def per_index_table(
             passing = properties._passing(evaluator, family, spec.scope, i, idx, candidates)
             table[idx] |= passing << shift
     return table
+
+
+def sweep(sets, keep) -> tuple[Piece, ...]:
+    """The canonical pieces of the points q where keep(depths) holds, with
+    depths[k] the number of pieces of sets[k] that contain q.
+
+    Each piece spans two cuts, (q, False) just below q and (q, True) just
+    above it.  Every depth is constant between consecutive distinct cuts, so
+    the answer can change only at a cut: a piece starts where keep turns
+    true and ends where it turns false.  Cuts that coincide count as one.
+    The pieces come out sorted and disjoint with a gap between any two, the
+    canonical form.  When keep holds with every depth 0, as for a
+    complement, the first piece starts at -inf; a piece that would end
+    there, or start at +inf, holds no rational and is left out."""
+    cuts = []
+    for k, pieces in enumerate(sets):
+        for p in pieces:
+            cuts += (p.lo, not p.lo_closed, k, 1), (p.hi, p.hi_closed, k, -1)
+    cuts.sort()
+    depths = [0] * len(sets)
+    inside = keep(depths)
+    lo, lo_above = NEG_INF, True
+    out = []
+    for i, (q, side, k, step) in enumerate(cuts, 1):
+        depths[k] += step
+        if i < len(cuts) and cuts[i][1] == side and cuts[i][0] == q:
+            continue
+        if keep(depths) != inside:
+            inside = not inside
+            if inside:
+                lo, lo_above = q, side
+            elif lo_above != side or lo != q:
+                out.append(Piece(lo, q, not lo_above, side))
+    if inside and lo != INF:
+        out.append(Piece(lo, INF, not lo_above, False))
+    return tuple(out)
+
+
+def sweep_from_pieces(pieces) -> tuple[Piece, ...]:
+    return sweep((pieces,), any)
+
+
+def sweep_union(a, b) -> tuple[Piece, ...]:
+    return sweep((a.pieces, b.pieces), any)
+
+
+def sweep_intersection(a, b) -> tuple[Piece, ...]:
+    return sweep((a.pieces, b.pieces), all)
+
+
+def sweep_difference(a, b) -> tuple[Piece, ...]:
+    return sweep((a.pieces, b.pieces), lambda d: d[0] and not d[1])
+
+
+def sweep_complement(a) -> tuple[Piece, ...]:
+    return sweep((a.pieces,), lambda d: not d[0])

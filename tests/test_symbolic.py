@@ -1,3 +1,5 @@
+import contextlib
+import io
 from dataclasses import replace
 from fractions import Fraction
 
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamelattice import fixtures
+from gamelattice import cli, fixtures
 from gamelattice.errors import ValidationError
 from gamelattice.games import mask_members
 from gamelattice.ordinals import Ordinal, parse_ordinal
@@ -16,6 +18,7 @@ from gamelattice.symbolic import (
     Piece,
     SymbolicGame,
     SymbolicSet,
+    _cmp,
     iterate_symbolic,
     validate_witness,
 )
@@ -26,6 +29,13 @@ from gamelattice.witnesses import (
     load_witness,
     transfinite_witness,
 )
+from oracles import (
+    sweep_complement,
+    sweep_difference,
+    sweep_from_pieces,
+    sweep_intersection,
+    sweep_union,
+)
 
 # -- symbolic set algebra ------------------------------------------------------
 
@@ -34,15 +44,23 @@ rationals = st.fractions(
 )
 
 
+# five values, each given as an int or as a Fraction: sets drawn with these
+# ends share endpoints, so their cuts touch, coincide or put a point on an
+# open end
+shared_ends = st.sampled_from([-1, 0, 1, 2, 3]).flatmap(
+    lambda v: st.sampled_from([v, Fraction(v)])
+)
+
+
 @st.composite
-def piece_lists(draw, head=False):
+def piece_lists(draw, head=False, ends=rationals):
     """Up to three bounded pieces or points, which may overlap or touch, an
     optional tail up to +inf and, when head is set, an optional head from
-    -inf."""
+    -inf, every finite end drawn from ends."""
     pieces = []
     for _ in range(draw(st.integers(0, 3))):
-        a = draw(rationals)
-        b = draw(rationals)
+        a = draw(ends)
+        b = draw(ends)
         lo, hi = min(a, b), max(a, b)
         lo_closed = draw(st.booleans())
         hi_closed = draw(st.booleans())
@@ -53,10 +71,10 @@ def piece_lists(draw, head=False):
         else:
             pieces.append(Piece(lo, lo, True, True))
     if draw(st.booleans()):
-        tail = draw(rationals)
+        tail = draw(ends)
         pieces.append(Piece(tail, INF, draw(st.booleans()), False))
     if head and draw(st.booleans()):
-        pieces.append(Piece(NEG_INF, draw(rationals), False, draw(st.booleans())))
+        pieces.append(Piece(NEG_INF, draw(ends), False, draw(st.booleans())))
     return pieces
 
 
@@ -150,6 +168,74 @@ def test_set_json_round_trip():
     assert SymbolicSet.from_json_dict(s.to_json_dict()) == s
 
 
+piece_list_pairs = st.one_of(
+    st.tuples(piece_lists(head=True), piece_lists(head=True)),
+    st.tuples(
+        piece_lists(head=True, ends=shared_ends), piece_lists(head=True, ends=shared_ends)
+    ),
+)
+
+
+@given(pair=piece_list_pairs)
+@settings(max_examples=400, deadline=None)
+def test_the_merge_walk_returns_the_sorted_sweeps_pieces(pair):
+    raw_a, raw_b = pair
+    a, b = SymbolicSet.from_pieces(raw_a), SymbolicSet.from_pieces(raw_b)
+    for got, expected in [
+        (a, sweep_from_pieces(raw_a)),
+        (b, sweep_from_pieces(raw_b)),
+        (a.union(b), sweep_union(a, b)),
+        (a.intersection(b), sweep_intersection(a, b)),
+        (a.difference(b), sweep_difference(a, b)),
+        (b.difference(a), sweep_difference(b, a)),
+        (a.complement(), sweep_complement(a)),
+        (b.complement(), sweep_complement(b)),
+    ]:
+        assert got.pieces == expected
+        assert str(got) == str(SymbolicSet(expected))
+
+
+ENDPOINTS = [
+    NEG_INF,
+    float("-inf"),
+    Fraction(-7, 2),
+    -3,
+    Fraction(-1, 3),
+    0,
+    Fraction(0),
+    Fraction(1, 2),
+    2,
+    Fraction(2),
+    Fraction(10**30 + 1, 10**30),
+    Fraction(10**30, 3),
+    INF,
+    float("inf"),
+]
+
+
+def test_cmp_is_pythons_own_order():
+    for a in ENDPOINTS:
+        assert _cmp(a, a) == 0
+        for b in ENDPOINTS:
+            assert _cmp(a, b) == (a > b) - (a < b), (a, b)
+
+
+def test_a_finite_float_endpoint_keeps_its_order_and_printing():
+    p = Piece(0.5, 1, True, False)
+    assert str(p) == "[0.5,1)"
+    assert p.to_json_dict()["lo"] == "0.5"
+    assert p.contains(Fraction(1, 2)) and p.contains(Fraction(3, 4))
+    assert not p.contains(Fraction(1, 4)) and not p.contains(1)
+    assert str(Piece(-0.5, -0.5, True, True)) == "{-0.5}"
+    assert str(Piece(NEG_INF, -0.5, False, True)) == "(-inf,-0.5]"
+    with pytest.raises(ValueError, match="empty piece"):
+        Piece(1.5, 1, True, True)
+    with pytest.raises(ValueError, match="degenerate"):
+        Piece(0.5, Fraction(1, 2), True, False)
+    s = SymbolicSet.from_pieces([p, Piece(Fraction(3, 4), 2, True, True)])
+    assert str(s) == "[0.5,2]"
+
+
 # -- the bundled transfinite witness -------------------------------------------
 
 
@@ -171,6 +257,23 @@ def test_witness_trace_shape():
             for new, old in zip(sets, prev):
                 assert new.issubset(old) and new != old
         prev = sets
+
+
+@pytest.mark.parametrize("witness", ["witness-tg", "embedded-finite-pd"])
+@pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "text"])
+def test_a_transfinite_run_compares_no_fraction_with_a_float(monkeypatch, witness, json_flag):
+    floats = []
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+
+        def compare(a, b, original=getattr(Fraction, name), name=name):
+            if isinstance(a, float) or isinstance(b, float):
+                floats.append((name, a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(Fraction, name, compare)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["transfinite", "run", *json_flag, witness]) == 0
+    assert floats == []
 
 
 def test_witness_not_stable_at_first_limit():
