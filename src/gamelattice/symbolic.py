@@ -130,6 +130,8 @@ _END = (INF, True)
 
 
 def _cuts(pieces) -> list:
+    """Each piece's start and end cut as (q, side) pairs, in order, then
+    `_END`."""
     cuts = []
     for p in pieces:
         cuts += (p.lo, not p.lo_closed), (p.hi, p.hi_closed)

@@ -266,7 +266,7 @@ def test_a_transfinite_run_compares_no_fraction_with_a_float(monkeypatch, witnes
     for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
 
         def compare(a, b, original=getattr(Fraction, name), name=name):
-            if isinstance(a, float) or isinstance(b, float):
+            if isinstance(b, float):
                 floats.append((name, a, b))
             return original(a, b)
 
