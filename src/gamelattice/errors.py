@@ -43,9 +43,9 @@ class PreconditionError(GameLatticeError):
 
 class InternalError(GameLatticeError):
     """Raised when the program contradicts itself: an LP it builds to be
-    feasible and bounded is not, or a certificate, an LP's witness or its
-    dual, fails its re-validation.  Never caused by the input; the CLI exits
-    with status 3."""
+    feasible and bounded is not, a certificate, an LP's witness or its
+    dual, fails its re-validation, or an elimination outcome has an empty
+    component.  Never caused by the input; the CLI exits with status 3."""
 
 
 class ValidationError(GameLatticeError):

@@ -34,7 +34,7 @@ from typing import Callable
 from .errors import ValidationError
 from .games import Game, Restriction, mask_members, restriction_top
 from .properties import PropertyProfile, apply_operator, parse_property_spec
-from .symbolic import SymbolicGame, SymbolicSet
+from .symbolic import Piece, SymbolicGame, SymbolicSet
 
 ONE = Fraction(1)
 TWO = Fraction(2)
@@ -84,9 +84,10 @@ def _witness_step(sets):
 
 def _lower_end(s: SymbolicSet) -> Fraction:
     """l when s is [l,1] u {2} with l < 1; a limit-stage ValidationError,
-    probing s's lowest point, otherwise."""
+    probing s's lowest point, otherwise.  For a closed l < 1 that set's
+    canonical pieces are [l,1] and {2}, so s's own pieces are compared."""
     low, closed = s.infimum() if s.pieces else (None, False)
-    if not (closed and low < 1 and s == SymbolicSet.interval(low, 1).union(_OUTSIDE)):
+    if not (closed and low < 1 and s.pieces == (Piece(low, ONE, True, True), *_OUTSIDE.pieces)):
         raise ValidationError(
             f"limit: {s} is not [l,1] u {{2}} with l < 1", "limit", witness=low
         )
@@ -132,9 +133,7 @@ def transfinite_witness() -> SymbolicGame:
 # -- lifting finite games ------------------------------------------------------
 
 
-def lift_finite_game(
-    game: Game, profile: PropertyProfile, name: str | None = None
-) -> SymbolicGame:
+def lift_finite_game(game: Game, profile: PropertyProfile) -> SymbolicGame:
     """Embed a finite game as point sets; the step applies the profile's
     elimination operator through the encoding."""
 
@@ -170,7 +169,7 @@ def lift_finite_game(
         )
 
     return SymbolicGame(
-        name=name or f"embedded-finite-{game.name}",
+        name=f"embedded-finite-{game.name}",
         initial=encode(restriction_top(game)),
         step=step,
         limit=limit,
@@ -182,7 +181,7 @@ def _embedded_pd() -> SymbolicGame:
     from .fixtures import PD
 
     profile = PropertyProfile.uniform(parse_property_spec("sd:l"), 2)
-    return lift_finite_game(PD, profile, name="embedded-finite-pd")
+    return lift_finite_game(PD, profile)
 
 
 REGISTRY: dict[str, Callable[[], SymbolicGame]] = {

@@ -15,14 +15,21 @@ from typing import Iterator, Sequence
 from gamelattice import properties
 from gamelattice.epistemic import (
     EpistemicModel,
+    WitnessResult,
     _or_all,
     _require_class,
     _state_indices,
+    common_knowledge_event,
+    event_restriction,
+    is_evident,
     is_knowledge_correspondence,
     k_event,
     largest_evident_subset,
+    rational_states,
 )
+from gamelattice.errors import PreconditionError
 from gamelattice.games import Game, mask_members
+from gamelattice.reports import CheckReport
 from gamelattice.symbolic import INF, NEG_INF, Piece
 
 
@@ -320,3 +327,91 @@ def sweep_difference(a, b) -> tuple[Piece, ...]:
 
 def sweep_complement(a) -> tuple[Piece, ...]:
     return sweep((a.pieces,), lambda d: not d[0])
+
+
+def witness_model_thm1(game: Game, profile: properties.PropertyProfile) -> WitnessResult:
+    """The Theorem-1 witness built in two branches.  With an empty outcome
+    component: every strategy 0, every cell a singleton, the event empty,
+    and `image_matches_outcome` left out of `passed`.  Otherwise the player
+    with the most survivors gets the row own + [own[0]] * surplus + others,
+    and every other player a cyclic row over its survivors on E, padded
+    outside E with a strategy of its complement."""
+    evaluator = properties.Evaluator(game)
+    for spec in sorted(set(profile.specs), key=str):
+        if not properties.property_is_monotone(spec, game, evaluator):
+            raise PreconditionError(
+                f"property {spec} is not monotonic on {game.name}"
+            )
+    fix = properties.outcome(profile, game, evaluator=evaluator).outcome
+    survivors = [mask_members(m) for m in fix.masks]
+    m = max(game.sizes)
+    states = tuple(f"w{t}" for t in range(m))
+    degenerate = any(not s for s in survivors)
+
+    if degenerate:
+        assignment = tuple(tuple(0 for _ in states) for _ in game.players())
+        singles = tuple(1 << w for w in range(m))
+        correspondences = tuple(singles for _ in game.players())
+        event = 0
+    else:
+        best = max(
+            game.players(),
+            key=lambda j: (
+                len(survivors[j]),
+                len(survivors[j]) == game.sizes[j],
+                -j,
+            ),
+        )
+        own = survivors[best]
+        others = [t for t in game.strategies(best) if t not in set(own)]
+        surplus = m - game.sizes[best]
+        row = own + [own[0]] * surplus + others
+        e_size = len(own) + surplus
+        event = (1 << e_size) - 1
+        assignment_rows = []
+        for i in game.players():
+            if i == best:
+                assignment_rows.append(tuple(row))
+                continue
+            s_i = survivors[i]
+            complement = [t for t in game.strategies(i) if t not in set(s_i)]
+            filler = complement[0] if complement else s_i[0]
+            assignment_rows.append(
+                tuple(
+                    s_i[w % len(s_i)] if w < e_size else filler
+                    for w in range(m)
+                )
+            )
+        assignment = tuple(assignment_rows)
+        cells = tuple(event if w < e_size else 1 << w for w in range(m))
+        correspondences = tuple(cells for _ in game.players())
+
+    model = EpistemicModel(game, states, assignment, correspondences)
+    rat = rational_states(model, profile, evaluator)
+    ck_rat = common_knowledge_event(model, rat)
+    image = event_restriction(model, event)
+    checks = {
+        "event_evident": is_evident(model, event),
+        "image_matches_outcome": image == fix,
+        "event_subset_rational": not event & ~rat,
+        "event_subset_ck_rational": not event & ~ck_rat,
+    }
+    required = dict(checks)
+    if degenerate:
+        required.pop("image_matches_outcome")
+    report = CheckReport(
+        name="witness-construction-1",
+        passed=all(required.values()),
+        details={
+            "game": game.name,
+            "profile": str(profile),
+            "outcome": fix.names(),
+            "event": sorted(states[w] for w in mask_members(event)),
+            "degenerate": degenerate,
+            "checks": checks,
+        },
+        entries=[]
+        if all(required.values())
+        else [{"failed": [k for k, v in required.items() if not v]}],
+    )
+    return WitnessResult(model=model, event=event, report=report)

@@ -10,11 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from gamelattice import cli, dominance, fixtures, iteration, lp, properties, symbolic, witnesses
+from gamelattice import (
+    cli, dominance, epistemic, fixtures, iteration, lp, properties, symbolic, witnesses,
+)
 from gamelattice.cli import EXIT_INTERNAL, main
 from gamelattice.epistemic import DEFAULT_MODEL_BUDGET
 from gamelattice.errors import BudgetError
-from gamelattice.games import format_game, parse_game_file
+from gamelattice.games import Restriction, format_game, parse_game_file
 from gamelattice.iteration import DEFAULT_LATTICE_BUDGET, trace_from_json_dict, iterate_operator
 from gamelattice.ordinals import parse_ordinal
 from gamelattice.properties import PropertyProfile, parse_property_spec, property_operator
@@ -553,6 +555,26 @@ def test_a_wrong_dual_exits_internal(argv, corrupt, monkeypatch, capsys):
     assert code == EXIT_INTERNAL == 3
     assert err.startswith("internal error:") and "re-validation" in err
     assert "Traceback" not in err
+
+
+def test_a_witness_outcome_with_an_empty_component_exits_internal(monkeypatch, capsys):
+    # an outcome never has an empty component, so the Theorem-1 witness
+    # treats one as the program contradicting itself
+    real = epistemic.outcome
+
+    def emptied(profile, game, **kwargs):
+        trace = real(profile, game, **kwargs)
+        masks = (0,) + trace.outcome.masks[1:]
+        return replace(trace, outcome=Restriction(game, masks))
+
+    monkeypatch.setattr(epistemic, "outcome", emptied)
+    code = cli.main(
+        ["epistemic", "witness", "--theorem", "1", "--prop", "sd:g", str(FIXTURES / "pd.game")]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error:") and "empty component" in captured.err
 
 
 @pytest.mark.parametrize("fault", [lp.Infeasible, lp.Unbounded])

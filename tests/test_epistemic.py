@@ -53,6 +53,7 @@ from oracles import (
     set_partitions,
     walked_marked_sets,
 )
+from oracles import witness_model_thm1 as oracle_witness_thm1
 
 PD, MP, MIX, CHAIN, THREE = (
     fixtures.PD, fixtures.MP, fixtures.MIX, fixtures.CHAIN, fixtures.THREE,
@@ -409,6 +410,63 @@ def test_witness_thm1_rejects_non_monotone_profile():
         witness_model_thm1(PD, uniform(PD, "sd:l"))
 
 
+GLOBAL_SPECS = ["sd:g", "br:g:pure", "msd:g", "br:g:corr"]
+LOCAL_SPECS = ["sd:l", "br:l:pure", "msd:l", "br:l:corr"]
+# size-1 players, and 3x7 and 2x6x3, where E is a proper prefix of the states
+WITNESS_SHAPES = [
+    (1, 3), (3, 1), (1, 1, 2), (2, 3), (3, 2), (2, 4), (3, 4), (2, 2, 2), (3, 2, 2),
+    (3, 7), (2, 6, 3),
+]
+
+
+def _witness_or_error(build, game, profile):
+    try:
+        return build(game, profile).report.to_json()
+    except PreconditionError as exc:
+        return PreconditionError, str(exc)
+
+
+def test_witness_thm1_matches_the_two_branch_construction():
+    # the report reads only E, so the one-rule model and the oracle's, which
+    # differ outside E, give the same canonical JSON; a profile with a local
+    # player is refused on both sides
+    rng = random.Random(43)
+    reports = 0
+    for seed, (sizes, bound) in enumerate(itertools.product(WITNESS_SHAPES, (1, 2, 5))):
+        game = seeded_game(seed, sizes, bound)
+        for k in range(4):
+            specs = [rng.choice(GLOBAL_SPECS) for _ in sizes]
+            if k == 3:
+                specs[rng.randrange(len(sizes))] = rng.choice(LOCAL_SPECS)
+            profile = PropertyProfile(tuple(parse_property_spec(t) for t in specs))
+            ours = _witness_or_error(witness_model_thm1, game, profile)
+            assert ours == _witness_or_error(oracle_witness_thm1, game, profile), (
+                game.name, str(profile),
+            )
+            if k == 3:
+                assert ours[0] is PreconditionError, (game.name, str(profile))
+            else:
+                reports += isinstance(ours, str)
+    assert reports > 60
+
+
+def test_outcomes_have_no_empty_component():
+    # the witness raises InternalError on an empty component, which this
+    # invariant rules out: every iterate keeps, per player, a strategy that
+    # passes against the current non-empty opponent profiles
+    rng = random.Random(4343)
+    families = GLOBAL_SPECS + LOCAL_SPECS
+    shapes = WITNESS_SHAPES + [(1, 1), (2, 2), (3, 3), (1, 2, 1)]
+    for seed, (sizes, bound) in enumerate(itertools.product(shapes, (0, 1, 5))):
+        game = seeded_game(seed, sizes, bound)
+        for _ in range(10):
+            profile = PropertyProfile(
+                tuple(parse_property_spec(rng.choice(families)) for _ in sizes)
+            )
+            fix = outcome(profile, game).outcome
+            assert all(fix.masks), (game.name, str(profile), fix.names())
+
+
 def test_witness_thm2_postconditions():
     cases = [
         (PD, "sd:l", ("C", "C")),
@@ -593,13 +651,14 @@ def test_enumerate_matches_brute_force_models(game, omega, mode):
             ), (game.name, omega, mode, str(profile), events.__name__)
 
 
-def seeded_game(seed, sizes=(2, 2)):
+def seeded_game(seed, sizes=(2, 2), bound=3):
     """A game of the given shape, 2x2 by default, with payoffs drawn from
-    [-3, 3] by a generator seeded with `seed`."""
+    [-bound, bound] by a generator seeded with `seed`."""
     rng = random.Random(seed)
     names = [tuple(f"{'abc'[i]}{k + 1}" for k in range(n)) for i, n in enumerate(sizes)]
     payoffs = {
-        joint: tuple(rng.randint(-3, 3) for _ in sizes) for joint in itertools.product(*names)
+        joint: tuple(rng.randint(-bound, bound) for _ in sizes)
+        for joint in itertools.product(*names)
     }
     shape = "" if sizes == (2, 2) else "x".join(map(str, sizes)) + "-"
     return make_game(f"seeded{shape}{seed}", names, payoffs)

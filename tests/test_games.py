@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import re
 import sys
 
@@ -23,6 +24,7 @@ from gamelattice.games import (
     mask_members,
     pack_masks,
     parse_game,
+    parse_game_file,
     parse_rational,
     restriction_at,
     restriction_bottom,
@@ -34,6 +36,16 @@ from gamelattice.games import (
 
 def rset(game, *components):
     return restriction_from_names(game, components)
+
+
+FIXTURE_FILES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def test_bundled_games_match_their_files():
+    # each bundled game is written twice, in `fixtures.py` and as a file
+    assert sorted(fixtures.FIXTURES) == sorted(p.stem for p in FIXTURE_FILES.glob("*.game"))
+    for name, game in fixtures.FIXTURES.items():
+        assert game == parse_game_file(FIXTURE_FILES / f"{name}.game"), name
 
 
 def test_top_is_full_strategy_sets():

@@ -23,6 +23,7 @@ from gamelattice.symbolic import (
     validate_witness,
 )
 from gamelattice.witnesses import (
+    _lower_end,
     _witness_limit,
     _witness_step,
     lift_finite_game,
@@ -451,6 +452,57 @@ def test_witness_limit_refuses_blocks_it_cannot_check(block, probe):
         _witness_limit(block)
     assert exc.value.stage == "limit"
     assert exc.value.witness == probe
+
+
+def _lower_end_by_its_set(s):
+    """`_lower_end` by its definition: s compared with [l,1] u {2} built
+    through the set algebra."""
+    low, closed = s.infimum() if s.pieces else (None, False)
+    if not (closed and low < 1 and s == SymbolicSet.interval(low, 1).union(SymbolicSet.point(2))):
+        raise ValidationError(
+            f"limit: {s} is not [l,1] u {{2}} with l < 1", "limit", witness=low
+        )
+    return low
+
+
+def _lower_end_or_refusal(lower_end, s):
+    try:
+        return lower_end(s)
+    except ValidationError as exc:
+        return exc.stage, exc.witness, str(exc)
+
+
+@pytest.mark.parametrize("low", [Fraction(-3), Fraction(0), HALF, Fraction(7, 8)])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda low: _tail(low),
+        lambda low: SymbolicSet.points([1, 2]),  # l = 1
+        lambda low: SymbolicSet.interval(low, 1, hi_closed=False).union(SymbolicSet.point(2)),
+        lambda low: _tail(low, closed=False),
+        lambda low: SymbolicSet.interval(low, 1),
+        lambda low: _tail(low).union(SymbolicSet.point(3)),
+        lambda low: SymbolicSet.interval(NEG_INF, 1).union(SymbolicSet.point(2)),
+        lambda low: SymbolicSet.empty(),
+    ],
+)
+def test_lower_end_matches_the_rebuilt_set_on_edge_shapes(shape, low):
+    s = shape(low)
+    assert _lower_end_or_refusal(_lower_end, s) == _lower_end_or_refusal(_lower_end_by_its_set, s)
+
+
+@given(
+    s=st.one_of(
+        symbolic_sets(head=True),
+        rationals.map(_tail),
+        st.tuples(rationals, piece_lists()).map(
+            lambda t: _tail(t[0]).union(SymbolicSet.from_pieces(t[1]))
+        ),
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_lower_end_matches_the_rebuilt_set(s):
+    assert _lower_end_or_refusal(_lower_end, s) == _lower_end_or_refusal(_lower_end_by_its_set, s)
 
 
 def _lifted_chain():
