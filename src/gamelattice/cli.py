@@ -4,14 +4,14 @@ Every verifier and analysis is a batch subcommand with deterministic output.
 Exit codes: 0 when all checks pass, 1 on a mathematical counterexample or an
 iteration left unresolved at its ordinal bound, 2 on input, parse, or budget
 errors, 3 on an internal fault (a certificate, an LP's witness or its dual,
-that fails its re-validation, or an LP that should be feasible and bounded
-but is not).  --json switches to
-the canonical machine-readable rendering; the GAMELATTICE_BUDGET environment
-variable sets the budget of every command that has one, unless --budget is
-given: the round count, the lattice size, the model count or the iterate
-count.
-Each command evaluates properties through one Evaluator, so its verdict
-cache lives exactly as long as the command.
+that fails its re-validation, an LP that should be feasible and bounded but
+is not, or an elimination outcome with an empty component under `epistemic
+witness --theorem 1`).  --json switches to the canonical machine-readable
+rendering; the GAMELATTICE_BUDGET environment variable sets the budget of
+every command that has one, unless --budget is given: the round count, the
+lattice size, the model count or the iterate count.  Each command evaluates
+properties through one Evaluator, so its caches live exactly as long as the
+command.
 """
 
 from __future__ import annotations

@@ -102,7 +102,7 @@ class PropertyProfile:
 
 
 class Evaluator:
-    """Property verdicts on one game, cached for one top-level computation.
+    """What property queries on one game share, for one top-level computation.
 
     A CLI command or a library entry point creates one and hands it to every
     evaluation it makes, so the cache dies with the computation.
@@ -117,25 +117,18 @@ class Evaluator:
     strategy sets, so with two players a profile is the opponent's strategy
     index.
 
-    `verdicts` holds one (decided, passing) pair of strategy masks per
-    (family, player, opponent bits, pool mask): the opponent bits are the
-    restriction's lattice index with the player's own bits cleared.  Each
-    entry is seeded from the pure pre-checks by `_seeded`, which decides a
-    pure family ("sd", "br:pure") outright and leaves an LP family ("msd",
-    "br:corr") open only where the context has opponent profiles, sd passes
-    and br:pure fails; a query decides each open candidate it asks, in
-    ascending order, and marks it decided.  The scope only picks the pool,
-    so a global and a local spec share every entry where the local pool is
-    the full strategy set.  `contexts` holds, per (player, opponent bits),
-    what `_context` derives from the context's opponent profiles Y, once:
-    their profile mask, their list and per strategy s, D_s(Y).  Both are
-    filled only by a per-restriction query (an iteration step,
-    `passing_mask`, the CK/CB walk) and, while an image table is built, at
-    an index where an LP family leaves a strategy open: the table's pure
-    verdicts come from bit-slices over the whole lattice (`_component`).
+    `contexts` holds, per (player, opponent bits), what `_context` derives
+    from the context's opponent profiles Y, once: their profile mask, their
+    list and per strategy s, D_s(Y); the opponent bits are the
+    restriction's lattice index with the player's own bits cleared.  It is
+    filled by a per-restriction query (an iteration step, `passing_mask`,
+    the CK/CB walk) and, while an image table is built from bit-slices
+    (`_component`), only at an index where an LP family leaves a strategy
+    open.  A query recomputes the pure pre-checks for its candidates, a few
+    bit tests each, and stores no verdict.
 
     An open candidate s of an LP family ("msd", "br:corr") on pool P and
-    opponent profiles Y is first settled from `certificates`, which keeps
+    opponent profiles Y is settled from `certificates`, which keeps
     per (family, player, s) a list of mixtures and a list of beliefs: the
     certificates of that family's earlier LP answers for s, both ways
     (Pearce 1984, Lemma 3), each reduced to two masks and tried newest
@@ -149,9 +142,10 @@ class Evaluator:
     Both are exact, whatever (P, Y) the certificate came from, and assume no
     monotonicity.  A candidate no certificate settles goes to its own LP.
     Every answer carries a certificate, the witness or the LP's dual, which
-    is checked against the whole game and stored, so every LP verdict is
-    checked.  Each family reads only its own certificates, so `check
-    pearce`'s two sides share only the pure pre-checks.
+    is checked against the whole game and stored, so an LP verdict is kept
+    only as its checked certificate, which settles the same query again.
+    Each family reads only its own certificates, so `check pearce`'s two
+    sides share only the pure pre-checks.
 
     `enumerations[(omega, profile)]` holds the CK/CB enumerator's walk over
     a state space of omega states as two ints: the gathered restriction's
@@ -163,7 +157,6 @@ class Evaluator:
     def __init__(self, game: Game):
         self.game = game
         self.payoffs, self.beaters = zip(*(_comparisons(game, i) for i in game.players()))
-        self.verdicts: dict[tuple[str, int, int, int], tuple[int, int]] = {}
         self.contexts: dict[tuple[int, int], tuple[int, list[int], list[int]]] = {}
         self.certificates: dict[tuple, tuple[list, list]] = {}
         self.enumerations: dict[tuple[int, PropertyProfile], tuple[int, int]] = {}
@@ -345,47 +338,50 @@ def _solved(
     return passes
 
 
+def _settle(
+    evaluator: Evaluator, family: str, player: int, index: int, pool: int, profiles: int, open_: int
+) -> int:
+    """The strategies of the mask `open_` that pass the LP family `family`
+    at lattice index `index`, pool `pool` and profile mask `profiles`, each
+    settled in ascending order by a stored certificate (`_settled`), or
+    else by its own LP (`_solved`)."""
+    passing = 0
+    for s in mask_members(open_):
+        certificates = evaluator.certificates.setdefault((family, player, s), ([], []))
+        verdict = _settled(certificates, pool, profiles)
+        if verdict is None:
+            verdict = _solved(evaluator, family, index, player, pool, profiles, s)
+        passing |= verdict << s
+    return passing
+
+
 def _passing(
     evaluator: Evaluator, family: str, scope: str, player: int, index: int, candidates: int
 ) -> int:
     """The strategies in the mask `candidates` that pass `family` on the
-    restriction with lattice index `index`.  The verdicts are kept in
-    `evaluator.verdicts`, one entry per (family, player, opponent bits,
-    pool), seeded from both pure pre-checks by `_seeded`.  A candidate an
-    entry leaves open is settled by a stored certificate (`_settled`), or
-    else by its own LP (`_solved`), one strategy at a time, and the entry
-    records it."""
+    restriction with lattice index `index`: the pure pre-checks, run for
+    the candidates alone, are turned into passing and open strategies by
+    `_seeded`, and `_settle` decides the open ones."""
     game = evaluator.game
     shift = game.shifts[player]
     full = (1 << game.sizes[player]) - 1
     pool = full if scope == "g" else index >> shift & full
-    opponents = index & ~(full << shift)
-    key = (family, player, opponents, pool)
-    profiles, ys, dominators = _context(evaluator, player, opponents)
-    entry = evaluator.verdicts.get(key)
-    if entry is None:
-        sd = br = 0
-        for s, row in enumerate(evaluator.beaters[player]):
-            if not pool & dominators[s]:
-                sd |= 1 << s
-                # br:pure passes only what sd passes
-                for y in ys:
-                    if not pool & row[y]:
-                        br |= 1 << s
-                        break
-        passing, open_ = _seeded(family, sd, br, full if ys else 0)
-        entry = evaluator.verdicts[key] = (full & ~open_, passing)
-    decided, passing = entry
-    open_ = candidates & ~decided
+    profiles, ys, dominators = _context(evaluator, player, index & ~(full << shift))
+    beaters = evaluator.beaters[player]
+    sd = br = 0
+    for s in mask_members(candidates):
+        if not pool & dominators[s]:
+            sd |= 1 << s
+            # br:pure passes only what sd passes
+            row = beaters[s]
+            for y in ys:
+                if not pool & row[y]:
+                    br |= 1 << s
+                    break
+    passing, open_ = _seeded(family, sd, br, full if ys else 0)
     if open_:
-        for s in mask_members(open_):
-            certificates = evaluator.certificates.setdefault((family, player, s), ([], []))
-            verdict = _settled(certificates, pool, profiles)
-            if verdict is None:
-                verdict = _solved(evaluator, family, index, player, pool, profiles, s)
-            passing |= verdict << s
-        evaluator.verdicts[key] = (decided | open_, passing)
-    return passing & candidates
+        passing |= _settle(evaluator, family, player, index, pool, profiles, open_)
+    return passing
 
 
 def passing_mask(
@@ -431,8 +427,8 @@ def apply_operator(
 class PropertyOperator:
     """The elimination operator of `profile` on `game`: a Restriction ->
     Restriction callable for `iterate_operator`, whose `table` builds the
-    image of every restriction at once for `image_table`.  Its verdicts are
-    cached in `evaluator` for as long as the operator lives."""
+    image of every restriction at once for `image_table`.  Its contexts and
+    certificates are kept in `evaluator` for as long as the operator lives."""
 
     profile: PropertyProfile
     game: Game
@@ -482,7 +478,7 @@ def _component(
     in the pool and Y misses every profile at which t does not beat s, and
     passes br:pure where Y holds a profile y at which the pool misses
     beaters[s][y].  `_seeded` turns these slices into `family`'s passing
-    and open slices by the rule `_passing`'s entries are seeded with."""
+    and open slices by the rule `_passing` applies to strategy masks."""
     game = evaluator.game
     k = game.sizes[player]
     shift = game.shifts[player]
@@ -532,11 +528,11 @@ def _property_table(
 
     Each player's pure verdicts come from `_component` as bit-slices, one
     per lattice bit of the table, which `transpose_slices` turns into the
-    table once.  An LP family's open strategies are transposed the same way, and
-    `_passing` is asked only at the indices where some are open, per player
-    in ascending index, with those strategies as candidates: the order and
+    table once.  An LP family's open strategies are transposed the same way,
+    and `_settle` is asked only at the indices where some are open, per
+    player in ascending index, with those strategies: the order and open
     candidates of one restriction at a time, so the LPs and stored
-    certificates do not change."""
+    certificates do not change, and no pre-check runs twice."""
     count = count_restrictions(game, max_restrictions)
     if len(profile.specs) != game.num_players:
         raise ValueError("profile length differs from the number of players")
@@ -547,14 +543,16 @@ def _property_table(
     for i, spec in enumerate(profile.specs):
         family = _family(spec, game)
         shift = game.shifts[i]
+        full = (1 << game.sizes[i]) - 1
         passing, opens = _component(evaluator, family, spec.scope, i, patterns, own)
         slices[shift:shift + len(passing)] = passing
         if any(opens):
             opens = transpose_slices(opens, k)
-            solved += [
-                (idx, _passing(evaluator, family, spec.scope, i, idx, opens[idx]) << shift)
-                for idx in compress(range(count), opens)
-            ]
+            for idx in compress(range(count), opens):
+                pool = full if spec.scope == "g" else idx >> shift & full
+                profiles = _context(evaluator, i, idx & ~(full << shift))[0]
+                settled = _settle(evaluator, family, i, idx, pool, profiles, opens[idx])
+                solved.append((idx, settled << shift))
     table = transpose_slices(slices, k)
     for idx, passing in solved:
         table[idx] |= passing

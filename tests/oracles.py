@@ -5,10 +5,12 @@ by walking every partition of every set of states and by the good-block
 recursion, the CK/CB walk that ANDs every player's marked sets, the rank of
 a strategy assignment in product order, one player's integer payoff and beater
 tables, built cell by cell, a property's image table, asked one lattice
-index at a time, and the symbolic set algebra as one sorted sweep over every
+index at a time, the property queries and tables of an Evaluator that keeps
+a verdict store, and the symbolic set algebra as one sorted sweep over every
 operand's boundary cuts."""
 
 import itertools
+from itertools import compress
 from math import lcm
 from typing import Iterator, Sequence
 
@@ -28,7 +30,8 @@ from gamelattice.epistemic import (
     rational_states,
 )
 from gamelattice.errors import PreconditionError
-from gamelattice.games import Game, mask_members
+from gamelattice.games import Game, count_restrictions, mask_members
+from gamelattice.iteration import lattice_patterns, transpose_slices
 from gamelattice.reports import CheckReport
 from gamelattice.symbolic import INF, NEG_INF, Piece
 
@@ -271,6 +274,78 @@ def per_index_table(
             passing = properties._passing(evaluator, family, spec.scope, i, idx, candidates)
             table[idx] |= passing << shift
     return table
+
+
+class VerdictStore:
+    """`properties._passing` and `properties._property_table` on
+    `evaluator` as they were when the Evaluator also kept its verdicts:
+    `verdicts` holds one (decided, passing) pair of strategy masks per
+    (family, player, opponent bits, pool), seeded by `properties._seeded`
+    from both pure pre-checks over every strategy.  A query decides each
+    candidate its entry leaves open, in ascending order, from a stored
+    certificate or else its own LP (`properties._solved`), and records it
+    in the entry; a table asks the query at every index where
+    `properties._component`'s slices leave a strategy open."""
+
+    def __init__(self, evaluator: properties.Evaluator):
+        self.evaluator = evaluator
+        self.verdicts: dict[tuple[str, int, int, int], tuple[int, int]] = {}
+
+    def passing(self, family: str, scope: str, player: int, index: int, candidates: int) -> int:
+        evaluator = self.evaluator
+        game = evaluator.game
+        shift = game.shifts[player]
+        full = (1 << game.sizes[player]) - 1
+        pool = full if scope == "g" else index >> shift & full
+        opponents = index & ~(full << shift)
+        key = (family, player, opponents, pool)
+        profiles, ys, dominators = properties._context(evaluator, player, opponents)
+        entry = self.verdicts.get(key)
+        if entry is None:
+            sd = br = 0
+            for s, row in enumerate(evaluator.beaters[player]):
+                if not pool & dominators[s]:
+                    sd |= 1 << s
+                    if any(not pool & row[y] for y in ys):
+                        br |= 1 << s
+            passing, open_ = properties._seeded(family, sd, br, full if ys else 0)
+            entry = self.verdicts[key] = (full & ~open_, passing)
+        decided, passing = entry
+        open_ = candidates & ~decided
+        for s in mask_members(open_):
+            certificates = evaluator.certificates.setdefault((family, player, s), ([], []))
+            verdict = properties._settled(certificates, pool, profiles)
+            if verdict is None:
+                verdict = properties._solved(evaluator, family, index, player, pool, profiles, s)
+            passing |= verdict << s
+        self.verdicts[key] = (decided | open_, passing)
+        return passing & candidates
+
+    def table(
+        self, profile: properties.PropertyProfile, game: Game, max_restrictions: int, own: bool
+    ) -> list[int]:
+        count = count_restrictions(game, max_restrictions)
+        k = sum(game.sizes)
+        patterns = lattice_patterns(k)
+        slices = [0] * k
+        solved = []
+        for i, spec in enumerate(profile.specs):
+            family = properties._family(spec, game)
+            shift = game.shifts[i]
+            passing, opens = properties._component(
+                self.evaluator, family, spec.scope, i, patterns, own
+            )
+            slices[shift:shift + len(passing)] = passing
+            if any(opens):
+                opens = transpose_slices(opens, k)
+                solved += [
+                    (idx, self.passing(family, spec.scope, i, idx, opens[idx]) << shift)
+                    for idx in compress(range(count), opens)
+                ]
+        table = transpose_slices(slices, k)
+        for idx, passing in solved:
+            table[idx] |= passing
+        return table
 
 
 def sweep(sets, keep) -> tuple[Piece, ...]:

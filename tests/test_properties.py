@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamelattice import dominance, fixtures, iteration, lp, properties
+from gamelattice import dominance, epistemic, fixtures, iteration, lp, properties
 from gamelattice.cli import EXIT_INTERNAL, main
 from gamelattice.errors import BudgetError, InternalError, ShapeError, UnsupportedBeliefError
 from gamelattice.games import (
@@ -48,7 +48,7 @@ from gamelattice.properties import (
     verify_theorem_just,
     verify_theorem_just1,
 )
-from oracles import comparison_tables, per_index_table
+from oracles import VerdictStore, comparison_tables, per_index_table
 
 PD, MP, MIX, CHAIN = fixtures.PD, fixtures.MP, fixtures.MIX, fixtures.CHAIN
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -356,16 +356,25 @@ def _stores(evaluator):
     return {key: (list(m), list(b)) for key, (m, b) in evaluator.certificates.items()}
 
 
-def test_evaluator_cache_is_scoped_to_the_computation():
+def _counted_lps(monkeypatch):
+    """A list that gains one item per `lp.simplex_maximize` call from now on."""
+    solves = []
+    simplex = lp.simplex_maximize
+    monkeypatch.setattr(lp, "simplex_maximize", lambda *a: solves.append(a) or simplex(*a))
+    return solves
+
+
+def test_evaluator_cache_is_scoped_to_the_computation(monkeypatch):
+    solves = _counted_lps(monkeypatch)
     profile = uniform(MIX, "msd:l")
     evaluator = Evaluator(MIX)
     first = outcome(profile, MIX, evaluator=evaluator)
-    cached, stores = dict(evaluator.verdicts), _stores(evaluator)
-    assert cached and stores
+    stores, made = _stores(evaluator), len(solves)
+    assert stores and made
     assert outcome(profile, MIX) == first  # a call given none uses its own
-    assert dict(evaluator.verdicts) == cached and _stores(evaluator) == stores
-    assert outcome(profile, MIX, evaluator=evaluator) == first  # all hits
-    assert dict(evaluator.verdicts) == cached and _stores(evaluator) == stores
+    assert _stores(evaluator) == stores and len(solves) == 2 * made
+    assert outcome(profile, MIX, evaluator=evaluator) == first  # all settled by certificates
+    assert _stores(evaluator) == stores and len(solves) == 2 * made
 
 
 @pytest.mark.parametrize("text,open_", [("msd:l", 0b100), ("br:l:corr", 0b100)])
@@ -541,11 +550,15 @@ def test_property_tables_match_the_per_restriction_definitions(game):
 
 
 @pytest.mark.parametrize("game", _table_games(), ids=lambda game: game.name)
-def test_entries_and_slices_are_seeded_by_one_rule(game):
-    # `_seeded` seeds both `_passing`'s entries, from strategy masks, and
-    # `_component`'s bit-slices over the lattice: asked with no candidates,
-    # `_passing` stores its seeded entry and runs no LP, and at every index X
-    # that entry must be bit X of the slices of every strategy
+def test_queries_and_slices_are_seeded_by_one_rule(game, monkeypatch):
+    # `_seeded` turns both `_passing`'s pure pre-checks, on strategy masks,
+    # and `_component`'s bit-slices over the lattice into passing and open
+    # strategies: with `_settle` recording the open mask it is handed and
+    # passing none of it, `_passing` asked for every strategy runs no LP, and
+    # at every index X its mask and the open mask must be bit X of the
+    # slices of every strategy
+    opened = []
+    monkeypatch.setattr(properties, "_settle", lambda *a: opened.append(a[-1]) or 0)
     count = 1 << sum(game.sizes)
     patterns = iteration.lattice_patterns(sum(game.sizes))
     evaluator = Evaluator(game)
@@ -553,19 +566,16 @@ def test_entries_and_slices_are_seeded_by_one_rule(game):
         for scope in SCOPES:
             for i in game.players():
                 full = (1 << game.sizes[i]) - 1
-                shift = game.shifts[i]
                 passing, opens = properties._component(
                     evaluator, family, scope, i, patterns, False
                 )
                 for index in range(count):
-                    assert properties._passing(evaluator, family, scope, i, index, 0) == 0
-                    pool = full if scope == "g" else index >> shift & full
-                    key = (family, i, index & ~(full << shift), pool)
-                    want = (
-                        full & ~sum((o >> index & 1) << s for s, o in enumerate(opens)),
-                        sum((p >> index & 1) << s for s, p in enumerate(passing)),
-                    )
-                    assert evaluator.verdicts[key] == want, (family, scope, i, index)
+                    opened.clear()
+                    got = properties._passing(evaluator, family, scope, i, index, full)
+                    where = (family, scope, i, index)
+                    assert got == sum((p >> index & 1) << s for s, p in enumerate(passing)), where
+                    want = sum((o >> index & 1) << s for s, o in enumerate(opens))
+                    assert opened == ([want] if want else []), where
     assert not evaluator.certificates
 
 
@@ -734,17 +744,19 @@ def test_passing_mask_refuses_a_player_or_mask_the_game_lacks():
         passing_mask(spec, PD, 0, restriction_top(MP), 3)
 
 
-def test_global_and_local_specs_share_verdicts_on_the_full_pool():
+def test_global_and_local_specs_share_verdicts_on_the_full_pool(monkeypatch):
+    solves = _counted_lps(monkeypatch)
     evaluator = Evaluator(MIX)
     top = restriction_top(MIX)
     for i in MIX.players():
         for s in MIX.strategies(i):
             passing_mask(parse_property_spec("br:g:corr"), MIX, i, top, 1 << s, evaluator)
-    cached, stores = dict(evaluator.verdicts), _stores(evaluator)
+    stores, made = _stores(evaluator), len(solves)
+    assert stores and made
     for i in MIX.players():
         for s in MIX.strategies(i):
             passing_mask(parse_property_spec("br:l:corr"), MIX, i, top, 1 << s, evaluator)
-    assert dict(evaluator.verdicts) == cached and _stores(evaluator) == stores
+    assert _stores(evaluator) == stores and len(solves) == made
 
 
 @pytest.mark.parametrize("masks", [(3, 3, 3), (3, 0, 3), (3, 3, 0), (0, 0, 0)])
@@ -780,7 +792,7 @@ def test_passing_mask_refuses_a_player_or_strategy_before_caching(text):
     for player, candidates in ((0, 1 << 7), (0, -1), (2, 1), (-1, 1)):
         with pytest.raises(ValueError):
             passing_mask(spec, PD, player, g, candidates, evaluator)
-    assert not evaluator.verdicts and not evaluator.contexts and not evaluator.certificates
+    assert not evaluator.contexts and not evaluator.certificates
 
 
 def _normal_forms(profile, game):
@@ -825,7 +837,8 @@ def test_elimination_order_does_not_matter(text):
         assert forms[top] == {outcome(profile, game).outcome.masks}, (k, game.name)
 
 
-def test_two_player_ind_and_corr_agree_and_share_verdicts():
+def test_two_player_ind_and_corr_agree_and_share_verdicts(monkeypatch):
+    solves = _counted_lps(monkeypatch)
     fixture_games = [
         parse_game_file(path) for path in sorted(FIXTURE_DIR.glob("*.game"))
     ]
@@ -844,9 +857,9 @@ def test_two_player_ind_and_corr_agree_and_share_verdicts():
                         assert passing_mask(ind, game, i, g, 1 << s, ind_only) == verdict, (
                             game.name, scope, g.names(), i, s,
                         )
-                        cached, stores = dict(shared.verdicts), _stores(shared)
+                        stores, made = _stores(shared), len(solves)
                         assert passing_mask(ind, game, i, g, 1 << s, shared) == verdict
-                        assert dict(shared.verdicts) == cached and _stores(shared) == stores
+                        assert _stores(shared) == stores and len(solves) == made
 
 
 def _pearce_reference(game):
@@ -1166,30 +1179,31 @@ def test_just1_lists_each_opponent_context_once(monkeypatch):
     assert built and len(built) == len(set(built)) <= 2 * 16
 
 
-def test_pure_tables_store_nothing_and_a_pure_query_decides_its_entry():
+def test_pure_tables_store_nothing_and_pure_queries_settle_nothing(monkeypatch):
     # sd and br:pure image and monotonicity tables, on the full pool and
-    # every other, come from bit-slices and store no entry, context or
-    # certificate; a per-restriction query stores an entry that decides
-    # every strategy of its player
+    # every other, come from bit-slices and store no context or
+    # certificate; per-restriction queries read contexts, and the pure
+    # pre-checks decide every strategy of their player, so none is settled
+    settled = []
+    monkeypatch.setattr(properties, "_settle", lambda *a: settled.append(a) or 0)
     for game in (MIX, CHAIN, fixtures.THREE):
         evaluator = Evaluator(game)
         for text in ("sd:l", "sd:g", "br:l:pure", "br:g:pure"):
             profile = uniform(game, text)
             image_table(property_operator(profile, game, evaluator), game, DEFAULT_LATTICE_BUDGET)
             check_property_monotone(parse_property_spec(text), game, evaluator=evaluator)
-        assert not evaluator.verdicts and not evaluator.contexts and not evaluator.certificates
+        assert not evaluator.contexts and not evaluator.certificates
         for text in ("sd:l", "sd:g", "br:l:pure", "br:g:pure"):
             outcome(uniform(game, text), game, evaluator=evaluator)
-        assert {family for family, *_ in evaluator.verdicts} == {"sd", "br:pure"}
-        for (_, player, _, _), (decided, _) in evaluator.verdicts.items():
-            assert decided == (1 << game.sizes[player]) - 1
+        assert evaluator.contexts and not settled
         assert not evaluator.certificates
 
 
 def test_a_second_pass_over_the_lp_tables_decides_nothing_again(monkeypatch):
     # every image table and monotonicity table of the LP families, built
-    # twice through one Evaluator: the second pass reads every verdict from
-    # the verdict store, so it calls no procedure and changes no entry or store
+    # twice through one Evaluator: the second pass settles every open
+    # strategy from a stored certificate, so it calls no procedure and
+    # changes no certificate store
     games = [parse_game_file(path) for path in sorted(FIXTURE_DIR.glob("*.game"))]
     games += fixtures.random_games(3030, 6, 3, 3)
     calls = []
@@ -1223,12 +1237,131 @@ def test_a_second_pass_over_the_lp_tables_decides_nothing_again(monkeypatch):
             ]
 
         first = tables()
-        cached, stores = dict(evaluator.verdicts), _stores(evaluator)
+        stores = _stores(evaluator)
         made = len(calls)
         assert tables() == first
         assert len(calls) == made, (game.name, calls[made:])
-        assert dict(evaluator.verdicts) == cached and _stores(evaluator) == stores
+        assert _stores(evaluator) == stores
     assert calls
+
+
+def _differential_games():
+    """MIX, CHAIN and THREE, three seeded 2-player games up to 4x4, a 5x4
+    game, 2x2x2, 3x3x2, 2x3x3 and 3x1x2 games, and a 3x2x2x2 game."""
+    sized = ((5, (5, 4)), (1, (2, 2, 2)), (1, (3, 3, 2)), (2, (2, 3, 3)), (3, (3, 1, 2)))
+    return [MIX, CHAIN, fixtures.THREE, *fixtures.random_games(4444, 3, 4, 4)] + [
+        _random_game(random.Random(seed), sizes) for seed, sizes in sized + ((2, (3, 2, 2, 2)),)
+    ]
+
+
+def _lp_run(game, evaluator, seed):
+    """Every kind of LP-family call, in one sequence through `evaluator`:
+    a `msd:g` and a `br:g:corr` CK/CB walk, one `passing_mask` query per
+    restriction, LP spec and player with seeded candidates, in a seeded
+    order, every LP spec's image table, monotonicity report and outcome,
+    then the queries again in another order.  Returns every result."""
+    texts = LP_SPECS + ["br:l:ind", "br:g:ind"] * (game.num_players == 2)
+    specs = [parse_property_spec(text) for text in texts]
+    rng = random.Random(seed)
+    restrictions = list(all_restrictions(game))
+
+    def queries():
+        rng.shuffle(restrictions)
+        return [
+            passing_mask(spec, game, i, g, rng.randrange(1 << game.sizes[i]), evaluator)
+            for g in restrictions
+            for spec in specs
+            for i in game.players()
+        ]
+
+    results = [
+        epistemic.enumerate_ck_cb(
+            game, max(game.sizes), uniform(game, text), budget=None, evaluator=evaluator
+        )
+        for text in ("msd:g", "br:g:corr")
+    ]
+    results.append(queries())
+    for text in texts:
+        profile = uniform(game, text)
+        op = property_operator(profile, game, evaluator)
+        results.append(image_table(op, game, DEFAULT_LATTICE_BUDGET))
+        results.append(check_property_monotone(specs[texts.index(text)], game, evaluator=evaluator))
+        results.append(outcome(profile, game, evaluator=evaluator))
+    results.append(queries())
+    return results
+
+
+def _recorded_solves(monkeypatch, key):
+    """Per Evaluator, the `key(family, player, index, pool, profiles, s,
+    verdict)` of each `_solved` call made from now on, in order."""
+    solves = {}
+    real = properties._solved
+
+    def recording(evaluator, family, index, player, pool, profiles, s):
+        verdict = real(evaluator, family, index, player, pool, profiles, s)
+        solves.setdefault(evaluator, []).append(
+            key(family, player, index, pool, profiles, s, verdict)
+        )
+        return verdict
+
+    monkeypatch.setattr(properties, "_solved", recording)
+    return solves
+
+
+def test_certificates_alone_give_the_verdict_stores_verdicts_and_lps(monkeypatch):
+    # The same sequence of calls through an Evaluator and through one whose
+    # queries and tables keep a verdict store (`oracles.VerdictStore`, routed
+    # by the Evaluator it belongs to): every result, every `_solved` call
+    # with its arguments and verdict, in order, and every certificate store
+    # must be the same, on 2-, 3- and 4-player games, whose contexts include
+    # ones with an empty opponent component
+    solves = _recorded_solves(monkeypatch, lambda *call: call)
+    stores = {}
+    real_passing, real_table = properties._passing, properties._property_table
+
+    def passing(evaluator, *args):
+        store = stores.get(evaluator)
+        return real_passing(evaluator, *args) if store is None else store.passing(*args)
+
+    def table(profile, game, evaluator, max_restrictions, own):
+        store = stores.get(evaluator)
+        if store is None:
+            return real_table(profile, game, evaluator, max_restrictions, own)
+        return store.table(profile, game, max_restrictions, own)
+
+    monkeypatch.setattr(properties, "_passing", passing)
+    monkeypatch.setattr(epistemic, "_passing", passing)
+    monkeypatch.setattr(properties, "_property_table", table)
+    solving = set()
+    for seed, game in enumerate(_differential_games()):
+        new, old = Evaluator(game), Evaluator(game)
+        stores[old] = VerdictStore(old)
+        assert _lp_run(game, new, seed) == _lp_run(game, old, seed), game.name
+        assert solves.get(new) == solves.get(old), game.name
+        assert _stores(new) == _stores(old), game.name
+        assert stores[old].verdicts, game.name
+        if new in solves:
+            solving.add(game.num_players)
+    assert solving == {2, 3, 4}
+
+
+def test_no_lp_query_reaches_its_lp_twice_in_one_run(monkeypatch):
+    # `_solved` stores a certificate that settles the very (pool, profiles)
+    # it was solved on, and the stores only grow, so across one Evaluator's
+    # whole run no (family, player, pool, profiles, strategy) is solved
+    # twice: every kind of call in one sequence, then just1 and pearce
+    solves = _recorded_solves(
+        monkeypatch, lambda family, player, index, pool, profiles, s, verdict: (
+            family, player, pool, profiles, s
+        )
+    )
+    for seed, game in enumerate(_differential_games()):
+        _lp_run(game, Evaluator(game), seed)
+        verify_theorem_just1(game)
+        pearce_equivalence_suite(game)
+    assert sum(map(len, solves.values())) > 100
+    for calls in solves.values():
+        assert len(calls) == len(set(calls))
 
 
 def test_monotone_msd_lp_count_on_mix(monkeypatch):
