@@ -10,6 +10,7 @@ games never need a limit step, so the trace ordinals are all finite here.
 from __future__ import annotations
 
 import itertools
+import struct
 import sys
 from dataclasses import dataclass
 from functools import reduce
@@ -154,7 +155,9 @@ def lattice_patterns(k: int) -> list[int]:
 
 
 _BITS = bytes.maketrans(b"01", b"\0\1")
-_LANES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # lane width in bytes: memoryview format
+# per bit position in a byte: every byte value to the ASCII digit of that bit
+_DIGITS = [bytes(b"01"[v >> bit & 1] for v in range(256)) for bit in range(8)]
+_LANES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # lane width in bytes: memoryview and struct format
 
 
 def transpose_slices(slices: list[int], k: int) -> list[int]:
@@ -179,9 +182,49 @@ def transpose_slices(slices: list[int], k: int) -> list[int]:
     return memoryview(lanes.to_bytes(count * width, sys.byteorder)).cast(_LANES[width]).tolist()
 
 
+def table_slices(images: list[int], k: int) -> list[int]:
+    """The k bit-slices of `images`, whose entries lie below 2^k: bit X of
+    slice b is bit b of images[X], the inverse of `transpose_slices`.  The
+    entries are packed into the same lanes, and each bit's byte column,
+    taken with a stride, is translated to its slice's binary digits, lowest
+    index first, and read as one int.  Every step runs over whole strings
+    and ints, none per index."""
+    width = min(w for w in _LANES if 8 * w >= k)
+    lanes = struct.pack(f"{len(images)}{_LANES[width]}", *images)
+    slices = []
+    for b in range(k):
+        byte = b // 8 if sys.byteorder == "little" else width - 1 - b // 8
+        column = lanes[byte::width].translate(_DIGITS[b % 8])
+        slices.append(int(column[::-1], 2))
+    return slices
+
+
+def violating_indices(images: list[int]) -> int:
+    """The lattice indices with a violation below them, as one int: bit X is
+    set where some smaller index's entry of `images` holds a bit that X's
+    own entry lacks, the nonzero pattern of `violations_below`.
+
+    Per bit c of the entries, its slice S_c is closed upward along each
+    lattice bit b by one shift-OR of the indices with b clear onto those
+    with b set; X has a violation in bit c exactly where the up-closure of
+    S_c holds X and S_c does not."""
+    k = len(images).bit_length() - 1
+    full = (1 << len(images)) - 1
+    lows = [full ^ pattern for pattern in lattice_patterns(k)]
+    violating = 0
+    for bits in table_slices(images, k):
+        up = bits
+        for b, low in enumerate(lows):
+            up |= (up & low) << (1 << b)
+        violating |= up & ~bits
+    return violating
+
+
 def violations_below(images: list[int]) -> list[int]:
     """Per lattice index, the number of (smaller index, strategy bit) pairs
     whose bit is in the smaller index's entry of `images` but not in its own.
+    `violating_indices` decides where these counts are nonzero; this subset
+    sum is run only to count the violations `check monotone` reports.
 
     Each of the K bits' counts is a subset sum over the lattice (Yates 1937),
     packed as a field of one int per index wide enough for all K fields' sum:
@@ -206,30 +249,33 @@ def violations_below(images: list[int]) -> list[int]:
 
 
 def non_monotone_pairs(
-    sizes: tuple[int, ...], images: list[int], counts: list[int]
+    sizes: tuple[int, ...], images: list[int], violating: int
 ) -> Iterator[tuple[int, int]]:
     """The lattice indices of every comparable pair (small, big) whose
-    entries in `images` are not included, in a fixed order, given `counts`,
-    the table's `violations_below`.
+    entries in `images` are not included, in a fixed order, given
+    `violating`, the table's `violating_indices`.
 
     `images` holds one lattice index per restriction, at the restriction's
     own index, over strategy sets of the given sizes, so its entries are
-    ordered as the lattice is.  The larger indices are listed ascending,
-    skipping each whose count is 0, and the smaller ones below each with
+    ordered as the lattice is.  The larger indices are the set bits of
+    `violating`, ascending, and the smaller ones below each are listed with
     every player's field descending through its submasks, the first
-    player's field varying fastest.  So a monotone table, whose counts are
-    all 0, lists nothing; a caller pays for one subset sum and the pairs it
-    takes, and the lattice budget bounds both."""
+    player's field varying fastest.  So a monotone table, whose mask is 0,
+    lists nothing; a caller pays for one up-closure and the pairs it takes,
+    and the lattice budget bounds both."""
     # (shift, size) per player's field, the last (lowest) player's first, so
     # that the first player's field, the product's last factor, varies fastest
     fields = list(zip(itertools.accumulate(sizes[::-1], initial=0), sizes[::-1]))
-    for big in itertools.compress(range(len(images)), counts):
+    digits = bin(violating)[:1:-1]  # bit X of the mask at position X
+    big = digits.find("1")
+    while big >= 0:
         img_big = images[big]
         parts = [[m << shift for m in _submasks(big >> shift & (1 << k) - 1)] for shift, k in fields]
         for part in itertools.product(*parts):
             small = sum(part)
             if images[small] & ~img_big:
                 yield small, big
+        big = digits.find("1", big + 1)
 
 
 def verify_tarski(
@@ -240,8 +286,10 @@ def verify_tarski(
 ) -> CheckReport:
     """Exhaustively confirm outcome = largest fixpoint = join of post-fixpoints.
 
-    The operator must pass an exhaustive monotonicity check first; a failure
-    there is reported as a precondition violation, not raised.
+    The operator must pass an exhaustive monotonicity check first, decided
+    by the up-closure of its image table (`violating_indices`) with no
+    violation counted; a failure there is reported as a precondition
+    violation, with the first non-monotone pair, not raised.
     """
     images = image_table(op, game, max_restrictions)
     details = {
@@ -250,7 +298,7 @@ def verify_tarski(
         "restrictions": len(images),
     }
 
-    violation = next(non_monotone_pairs(game.sizes, images, violations_below(images)), None)
+    violation = next(non_monotone_pairs(game.sizes, images, violating_indices(images)), None)
     if violation is not None:
         small, big = violation
         return CheckReport(
@@ -354,7 +402,8 @@ def verify_inclusion_lemma(
     max_restrictions: int = DEFAULT_LATTICE_BUDGET,
 ) -> CheckReport:
     """Hypotheses: op1 pointwise below op2, op1 monotonic, op2 contracting.
-    Conclusion: outcome(op1) is included in outcome(op2)."""
+    Conclusion: outcome(op1) is included in outcome(op2).  op1's
+    monotonicity is decided by the up-closure of its image table."""
     images1 = image_table(op1, game, max_restrictions)
     images2 = image_table(op2, game, max_restrictions)
     entries = []
@@ -371,7 +420,7 @@ def verify_inclusion_lemma(
                 }
             )
             break
-    violation = next(non_monotone_pairs(game.sizes, images1, violations_below(images1)), None)
+    violation = next(non_monotone_pairs(game.sizes, images1, violating_indices(images1)), None)
     if violation is not None:
         small, big = violation
         hypotheses["op1_monotonic"] = False

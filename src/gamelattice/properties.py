@@ -37,6 +37,7 @@ from .iteration import (
     lattice_patterns,
     non_monotone_pairs,
     transpose_slices,
+    violating_indices,
     violations_below,
 )
 from .reports import CheckReport
@@ -562,12 +563,12 @@ def _property_table(
 def property_is_monotone(
     spec: PropertySpec, game: Game, evaluator: Evaluator | None = None
 ) -> bool:
-    """The verdict of check_property_monotone alone: `violations_below`
-    counts no violation, and no pair is listed."""
+    """check_property_monotone's verdict alone: the up-closure
+    `violating_indices` marks no index, and no violation is counted."""
     evaluator = evaluator_for(game, evaluator)
     profile = PropertyProfile.uniform(spec, game.num_players)
     table = _property_table(profile, game, evaluator, DEFAULT_LATTICE_BUDGET, False)
-    return not any(violations_below(table))
+    return not violating_indices(table)
 
 
 def check_property_monotone(
@@ -577,18 +578,17 @@ def check_property_monotone(
     evaluator: Evaluator | None = None,
 ) -> CheckReport:
     """Exhaustively check: G below G' and property holds at G implies it holds
-    at G', for every comparable pair and every strategy in T_i.
-    `violations_below` counts the violations once, and pairs are listed
-    below the indices it counts any for, only until MAX_MONOTONE_ENTRIES
-    entries are found."""
+    at G', for every comparable pair and every strategy in T_i.  The
+    up-closure `violating_indices` decides it, the subset sum
+    `violations_below` only counts existing violations, and pairs below
+    marked indices are listed up to MAX_MONOTONE_ENTRIES entries."""
     evaluator = evaluator_for(game, evaluator)
     profile = PropertyProfile.uniform(spec, game.num_players)
     images = _property_table(profile, game, evaluator, max_restrictions, False)
-    sizes = game.sizes
-    counts = violations_below(images)
+    violating = violating_indices(images)
     entries = []
-    for small, big in non_monotone_pairs(sizes, images, counts):
-        for i, bad in enumerate(unpack_index(sizes, images[small] & ~images[big])):
+    for small, big in non_monotone_pairs(game.sizes, images, violating):
+        for i, bad in enumerate(unpack_index(game.sizes, images[small] & ~images[big])):
             if bad:
                 entries.append(
                     {
@@ -602,14 +602,14 @@ def check_property_monotone(
                 )
         if len(entries) >= MAX_MONOTONE_ENTRIES:
             break
-    violations = sum(counts)
+    violations = sum(violations_below(images)) if violating else 0
     return CheckReport(
         name="property-monotonicity",
         passed=violations == 0,
         details={
             "game": game.name,
             "property": str(spec),
-            "pairs_checked": 3 ** sum(sizes),
+            "pairs_checked": 3 ** sum(game.sizes),
             "violations": violations,
         },
         entries=entries[:MAX_MONOTONE_ENTRIES],

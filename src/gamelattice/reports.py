@@ -34,8 +34,13 @@ def json_ready(value):
     raise TypeError(f"{type(value).__name__} values are not allowed in reports")
 
 
+def _dumps(ready) -> str:
+    """The canonical rendering of an already JSON-ready value."""
+    return json.dumps(ready, sort_keys=True, separators=(",", ": "))
+
+
 def canonical_json(value) -> str:
-    return json.dumps(json_ready(value), sort_keys=True, separators=(",", ": "))
+    return _dumps(json_ready(value))
 
 
 @dataclass
@@ -54,7 +59,7 @@ class CheckReport:
         }
 
     def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
+        return _dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CheckReport":

@@ -25,6 +25,7 @@ from gamelattice.iteration import (
     iterate_operator,
     lattice_patterns,
     non_monotone_pairs,
+    table_slices,
     trace_from_json_dict,
     transpose_slices,
     verify_contracting_outcome,
@@ -162,7 +163,7 @@ def test_lattice_verifiers_are_bounded_by_the_lattice_budget_alone(monkeypatch):
     # non-monotone one below the least index with a violation
     images = iteration.image_table(op_for(game, "sd:l"), game, 1 << 14)
     counts = iteration.violations_below(images)
-    small, big = next(non_monotone_pairs(game.sizes, images, counts))
+    small, big = next(non_monotone_pairs(game.sizes, images, iteration.violating_indices(images)))
     assert big == next(idx for idx, count in enumerate(counts) if count)
     expected = {
         "smaller": restriction_at(game, small).names(),
@@ -233,7 +234,7 @@ def test_non_monotone_pairs_matches_a_scan_of_every_comparable_pair(drawn):
     sizes, table = drawn
     images = _pack_table(sizes, table)
     counts = iteration.violations_below(images)
-    pairs = non_monotone_pairs(sizes, images, counts)
+    pairs = non_monotone_pairs(sizes, images, iteration.violating_indices(images))
     unpacked = [(unpack_index(sizes, small), unpack_index(sizes, big)) for small, big in pairs]
     expected = _brute_force_non_monotone_pairs(table)
     assert unpacked == expected
@@ -258,6 +259,38 @@ def test_monotone_on_covers_is_the_verdict_of_every_pair(drawn):
     monotone_on_covers = all(_masks_leq(table[small], table[big]) for small, big in covers)
     assert monotone_on_covers == (not _brute_force_non_monotone_pairs(table))
     assert (not any(counts)) == monotone_on_covers
+
+
+def _bits(mask):
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+@given(drawn=mask_tables())
+@settings(max_examples=300, deadline=None)
+def test_violating_indices_are_the_larger_indices_of_the_non_monotone_pairs(drawn):
+    # the up-closure marks exactly the indices some non-monotone pair ends
+    # at, which are the indices where the subset sum counts a violation
+    sizes, table = drawn
+    images = _pack_table(sizes, table)
+    violating = iteration.violating_indices(images)
+    bigs = {pack_masks(sizes, big) for _, big in _brute_force_non_monotone_pairs(table)}
+    assert _bits(violating) == sorted(bigs)
+    counts = iteration.violations_below(images)
+    assert _bits(violating) == [idx for idx, count in enumerate(counts) if count]
+
+
+@given(drawn=mask_tables(), width=st.sampled_from([1, 2, 4]), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_table_slices_invert_transpose_slices(drawn, width, data):
+    # a table's own slices come back from their transpose, and so do drawn
+    # slices over its lattice, as many as need lanes of `width` bytes
+    sizes, table = drawn
+    images = _pack_table(sizes, table)
+    k = sum(sizes)
+    assert transpose_slices(table_slices(images, k), k) == images
+    n = data.draw(st.integers(1 if width == 1 else 4 * width + 1, 8 * width))
+    slices = data.draw(st.lists(st.integers(0, (1 << (1 << k)) - 1), min_size=n, max_size=n))
+    assert table_slices(transpose_slices(slices, k), n) == slices
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 16])
@@ -390,37 +423,45 @@ def test_a_monotone_table_lists_nothing_after_its_sums():
     )
     counts = iteration.violations_below(images)
     assert len(counts) == 4096 and not any(counts)
+    violating = iteration.violating_indices(images)
+    assert violating == 0
     # the scan of every comparable pair would make 3^12 = 531,441 lookups
     CountingImages.lookups = 0
-    assert list(non_monotone_pairs(sizes, images, counts)) == []
+    assert list(non_monotone_pairs(sizes, images, violating)) == []
     assert CountingImages.lookups == 0
 
 
 @pytest.mark.parametrize("game", [PD, CHAIN, fixtures.THREE], ids=lambda g: g.name)
 @pytest.mark.parametrize("text", ["sd:l", "sd:g", "br:l:pure", "br:g:pure"])
 def test_each_monotonicity_question_sums_the_violations_once(game, text, monkeypatch):
-    # on monotone and non-monotone tables alike, each caller runs one subset
-    # sum and reads both its verdict and its pairs from it
-    calls = []
-    real = iteration.violations_below
+    # on monotone and non-monotone tables alike, each caller closes its table
+    # upward once and reads its verdict and pairs from that mask; only check
+    # monotone on a table with a violation runs the subset sum, once, to
+    # count them
+    calls = {"closure": [], "sum": []}
+    for name, kind in (("violating_indices", "closure"), ("violations_below", "sum")):
+        def counting(images, real=getattr(iteration, name), kind=kind):
+            calls[kind].append(len(images))
+            return real(images)
 
-    def counting(images):
-        calls.append(len(images))
-        return real(images)
-
-    monkeypatch.setattr(iteration, "violations_below", counting)
-    monkeypatch.setattr(properties, "violations_below", counting)
+        monkeypatch.setattr(iteration, name, counting)
+        monkeypatch.setattr(properties, name, counting)
     spec = parse_property_spec(text)
+    monotone = check_property_monotone(spec, game).passed
+    # the global properties are monotone, and the local ones fail on all three
+    assert monotone == (spec.scope == "g")
     questions = [
-        lambda: verify_tarski(op_for(game, text), game, text),
-        lambda: verify_inclusion_lemma(op_for(game, text), op_for(game, "sd:l"), game),
-        lambda: check_property_monotone(spec, game),
-        lambda: property_is_monotone(spec, game),
+        (lambda: verify_tarski(op_for(game, text), game, text), False),
+        (lambda: verify_inclusion_lemma(op_for(game, text), op_for(game, "sd:l"), game), False),
+        (lambda: check_property_monotone(spec, game), not monotone),
+        (lambda: property_is_monotone(spec, game), False),
     ]
-    for question in questions:
-        calls.clear()
+    for question, counts in questions:
+        calls["closure"].clear()
+        calls["sum"].clear()
         question()
-        assert calls == [1 << sum(game.sizes)]
+        assert calls["closure"] == [1 << sum(game.sizes)]
+        assert calls["sum"] == ([1 << sum(game.sizes)] if counts else [])
 
 
 def test_contracting_msd_mix():

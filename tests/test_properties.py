@@ -216,8 +216,8 @@ def test_monotone_check_is_bounded_by_the_lattice_budget_alone(monkeypatch):
 
 
 def test_property_is_monotone_charges_the_lattice_not_the_pairs():
-    # the verdict is read off the sums over the 2^14 restrictions, so the
-    # 3^14 comparable pairs are never charged
+    # the verdict is read off the up-closure over the 2^14 restrictions, so
+    # the 3^14 comparable pairs are never charged
     game = fixtures.random_game(random.Random(7), 7, 7)
     assert property_is_monotone(parse_property_spec("sd:g"), game)
     # the lattice budget still bounds the table: 2^17 restrictions
