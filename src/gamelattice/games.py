@@ -162,8 +162,9 @@ def make_game(name, strategy_names, payoff_table) -> Game:
 
 
 def mask_members(mask: int) -> list[int]:
-    """The indices of the bits set in mask, ascending."""
-    return [s for s in range(mask.bit_length()) if mask >> s & 1]
+    """The indices of the bits set in mask, ascending, from one scan of its
+    binary digits, so a mask over the whole lattice is listed as cheaply."""
+    return [s for s, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -2,7 +2,8 @@
 desk-scale verifiers for the classic fixpoint facts.
 
 Operators are callables Restriction -> Restriction over one game; one may
-also build its whole image table itself (`image_table`).
+also build its whole image table itself (`image_table`), held as its
+bit-slices, on which every verifier asks its question bitwise.
 Iteration starts at the top element and stops at the first fixpoint; finite
 games never need a limit step, so the trace ordinals are all finite here.
 """
@@ -14,7 +15,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, or_
+from operator import or_
 from typing import Callable, Iterator
 
 from .games import (
@@ -24,6 +25,7 @@ from .games import (
     check_budget,
     check_same_game,
     lattice_leq,
+    mask_members,
     restriction_at,
     restriction_from_names,
     restriction_top,
@@ -127,16 +129,30 @@ def _submasks(m: int) -> list[int]:
 
 
 def image_table(op: Operator, game: Game, max_restrictions: int) -> list[int]:
-    """The lattice index of op(G) for every restriction G, at G's own index,
-    within the lattice budget `max_restrictions`: the operator's own
-    `table(game, max_restrictions)` when it has one, else one walk of the
-    lattice in the order of `all_restrictions`."""
+    """op's image table as its K bit-slices, K the game's lattice bits: bit X
+    of slice b is bit b of op(G).index for the restriction G at index X,
+    within the lattice budget `max_restrictions`.  The operator's own
+    `table(game, max_restrictions)` builds it when it has one, else one walk
+    of the lattice in the order of `all_restrictions`, converted once by
+    `table_slices`."""
     table = getattr(op, "table", None)
     if table is not None:
         return table(game, max_restrictions)
-    return [
+    images = [
         _apply(op, game, g).index for g in all_restrictions(game, max_count=max_restrictions)
     ]
+    return table_slices(images, sum(game.sizes))
+
+
+def image_at(slices: list[int], x: int) -> int:
+    """Entry X of the table with bit-slices `slices`, by one bit test each."""
+    return sum((bits >> x & 1) << b for b, bits in enumerate(slices))
+
+
+def outside(a: list[int], b: list[int]) -> int:
+    """The indices where the entry of the table with slices `a` holds a bit
+    the one with slices `b` lacks, as one int: the OR over bits of a_b & ~b_b."""
+    return reduce(or_, (x & ~y for x, y in zip(a, b)), 0)
 
 
 def lattice_patterns(k: int) -> list[int]:
@@ -199,20 +215,18 @@ def table_slices(images: list[int], k: int) -> list[int]:
     return slices
 
 
-def violating_indices(images: list[int]) -> int:
+def violating_indices(slices: list[int]) -> int:
     """The lattice indices with a violation below them, as one int: bit X is
-    set where some smaller index's entry of `images` holds a bit that X's
-    own entry lacks, the nonzero pattern of `violations_below`.
+    set where some smaller index's entry of the table with bit-slices
+    `slices` holds a bit that X's own entry lacks.
 
-    Per bit c of the entries, its slice S_c is closed upward along each
-    lattice bit b by one shift-OR of the indices with b clear onto those
-    with b set; X has a violation in bit c exactly where the up-closure of
-    S_c holds X and S_c does not."""
-    k = len(images).bit_length() - 1
-    full = (1 << len(images)) - 1
-    lows = [full ^ pattern for pattern in lattice_patterns(k)]
+    Each slice S_c is closed upward along each lattice bit b by one shift-OR
+    of the indices with b clear onto those with b set; X has a violation in
+    bit c exactly where the up-closure of S_c holds X and S_c does not."""
+    full = (1 << (1 << len(slices))) - 1
+    lows = [full ^ pattern for pattern in lattice_patterns(len(slices))]
     violating = 0
-    for bits in table_slices(images, k):
+    for bits in slices:
         up = bits
         for b, low in enumerate(lows):
             up |= (up & low) << (1 << b)
@@ -220,62 +234,62 @@ def violating_indices(images: list[int]) -> int:
     return violating
 
 
-def violations_below(images: list[int]) -> list[int]:
-    """Per lattice index, the number of (smaller index, strategy bit) pairs
-    whose bit is in the smaller index's entry of `images` but not in its own.
-    `violating_indices` decides where these counts are nonzero; this subset
-    sum is run only to count the violations `check monotone` reports.
+def violation_count(slices: list[int]) -> int:
+    """The number of (X, smaller index, entry bit) triples whose bit the
+    smaller index's entry of the table with bit-slices `slices` holds and
+    X's own entry lacks, the violations `violating_indices` marks.
 
-    Each of the K bits' counts is a subset sum over the lattice (Yates 1937),
-    packed as a field of one int per index wide enough for all K fields' sum:
-    K passes add every index's sums into the index with one more bit, and the
-    fields of the bits missing from an index's entry are summed by casting
-    out (2^width - 1)s."""
-    k = len(images).bit_length() - 1
-    width = k + (k + 1).bit_length()
-    field = (1 << width) - 1
-    units = [0]  # units[m]: a 1 in field b for every bit b of m
-    for b in range(k):
-        units += [u + (1 << b * width) for u in units]
-    sums = [units[img] for img in images]
-    half = len(sums) // 2
-    for _ in range(k):
-        # add each index's sums into the index with its top bit set, then
-        # rotate every index's bits left by one to bring the next bit on top
-        low, high = sums[:half], list(map(add, sums[half:], sums[:half]))
-        sums[0::2], sums[1::2] = low, high
-    top = len(images) - 1
-    return [(s & field * units[top ^ img]) % field for s, img in zip(sums, images)]
+    Per slice S, z(X) = |{Y subset of X : Y in S}| is held as bit planes,
+    plane j holding bit j of every z.  Along each lattice bit b the planes,
+    taken at the indices with b clear and shifted onto those with b set,
+    are added with a ripple carry; the slice's count is the sum over j of
+    2^j * popcount(plane_j & ~S)."""
+    full = (1 << (1 << len(slices))) - 1
+    lows = [full ^ pattern for pattern in lattice_patterns(len(slices))]
+    count = 0
+    for bits in slices:
+        planes = [bits]
+        for b, low in enumerate(lows):
+            carry = 0
+            for j, plane in enumerate(planes):
+                addend = (plane & low) << (1 << b)
+                planes[j] = plane ^ addend ^ carry
+                carry = plane & addend | carry & (plane ^ addend)
+            if carry:
+                planes.append(carry)
+        count += sum((plane & ~bits).bit_count() << j for j, plane in enumerate(planes))
+    return count
 
 
 def non_monotone_pairs(
-    sizes: tuple[int, ...], images: list[int], violating: int
-) -> Iterator[tuple[int, int]]:
-    """The lattice indices of every comparable pair (small, big) whose
-    entries in `images` are not included, in a fixed order, given
-    `violating`, the table's `violating_indices`.
+    sizes: tuple[int, ...], slices: list[int], violating: int
+) -> Iterator[tuple[int, int, int]]:
+    """(small, big, lost) for every comparable pair of lattice indices whose
+    entries in the table with bit-slices `slices` are not included, with
+    lost = entry(small) & ~entry(big), in a fixed order, given `violating`,
+    the table's `violating_indices`.
 
-    `images` holds one lattice index per restriction, at the restriction's
-    own index, over strategy sets of the given sizes, so its entries are
-    ordered as the lattice is.  The larger indices are the set bits of
-    `violating`, ascending, and the smaller ones below each are listed with
-    every player's field descending through its submasks, the first
-    player's field varying fastest.  So a monotone table, whose mask is 0,
-    lists nothing; a caller pays for one up-closure and the pairs it takes,
-    and the lattice budget bounds both."""
+    The table holds one lattice index per restriction over strategy sets of
+    the given sizes, so its entries are ordered as the lattice is.  The
+    larger indices are the set bits of `violating`, ascending, and the
+    smaller ones below each are listed with every player's field descending
+    through its submasks, the first player's field varying fastest.  So a
+    monotone table, whose mask is 0, lists nothing and is never transposed;
+    any other is transposed once, and the lattice budget bounds both."""
+    if not violating:
+        return
+    images = transpose_slices(slices, len(slices))
     # (shift, size) per player's field, the last (lowest) player's first, so
     # that the first player's field, the product's last factor, varies fastest
     fields = list(zip(itertools.accumulate(sizes[::-1], initial=0), sizes[::-1]))
-    digits = bin(violating)[:1:-1]  # bit X of the mask at position X
-    big = digits.find("1")
-    while big >= 0:
+    for big in mask_members(violating):
         img_big = images[big]
         parts = [[m << shift for m in _submasks(big >> shift & (1 << k) - 1)] for shift, k in fields]
         for part in itertools.product(*parts):
             small = sum(part)
-            if images[small] & ~img_big:
-                yield small, big
-        big = digits.find("1", big + 1)
+            lost = images[small] & ~img_big
+            if lost:
+                yield small, big, lost
 
 
 def verify_tarski(
@@ -287,20 +301,21 @@ def verify_tarski(
     """Exhaustively confirm outcome = largest fixpoint = join of post-fixpoints.
 
     The operator must pass an exhaustive monotonicity check first, decided
-    by the up-closure of its image table (`violating_indices`) with no
-    violation counted; a failure there is reported as a precondition
-    violation, with the first non-monotone pair, not raised.
+    by the up-closure of its image table's slices (`violating_indices`) with
+    no violation counted; a failure there is reported as a precondition
+    violation, with the first non-monotone pair, not raised.  A join of
+    fixpoints or post-fixpoints has lattice bit b where they meet its pattern.
     """
-    images = image_table(op, game, max_restrictions)
+    slices = image_table(op, game, max_restrictions)
     details = {
         "game": game.name,
         "operator": op_name,
-        "restrictions": len(images),
+        "restrictions": 1 << len(slices),
     }
 
-    violation = next(non_monotone_pairs(game.sizes, images, violating_indices(images)), None)
+    violation = next(non_monotone_pairs(game.sizes, slices, violating_indices(slices)), None)
     if violation is not None:
-        small, big = violation
+        small, big, _ = violation
         return CheckReport(
             name="tarski",
             passed=False,
@@ -310,21 +325,24 @@ def verify_tarski(
                     "kind": "monotonicity-violation",
                     "smaller": restriction_at(game, small).names(),
                     "larger": restriction_at(game, big).names(),
-                    "image_smaller": restriction_at(game, images[small]).names(),
-                    "image_larger": restriction_at(game, images[big]).names(),
+                    "image_smaller": restriction_at(game, image_at(slices, small)).names(),
+                    "image_larger": restriction_at(game, image_at(slices, big)).names(),
                 }
             ],
         )
 
     outcome = iterate_operator(op, game).outcome
-    fixpoints = [idx for idx, img in enumerate(images) if img == idx]
-    post_fixpoints = [idx for idx, img in enumerate(images) if not idx & ~img]
+    patterns = lattice_patterns(len(slices))
+    full = (1 << (1 << len(slices))) - 1
+    post_fixpoints = full & ~outside(patterns, slices)
+    fixpoints = post_fixpoints & ~outside(slices, patterns)
     # both joins start from the bottom, index 0
-    fixpoint_join = reduce(or_, fixpoints, 0)
-    largest_fixpoint = restriction_at(game, fixpoint_join)
-    post_join = restriction_at(game, reduce(or_, post_fixpoints, 0))
+    largest_fixpoint, post_join = (
+        restriction_at(game, sum(1 << b for b, p in enumerate(patterns) if joined & p))
+        for joined in (fixpoints, post_fixpoints)
+    )
     entries = []
-    if images[fixpoint_join] != fixpoint_join:
+    if not fixpoints >> largest_fixpoint.index & 1:
         entries.append(
             {"kind": "fixpoint-join-not-fixpoint", "join": largest_fixpoint.names()}
         )
@@ -347,8 +365,8 @@ def verify_tarski(
     details.update(
         {
             "outcome": outcome.names(),
-            "fixpoints": len(fixpoints),
-            "post_fixpoints": len(post_fixpoints),
+            "fixpoints": fixpoints.bit_count(),
+            "post_fixpoints": post_fixpoints.bit_count(),
         }
     )
     return CheckReport(name="tarski", passed=not entries, details=details, entries=entries)
@@ -403,26 +421,27 @@ def verify_inclusion_lemma(
 ) -> CheckReport:
     """Hypotheses: op1 pointwise below op2, op1 monotonic, op2 contracting.
     Conclusion: outcome(op1) is included in outcome(op2).  op1's
-    monotonicity is decided by the up-closure of its image table."""
-    images1 = image_table(op1, game, max_restrictions)
-    images2 = image_table(op2, game, max_restrictions)
+    monotonicity is decided by the up-closure of its image table's slices;
+    each other hypothesis fails at the lowest index of one OR of slices."""
+    slices1 = image_table(op1, game, max_restrictions)
+    slices2 = image_table(op2, game, max_restrictions)
     entries = []
     hypotheses = {"pointwise": True, "op1_monotonic": True, "op2_contracting": True}
-    for idx, (img1, img2) in enumerate(zip(images1, images2)):
-        if img1 & ~img2:
-            hypotheses["pointwise"] = False
-            entries.append(
-                {
-                    "kind": "pointwise-inclusion-violation",
-                    "restriction": restriction_at(game, idx).names(),
-                    "op1_image": restriction_at(game, img1).names(),
-                    "op2_image": restriction_at(game, img2).names(),
-                }
-            )
-            break
-    violation = next(non_monotone_pairs(game.sizes, images1, violating_indices(images1)), None)
+    failed = outside(slices1, slices2)
+    if failed:
+        idx = (failed & -failed).bit_length() - 1
+        hypotheses["pointwise"] = False
+        entries.append(
+            {
+                "kind": "pointwise-inclusion-violation",
+                "restriction": restriction_at(game, idx).names(),
+                "op1_image": restriction_at(game, image_at(slices1, idx)).names(),
+                "op2_image": restriction_at(game, image_at(slices2, idx)).names(),
+            }
+        )
+    violation = next(non_monotone_pairs(game.sizes, slices1, violating_indices(slices1)), None)
     if violation is not None:
-        small, big = violation
+        small, big, _ = violation
         hypotheses["op1_monotonic"] = False
         entries.append(
             {
@@ -431,16 +450,15 @@ def verify_inclusion_lemma(
                 "larger": restriction_at(game, big).names(),
             }
         )
-    for idx, img2 in enumerate(images2):
-        if img2 & ~idx:
-            hypotheses["op2_contracting"] = False
-            entries.append(
-                {
-                    "kind": "op2-contraction-violation",
-                    "restriction": restriction_at(game, idx).names(),
-                }
-            )
-            break
+    failed = outside(slices2, lattice_patterns(len(slices2)))
+    if failed:
+        hypotheses["op2_contracting"] = False
+        entries.append(
+            {
+                "kind": "op2-contraction-violation",
+                "restriction": restriction_at(game, (failed & -failed).bit_length() - 1).names(),
+            }
+        )
     out1 = iterate_operator(op1, game).outcome
     out2 = iterate_operator(op2, game).outcome
     inclusion = lattice_leq(out1, out2)

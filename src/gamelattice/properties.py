@@ -32,13 +32,16 @@ from .games import (
 from .iteration import (
     DEFAULT_LATTICE_BUDGET,
     IterationTrace,
+    image_at,
     image_table,
     iterate_operator,
     lattice_patterns,
     non_monotone_pairs,
+    outside,
+    table_slices,
     transpose_slices,
     violating_indices,
-    violations_below,
+    violation_count,
 )
 from .reports import CheckReport
 
@@ -427,8 +430,8 @@ def apply_operator(
 @dataclass(frozen=True)
 class PropertyOperator:
     """The elimination operator of `profile` on `game`: a Restriction ->
-    Restriction callable for `iterate_operator`, whose `table` builds the
-    image of every restriction at once for `image_table`.  Its contexts and
+    Restriction callable for `iterate_operator`, whose `table` builds its
+    image table's bit-slices at once for `image_table`.  Its contexts and
     certificates are kept in `evaluator` for as long as the operator lives."""
 
     profile: PropertyProfile
@@ -520,55 +523,50 @@ def _property_table(
     max_restrictions: int,
     own: bool,
 ) -> list[int]:
-    """Per restriction, at its lattice index: the lattice index whose
-    player-i mask holds the strategies passing player i's property there.
-    With `own` these are taken among the restriction's own strategies, which
-    makes the table the operator's images; otherwise among all of T_i, which
-    is the table a monotonicity check compares.  The lattice budget is
-    charged before anything else.
+    """The bit-slices of the table whose entry at each restriction's lattice
+    index is the lattice index whose player-i mask holds the strategies
+    passing player i's property there.  With `own` these are taken among the
+    restriction's own strategies, which makes the table the operator's
+    images; otherwise among all of T_i, which is the table a monotonicity
+    check compares.  The lattice budget is charged before anything else.
 
-    Each player's pure verdicts come from `_component` as bit-slices, one
-    per lattice bit of the table, which `transpose_slices` turns into the
-    table once.  An LP family's open strategies are transposed the same way,
-    and `_settle` is asked only at the indices where some are open, per
-    player in ascending index, with those strategies: the order and open
-    candidates of one restriction at a time, so the LPs and stored
-    certificates do not change, and no pre-check runs twice."""
+    `_component` gives each player's pure verdicts as the slices of its bits.
+    An LP family's open strategies are transposed into one list of masks,
+    and `_settle` replaces the masks where some are open, per player in
+    ascending index: the order and open candidates of one restriction at a
+    time, so the LPs and stored certificates do not change, and no pre-check
+    runs twice.  The list's `table_slices` are ORed into the player's."""
     count = count_restrictions(game, max_restrictions)
     if len(profile.specs) != game.num_players:
         raise ValueError("profile length differs from the number of players")
     k = sum(game.sizes)
     patterns = lattice_patterns(k)
     slices = [0] * k
-    solved = []
     for i, spec in enumerate(profile.specs):
         family = _family(spec, game)
         shift = game.shifts[i]
         full = (1 << game.sizes[i]) - 1
         passing, opens = _component(evaluator, family, spec.scope, i, patterns, own)
-        slices[shift:shift + len(passing)] = passing
         if any(opens):
             opens = transpose_slices(opens, k)
             for idx in compress(range(count), opens):
                 pool = full if spec.scope == "g" else idx >> shift & full
                 profiles = _context(evaluator, i, idx & ~(full << shift))[0]
-                settled = _settle(evaluator, family, i, idx, pool, profiles, opens[idx])
-                solved.append((idx, settled << shift))
-    table = transpose_slices(slices, k)
-    for idx, passing in solved:
-        table[idx] |= passing
-    return table
+                opens[idx] = _settle(evaluator, family, i, idx, pool, profiles, opens[idx])
+            passing = map(or_, passing, table_slices(opens, game.sizes[i]))
+        slices[shift:shift + game.sizes[i]] = passing
+    return slices
 
 
 def property_is_monotone(
     spec: PropertySpec, game: Game, evaluator: Evaluator | None = None
 ) -> bool:
-    """check_property_monotone's verdict alone: the up-closure
+    """check_property_monotone's verdict alone: the slices' up-closure
     `violating_indices` marks no index, and no violation is counted."""
     evaluator = evaluator_for(game, evaluator)
     profile = PropertyProfile.uniform(spec, game.num_players)
-    table = _property_table(profile, game, evaluator, DEFAULT_LATTICE_BUDGET, False)
-    return not violating_indices(table)
+    slices = _property_table(profile, game, evaluator, DEFAULT_LATTICE_BUDGET, False)
+    return not violating_indices(slices)
 
 
 def check_property_monotone(
@@ -579,16 +577,15 @@ def check_property_monotone(
 ) -> CheckReport:
     """Exhaustively check: G below G' and property holds at G implies it holds
     at G', for every comparable pair and every strategy in T_i.  The
-    up-closure `violating_indices` decides it, the subset sum
-    `violations_below` only counts existing violations, and pairs below
-    marked indices are listed up to MAX_MONOTONE_ENTRIES entries."""
+    slices' up-closure `violating_indices` decides it, `violation_count`
+    only counts existing violations, and pairs below marked indices are
+    listed up to MAX_MONOTONE_ENTRIES entries."""
     evaluator = evaluator_for(game, evaluator)
     profile = PropertyProfile.uniform(spec, game.num_players)
-    images = _property_table(profile, game, evaluator, max_restrictions, False)
-    violating = violating_indices(images)
+    slices = _property_table(profile, game, evaluator, max_restrictions, False)
     entries = []
-    for small, big in non_monotone_pairs(game.sizes, images, violating):
-        for i, bad in enumerate(unpack_index(game.sizes, images[small] & ~images[big])):
+    for small, big, lost in non_monotone_pairs(game.sizes, slices, violating_indices(slices)):
+        for i, bad in enumerate(unpack_index(game.sizes, lost)):
             if bad:
                 entries.append(
                     {
@@ -602,7 +599,7 @@ def check_property_monotone(
                 )
         if len(entries) >= MAX_MONOTONE_ENTRIES:
             break
-    violations = sum(violations_below(images)) if violating else 0
+    violations = violation_count(slices) if entries else 0
     return CheckReport(
         name="property-monotonicity",
         passed=violations == 0,
@@ -655,7 +652,8 @@ def _verify_pointwise_chain(
 ) -> CheckReport:
     """Check on every restriction that the images of consecutive properties
     in `chain` are related as each link says, then that the outcome of the
-    first property lies inside the outcome of the last.
+    first property lies inside the outcome of the last.  Failing links are
+    reported by ascending index, then in link order.
 
     Each link is (relation, entry kind, image keys): relation "<=" asks for
     inclusion and "==" for equality; image keys, when given, name the two
@@ -671,15 +669,18 @@ def _verify_pointwise_chain(
         image_table(property_operator(p, game, evaluator), game, max_restrictions)
         for p in profiles
     ]
+    failures = [
+        outside(low, high) | (outside(high, low) if relation == "==" else 0)
+        for (relation, _, _), low, high in zip(links, tables, tables[1:])
+    ]
     entries = []
-    for idx, images in enumerate(zip(*tables)):
-        for (relation, kind, image_keys), low, high in zip(links, images, images[1:]):
-            failed = low != high if relation == "==" else low & ~high
-            if failed:
+    for idx in mask_members(reduce(or_, failures)):
+        for (_, kind, image_keys), failed, low, high in zip(links, failures, tables, tables[1:]):
+            if failed >> idx & 1:
                 entry = {"kind": kind, "restriction": restriction_at(game, idx).names()}
                 if image_keys is not None:
-                    entry[image_keys[0]] = restriction_at(game, low).names()
-                    entry[image_keys[1]] = restriction_at(game, high).names()
+                    entry[image_keys[0]] = restriction_at(game, image_at(low, idx)).names()
+                    entry[image_keys[1]] = restriction_at(game, image_at(high, idx)).names()
                 entries.append(entry)
     first = outcome(profiles[0], game, evaluator=evaluator).outcome
     last = outcome(profiles[-1], game, evaluator=evaluator).outcome
@@ -697,7 +698,7 @@ def _verify_pointwise_chain(
         passed=not entries,
         details={
             "game": game.name,
-            "restrictions_checked": len(tables[0]),
+            "restrictions_checked": 1 << len(tables[0]),
             f"{head}_global_outcome": first.names(),
             f"{tail}_local_outcome": last.names(),
         },
@@ -760,22 +761,21 @@ def pearce_equivalence_suite(
         for p in profiles
     ]
     mismatches = []
-    for idx, (brc_image, msd_image) in enumerate(zip(brc, msd)):
-        if brc_image != msd_image:
-            g = restriction_at(game, idx)
-            rep = dominance.pearce_equivalence_check(game, g)
-            mismatches.append(
-                {
-                    "restriction": g.names(),
-                    "entries": [e for e in rep.entries if not e["agree"]],
-                }
-            )
+    for idx in mask_members(outside(brc, msd) | outside(msd, brc)):
+        g = restriction_at(game, idx)
+        rep = dominance.pearce_equivalence_check(game, g)
+        mismatches.append(
+            {
+                "restriction": g.names(),
+                "entries": [e for e in rep.entries if not e["agree"]],
+            }
+        )
     return CheckReport(
         name="pearce-equivalence-suite",
         passed=not mismatches,
         details={
             "game": game.name,
-            "restrictions_checked": len(brc),
+            "restrictions_checked": 1 << len(brc),
             "mismatching_restrictions": len(mismatches),
         },
         entries=mismatches,

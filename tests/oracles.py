@@ -6,15 +6,19 @@ recursion, the CK/CB walk that ANDs every player's marked sets, the rank of
 a strategy assignment in product order, one player's integer payoff and beater
 tables, built cell by cell, a property's image table, asked one lattice
 index at a time, the property queries and tables of an Evaluator that keeps
-a verdict store, and the symbolic set algebra as one sorted sweep over every
-operand's boundary cuts."""
+a verdict store, the symbolic set algebra as one sorted sweep over every
+operand's boundary cuts, and the lattice verifiers on image tables held as
+lists of 2^K lattice indices, with the subset sum that counts monotonicity
+violations per index."""
 
 import itertools
+from functools import reduce
 from itertools import compress
 from math import lcm
+from operator import add, or_
 from typing import Iterator, Sequence
 
-from gamelattice import properties
+from gamelattice import dominance, iteration, properties
 from gamelattice.epistemic import (
     EpistemicModel,
     WitnessResult,
@@ -30,8 +34,22 @@ from gamelattice.epistemic import (
     rational_states,
 )
 from gamelattice.errors import PreconditionError
-from gamelattice.games import Game, count_restrictions, mask_members
-from gamelattice.iteration import lattice_patterns, transpose_slices
+from gamelattice.games import (
+    Game,
+    all_restrictions,
+    count_restrictions,
+    lattice_leq,
+    mask_members,
+    restriction_at,
+    unpack_index,
+)
+from gamelattice.iteration import (
+    DEFAULT_LATTICE_BUDGET,
+    iterate_operator,
+    lattice_patterns,
+    table_slices,
+    transpose_slices,
+)
 from gamelattice.reports import CheckReport
 from gamelattice.symbolic import INF, NEG_INF, Piece
 
@@ -261,8 +279,8 @@ def per_index_table(
     lattice index at a time: per player in order, per index ascending, the
     strategies passing that player's property there, from
     `properties._passing` with the index's own strategies as candidates when
-    `own`, all of T_i otherwise, ORed into the index at the player's
-    bits."""
+    `own`, all of T_i otherwise, ORed into the index at the player's bits;
+    returned as its bit-slices."""
     count = 1 << sum(game.sizes)
     table = [0] * count
     for i, spec in enumerate(profile.specs):
@@ -273,7 +291,7 @@ def per_index_table(
             candidates = idx >> shift & full if own else full
             passing = properties._passing(evaluator, family, spec.scope, i, idx, candidates)
             table[idx] |= passing << shift
-    return table
+    return table_slices(table, sum(game.sizes))
 
 
 class VerdictStore:
@@ -285,7 +303,8 @@ class VerdictStore:
     candidate its entry leaves open, in ascending order, from a stored
     certificate or else its own LP (`properties._solved`), and records it
     in the entry; a table asks the query at every index where
-    `properties._component`'s slices leave a strategy open."""
+    `properties._component`'s slices leave a strategy open, and returns its
+    bit-slices, as `properties._property_table` does."""
 
     def __init__(self, evaluator: properties.Evaluator):
         self.evaluator = evaluator
@@ -328,24 +347,19 @@ class VerdictStore:
         k = sum(game.sizes)
         patterns = lattice_patterns(k)
         slices = [0] * k
-        solved = []
         for i, spec in enumerate(profile.specs):
             family = properties._family(spec, game)
             shift = game.shifts[i]
             passing, opens = properties._component(
                 self.evaluator, family, spec.scope, i, patterns, own
             )
-            slices[shift:shift + len(passing)] = passing
             if any(opens):
                 opens = transpose_slices(opens, k)
-                solved += [
-                    (idx, self.passing(family, spec.scope, i, idx, opens[idx]) << shift)
-                    for idx in compress(range(count), opens)
-                ]
-        table = transpose_slices(slices, k)
-        for idx, passing in solved:
-            table[idx] |= passing
-        return table
+                for idx in compress(range(count), opens):
+                    opens[idx] = self.passing(family, spec.scope, i, idx, opens[idx])
+                passing = map(or_, passing, table_slices(opens, game.sizes[i]))
+            slices[shift:shift + game.sizes[i]] = passing
+        return slices
 
 
 def sweep(sets, keep) -> tuple[Piece, ...]:
@@ -490,3 +504,325 @@ def witness_model_thm1(game: Game, profile: properties.PropertyProfile) -> Witne
         else [{"failed": [k for k, v in required.items() if not v]}],
     )
     return WitnessResult(model=model, event=event, report=report)
+
+
+# -- the lattice verifiers on list tables --------------------------------------
+
+
+def violations_below(images: list[int]) -> list[int]:
+    """Per lattice index, the number of (smaller index, strategy bit) pairs
+    whose bit is in the smaller index's entry of `images` but not in its own.
+
+    Each of the K bits' counts is a subset sum over the lattice (Yates 1937),
+    packed as a field of one int per index wide enough for all K fields' sum:
+    K passes add every index's sums into the index with one more bit, and the
+    fields of the bits missing from an index's entry are summed by casting
+    out (2^width - 1)s."""
+    k = len(images).bit_length() - 1
+    width = k + (k + 1).bit_length()
+    field = (1 << width) - 1
+    units = [0]  # units[m]: a 1 in field b for every bit b of m
+    for b in range(k):
+        units += [u + (1 << b * width) for u in units]
+    sums = [units[img] for img in images]
+    half = len(sums) // 2
+    for _ in range(k):
+        # add each index's sums into the index with its top bit set, then
+        # rotate every index's bits left by one to bring the next bit on top
+        low, high = sums[:half], list(map(add, sums[half:], sums[:half]))
+        sums[0::2], sums[1::2] = low, high
+    top = len(images) - 1
+    return [(s & field * units[top ^ img]) % field for s, img in zip(sums, images)]
+
+
+def list_image_table(op, game: Game, max_restrictions: int) -> list[int]:
+    """op's image table as the list of op(G).index at G's own index: the
+    transpose of the operator's own `table` when it has one, else one walk
+    of the lattice."""
+    table = getattr(op, "table", None)
+    if table is not None:
+        return transpose_slices(table(game, max_restrictions), sum(game.sizes))
+    return [
+        iteration._apply(op, game, g).index
+        for g in all_restrictions(game, max_count=max_restrictions)
+    ]
+
+
+def list_non_monotone_pairs(
+    sizes: tuple[int, ...], images: list[int]
+) -> Iterator[tuple[int, int]]:
+    """(small, big) for every comparable pair whose entries in `images` are
+    not included, in `iteration.non_monotone_pairs`'s order: below each
+    index `violations_below` counts a violation at, ascending, every
+    player's field descending through its submasks, the first player's field
+    varying fastest."""
+    fields = list(zip(itertools.accumulate(sizes[::-1], initial=0), sizes[::-1]))
+    for big, count in enumerate(violations_below(images)):
+        if count:
+            parts = [
+                [m << shift for m in iteration._submasks(big >> shift & (1 << k) - 1)]
+                for shift, k in fields
+            ]
+            for part in itertools.product(*parts):
+                small = sum(part)
+                if images[small] & ~images[big]:
+                    yield small, big
+
+
+def list_verify_tarski(
+    op, game: Game, op_name: str = "operator", max_restrictions: int = DEFAULT_LATTICE_BUDGET
+) -> CheckReport:
+    """`iteration.verify_tarski` by scans of the list table."""
+    images = list_image_table(op, game, max_restrictions)
+    details = {"game": game.name, "operator": op_name, "restrictions": len(images)}
+    violation = next(list_non_monotone_pairs(game.sizes, images), None)
+    if violation is not None:
+        small, big = violation
+        return CheckReport(
+            name="tarski",
+            passed=False,
+            details={**details, "precondition_violation": "operator is not monotonic"},
+            entries=[
+                {
+                    "kind": "monotonicity-violation",
+                    "smaller": restriction_at(game, small).names(),
+                    "larger": restriction_at(game, big).names(),
+                    "image_smaller": restriction_at(game, images[small]).names(),
+                    "image_larger": restriction_at(game, images[big]).names(),
+                }
+            ],
+        )
+    outcome = iterate_operator(op, game).outcome
+    fixpoints = [idx for idx, img in enumerate(images) if img == idx]
+    post_fixpoints = [idx for idx, img in enumerate(images) if not idx & ~img]
+    fixpoint_join = reduce(or_, fixpoints, 0)
+    largest_fixpoint = restriction_at(game, fixpoint_join)
+    post_join = restriction_at(game, reduce(or_, post_fixpoints, 0))
+    entries = []
+    if images[fixpoint_join] != fixpoint_join:
+        entries.append({"kind": "fixpoint-join-not-fixpoint", "join": largest_fixpoint.names()})
+    if outcome != largest_fixpoint:
+        entries.append(
+            {
+                "kind": "outcome-differs-from-largest-fixpoint",
+                "outcome": outcome.names(),
+                "largest_fixpoint": largest_fixpoint.names(),
+            }
+        )
+    if outcome != post_join:
+        entries.append(
+            {
+                "kind": "outcome-differs-from-post-fixpoint-join",
+                "outcome": outcome.names(),
+                "post_fixpoint_join": post_join.names(),
+            }
+        )
+    details.update(
+        {
+            "outcome": outcome.names(),
+            "fixpoints": len(fixpoints),
+            "post_fixpoints": len(post_fixpoints),
+        }
+    )
+    return CheckReport(name="tarski", passed=not entries, details=details, entries=entries)
+
+
+def list_verify_inclusion_lemma(
+    op1, op2, game: Game, op1_name: str = "op1", op2_name: str = "op2",
+    max_restrictions: int = DEFAULT_LATTICE_BUDGET,
+) -> CheckReport:
+    """`iteration.verify_inclusion_lemma` by scans of the list tables."""
+    images1 = list_image_table(op1, game, max_restrictions)
+    images2 = list_image_table(op2, game, max_restrictions)
+    entries = []
+    hypotheses = {"pointwise": True, "op1_monotonic": True, "op2_contracting": True}
+    for idx, (img1, img2) in enumerate(zip(images1, images2)):
+        if img1 & ~img2:
+            hypotheses["pointwise"] = False
+            entries.append(
+                {
+                    "kind": "pointwise-inclusion-violation",
+                    "restriction": restriction_at(game, idx).names(),
+                    "op1_image": restriction_at(game, img1).names(),
+                    "op2_image": restriction_at(game, img2).names(),
+                }
+            )
+            break
+    violation = next(list_non_monotone_pairs(game.sizes, images1), None)
+    if violation is not None:
+        small, big = violation
+        hypotheses["op1_monotonic"] = False
+        entries.append(
+            {
+                "kind": "op1-monotonicity-violation",
+                "smaller": restriction_at(game, small).names(),
+                "larger": restriction_at(game, big).names(),
+            }
+        )
+    for idx, img2 in enumerate(images2):
+        if img2 & ~idx:
+            hypotheses["op2_contracting"] = False
+            restriction = restriction_at(game, idx).names()
+            entries.append({"kind": "op2-contraction-violation", "restriction": restriction})
+            break
+    out1 = iterate_operator(op1, game).outcome
+    out2 = iterate_operator(op2, game).outcome
+    inclusion = lattice_leq(out1, out2)
+    if not inclusion:
+        entries.append(
+            {
+                "kind": "outcome-inclusion-violation",
+                "op1_outcome": out1.names(),
+                "op2_outcome": out2.names(),
+            }
+        )
+    return CheckReport(
+        name="inclusion-lemma",
+        passed=all(hypotheses.values()) and inclusion,
+        details={
+            "game": game.name,
+            "op1": op1_name,
+            "op2": op2_name,
+            "hypotheses": hypotheses,
+            "outcome_inclusion": inclusion,
+            "op1_outcome": out1.names(),
+            "op2_outcome": out2.names(),
+        },
+        entries=entries,
+    )
+
+
+def _list_property_table(spec, game: Game, evaluator, max_restrictions: int) -> list[int]:
+    """The monotonicity check's table of `spec` as a list."""
+    profile = properties.PropertyProfile.uniform(spec, game.num_players)
+    slices = properties._property_table(profile, game, evaluator, max_restrictions, False)
+    return transpose_slices(slices, sum(game.sizes))
+
+
+def list_property_is_monotone(spec, game: Game, evaluator=None) -> bool:
+    """`properties.property_is_monotone` by the subset sum of the list table."""
+    evaluator = properties.evaluator_for(game, evaluator)
+    images = _list_property_table(spec, game, evaluator, DEFAULT_LATTICE_BUDGET)
+    return not any(violations_below(images))
+
+
+def list_check_property_monotone(
+    spec, game: Game, max_restrictions: int = DEFAULT_LATTICE_BUDGET, evaluator=None
+) -> CheckReport:
+    """`properties.check_property_monotone` on the list table, counting by
+    its subset sum."""
+    evaluator = properties.evaluator_for(game, evaluator)
+    images = _list_property_table(spec, game, evaluator, max_restrictions)
+    entries = []
+    for small, big in list_non_monotone_pairs(game.sizes, images):
+        for i, bad in enumerate(unpack_index(game.sizes, images[small] & ~images[big])):
+            if bad:
+                entries.append(
+                    {
+                        "player": i + 1,
+                        "strategies": [game.strategy_names[i][s] for s in mask_members(bad)],
+                        "smaller": restriction_at(game, small).names(),
+                        "larger": restriction_at(game, big).names(),
+                    }
+                )
+        if len(entries) >= properties.MAX_MONOTONE_ENTRIES:
+            break
+    violations = sum(violations_below(images))
+    return CheckReport(
+        name="property-monotonicity",
+        passed=violations == 0,
+        details={
+            "game": game.name,
+            "property": str(spec),
+            "pairs_checked": 3 ** sum(game.sizes),
+            "violations": violations,
+        },
+        entries=entries[:properties.MAX_MONOTONE_ENTRIES],
+    )
+
+
+def list_verify_pointwise_chain(
+    game: Game, name, chain, links, outcome_prefixes, max_restrictions: int
+) -> CheckReport:
+    """`properties._verify_pointwise_chain` by a scan of the list tables, one
+    index at a time."""
+    evaluator = properties.Evaluator(game)
+    profiles = [
+        properties.PropertyProfile.uniform(properties.parse_property_spec(text), game.num_players)
+        for text in chain
+    ]
+    tables = [
+        list_image_table(properties.property_operator(p, game, evaluator), game, max_restrictions)
+        for p in profiles
+    ]
+    entries = []
+    for idx, images in enumerate(zip(*tables)):
+        for (relation, kind, image_keys), low, high in zip(links, images, images[1:]):
+            failed = low != high if relation == "==" else low & ~high
+            if failed:
+                entry = {"kind": kind, "restriction": restriction_at(game, idx).names()}
+                if image_keys is not None:
+                    entry[image_keys[0]] = restriction_at(game, low).names()
+                    entry[image_keys[1]] = restriction_at(game, high).names()
+                entries.append(entry)
+    first = properties.outcome(profiles[0], game, evaluator=evaluator).outcome
+    last = properties.outcome(profiles[-1], game, evaluator=evaluator).outcome
+    head, tail = outcome_prefixes
+    if not lattice_leq(first, last):
+        entries.append(
+            {
+                "kind": "outcome-inclusion-violation",
+                f"{head}_outcome": first.names(),
+                f"{tail}_outcome": last.names(),
+            }
+        )
+    return CheckReport(
+        name=name,
+        passed=not entries,
+        details={
+            "game": game.name,
+            "restrictions_checked": len(tables[0]),
+            f"{head}_global_outcome": first.names(),
+            f"{tail}_local_outcome": last.names(),
+        },
+        entries=entries,
+    )
+
+
+def list_pearce_equivalence_suite(
+    game: Game, max_restrictions: int = DEFAULT_LATTICE_BUDGET
+) -> CheckReport:
+    """`properties.pearce_equivalence_suite` by a scan of the list tables."""
+    evaluator = properties.Evaluator(game)
+    brc, msd = [
+        list_image_table(
+            properties.property_operator(
+                properties.PropertyProfile.uniform(
+                    properties.parse_property_spec(text), game.num_players
+                ),
+                game,
+                evaluator,
+            ),
+            game,
+            max_restrictions,
+        )
+        for text in ("br:l:corr", "msd:l")
+    ]
+    mismatches = []
+    for idx, (brc_image, msd_image) in enumerate(zip(brc, msd)):
+        if brc_image != msd_image:
+            g = restriction_at(game, idx)
+            rep = dominance.pearce_equivalence_check(game, g)
+            mismatches.append(
+                {"restriction": g.names(), "entries": [e for e in rep.entries if not e["agree"]]}
+            )
+    return CheckReport(
+        name="pearce-equivalence-suite",
+        passed=not mismatches,
+        details={
+            "game": game.name,
+            "restrictions_checked": len(brc),
+            "mismatching_restrictions": len(mismatches),
+        },
+        entries=mismatches,
+    )

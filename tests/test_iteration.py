@@ -43,13 +43,14 @@ from gamelattice.properties import (
     property_operator,
 )
 from gamelattice.reports import CheckReport, canonical_json
+import oracles
 
 PD, MP, MIX, CHAIN = fixtures.PD, fixtures.MP, fixtures.MIX, fixtures.CHAIN
 
 
-def op_for(game, text):
+def op_for(game, text, evaluator=None):
     profile = PropertyProfile.uniform(parse_property_spec(text), game.num_players)
-    return property_operator(profile, game)
+    return property_operator(profile, game, evaluator)
 
 
 def test_ordinal_parse_and_format():
@@ -161,9 +162,10 @@ def test_lattice_verifiers_are_bounded_by_the_lattice_budget_alone(monkeypatch):
 
     # a failing table is decided too, and the pair reported is the first
     # non-monotone one below the least index with a violation
-    images = iteration.image_table(op_for(game, "sd:l"), game, 1 << 14)
-    counts = iteration.violations_below(images)
-    small, big = next(non_monotone_pairs(game.sizes, images, iteration.violating_indices(images)))
+    slices = iteration.image_table(op_for(game, "sd:l"), game, 1 << 14)
+    counts = oracles.violations_below(transpose_slices(slices, 14))
+    violating = iteration.violating_indices(slices)
+    small, big, _ = next(non_monotone_pairs(game.sizes, slices, violating))
     assert big == next(idx for idx, count in enumerate(counts) if count)
     expected = {
         "smaller": restriction_at(game, small).names(),
@@ -233,36 +235,38 @@ def mask_tables(draw):
 def test_non_monotone_pairs_matches_a_scan_of_every_comparable_pair(drawn):
     sizes, table = drawn
     images = _pack_table(sizes, table)
-    counts = iteration.violations_below(images)
-    pairs = non_monotone_pairs(sizes, images, iteration.violating_indices(images))
-    unpacked = [(unpack_index(sizes, small), unpack_index(sizes, big)) for small, big in pairs]
+    slices = table_slices(images, sum(sizes))
+    triples = list(non_monotone_pairs(sizes, slices, iteration.violating_indices(slices)))
+    unpacked = [(unpack_index(sizes, small), unpack_index(sizes, big)) for small, big, _ in triples]
     expected = _brute_force_non_monotone_pairs(table)
     assert unpacked == expected
-    # each index's count is the strategies its non-monotone pairs below lose
+    # each pair carries the strategies its smaller entry keeps and its larger
+    # one drops; the subset sum's count per index, and the sliced count in
+    # all, are the strategies the non-monotone pairs below lose
+    assert [unpack_index(sizes, lost) for _, _, lost in triples] == [
+        tuple(x & ~y for x, y in zip(table[small], table[big])) for small, big in expected
+    ]
     lost = dict.fromkeys(table, 0)
     for small, big in expected:
         lost[big] += sum(len(mask_members(x & ~y)) for x, y in zip(table[small], table[big]))
-    assert counts == [lost[g] for g in _all_masks(sizes)]
+    assert oracles.violations_below(images) == [lost[g] for g in _all_masks(sizes)]
+    assert iteration.violation_count(slices) == sum(lost.values())
 
 
 @given(drawn=mask_tables())
 @settings(max_examples=300, deadline=None)
-def test_monotone_on_covers_is_the_verdict_of_every_pair(drawn):
+def test_a_table_monotone_on_its_covers_is_monotone_on_every_pair(drawn):
     # a table is monotone on every comparable pair iff it is on every cover
-    # (pairs one strategy apart), and the subset sums count no violation iff so
+    # (pairs one strategy apart), and the sliced count finds no violation iff so
     sizes, table = drawn
-    counts = iteration.violations_below(_pack_table(sizes, table))
+    count = iteration.violation_count(table_slices(_pack_table(sizes, table), sum(sizes)))
     covers = [
         (small, big) for big in table for small in table
         if _masks_leq(small, big) and sum(len(mask_members(y & ~x)) for x, y in zip(small, big)) == 1
     ]
     monotone_on_covers = all(_masks_leq(table[small], table[big]) for small, big in covers)
     assert monotone_on_covers == (not _brute_force_non_monotone_pairs(table))
-    assert (not any(counts)) == monotone_on_covers
-
-
-def _bits(mask):
-    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+    assert (count == 0) == monotone_on_covers
 
 
 @given(drawn=mask_tables())
@@ -272,11 +276,11 @@ def test_violating_indices_are_the_larger_indices_of_the_non_monotone_pairs(draw
     # at, which are the indices where the subset sum counts a violation
     sizes, table = drawn
     images = _pack_table(sizes, table)
-    violating = iteration.violating_indices(images)
+    violating = iteration.violating_indices(table_slices(images, sum(sizes)))
     bigs = {pack_masks(sizes, big) for _, big in _brute_force_non_monotone_pairs(table)}
-    assert _bits(violating) == sorted(bigs)
-    counts = iteration.violations_below(images)
-    assert _bits(violating) == [idx for idx, count in enumerate(counts) if count]
+    assert mask_members(violating) == sorted(bigs)
+    counts = oracles.violations_below(images)
+    assert mask_members(violating) == [idx for idx, count in enumerate(counts) if count]
 
 
 @given(drawn=mask_tables(), width=st.sampled_from([1, 2, 4]), data=st.data())
@@ -296,10 +300,12 @@ def test_table_slices_invert_transpose_slices(drawn, width, data):
 @pytest.mark.parametrize("k", [1, 2, 5, 16])
 def test_violations_below_holds_the_largest_count(k):
     # every smaller index keeps all k strategies and the top keeps none: the
-    # top's count, k * (2^k - 1), is the largest any table of k strategies has
+    # top's count, k * (2^k - 1), is the largest any table of k strategies
+    # has, in the subset sum's top field and in the sliced count's top plane
     top = (1 << k) - 1
     images = [top] * top + [0]
-    assert iteration.violations_below(images) == [0] * top + [k * top]
+    assert oracles.violations_below(images) == [0] * top + [k * top]
+    assert iteration.violation_count(table_slices(images, k)) == k * top
 
 
 def _random_three_player_game(seed):
@@ -381,6 +387,85 @@ def test_the_fallback_scan_reports_what_a_scan_of_every_pair_finds(text):
         assert found == [{"kind": "op1-monotonicity-violation", **expected}]
 
 
+def _verdict(verify, *args):
+    """The canonical JSON of a verifier's report, or the message of the
+    BudgetError it raises when an operator's iteration finds no fixpoint."""
+    try:
+        return verify(*args).to_json()
+    except BudgetError as exc:
+        return str(exc)
+
+
+@given(drawn=mask_tables())
+@settings(max_examples=150, deadline=None)
+def test_the_slice_verifiers_report_what_the_list_oracles_do_on_drawn_tables(drawn):
+    # the drawn table as an operator, and its meet with the identity, which
+    # contracts; each verifier's report on the slices is the list oracle's
+    sizes, table = drawn
+    names = [tuple(f"p{i}s{s}" for s in range(k)) for i, k in enumerate(sizes)]
+    game = make_game("drawn", names, dict.fromkeys(itertools.product(*names), (0,) * len(sizes)))
+
+    def op(g):
+        return Restriction(game, table[g.masks])
+
+    def inside(g):
+        return Restriction(game, tuple(x & y for x, y in zip(g.masks, table[g.masks])))
+
+    for one, other in ((op, inside), (inside, op), (op, op)):
+        assert _verdict(verify_tarski, one, game) == (
+            _verdict(oracles.list_verify_tarski, one, game)
+        )
+        assert _verdict(verify_inclusion_lemma, one, other, game) == _verdict(
+            oracles.list_verify_inclusion_lemma, one, other, game
+        )
+
+
+@pytest.mark.parametrize("game", [PD, MP, MIX] + FALLBACK_GAMES, ids=lambda g: g.name)
+def test_the_slice_verifiers_report_what_the_list_oracles_do_on_games(game, monkeypatch):
+    # every verifier that asks its question on image-table slices, on every
+    # property, against the same verifier scanning the tables as lists of
+    # lattice indices: the reports' canonical JSON must be the same; the
+    # chains and Pearce's suite run twice, the second time with msd:l's
+    # tables mapping every restriction to the bottom element, so they fail
+    evaluator = properties.Evaluator(game)
+    for text in ("sd:l", "sd:g", "msd:l", "msd:g", "br:l:pure", "br:g:pure", "br:l:corr",
+                 "br:g:corr"):
+        spec, op = parse_property_spec(text), op_for(game, text, evaluator)
+        assert verify_tarski(op, game, text).to_json() == (
+            oracles.list_verify_tarski(op, game, text).to_json()
+        ), text
+        assert check_property_monotone(spec, game, evaluator=evaluator).to_json() == (
+            oracles.list_check_property_monotone(spec, game, evaluator=evaluator).to_json()
+        ), text
+        assert property_is_monotone(spec, game, evaluator) == (
+            oracles.list_property_is_monotone(spec, game, evaluator)
+        ), text
+    pairs = (("br:g:pure", "sd:l"), ("sd:l", "br:g:pure"), ("br:g:corr", "msd:l"), ("msd:l", "sd:g"))
+    for pair in pairs:
+        op1, op2 = (op_for(game, text, evaluator) for text in pair)
+        assert verify_inclusion_lemma(op1, op2, game, *pair).to_json() == (
+            oracles.list_verify_inclusion_lemma(op1, op2, game, *pair).to_json()
+        ), pair
+    real_table = properties._property_table
+
+    def broken(profile, *rest):
+        slices = real_table(profile, *rest)
+        return [0] * len(slices) if str(profile) == "msd:l" else slices
+
+    for table in (real_table, broken):
+        monkeypatch.setattr(properties, "_property_table", table)
+        chains = (properties.verify_theorem_just, properties.verify_theorem_just1)
+        sliced = [check(game).to_json() for check in chains]
+        sliced.append(properties.pearce_equivalence_suite(game).to_json())
+        with monkeypatch.context() as listing:
+            listing.setattr(
+                properties, "_verify_pointwise_chain", oracles.list_verify_pointwise_chain
+            )
+            listed = [check(game).to_json() for check in chains]
+        listed.append(oracles.list_pearce_equivalence_suite(game).to_json())
+        assert sliced == listed
+
+
 def test_trace_with_too_many_components_is_a_shape_error():
     trace = iterate_operator(op_for(PD, "sd:g"), PD).to_json_dict()
     trace["steps"][0]["restriction"].append(["C"])
@@ -409,40 +494,32 @@ def test_an_operator_image_from_another_game_is_a_shape_error(foreign):
         is_fixpoint(op, restriction_top(PD))
 
 
-def test_a_monotone_table_lists_nothing_after_its_sums():
-    class CountingImages(list):
-        lookups = 0
-
-        def __getitem__(self, key):
-            CountingImages.lookups += 1
-            return super().__getitem__(key)
-
+def test_a_monotone_table_lists_nothing_after_its_sums(monkeypatch):
     sizes = (6, 6)
-    images = CountingImages(
-        pack_masks(sizes, (g[0] & g[1], g[0] | g[1])) for g in _all_masks(sizes)
-    )
-    counts = iteration.violations_below(images)
-    assert len(counts) == 4096 and not any(counts)
-    violating = iteration.violating_indices(images)
+    images = [pack_masks(sizes, (g[0] & g[1], g[0] | g[1])) for g in _all_masks(sizes)]
+    slices = table_slices(images, 12)
+    assert iteration.violation_count(slices) == 0
+    violating = iteration.violating_indices(slices)
     assert violating == 0
-    # the scan of every comparable pair would make 3^12 = 531,441 lookups
-    CountingImages.lookups = 0
-    assert list(non_monotone_pairs(sizes, images, violating)) == []
-    assert CountingImages.lookups == 0
+    # listing would transpose the slices and scan 3^12 = 531,441 pairs
+    monkeypatch.setattr(
+        iteration, "transpose_slices", lambda *a: pytest.fail("a monotone table was transposed")
+    )
+    assert list(non_monotone_pairs(sizes, slices, violating)) == []
 
 
 @pytest.mark.parametrize("game", [PD, CHAIN, fixtures.THREE], ids=lambda g: g.name)
 @pytest.mark.parametrize("text", ["sd:l", "sd:g", "br:l:pure", "br:g:pure"])
 def test_each_monotonicity_question_sums_the_violations_once(game, text, monkeypatch):
-    # on monotone and non-monotone tables alike, each caller closes its table
-    # upward once and reads its verdict and pairs from that mask; only check
-    # monotone on a table with a violation runs the subset sum, once, to
-    # count them
+    # on monotone and non-monotone tables alike, each caller closes its
+    # table's slices upward once and reads its verdict and pairs from that
+    # mask; only check monotone on a table with a violation runs the sliced
+    # count, once, to count them
     calls = {"closure": [], "sum": []}
-    for name, kind in (("violating_indices", "closure"), ("violations_below", "sum")):
-        def counting(images, real=getattr(iteration, name), kind=kind):
-            calls[kind].append(len(images))
-            return real(images)
+    for name, kind in (("violating_indices", "closure"), ("violation_count", "sum")):
+        def counting(slices, real=getattr(iteration, name), kind=kind):
+            calls[kind].append(len(slices))
+            return real(slices)
 
         monkeypatch.setattr(iteration, name, counting)
         monkeypatch.setattr(properties, name, counting)
@@ -460,8 +537,8 @@ def test_each_monotonicity_question_sums_the_violations_once(game, text, monkeyp
         calls["closure"].clear()
         calls["sum"].clear()
         question()
-        assert calls["closure"] == [1 << sum(game.sizes)]
-        assert calls["sum"] == ([1 << sum(game.sizes)] if counts else [])
+        assert calls["closure"] == [sum(game.sizes)]
+        assert calls["sum"] == ([sum(game.sizes)] if counts else [])
 
 
 def test_contracting_msd_mix():

@@ -27,6 +27,8 @@ from gamelattice.games import (
 from gamelattice.iteration import (
     DEFAULT_LATTICE_BUDGET,
     image_table,
+    table_slices,
+    transpose_slices,
     verify_inclusion_lemma,
     verify_tarski,
 )
@@ -48,7 +50,7 @@ from gamelattice.properties import (
     verify_theorem_just,
     verify_theorem_just1,
 )
-from oracles import VerdictStore, comparison_tables, per_index_table
+from oracles import VerdictStore, comparison_tables, per_index_table, violations_below
 
 PD, MP, MIX, CHAIN = fixtures.PD, fixtures.MP, fixtures.MIX, fixtures.CHAIN
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -208,10 +210,10 @@ def test_monotone_check_is_bounded_by_the_lattice_budget_alone(monkeypatch):
     sd_l = parse_property_spec("sd:l")
     report = check_property_monotone(sd_l, game)
     assert not report.passed
-    table = properties._property_table(
+    slices = properties._property_table(
         PropertyProfile.uniform(sd_l, 2), game, Evaluator(game), 1 << 14, False
     )
-    assert report.details["violations"] == sum(iteration.violations_below(table)) > 0
+    assert report.details["violations"] == sum(violations_below(transpose_slices(slices, 14))) > 0
     assert len(report.entries) == MAX_MONOTONE_ENTRIES
 
 
@@ -537,7 +539,8 @@ def test_property_tables_match_the_per_restriction_definitions(game):
     for profile in profiles:
         want = [apply_operator(profile, game, g, Evaluator(game)).index for g in restrictions]
         op = property_operator(profile, game, Evaluator(game))
-        assert iteration.image_table(op, game, len(restrictions)) == want, str(profile)
+        got = iteration.image_table(op, game, len(restrictions))
+        assert got == table_slices(want, sum(game.sizes)), str(profile)
     full = [(1 << k) - 1 for k in game.sizes]
     for spec in specs:
         want = [
@@ -545,8 +548,8 @@ def test_property_tables_match_the_per_restriction_definitions(game):
             for g in restrictions
         ]
         profile = PropertyProfile.uniform(spec, n)
-        table = properties._property_table(profile, game, Evaluator(game), len(restrictions), False)
-        assert table == want, str(spec)
+        got = properties._property_table(profile, game, Evaluator(game), len(restrictions), False)
+        assert got == table_slices(want, sum(game.sizes)), str(spec)
 
 
 @pytest.mark.parametrize("game", _table_games(), ids=lambda game: game.name)
