@@ -170,41 +170,18 @@ def lattice_patterns(k: int) -> list[int]:
     return patterns
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
 # per bit position in a byte: every byte value to the ASCII digit of that bit
 _DIGITS = [bytes(b"01"[v >> bit & 1] for v in range(256)) for bit in range(8)]
-_LANES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # lane width in bytes: memoryview and struct format
-
-
-def transpose_slices(slices: list[int], k: int) -> list[int]:
-    """The 2^k ints whose bit b at index X is bit X of slices[b].  Each
-    slice is written out as one byte per index (its binary digits, lowest
-    first, translated to 0 and 1), spread to the low byte of lanes wide
-    enough for every slice, shifted to its bit and ORed in; the lanes are
-    then read as one array.  Every step runs over whole strings and ints,
-    none per index."""
-    count = 1 << k
-    width = min(w for w in _LANES if 8 * w >= len(slices))
-    low = 0 if sys.byteorder == "little" else width - 1
-    lanes = 0
-    for b, bits in enumerate(slices):
-        if bits:
-            plane = format(bits, f"0{count}b")[::-1].encode().translate(_BITS)
-            if width > 1:
-                spread = bytearray(count * width)
-                spread[low::width] = plane
-                plane = spread
-            lanes |= int.from_bytes(plane, sys.byteorder) << b
-    return memoryview(lanes.to_bytes(count * width, sys.byteorder)).cast(_LANES[width]).tolist()
+_LANES = {1: "B", 2: "H", 4: "I", 8: "Q"}  # lane width in bytes: its struct format
 
 
 def table_slices(images: list[int], k: int) -> list[int]:
     """The k bit-slices of `images`, whose entries lie below 2^k: bit X of
-    slice b is bit b of images[X], the inverse of `transpose_slices`.  The
-    entries are packed into the same lanes, and each bit's byte column,
-    taken with a stride, is translated to its slice's binary digits, lowest
-    index first, and read as one int.  Every step runs over whole strings
-    and ints, none per index."""
+    slice b is bit b of images[X].  The entries are packed into lanes wide
+    enough for k bits, and each bit's byte column, taken with a stride, is
+    translated to its slice's binary digits, lowest index first, and read
+    as one int.  Every step runs over whole strings and ints, none per
+    index."""
     width = min(w for w in _LANES if 8 * w >= k)
     lanes = struct.pack(f"{len(images)}{_LANES[width]}", *images)
     slices = []
@@ -273,23 +250,22 @@ def non_monotone_pairs(
     the given sizes, so its entries are ordered as the lattice is.  The
     larger indices are the set bits of `violating`, ascending, and the
     smaller ones below each are listed with every player's field descending
-    through its submasks, the first player's field varying fastest.  So a
-    monotone table, whose mask is 0, lists nothing and is never transposed;
-    any other is transposed once, and the lattice budget bounds both."""
-    if not violating:
-        return
-    images = transpose_slices(slices, len(slices))
+    through its submasks, the first player's field varying fastest.  Each
+    smaller index is tested against the OR of the slices of the bits the
+    larger one's entry lacks, and only a yielded pair's entries are read
+    (`image_at`), so a monotone table, whose mask is 0, lists nothing and
+    reads no entry."""
     # (shift, size) per player's field, the last (lowest) player's first, so
     # that the first player's field, the product's last factor, varies fastest
     fields = list(zip(itertools.accumulate(sizes[::-1], initial=0), sizes[::-1]))
     for big in mask_members(violating):
-        img_big = images[big]
+        img_big = image_at(slices, big)
+        lacking = reduce(or_, (bits for b, bits in enumerate(slices) if not img_big >> b & 1), 0)
         parts = [[m << shift for m in _submasks(big >> shift & (1 << k) - 1)] for shift, k in fields]
         for part in itertools.product(*parts):
             small = sum(part)
-            lost = images[small] & ~img_big
-            if lost:
-                yield small, big, lost
+            if lacking >> small & 1:
+                yield small, big, image_at(slices, small) & ~img_big
 
 
 def verify_tarski(

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
 from math import lcm
-from operator import or_
+from operator import and_, or_
 
 from . import dominance
 from .dominance import BELIEF_KINDS, CORRELATED
@@ -38,8 +37,6 @@ from .iteration import (
     lattice_patterns,
     non_monotone_pairs,
     outside,
-    table_slices,
-    transpose_slices,
     violating_indices,
     violation_count,
 )
@@ -127,9 +124,9 @@ class Evaluator:
     restriction's lattice index with the player's own bits cleared.  It is
     filled by a per-restriction query (an iteration step, `passing_mask`,
     the CK/CB walk) and, while an image table is built from bit-slices
-    (`_component`), only at an index where an LP family leaves a strategy
-    open.  A query recomputes the pure pre-checks for its candidates, a few
-    bit tests each, and stores no verdict.
+    (`_property_table`), only where an LP runs.  A query recomputes the pure
+    pre-checks for its candidates, a few bit tests each, and stores no
+    verdict.
 
     An open candidate s of an LP family ("msd", "br:corr") on pool P and
     opponent profiles Y is settled from `certificates`, which keeps
@@ -310,12 +307,12 @@ def _certificate_masks(
 def _solved(
     evaluator: Evaluator, family: str, index: int, player: int, pool: int,
     profiles: int, s: int,
-) -> bool:
+) -> tuple[bool, tuple[int, int]]:
     """s's `family` verdict on the restriction with lattice index `index`,
-    with pool `pool` and profile mask `profiles`, from its LP.  The answer
-    must carry one certificate, the witness or the refutation the LP hands
-    back, which is reduced to masks, must prove the verdict there, and is
-    stored; anything else is an InternalError."""
+    with pool `pool` and profile mask `profiles`, from its LP, with the one
+    certificate its answer must carry, the witness or the LP's refutation,
+    reduced to masks; it must prove the verdict there and is stored, and
+    anything else is an InternalError."""
     game = evaluator.game
     g = restriction_at(game, index)
     members = mask_members(pool)
@@ -338,25 +335,26 @@ def _solved(
             f"{family}: the certificate for player {player + 1}'s "
             f"{game.strategy_names[player][s]} on {g.names()} is missing or failed re-validation"
         )
-    evaluator.certificates[family, player, s][passes].extend(masks)  # (mixtures, beliefs)
-    return passes
+    evaluator.certificates.setdefault((family, player, s), ([], []))[passes].extend(masks)
+    return passes, masks[0]
 
 
-def _settle(
-    evaluator: Evaluator, family: str, player: int, index: int, pool: int, profiles: int, open_: int
+def _certificate_slice(
+    masks: tuple[int, int], passes: bool, pools: list[int], in_y: list[int], ones: int
 ) -> int:
-    """The strategies of the mask `open_` that pass the LP family `family`
-    at lattice index `index`, pool `pool` and profile mask `profiles`, each
-    settled in ascending order by a stored certificate (`_settled`), or
-    else by its own LP (`_solved`)."""
-    passing = 0
-    for s in mask_members(open_):
-        certificates = evaluator.certificates.setdefault((family, player, s), ([], []))
-        verdict = _settled(certificates, pool, profiles)
-        if verdict is None:
-            verdict = _solved(evaluator, family, index, player, pool, profiles, s)
-        passing |= verdict << s
-    return passing
+    """The lattice indices where a certificate with masks `masks`, a belief
+    if `passes` and a mixture otherwise, settles its strategy as `_settled`
+    does, as one bit-slice over `ones`, from `_component`'s pool slice per
+    strategy and "Y holds y" slice per profile y: a mixture (support,
+    beaten) where the pool holds its support and Y no profile outside
+    `beaten`, a belief (support, beaters) where Y holds its support and the
+    pool none of `beaters`."""
+    support, other = masks
+    held, avoided = (in_y, pools) if passes else (pools, in_y)
+    if not passes:
+        other = ~other & (1 << len(in_y)) - 1
+    holds = reduce(and_, (held[x] for x in mask_members(support)), ones)
+    return holds & ~reduce(or_, (avoided[x] for x in mask_members(other)), 0)
 
 
 def _passing(
@@ -365,7 +363,8 @@ def _passing(
     """The strategies in the mask `candidates` that pass `family` on the
     restriction with lattice index `index`: the pure pre-checks, run for
     the candidates alone, are turned into passing and open strategies by
-    `_seeded`, and `_settle` decides the open ones."""
+    `_seeded`, and each open one is settled, in ascending order, by a
+    stored certificate (`_settled`) or else by its own LP (`_solved`)."""
     game = evaluator.game
     shift = game.shifts[player]
     full = (1 << game.sizes[player]) - 1
@@ -384,7 +383,12 @@ def _passing(
                     break
     passing, open_ = _seeded(family, sd, br, full if ys else 0)
     if open_:
-        passing |= _settle(evaluator, family, player, index, pool, profiles, open_)
+        for s in mask_members(open_):
+            certificates = evaluator.certificates.get((family, player, s), ([], []))
+            verdict = _settled(certificates, pool, profiles)
+            if verdict is None:
+                verdict = _solved(evaluator, family, index, player, pool, profiles, s)[0]
+            passing |= verdict << s
     return passing
 
 
@@ -467,14 +471,15 @@ def outcome(
 
 def _component(
     evaluator: Evaluator, family: str, scope: str, player: int, patterns: list[int], own: bool
-) -> tuple[list[int], list[int]]:
+) -> tuple[list[int], list[int], list[int], list[int]]:
     """`player`'s verdicts on every restriction at once, as bit-slices over
     the lattice: per strategy s, one int whose bit X says that s passes
     `family` at lattice index X with no LP, and one whose bit X says that
     the pure pre-checks leave s open there (never for a pure family); both
     are asked among the restriction's own strategies when `own`, among all
-    of T_i otherwise.  `patterns` holds one slice per lattice bit, from
-    `lattice_patterns`.
+    of T_i otherwise.  Then the slices it builds them from: per strategy t,
+    where the pool holds t, and per opponent profile y, where Y holds y.
+    `patterns` holds one slice per lattice bit, from `lattice_patterns`.
 
     "y in Y" is the AND of one pattern per opponent, and "Y is non-empty"
     the AND over opponents of the OR of their patterns.  s fails sd where
@@ -513,7 +518,7 @@ def _component(
         seeded, open_ = _seeded(family, ones & ~fails, br, nonempty)
         passing.append(seeded & candidates)
         opens.append(open_ & candidates)
-    return passing, opens
+    return passing, opens, pools, in_y
 
 
 def _property_table(
@@ -531,12 +536,12 @@ def _property_table(
     check compares.  The lattice budget is charged before anything else.
 
     `_component` gives each player's pure verdicts as the slices of its bits.
-    An LP family's open strategies are transposed into one list of masks,
-    and `_settle` replaces the masks where some are open, per player in
-    ascending index: the order and open candidates of one restriction at a
-    time, so the LPs and stored certificates do not change, and no pre-check
-    runs twice.  The list's `table_slices` are ORed into the player's."""
-    count = count_restrictions(game, max_restrictions)
+    An LP family's open slices are cleared by each stored certificate's
+    slice (`_certificate_slice`), a belief's passing what it clears, then by
+    the certificate `_solved` gives the lowest open (index, strategy) pair,
+    until none is open: the LPs, in the order, of asking one restriction at
+    a time, with a context built only where an LP runs."""
+    ones = (1 << count_restrictions(game, max_restrictions)) - 1
     if len(profile.specs) != game.num_players:
         raise ValueError("profile length differs from the number of players")
     k = sum(game.sizes)
@@ -546,14 +551,26 @@ def _property_table(
         family = _family(spec, game)
         shift = game.shifts[i]
         full = (1 << game.sizes[i]) - 1
-        passing, opens = _component(evaluator, family, spec.scope, i, patterns, own)
-        if any(opens):
-            opens = transpose_slices(opens, k)
-            for idx in compress(range(count), opens):
-                pool = full if spec.scope == "g" else idx >> shift & full
-                profiles = _context(evaluator, i, idx & ~(full << shift))[0]
-                opens[idx] = _settle(evaluator, family, i, idx, pool, profiles, opens[idx])
-            passing = map(or_, passing, table_slices(opens, game.sizes[i]))
+        passing, opens, pools, in_y = _component(evaluator, family, spec.scope, i, patterns, own)
+
+        def clear(s, passes, masks):
+            settled = _certificate_slice(masks, passes, pools, in_y, ones)
+            if passes:
+                passing[s] |= opens[s] & settled
+            opens[s] &= ~settled
+
+        for s in range(game.sizes[i]):
+            for passes, stored in enumerate(evaluator.certificates.get((family, i, s), ())):
+                for masks in stored:
+                    if opens[s]:
+                        clear(s, passes, masks)
+        while any(opens):
+            index, s = min(((o & -o).bit_length() - 1, s) for s, o in enumerate(opens) if o)
+            pool = full if spec.scope == "g" else index >> shift & full
+            profiles = _context(evaluator, i, index & ~(full << shift))[0]
+            clear(s, *_solved(evaluator, family, index, i, pool, profiles, s))
+            if opens[s] >> index & 1:
+                raise InternalError(f"{family}: a certificate's slice misses the index it settles")
         slices[shift:shift + game.sizes[i]] = passing
     return slices
 

@@ -8,8 +8,9 @@ tables, built cell by cell, a property's image table, asked one lattice
 index at a time, the property queries and tables of an Evaluator that keeps
 a verdict store, the symbolic set algebra as one sorted sweep over every
 operand's boundary cuts, and the lattice verifiers on image tables held as
-lists of 2^K lattice indices, with the subset sum that counts monotonicity
-violations per index."""
+lists of 2^K lattice indices, with the transpose of a table's bit-slices
+into that list and the subset sum that counts monotonicity violations per
+index."""
 
 import itertools
 from functools import reduce
@@ -48,7 +49,6 @@ from gamelattice.iteration import (
     iterate_operator,
     lattice_patterns,
     table_slices,
-    transpose_slices,
 )
 from gamelattice.reports import CheckReport
 from gamelattice.symbolic import INF, NEG_INF, Piece
@@ -294,6 +294,17 @@ def per_index_table(
     return table_slices(table, sum(game.sizes))
 
 
+def transpose_slices(slices: list[int], k: int) -> list[int]:
+    """The 2^k ints whose bit b at index X is bit X of slices[b], the
+    inverse of `iteration.table_slices`: bit b is set at every member of
+    slices[b]."""
+    images = [0] * (1 << k)
+    for b, bits in enumerate(slices):
+        for x in mask_members(bits):
+            images[x] |= 1 << b
+    return images
+
+
 class VerdictStore:
     """`properties._passing` and `properties._property_table` on
     `evaluator` as they were when the Evaluator also kept its verdicts:
@@ -335,7 +346,7 @@ class VerdictStore:
             certificates = evaluator.certificates.setdefault((family, player, s), ([], []))
             verdict = properties._settled(certificates, pool, profiles)
             if verdict is None:
-                verdict = properties._solved(evaluator, family, index, player, pool, profiles, s)
+                verdict = properties._solved(evaluator, family, index, player, pool, profiles, s)[0]
             passing |= verdict << s
         self.verdicts[key] = (decided | open_, passing)
         return passing & candidates
@@ -350,7 +361,7 @@ class VerdictStore:
         for i, spec in enumerate(profile.specs):
             family = properties._family(spec, game)
             shift = game.shifts[i]
-            passing, opens = properties._component(
+            passing, opens, _, _ = properties._component(
                 self.evaluator, family, spec.scope, i, patterns, own
             )
             if any(opens):

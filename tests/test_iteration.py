@@ -27,7 +27,6 @@ from gamelattice.iteration import (
     non_monotone_pairs,
     table_slices,
     trace_from_json_dict,
-    transpose_slices,
     verify_contracting_outcome,
     verify_inclusion_lemma,
     verify_tarski,
@@ -163,7 +162,7 @@ def test_lattice_verifiers_are_bounded_by_the_lattice_budget_alone(monkeypatch):
     # a failing table is decided too, and the pair reported is the first
     # non-monotone one below the least index with a violation
     slices = iteration.image_table(op_for(game, "sd:l"), game, 1 << 14)
-    counts = oracles.violations_below(transpose_slices(slices, 14))
+    counts = oracles.violations_below(oracles.transpose_slices(slices, 14))
     violating = iteration.violating_indices(slices)
     small, big, _ = next(non_monotone_pairs(game.sizes, slices, violating))
     assert big == next(idx for idx, count in enumerate(counts) if count)
@@ -291,10 +290,10 @@ def test_table_slices_invert_transpose_slices(drawn, width, data):
     sizes, table = drawn
     images = _pack_table(sizes, table)
     k = sum(sizes)
-    assert transpose_slices(table_slices(images, k), k) == images
+    assert oracles.transpose_slices(table_slices(images, k), k) == images
     n = data.draw(st.integers(1 if width == 1 else 4 * width + 1, 8 * width))
     slices = data.draw(st.lists(st.integers(0, (1 << (1 << k)) - 1), min_size=n, max_size=n))
-    assert table_slices(transpose_slices(slices, k), n) == slices
+    assert table_slices(oracles.transpose_slices(slices, k), n) == slices
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 16])
@@ -501,9 +500,9 @@ def test_a_monotone_table_lists_nothing_after_its_sums(monkeypatch):
     assert iteration.violation_count(slices) == 0
     violating = iteration.violating_indices(slices)
     assert violating == 0
-    # listing would transpose the slices and scan 3^12 = 531,441 pairs
+    # listing would read entries and scan 3^12 = 531,441 pairs
     monkeypatch.setattr(
-        iteration, "transpose_slices", lambda *a: pytest.fail("a monotone table was transposed")
+        iteration, "image_at", lambda *a: pytest.fail("a monotone table's entry was read")
     )
     assert list(non_monotone_pairs(sizes, slices, violating)) == []
 
@@ -620,9 +619,9 @@ def test_canonical_json_refuses_values_it_has_no_form_for(value):
 
 @pytest.mark.parametrize("k", [1, 8, 9, 16, 17])
 def test_transpose_turns_bit_slices_into_the_table(k):
-    # k bits need lanes of 1, 1, 2, 2 and 4 bytes; a per-bit loop over each
-    # slice's binary digits is the reference, and the lattice patterns
-    # transpose to the lattice indices themselves
+    # the reference transpose in `oracles` against a per-bit loop over each
+    # slice's binary digits, and the lattice patterns transpose to the
+    # lattice indices themselves
     count = 1 << k
     rng = random.Random(k)
     slices = [rng.getrandbits(count) for _ in range(k)]
@@ -632,5 +631,5 @@ def test_transpose_turns_bit_slices_into_the_table(k):
         for x, digit in enumerate(reversed(format(bits, f"0{count}b"))):
             if digit == "1":
                 want[x] |= 1 << b
-    assert transpose_slices(slices, k) == want
-    assert transpose_slices(lattice_patterns(k), k) == list(range(count))
+    assert oracles.transpose_slices(slices, k) == want
+    assert oracles.transpose_slices(lattice_patterns(k), k) == list(range(count))

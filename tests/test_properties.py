@@ -28,7 +28,6 @@ from gamelattice.iteration import (
     DEFAULT_LATTICE_BUDGET,
     image_table,
     table_slices,
-    transpose_slices,
     verify_inclusion_lemma,
     verify_tarski,
 )
@@ -50,7 +49,13 @@ from gamelattice.properties import (
     verify_theorem_just,
     verify_theorem_just1,
 )
-from oracles import VerdictStore, comparison_tables, per_index_table, violations_below
+from oracles import (
+    VerdictStore,
+    comparison_tables,
+    per_index_table,
+    transpose_slices,
+    violations_below,
+)
 
 PD, MP, MIX, CHAIN = fixtures.PD, fixtures.MP, fixtures.MIX, fixtures.CHAIN
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -556,12 +561,13 @@ def test_property_tables_match_the_per_restriction_definitions(game):
 def test_queries_and_slices_are_seeded_by_one_rule(game, monkeypatch):
     # `_seeded` turns both `_passing`'s pure pre-checks, on strategy masks,
     # and `_component`'s bit-slices over the lattice into passing and open
-    # strategies: with `_settle` recording the open mask it is handed and
-    # passing none of it, `_passing` asked for every strategy runs no LP, and
-    # at every index X its mask and the open mask must be bit X of the
-    # slices of every strategy
+    # strategies: with no stored certificate settling anything and `_solved`
+    # recording each open strategy it is handed and failing it, `_passing`
+    # asked for every strategy runs no LP, and at every index X its mask and
+    # the open strategies must be bit X of the slices of every strategy
     opened = []
-    monkeypatch.setattr(properties, "_settle", lambda *a: opened.append(a[-1]) or 0)
+    monkeypatch.setattr(properties, "_settled", lambda *a: None)
+    monkeypatch.setattr(properties, "_solved", lambda *a: opened.append(a[-1]) or (False, None))
     count = 1 << sum(game.sizes)
     patterns = iteration.lattice_patterns(sum(game.sizes))
     evaluator = Evaluator(game)
@@ -569,7 +575,7 @@ def test_queries_and_slices_are_seeded_by_one_rule(game, monkeypatch):
         for scope in SCOPES:
             for i in game.players():
                 full = (1 << game.sizes[i]) - 1
-                passing, opens = properties._component(
+                passing, opens, _, _ = properties._component(
                     evaluator, family, scope, i, patterns, False
                 )
                 for index in range(count):
@@ -578,7 +584,7 @@ def test_queries_and_slices_are_seeded_by_one_rule(game, monkeypatch):
                     where = (family, scope, i, index)
                     assert got == sum((p >> index & 1) << s for s, p in enumerate(passing)), where
                     want = sum((o >> index & 1) << s for s, o in enumerate(opens))
-                    assert opened == ([want] if want else []), where
+                    assert opened == mask_members(want), where
     assert not evaluator.certificates
 
 
@@ -622,6 +628,56 @@ def test_the_table_builder_solves_the_per_index_loops_lps(monkeypatch):
             if got[0]:
                 solving.add(game.num_players)
     assert solving == {2, 3}
+
+
+def test_a_certificate_slice_holds_the_indices_its_certificate_settles():
+    # every certificate stored while the LP families' image and monotonicity
+    # tables are built has, on either scope's pools, a slice whose bit X is
+    # set exactly where `_settled`, handed that certificate alone, settles
+    # its strategy at lattice index X
+    games = [parse_game_file(path) for path in sorted(FIXTURE_DIR.glob("*.game"))]
+    games += fixtures.random_games(4747, 4, 4, 4)
+    games += [_random_game(random.Random(1), (3, 3, 2)), _random_game(random.Random(2), (2, 3, 3))]
+    kinds = set()
+    for game in games:
+        evaluator = Evaluator(game)
+        for text in LP_SPECS:
+            for own in (True, False):
+                _built_table(uniform(game, text), game, evaluator, own)
+        k = sum(game.sizes)
+        patterns = iteration.lattice_patterns(k)
+        ones = (1 << (1 << k)) - 1
+        for (family, player, s), stored in list(evaluator.certificates.items()):
+            shift = game.shifts[player]
+            full = (1 << game.sizes[player]) - 1
+            for scope in SCOPES:
+                _, _, pools, in_y = properties._component(
+                    evaluator, family, scope, player, patterns, False
+                )
+                for passes, certificates in enumerate(stored):
+                    for masks in certificates:
+                        alone = ([], [masks]) if passes else ([masks], [])
+                        want = 0
+                        for index in range(1 << k):
+                            pool = full if scope == "g" else index >> shift & full
+                            opponents = index & ~(full << shift)
+                            profiles = properties._context(evaluator, player, opponents)[0]
+                            verdict = properties._settled(alone, pool, profiles)
+                            assert verdict in (None, passes), (game.name, family, player, s)
+                            want |= (verdict is not None) << index
+                        got = properties._certificate_slice(masks, passes, pools, in_y, ones)
+                        assert got == want, (game.name, family, scope, player, s, masks)
+                        kinds.add((game.num_players, passes))
+    assert kinds == {(2, False), (2, True), (3, False), (3, True)}
+
+
+def test_a_certificate_slice_that_misses_its_own_index_is_internal(monkeypatch):
+    # the table builder clears each solved pair by its certificate's slice:
+    # a slice that misses the pair it was solved at would leave it open for
+    # ever, so it is an internal error at the first LP
+    monkeypatch.setattr(properties, "_certificate_slice", lambda *a: 0)
+    with pytest.raises(InternalError, match="misses the index it settles"):
+        _built_table(uniform(MIX, "msd:l"), MIX, Evaluator(MIX), True)
 
 
 def test_an_empty_opponent_component_decides_br_corr_without_a_belief_search(monkeypatch):
@@ -903,13 +959,18 @@ def test_pearce_suite_matches_the_check_on_every_restriction():
 def test_pearce_suite_reports_the_checks_entries_on_a_disagreement(monkeypatch):
     # no mixture ever dominates: B of mix, dominated only by a mixture of T
     # and M, is then eliminated under br:l:corr but kept under msd:l.  The
-    # suite's msd side passes every candidate its LP would decide, since an
-    # answer with no certificate is an internal error there; the check's
-    # own msd procedure finds no witness either
+    # suite's msd side passes every candidate its LP would decide, with a
+    # point-mass belief on the lowest profile, since an answer with no
+    # certificate is an internal error there; the check's own msd procedure
+    # finds no witness either
     solved = properties._solved
-    monkeypatch.setattr(
-        properties, "_solved", lambda ev, family, *a: family == "msd" or solved(ev, family, *a)
-    )
+
+    def passing_msd(ev, family, index, player, pool, profiles, s):
+        if family == "msd":
+            return True, (profiles & -profiles, 0)
+        return solved(ev, family, index, player, pool, profiles, s)
+
+    monkeypatch.setattr(properties, "_solved", passing_msd)
     monkeypatch.setattr(dominance, "mixed_dominance_witness", lambda *args, **kwargs: None)
     rep = pearce_equivalence_suite(MIX)
     assert not rep.passed
@@ -1111,7 +1172,7 @@ def test_a_lone_pool_candidate_stores_what_its_procedure_would(game, monkeypatch
                 g, members = restriction_at(game, index), mask_members(pool)
                 assert dominance.mixed_dominance_witness(game, g, player, members, s) is None
                 probe.certificates.setdefault(("br:corr", player, s), ([], []))
-                assert properties._solved(probe, "br:corr", index, player, pool, profiles, s)
+                assert properties._solved(probe, "br:corr", index, player, pool, profiles, s)[0]
         return real_passing(evaluator, family, scope, player, index, candidates)
 
     monkeypatch.setattr(properties, "_passing", routed)
@@ -1188,7 +1249,8 @@ def test_pure_tables_store_nothing_and_pure_queries_settle_nothing(monkeypatch):
     # certificate; per-restriction queries read contexts, and the pure
     # pre-checks decide every strategy of their player, so none is settled
     settled = []
-    monkeypatch.setattr(properties, "_settle", lambda *a: settled.append(a) or 0)
+    monkeypatch.setattr(properties, "_settled", lambda *a: settled.append(a))
+    monkeypatch.setattr(properties, "_solved", lambda *a: settled.append(a) or (False, None))
     for game in (MIX, CHAIN, fixtures.THREE):
         evaluator = Evaluator(game)
         for text in ("sd:l", "sd:g", "br:l:pure", "br:g:pure"):
