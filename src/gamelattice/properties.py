@@ -564,12 +564,16 @@ def _property_table(
                 for masks in stored:
                     if opens[s]:
                         clear(s, passes, masks)
-        while any(opens):
-            index, s = min(((o & -o).bit_length() - 1, s) for s, o in enumerate(opens) if o)
+        # per strategy, its lowest open index, -1 once none is open; a clear
+        # changes only its own strategy's slice, so only that one is rescanned
+        lows = [(o & -o).bit_length() - 1 for o in opens]
+        while max(lows) >= 0:
+            index, s = min((low, s) for s, low in enumerate(lows) if low >= 0)
             pool = full if spec.scope == "g" else index >> shift & full
             profiles = _context(evaluator, i, index & ~(full << shift))[0]
             clear(s, *_solved(evaluator, family, index, i, pool, profiles, s))
-            if opens[s] >> index & 1:
+            lows[s] = (opens[s] & -opens[s]).bit_length() - 1
+            if lows[s] == index:
                 raise InternalError(f"{family}: a certificate's slice misses the index it settles")
         slices[shift:shift + game.sizes[i]] = passing
     return slices

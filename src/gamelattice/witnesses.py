@@ -27,54 +27,53 @@ So the closure ordinal is one past the first limit ordinal.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Callable
 
 from .errors import ValidationError
 from .games import Game, Restriction, mask_members, restriction_top
-from .properties import PropertyProfile, apply_operator, parse_property_spec
-from .symbolic import Piece, SymbolicGame, SymbolicSet
+from .properties import Evaluator, PropertyProfile, apply_operator, parse_property_spec
+from .symbolic import Piece, SymbolicGame, SymbolicSet, _cmp
 
 ONE = Fraction(1)
 TWO = Fraction(2)
 
-_UNIT = SymbolicSet.interval(0, 1)
-_BELOW_ONE = SymbolicSet.interval(0, 1, hi_closed=False)
 _OUTSIDE = SymbolicSet.point(TWO)
 _ONE_TWO = SymbolicSet.points([ONE, TWO])
-_TOP_COMPONENT = _UNIT.union(_OUTSIDE)
+_TOP_COMPONENT = SymbolicSet.interval(0, 1).union(_OUTSIDE)
+# the witness's intersection at its limit: one pair, shared by every limit,
+# so the step memo sees the very same input after it in every iteration
+_LIMIT = (_ONE_TWO, _ONE_TWO)
 
 
 def _psi_threshold(opponent: SymbolicSet) -> tuple[Fraction, bool]:
-    """inf of psi over the opponent's set, with attainment; requires a
-    non-empty opponent set."""
-    low = opponent.intersection(_UNIT)
-    has_two = opponent.contains(TWO)
-    if low.is_empty:
-        return ONE, has_two
-    c, attained = low.infimum()
-    tau = (1 + c) / 2
-    if tau == 1:
-        return ONE, attained or has_two
-    return tau, attained
+    """inf of psi over a non-empty opponent set inside [0,1] u {2}, with
+    attainment.  psi rises with y up to y = 1 and is 1 from there on, so the
+    inf is psi of the first piece's lower end c, attained when that end is
+    closed; at c >= 1 (the opponent lies in {1, 2}) it is 1, attained."""
+    first = opponent.pieces[0]
+    c = first.lo
+    if _cmp(c, ONE) >= 0:
+        return ONE, True
+    return Fraction(c.numerator + c.denominator, 2 * c.denominator), first.lo_closed
 
 
 def _eliminate_one_side(own: SymbolicSet, opponent: SymbolicSet) -> SymbolicSet:
-    if opponent.is_empty:
+    """own's survivors against opponent, both inside [0,1] u {2}: own
+    intersected once with the set of survivors, built from canonical pieces.
+    That set is [tau,1), closed at tau when attained, joined with {1} unless
+    the opponent lies in {1, 2} (exactly when tau < 1, so the two make one
+    piece [tau,1]), plus {2} unless the opponent lies in [0,1), that is
+    unless its last piece ends below 1 or at an open 1."""
+    if not opponent.pieces:
         return SymbolicSet.empty()
     tau, attained = _psi_threshold(opponent)
-    surviving_low = own.intersection(
-        SymbolicSet.interval(tau, 1, lo_closed=attained, hi_closed=False)
-    )
-    out = surviving_low
-    opp_in_tail = opponent.difference(_ONE_TWO).is_empty
-    if own.contains(ONE) and not opp_in_tail:
-        out = out.union(SymbolicSet.point(ONE))
-    opp_below_one = opponent.difference(_BELOW_ONE).is_empty
-    if own.contains(TWO) and not opp_below_one:
-        out = out.union(_OUTSIDE)
-    return out
+    keep = (Piece(tau, ONE, attained, True),) if _cmp(tau, ONE) < 0 else ()
+    last = opponent.pieces[-1]
+    order = _cmp(last.hi, ONE)
+    if order > 0 or order == 0 and last.hi_closed:
+        keep += _OUTSIDE.pieces
+    return own.intersection(SymbolicSet(keep))
 
 
 def _witness_step(sets):
@@ -82,38 +81,68 @@ def _witness_step(sets):
     return (_eliminate_one_side(x, y), _eliminate_one_side(y, x))
 
 
+def _step_memo(step):
+    """step, computed once per input object.  The memo is keyed by the
+    input's identity, and holds every input it has seen, so no id is reused
+    while the memo lives.  It hits only where the engine steps the very
+    iterate it stepped before: the game's initial sets, a memoised step's
+    answer, or a limit rule's shared answer."""
+    memo = {}
+
+    def memoised(sets):
+        seen = memo.get(id(sets))
+        if seen is None:
+            seen = memo[id(sets)] = (sets, step(sets))
+        return seen[1]
+
+    return memoised
+
+
 def _lower_end(s: SymbolicSet) -> Fraction:
     """l when s is [l,1] u {2} with l < 1; a limit-stage ValidationError,
     probing s's lowest point, otherwise.  For a closed l < 1 that set's
-    canonical pieces are [l,1] and {2}, so s's own pieces are compared."""
-    low, closed = s.infimum() if s.pieces else (None, False)
-    if not (closed and low < 1 and s.pieces == (Piece(low, ONE, True, True), *_OUTSIDE.pieces)):
-        raise ValidationError(
-            f"limit: {s} is not [l,1] u {{2}} with l < 1", "limit", witness=low
-        )
-    return low
+    canonical pieces are [l,1] and {2}, so s's own pieces are tested."""
+    pieces = s.pieces
+    low = pieces[0].lo if pieces else None
+    if len(pieces) == 2:
+        tail, outside = pieces
+        if (
+            tail.lo_closed
+            and tail.hi_closed
+            and _cmp(low, ONE) < 0
+            and _cmp(tail.hi, ONE) == 0
+            and _cmp(outside.lo, TWO) == 0
+            and _cmp(outside.hi, TWO) == 0
+        ):
+            return low
+    raise ValidationError(
+        f"limit: {s} is not [l,1] u {{2}} with l < 1", "limit", witness=low
+    )
 
 
 def _witness_limit(block):
     """{1, 2} per player, checked: every iterate of the block is [l,1] u {2}
-    with l < 1, and each recorded step sends l to (1 + l)/2.  The lower ends
-    then rise to the map's fixed point 1 without reaching it, so the chain's
-    intersection is {1} u {2}.  Any other block, one that records no step
-    included, raises a ValidationError with stage "limit" and the offending
-    lower end as its probe."""
+    with l < 1, and each recorded step sends l to (1 + l)/2, tested as the
+    integer identity 2 l'.num l.den == (l.num + l.den) l'.den.  The lower
+    ends then rise to the map's fixed point 1 without reaching it, so the
+    chain's intersection is {1} u {2}.  Any other block, one that records no
+    step included, raises a ValidationError with stage "limit" and the
+    offending lower end as its probe.  Every call returns the one pair
+    `_LIMIT`."""
     if len(block) < 2:
         raise ValidationError("limit: the block records no step", "limit")
     for i in range(len(block[0])):
         ends = [_lower_end(sets[i]) for sets in block]
         for low, nxt in zip(ends, ends[1:]):
-            if nxt != (1 + low) / 2:
+            n, d = low.numerator, low.denominator
+            if 2 * nxt.numerator * d != (n + d) * nxt.denominator:
                 raise ValidationError(
                     f"limit: player {i + 1}'s lower end went from {low} to {nxt},"
                     f" not to {(1 + low) / 2}",
                     "limit",
                     witness=nxt,
                 )
-    return tuple(_ONE_TWO for _ in block[0])
+    return _LIMIT
 
 
 def transfinite_witness() -> SymbolicGame:
@@ -124,7 +153,7 @@ def transfinite_witness() -> SymbolicGame:
     return SymbolicGame(
         name="witness-tg",
         initial=(_TOP_COMPONENT, _TOP_COMPONENT),
-        step=functools.cache(_witness_step),
+        step=_step_memo(_witness_step),
         limit=_witness_limit,
         encodes="sd:g",
     )
@@ -135,7 +164,9 @@ def transfinite_witness() -> SymbolicGame:
 
 def lift_finite_game(game: Game, profile: PropertyProfile) -> SymbolicGame:
     """Embed a finite game as point sets; the step applies the profile's
-    elimination operator through the encoding."""
+    elimination operator through the encoding, every step sharing one
+    Evaluator."""
+    evaluator = Evaluator(game)
 
     def encode(r: Restriction):
         return tuple(
@@ -152,7 +183,7 @@ def lift_finite_game(game: Game, profile: PropertyProfile) -> SymbolicGame:
         )
 
     def step(sets):
-        return encode(apply_operator(profile, game, decode(sets)))
+        return encode(apply_operator(profile, game, decode(sets), evaluator))
 
     def limit(block):
         """Refuses: a finite game whose last step still removed something

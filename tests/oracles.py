@@ -10,11 +10,12 @@ a verdict store, the symbolic set algebra as one sorted sweep over every
 operand's boundary cuts, and the lattice verifiers on image tables held as
 lists of 2^K lattice indices, with the transpose of a table's bit-slices
 into that list and the subset sum that counts monotonicity violations per
-index."""
+index, and the transfinite witness's step through the set algebra."""
 
 import itertools
 from functools import reduce
 from itertools import compress
+from fractions import Fraction
 from math import lcm
 from operator import add, or_
 from typing import Iterator, Sequence
@@ -51,7 +52,7 @@ from gamelattice.iteration import (
     table_slices,
 )
 from gamelattice.reports import CheckReport
-from gamelattice.symbolic import INF, NEG_INF, Piece
+from gamelattice.symbolic import INF, NEG_INF, Piece, SymbolicSet
 
 
 def _block_partitions(members: Sequence[int]) -> list[list[int]]:
@@ -427,6 +428,42 @@ def sweep_difference(a, b) -> tuple[Piece, ...]:
 
 def sweep_complement(a) -> tuple[Piece, ...]:
     return sweep((a.pieces,), lambda d: not d[0])
+
+
+# one side of `witnesses.transfinite_witness`'s step, decided by set
+# operations on the whole sets rather than read off their canonical pieces:
+# x in [0,1) survives from psi's threshold up, 1 unless the opponent lies in
+# {1, 2}, and 2 unless it lies in [0,1)
+_UNIT = SymbolicSet.interval(0, 1)
+_BELOW_ONE = SymbolicSet.interval(0, 1, hi_closed=False)
+_OUTSIDE = SymbolicSet.point(2)
+_ONE_TWO = SymbolicSet.points([1, 2])
+
+
+def psi_threshold_by_sets(opponent: SymbolicSet) -> tuple[Fraction, bool]:
+    """inf of psi over the opponent's set, with attainment; requires a
+    non-empty opponent set."""
+    low = opponent.intersection(_UNIT)
+    has_two = opponent.contains(2)
+    if low.is_empty:
+        return Fraction(1), has_two
+    c, attained = low.infimum()
+    tau = (1 + c) / 2
+    if tau == 1:
+        return Fraction(1), attained or has_two
+    return tau, attained
+
+
+def eliminate_one_side_by_sets(own: SymbolicSet, opponent: SymbolicSet) -> SymbolicSet:
+    if opponent.is_empty:
+        return SymbolicSet.empty()
+    tau, attained = psi_threshold_by_sets(opponent)
+    out = own.intersection(SymbolicSet.interval(tau, 1, lo_closed=attained, hi_closed=False))
+    if own.contains(1) and not opponent.difference(_ONE_TWO).is_empty:
+        out = out.union(SymbolicSet.point(1))
+    if own.contains(2) and not opponent.difference(_BELOW_ONE).is_empty:
+        out = out.union(_OUTSIDE)
+    return out
 
 
 def witness_model_thm1(game: Game, profile: properties.PropertyProfile) -> WitnessResult:

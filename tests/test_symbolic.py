@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamelattice import cli, fixtures
+from gamelattice import cli, fixtures, properties, symbolic, witnesses
 from gamelattice.errors import ValidationError
 from gamelattice.games import mask_members
 from gamelattice.ordinals import Ordinal, parse_ordinal
@@ -31,6 +31,7 @@ from gamelattice.witnesses import (
     transfinite_witness,
 )
 from oracles import (
+    eliminate_one_side_by_sets,
     sweep_complement,
     sweep_difference,
     sweep_from_pieces,
@@ -277,6 +278,18 @@ def test_a_transfinite_run_compares_no_fraction_with_a_float(monkeypatch, witnes
     assert floats == []
 
 
+def test_a_witness_run_pins_its_walks_and_hashes_no_fraction(monkeypatch):
+    # one merge walk per side of each step, and those of the descent checks;
+    # the step memo is keyed by its input's identity, so no Fraction is hashed
+    walks, hashes = [], []
+    walk, fraction_hash = symbolic._walk, Fraction.__hash__
+    monkeypatch.setattr(symbolic, "_walk", lambda *args: walks.append(args) or walk(*args))
+    monkeypatch.setattr(Fraction, "__hash__", lambda q: hashes.append(q) or fraction_hash(q))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["transfinite", "run", "--json", "witness-tg"]) == 0
+    assert (len(walks), len(hashes)) == (182, 0)
+
+
 def test_witness_not_stable_at_first_limit():
     w = transfinite_witness()
     trace = iterate_symbolic(w, parse_ordinal("2w+5"))
@@ -417,6 +430,37 @@ def test_witness_step_matches_its_payoffs(xs, ys):
     new_x, new_y = _witness_step((SymbolicSet.points(xs), SymbolicSet.points(ys)))
     assert new_x == SymbolicSet.points(x for x in xs if not _dominated(x, ys))
     assert new_y == SymbolicSet.points(y for y in ys if not _dominated(y, xs))
+
+
+# lower ends 0, 1 and 1 - 2^-k for k <= 6: psi's threshold (1 + c)/2 of one
+# is the next, so a set's ends meet its opponent's threshold, open or closed
+WITNESS_ENDS = sorted({1 - Fraction(1, 2**k) for k in range(7)} | {Fraction(1)})
+
+
+@st.composite
+def witness_sets(draw):
+    """A subset of [0,1] u {2}, the witness's strategy space: up to three
+    points or intervals with open or closed ends on WITNESS_ENDS, and {2}
+    or not."""
+    pieces = []
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = sorted((draw(st.sampled_from(WITNESS_ENDS)), draw(st.sampled_from(WITNESS_ENDS))))
+        if a == b or draw(st.booleans()):
+            pieces.append(Piece(a, a, True, True))
+        else:
+            pieces.append(Piece(a, b, draw(st.booleans()), draw(st.booleans())))
+    if draw(st.booleans()):
+        pieces.append(Piece(Fraction(2), Fraction(2), True, True))
+    return SymbolicSet.from_pieces(pieces)
+
+
+@given(x=witness_sets(), y=witness_sets())
+@settings(max_examples=400, deadline=None)
+def test_witness_step_matches_its_set_algebra_decision(x, y):
+    assert _witness_step((x, y)) == (
+        eliminate_one_side_by_sets(x, y),
+        eliminate_one_side_by_sets(y, x),
+    )
 
 
 # -- limit rules that refuse ----------------------------------------------------
@@ -597,6 +641,22 @@ def test_embedding_consistency(game, prop):
         for i in game.players():
             members = {s for s in game.strategies(i) if sets[i].contains(s)}
             assert members == set(mask_members(r.masks[i]))
+
+
+def test_a_lifted_run_builds_one_evaluator(monkeypatch):
+    # every step of the lifted game asks its operator on one Evaluator, and
+    # the run applies the operator once per step of each of its two passes
+    built, applied = [], []
+    init, apply = properties.Evaluator.__init__, witnesses.apply_operator
+    monkeypatch.setattr(
+        properties.Evaluator, "__init__", lambda self, game: built.append(game) or init(self, game)
+    )
+    monkeypatch.setattr(
+        witnesses, "apply_operator", lambda *args: applied.append(args) or apply(*args)
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["transfinite", "run", "--json", "embedded-finite-pd"]) == 0
+    assert (len(built), len(applied)) == (1, 4)
 
 
 def test_registry_round_trip():
