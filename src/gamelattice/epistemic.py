@@ -272,6 +272,50 @@ class CkCbResult:
     early_exit: bool
 
 
+def _runs(sizes, shifts, runs, i=0):
+    """Every choice of the rows of players i to the second-to-last, in
+    product order, each given as the runs of states on which those rows and
+    the earlier ones agree: `(prefix lattice bits, run length)` pairs in
+    state order, the prefix holding one bit per player before the last.
+
+    Each player's row is a non-decreasing block within each run of the
+    earlier rows, and the row's blocks are listed by
+    `combinations_with_replacement`.  `product` varies its last factor
+    fastest, so the rows come in their own tuple order."""
+    if i == len(sizes) - 1:
+        yield runs
+        return
+    bits = [1 << shifts[i] + s for s in range(sizes[i])]
+    options = [
+        [
+            tuple((prefix | bits[s], len(list(same))) for s, same in itertools.groupby(block))
+            for block in itertools.combinations_with_replacement(range(sizes[i]), length)
+        ]
+        for prefix, length in runs
+    ]
+    for choice in itertools.product(*options):
+        yield from _runs(sizes, shifts, tuple(itertools.chain.from_iterable(choice)), i + 1)
+
+
+def _rank(sizes, shifts, runs, blocks) -> int:
+    """The product-order rank of the assignment whose states choose, run by
+    run, the strategies of the run's prefix and the last player's block."""
+    rows = [
+        [
+            (prefix >> shift & (1 << size) - 1).bit_length() - 1
+            for prefix, length in runs
+            for _ in range(length)
+        ]
+        for size, shift in zip(sizes[:-1], shifts[:-1])
+    ]
+    rows.append(itertools.chain.from_iterable(blocks))
+    rank = 0
+    for size, row in zip(sizes, rows):
+        for s in row:
+            rank = rank * size + s
+    return rank
+
+
 def _walk(
     game: Game, omega: int, profile: PropertyProfile, evaluator: Evaluator
 ) -> tuple[int, int]:
@@ -284,23 +328,28 @@ def _walk(
     # the same strategies.  Product order, the tuple order of the players'
     # rows (each row omega digits below k), reaches first the member whose
     # per-state joint strategies do not decrease.  Those representatives are
-    # visited in that order, so the gathered restriction follows the product
-    # walk's path and the early exit falls at the same assignment, whose rank
-    # counts the models.
-    joint_list = list(game.joint_strategies())
-    index_of = dict(zip(joint_list, _state_indices(game, joint_list)))
-    representatives = sorted(
-        tuple(zip(*per_state))
-        for per_state in itertools.combinations_with_replacement(joint_list, omega)
-    )
+    # generated in that order, `_runs` expanding the players before the last
+    # and one `product` of the last player's blocks per run, so the gathered
+    # restriction follows the product walk's path and the early exit falls
+    # at the same assignment, whose rank counts the models.
+    sizes, shifts = game.sizes, game.shifts
+    last = range(sizes[-1])
+    # per run length, the masks of the last player's non-decreasing blocks
+    masks_of = {
+        length: [
+            _or_all(1 << shifts[-1] + s for s in block)
+            for block in itertools.combinations_with_replacement(last, length)
+        ]
+        for length in range(1, omega + 1)
+    }
 
-    top = (1 << sum(game.sizes)) - 1
+    top = (1 << sum(sizes)) - 1
     # each global player's (family, bit shift, field), resolved once for
     # `_passing`; a local player passes every strategy, at the bits `free`
     free = 0
     globals_ = []
     for i, spec in enumerate(profile.specs):
-        shift, full = game.shifts[i], (1 << game.sizes[i]) - 1
+        shift, full = shifts[i], (1 << sizes[i]) - 1
         if spec.scope == "g":
             globals_.append((i, _family(spec, game), shift, full))
         else:
@@ -308,38 +357,49 @@ def _walk(
     # per image index, the passing strategies of every player there
     passing_at: dict[int, int] = {}
     acc = 0
-    for rows in representatives:
-        # states choosing the same joint strategy pass or fail together
-        joints = {index_of[joint] for joint in zip(*rows)}
-        image = _or_all(joints)
-        # A gathered state adds the strategies chosen there, so an assignment
-        # whose states all choose gathered strategies cannot change acc.
-        if not image & ~acc:
-            continue
-        # The states gathered are the greatest set G each player's
-        # rationality holds on at G's own image: peel the failing joints
-        # until none fails.
-        while image:
-            passing = passing_at.get(image)
-            if passing is None:
-                passing = free
-                for i, family, shift, full in globals_:
-                    ok = _passing(evaluator, family, "g", i, image, image >> shift & full)
-                    passing |= ok << shift
-                passing_at[image] = passing
-            kept = [idx for idx in joints if not idx & ~passing]
-            if len(kept) == len(joints):
-                break
-            joints = kept
-            image = _or_all(kept)
-        acc |= image
-        if acc == top:
-            rank = 0
-            for size, row in zip(game.sizes, rows):
-                for s in row:
-                    rank = rank * size + s
-            return acc, rank
-    return acc, len(joint_list) ** omega - 1
+    for runs in _runs(sizes, shifts, ((0, omega),)):
+        # per run, its prefix with each of the last player's block masks:
+        # the joints a run's states choose are its prefix with one bit each
+        choices = [[prefix | mask for mask in masks_of[length]] for prefix, length in runs]
+        prefixes = [prefix for prefix, _ in runs]
+        for pos, parts in enumerate(itertools.product(*choices)):
+            image = functools.reduce(operator.or_, parts)
+            # The states gathered are the greatest set G each player's
+            # rationality holds on at G's own image: peel the failing joints
+            # until none fails.  The runs' prefixes differ, so a run's joints
+            # pass exactly when its prefix lies inside the passing strategies,
+            # and its part is then cut to them; cutting the original parts
+            # to the current image and its passing strategies keeps the same
+            # joints as cutting the last peel's.  A gathered state adds the
+            # strategies chosen there, and the peel only drops states, so it
+            # stops once what it can still keep lies inside acc: a
+            # representative whose states all choose gathered strategies is
+            # skipped before any lookup.
+            while image & ~acc:
+                passing = passing_at.get(image)
+                if passing is None:
+                    passing = free
+                    for i, family, shift, full in globals_:
+                        ok = _passing(evaluator, family, "g", i, image, image >> shift & full)
+                        passing |= ok << shift
+                    passing_at[image] = passing
+                if not image & ~passing:
+                    acc |= image
+                    break
+                cut = image & passing
+                if not cut & ~acc:
+                    break
+                image = _or_all(
+                    part & cut
+                    for prefix, part in zip(prefixes, parts)
+                    if not prefix & ~cut and part & cut != prefix
+                )
+            if acc == top:
+                blocks = itertools.product(
+                    *(itertools.combinations_with_replacement(last, length) for _, length in runs)
+                )
+                return acc, _rank(sizes, shifts, runs, next(itertools.islice(blocks, pos, None)))
+    return acc, math.prod(sizes) ** omega - 1
 
 
 def enumerate_ck_cb(
@@ -359,20 +419,21 @@ def enumerate_ck_cb(
     assignment per orbit under relabelling of the states, the one whose
     per-state joint strategies do not decrease, and visits these
     representatives in the order of their rank among all assignments in
-    product order, the tuple order of their per-player rows, reading each
-    state's lattice index from a table built once per walk.  It skips a
-    representative none of whose states could add a strategy, and gathers
-    from an evaluated one the union of the sets of states that some
-    correspondence of each player makes evident inside that player's
-    rationality, by one peel (`_walk`).  `models_enumerated` counts every
-    model up to the early exit, relabelled ones included: (rank + 1) times
-    the correspondence combinations per assignment, the rank read from the
-    exiting representative's rows.  The representatives
-    are listed and sorted in full before the walk begins, so they cost
-    their whole count in time and memory even where the early exit comes
-    at a low rank; the budget bounds that count by the budget over the
-    correspondence combinations (1,287 at omega = 5 on 3x3), and only
-    `budget=None` leaves it unbounded.
+    product order, the tuple order of their per-player rows.  They are
+    generated lazily in that order (`_runs`), as runs of states on which
+    the rows of the players before the last agree and one product of the
+    last player's blocks per item, so a walk pays only for the
+    representatives it visits.  It skips a representative none of whose
+    states could add a strategy, and gathers from an evaluated one the
+    union of the sets of states that some correspondence of each player
+    makes evident inside that player's rationality, by one peel over its
+    runs (`_walk`).  `models_enumerated` counts every model up to the
+    early exit, relabelled ones included: (rank + 1) times the
+    correspondence combinations per assignment, the rank read from the
+    exiting representative's rows.  The budget bounds the representatives
+    a walk may visit by the budget over the correspondence combinations
+    (1,287 at omega = 5 on 3x3), and only `budget=None` leaves it
+    unbounded.
 
     The budget is charged with the models of the assignments it evaluates:
     one assignment per orbit, C(J + omega - 1, omega) of them for J joint

@@ -17,20 +17,20 @@ def json_ready(value):
     """Recursively convert package values to JSON-encodable ones.
 
     Fractions become 'p/q' strings, sets become sorted lists, tuples become
-    lists; any other type is a TypeError.
+    lists; any other type is a TypeError.  The JSON-native classes are
+    tested first, as none of them is a Fraction, so those values never
+    reach the Fraction test's abstract-class check.
     """
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
+    if value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, dict):
         return {str(k): json_ready(v) for k, v in value.items()}
-    if isinstance(value, (set, frozenset)):
-        return [json_ready(v) for v in sorted(value)]
     if isinstance(value, (list, tuple)):
         return [json_ready(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (set, frozenset)):
+        return [json_ready(v) for v in sorted(value)]
     raise TypeError(f"{type(value).__name__} values are not allowed in reports")
 
 

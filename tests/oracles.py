@@ -2,8 +2,10 @@
 generators of every possibility correspondence of each class, the Monderer
 and Samet form of common knowledge, the decision of a player's marked sets
 by walking every partition of every set of states and by the good-block
-recursion, the CK/CB walk that ANDs every player's marked sets, the rank of
-a strategy assignment in product order, one player's integer payoff and beater
+recursion, the CK/CB walk that ANDs every player's marked sets and the one
+that lists and sorts every representative before it walks them, the rank
+of a strategy assignment in product order, the JSON conversion of report
+values with its Fraction test first, one player's integer payoff and beater
 tables, built cell by cell, a property's image table, asked one lattice
 index at a time, the property queries and tables of an Evaluator that keeps
 a verdict store, the symbolic set algebra as one sorted sweep over every
@@ -239,6 +241,58 @@ def marked_sets_walk(
     return acc, len(joint_list) ** omega - 1
 
 
+def sorted_walk(
+    game: Game, omega: int, profile: properties.PropertyProfile, evaluator: properties.Evaluator
+) -> tuple[int, int]:
+    """The `(acc, rank)` that `epistemic._walk` returns, with every
+    representative listed by `combinations_with_replacement` over the joint
+    strategies and sorted by its rows before the first is visited.  Each is
+    skipped when its joints' image lies inside `acc`, and otherwise peeled
+    joint by joint: the joints outside the passing strategies at the
+    current image are dropped until none is.  `properties._passing` is asked
+    once per (global player, image index), with the image's own strategies
+    as candidates."""
+    joint_list = list(game.joint_strategies())
+    index_of = dict(zip(joint_list, _state_indices(game, joint_list)))
+    representatives = sorted(
+        tuple(zip(*per_state))
+        for per_state in itertools.combinations_with_replacement(joint_list, omega)
+    )
+    top = (1 << sum(game.sizes)) - 1
+    free = 0
+    globals_ = []
+    for i, spec in enumerate(profile.specs):
+        shift, full = game.shifts[i], (1 << game.sizes[i]) - 1
+        if spec.scope == "g":
+            globals_.append((i, properties._family(spec, game), shift, full))
+        else:
+            free |= full << shift
+    passing_at: dict[int, int] = {}
+    acc = 0
+    for rows in representatives:
+        joints = {index_of[joint] for joint in zip(*rows)}
+        image = _or_all(joints)
+        if not image & ~acc:
+            continue
+        while image:
+            passing = passing_at.get(image)
+            if passing is None:
+                passing = free
+                for i, family, shift, full in globals_:
+                    ok = properties._passing(evaluator, family, "g", i, image, image >> shift & full)
+                    passing |= ok << shift
+                passing_at[image] = passing
+            kept = [idx for idx in joints if not idx & ~passing]
+            if len(kept) == len(joints):
+                break
+            joints = kept
+            image = _or_all(kept)
+        acc |= image
+        if acc == top:
+            return acc, product_rank(game.sizes, tuple(zip(*rows)))
+    return acc, len(joint_list) ** omega - 1
+
+
 def product_rank(sizes: Sequence[int], per_state: Sequence[Sequence[int]]) -> int:
     """The rank among all strategy assignments in product order of the one
     choosing the joint strategy per_state[w] at state w: per player, the row
@@ -249,6 +303,25 @@ def product_rank(sizes: Sequence[int], per_state: Sequence[Sequence[int]]) -> in
         for joint in per_state:
             r = r * k + joint[i]
     return r
+
+
+def json_ready(value):
+    """`reports.json_ready` with the Fraction test first, then bool and
+    None, int and str, dict, set and list, as the package once ordered its
+    tests."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, bool) or value is None:
+        return value
+    if isinstance(value, (int, str)):
+        return value
+    if isinstance(value, dict):
+        return {str(k): json_ready(v) for k, v in value.items()}
+    if isinstance(value, (set, frozenset)):
+        return [json_ready(v) for v in sorted(value)]
+    if isinstance(value, (list, tuple)):
+        return [json_ready(v) for v in value]
+    raise TypeError(f"{type(value).__name__} values are not allowed in reports")
 
 
 def comparison_tables(game: Game, player: int) -> tuple[list[list[int]], list[list[int]]]:

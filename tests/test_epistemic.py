@@ -6,6 +6,8 @@ import random
 from operator import or_
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gamelattice import dominance, epistemic, fixtures, lp
 from gamelattice.epistemic import (
@@ -51,6 +53,7 @@ from oracles import (
     partial_partitions,
     product_rank,
     set_partitions,
+    sorted_walk,
     walked_marked_sets,
 )
 from oracles import witness_model_thm1 as oracle_witness_thm1
@@ -655,7 +658,7 @@ def seeded_game(seed, sizes=(2, 2), bound=3):
     """A game of the given shape, 2x2 by default, with payoffs drawn from
     [-bound, bound] by a generator seeded with `seed`."""
     rng = random.Random(seed)
-    names = [tuple(f"{'abc'[i]}{k + 1}" for k in range(n)) for i, n in enumerate(sizes)]
+    names = [tuple(f"{'abcd'[i]}{k + 1}" for k in range(n)) for i, n in enumerate(sizes)]
     payoffs = {
         joint: tuple(rng.randint(-bound, bound) for _ in sizes)
         for joint in itertools.product(*names)
@@ -977,26 +980,59 @@ def test_enumerate_early_exits_are_pinned_beyond_the_brute_force(game, omega, mo
         ), text
 
 
-class _Walk(list):
-    """A list that keeps the last item its iteration handed out."""
+def _per_state(sizes, shifts, runs, blocks):
+    """The per-state joint strategies of the representative whose runs'
+    states choose their prefix's strategies, then the last player's block."""
+    return tuple(
+        tuple(
+            mask_members(prefix >> shift & (1 << size) - 1)[0]
+            for size, shift in zip(sizes[:-1], shifts[:-1])
+        )
+        + (s,)
+        for (prefix, _), block in zip(runs, blocks)
+        for s in block
+    )
 
-    def __iter__(self):
-        for item in super().__iter__():
-            self.last = item
+
+def _expanded(sizes, shifts, runs):
+    """The representatives one item of `epistemic._runs` stands for, in
+    product order: every product of the last player's non-decreasing blocks
+    over the item's runs."""
+    blocks = (
+        itertools.combinations_with_replacement(range(sizes[-1]), length) for _, length in runs
+    )
+    for choice in itertools.product(*blocks):
+        yield _per_state(sizes, shifts, runs, choice)
+
+
+def _generated(sizes, shifts, omega):
+    """Every representative the walk generates, in its order."""
+    return [
+        per_state
+        for runs in epistemic._runs(sizes, shifts, ((0, omega),))
+        for per_state in _expanded(sizes, shifts, runs)
+    ]
+
+
+def _recorded_walk(monkeypatch):
+    """The items each walk from now on draws from `epistemic._runs`, and the
+    representative each early exit ranks, as per-state joint strategies."""
+    drawn, exits = [], []
+    runs_of, rank_of = epistemic._runs, epistemic._rank
+
+    def runs(sizes, shifts, runs, i=0):
+        for item in runs_of(sizes, shifts, runs, i):
+            if i == 0:
+                drawn.append(item)
             yield item
 
+    def rank(sizes, shifts, runs, blocks):
+        exits.append(_per_state(sizes, shifts, runs, blocks))
+        return rank_of(sizes, shifts, runs, blocks)
 
-def _walks(monkeypatch):
-    """The representatives each `enumerate_ck_cb` call from now on sorts, as
-    `_Walk`s, so each also keeps the one its walk visited last."""
-    walks = []
-
-    def recorded(items, **kwargs):
-        walks.append(_Walk(sorted(items, **kwargs)))
-        return walks[-1]
-
-    monkeypatch.setattr(epistemic, "sorted", recorded, raising=False)
-    return walks
+    monkeypatch.setattr(epistemic, "_runs", runs)
+    monkeypatch.setattr(epistemic, "_rank", rank)
+    return drawn, exits
 
 
 SHAPE_CASES = [
@@ -1010,17 +1046,22 @@ SHAPE_CASES = [
     "game,omega", SHAPE_CASES, ids=[f"{g.name}-w{o}" for g, o in SHAPE_CASES]
 )
 def test_representatives_are_walked_in_product_order(game, omega, monkeypatch):
-    # the rows' tuple order is product order: the oracle ranks of the
-    # non-decreasing per-state joint strategies rise strictly along the walk
-    walks = _walks(monkeypatch)
-    enumerate_ck_cb(game, omega, uniform(game, "sd:l"), budget=None)
-    (walk,) = walks
-    per_states = [tuple(zip(*rows)) for rows in walk]
+    # the generated representatives are the non-decreasing per-state joint
+    # strategies, and their oracle ranks rise strictly: the rows' tuple
+    # order is product order.  The walk draws the generator's items in that
+    # order, and stops inside the last one it draws
+    per_states = _generated(game.sizes, game.shifts, omega)
     assert sorted(per_states) == list(
         itertools.combinations_with_replacement(game.joint_strategies(), omega)
     )
     ranks = [product_rank(game.sizes, per_state) for per_state in per_states]
     assert all(a < b for a, b in zip(ranks, ranks[1:]))
+    items = list(epistemic._runs(game.sizes, game.shifts, ((0, omega),)))
+    drawn, exits = _recorded_walk(monkeypatch)
+    assert enumerate_ck_cb(game, omega, uniform(game, "sd:l"), budget=None).early_exit
+    assert drawn == items[: len(drawn)]
+    (exit,) = exits
+    assert exit in _expanded(game.sizes, game.shifts, drawn[-1])
 
 
 @pytest.mark.parametrize(
@@ -1033,13 +1074,79 @@ def test_the_early_exit_counts_the_oracle_rank_of_the_last_representative(
     # models_enumerated is read from the rows of the representative the walk
     # exits at; the oracle ranks that representative's per-state strategies
     combos = epistemic.count_correspondences(omega, mode) ** game.num_players
-    walks = _walks(monkeypatch)
+    _, exits = _recorded_walk(monkeypatch)
     for text in ("sd:l", "br:l:pure"):
         r = enumerate_ck_cb(game, omega, uniform(game, text), mode=mode, budget=None)
         assert r.early_exit, text
-        rank = product_rank(game.sizes, tuple(zip(*walks[-1].last)))
+        rank = product_rank(game.sizes, exits[-1])
         assert r.models_enumerated == (rank + 1) * combos, text
         assert r.models_total == math.prod(game.sizes) ** omega * combos
+    assert len(exits) == 2
+
+
+# (CHAIN at omega 6, profile): the items the walk draws from the generator,
+# the representatives it visits up to its exit, and its `_passing` calls;
+# the first exits early, the second walks all 3,003 representatives
+WORK_PINS = {
+    ("sd:g", "sd:l"): (3, 93, 9),
+    ("sd:l", "sd:g"): (28, 3003, 34),
+}
+
+
+@pytest.mark.parametrize("texts", WORK_PINS, ids="-".join)
+def test_the_walk_draws_and_asks_the_pinned_work(texts, monkeypatch):
+    # The generator is drawn only up to the exit, and the peel stops as soon
+    # as the image lies inside the gathered index, so a representative that
+    # can add no strategy asks nothing: skipping none of them would ask
+    # `_passing` of more images
+    profile = PropertyProfile(tuple(parse_property_spec(t) for t in texts))
+    asked = _recorded(monkeypatch, epistemic, "_passing")
+    drawn, exits = _recorded_walk(monkeypatch)
+    r = enumerate_ck_cb(CHAIN, 6, profile, budget=None)
+    expanded = [
+        per_state
+        for runs in drawn
+        for per_state in _expanded(CHAIN.sizes, CHAIN.shifts, runs)
+    ]
+    visited = expanded.index(exits[0]) + 1 if exits else len(expanded)
+    assert r.early_exit == bool(exits)
+    assert (len(drawn), visited, len(asked)) == WORK_PINS[texts]
+
+
+@given(sizes=st.lists(st.integers(1, 3), min_size=2, max_size=4), omega=st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_the_generated_representatives_are_the_sorted_ones(sizes, omega):
+    # the generator's expansion is the sorted list of every representative's
+    # rows, item by item, on any shape and any state space
+    assume(math.comb(math.prod(sizes) + omega - 1, omega) <= 5000)
+    shifts = tuple(sum(sizes[i + 1:]) for i in range(len(sizes)))
+    joints = itertools.product(*(range(k) for k in sizes))
+    expected = sorted(
+        tuple(zip(*per_state))
+        for per_state in itertools.combinations_with_replacement(joints, omega)
+    )
+    assert [tuple(zip(*ps)) for ps in _generated(sizes, shifts, omega)] == expected
+
+
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+    seed=st.integers(0, 10**6),
+    texts=st.lists(st.sampled_from(WALK_FAMILIES), min_size=4, max_size=4),
+    extra=st.integers(0, 2),
+)
+@settings(max_examples=200, deadline=None)
+def test_the_walk_matches_the_sorted_and_marked_sets_walks(sizes, seed, texts, extra):
+    # on seeded games of every shape, at the least state space and up to
+    # two states more, with any family per player, global or local, pure or
+    # LP: the lazy walk gathers the same index and exits at the same rank
+    # as the walk over the sorted list and as the oracles' marked sets
+    omega = max(sizes) + extra
+    assume(math.comb(math.prod(sizes) + omega - 1, omega) <= 600)
+    game = seeded_game(seed, tuple(sizes))
+    profile = PropertyProfile(tuple(parse_property_spec(t) for t in texts[: len(sizes)]))
+    walked = epistemic._walk(game, omega, profile, Evaluator(game))
+    assert walked == sorted_walk(game, omega, profile, Evaluator(game))
+    assert walked == marked_sets_walk(game, omega, profile, Evaluator(game))
 
 
 def _recorded(monkeypatch, module, name, key=lambda *args: args):

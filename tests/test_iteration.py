@@ -41,7 +41,7 @@ from gamelattice.properties import (
     property_is_monotone,
     property_operator,
 )
-from gamelattice.reports import CheckReport, canonical_json
+from gamelattice.reports import CheckReport, canonical_json, json_ready
 import oracles
 
 PD, MP, MIX, CHAIN = fixtures.PD, fixtures.MP, fixtures.MIX, fixtures.CHAIN
@@ -615,6 +615,35 @@ def test_report_round_trip():
 def test_canonical_json_refuses_values_it_has_no_form_for(value):
     with pytest.raises(TypeError):
         canonical_json({"value": value})
+
+
+# nested report values of every type `json_ready` converts, with floats as
+# the one type it refuses
+REPORT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4) | st.fractions()
+    | st.floats(allow_nan=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.integers() | st.text(max_size=3), inner, max_size=3)
+    | st.frozensets(st.integers(), max_size=3)
+    | st.sets(st.fractions(), max_size=3),
+    max_leaves=12,
+)
+
+
+def _converted(convert, value):
+    try:
+        return "value", convert(value)
+    except TypeError as error:
+        return "error", str(error)
+
+
+@given(value=REPORT_VALUES)
+@settings(max_examples=300, deadline=None)
+def test_json_ready_matches_the_fraction_first_order(value):
+    # testing the JSON-native classes before Fraction converts every value
+    # as testing Fraction first did, and refuses the same ones
+    assert _converted(json_ready, value) == _converted(oracles.json_ready, value)
 
 
 @pytest.mark.parametrize("k", [1, 8, 9, 16, 17])
