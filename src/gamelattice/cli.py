@@ -9,9 +9,10 @@ is not, or an elimination outcome with an empty component under `epistemic
 witness --theorem 1`).  --json switches to the canonical machine-readable
 rendering; the GAMELATTICE_BUDGET environment variable sets the budget of
 every command that has one, unless --budget is given: the round count, the
-lattice size, the model count or the iterate count.  Each command evaluates
-properties through one Evaluator, so its caches live exactly as long as the
-command.
+lattice size, the model count or the iterate count.  The `epistemic`
+commands' monotonicity precondition keeps the built-in lattice budget of
+2^16 restrictions whatever it says.  Each command evaluates properties
+through one Evaluator, so its caches live exactly as long as the command.
 """
 
 from __future__ import annotations

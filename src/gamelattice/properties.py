@@ -119,14 +119,12 @@ class Evaluator:
     index.
 
     `contexts` holds, per (player, opponent bits), what `_context` derives
-    from the context's opponent profiles Y, once: their profile mask, their
-    list and per strategy s, D_s(Y); the opponent bits are the
-    restriction's lattice index with the player's own bits cleared.  It is
-    filled by a per-restriction query (an iteration step, `passing_mask`,
-    the CK/CB walk) and, while an image table is built from bit-slices
-    (`_property_table`), only where an LP runs.  A query recomputes the pure
-    pre-checks for its candidates, a few bit tests each, and stores no
-    verdict.
+    from the context's opponent profiles Y, once: their list and per
+    strategy s, D_s(Y); the opponent bits are the restriction's lattice
+    index with the player's own bits cleared.  Only a per-restriction query
+    (an iteration step, `passing_mask`, the CK/CB walk) fills it, and it
+    recomputes the pure pre-checks for its candidates, a few bit tests
+    each, and stores no verdict.
 
     An open candidate s of an LP family ("msd", "br:corr") on pool P and
     opponent profiles Y is settled from `certificates`, which keeps
@@ -158,7 +156,7 @@ class Evaluator:
     def __init__(self, game: Game):
         self.game = game
         self.payoffs, self.beaters = zip(*(_comparisons(game, i) for i in game.players()))
-        self.contexts: dict[tuple[int, int], tuple[int, list[int], list[int]]] = {}
+        self.contexts: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         self.certificates: dict[tuple, tuple[list, list]] = {}
         self.enumerations: dict[tuple[int, PropertyProfile], tuple[int, int]] = {}
 
@@ -212,12 +210,12 @@ def _comparisons(game: Game, player: int) -> tuple[list[list[int]], list[list[in
 
 def _context(
     evaluator: Evaluator, player: int, opponents: int
-) -> tuple[int, list[int], list[int]]:
+) -> tuple[list[int], list[int]]:
     """The opponent context of `player` at the opponent bits `opponents`,
-    built once per Evaluator: its profile mask (Y), its opponent profiles,
-    ascending row-major numbers over the opponents' strategy sets, and per
-    strategy s, D_s(Y), the AND of beaters[s][y] over y in Y (every
-    strategy when Y is empty)."""
+    built once per Evaluator: its opponent profiles Y, ascending row-major
+    numbers over the opponents' strategy sets, and per strategy s, D_s(Y),
+    the AND of beaters[s][y] over y in Y (every strategy when Y is
+    empty)."""
     context = evaluator.contexts.get((player, opponents))
     if context is None:
         game = evaluator.game
@@ -233,7 +231,7 @@ def _context(
             for y in ys:
                 dominator &= row[y]
             dominators.append(dominator)
-        context = evaluator.contexts[player, opponents] = (sum(1 << y for y in ys), ys, dominators)
+        context = evaluator.contexts[player, opponents] = (ys, dominators)
     return context
 
 
@@ -255,22 +253,6 @@ def _seeded(family: str, sd: int, br: int, nonempty: int) -> tuple[int, int]:
         return br, 0
     open_ = nonempty & sd & ~br
     return (br | sd & ~nonempty if family == "msd" else br), open_
-
-
-def _settled(certificates: tuple[list, list], pool: int, profiles: int) -> bool | None:
-    """The verdict a stored certificate proves on pool `pool` and the
-    profile mask `profiles`, or None: False from a mixture with its support
-    in the pool that beats the candidate at every profile, True from a
-    belief with its support in the profiles under which no strategy of the
-    pool beats it."""
-    mixtures, beliefs = certificates
-    for support, beaten in reversed(mixtures):
-        if not support & ~pool and not profiles & ~beaten:
-            return False
-    for support, beaters in reversed(beliefs):
-        if not support & ~profiles and not pool & beaters:
-            return True
-    return None
 
 
 def _certificate_masks(
@@ -305,14 +287,13 @@ def _certificate_masks(
 
 
 def _solved(
-    evaluator: Evaluator, family: str, index: int, player: int, pool: int,
-    profiles: int, s: int,
+    evaluator: Evaluator, family: str, index: int, player: int, pool: int, s: int
 ) -> tuple[bool, tuple[int, int]]:
     """s's `family` verdict on the restriction with lattice index `index`,
-    with pool `pool` and profile mask `profiles`, from its LP, with the one
-    certificate its answer must carry, the witness or the LP's refutation,
-    reduced to masks; it must prove the verdict there and is stored, and
-    anything else is an InternalError."""
+    with pool `pool`, from its LP, with the one certificate its answer must
+    carry, the witness or the LP's refutation, reduced to masks and stored;
+    an answer with no certificate is an InternalError.  `_settle` checks
+    that the certificate proves the verdict at `index`."""
     game = evaluator.game
     g = restriction_at(game, index)
     members = mask_members(pool)
@@ -329,11 +310,10 @@ def _solved(
         passes = witness is not None
     certificates = refutation if witness is None else [witness]
     masks = [_certificate_masks(evaluator, player, s, c, not passes) for c in certificates]
-    alone = ([], masks) if passes else (masks, [])
-    if len(masks) != 1 or _settled(alone, pool, profiles) is not passes:
+    if len(masks) != 1:
         raise InternalError(
             f"{family}: the certificate for player {player + 1}'s "
-            f"{game.strategy_names[player][s]} on {g.names()} is missing or failed re-validation"
+            f"{game.strategy_names[player][s]} on {g.names()} is missing"
         )
     evaluator.certificates.setdefault((family, player, s), ([], []))[passes].extend(masks)
     return passes, masks[0]
@@ -343,9 +323,9 @@ def _certificate_slice(
     masks: tuple[int, int], passes: bool, pools: list[int], in_y: list[int], ones: int
 ) -> int:
     """The lattice indices where a certificate with masks `masks`, a belief
-    if `passes` and a mixture otherwise, settles its strategy as `_settled`
-    does, as one bit-slice over `ones`, from `_component`'s pool slice per
-    strategy and "Y holds y" slice per profile y: a mixture (support,
+    if `passes` and a mixture otherwise, settles its strategy, as one
+    bit-slice over `ones`, from a pool slice per strategy and a "Y holds y"
+    slice per opponent profile y of the whole game: a mixture (support,
     beaten) where the pool holds its support and Y no profile outside
     `beaten`, a belief (support, beaters) where Y holds its support and the
     pool none of `beaters`."""
@@ -357,19 +337,61 @@ def _certificate_slice(
     return holds & ~reduce(or_, (avoided[x] for x in mask_members(other)), 0)
 
 
+def _settle(
+    evaluator: Evaluator, family: str, scope: str, player: int, s: int, passing: int,
+    open_: int, pools: list[int], in_y: list[int], ones: int, base: int = 0,
+) -> int:
+    """Strategy s's `family` passing slice once its open slice is settled,
+    on slices over `ones` whose bit X stands for lattice index base + X,
+    with `_certificate_slice`'s `pools` and `in_y`.  Each certificate
+    stored for s, newest first, mixtures before beliefs, then the one
+    `_solved` returns for the lowest open index, clears the open bits its
+    slice holds, a belief passing them, until none is open.  s's LPs read
+    and write only s's certificates, so they run in the order of asking one
+    index at a time, whatever strategy is settled first.  A solved
+    certificate whose slice misses its own index does not prove its verdict
+    there, which is an InternalError."""
+    game = evaluator.game
+    shift = game.shifts[player]
+    full = (1 << game.sizes[player]) - 1
+    mixtures, beliefs = evaluator.certificates.get((family, player, s), ([], []))
+    stored = [(True, masks) for masks in beliefs] + [(False, masks) for masks in mixtures]
+    while open_:
+        if stored:
+            own = 0
+            passes, masks = stored.pop()
+        else:
+            own = open_ & -open_
+            index = base + own.bit_length() - 1
+            pool = full if scope == "g" else index >> shift & full
+            passes, masks = _solved(evaluator, family, index, player, pool, s)
+        settled = _certificate_slice(masks, passes, pools, in_y, ones)
+        if own & ~settled:
+            raise InternalError(
+                f"{family}: the certificate for player {player + 1}'s "
+                f"{game.strategy_names[player][s]} on {restriction_at(game, index).names()} "
+                "failed re-validation: its slice misses the index it settles"
+            )
+        if passes:
+            passing |= open_ & settled
+        open_ &= ~settled
+    return passing
+
+
 def _passing(
     evaluator: Evaluator, family: str, scope: str, player: int, index: int, candidates: int
 ) -> int:
     """The strategies in the mask `candidates` that pass `family` on the
     restriction with lattice index `index`: the pure pre-checks, run for
     the candidates alone, are turned into passing and open strategies by
-    `_seeded`, and each open one is settled, in ascending order, by a
-    stored certificate (`_settled`) or else by its own LP (`_solved`)."""
+    `_seeded`, and each open one is settled by `_settle` on the one-index
+    lattice whose bit 0 is `index`: its pool and "Y holds y" slices are the
+    bits of the pool and of Y."""
     game = evaluator.game
     shift = game.shifts[player]
     full = (1 << game.sizes[player]) - 1
     pool = full if scope == "g" else index >> shift & full
-    profiles, ys, dominators = _context(evaluator, player, index & ~(full << shift))
+    ys, dominators = _context(evaluator, player, index & ~(full << shift))
     beaters = evaluator.beaters[player]
     sd = br = 0
     for s in mask_members(candidates):
@@ -383,12 +405,12 @@ def _passing(
                     break
     passing, open_ = _seeded(family, sd, br, full if ys else 0)
     if open_:
+        pools = [pool >> t & 1 for t in range(game.sizes[player])]
+        in_y = [0] * len(beaters[0])
+        for y in ys:
+            in_y[y] = 1
         for s in mask_members(open_):
-            certificates = evaluator.certificates.get((family, player, s), ([], []))
-            verdict = _settled(certificates, pool, profiles)
-            if verdict is None:
-                verdict = _solved(evaluator, family, index, player, pool, profiles, s)[0]
-            passing |= verdict << s
+            passing |= _settle(evaluator, family, scope, player, s, 0, 1, pools, in_y, 1, index) << s
     return passing
 
 
@@ -535,12 +557,9 @@ def _property_table(
     images; otherwise among all of T_i, which is the table a monotonicity
     check compares.  The lattice budget is charged before anything else.
 
-    `_component` gives each player's pure verdicts as the slices of its bits.
-    An LP family's open slices are cleared by each stored certificate's
-    slice (`_certificate_slice`), a belief's passing what it clears, then by
-    the certificate `_solved` gives the lowest open (index, strategy) pair,
-    until none is open: the LPs, in the order, of asking one restriction at
-    a time, with a context built only where an LP runs."""
+    `_component` gives each player's pure verdicts as the slices of its bits,
+    and `_settle` settles an LP family's open slices one strategy at a time,
+    over the whole lattice."""
     ones = (1 << count_restrictions(game, max_restrictions)) - 1
     if len(profile.specs) != game.num_players:
         raise ValueError("profile length differs from the number of players")
@@ -549,33 +568,11 @@ def _property_table(
     slices = [0] * k
     for i, spec in enumerate(profile.specs):
         family = _family(spec, game)
-        shift = game.shifts[i]
-        full = (1 << game.sizes[i]) - 1
         passing, opens, pools, in_y = _component(evaluator, family, spec.scope, i, patterns, own)
-
-        def clear(s, passes, masks):
-            settled = _certificate_slice(masks, passes, pools, in_y, ones)
-            if passes:
-                passing[s] |= opens[s] & settled
-            opens[s] &= ~settled
-
-        for s in range(game.sizes[i]):
-            for passes, stored in enumerate(evaluator.certificates.get((family, i, s), ())):
-                for masks in stored:
-                    if opens[s]:
-                        clear(s, passes, masks)
-        # per strategy, its lowest open index, -1 once none is open; a clear
-        # changes only its own strategy's slice, so only that one is rescanned
-        lows = [(o & -o).bit_length() - 1 for o in opens]
-        while max(lows) >= 0:
-            index, s = min((low, s) for s, low in enumerate(lows) if low >= 0)
-            pool = full if spec.scope == "g" else index >> shift & full
-            profiles = _context(evaluator, i, index & ~(full << shift))[0]
-            clear(s, *_solved(evaluator, family, index, i, pool, profiles, s))
-            lows[s] = (opens[s] & -opens[s]).bit_length() - 1
-            if lows[s] == index:
-                raise InternalError(f"{family}: a certificate's slice misses the index it settles")
-        slices[shift:shift + game.sizes[i]] = passing
+        slices[game.shifts[i]:game.shifts[i] + game.sizes[i]] = [
+            _settle(evaluator, family, spec.scope, i, s, seeded, open_, pools, in_y, ones)
+            for s, (seeded, open_) in enumerate(zip(passing, opens))
+        ]
     return slices
 
 

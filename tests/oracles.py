@@ -379,6 +379,22 @@ def transpose_slices(slices: list[int], k: int) -> list[int]:
     return images
 
 
+def settled(certificates: tuple[list, list], pool: int, profiles: int) -> bool | None:
+    """The verdict a stored certificate proves on pool `pool` and the
+    profile mask `profiles`, or None, asked one (pool, profiles) at a time:
+    False from a mixture with its support in the pool that beats the
+    candidate at every profile, True from a belief with its support in the
+    profiles under which no strategy of the pool beats it, newest first."""
+    mixtures, beliefs = certificates
+    for support, beaten in reversed(mixtures):
+        if not support & ~pool and not profiles & ~beaten:
+            return False
+    for support, beaters in reversed(beliefs):
+        if not support & ~profiles and not pool & beaters:
+            return True
+    return None
+
+
 class VerdictStore:
     """`properties._passing` and `properties._property_table` on
     `evaluator` as they were when the Evaluator also kept its verdicts:
@@ -386,9 +402,10 @@ class VerdictStore:
     (family, player, opponent bits, pool), seeded by `properties._seeded`
     from both pure pre-checks over every strategy.  A query decides each
     candidate its entry leaves open, in ascending order, from a stored
-    certificate or else its own LP (`properties._solved`), and records it
-    in the entry; a table asks the query at every index where
-    `properties._component`'s slices leave a strategy open, and returns its
+    certificate (`settled`) or else its own LP (`properties._solved`), whose
+    certificate must settle it there, and records it in the entry; a table
+    asks the query at every index where `properties._component`'s slices
+    leave a strategy open, in ascending index order, and returns its
     bit-slices, as `properties._property_table` does."""
 
     def __init__(self, evaluator: properties.Evaluator):
@@ -403,7 +420,8 @@ class VerdictStore:
         pool = full if scope == "g" else index >> shift & full
         opponents = index & ~(full << shift)
         key = (family, player, opponents, pool)
-        profiles, ys, dominators = properties._context(evaluator, player, opponents)
+        ys, dominators = properties._context(evaluator, player, opponents)
+        profiles = sum(1 << y for y in ys)
         entry = self.verdicts.get(key)
         if entry is None:
             sd = br = 0
@@ -418,9 +436,10 @@ class VerdictStore:
         open_ = candidates & ~decided
         for s in mask_members(open_):
             certificates = evaluator.certificates.setdefault((family, player, s), ([], []))
-            verdict = properties._settled(certificates, pool, profiles)
+            verdict = settled(certificates, pool, profiles)
             if verdict is None:
-                verdict = properties._solved(evaluator, family, index, player, pool, profiles, s)[0]
+                verdict = properties._solved(evaluator, family, index, player, pool, s)[0]
+                assert settled(certificates, pool, profiles) is verdict
             passing |= verdict << s
         self.verdicts[key] = (decided | open_, passing)
         return passing & candidates

@@ -53,6 +53,7 @@ from oracles import (
     VerdictStore,
     comparison_tables,
     per_index_table,
+    settled,
     transpose_slices,
     violations_below,
 )
@@ -561,13 +562,14 @@ def test_property_tables_match_the_per_restriction_definitions(game):
 def test_queries_and_slices_are_seeded_by_one_rule(game, monkeypatch):
     # `_seeded` turns both `_passing`'s pure pre-checks, on strategy masks,
     # and `_component`'s bit-slices over the lattice into passing and open
-    # strategies: with no stored certificate settling anything and `_solved`
-    # recording each open strategy it is handed and failing it, `_passing`
-    # asked for every strategy runs no LP, and at every index X its mask and
-    # the open strategies must be bit X of the slices of every strategy
+    # strategies: with no certificate stored and `_solved` recording each
+    # open strategy it is handed and failing it, by a certificate whose
+    # slice is every index asked, `_passing` asked for every strategy runs
+    # no LP, and at every index X its mask and the open strategies must be
+    # bit X of the slices of every strategy
     opened = []
-    monkeypatch.setattr(properties, "_settled", lambda *a: None)
-    monkeypatch.setattr(properties, "_solved", lambda *a: opened.append(a[-1]) or (False, None))
+    monkeypatch.setattr(properties, "_certificate_slice", lambda *a: a[-1])
+    monkeypatch.setattr(properties, "_solved", lambda *a: opened.append(a[-1]) or (False, (0, 0)))
     count = 1 << sum(game.sizes)
     patterns = iteration.lattice_patterns(sum(game.sizes))
     evaluator = Evaluator(game)
@@ -595,9 +597,9 @@ def _lp_solves(game, monkeypatch, build, steps):
     solves = []
     real = properties._solved
 
-    def recording(evaluator, family, index, player, pool, profiles, s):
+    def recording(evaluator, family, index, player, pool, s):
         solves.append((family, player, index, s))
-        return real(evaluator, family, index, player, pool, profiles, s)
+        return real(evaluator, family, index, player, pool, s)
 
     monkeypatch.setattr(properties, "_solved", recording)
     evaluator = Evaluator(game)
@@ -610,12 +612,19 @@ def _built_table(profile, game, evaluator, own):
     return properties._property_table(profile, game, evaluator, DEFAULT_LATTICE_BUDGET, own)
 
 
+def _per_strategy(solves):
+    """The `_solved` calls of `_lp_solves`, stably sorted by (family,
+    player, strategy): each strategy's calls in the order they were made."""
+    return sorted(solves, key=lambda call: (call[0], call[1], call[3]))
+
+
 def test_the_table_builder_solves_the_per_index_loops_lps(monkeypatch):
-    # The builder asks _passing only where its slices leave a strategy
-    # open: it must solve the LPs of asking every index, per player in
-    # ascending index, in the same order, build the same tables and store
-    # the same certificates, on a fresh Evaluator per (spec, own) and on
-    # one Evaluator that builds them all in turn
+    # The builder settles one strategy's open slice at a time, and a
+    # strategy's LPs read and write only its own certificates: it must
+    # solve the LPs of asking every index, per player in ascending index,
+    # each (family, player, strategy)'s in the same order, build the same
+    # tables and store the same certificates, on a fresh Evaluator per
+    # (spec, own) and on one Evaluator that builds them all in turn
     games = [MIX, CHAIN, fixtures.THREE, *_table_games()[:5]]
     games += fixtures.random_games(3838, 3, 4, 4)
     games += [_random_game(random.Random(1), (3, 3, 2)), _random_game(random.Random(2), (2, 3, 3))]
@@ -623,9 +632,11 @@ def test_the_table_builder_solves_the_per_index_loops_lps(monkeypatch):
     solving = set()
     for game in games:
         for chain in [[step] for step in steps] + [steps]:
-            got = _lp_solves(game, monkeypatch, _built_table, chain)
-            assert got == _lp_solves(game, monkeypatch, per_index_table, chain), (game.name, chain)
-            if got[0]:
+            solves, *got = _lp_solves(game, monkeypatch, _built_table, chain)
+            want, *asked = _lp_solves(game, monkeypatch, per_index_table, chain)
+            assert got == asked, (game.name, chain)
+            assert _per_strategy(solves) == _per_strategy(want), (game.name, chain)
+            if solves:
                 solving.add(game.num_players)
     assert solving == {2, 3}
 
@@ -633,7 +644,7 @@ def test_the_table_builder_solves_the_per_index_loops_lps(monkeypatch):
 def test_a_certificate_slice_holds_the_indices_its_certificate_settles():
     # every certificate stored while the LP families' image and monotonicity
     # tables are built has, on either scope's pools, a slice whose bit X is
-    # set exactly where `_settled`, handed that certificate alone, settles
+    # set exactly where `oracles.settled`, handed that certificate alone, settles
     # its strategy at lattice index X
     games = [parse_game_file(path) for path in sorted(FIXTURE_DIR.glob("*.game"))]
     games += fixtures.random_games(4747, 4, 4, 4)
@@ -661,8 +672,8 @@ def test_a_certificate_slice_holds_the_indices_its_certificate_settles():
                         for index in range(1 << k):
                             pool = full if scope == "g" else index >> shift & full
                             opponents = index & ~(full << shift)
-                            profiles = properties._context(evaluator, player, opponents)[0]
-                            verdict = properties._settled(alone, pool, profiles)
+                            ys = properties._context(evaluator, player, opponents)[0]
+                            verdict = settled(alone, pool, sum(1 << y for y in ys))
                             assert verdict in (None, passes), (game.name, family, player, s)
                             want |= (verdict is not None) << index
                         got = properties._certificate_slice(masks, passes, pools, in_y, ones)
@@ -671,13 +682,21 @@ def test_a_certificate_slice_holds_the_indices_its_certificate_settles():
     assert kinds == {(2, False), (2, True), (3, False), (3, True)}
 
 
-def test_a_certificate_slice_that_misses_its_own_index_is_internal(monkeypatch):
-    # the table builder clears each solved pair by its certificate's slice:
-    # a slice that misses the pair it was solved at would leave it open for
-    # ever, so it is an internal error at the first LP
+def test_a_certificate_slice_that_misses_its_own_index_is_internal(monkeypatch, capsys):
+    # a table and a query clear each solved index by its certificate's
+    # slice: a slice that misses the index it was solved at would leave it
+    # open for ever, so it is an internal error at the first LP.  B of mix
+    # loses only to a mixture of T and M, so msd leaves it open on the full
+    # game, for the query and for `eliminate`'s first step
     monkeypatch.setattr(properties, "_certificate_slice", lambda *a: 0)
     with pytest.raises(InternalError, match="misses the index it settles"):
         _built_table(uniform(MIX, "msd:l"), MIX, Evaluator(MIX), True)
+    msd = parse_property_spec("msd:l")
+    with pytest.raises(InternalError, match="player 1's B on .* misses the index it settles"):
+        passing_mask(msd, MIX, 0, Restriction(MIX, (0b111, 0b11)), 0b100, Evaluator(MIX))
+    assert main(["eliminate", "--prop", "msd:l", str(FIXTURE_DIR / "mix.game")]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: msd: the certificate") and "misses the index" in err
 
 
 def test_an_empty_opponent_component_decides_br_corr_without_a_belief_search(monkeypatch):
@@ -725,8 +744,8 @@ def test_opponent_profiles_are_the_row_major_numbers_of_the_context():
                     want.append(number)
                 full = (1 << game.sizes[i]) - 1
                 opponents = g.index & ~(full << game.shifts[i])
-                profiles, ys, _ = properties._context(Evaluator(game), i, opponents)
-                assert ys == want and profiles == sum(1 << y for y in want), (g.names(), i)
+                ys, _ = properties._context(Evaluator(game), i, opponents)
+                assert ys == want, (g.names(), i)
 
 
 def test_opponent_profiles_are_keyed_by_the_player():
@@ -965,10 +984,12 @@ def test_pearce_suite_reports_the_checks_entries_on_a_disagreement(monkeypatch):
     # finds no witness either
     solved = properties._solved
 
-    def passing_msd(ev, family, index, player, pool, profiles, s):
+    def passing_msd(ev, family, index, player, pool, s):
         if family == "msd":
+            # with two players the profiles are the opponent's strategies
+            profiles = index >> MIX.shifts[1 - player] & (1 << MIX.sizes[1 - player]) - 1
             return True, (profiles & -profiles, 0)
-        return solved(ev, family, index, player, pool, profiles, s)
+        return solved(ev, family, index, player, pool, s)
 
     monkeypatch.setattr(properties, "_solved", passing_msd)
     monkeypatch.setattr(dominance, "mixed_dominance_witness", lambda *args, **kwargs: None)
@@ -1029,11 +1050,21 @@ def test_certificate_verdicts_are_the_direct_calls(monkeypatch):
     orders through one Evaluator per walk, equals the dominance procedure
     called directly for each candidate; stored certificates settle both
     passes and fails along the way."""
-    real = properties._settled
-    settled = []
-    monkeypatch.setattr(
-        properties, "_settled", lambda *a: settled.append(real(*a)) or settled[-1]
-    )
+    real_slice, real_solved = properties._certificate_slice, properties._solved
+    settles, solving = [], []
+
+    def cleared(masks, passes, *args):
+        # what a stored certificate settles; the slice of a certificate
+        # `_solved` has just returned is taken right after it
+        got = real_slice(masks, passes, *args)
+        if solving:
+            solving.pop()
+        elif got:
+            settles.append(passes)
+        return got
+
+    monkeypatch.setattr(properties, "_certificate_slice", cleared)
+    monkeypatch.setattr(properties, "_solved", lambda *a: solving.append(a) or real_solved(*a))
     specs = [parse_property_spec(text) for text in LP_SPECS]
     checked = 0
     for game in _certificate_games():
@@ -1054,7 +1085,7 @@ def test_certificate_verdicts_are_the_direct_calls(monkeypatch):
                             assert got == want, (game.name, str(spec), g.names(), i)
                             checked += 1
     assert checked > 30000
-    assert settled.count(True) > 0 and settled.count(False) > 0
+    assert settles.count(True) > 0 and settles.count(False) > 0
 
 
 def _lying_on_one_context(monkeypatch, index, player, strategy):
@@ -1165,14 +1196,15 @@ def test_a_lone_pool_candidate_stores_what_its_procedure_would(game, monkeypatch
         shift = game.shifts[player]
         full = (1 << game.sizes[player]) - 1
         pool = full if scope == "g" else index >> shift & full
-        profiles = properties._context(probe, player, index & ~(full << shift))[0]
-        for s in mask_members(candidates) if family == "msd" and profiles else ():
+        ys = properties._context(probe, player, index & ~(full << shift))[0]
+        for s in mask_members(candidates) if family == "msd" and ys else ():
             if not pool & ~(1 << s):
                 calls.append(s)
                 g, members = restriction_at(game, index), mask_members(pool)
                 assert dominance.mixed_dominance_witness(game, g, player, members, s) is None
                 probe.certificates.setdefault(("br:corr", player, s), ([], []))
-                assert properties._solved(probe, "br:corr", index, player, pool, profiles, s)[0]
+                passes, masks = properties._solved(probe, "br:corr", index, player, pool, s)
+                assert passes and settled(([], [masks]), pool, sum(1 << y for y in ys))
         return real_passing(evaluator, family, scope, player, index, candidates)
 
     monkeypatch.setattr(properties, "_passing", routed)
@@ -1248,9 +1280,9 @@ def test_pure_tables_store_nothing_and_pure_queries_settle_nothing(monkeypatch):
     # every other, come from bit-slices and store no context or
     # certificate; per-restriction queries read contexts, and the pure
     # pre-checks decide every strategy of their player, so none is settled
-    settled = []
-    monkeypatch.setattr(properties, "_settled", lambda *a: settled.append(a))
-    monkeypatch.setattr(properties, "_solved", lambda *a: settled.append(a) or (False, None))
+    reached = []
+    monkeypatch.setattr(properties, "_certificate_slice", lambda *a: reached.append(a))
+    monkeypatch.setattr(properties, "_solved", lambda *a: reached.append(a) or (False, None))
     for game in (MIX, CHAIN, fixtures.THREE):
         evaluator = Evaluator(game)
         for text in ("sd:l", "sd:g", "br:l:pure", "br:g:pure"):
@@ -1260,7 +1292,7 @@ def test_pure_tables_store_nothing_and_pure_queries_settle_nothing(monkeypatch):
         assert not evaluator.contexts and not evaluator.certificates
         for text in ("sd:l", "sd:g", "br:l:pure", "br:g:pure"):
             outcome(uniform(game, text), game, evaluator=evaluator)
-        assert evaluator.contexts and not settled
+        assert evaluator.contexts and not reached
         assert not evaluator.certificates
 
 
@@ -1357,16 +1389,14 @@ def _lp_run(game, evaluator, seed):
 
 
 def _recorded_solves(monkeypatch, key):
-    """Per Evaluator, the `key(family, player, index, pool, profiles, s,
-    verdict)` of each `_solved` call made from now on, in order."""
+    """Per Evaluator, the `key(family, player, index, pool, s, verdict)` of
+    each `_solved` call made from now on, in order."""
     solves = {}
     real = properties._solved
 
-    def recording(evaluator, family, index, player, pool, profiles, s):
-        verdict = real(evaluator, family, index, player, pool, profiles, s)
-        solves.setdefault(evaluator, []).append(
-            key(family, player, index, pool, profiles, s, verdict)
-        )
+    def recording(evaluator, family, index, player, pool, s):
+        verdict = real(evaluator, family, index, player, pool, s)
+        solves.setdefault(evaluator, []).append(key(family, player, index, pool, s, verdict))
         return verdict
 
     monkeypatch.setattr(properties, "_solved", recording)
@@ -1377,10 +1407,15 @@ def test_certificates_alone_give_the_verdict_stores_verdicts_and_lps(monkeypatch
     # The same sequence of calls through an Evaluator and through one whose
     # queries and tables keep a verdict store (`oracles.VerdictStore`, routed
     # by the Evaluator it belongs to): every result, every `_solved` call
-    # with its arguments and verdict, in order, and every certificate store
-    # must be the same, on 2-, 3- and 4-player games, whose contexts include
-    # ones with an empty opponent component
-    solves = _recorded_solves(monkeypatch, lambda *call: call)
+    # with its arguments and verdict, each (family, player, strategy)'s in
+    # order, and every certificate store must be the same, on 2-, 3- and
+    # 4-player games, whose contexts include ones with an empty opponent
+    # component
+    solves = _recorded_solves(
+        monkeypatch, lambda family, player, index, pool, s, verdict: (
+            family, player, index, s, pool, verdict
+        )
+    )
     stores = {}
     real_passing, real_table = properties._passing, properties._property_table
 
@@ -1402,7 +1437,7 @@ def test_certificates_alone_give_the_verdict_stores_verdicts_and_lps(monkeypatch
         new, old = Evaluator(game), Evaluator(game)
         stores[old] = VerdictStore(old)
         assert _lp_run(game, new, seed) == _lp_run(game, old, seed), game.name
-        assert solves.get(new) == solves.get(old), game.name
+        assert _per_strategy(solves.get(new, [])) == _per_strategy(solves.get(old, [])), game.name
         assert _stores(new) == _stores(old), game.name
         assert stores[old].verdicts, game.name
         if new in solves:
@@ -1414,10 +1449,12 @@ def test_no_lp_query_reaches_its_lp_twice_in_one_run(monkeypatch):
     # `_solved` stores a certificate that settles the very (pool, profiles)
     # it was solved on, and the stores only grow, so across one Evaluator's
     # whole run no (family, player, pool, profiles, strategy) is solved
-    # twice: every kind of call in one sequence, then just1 and pearce
+    # twice: every kind of call in one sequence, then just1 and pearce.  An
+    # LP runs only where the profiles are non-empty, and there the index's
+    # opponent bits, the player's own bits cleared, name them
     solves = _recorded_solves(
-        monkeypatch, lambda family, player, index, pool, profiles, s, verdict: (
-            family, player, pool, profiles, s
+        monkeypatch, lambda family, player, index, pool, s, verdict: (
+            family, player, pool, index, s
         )
     )
     for seed, game in enumerate(_differential_games()):
@@ -1425,8 +1462,13 @@ def test_no_lp_query_reaches_its_lp_twice_in_one_run(monkeypatch):
         verify_theorem_just1(game)
         pearce_equivalence_suite(game)
     assert sum(map(len, solves.values())) > 100
-    for calls in solves.values():
-        assert len(calls) == len(set(calls))
+    for evaluator, calls in solves.items():
+        sizes, shifts = evaluator.game.sizes, evaluator.game.shifts
+        keys = [
+            (family, player, pool, index & ~((1 << sizes[player]) - 1 << shifts[player]), s)
+            for family, player, pool, index, s in calls
+        ]
+        assert len(keys) == len(set(keys))
 
 
 def test_monotone_msd_lp_count_on_mix(monkeypatch):
