@@ -4,8 +4,13 @@ Pure dominance is a direct quantifier check.  Strict dominance by a mixed
 strategy and best response to a correlated belief, the two sides of Pearce's
 lemma, each solve the same exact max-margin LP over a distribution and hand
 back a certificate of one type, a `Distribution`: a mixture over the player's
-strategies or a belief over the opponents' profiles.  Every certificate is
-re-validated by direct rational evaluation before it is returned.  A negative
+strategies or a belief over the opponents' profiles.  Each procedure reads
+the payoffs its LP needs by stride from `game.payoffs` and scales them to
+ints by that LP's own least common denominator L, so the kernel gets int
+rows, the tableau it would build from the rational rows, and `Fraction`s
+are built only for the LP's value, x* and duals.  Every certificate is
+re-validated against those int payoffs, with its weights over their common
+denominator, before it is returned.  A negative
 answer has a certificate of the other type, by LP duality (Pearce 1984,
 Lemma 3): the LP's optimal dual solution.  A caller that asks for it gets it
 through the keyword `refutation`, checked to be a distribution, whenever an
@@ -21,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Sequence
 
 from . import lp
@@ -40,20 +47,22 @@ class Distribution:
     """A certificate: a probability distribution over items, positive weights
     only.  A mixture is one over a player's strategies; a belief is one over
     opponent profiles, and a pure belief is a point mass.  With one opponent an
-    independent belief is such a distribution too."""
+    independent belief is such a distribution too.  The weights are checked
+    to sum to 1 over their least common denominator D, and kept that way as
+    `integer_weights`: the weights times D as ints, in order, and D."""
 
     weights: tuple[tuple[object, Fraction], ...]
 
     def __post_init__(self):
-        total = Fraction(0)
         if len({item for item, _ in self.weights}) != len(self.weights):
             raise ValueError("distribution items must be distinct")
-        for _, w in self.weights:
-            if w <= 0:
-                raise ValueError("distribution weights must be positive")
-            total += w
-        if total != 1:
+        if any(w <= 0 for _, w in self.weights):
+            raise ValueError("distribution weights must be positive")
+        (numerators,), scale = lp.integer_rows([[w for _, w in self.weights]])
+        if sum(numerators) != scale:
+            total = Fraction(sum(numerators), scale)
             raise ValueError(f"distribution weights sum to {total}, not 1")
+        object.__setattr__(self, "integer_weights", (tuple(numerators), scale))
 
     def support(self) -> frozenset:
         return frozenset(item for item, _ in self.weights)
@@ -91,11 +100,26 @@ def check_strategy(game: Game, player: int, strategy: int):
         )
 
 
-def _payoff(game: Game, player: int, strategy: int, opp_profile: Sequence[int]) -> Fraction:
-    """`player`'s payoff for `strategy` against the opponents' profile."""
-    joint = list(opp_profile)
-    joint.insert(player, strategy)
-    return game.payoff(player, joint)
+def _payoffs(game: Game, player: int, strategies, profiles) -> dict[int, list[Fraction]]:
+    """`player`'s payoffs for each of `strategies` at each opponent profile
+    in `profiles`, in order, read by stride from `game.payoffs`: a profile's
+    base cell is the joint index with `player`'s strategy 0, and strategy s
+    adds s * game.strides[player]."""
+    strides = [t for j, t in enumerate(game.strides) if j != player]
+    bases = [sum(map(mul, strides, y)) for y in profiles]
+    stride = game.strides[player]
+    cells = game.payoffs
+    return {s: [cells[base + s * stride][player] for base in bases] for s in strategies}
+
+
+def _integer_payoffs(
+    game: Game, player: int, strategies, profiles
+) -> tuple[dict[int, list[int]], int]:
+    """`_payoffs` as ints times their least common denominator, and that
+    denominator."""
+    payoffs = _payoffs(game, player, strategies, profiles)
+    columns, scale = lp.integer_rows(list(payoffs.values()))
+    return dict(zip(payoffs, columns)), scale
 
 
 def expected_payoff(
@@ -106,8 +130,9 @@ def expected_payoff(
     check_strategy(game, player, strategy)
     sizes = [k for j, k in enumerate(game.sizes) if j != player]
     for profile in belief.support():
-        # Game.payoff does not check its cell: a profile the game lacks would
-        # read another cell's payoff or run off the table
+        # payoffs are read by stride, which does not check the cell: a
+        # profile the game lacks would read another cell's payoff or run off
+        # the table
         if len(profile) != len(sizes) or not all(
             0 <= s < k for s, k in zip(profile, sizes)
         ):
@@ -121,31 +146,41 @@ def _expected_payoff(
     game: Game, player: int, strategy: int, belief: Distribution
 ) -> Fraction:
     """expected_payoff for a strategy and belief already checked against the game."""
-    total = Fraction(0)
-    for profile, w in belief.weights:
-        total += w * _payoff(game, player, strategy, profile)
-    return total
+    (column,) = _payoffs(game, player, (strategy,), [y for y, _ in belief.weights]).values()
+    return sum((w * v for (_, w), v in zip(belief.weights, column)), Fraction(0))
 
 
-def _max_margin(rows, bounds) -> lp.Optimum:
+def _max_margin(rows: list[list[int]], bounds: list[int], scale: int) -> tuple[lp.Optimum, int]:
     """The exact max-margin LP that both sides of Pearce's lemma solve:
     maximize t = t+ - t- over distributions x subject to
-    sum_j rows[r][j] x_j + t <= bounds[r] for every r.  Returns t* and x*,
-    whose entries before t+ and t- are the weights, one per column of rows.
-    Its dual multipliers of the rows are a distribution too (the dual
-    constraints of t+ and t- make them sum to 1), read by `_refuting`."""
+    sum_j rows[r][j] x_j + t <= bounds[r] for every r, whose entries are
+    given as ints times `scale`.  Dividing them by their gcd with `scale`
+    leaves them times L, the least common multiple of the rational entries'
+    denominators, and the kernel is handed L times every row, the `t`
+    columns and the row x sums to 1 included: the integer tableau it would
+    build from the rational rows, so the same pivots and the same t* and x*.
+    Returns the optimum, whose entries of x* before t+ and t- are the
+    weights, one per column of rows, and L.  The rows' dual multipliers,
+    times L, are a distribution too (the dual constraints of t+ and t- make
+    them sum to 1), read by `_refuting`."""
+    if scale != 1:
+        g = gcd(scale, *bounds, *(v for row in rows for v in row))
+        rows = [[v // g for v in row] for row in rows]
+        bounds = [b // g for b in bounds]
+        scale //= g
     k = len(rows[0])
-    objective = [lp.ZERO] * k + [lp.ONE, -lp.ONE]
-    lhs_le = [row + [lp.ONE, -lp.ONE] for row in rows]
-    lhs_eq = [[lp.ONE] * k + [lp.ZERO, lp.ZERO]]
-    return lp.simplex_maximize(objective, lhs_le, bounds, lhs_eq, [lp.ONE])
+    objective = [0] * k + [1, -1]
+    lhs_le = [row + [scale, -scale] for row in rows]
+    lhs_eq = [[scale] * k + [0, 0]]
+    return lp.simplex_maximize(objective, lhs_le, bounds, lhs_eq, [scale]), scale
 
 
-def _refuting(items, optimum: lp.Optimum) -> Distribution:
-    """The max-margin LP's dual multipliers of its rows, one per item, as a
-    distribution; anything else is an InternalError."""
+def _refuting(items, optimum: lp.Optimum, scale: int) -> Distribution:
+    """The max-margin LP's dual multipliers of its rows, one per item, times
+    the LP's scale L, as a distribution; anything else is an InternalError."""
+    duals = optimum.duals if scale == 1 else [y * scale for y in optimum.duals]
     try:
-        return distribution(dict(zip(items, optimum.duals)))
+        return Distribution(tuple((item, y) for item, y in zip(items, duals) if y))
     except ValueError as exc:
         raise InternalError(f"LP dual certificate failed re-validation: {exc}") from None
 
@@ -160,12 +195,8 @@ def strictly_dominates_pure(
     check_same_game(game, context.game, "restriction")
     check_strategy(game, player, dominator)
     check_strategy(game, player, dominated)
-    for profile in context.opponent_profiles(player):
-        up = _payoff(game, player, dominator, profile)
-        low = _payoff(game, player, dominated, profile)
-        if up <= low:
-            return False
-    return True
+    payoffs = _payoffs(game, player, (dominator, dominated), context.opponent_profiles(player))
+    return all(up > low for up, low in zip(payoffs[dominator], payoffs[dominated]))
 
 
 def mixed_dominance_witness(
@@ -201,21 +232,24 @@ def mixed_dominance_witness(
         # no mixture, or one over `dominated` alone, which ties it everywhere:
         # the LP value is 0, and nothing in the pool beats `dominated` anywhere
         return None
-    optimum = _max_margin(
-        [[-_payoff(game, player, s, y) for s in pool] for y in profiles],
-        [-_payoff(game, player, dominated, y) for y in profiles],
+    payoffs, scale = _integer_payoffs(game, player, [*pool, dominated], profiles)
+    low = payoffs[dominated]
+    optimum, scale = _max_margin(
+        [[-v for v in row] for row in zip(*(payoffs[s] for s in pool))],
+        [-v for v in low],
+        scale,
     )
     value, x = optimum
     if value <= 0:
         if refutation is not None:
-            refutation.append(_refuting(profiles, optimum))
+            refutation.append(_refuting(profiles, optimum, scale))
         return None
-    witness = distribution(dict(zip(pool, x)))
-    for y in profiles:
-        got = sum(
-            (w * _payoff(game, player, s, y) for s, w in witness.weights), Fraction(0)
-        )
-        if got <= _payoff(game, player, dominated, y):
+    witness = Distribution(tuple((s, w) for s, w in zip(pool, x) if w))
+    # every payoff above is an int over one denominator, and so is every weight
+    weights, total = witness.integer_weights
+    columns = [payoffs[s] for s, _ in witness.weights]
+    for y, bound in enumerate(low):
+        if sum(w * column[y] for w, column in zip(weights, columns)) <= total * bound:
             raise InternalError("LP dominance witness failed re-validation")
     return witness
 
@@ -274,9 +308,10 @@ def exists_supporting_belief(
         return None
 
     if belief_kind == PURE:
-        for y in profiles:
-            base = _payoff(game, player, candidate, y)
-            if all(_payoff(game, player, s, y) <= base for s in pool):
+        payoffs = _payoffs(game, player, [*pool, candidate], profiles)
+        for j, y in enumerate(profiles):
+            base = payoffs[candidate][j]
+            if all(payoffs[s][j] <= base for s in pool):
                 return distribution({y: 1})
         return None
 
@@ -284,25 +319,21 @@ def exists_supporting_belief(
         # nothing to be beaten by: the first profile, as a point distribution
         return distribution({profiles[0]: 1})
 
-    optimum = _max_margin(
-        [
-            [
-                _payoff(game, player, s, y) - _payoff(game, player, candidate, y)
-                for y in profiles
-            ]
-            for s in pool
-        ],
-        [lp.ZERO] * len(pool),
-    )
+    payoffs, scale = _integer_payoffs(game, player, [*pool, candidate], profiles)
+    base = payoffs[candidate]
+    rows = [[v - b for v, b in zip(payoffs[s], base)] for s in pool]
+    optimum, scale = _max_margin(rows, [0] * len(pool), scale)
     value, x = optimum
     if value < 0:
         if refutation is not None:
-            refutation.append(_refuting(pool, optimum))
+            refutation.append(_refuting(pool, optimum, scale))
         return None
-    belief = distribution(dict(zip(profiles, x)))
-    base = _expected_payoff(game, player, candidate, belief)
-    for s in pool:
-        if _expected_payoff(game, player, s, belief) > base:
+    held = [y for y, w in enumerate(x[:len(profiles)]) if w]
+    belief = Distribution(tuple((profiles[y], x[y]) for y in held))
+    # every payoff above is an int over one denominator, and so is every weight
+    weights = belief.integer_weights[0]
+    for row in rows:
+        if sum(w * row[y] for w, y in zip(weights, held)) > 0:
             raise InternalError("LP belief witness failed re-validation")
     return belief
 

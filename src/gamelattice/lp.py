@@ -1,15 +1,17 @@
 """Exact linear programming over the rationals.
 
 A dense two-phase simplex with Bland's pivoting rule on an integer tableau.
-`Fraction` appears only at entry and exit: every constraint row is scaled by
-one common positive integer (the least common multiple of all coefficient
-denominators), and the tableau keeps one common denominator `D > 0`, so that
-the true tableau is `A / D` with `A` all integers.  Pivoting on `p = A[r][c]`
+Every constraint row is scaled by one common positive integer (the least
+common multiple of all coefficient denominators, `integer_rows`), and the
+tableau keeps one common denominator `D > 0`, so that the true tableau is
+`A / D` with `A` all integers.  Int and `Fraction` entries are read as
+they are, by numerator and denominator, so rows that arrive as ints, as
+`dominance` hands them, are taken as they stand, with scale 1.  Pivoting on `p = A[r][c]`
 is fraction-free elimination (Edmonds 1967, Bareiss 1968, as in Avis's
 `lrs`): every other row becomes `(p*a - f*b) // D`, a division that is exact
 because every entry is a minor of the scaled input, and `D` becomes `p`.
-Ratio tests compare by cross-multiplication; the optimal value and `x` are
-built as `Fraction`s only on return.  Feasibility and optimality are decided
+Ratio tests compare by cross-multiplication; the optimal value, `x` and the
+duals are the only `Fraction`s built, on return.  Feasibility and optimality are decided
 exactly; no tolerances exist anywhere.
 
 Scaling every row by the same positive integer scales each slack and
@@ -32,7 +34,6 @@ from typing import Sequence
 from .errors import InternalError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Infeasible(InternalError):
@@ -56,13 +57,32 @@ class Optimum(tuple):
         return optimum
 
 
-def _rational(v):
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+def _ints_only(rows: list[list]) -> bool:
+    for row in rows:
+        for v in row:
+            if type(v) is not int:
+                return False
+    return True
 
 
-def _scaled(values: list, scale: int) -> list[int]:
-    """values times scale, as ints; scale is a multiple of every denominator."""
-    return [v.numerator * (scale // v.denominator) for v in values]
+def integer_rows(rows: list[list]) -> tuple[list[list[int]], int]:
+    """The rows times the least common multiple of their entries'
+    denominators, as ints, and that multiple; rows of ints alone are
+    returned as they are.  Ints and Fractions are read as they are; any
+    other entry, as "3/2" or 0.5, as Fraction(entry)."""
+    if _ints_only(rows):
+        return rows, 1
+    # lcm over a set, not a generator: unpacking a generator builds a resized
+    # tuple per call that CPython then parks in its tuple free lists, which
+    # grew a long-running process by megabytes
+    try:
+        scale = lcm(*{v.denominator for row in rows for v in row})
+    except AttributeError:
+        rows = [[Fraction(v) for v in row] for row in rows]
+        scale = lcm(*{v.denominator for row in rows for v in row})
+    if scale == 1:
+        return [[v.numerator for v in row] for row in rows], 1
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows], scale
 
 
 def simplex_maximize(
@@ -85,35 +105,24 @@ def simplex_maximize(
         raise ValueError("every constraint row needs one right-hand side")
     if any(len(coeffs) != n for lhs in (lhs_le, lhs_eq) for coeffs in lhs):
         raise ValueError(f"every constraint row needs {n} coefficients")
-    # each row as its coefficients followed by its right-hand side; a row
-    # with a negative right-hand side is negated, so a `<=` row turns `>=`
-    rows: list[list] = []
-    kinds: list[str] = []
-    signs: list[int] = []  # -1 for a negated row
-    # (kind, kind once negated, rows, right-hand sides)
-    groups = (("le", "ge", lhs_le, rhs_le), ("eq", "eq", lhs_eq, rhs_eq))
-    for kind, flipped, lhs, rhs in groups:
-        for coeffs, b in zip(lhs, rhs):
-            row = [_rational(v) for v in coeffs]
-            row.append(_rational(b))
-            if row[-1] < 0:
-                rows.append([-v for v in row])
-                kinds.append(flipped)
-                signs.append(-1)
-            else:
-                rows.append(row)
-                kinds.append(kind)
-                signs.append(1)
-
+    # each row as its coefficients followed by its right-hand side, as ints
+    rows, scale = integer_rows(
+        [[*coeffs, b] for lhs, rhs in ((lhs_le, rhs_le), (lhs_eq, rhs_eq)) for coeffs, b in zip(lhs, rhs)]
+    )
     m = len(rows)
-    # one slack column per `<=` or `>=` row, then one artificial column per
-    # `>=` or `==` row, each in row order
+    # one slack column per `<=` row, then one artificial column per row
+    # negated into `>=` (its right-hand side is negative) or `==`, each in
+    # row order
+    kinds = ["le"] * len(lhs_le) + ["eq"] * len(lhs_eq)
+    signs = [1] * m  # -1 for a negated row
+    for r, row in enumerate(rows):
+        if row[-1] < 0:
+            rows[r] = [-v for v in row]
+            signs[r] = -1
+            if kinds[r] == "le":
+                kinds[r] = "ge"
     art_start = n + len(lhs_le)
     width = art_start + m - kinds.count("le")
-    # lcm over a set, not a generator: unpacking a generator builds a resized
-    # tuple per call that CPython then parks in its tuple free lists, which
-    # grew a long-running process by megabytes
-    scale = lcm(*{v.denominator for row in rows for v in row})
 
     # tableau rows hold `width` columns and then the right-hand side
     tableau: list[list[int]] = []
@@ -124,8 +133,7 @@ def simplex_maximize(
     slack_pos = n
     art_pos = art_start
     for r, (row, kind) in enumerate(zip(rows, kinds)):
-        scaled = _scaled(row, scale)
-        trow = scaled[:n] + [0] * (width - n) + scaled[n:]
+        trow = row[:n] + [0] * (width - n) + row[n:]
         if kind != "eq":
             trow[slack_pos] = 1 if kind == "le" else -1
             basis[r] = slack_pos
@@ -220,9 +228,8 @@ def simplex_maximize(
             if basis[r] >= art_start:
                 tableau[r] = [0] * (width + 1)
 
-    objective = [_rational(v) for v in objective]
-    obj_scale = lcm(*{v.denominator for v in objective})
-    cost2 = _scaled(objective, obj_scale) + [0] * (width - n)
+    (cost2,), obj_scale = integer_rows([list(objective)])
+    cost2 += [0] * (width - n)
     cost_row = reduced_cost_row(cost2)
     optimize(cost_row, art_start)
 

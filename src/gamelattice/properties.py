@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from math import lcm
 from operator import and_, or_
 
-from . import dominance
+from . import dominance, lp
 from .dominance import BELIEF_KINDS, CORRELATED
 from .errors import InternalError
 from .games import (
@@ -192,8 +191,7 @@ def _comparisons(game: Game, player: int) -> tuple[list[list[int]], list[list[in
         for block in range(0, len(cells), k * stride)
         for base in range(block, block + stride)
     ]
-    scale = lcm(*{v.denominator for column in columns for v in column})
-    columns = [[v.numerator * (scale // v.denominator) for v in column] for column in columns]
+    columns = lp.integer_rows(columns)[0]
     beaters = [[0] * len(columns) for _ in range(k)]
     for y, column in enumerate(columns):
         # by falling payoff: `seen` holds the strategies passed so far,
@@ -264,8 +262,8 @@ def _certificate_masks(
     by exact integer evaluation of `payoffs`."""
     game = evaluator.game
     columns = evaluator.payoffs[player]
-    scale = lcm(*{w.denominator for _, w in certificate.weights})
-    weights = [(item, w.numerator * (scale // w.denominator)) for item, w in certificate.weights]
+    numerators, scale = certificate.integer_weights
+    weights = [(item, w) for (item, _), w in zip(certificate.weights, numerators)]
     if mixture:
         support = sum(1 << s for s, _ in weights)
         beaten = 0
@@ -291,9 +289,9 @@ def _solved(
 ) -> tuple[bool, tuple[int, int]]:
     """s's `family` verdict on the restriction with lattice index `index`,
     with pool `pool`, from its LP, with the one certificate its answer must
-    carry, the witness or the LP's refutation, reduced to masks and stored;
-    an answer with no certificate is an InternalError.  `_settle` checks
-    that the certificate proves the verdict at `index`."""
+    carry, the witness or the LP's refutation, reduced to masks; an answer
+    with no certificate is an InternalError.  `_settle` checks that the
+    certificate proves the verdict at `index`, and only then stores it."""
     game = evaluator.game
     g = restriction_at(game, index)
     members = mask_members(pool)
@@ -309,14 +307,12 @@ def _solved(
         )
         passes = witness is not None
     certificates = refutation if witness is None else [witness]
-    masks = [_certificate_masks(evaluator, player, s, c, not passes) for c in certificates]
-    if len(masks) != 1:
+    if len(certificates) != 1:
         raise InternalError(
             f"{family}: the certificate for player {player + 1}'s "
             f"{game.strategy_names[player][s]} on {g.names()} is missing"
         )
-    evaluator.certificates.setdefault((family, player, s), ([], []))[passes].extend(masks)
-    return passes, masks[0]
+    return passes, _certificate_masks(evaluator, player, s, certificates[0], not passes)
 
 
 def _certificate_slice(
@@ -349,8 +345,9 @@ def _settle(
     slice holds, a belief passing them, until none is open.  s's LPs read
     and write only s's certificates, so they run in the order of asking one
     index at a time, whatever strategy is settled first.  A solved
-    certificate whose slice misses its own index does not prove its verdict
-    there, which is an InternalError."""
+    certificate is stored for s once its slice holds its own index; one
+    whose slice misses it does not prove its verdict there, which is an
+    InternalError, and is not stored."""
     game = evaluator.game
     shift = game.shifts[player]
     full = (1 << game.sizes[player]) - 1
@@ -366,12 +363,14 @@ def _settle(
             pool = full if scope == "g" else index >> shift & full
             passes, masks = _solved(evaluator, family, index, player, pool, s)
         settled = _certificate_slice(masks, passes, pools, in_y, ones)
-        if own & ~settled:
-            raise InternalError(
-                f"{family}: the certificate for player {player + 1}'s "
-                f"{game.strategy_names[player][s]} on {restriction_at(game, index).names()} "
-                "failed re-validation: its slice misses the index it settles"
-            )
+        if own:
+            if not own & settled:
+                raise InternalError(
+                    f"{family}: the certificate for player {player + 1}'s "
+                    f"{game.strategy_names[player][s]} on {restriction_at(game, index).names()} "
+                    "failed re-validation: its slice misses the index it settles"
+                )
+            evaluator.certificates.setdefault((family, player, s), ([], []))[passes].append(masks)
         if passes:
             passing |= open_ & settled
         open_ &= ~settled
@@ -569,10 +568,14 @@ def _property_table(
     for i, spec in enumerate(profile.specs):
         family = _family(spec, game)
         passing, opens, pools, in_y = _component(evaluator, family, spec.scope, i, patterns, own)
-        slices[game.shifts[i]:game.shifts[i] + game.sizes[i]] = [
-            _settle(evaluator, family, spec.scope, i, s, seeded, open_, pools, in_y, ones)
-            for s, (seeded, open_) in enumerate(zip(passing, opens))
-        ]
+        # settled in place, so that a strategy's seeded slices are dropped
+        # as its settled one is stored
+        for s in range(game.sizes[i]):
+            passing[s] = _settle(
+                evaluator, family, spec.scope, i, s, passing[s], opens[s], pools, in_y, ones
+            )
+            opens[s] = 0
+        slices[game.shifts[i]:game.shifts[i] + game.sizes[i]] = passing
     return slices
 
 

@@ -6,13 +6,16 @@ recursion, the CK/CB walk that ANDs every player's marked sets and the one
 that lists and sorts every representative before it walks them, the rank
 of a strategy assignment in product order, the JSON conversion of report
 values with its Fraction test first, one player's integer payoff and beater
-tables, built cell by cell, a property's image table, asked one lattice
-index at a time, the property queries and tables of an Evaluator that keeps
-a verdict store, the symbolic set algebra as one sorted sweep over every
-operand's boundary cuts, and the lattice verifiers on image tables held as
-lists of 2^K lattice indices, with the transpose of a table's bit-slices
-into that list and the subset sum that counts monotonicity violations per
-index, and the transfinite witness's step through the set algebra."""
+tables, built cell by cell, the two max-margin LP procedures and the LP
+answer of a property query with their rows built and their certificates
+re-checked in Fractions, a distribution's Fraction sum check, a property's
+image table, asked one lattice index at a time, the property queries and
+tables of an Evaluator that keeps a verdict store, the symbolic set algebra
+as one sorted sweep over every operand's boundary cuts, and the lattice
+verifiers on image tables held as lists of 2^K lattice indices, with the
+transpose of a table's bit-slices into that list and the subset sum that
+counts monotonicity violations per index, and the transfinite witness's
+step through the set algebra."""
 
 import itertools
 from functools import reduce
@@ -22,7 +25,7 @@ from math import lcm
 from operator import add, or_
 from typing import Iterator, Sequence
 
-from gamelattice import dominance, iteration, properties
+from gamelattice import dominance, iteration, lp, properties
 from gamelattice.epistemic import (
     EpistemicModel,
     WitnessResult,
@@ -37,7 +40,7 @@ from gamelattice.epistemic import (
     largest_evident_subset,
     rational_states,
 )
-from gamelattice.errors import PreconditionError
+from gamelattice.errors import InternalError, PreconditionError
 from gamelattice.games import (
     Game,
     all_restrictions,
@@ -346,6 +349,141 @@ def comparison_tables(game: Game, player: int) -> tuple[list[list[int]], list[li
     return columns, beaters
 
 
+def fraction_payoff(game: Game, player: int, strategy: int, opp_profile: Sequence[int]) -> Fraction:
+    """`player`'s payoff for `strategy` against the opponents' profile,
+    through `Game.payoff`."""
+    joint = list(opp_profile)
+    joint.insert(player, strategy)
+    return game.payoff(player, joint)
+
+
+def _fraction_max_margin(rows: list[list[Fraction]], bounds: list[Fraction]) -> lp.Optimum:
+    """The max-margin LP of `dominance._max_margin` with its rational rows
+    as they are: `lp.simplex_maximize` scales them itself."""
+    k = len(rows[0])
+    one, zero = Fraction(1), Fraction(0)
+    objective = [zero] * k + [one, -one]
+    lhs_le = [row + [one, -one] for row in rows]
+    lhs_eq = [[one] * k + [zero, zero]]
+    return lp.simplex_maximize(objective, lhs_le, bounds, lhs_eq, [one])
+
+
+def _fraction_refuting(items, optimum: lp.Optimum) -> dominance.Distribution:
+    try:
+        return dominance.distribution(dict(zip(items, optimum.duals)))
+    except ValueError as exc:
+        raise InternalError(f"LP dual certificate failed re-validation: {exc}") from None
+
+
+def fraction_dominance_witness(
+    game: Game, context, player: int, dominator_pool, dominated: int, *, refutation=None
+):
+    """`dominance.mixed_dominance_witness` with every LP row built from
+    `fraction_payoff` as a Fraction and the witness re-checked by Fraction
+    sums."""
+    pool = sorted(set(dominator_pool))
+    profiles = list(context.opponent_profiles(player))
+    if pool and not profiles:
+        return dominance.distribution({s: Fraction(1, len(pool)) for s in pool})
+    if pool in ([], [dominated]):
+        return None
+    optimum = _fraction_max_margin(
+        [[-fraction_payoff(game, player, s, y) for s in pool] for y in profiles],
+        [-fraction_payoff(game, player, dominated, y) for y in profiles],
+    )
+    value, x = optimum
+    if value <= 0:
+        if refutation is not None:
+            refutation.append(_fraction_refuting(profiles, optimum))
+        return None
+    witness = dominance.distribution(dict(zip(pool, x)))
+    for y in profiles:
+        got = sum(
+            (w * fraction_payoff(game, player, s, y) for s, w in witness.weights), Fraction(0)
+        )
+        if got <= fraction_payoff(game, player, dominated, y):
+            raise InternalError("LP dominance witness failed re-validation")
+    return witness
+
+
+def fraction_supporting_belief(
+    game: Game, belief_context, comparison_pool, player: int, candidate: int, *, refutation=None
+):
+    """`dominance.exists_supporting_belief` for a correlated belief, with
+    every LP row built from `fraction_payoff` as a Fraction and the belief
+    re-checked by Fraction expected payoffs."""
+    pool = sorted(set(comparison_pool))
+    profiles = list(belief_context.opponent_profiles(player))
+    if not profiles:
+        return None
+    if not pool:
+        return dominance.distribution({profiles[0]: 1})
+    optimum = _fraction_max_margin(
+        [
+            [
+                fraction_payoff(game, player, s, y) - fraction_payoff(game, player, candidate, y)
+                for y in profiles
+            ]
+            for s in pool
+        ],
+        [Fraction(0)] * len(pool),
+    )
+    value, x = optimum
+    if value < 0:
+        if refutation is not None:
+            refutation.append(_fraction_refuting(pool, optimum))
+        return None
+    belief = dominance.distribution(dict(zip(profiles, x)))
+
+    def expected(s):
+        return sum(
+            (w * fraction_payoff(game, player, s, y) for y, w in belief.weights), Fraction(0)
+        )
+
+    base = expected(candidate)
+    for s in pool:
+        if expected(s) > base:
+            raise InternalError("LP belief witness failed re-validation")
+    return belief
+
+
+def fraction_solved(
+    evaluator: properties.Evaluator, family: str, index: int, player: int, pool: int, s: int
+) -> tuple[bool, tuple[int, int]]:
+    """`properties._solved` through `fraction_dominance_witness` and
+    `fraction_supporting_belief`."""
+    game = evaluator.game
+    g = restriction_at(game, index)
+    refutation = []
+    if family == "msd":
+        witness = fraction_dominance_witness(
+            game, g, player, mask_members(pool), s, refutation=refutation
+        )
+        passes = witness is None
+    else:
+        witness = fraction_supporting_belief(
+            game, g, mask_members(pool), player, s, refutation=refutation
+        )
+        passes = witness is not None
+    (certificate,) = refutation if witness is None else [witness]
+    return passes, properties._certificate_masks(evaluator, player, s, certificate, not passes)
+
+
+def fraction_distribution_error(weights) -> str | None:
+    """The ValueError message a `Distribution` of these (item, weight) pairs
+    gave when it summed its weights as Fractions, or None."""
+    if len({item for item, _ in weights}) != len(weights):
+        return "distribution items must be distinct"
+    total = Fraction(0)
+    for _, w in weights:
+        if w <= 0:
+            return "distribution weights must be positive"
+        total += w
+    if total != 1:
+        return f"distribution weights sum to {total}, not 1"
+    return None
+
+
 def per_index_table(
     profile: properties.PropertyProfile, game: Game, evaluator: properties.Evaluator, own: bool
 ) -> list[int]:
@@ -403,7 +541,8 @@ class VerdictStore:
     from both pure pre-checks over every strategy.  A query decides each
     candidate its entry leaves open, in ascending order, from a stored
     certificate (`settled`) or else its own LP (`properties._solved`), whose
-    certificate must settle it there, and records it in the entry; a table
+    certificate it stores and which must settle it there, and records it in
+    the entry; a table
     asks the query at every index where `properties._component`'s slices
     leave a strategy open, in ascending index order, and returns its
     bit-slices, as `properties._property_table` does."""
@@ -438,7 +577,8 @@ class VerdictStore:
             certificates = evaluator.certificates.setdefault((family, player, s), ([], []))
             verdict = settled(certificates, pool, profiles)
             if verdict is None:
-                verdict = properties._solved(evaluator, family, index, player, pool, s)[0]
+                verdict, masks = properties._solved(evaluator, family, index, player, pool, s)
+                certificates[verdict].append(masks)
                 assert settled(certificates, pool, profiles) is verdict
             passing |= verdict << s
         self.verdicts[key] = (decided | open_, passing)

@@ -1,10 +1,14 @@
 import hashlib
+import math
 import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from gamelattice import fixtures, lp
 from gamelattice.dominance import (
     Distribution,
@@ -18,6 +22,7 @@ from gamelattice.dominance import (
 )
 from gamelattice.errors import ShapeError, UnsupportedBeliefError
 from gamelattice.games import (
+    Game,
     Restriction,
     all_restrictions,
     mask_members,
@@ -436,3 +441,145 @@ def test_pearce_every_restriction_of_fixtures():
         for g in all_restrictions(game):
             rep = pearce_equivalence_check(game, g)
             assert rep.passed, (game.name, g.names())
+
+
+# -- integer rows against the Fraction path ------------------------------------
+
+
+@st.composite
+def rational_games(draw):
+    """A 2- or 3-player game with rational payoffs, each over a denominator
+    of at most 50 or, for the whole game, of 60 digits."""
+    sizes = draw(st.sampled_from([(2, 2), (2, 3), (3, 3), (3, 4), (4, 4), (2, 2, 2), (3, 2, 2)]))
+    if draw(st.booleans()):
+        denominators = st.integers(1, 50)
+    else:
+        denominators = st.integers(10**59, 10**60 - 1)
+    cells = []
+    for _ in range(math.prod(sizes)):
+        cell = []
+        for _ in sizes:
+            den = draw(denominators)
+            cell.append(Fraction(draw(st.integers(-6 * den, 6 * den)), den))
+        cells.append(tuple(cell))
+    names = tuple(tuple(f"s{s}" for s in range(k)) for k in sizes)
+    return Game("rational", names, tuple(cells))
+
+
+@st.composite
+def lp_questions(draw):
+    """A rational game, a restriction of it with non-empty opponent
+    components, a player, a pool and a candidate."""
+    game = draw(rational_games())
+    masks = tuple(draw(st.integers(1, (1 << k) - 1)) for k in game.sizes)
+    player = draw(st.integers(0, game.num_players - 1))
+    k = game.sizes[player]
+    pool = mask_members(draw(st.integers(0, (1 << k) - 1)))
+    return game, Restriction(game, masks), player, pool, draw(st.integers(0, k - 1))
+
+
+def _kernel_calls(call):
+    """The result of call() and the arguments of each LP it hands
+    `lp.simplex_maximize`."""
+    solve = lp.simplex_maximize
+    lps = []
+
+    def recording(*args):
+        lps.append(args)
+        return solve(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp, "simplex_maximize", recording)
+        return call(), lps
+
+
+def _same_tableau(got, want):
+    """Each LP of `got` is the rational LP of `want` with every constraint
+    row and right-hand side times L, the lcm of their denominators, as ints:
+    the integer tableau the kernel builds from `want`."""
+    assert len(got) == len(want)
+    for (objective, *constraints), (rational_objective, *rational) in zip(got, want):
+        assert objective == rational_objective
+        flat = [v for arg in rational for row in arg for v in (row if isinstance(row, list) else [row])]
+        scale = math.lcm(*{v.denominator for v in flat})
+        assert constraints == [
+            [[v * scale for v in row] if isinstance(row, list) else row * scale for row in arg]
+            for arg in rational
+        ]
+        assert all(
+            type(v) is int for arg in constraints for row in arg
+            for v in (row if isinstance(row, list) else [row])
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(lp_questions())
+def test_integer_rows_answer_as_the_fraction_rows(question):
+    # both procedures read the payoffs by stride as ints over the LP's own
+    # scale and re-check their certificate in ints: the kernel must get the
+    # tableau the Fraction rows give, and every answer and every refutation
+    # must be the one the Fraction rows and Fraction re-check give
+    game, g, player, pool, s = question
+    for procedure, oracle in (
+        (
+            lambda refutation: mixed_dominance_witness(game, g, player, pool, s, refutation=refutation),
+            lambda refutation: oracles.fraction_dominance_witness(
+                game, g, player, pool, s, refutation=refutation
+            ),
+        ),
+        (
+            lambda refutation: exists_supporting_belief(
+                game, g, pool, player, s, "corr", refutation=refutation
+            ),
+            lambda refutation: oracles.fraction_supporting_belief(
+                game, g, pool, player, s, refutation=refutation
+            ),
+        ),
+    ):
+        got, want = [], []
+        answer, lps = _kernel_calls(lambda: procedure(got))
+        expected, rational_lps = _kernel_calls(lambda: oracle(want))
+        assert (answer, got) == (expected, want)
+        _same_tableau(lps, rational_lps)
+
+
+def test_integer_games_hand_the_kernel_ints_only(monkeypatch):
+    # with integer payoffs the LP's scale is 1, so every coefficient and
+    # right-hand side that reaches the kernel is an int
+    solve = lp.simplex_maximize
+    entries = []
+
+    def recording(*args):
+        entries.extend(v for arg in args for row in arg for v in (row if isinstance(row, list) else [row]))
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "simplex_maximize", recording)
+    for game in (MIX, CHAIN, THREE, *fixtures.random_games(53, 6, 4, 4)):
+        for g in all_restrictions(game):
+            pearce_equivalence_check(game, g)
+    assert entries and {type(v) for v in entries} == {int}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.one_of(
+                st.fractions(min_value=-1, max_value=2, max_denominator=12),
+                st.integers(-1, 2),
+            ),
+        ),
+        max_size=5,
+    )
+)
+def test_distributions_raise_what_the_fraction_sum_raised(weights):
+    # the sum is checked over the weights' common denominator: every error
+    # and message must be the one the Fraction sum gave
+    expected = oracles.fraction_distribution_error(weights)
+    try:
+        Distribution(tuple(weights))
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None

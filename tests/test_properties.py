@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import math
@@ -52,6 +53,7 @@ from gamelattice.properties import (
 from oracles import (
     VerdictStore,
     comparison_tables,
+    fraction_solved,
     per_index_table,
     settled,
     transpose_slices,
@@ -566,7 +568,8 @@ def test_queries_and_slices_are_seeded_by_one_rule(game, monkeypatch):
     # open strategy it is handed and failing it, by a certificate whose
     # slice is every index asked, `_passing` asked for every strategy runs
     # no LP, and at every index X its mask and the open strategies must be
-    # bit X of the slices of every strategy
+    # bit X of the slices of every strategy; `_settle` stores each such
+    # certificate, which is dropped before the next query
     opened = []
     monkeypatch.setattr(properties, "_certificate_slice", lambda *a: a[-1])
     monkeypatch.setattr(properties, "_solved", lambda *a: opened.append(a[-1]) or (False, (0, 0)))
@@ -587,7 +590,10 @@ def test_queries_and_slices_are_seeded_by_one_rule(game, monkeypatch):
                     assert got == sum((p >> index & 1) << s for s, p in enumerate(passing)), where
                     want = sum((o >> index & 1) << s for s, o in enumerate(opens))
                     assert opened == mask_members(want), where
-    assert not evaluator.certificates
+                    assert evaluator.certificates == {
+                        (family, i, s): ([(0, 0)], []) for s in opened
+                    }, where
+                    evaluator.certificates.clear()
 
 
 def _lp_solves(game, monkeypatch, build, steps):
@@ -685,15 +691,29 @@ def test_a_certificate_slice_holds_the_indices_its_certificate_settles():
 def test_a_certificate_slice_that_misses_its_own_index_is_internal(monkeypatch, capsys):
     # a table and a query clear each solved index by its certificate's
     # slice: a slice that misses the index it was solved at would leave it
-    # open for ever, so it is an internal error at the first LP.  B of mix
+    # open for ever, so it is an internal error at the first LP, and the
+    # certificate, which proves nothing there, is not stored.  B of mix
     # loses only to a mixture of T and M, so msd leaves it open on the full
-    # game, for the query and for `eliminate`'s first step
+    # game, for the query and for `eliminate`'s first step.  Each Evaluator
+    # first stores br:corr's certificates, which must be kept as they are
+    msd = parse_property_spec("msd:l")
+    top = Restriction(MIX, (0b111, 0b11))
+
+    def evaluator_with_certificates():
+        evaluator = Evaluator(MIX)
+        passing_mask(parse_property_spec("br:l:corr"), MIX, 0, top, 0b111, evaluator)
+        assert evaluator.certificates
+        return evaluator, copy.deepcopy(evaluator.certificates)
+
+    tabled, tabled_before = evaluator_with_certificates()
+    queried, queried_before = evaluator_with_certificates()
     monkeypatch.setattr(properties, "_certificate_slice", lambda *a: 0)
     with pytest.raises(InternalError, match="misses the index it settles"):
-        _built_table(uniform(MIX, "msd:l"), MIX, Evaluator(MIX), True)
-    msd = parse_property_spec("msd:l")
+        _built_table(uniform(MIX, "msd:l"), MIX, tabled, True)
+    assert tabled.certificates == tabled_before
     with pytest.raises(InternalError, match="player 1's B on .* misses the index it settles"):
-        passing_mask(msd, MIX, 0, Restriction(MIX, (0b111, 0b11)), 0b100, Evaluator(MIX))
+        passing_mask(msd, MIX, 0, top, 0b100, queried)
+    assert queried.certificates == queried_before
     assert main(["eliminate", "--prop", "msd:l", str(FIXTURE_DIR / "mix.game")]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err.startswith("internal error: msd: the certificate") and "misses the index" in err
@@ -1386,6 +1406,50 @@ def _lp_run(game, evaluator, seed):
         results.append(outcome(profile, game, evaluator=evaluator))
     results.append(queries())
     return results
+
+
+def _wide_fraction_game(rng, sizes):
+    """A game whose payoffs are fractions over odd 60-digit denominators."""
+    names = tuple(tuple(f"s{s}" for s in range(k)) for k in sizes)
+    payoffs = []
+    for _ in range(math.prod(sizes)):
+        dens = [rng.randrange(10**59 + 1, 10**60, 2) for _ in sizes]
+        payoffs.append(tuple(Fraction(rng.randint(-6 * d, 6 * d), d) for d in dens))
+    return Game(f"wide{'x'.join(map(str, sizes))}", names, tuple(payoffs))
+
+
+def test_every_lp_answer_is_the_fraction_paths(monkeypatch):
+    # `_solved` has its procedure build the LP's rows from the payoffs as
+    # ints over the LP's own scale and re-check its certificate in ints:
+    # every call, on integer games and on rational ones over small and
+    # 60-digit denominators, must return the verdict and certificate masks
+    # that the Fraction rows and Fraction re-check give
+    real = properties._solved
+    answers = []
+
+    def compared(evaluator, family, index, player, pool, s):
+        got = real(evaluator, family, index, player, pool, s)
+        assert got == fraction_solved(evaluator, family, index, player, pool, s)
+        answers.append((evaluator.game.name, family, got[0]))
+        return got
+
+    monkeypatch.setattr(properties, "_solved", compared)
+    games = [MIX, *fixtures.random_games(53, 4, 4, 4)] + [
+        make(random.Random(seed), sizes)
+        for make in (_random_game, _fraction_game, _wide_fraction_game)
+        for seed, sizes in ((1, (3, 3)), (2, (4, 3)), (3, (2, 2, 2)), (4, (3, 3, 2)), (5, (3, 2, 3)))
+    ]
+    for seed, game in enumerate(games):
+        _lp_run(game, Evaluator(game), seed)
+        verify_theorem_just1(game)
+        pearce_equivalence_suite(game)
+    # both verdicts of both families on integer, small-denominator and
+    # 60-digit games, and LPs on a 3-player game of each kind
+    for kind in ("rand", "frac", "wide"):
+        assert {(family, passes) for name, family, passes in answers if name.startswith(kind)} == {
+            (family, passes) for family in ("msd", "br:corr") for passes in (False, True)
+        }, kind
+    assert {name[:4] for name, _, _ in answers if name.count("x") == 2} == {"rand", "frac", "wide"}
 
 
 def _recorded_solves(monkeypatch, key):
